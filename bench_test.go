@@ -319,17 +319,18 @@ func BenchmarkExposureClosedForm(b *testing.B) {
 	}
 }
 
-// ---- Parallel interaction engine benchmarks ---------------------------
+// ---- Definition-prebuild pool benchmarks -------------------------------
 
-// benchShiftRegCheck runs the full DIC pipeline on a shift-register chip
-// with the given interaction-stage worker count, reporting the interaction
-// stage's own wall time as interact-ns/op alongside the whole-pipeline
-// ns/op. Comparing workers=1 against workers=all at the same cell count
-// gives the serial-vs-parallel speedup of the sharded sweep engine.
+// benchShiftRegCheck runs a cold check of a unique-rows shift-register
+// chip (one definition per row, so the pool has independent work) with the
+// given Options.Workers, reporting the interaction stage's own wall time
+// as interact-ns/op alongside the whole-pipeline ns/op. Comparing
+// workers=1 against workers=all at the same cell count gives the speedup
+// of building the per-definition interaction caches on the pool.
 func benchShiftRegCheck(b *testing.B, rows, cols, workers int) {
 	b.Helper()
 	tc := tech.NMOS()
-	chip := workload.NewChip(tc, "shiftreg", rows, cols)
+	chip := workload.NewChipUnique(tc, "shiftreg", rows, cols)
 	b.ResetTimer()
 	var stageNS int64
 	for i := 0; i < b.N; i++ {
@@ -534,28 +535,5 @@ func BenchmarkRecheckOneBox(b *testing.B) {
 	b.StopTimer()
 	if !eng.Stats().WindowPatched {
 		b.Fatal("window patch path did not engage")
-	}
-}
-
-// BenchmarkPairFinderParallel tracks the sharded sweep kernel in isolation
-// (no per-pair checker work), serial versus all cores.
-func BenchmarkPairFinderParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	var pf geom.PairFinder
-	for i := 0; i < 20000; i++ {
-		x, y := int64(rng.Intn(800000)), int64(rng.Intn(800000))
-		pf.AddRect(i, geom.R(x, y, x+1000, y+1000), 0)
-	}
-	for _, workers := range []int{1, 0} {
-		name := "workers=all"
-		if workers == 1 {
-			name = "workers=1"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := 0
-				pf.PairsParallel(750, workers, nil, func(geom.Pair) { n++ })
-			}
-		})
 	}
 }

@@ -19,15 +19,16 @@
 //	-noconstruct         skip the non-geometric construction rules (the
 //	                     bipolar demo workload needs this: its device
 //	                     terminals are deliberately unwired)
-//	-workers n           interaction-stage goroutines (0 = all cores, 1 = serial)
+//	-workers n           goroutines building per-definition interaction
+//	                     caches (0 = all cores, 1 = serial)
 //	-v                   print every violation, not just the summary
 //	-netlist             print the extracted hierarchical net list
 //	-stats               print per-stage statistics
 //	-json                emit the report as machine-readable JSON
 //	-edits FILE          apply the JSON edit script to the design before
 //	                     checking (offline), or to the served session
-//	-repeat n            run the incremental engine n times (cold + warm
-//	                     replays), printing per-run timings and cache stats
+//	-repeat n            run the engine n times (cold + warm replays),
+//	                     printing per-run timings and cache stats
 //	-serve URL           check through a running dicheckd instead of
 //	                     in-process: one-shot (create, report, delete)
 //	                     unless -session names a persistent session
@@ -83,9 +84,9 @@ func run() int {
 	showStats := flag.Bool("stats", false, "print per-stage statistics")
 	noConstruct := flag.Bool("noconstruct", false, "skip the non-geometric construction rules (fanout, rails)")
 	procModel := flag.Bool("process", false, "give spacing violations a second opinion from the Eq.1 process model")
-	workers := flag.Int("workers", 0, "interaction-stage goroutines (0 = all cores, 1 = serial reference)")
+	workers := flag.Int("workers", 0, "goroutines building per-definition interaction caches (0 = all cores, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON")
-	repeat := flag.Int("repeat", 0, "run the incremental engine this many times (0 = one-shot pipeline)")
+	repeat := flag.Int("repeat", 0, "run the engine this many times, printing per-run timings and cache stats (0 = one quiet run)")
 	editsFile := flag.String("edits", "", "apply this JSON edit script before checking (or to the served session)")
 	serve := flag.String("serve", "", "check through the dicheckd at this URL instead of in-process")
 	session := flag.String("session", "", "with -serve: reuse (or create) this named persistent session")
@@ -193,32 +194,28 @@ func run() int {
 			opts.ProcessSpacing = &m
 			opts.ProcessMargin = 100
 		}
+		// One engine either way. The first run is cold and fills the
+		// definition caches; with -repeat the following runs replay them —
+		// the shape of a long-lived checking service between edits — and
+		// each run's timing and cache stats are reported.
+		eng := core.NewEngine(tc, opts)
 		var rep *core.Report
-		var eng *core.Engine
-		var err error
-		if *repeat > 0 {
-			// Incremental session: the first run is cold and fills the
-			// definition caches; the following runs replay them — the
-			// shape of a long-lived checking service between edits.
-			eng = core.NewEngine(tc, opts)
-			for i := 0; i < *repeat; i++ {
-				start := time.Now()
-				rep, err = eng.Recheck(design)
-				if err != nil {
-					fatalf("check: %v", err)
-				}
-				if !*jsonOut {
-					fmt.Printf("engine run %d: %v (%s)\n", i+1, time.Since(start).Round(time.Microsecond), eng.Stats())
-				}
-			}
-		} else {
-			rep, err = core.Check(design, tc, opts)
-			if err != nil {
+		for i := 0; i < max(1, *repeat); i++ {
+			start := time.Now()
+			var err error
+			if rep, err = eng.Recheck(design); err != nil {
 				fatalf("check: %v", err)
+			}
+			if *repeat > 0 && !*jsonOut {
+				fmt.Printf("engine run %d: %v (%s)\n", i+1, time.Since(start).Round(time.Microsecond), eng.Stats())
 			}
 		}
 		if *jsonOut {
-			if err := printJSON(rep, eng); err != nil {
+			var statsOf *core.Engine // a one-shot report carries no engine stats
+			if *repeat > 0 {
+				statsOf = eng
+			}
+			if err := printJSON(rep, statsOf); err != nil {
 				fatalf("json: %v", err)
 			}
 		} else {

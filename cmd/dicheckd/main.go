@@ -32,8 +32,7 @@
 //	-test-hooks        register POST /v1/sessions/{id}/inject (fault
 //	                   injection for the load harness; never in production)
 //
-// Endpoints (all JSON, versioned under /v1; the unprefixed paths answer
-// 308 redirects for one deprecation release):
+// Endpoints (all JSON, versioned under /v1):
 //
 //	POST   /v1/sessions               create a session {name, cif, tech|deck, ...}
 //	GET    /v1/sessions               list sessions

@@ -10,8 +10,9 @@
 //
 //	-quick        smaller chip sizes (fast smoke run)
 //	-run          comma-separated experiment ids (default: all)
-//	-workers      DIC interaction-stage goroutines (0 = all cores, 1 = serial);
-//	              E18 reports serial vs parallel regardless of this setting
+//	-workers      goroutines building the DIC's per-definition interaction
+//	              caches (0 = all cores, 1 = serial); E18 reports serial vs
+//	              pooled regardless of this setting
 //	-json         run the perfbench kernel suite instead of the experiments and
 //	              write a BENCH_<date>.json snapshot (ns/op + allocs/op per
 //	              named benchmark) — the repo's perf trajectory artifact
@@ -46,7 +47,7 @@ func main() {
 func realMain() int {
 	quick := flag.Bool("quick", false, "smaller workloads")
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
-	workers := flag.Int("workers", 0, "DIC interaction-stage goroutines (0 = all cores, 1 = serial)")
+	workers := flag.Int("workers", 0, "goroutines building the DIC's per-definition interaction caches (0 = all cores, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "run the kernel benchmark suite and write BENCH_<date>.json")
 	compare := flag.String("compare", "", "run the kernel suite and print deltas vs this prior BENCH_*.json snapshot")
 	outDir := flag.String("o", ".", "output directory for the -json snapshot")

@@ -29,16 +29,17 @@
 //	report, err := dic.Check(design, tc, dic.Options{})
 //	for _, v := range report.Errors() { fmt.Println(v) }
 //
-// The chip-level interaction stage runs on a sharded parallel plane sweep;
-// Options.Workers selects the goroutine count (0 = all cores, 1 = the
-// serial reference sweep). The report is identical for any worker count.
+// Check is one cold run of the incremental engine: every stage's results
+// are computed per symbol definition under content hashes and replayed per
+// instance, so even a single verdict costs what the distinct definitions
+// cost, not what the instantiated chip costs. Options.Workers sizes the
+// pool that builds the per-definition interaction caches (0 = all cores,
+// 1 = serial); the report is identical for any worker count.
 //
-// For the iterate-edit-recheck loop, NewEngine opens an incremental
-// session: every stage's results are cached per symbol definition under
-// content hashes, so a Recheck after an edit re-derives only the dirty
-// subtrees and still returns a Report byte-identical (modulo stage
-// durations) to a cold Check. See the "Incremental checking" section of
-// the README.
+// For the iterate-edit-recheck loop, NewEngine keeps that engine open as a
+// session: a Recheck after an edit re-derives only the dirty subtrees and
+// still returns a Report byte-identical (modulo stage durations) to a cold
+// Check. See the "Incremental checking" section of the README.
 package dic
 
 import (
@@ -195,15 +196,17 @@ func WriteCIF(d *Design, tc *Technology) (string, error) {
 // NewDesign creates an empty design for programmatic construction.
 func NewDesign(name string) *Design { return layout.NewDesign(name) }
 
-// Check runs the six-stage design-integrity pipeline.
+// Check runs the six-stage design-integrity pipeline: one cold run of a
+// fresh Engine.
 func Check(d *Design, tc *Technology, opts Options) (*Report, error) {
 	return core.Check(d, tc, opts)
 }
 
-// NewEngine creates an incremental check session: content-addressed caches
-// at the symbol-definition level make Recheck after an edit cost only what
-// actually changed, while producing a Report byte-identical (modulo stage
-// durations) to a cold Check of the same design state.
+// NewEngine creates a check session — the engine Check runs once, kept
+// open: content-addressed caches at the symbol-definition level make
+// Recheck after an edit cost only what actually changed, while producing a
+// Report byte-identical (modulo stage durations) to a cold Check of the
+// same design state.
 //
 //	eng := dic.NewEngine(tc, dic.Options{})
 //	rep, _ := eng.Check(design)     // cold: populates the caches

@@ -61,11 +61,11 @@ type Options struct {
 	// process model (default: half the technology λ when zero).
 	Misalign float64
 
-	// Workers is the number of goroutines for the chip-level interaction
-	// stage: 0 uses runtime.NumCPU(), 1 forces the serial reference sweep
-	// (the oracle path). Any worker count produces an identical Report —
-	// the sharded sweeps merge back in strip order, so violation lists and
-	// Stats counters are byte-for-byte the same as the serial run.
+	// Workers is the number of goroutines the interaction stage uses to
+	// build missing per-definition caches (candidate sweeps and keepout
+	// probes, independent across definitions): 0 uses runtime.NumCPU(), 1
+	// builds them serially. Tallies, signatures and report assembly are
+	// always serial, so any worker count produces an identical Report.
 	Workers int
 }
 
@@ -126,54 +126,13 @@ func (r *Report) Errors() []Violation {
 // Clean reports whether no error-severity violations were found.
 func (r *Report) Clean() bool { return len(r.Errors()) == 0 }
 
-// Check runs the full DIC pipeline on a design.
+// Check runs the full DIC pipeline on a design: one cold run of a fresh
+// Engine. Callers that will check the design again after editing it should
+// keep an Engine instead. Like every engine run it resets the design's
+// edit records when it completes, so checks of one design must not run
+// concurrently.
 func Check(d *layout.Design, tc *tech.Technology, opts Options) (*Report, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	rep := &Report{Design: d, Tech: tc}
-	c := &checker{design: d, tech: tc, ct: tc.Compile(), opts: opts, rep: rep}
-
-	c.stage("check elements", c.checkElements)
-	c.stage("check primitive symbols", c.checkPrimitiveSymbols)
-	c.stage("check layer rules", c.checkLayerRules)
-	// Stages 4-6 share the extraction artifacts.
-	var ex *netlist.Extraction
-	c.stage("generate hierarchical net list", func() {
-		var issues []netlist.Issue
-		var err error
-		ex, issues, err = netlist.ExtractFull(d, tc)
-		if err != nil {
-			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
-			return
-		}
-		rep.Netlist = ex.Netlist
-		for _, is := range issues {
-			c.add(Violation{Rule: is.Rule, Severity: Warning, Detail: is.Detail, Where: is.Where})
-		}
-	})
-	if ex != nil {
-		c.stage("check legal connections", func() { c.checkConnections(ex) })
-		if !opts.SkipInteractions {
-			c.stage("check interactions", func() { c.checkInteractions(ex) })
-		}
-		if !opts.SkipConstruction {
-			c.stage("check construction rules", func() {
-				for _, is := range netlist.ConstructionRules(ex.Netlist, tc) {
-					c.add(Violation{Rule: is.Rule, Severity: Error, Detail: is.Detail, Where: is.Where})
-				}
-			})
-		}
-		if opts.Reference != nil {
-			c.stage("check netlist reference", func() {
-				for _, is := range netlist.Compare(ex.Netlist, opts.Reference) {
-					c.add(Violation{Rule: is.Rule, Severity: Error, Detail: is.Detail, Where: is.Where})
-				}
-			})
-		}
-	}
-	sortViolations(rep.Violations)
-	return rep, nil
+	return NewEngine(tc, opts).Check(d)
 }
 
 type checker struct {
@@ -255,64 +214,6 @@ func deviceProblemViolations(s *layout.Symbol, probs []device.Problem) []Violati
 		})
 	}
 	return vs
-}
-
-// checkElements is pipeline stage 1: interconnect width, checked in the
-// symbol definition, not in each instance — "this is done in the symbol
-// definition, not in each instance of a symbol".
-func (c *checker) checkElements() {
-	for _, s := range c.design.SortedSymbols() {
-		if s.IsPrimitive() {
-			continue // device geometry is stage 2's business
-		}
-		vs, checks, elements := elementChecks(s, c.tech)
-		c.rep.Stats.ElementsChecked += elements
-		if c.curStage != nil {
-			c.curStage.Checks += checks
-		}
-		for _, v := range vs {
-			c.add(v)
-		}
-	}
-}
-
-// checkPrimitiveSymbols is stage 2: device-internal rules, once per
-// definition. Devices marked CHK are exempt (their Analyze already
-// suppresses problems).
-func (c *checker) checkPrimitiveSymbols() {
-	for _, s := range c.design.SortedSymbols() {
-		if !s.IsPrimitive() {
-			continue
-		}
-		c.rep.Stats.SymbolDefsChecked++
-		c.countCheck()
-		_, probs := device.Analyze(s, c.tech)
-		for _, v := range deviceProblemViolations(s, probs) {
-			c.add(v)
-		}
-	}
-}
-
-// checkConnections is stage 3: same-layer element pairs that touch without
-// being skeletally connected are illegal connections (Figures 11/15); the
-// extractor has already enumerated them.
-func (c *checker) checkConnections(ex *netlist.Extraction) {
-	c.rep.Stats.DeviceInstances = len(ex.Netlist.Devices)
-	for _, pair := range ex.IllegalPairs {
-		a, b := ex.Items[pair[0]], ex.Items[pair[1]]
-		c.countCheck()
-		layer := c.tech.Layer(a.Layer)
-		c.add(Violation{
-			Rule:     "CONN.ILLEGAL",
-			Severity: Error,
-			Detail: fmt.Sprintf("%s elements touch without skeletal connection (butting or shallow overlap; overlap by at least the minimum width instead)",
-				layer.Name),
-			Where: a.Bounds.Intersect(b.Bounds),
-			Path:  a.Path,
-			Layer: a.Layer,
-			Nets:  c.netNames(ex, a.Net, b.Net),
-		})
-	}
 }
 
 func (c *checker) netNames(ex *netlist.Extraction, ids ...netlist.NetID) []string {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/tech"
 )
 
-// Engine is the incremental check session: the six-stage pipeline of
-// Check rebuilt around content-addressed caches at the symbol-definition
-// level. A long-lived Engine turns the iterate-edit-recheck loop into
-// paying only for what changed:
+// Engine is the check pipeline: six stages over content-addressed caches
+// at the symbol-definition level. Check is one cold run of a fresh Engine;
+// a long-lived Engine turns the iterate-edit-recheck loop into paying only
+// for what changed:
 //
 //	eng := core.NewEngine(tc, opts)
 //	rep, err := eng.Check(design)      // cold: populates the caches
@@ -38,9 +38,9 @@ import (
 // definition — spacing distances are invariant under the Manhattan
 // instance transforms — and the Figure 12 subcase logic is re-run only
 // when an instance's surrounding connectivity actually differs (see
-// signature below). Options are fixed at engine construction; Workers is
-// ignored (the decomposed stage does definition-level work exactly once,
-// so there is nothing left worth sharding on this path).
+// signature below). Options are fixed at engine construction; Workers
+// sizes the pool that builds missing per-definition interaction caches
+// (see checkInteractions) and nothing else.
 //
 // An Engine is not safe for concurrent use. Reports share structure with
 // the engine's caches; treat them as immutable.
@@ -58,9 +58,16 @@ type Engine struct {
 	ruleGen  map[layout.Hash]int
 	interGen map[layout.Hash]int
 
-	prev map[string]layout.Hash // previous run's subtree hashes, by symbol name
+	prev map[string]layout.Hash // last completed run's subtree hashes, by symbol name
 	runs int
 	last EngineStats
+
+	// seenTop/seenSeq name the top symbol and its edit sequence number as
+	// of this engine's last completed run: the top's edit record may stand
+	// in for re-deriving the root only when it reaches back at least that
+	// far (see run).
+	seenTop *layout.Symbol
+	seenSeq uint64
 
 	// replay holds everything needed to reproduce the interaction stage
 	// of the previous run when extraction reports a root patch (see
@@ -268,25 +275,19 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	dirty, hashes := d.DirtySymbols(e.prev)
 	stats.Symbols = len(hashes)
 	stats.DirtySymbols = len(dirty)
-	cur := make(map[string]layout.Hash, len(hashes))
-	for s, h := range hashes {
-		cur[s.Name] = h.Subtree
-	}
-	e.prev = cur
 
-	// Consume the accumulated edit records. When the only dirty symbol is
-	// the top and its edits were all window-scoped in-place moves, hand
-	// the window to extraction, which may patch the previous root instead
-	// of re-deriving it (the windowed recheck).
+	// When the only dirty symbol is the top and its edits were all
+	// window-scoped in-place moves, hand the window to extraction, which may
+	// patch the previous root instead of re-deriving it (the windowed
+	// recheck). The record is shared by every consumer of the design and
+	// reset by whichever run completes, so it is trusted only when it reaches
+	// back to this engine's own last completed run: a record another run
+	// reset in between has lost edits this engine never saw.
 	var win *netlist.EditWindow
-	for _, s := range d.SortedSymbols() {
-		info := s.TakeDirty()
-		if s == d.Top && info.Seen && !info.Full && len(info.Elems) > 0 {
+	if len(dirty) == 1 && dirty[0] == d.Top && d.Top == e.seenTop {
+		if info := d.Top.Dirty(); info.Since <= e.seenSeq && !info.Full && len(info.Elems) > 0 {
 			win = &netlist.EditWindow{Elems: info.Elems, Window: info.Window}
 		}
-	}
-	if len(dirty) != 1 || dirty[0] != d.Top {
-		win = nil
 	}
 
 	rep := &Report{Design: d, Tech: e.tc}
@@ -347,12 +348,24 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		// reachable), but the run-scoped replay records — the interaction
 		// replay and the construction issue cache — may describe a run
 		// that never finished; drop them so the next run rebuilds from
-		// the durable caches instead of replaying a phantom.
+		// the durable caches instead of replaying a phantom. For the same
+		// reason e.prev, the edit records and seenSeq stay as the last
+		// completed run left them: the next run must account for every edit
+		// since then, not since this abort. The extraction cache's patch
+		// base did advance if stage 4 ran, which is why tryPatchRoot checks
+		// the children that base embeds instead of taking the window's word.
 		e.replay = replayState{}
 		e.consValid = false
 		return nil, ctxErr
 	}
 	sortViolations(rep.Violations)
+
+	e.prev = make(map[string]layout.Hash, len(hashes))
+	for s, h := range hashes {
+		e.prev[s.Name] = h.Subtree
+		s.ResetDirty()
+	}
+	e.seenTop, e.seenSeq = d.Top, d.Top.Dirty().Seq
 
 	stats.ArtifactDefs = e.cache.Len()
 	stats.CtxHits, stats.CtxMisses = e.cache.ContextStats()
@@ -536,7 +549,7 @@ type defInter struct {
 
 	// fresh marks an entry produced by the parallel prebuild phase that no
 	// instance has consumed yet (the first consumer reports the build in
-	// the run stats, keeping them identical to the serial path's).
+	// the run stats, keeping them identical to a one-worker run's).
 	fresh bool
 
 	sigs map[string]*interactionTally
@@ -565,7 +578,7 @@ func (e *Engine) defInterFor(art *netlist.SymbolArtifacts, maxGap int64, stats *
 		e.interGen[art.Hash] = e.runs
 		if di.fresh {
 			// Prebuilt in this run's parallel phase: the first instance to
-			// reach it reports the build, exactly as the serial path would.
+			// reach it reports the build, exactly as a one-worker run would.
 			di.fresh = false
 			stats.InterBuilt++
 		} else {
@@ -634,9 +647,9 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		if i > j {
 			i, j = j, i
 		}
-		// Same pre-bucketing gate as the chip-level sweep's pair filter:
-		// layers that can never interact are dropped before the pair is
-		// recorded, so candidate counters stay identical across pipelines.
+		// Layers that can never interact are dropped before the pair is
+		// recorded — the same gate the reference sweep's pair filter
+		// applies, so candidate counters stay identical to the oracle's.
 		if !e.ct.Interacts(layerOf(i), layerOf(j)) {
 			return
 		}
@@ -931,11 +944,11 @@ func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) boo
 
 // buildKeepouts fills a definition's keepout tallies: every cross-owner
 // (cut item, MOS gate) and (isolation item, base keepout) candidate whose
-// LCA is this definition, adjudicated in local coordinates. The global
-// sweeps of the chip-level checker enumerate exactly these pairs summed
-// over instances (a pair of distinct devices separates into different
-// owners at its LCA), so replaying the tallies reproduces the same check
-// counts and violations without any per-run chip-wide sweep.
+// LCA is this definition, adjudicated in local coordinates. A chip-wide
+// sweep (the tests' reference pipeline runs one) enumerates exactly these
+// pairs summed over instances (a pair of distinct devices separates into
+// different owners at its LCA), so replaying the tallies reproduces the
+// same check counts and violations without any per-run chip-wide sweep.
 func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	di.keepBuilt = true
 	art := di.art
@@ -1104,8 +1117,8 @@ func (e *Engine) absorbKeepouts(c *checker, inc *netlist.IncExtraction, ii int, 
 
 // checkInteractions is the incremental stage 5: for every instance, look
 // up (or adjudicate once) the definition-level tally for the instance's
-// net-environment signature and fold it into the report; then run the
-// global keepout sweeps exactly as the chip-level checker does.
+// net-environment signature and fold it, with the definition's keepout
+// tallies, into the report.
 func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) {
 	if inc.Patch != nil && e.tryReplayInteractions(c, inc, stats) {
 		return
@@ -1137,10 +1150,9 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	var keep keepLayers
 	keep.cutID, keep.hasCut = e.ct.Cut()
 	keep.isoID, keep.hasIso = e.ct.Isolation()
-	// The chip-level gate sweep bails out when no cut geometry exists at
-	// all; checks and violations stay identical either way (a definition
-	// tally only ever counts real pairs), so the conservative layer mask
-	// is a pure work gate.
+	// With no cut geometry, gates or base keepouts anywhere on the chip no
+	// definition can hold a keepout pair (a tally only ever counts real
+	// pairs), so the conservative layer mask is a pure work gate.
 	keep.hasCut = keep.hasCut && inc.Root.MayHaveLayer(keep.cutID, true) && len(ex.Gates) > 0
 	keep.hasIso = keep.hasIso && len(ex.BaseKeepouts) > 0
 
@@ -1150,8 +1162,8 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// they read only immutable artifacts and the compiled technology. Build
 	// every missing entry on the worker pool first; the serial replay loop
 	// below then finds them cached. Tallies, signatures, and report
-	// assembly stay serial, so the report is byte-identical to the
-	// single-worker oracle (enforced by the engine parity tests).
+	// assembly stay serial, so the report is byte-identical to a one-worker
+	// run's (enforced by TestParallelDeterminism*).
 	if workers := e.opts.workerCount(); workers > 1 {
 		var order []*netlist.SymbolArtifacts
 		seen := make(map[*netlist.SymbolArtifacts]bool, 64)
@@ -1474,8 +1486,8 @@ func draftEq(a, b *violationDraft) bool {
 // directEnv implements pairEnv for the root frame against the global net
 // facts directly — the root's local classes ARE the global net ids, so no
 // signature indirection is needed. Branch for branch it decides exactly
-// as sigEnv does under the root instance's signature (and as the
-// chip-level checker does), which the parity tests lock in.
+// as sigEnv does under the root instance's signature (and as the tests'
+// chip-level reference does), which the parity tests lock in.
 type directEnv struct {
 	di     *defInter
 	hasDev []bool

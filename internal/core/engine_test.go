@@ -7,6 +7,8 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/layout"
+	"repro/internal/netlist"
+	"repro/internal/process"
 	"repro/internal/tech"
 	"repro/internal/workload"
 )
@@ -27,8 +29,28 @@ func clip(s string) string {
 	return s
 }
 
-// TestEngineMatchesCheck: a cold engine run must fingerprint-match the
-// chip-level pipeline on clean, dirty, bipolar, and pathology designs.
+// referencesFor derives a netlist reference the design satisfies (every
+// declared net with the attachments it really has) and one it does not (a
+// wrong attachment on one net, plus a net that does not exist).
+func referencesFor(nl *netlist.Netlist) (good, bad netlist.Reference) {
+	good, bad = netlist.Reference{}, netlist.Reference{"no-such-net": {"nmos-enh:g"}}
+	for i := range nl.Nets {
+		net := &nl.Nets[i]
+		if net.IsAnonymous() {
+			continue
+		}
+		good[net.Name] = nl.Signature(net.ID)
+		if len(bad) == 1 {
+			bad[net.Name] = append(nl.Signature(net.ID), "no-such-device:x")
+		}
+	}
+	return good, bad
+}
+
+// TestEngineMatchesCheck: the engine — which is what Check, dicheck and
+// every experiment run — must fingerprint-match the chip-level reference
+// pipeline on clean, dirty, bipolar, CMOS and pathology designs, under
+// every option the experiments pass and with the prebuild pool off and on.
 func TestEngineMatchesCheck(t *testing.T) {
 	type tcase struct {
 		label  string
@@ -48,28 +70,64 @@ func TestEngineMatchesCheck(t *testing.T) {
 	bip.BreakIsolation(2)
 	cases = append(cases, tcase{"bipolar", bip.Design, tech.Bipolar()})
 
+	cm := tech.CMOS()
+	cmos := workload.NewCMOSChip(cm, "cmos", 3, 4)
+	cmos.BreakAccidentalTransistor(5)
+	cases = append(cases, tcase{"cmos 3x4 accidental", cmos.Design, cm})
+
 	for _, p := range workload.AllPathologies() {
 		cases = append(cases, tcase{"pathology " + p.Name, p.Design, p.Tech})
 	}
 
+	model := process.DefaultModel()
 	for _, tcse := range cases {
-		legacy, err := Check(tcse.design, tcse.tc, Options{Workers: 1})
+		base, err := referenceCheck(tcse.design, tcse.tc, Options{})
 		if err != nil {
-			t.Fatalf("%s: legacy: %v", tcse.label, err)
+			t.Fatalf("%s: reference: %v", tcse.label, err)
 		}
-		eng := NewEngine(tcse.tc, Options{Workers: 1})
-		got, err := eng.Check(tcse.design)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", tcse.label, err)
+		good, bad := referencesFor(base.Netlist)
+		variants := []struct {
+			label   string
+			opts    Options
+			missing int // NET.MISSING findings expected
+		}{
+			{"default", Options{}, 0},
+			{"orthogonal", Options{Metric: Orthogonal}, 0},
+			{"no exemptions", Options{NoExemptions: true}, 0},
+			{"process model", Options{ProcessSpacing: &model, ProcessMargin: 100}, 0},
+			{"skip construction", Options{SkipConstruction: true}, 0},
+			{"skip interactions", Options{SkipInteractions: true}, 0},
+			{"good reference", Options{Reference: good}, 0},
+			{"bad reference", Options{Reference: bad}, 1},
 		}
-		requireSameReport(t, tcse.label+" (cold engine vs Check)", got, legacy)
+		for _, v := range variants {
+			label := tcse.label + ", " + v.label
+			want, err := referenceCheck(tcse.design, tcse.tc, v.opts)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", label, err)
+			}
+			if got := ruleCount(t, want, "NET.MISSING"); got != v.missing {
+				t.Fatalf("%s: %d NET.MISSING, want %d", label, got, v.missing)
+			}
+			for _, workers := range []int{1, 0} {
+				opts := v.opts
+				opts.Workers = workers
+				wl := fmt.Sprintf("%s, workers %d", label, workers)
+				eng := NewEngine(tcse.tc, opts)
+				got, err := eng.Check(tcse.design)
+				if err != nil {
+					t.Fatalf("%s: engine: %v", wl, err)
+				}
+				requireSameReport(t, wl+" (cold engine vs reference)", got, want)
 
-		// A second run with nothing edited must replay to the same report.
-		again, err := eng.Recheck(tcse.design)
-		if err != nil {
-			t.Fatalf("%s: recheck: %v", tcse.label, err)
+				// A second run with nothing edited must replay to the same report.
+				again, err := eng.Recheck(tcse.design)
+				if err != nil {
+					t.Fatalf("%s: recheck: %v", wl, err)
+				}
+				requireSameReport(t, wl+" (no-edit recheck)", again, want)
+			}
 		}
-		requireSameReport(t, tcse.label+" (no-edit recheck)", again, legacy)
 	}
 }
 
@@ -136,7 +194,7 @@ func max64(a, b int64) int64 {
 // TestEngineRecheckByteIdentical is the tentpole's acceptance test: after
 // each random single-symbol edit, a warm Recheck must produce a report
 // byte-identical (modulo durations) to both a cold engine Check and the
-// chip-level pipeline on the same design state.
+// chip-level reference pipeline on the same design state.
 func TestEngineRecheckByteIdentical(t *testing.T) {
 	for _, variant := range []string{"shared", "unique"} {
 		variant := variant
@@ -169,11 +227,11 @@ func TestEngineRecheckByteIdentical(t *testing.T) {
 					t.Fatalf("edit %d (%s): cold: %v", i, desc, err)
 				}
 				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs cold", i, desc), warm, cold)
-				legacy, err := Check(d, nm, Options{Workers: 1})
+				ref, err := referenceCheck(d, nm, Options{})
 				if err != nil {
-					t.Fatalf("edit %d (%s): legacy: %v", i, desc, err)
+					t.Fatalf("edit %d (%s): reference: %v", i, desc, err)
 				}
-				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs legacy", i, desc), warm, legacy)
+				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs reference", i, desc), warm, ref)
 			}
 		})
 	}

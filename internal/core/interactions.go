@@ -9,11 +9,12 @@ import (
 )
 
 // pairEnv answers the net/device relationship questions of the Figure 12
-// subcases for one candidate pair. The chip-level checker implements it
-// over global nets; the incremental engine implements it over a symbol
-// definition's local net classes plus a per-instance merge signature —
-// both must answer identically for the same chip state, which is what
-// makes definition-level adjudication caching sound.
+// subcases for one candidate pair. The engine implements it over a symbol
+// definition's local net classes plus a per-instance merge signature
+// (sigEnv) and, for the root frame, over global nets directly (directEnv);
+// the tests' chip-level reference implements it over the flat netlist. All
+// must answer identically for the same chip state, which is what makes
+// definition-level adjudication caching sound.
 type pairEnv interface {
 	// sameNet reports whether the items are on the same electrical net.
 	sameNet(a, b *netlist.ConnItem) bool
@@ -28,9 +29,9 @@ type pairEnv interface {
 }
 
 // pairGeom supplies the geometric measurements of pair adjudication. The
-// chip-level checker computes them directly; the incremental engine
-// memoizes them per definition pair (they are invariant under the
-// Manhattan instance transforms).
+// engine memoizes them per definition pair (they are invariant under the
+// Manhattan instance transforms); the tests' chip-level reference computes
+// them directly.
 type pairGeom interface {
 	// accOverlapBounds returns the bounding box of the region overlap
 	// (the accidental-transistor check), and whether it is non-empty.
@@ -44,35 +45,17 @@ type pairGeom interface {
 	processOK(a, b *netlist.ConnItem, mis, margin float64) bool
 }
 
-// interactionChecker is the read-only context shared by every interaction
-// worker: the extraction, the compiled technology, the device-relation
-// indexes, and the options. It is built once per run and never mutated
-// afterwards, so adjudication may run from many goroutines concurrently as
-// long as each call gets its own tally.
-type interactionChecker struct {
-	c  *checker
-	ex *netlist.Extraction
-	tc *tech.Technology
-	ct *tech.Compiled
-
-	// Terminal-net sets per device: an element is "related" to a device
-	// when it shares a net with one of the device's terminals (the paper:
-	// "the subcases depend on whether or not the elements are related").
-	devNets []map[netlist.NetID]bool
-	netDevs map[netlist.NetID]map[int]bool
-}
-
-// violationDraft is a violation whose net names are not yet resolved: the
-// chip-level path resolves them at absorb time, the incremental engine at
-// instantiation time (the same ids produce the same names either way).
+// violationDraft is a violation whose net names are not yet resolved: a
+// definition-level draft carries local net classes, resolved to global
+// names when the tally is instantiated.
 type violationDraft struct {
 	v          Violation
 	aNet, bNet netlist.NetID
 }
 
-// interactionTally is one worker's private share of the stage-5 results.
-// Tallies merge in strip order, which reproduces the serial sweep's
-// violation order exactly.
+// interactionTally is the adjudicated result of a set of candidate pairs:
+// in the engine, one definition's pairs under one net-environment
+// signature, replayed for every instance that shares it.
 type interactionTally struct {
 	violations []violationDraft
 	checks     int
@@ -82,117 +65,14 @@ type interactionTally struct {
 	downgrades                                                 int
 }
 
-func newInteractionChecker(c *checker, ex *netlist.Extraction) *interactionChecker {
-	ic := &interactionChecker{c: c, ex: ex, tc: c.tech, ct: c.ct}
-
-	ic.devNets = make([]map[netlist.NetID]bool, len(ex.Netlist.Devices))
-	ic.netDevs = make(map[netlist.NetID]map[int]bool)
-	for di := range ex.Netlist.Devices {
-		tns := ex.Netlist.Devices[di].TerminalNets
-		set := make(map[netlist.NetID]bool, len(tns))
-		for ti := range tns {
-			nid := tns[ti].Net
-			set[nid] = true
-			if ic.netDevs[nid] == nil {
-				ic.netDevs[nid] = make(map[int]bool)
-			}
-			ic.netDevs[nid][di] = true
-		}
-		ic.devNets[di] = set
-	}
-	return ic
-}
-
-// sameNet implements pairEnv over global nets.
-func (ic *interactionChecker) sameNet(a, b *netlist.ConnItem) bool {
-	return a.Net != netlist.NoNet && a.Net == b.Net
-}
-
-// related reports whether the two items are related through a device.
-func (ic *interactionChecker) related(a, b *netlist.ConnItem) bool {
-	if a.Dev >= 0 && a.Dev == b.Dev {
-		return true
-	}
-	if a.Dev >= 0 && b.Net != netlist.NoNet && ic.devNets[a.Dev][b.Net] {
-		return true
-	}
-	if b.Dev >= 0 && a.Net != netlist.NoNet && ic.devNets[b.Dev][a.Net] {
-		return true
-	}
-	// Two interconnect elements whose nets meet at a common device are
-	// related through it — e.g. the source and drain feed wires of one
-	// transistor, whose separation is the channel, not a spacing rule.
-	if a.Net != netlist.NoNet && b.Net != netlist.NoNet {
-		da, db := ic.netDevs[a.Net], ic.netDevs[b.Net]
-		if len(da) > len(db) {
-			da, db = db, da
-		}
-		for di := range da {
-			if db[di] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// keepsSameNetSpacing implements pairEnv over the global device table.
-func (ic *interactionChecker) keepsSameNetSpacing(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := ic.ex.Netlist.Devices[dev].Info
-	return info != nil && !info.SpacingExemptSameNet
-}
-
-// mayTouchIsolation implements pairEnv over the global device table.
-func (ic *interactionChecker) mayTouchIsolation(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := ic.ex.Netlist.Devices[dev].Info
-	return info != nil && info.MayTouchIsolation
-}
-
-// accOverlapBounds implements pairGeom directly. The violation geometry
-// is only ever a bounding box, so the overlap region is never built:
-// IntersectBounds walks the two span structures and accumulates the tight
-// bbox with zero allocation.
-func (ic *interactionChecker) accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool) {
-	return geom.IntersectBounds(a.Reg, b.Reg)
-}
-
-func (ic *interactionChecker) regOverlaps(a, b *netlist.ConnItem) bool {
-	return a.Reg.Overlaps(b.Reg)
-}
-
-func (ic *interactionChecker) dist(a, b *netlist.ConnItem) float64 {
-	if ic.c.opts.Metric == Orthogonal {
-		return float64(geom.RegionOrthoDist(a.Reg, b.Reg))
-	}
-	d, _, _ := geom.RegionDist(a.Reg, b.Reg)
-	return d
-}
-
-func (ic *interactionChecker) processOK(a, b *netlist.ConnItem, mis, margin float64) bool {
-	return ic.c.opts.ProcessSpacing.SpacingOK(a.Reg, b.Reg, mis, margin)
-}
-
-// pair adjudicates one candidate interaction from the sweep, accumulating
-// into the worker-local tally.
-func (ic *interactionChecker) pair(p geom.Pair, t *interactionTally) {
-	a := &ic.ex.Items[p.A.ID]
-	b := &ic.ex.Items[p.B.ID]
-	adjudicatePair(ic.tc, ic.ct, ic.c.opts, a, b, ic, ic, t)
-}
-
 // adjudicatePair runs the Figure 12 subcase logic for one candidate pair:
 // device-dependent cross-symbol rules first (accidental transistors), then
 // the same-net / different-net / related spacing subcases, with geometry
 // asked only when the topology fails to excuse the pair. The relationship
 // answers come from env and the measurements from g, so the same logic —
-// and therefore byte-identical reports — serves both the chip-level sweep
-// and the incremental engine's definition-level replay.
+// and therefore byte-identical reports — serves the engine's
+// definition-level replay, its root-frame patch, and the tests'
+// chip-level reference sweep.
 func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *netlist.ConnItem, env pairEnv, g pairGeom, t *interactionTally) {
 	t.candidates++
 	sameDevice := a.Dev >= 0 && a.Dev == b.Dev
@@ -334,188 +214,4 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 			aNet: a.Net, bNet: b.Net,
 		})
 	}
-}
-
-// absorb folds one tally into the report, in merge order, resolving net
-// names against the global netlist.
-func (c *checker) absorb(ex *netlist.Extraction, t *interactionTally) {
-	st := &c.rep.Stats
-	st.InteractionCandidates += t.candidates
-	st.InteractionChecked += t.checked
-	st.SkippedNoRule += t.skippedNoRule
-	st.SkippedSameNetExempt += t.skippedSameNet
-	st.SkippedRelated += t.skippedRelated
-	st.SkippedConnectionPairs += t.skippedConn
-	st.ProcessDowngrades += t.downgrades
-	if c.curStage != nil {
-		c.curStage.Checks += t.checks
-	}
-	for _, d := range t.violations {
-		v := d.v
-		v.Nets = c.netNames(ex, d.aNet, d.bNet)
-		c.rep.Violations = append(c.rep.Violations, v)
-	}
-}
-
-// checkInteractions is pipeline stage 5: everything that remains after
-// element, symbol, and connection checking is spacing between elements
-// and/or primitive symbols, enumerated by the upper-triangular interaction
-// matrix of Figure 12 with its same-net / different-net / device-related
-// subcases — plus the device-dependent cross-symbol rules: accidental
-// transistors (Figure 8), contacts over gates (Figure 7), and bipolar base
-// versus isolation (Figure 6).
-//
-// Pairs are adjudicated in canonical orientation (lower item index first —
-// i.e. chip walk order), so the violation fields that depend on which item
-// is "a" are independent of sweep discovery order.
-//
-// With Options.Workers != 1 the item set is sharded into overlapping
-// x-strips (strip width at least tech.MaxSpacing, so no cross-strip pair
-// is missed) and the plane sweep runs per strip on a worker pool; each
-// worker accumulates into its own tally and the tallies merge in strip
-// order, making the parallel report identical to the serial one.
-func (c *checker) checkInteractions(ex *netlist.Extraction) {
-	maxGap := c.ct.MaxSpacing()
-
-	var pf geom.PairFinder
-	for i := range ex.Items {
-		pf.AddRect(i, ex.Items[i].Bounds, int(ex.Items[i].Layer))
-	}
-
-	ic := newInteractionChecker(c, ex)
-	// The compiled interacts-with sets gate the sweep: a pair whose layers
-	// carry no spacing cell and no device rule can never produce a check
-	// or a violation, so it is dropped before bucketing instead of walking
-	// the whole adjudication preamble per pair. The engine's per-definition
-	// enumeration applies the identical predicate, keeping reports and
-	// candidate counters byte-identical between the two pipelines.
-	filter := func(a, b geom.Item) bool { return c.ct.InteractsTag(a.Tag, b.Tag) }
-	canon := func(p geom.Pair) geom.Pair {
-		if p.B.ID < p.A.ID {
-			p.A, p.B = p.B, p.A
-		}
-		return p
-	}
-	if workers := c.opts.workerCount(); workers == 1 || pf.Len() < 2 {
-		var t interactionTally
-		pf.Pairs(maxGap, filter, func(p geom.Pair) { ic.pair(canon(p), &t) })
-		c.absorb(ex, &t)
-	} else {
-		shards := pf.Shards(maxGap, workers*geom.StripsPerWorker)
-		tallies := make([]interactionTally, len(shards))
-		geom.RunShards(len(shards), workers, func(k int) {
-			shards[k].Pairs(filter, func(p geom.Pair) { ic.pair(canon(p), &tallies[k]) })
-		})
-		for k := range tallies {
-			c.absorb(ex, &tallies[k])
-		}
-	}
-
-	// Contact cuts over gates, cross-symbol (Figure 7): a cut from any
-	// OTHER device or interconnect must not land on a transistor channel.
-	c.checkGateKeepouts(ex)
-	// Bipolar base vs isolation, cross-symbol (Figure 6a).
-	c.checkBaseKeepouts(ex)
-}
-
-// checkGateKeepouts flags contact cuts overlapping MOS channels of other
-// devices.
-func (c *checker) checkGateKeepouts(ex *netlist.Extraction) {
-	if len(ex.Gates) == 0 {
-		return
-	}
-	cutID, ok := c.ct.Cut()
-	if !ok {
-		return
-	}
-	var pf geom.PairFinder
-	for i := range ex.Items {
-		if ex.Items[i].Layer == cutID {
-			pf.AddRect(i, ex.Items[i].Bounds, 0)
-		}
-	}
-	n := pf.Len()
-	for gi := range ex.Gates {
-		pf.AddRect(len(ex.Items)+gi, ex.Gates[gi].Bounds, 1)
-	}
-	if n == 0 {
-		return
-	}
-	pf.Pairs(0, func(a, b geom.Item) bool { return a.Tag != b.Tag }, func(p geom.Pair) {
-		cutItem, gateItem := p.A, p.B
-		if cutItem.Tag == 1 {
-			cutItem, gateItem = gateItem, cutItem
-		}
-		item := &ex.Items[cutItem.ID]
-		gate := &ex.Gates[gateItem.ID-len(ex.Items)]
-		if item.Dev == gate.Dev {
-			return // in-symbol case handled by stage 2
-		}
-		c.countCheck()
-		if ovb, ok := geom.IntersectBounds(item.Reg, gate.Reg); ok {
-			c.add(Violation{
-				Rule:     "DEV.GATE.CONTACT",
-				Severity: Error,
-				Detail:   "contact cut over the active gate of a transistor (Figure 7)",
-				Where:    ovb,
-				Path:     item.Path,
-			})
-		}
-	})
-}
-
-// checkBaseKeepouts flags isolation geometry approaching a bipolar
-// transistor base (Figure 6a), from any other symbol or interconnect. The
-// candidates come from the plane sweep with the largest keepout clearance
-// as the gap, not an O(keepouts × items) scan.
-func (c *checker) checkBaseKeepouts(ex *netlist.Extraction) {
-	if len(ex.BaseKeepouts) == 0 {
-		return
-	}
-	isoID, ok := c.ct.Isolation()
-	if !ok {
-		return
-	}
-	var pf geom.PairFinder
-	for i := range ex.Items {
-		if ex.Items[i].Layer == isoID {
-			pf.AddRect(i, ex.Items[i].Bounds, 0)
-		}
-	}
-	if pf.Len() == 0 {
-		return
-	}
-	var maxClear int64
-	for ki := range ex.BaseKeepouts {
-		if cl := ex.BaseKeepouts[ki].Clearance; cl > maxClear {
-			maxClear = cl
-		}
-		pf.AddRect(len(ex.Items)+ki, ex.BaseKeepouts[ki].Bounds, 1)
-	}
-	pf.Pairs(maxClear, func(a, b geom.Item) bool { return a.Tag != b.Tag }, func(p geom.Pair) {
-		isoItem, koItem := p.A, p.B
-		if isoItem.Tag == 1 {
-			isoItem, koItem = koItem, isoItem
-		}
-		item := &ex.Items[isoItem.ID]
-		ko := &ex.BaseKeepouts[koItem.ID-len(ex.Items)]
-		if item.Dev == ko.Dev {
-			return
-		}
-		search := ko.Bounds.Expand(ko.Clearance)
-		if !item.Bounds.Touches(search) {
-			return // the sweep gap is the max clearance; this keepout's is smaller
-		}
-		c.countCheck()
-		d, _, _ := geom.RegionDist(item.Reg, ko.Reg)
-		if d < float64(ko.Clearance) || (ko.Clearance == 0 && item.Reg.Overlaps(ko.Reg)) {
-			c.add(Violation{
-				Rule:     "DEV.NPN.ISO",
-				Severity: Error,
-				Detail:   "isolation touches or approaches a transistor base (Figure 6a)",
-				Where:    item.Bounds.Intersect(search),
-				Path:     ex.Netlist.Devices[ko.Dev].Path,
-			})
-		}
-	})
 }

@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// interactionCounters extracts the order-independent Stats counters that
-// must be invariant under sharding.
+// interactionCounters extracts the Stats counters that must not depend on
+// how many workers built the definition caches.
 func interactionCounters(st Stats) [8]int {
 	return [8]int{
 		st.InteractionCandidates,
@@ -34,19 +34,19 @@ func stageChecks(st Stats, name string) int {
 	return -1
 }
 
-// requireIdentical runs Check with Workers:1 (the serial oracle) and with
-// several parallel worker counts, and demands identical violation lists
-// and identical interaction counters.
+// requireIdentical runs a cold engine with Workers:1 (definition caches
+// built serially) and with several prebuild-pool sizes, and demands
+// identical violation lists and identical interaction counters.
 func requireIdentical(t *testing.T, label string, d *layout.Design, tc *tech.Technology, opts Options) {
 	t.Helper()
 	opts.Workers = 1
-	serial, err := Check(d, tc, opts)
+	serial, err := NewEngine(tc, opts).Check(d)
 	if err != nil {
 		t.Fatalf("%s: serial check: %v", label, err)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		opts.Workers = workers
-		par, err := Check(d, tc, opts)
+		par, err := NewEngine(tc, opts).Check(d)
 		if err != nil {
 			t.Fatalf("%s: workers=%d: %v", label, workers, err)
 		}
@@ -99,7 +99,7 @@ func TestParallelDeterminismChips(t *testing.T) {
 }
 
 // TestParallelDeterminismPathologies runs every paper-figure pathology
-// through the oracle and the sharded engine.
+// through the serial and the pooled engine.
 func TestParallelDeterminismPathologies(t *testing.T) {
 	for _, p := range workload.AllPathologies() {
 		requireIdentical(t, "pathology "+p.Name, p.Design, p.Tech,
@@ -112,11 +112,11 @@ func TestParallelDefaultWorkers(t *testing.T) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "par-default", 4, 6)
 	workload.InjectErrors(chip, 8, 7)
-	serial, err := Check(chip.Design, tc, Options{Workers: 1})
+	serial, err := NewEngine(tc, Options{Workers: 1}).Check(chip.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := Check(chip.Design, tc, Options{})
+	auto, err := NewEngine(tc, Options{}).Check(chip.Design)
 	if err != nil {
 		t.Fatal(err)
 	}

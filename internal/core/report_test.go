@@ -51,7 +51,7 @@ func TestOptionsWorkerCount(t *testing.T) {
 	}{
 		{0, runtime.NumCPU()},  // default: all cores
 		{-3, runtime.NumCPU()}, // nonsense values fall back too
-		{1, 1},                 // serial reference sweep
+		{1, 1},                 // definition caches built serially
 		{7, 7},
 	}
 	for _, c := range cases {

@@ -118,20 +118,3 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology, ct *tech.Compiled) (
 	}
 	return vs, checks
 }
-
-// checkLayerRules walks every composite definition through the compiled
-// layer rules.
-func (c *checker) checkLayerRules() {
-	for _, s := range c.design.SortedSymbols() {
-		if s.IsPrimitive() {
-			continue // device geometry is stage 2's business
-		}
-		vs, checks := layerRuleChecks(s, c.tech, c.ct)
-		if c.curStage != nil {
-			c.curStage.Checks += checks
-		}
-		for _, v := range vs {
-			c.add(v)
-		}
-	}
-}

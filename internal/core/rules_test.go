@@ -15,8 +15,9 @@ var newRuleClasses = []string{"WIDTH.", "AREA.", "ENC.", "OVL.", "EXT."}
 // TestLayerRuleGroundTruth drives each ground-truth breaker end-to-end:
 // the defect must produce exactly one violation of its target rule, at the
 // recorded location, with none of the other layer-rule classes firing —
-// and the flat Check, a cold engine Check, and a warm engine Recheck (the
-// edit applied to an already-checked clean chip) must agree byte for byte.
+// and the reference pipeline, a cold engine Check, and a warm engine
+// Recheck (the edit applied to an already-checked clean chip) must agree
+// byte for byte.
 func TestLayerRuleGroundTruth(t *testing.T) {
 	cases := []struct {
 		name string
@@ -33,10 +34,10 @@ func TestLayerRuleGroundTruth(t *testing.T) {
 		t.Run(tcse.name, func(t *testing.T) {
 			tc := tech.NMOS()
 
-			// Flat pipeline over the broken chip.
+			// Reference pipeline over the broken chip.
 			chip := workload.NewChip(tc, "bk-"+tcse.name, 2, 2)
 			where := tcse.brk(chip)
-			flat, err := Check(chip.Design, tc, Options{})
+			flat, err := referenceCheck(chip.Design, tc, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -105,6 +107,137 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 		dy := rng.Int63n(501) - 250
 		move(probeA, 0, dy)
 		verify(fmt.Sprintf("drift step %d (dy %d)", i, dy), true)
+	}
+}
+
+// expiringContext is live for a fixed number of the engine's stage
+// boundaries (one Err call each) and canceled from the next one on.
+type expiringContext struct {
+	context.Context
+	boundaries int
+}
+
+func (c *expiringContext) Err() error {
+	if c.boundaries > 0 {
+		c.boundaries--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestEngineWindowRecheckInterleavedChecks: a symbol's edit record is shared
+// by every consumer of the design, so the window patch may trust it only
+// while it still covers every edit since this engine's own last completed
+// run. Whatever runs between two rechecks — a one-shot Check, another
+// engine, the engine's own aborted run — the warm report must stay
+// cold-identical; a lost edit shows up here as the missing spacing error
+// between the two probes. Once a full run has caught up, the patch must
+// engage again.
+func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
+	nm := tech.NMOS()
+	abort := func(t *testing.T, eng *Engine, d *layout.Design) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // expires ahead of the first stage boundary
+		if _, err := eng.RecheckContext(ctx, d); !errors.Is(err, context.Canceled) {
+			t.Fatalf("aborted run: err = %v, want context.Canceled", err)
+		}
+	}
+	cases := []struct {
+		name string
+		// rowEdit also edits a called definition before the interleaved
+		// run: dirtiness outside the top must survive it too.
+		rowEdit    bool
+		interleave func(t *testing.T, eng *Engine, d *layout.Design)
+	}{
+		{"one-shot Check", false, func(t *testing.T, _ *Engine, d *layout.Design) {
+			if _, err := Check(d, nm, Options{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"another Engine", false, func(t *testing.T, _ *Engine, d *layout.Design) {
+			if _, err := NewEngine(nm, Options{Workers: 1}).Check(d); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"own aborted run", false, abort},
+		{"own aborted run after a row edit", true, abort},
+		// The extraction cache's baseline advances inside the run, the
+		// engine's only when the run completes: a child edited for a run
+		// that dies after extracting, then restored, is clean to the engine
+		// while the cached root still embeds the edited child.
+		{"own run aborted after extraction, child edit undone", false, func(t *testing.T, eng *Engine, d *layout.Design) {
+			metalL, _ := nm.LayerByName(tech.NMOSMetal)
+			row, ok := d.Symbol("row")
+			if !ok {
+				t.Fatal("row missing")
+			}
+			// 50 apart: a spacing error in every instance of row.
+			row.AddBox(metalL, geom.R(-5000, 0, -4250, 1000), "")
+			row.AddBox(metalL, geom.R(-5800, 0, -5050, 1000), "")
+			ctx := &expiringContext{Context: context.Background(), boundaries: 4}
+			if _, err := eng.RecheckContext(ctx, d); !errors.Is(err, context.Canceled) {
+				t.Fatalf("aborted run: err = %v, want context.Canceled", err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := layout.ApplyEdit(d, nm, layout.Edit{Op: layout.OpDeleteElement, Symbol: "row", Index: -1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, tcse := range cases {
+		t.Run(tcse.name, func(t *testing.T) {
+			d := workload.NewChip(nm, "interleave", 6, 6).Design
+			metalL, _ := nm.LayerByName(tech.NMOSMetal)
+			top := d.Top
+			top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+			top.AddBox(metalL, geom.R(-20000, 4000, -19250, 5000), "")
+			probeA, probeB := len(top.Elements)-2, len(top.Elements)-1
+
+			eng := NewEngine(nm, Options{Workers: 1})
+			if _, err := eng.Check(d); err != nil {
+				t.Fatal(err)
+			}
+			move := func(idx int, dx, dy int64) {
+				t.Helper()
+				if err := layout.ApplyEdit(d, nm, layout.Edit{
+					Op: layout.OpMoveElement, Symbol: top.Name, Index: idx, DX: dx, DY: dy,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			verify := func(label string) {
+				t.Helper()
+				warm, err := eng.Recheck(d)
+				if err != nil {
+					t.Fatalf("%s: recheck: %v", label, err)
+				}
+				cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+				if err != nil {
+					t.Fatalf("%s: cold: %v", label, err)
+				}
+				requireSameReport(t, label+" warm vs cold", warm, cold)
+			}
+
+			// A lands 50 west of B: a metal spacing error between the two.
+			move(probeA, -4200, 4000)
+			if tcse.rowEdit {
+				row, ok := d.Symbol("row")
+				if !ok {
+					t.Fatal("row missing")
+				}
+				row.AddBox(metalL, geom.R(-5000, 0, -4250, 1000), "")
+			}
+			tcse.interleave(t, eng, d)
+			move(probeB, 0, 250)
+			verify("move after the interleaved run")
+
+			move(probeB, 0, -250)
+			verify("following clean move")
+			if !eng.Stats().WindowPatched {
+				t.Fatal("window patch did not re-engage on the following clean move")
+			}
+		})
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 )
 
 // Workers is the core.Options.Workers value every experiment passes to the
-// DIC (0 = all cores, 1 = the serial reference sweep). cmd/drcbench sets
-// it from -workers; the checker's report is identical either way, only the
-// wall time changes.
+// DIC (0 = all cores, 1 = definition caches built serially). cmd/drcbench
+// sets it from -workers; the checker's report is identical either way,
+// only the wall time changes.
 var Workers int
 
 // Outcome classifies one checker's output against ground truth.

@@ -237,8 +237,8 @@ func TestE18ParallelEngine(t *testing.T) {
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	// The workload chips are clean; E18 itself fails when the parallel
-	// report diverges from the serial oracle.
+	// The workload chips are clean; E18 itself fails when the pooled
+	// run's report diverges from the serial run's.
 	for _, row := range tab.Rows {
 		if row[5] != "0" {
 			t.Errorf("clean chip reported errors: %v", row)

@@ -27,10 +27,9 @@ type Pair struct {
 // the whole active set. This is the hierarchical checker's
 // interaction-candidate generator: the expected output is near-linear for
 // real layouts. The sweep-ordered copy of the item set is cached across
-// Pairs/Shards calls and invalidated by Add/AddRect.
+// Pairs calls and invalidated by Add/AddRect.
 //
-// A PairFinder is not safe for concurrent mutation; concurrent Pairs calls
-// on Shards of an already-sorted finder are safe (see Shards).
+// A PairFinder is not safe for concurrent use.
 type PairFinder struct {
 	items []Item
 
@@ -85,8 +84,7 @@ func (pf *PairFinder) ensureSorted() {
 }
 
 // activeEntry is one live box in the sweep's active structure. idx indexes
-// the finder's sweep-ordered slice, which makes ordering ties deterministic
-// and identical between the serial sweep and any sharded sweep.
+// the finder's sweep-ordered slice, which makes ordering ties deterministic.
 type activeEntry struct {
 	y1, y2 int64 // box y-extent
 	x2     int64 // box right edge, for eviction
@@ -177,22 +175,12 @@ func (as *activeSet) visit(cur Rect, maxGap, maxH int64, emit func(idx int)) {
 // deterministic: events in sweep order, partners in y order.
 func (pf *PairFinder) Pairs(maxGap int64, filter func(a, b Item) bool, fn func(Pair)) {
 	pf.ensureSorted()
-	sweepRange(pf.sorted, 0, len(pf.sorted), nil, maxGap, pf.maxH, filter, fn)
-}
-
-// sweepRange runs the plane sweep over items[start:end), preloading the
-// given straddler indices into the active set. Shared by the serial Pairs
-// and the per-strip sharded sweep so the two emit identical pair streams.
-func sweepRange(items []Item, start, end int, straddlers []int, maxGap, maxH int64, filter func(a, b Item) bool, fn func(Pair)) {
+	items := pf.sorted
 	var act activeSet
-	for _, j := range straddlers {
-		b := items[j].Box
-		act.insert(activeEntry{y1: b.Y1, y2: b.Y2, x2: b.X2, idx: j})
-	}
-	for i := start; i < end; i++ {
+	for i := range items {
 		cur := &items[i]
 		act.evictBefore(cur.Box.X1 - maxGap)
-		act.visit(cur.Box, maxGap, maxH, func(j int) {
+		act.visit(cur.Box, maxGap, pf.maxH, func(j int) {
 			other := items[j]
 			if filter != nil && !filter(other, *cur) {
 				return

@@ -81,6 +81,33 @@ func TestQuickPairFinderMatchesOracle(t *testing.T) {
 	}
 }
 
+// The cached sweep order must survive repeated Pairs calls and be rebuilt
+// after the item set changes.
+func TestPairsCacheInvalidation(t *testing.T) {
+	var pf PairFinder
+	pf.AddRect(1, R(0, 0, 10, 10), 0)
+	pf.AddRect(2, R(12, 0, 20, 10), 0)
+	count := func() int {
+		n := 0
+		pf.Pairs(3, nil, func(Pair) { n++ })
+		return n
+	}
+	if got := count(); got != 1 {
+		t.Fatalf("first call: %d pairs, want 1", got)
+	}
+	if got := count(); got != 1 {
+		t.Fatalf("repeated call: %d pairs, want 1", got)
+	}
+	pf.AddRect(3, R(22, 0, 30, 10), 0) // within gap 3 of item 2 only
+	if got := count(); got != 2 {
+		t.Fatalf("after Add: %d pairs, want 2", got)
+	}
+	pf.Add(Item{ID: 4, Box: R(-4, 0, -2, 10)}) // within gap 3 of item 1 only
+	if got := count(); got != 3 {
+		t.Fatalf("after second Add: %d pairs, want 3", got)
+	}
+}
+
 func TestRegionDistBasics(t *testing.T) {
 	a := FromRectR(R(0, 0, 10, 10))
 	b := FromRectR(R(13, 14, 20, 20))

@@ -1,111 +1,13 @@
 package geom
 
 import (
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Shard is one x-strip of a sharded plane sweep. Each within-gap pair is
-// owned by exactly one strip — the strip containing the x-event (the
-// larger X1) of the pair — so concatenating every shard's Pairs output in
-// shard order reproduces PairFinder.Pairs byte for byte, with no pair
-// missed and none reported twice.
-type Shard struct {
-	pf     *PairFinder
-	maxGap int64
-
-	start, end int   // sweep-order index range of events this strip owns
-	straddlers []int // sweep-order indices live at strip entry (X1 before the strip, reach into it)
-}
-
-// Shards splits the item set into at most n x-strips for the given gap.
-// Strip width is at least maxGap so an item straddles O(1) strips. The
-// shards share the finder's cached sweep order: mutating the finder with
-// Add/AddRect invalidates them. Shard.Pairs calls on distinct shards are
-// safe to run concurrently.
-func (pf *PairFinder) Shards(maxGap int64, n int) []Shard {
-	pf.ensureSorted()
-	items := pf.sorted
-	if len(items) == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	minX := items[0].Box.X1
-	span := items[len(items)-1].Box.X1 - minX + 1
-	width := (span + int64(n) - 1) / int64(n)
-	if width < maxGap {
-		width = maxGap
-	}
-	if width < 1 {
-		width = 1
-	}
-	nStrips := int((span + width - 1) / width)
-
-	shards := make([]Shard, nStrips)
-	for k := range shards {
-		hi := minX + int64(k+1)*width
-		shards[k] = Shard{pf: pf, maxGap: maxGap}
-		shards[k].end = sort.Search(len(items), func(i int) bool { return items[i].Box.X1 >= hi })
-		if k > 0 {
-			shards[k].start = shards[k-1].end
-		}
-	}
-	// An item reaches strip s (beyond its own) when s's left edge is within
-	// the item's x-extent extended by maxGap.
-	for i := range items {
-		k := int((items[i].Box.X1 - minX) / width)
-		reach := items[i].Box.X2 + maxGap
-		for s := k + 1; s < nStrips && minX+int64(s)*width <= reach; s++ {
-			shards[s].straddlers = append(shards[s].straddlers, i)
-		}
-	}
-	return shards
-}
-
-// Pairs invokes fn for exactly the within-gap pairs owned by this strip,
-// with the same filter semantics and per-event ordering as
-// PairFinder.Pairs.
-func (s *Shard) Pairs(filter func(a, b Item) bool, fn func(Pair)) {
-	sweepRange(s.pf.sorted, s.start, s.end, s.straddlers, s.maxGap, s.pf.maxH, filter, fn)
-}
-
-// PairsParallel is Pairs with the sweep sharded into x-strips and run on
-// the given number of worker goroutines (0 = runtime.NumCPU). fn is still
-// invoked on the calling goroutine, in exactly the order Pairs would
-// produce, so the two are interchangeable; only the sweeps themselves run
-// concurrently. Callers whose per-pair work dominates should instead fan
-// out Shards themselves and merge per-shard results in shard order.
-func (pf *PairFinder) PairsParallel(maxGap int64, workers int, filter func(a, b Item) bool, fn func(Pair)) {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers == 1 || len(pf.items) < 2 {
-		pf.Pairs(maxGap, filter, fn)
-		return
-	}
-	shards := pf.Shards(maxGap, workers*StripsPerWorker)
-	buf := make([][]Pair, len(shards))
-	RunShards(len(shards), workers, func(k int) {
-		shards[k].Pairs(filter, func(p Pair) { buf[k] = append(buf[k], p) })
-	})
-	for _, pairs := range buf {
-		for _, p := range pairs {
-			fn(p)
-		}
-	}
-}
-
-// StripsPerWorker over-decomposes the sweep so strips of uneven density
-// still balance across the worker pool. Shared by every caller that fans
-// out Shards over a worker count.
-const StripsPerWorker = 4
-
 // RunShards executes fn(0..n-1) on up to `workers` goroutines, handing out
-// shard indices from a shared counter. It returns when every call is done.
+// indices from a shared counter; every index is visited exactly once. It
+// returns when every call is done.
 func RunShards(n, workers int, fn func(k int)) {
 	if workers > n {
 		workers = n

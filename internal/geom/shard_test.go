@@ -1,174 +1,22 @@
 package geom
 
 import (
-	"fmt"
-	"math/rand"
-	"sort"
+	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
-func randomFinder(rng *rand.Rand, n int, coordRange, maxSide int) *PairFinder {
-	var pf PairFinder
-	for i := 0; i < n; i++ {
-		x := int64(rng.Intn(coordRange))
-		y := int64(rng.Intn(coordRange))
-		w := int64(1 + rng.Intn(maxSide))
-		h := int64(1 + rng.Intn(maxSide))
-		pf.AddRect(i, Rect{x, y, x + w, y + h}, rng.Intn(3))
-	}
-	return &pf
-}
-
-func serialPairs(pf *PairFinder, maxGap int64) []Pair {
-	var out []Pair
-	pf.Pairs(maxGap, nil, func(p Pair) { out = append(out, p) })
-	return out
-}
-
-func samePairStream(t *testing.T, label string, want, got []Pair) {
-	t.Helper()
-	if len(want) != len(got) {
-		t.Fatalf("%s: %d pairs, want %d", label, len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("%s: pair %d = %v, want %v", label, i, got[i], want[i])
-		}
-	}
-}
-
-// Property: concatenating every shard's Pairs output in shard order
-// reproduces the serial sweep exactly — same pairs, same order — for any
-// shard count, and the pair set matches the AllPairs oracle, across a
-// range of maxGap values.
-func TestShardedPairsMatchSerialAndOracle(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		pf := randomFinder(rng, 2+rng.Intn(60), 120, 18)
-		for _, maxGap := range []int64{0, 1, 3, 7, 25, 120} {
-			serial := serialPairs(pf, maxGap)
-
-			var oracle []string
-			pf.AllPairs(func(p Pair) {
-				if p.A.Box.GapX(p.B.Box) <= maxGap && p.A.Box.GapY(p.B.Box) <= maxGap {
-					oracle = append(oracle, pairKey(p))
-				}
-			})
-			got := make([]string, 0, len(serial))
-			for _, p := range serial {
-				got = append(got, pairKey(p))
-			}
-			sort.Strings(oracle)
-			sort.Strings(got)
-			if fmt.Sprint(oracle) != fmt.Sprint(got) {
-				t.Logf("gap %d: serial %v != oracle %v", maxGap, got, oracle)
-				return false
-			}
-
-			for _, n := range []int{1, 2, 3, 7, 16} {
-				var merged []Pair
-				for _, sh := range pf.Shards(maxGap, n) {
-					sh.Pairs(nil, func(p Pair) { merged = append(merged, p) })
-				}
-				if len(merged) != len(serial) {
-					t.Logf("gap %d, %d shards: %d pairs, want %d", maxGap, n, len(merged), len(serial))
-					return false
-				}
-				for i := range serial {
-					if merged[i] != serial[i] {
-						t.Logf("gap %d, %d shards: pair %d differs", maxGap, n, i)
-						return false
-					}
+// RunShards must call fn exactly once per index for any worker count,
+// including more workers than indices, one worker, and no indices at all.
+func TestRunShardsVisitsEachIndexOnce(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 100} {
+		for _, workers := range []int{0, 1, 3, 8, 200} {
+			visits := make([]atomic.Int32, n)
+			RunShards(n, workers, func(k int) { visits[k].Add(1) })
+			for k := range visits {
+				if got := visits[k].Load(); got != 1 {
+					t.Fatalf("n=%d workers=%d: index %d visited %d times", n, workers, k, got)
 				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// PairsParallel must be a drop-in replacement for Pairs: identical pair
-// stream for any worker count.
-func TestPairsParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	pf := randomFinder(rng, 500, 5000, 60)
-	for _, maxGap := range []int64{0, 10, 75, 400} {
-		serial := serialPairs(pf, maxGap)
-		for _, workers := range []int{2, 3, 8} {
-			var got []Pair
-			pf.PairsParallel(maxGap, workers, nil, func(p Pair) { got = append(got, p) })
-			samePairStream(t, fmt.Sprintf("gap=%d workers=%d", maxGap, workers), serial, got)
-		}
-	}
-}
-
-// The filter must see the same pairs under sharding as under the serial
-// sweep.
-func TestShardedPairsFilter(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pf := randomFinder(rng, 200, 1000, 40)
-	filter := func(a, b Item) bool { return a.Tag != b.Tag }
-	var serial []Pair
-	pf.Pairs(30, filter, func(p Pair) { serial = append(serial, p) })
-	var par []Pair
-	pf.PairsParallel(30, 4, filter, func(p Pair) { par = append(par, p) })
-	samePairStream(t, "filtered", serial, par)
-}
-
-// The cached sweep order must survive repeated Pairs calls and be rebuilt
-// after the item set changes.
-func TestPairsCacheInvalidation(t *testing.T) {
-	var pf PairFinder
-	pf.AddRect(1, R(0, 0, 10, 10), 0)
-	pf.AddRect(2, R(12, 0, 20, 10), 0)
-	count := func() int {
-		n := 0
-		pf.Pairs(3, nil, func(Pair) { n++ })
-		return n
-	}
-	if got := count(); got != 1 {
-		t.Fatalf("first call: %d pairs, want 1", got)
-	}
-	if got := count(); got != 1 {
-		t.Fatalf("repeated call: %d pairs, want 1", got)
-	}
-	pf.AddRect(3, R(22, 0, 30, 10), 0) // within gap 3 of item 2 only
-	if got := count(); got != 2 {
-		t.Fatalf("after Add: %d pairs, want 2", got)
-	}
-	pf.Add(Item{ID: 4, Box: R(-4, 0, -2, 10)}) // within gap 3 of item 1 only
-	if got := count(); got != 3 {
-		t.Fatalf("after second Add: %d pairs, want 3", got)
-	}
-}
-
-// Degenerate shapes: empty finder, single item, identical boxes, zero-area
-// rects, one giant box spanning every strip.
-func TestShardsEdgeCases(t *testing.T) {
-	var empty PairFinder
-	if sh := empty.Shards(10, 4); sh != nil {
-		t.Fatalf("empty finder shards = %v, want nil", sh)
-	}
-	empty.Pairs(10, nil, func(Pair) { t.Fatal("pair from empty finder") })
-
-	var one PairFinder
-	one.AddRect(0, R(5, 5, 10, 10), 0)
-	one.PairsParallel(10, 4, nil, func(Pair) { t.Fatal("pair from single item") })
-
-	var pf PairFinder
-	for i := 0; i < 8; i++ {
-		pf.AddRect(i, R(100, 100, 200, 200), 0) // all identical
-	}
-	pf.AddRect(100, R(0, 150, 5000, 160), 0)   // spans everything
-	pf.AddRect(101, R(1000, 0, 1001, 5000), 0) // degenerate-thin
-	for _, n := range []int{1, 3, 9} {
-		var merged []Pair
-		for _, sh := range pf.Shards(0, n) {
-			sh.Pairs(nil, func(p Pair) { merged = append(merged, p) })
-		}
-		samePairStream(t, fmt.Sprintf("identical boxes, %d shards", n), serialPairs(&pf, 0), merged)
 	}
 }

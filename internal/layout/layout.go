@@ -197,15 +197,24 @@ type Symbol struct {
 	dirty DirtyInfo
 }
 
-// DirtyInfo accumulates what a symbol's edits since the last TakeDirty
+// DirtyInfo accumulates what a symbol's edits since the last ResetDirty
 // covered: either full (structural) dirtiness, or a set of in-place
 // element geometry edits together with the bounding window of everything
 // they moved. Consumers that know how to recheck a window (the engine's
-// windowed recheck) read it through TakeDirty; plain Touch degrades to
-// Full, so every legacy edit path stays correct.
+// windowed recheck) read it through Dirty; plain Touch degrades to Full,
+// so every unscoped edit path stays correct.
+//
+// A symbol numbers its edits, and the record is stamped with the range it
+// covers, because every consumer of a design shares it: a consumer that
+// remembers the Seq of the state it last derived can tell whether the
+// record still reaches back that far (Since <= remembered Seq) or was
+// reset in between by someone else, in which case it has lost edits and
+// must not be trusted.
 type DirtyInfo struct {
-	Seen bool // any edit recorded since the last TakeDirty
-	Full bool // structural or unscoped edit: the whole definition is dirty
+	// The record covers exactly the edits numbered Since+1..Seq; Seq is
+	// the symbol's edit count so far.
+	Since, Seq uint64
+	Full       bool // structural or unscoped edit: the whole definition is dirty
 	// Elems lists the element indices edited in place (deduplicated),
 	// meaningful only when !Full.
 	Elems []int
@@ -259,7 +268,7 @@ func (s *Symbol) IsPrimitive() bool { return s.DeviceType != "" }
 // the dirtiness window-scoped.
 func (s *Symbol) Touch() {
 	s.bboxValid = false
-	s.dirty.Seen = true
+	s.dirty.Seq++
 	s.dirty.Full = true
 }
 
@@ -270,7 +279,7 @@ func (s *Symbol) Touch() {
 // can have consequences. Out-of-range indices degrade to Touch.
 func (s *Symbol) TouchElement(i int, oldBounds geom.Rect) {
 	s.bboxValid = false
-	s.dirty.Seen = true
+	s.dirty.Seq++
 	if s.dirty.Full {
 		return
 	}
@@ -291,13 +300,16 @@ func (s *Symbol) TouchElement(i int, oldBounds geom.Rect) {
 	s.dirty.Window = s.dirty.Window.Union(oldBounds).Union(s.Elements[i].Bounds())
 }
 
-// TakeDirty returns the accumulated edit record and resets it. The engine
-// consumes every symbol's record once per run; between runs the record
-// accumulates across any number of edits.
-func (s *Symbol) TakeDirty() DirtyInfo {
-	d := s.dirty
-	s.dirty = DirtyInfo{}
-	return d
+// Dirty returns the edit record accumulated since the last ResetDirty.
+// Reading does not consume it: a consumer whose run is abandoned leaves
+// the record intact for the next one.
+func (s *Symbol) Dirty() DirtyInfo { return s.dirty }
+
+// ResetDirty starts a fresh record at the current edit number. The engine
+// calls it on every symbol when a run completes, so between completed
+// runs the record accumulates across any number of edits.
+func (s *Symbol) ResetDirty() {
+	s.dirty = DirtyInfo{Since: s.dirty.Seq, Seq: s.dirty.Seq}
 }
 
 // Bounds returns the symbol's bounding box including called symbols,

@@ -2,13 +2,14 @@ package netlist
 
 // Incremental, content-addressed extraction.
 //
-// ExtractFull walks the fully instantiated chip: every element region,
-// every skeleton, and every connectivity test is redone per instance and
-// per run. This file restructures extraction around the paper's own
-// locality argument — "the information about what symbol the piece of
-// geometry came from is never lost" — so that everything derivable from a
-// symbol *definition* is computed once, keyed by the definition's content
-// hash, and reused across instances and across checker runs:
+// Walking the fully instantiated chip redoes every element region, every
+// skeleton, and every connectivity test per instance and per run (the
+// tests' flat reference extractor does exactly that). This file structures
+// extraction around the paper's own locality argument — "the information
+// about what symbol the piece of geometry came from is never lost" — so
+// that everything derivable from a symbol *definition* is computed once,
+// keyed by the definition's content hash, and reused across instances and
+// across checker runs:
 //
 //   - SymbolArtifacts holds the fully flattened subtree of one symbol in
 //     symbol-local coordinates: items, footprints, the subtree-local net
@@ -28,8 +29,8 @@ package netlist
 // extraction: local coordinates are chip coordinates, relative paths are
 // instance paths, and local class ids are the final net ids (both number
 // connected components by first-footprint order). ExtractIncremental
-// therefore produces an Extraction equal to ExtractFull's, cheaper on a
-// warm cache by every subtree whose content hash is unchanged.
+// therefore produces an Extraction equal to the flat reference's, cheaper
+// on a warm cache by every subtree whose content hash is unchanged.
 
 import (
 	"sort"
@@ -553,10 +554,10 @@ func (x *IncExtraction) GlobalNet(inst int, class int) NetID {
 	return NetID(x.Root.ClassOf[in.FootStart+in.Art.ClassFoot[class]])
 }
 
-// ExtractIncremental is ExtractFull restructured over the artifact cache:
-// identical output (see TestIncrementalMatchesFull), but per-definition
-// work is reused across instances and across runs. hashes may be nil, in
-// which case content hashes are computed here.
+// ExtractIncremental extracts over the artifact cache: output identical to
+// the flat reference walk (see TestIncrementalMatchesFull), but
+// per-definition work is reused across instances and across runs. hashes
+// may be nil, in which case content hashes are computed here.
 func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes) (*IncExtraction, []Issue, error) {
 	return extractIncremental(d, tc, c, hashes, false, nil)
 }
@@ -676,6 +677,18 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	}
 	if win == nil || len(win.Elems) == 0 || top.IsPrimitive() {
 		return nil, nil, false
+	}
+	// The window speaks for the root's own elements only. The caller's
+	// baseline (its last completed run) and this cache's (its last
+	// extraction) part ways when a run is abandoned after extracting, so a
+	// child edited for that run and since restored looks clean to the caller
+	// while art still embeds the edited child: verify the embedded subtrees
+	// against the hashes in hand rather than trusting the caller for them.
+	for si := range art.Children {
+		sp := &art.Children[si]
+		if sp.Art.Hash != hashes[sp.Call.Target].Subtree {
+			return nil, nil, false
+		}
 	}
 
 	// Own items of the root in element order (skipping elements that
@@ -1442,8 +1455,11 @@ func (c *Cache) takeUF(n int) *uf {
 	return u
 }
 
-// classifyReuse is classify with cache-owned scratch and an optional
-// recycled output buffer.
+// classifyReuse converts the union-find over footprints into canonical
+// class labels — classes are numbered by the index of their first
+// footprint, which fixes the public net numbering ("n<k>" names)
+// independently of union order — using cache-owned scratch and an
+// optional recycled output buffer.
 func (c *Cache) classifyReuse(u *uf, n int, out []int) ([]int, int) {
 	if cap(out) >= n {
 		out = out[:n]

@@ -142,86 +142,24 @@ func (nl *Netlist) Stats() string {
 	return fmt.Sprintf("%d nets, %d devices", len(nl.Nets), len(nl.Devices))
 }
 
-// footprint is one connectable piece of geometry during extraction.
-type footprint struct {
-	layer  tech.LayerID
-	bounds geom.Rect
-	reg    geom.Region // chip coordinates
-	node   int         // union-find node
-	// declared net name (path-qualified), "" if none
-	declared string
-	elements int // number of interconnect elements represented (0 or 1)
-}
-
 // Extract builds the netlist of a validated design. The second return value
 // carries consistency issues; the error is reserved for structural failures
 // (unmaterializable geometry is reported as a NET.ELEM issue instead).
-// Extract is a thin wrapper over ExtractFull for callers that only need the
-// netlist.
+// Extract is a one-shot ExtractIncremental over a fresh cache, for callers
+// that only need the netlist.
 func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
-	ex, issues, err := ExtractFull(d, tc)
+	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil)
 	if err != nil {
 		return nil, issues, err
 	}
-	return ex.Netlist, issues, nil
-}
-
-// qualifyNet applies dot-notation qualification: rails are global.
-func qualifyNet(net, path string, tc *tech.Technology) string {
-	if tc.IsRail(net) || path == "" {
-		return net
-	}
-	return path + "." + net
-}
-
-func joinPath(base, name string) string {
-	if base == "" {
-		return name
-	}
-	return base + "." + name
-}
-
-// classify converts the union-find over footprints into canonical class
-// labels: classes are numbered by the index of their first footprint, which
-// fixes the public net numbering ("n<k>" names) independently of union
-// order.
-func classify(uf *uf, n int) (classOf []int, numClasses int) {
-	classOf = make([]int, n)
-	rootToClass := make([]int32, n) // roots are foot indices; 0 means unset
-	for i := 0; i < n; i++ {
-		root := uf.find(i)
-		if c := rootToClass[root]; c != 0 {
-			classOf[i] = int(c - 1)
-			continue
-		}
-		rootToClass[root] = int32(numClasses + 1)
-		classOf[i] = numClasses
-		numClasses++
-	}
-	return classOf, numClasses
-}
-
-// assemble converts union-find classes into the final Netlist.
-func assemble(foots []footprint, devices []DeviceUse, uf *uf, tc *tech.Technology, issues []Issue) (*Netlist, []Issue, error) {
-	classOf, numClasses := classify(uf, len(foots))
-	// Resolve device terminal nets from provisional footprint ids.
-	for di := range devices {
-		dev := &devices[di]
-		for ti := range dev.TerminalNets {
-			dev.TerminalNets[ti].Net = NetID(classOf[int(dev.TerminalNets[ti].Net)])
-		}
-	}
-	nl := assembleNets(numClasses, classOf, func(i int) (geom.Rect, string, int) {
-		return foots[i].bounds, foots[i].declared, foots[i].elements
-	}, len(foots), devices)
-	return nl, nameNets(nl, &issues), nil
+	return inc.Netlist, issues, nil
 }
 
 // assembleNets builds the Netlist skeleton — nets in canonical class order
 // with aggregated bounds, element counts, declared names, and device
 // terminal references — from any footprint representation. Device
-// TerminalNets must already hold final net ids. Shared by the flat
-// extractor and the incremental engine so both produce identical netlists.
+// TerminalNets must already hold final net ids. Shared with the tests' flat
+// reference extractor, so both produce identical netlists by construction.
 func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse) *Netlist {
 	nl := &Netlist{byName: make(map[string]NetID, numClasses), Nets: make([]Net, numClasses)}
 	for i := range nl.Nets {
@@ -321,15 +259,6 @@ func dedupeStrings(ss []string) []string {
 type uf struct {
 	parent []int
 	size   []int
-}
-
-func newUF(n int) *uf {
-	u := &uf{parent: make([]int, n), size: make([]int, n)}
-	for i := range u.parent {
-		u.parent[i] = i
-		u.size[i] = 1
-	}
-	return u
 }
 
 func (u *uf) find(x int) int {

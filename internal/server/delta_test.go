@@ -292,50 +292,30 @@ func TestDeltaSurvivesRestore(t *testing.T) {
 	}
 }
 
-// TestV1Redirects asserts the deprecated unprefixed paths answer 308 with
-// the /v1 location, query string preserved, and that the redirect is
-// followable end to end.
-func TestV1Redirects(t *testing.T) {
+// TestUnprefixedPathsGone asserts the pre-/v1 paths, which answered 308
+// redirects for one deprecation release, are plain 404s now, and that
+// their /v1 twins still answer.
+func TestUnprefixedPathsGone(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	srv, c := newTestServer(t, Config{Debounce: -1})
-	ctx := context.Background()
-
-	created, err := c.SessionCreate(ctx, CreateRequest{Name: "legacy", CIF: text, Tech: "cmos"})
+	srv, c := newTestServer(t, Config{Debounce: -1, StateDir: t.TempDir()})
+	created, err := c.SessionCreate(context.Background(), CreateRequest{Name: "legacy", CIF: text, Tech: "cmos"})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet,
-		"/sessions/"+created.ID+"/report?since="+created.Report.Fingerprint, nil))
-	if rec.Code != http.StatusPermanentRedirect {
-		t.Fatalf("legacy path answered %d, want 308", rec.Code)
-	}
-	want := "/v1/sessions/" + created.ID + "/report?since=" + created.Report.Fingerprint
-	if loc := rec.Header().Get("Location"); loc != want {
-		t.Fatalf("redirect location %q, want %q", loc, want)
-	}
-	for _, path := range []string{"/healthz", "/stats", "/sessions"} {
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusPermanentRedirect {
-			t.Fatalf("%s answered %d, want 308", path, rec.Code)
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/sessions"},
+		{http.MethodGet, "/sessions/" + created.ID + "/report"},
+		{http.MethodGet, "/healthz"},
+		{http.MethodGet, "/stats"},
+		{http.MethodPost, "/snapshot"},
+	} {
+		for prefix, want := range map[string]int{"": http.StatusNotFound, "/v1": http.StatusOK} {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(tc.method, prefix+tc.path, nil))
+			if rec.Code != want {
+				t.Errorf("%s %s answered %d, want %d", tc.method, prefix+tc.path, rec.Code, want)
+			}
 		}
-		if loc := rec.Header().Get("Location"); loc != "/v1"+path {
-			t.Fatalf("%s redirect location %q", path, loc)
-		}
-	}
-
-	// A stock http.Client follows the 308 transparently.
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("followed legacy /healthz: %d", resp.StatusCode)
 	}
 }
 

@@ -73,7 +73,7 @@ func TestPanicPoisonsOnlyItsSession(t *testing.T) {
 	if rep, err := c.SessionReport(context.Background(), bystander.ID); err != nil || rep.Clean {
 		t.Fatalf("bystander report: err=%v clean=%v", err, rep != nil && rep.Clean)
 	}
-	resp, err := http.Get(c.BaseURL + "/healthz")
+	resp, err := http.Get(c.BaseURL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panic: %v %v", resp.StatusCode, err)
 	}

@@ -31,8 +31,8 @@ type Config struct {
 	// whichever comes first (default 25ms; negative disables the timer,
 	// leaving report requests as the only flush trigger).
 	Debounce time.Duration
-	// Workers is the engines' interaction-stage goroutine count
-	// (core.Options.Workers; 0 = all cores).
+	// Workers sizes each engine's pool for building per-definition
+	// interaction caches (core.Options.Workers; 0 = all cores, 1 = serial).
 	Workers int
 
 	// CheckTimeout bounds engine runs triggered by a request — the cold
@@ -169,12 +169,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	// The unprefixed paths are deprecated for one release: thin 308
-	// redirects to /v1 (308, not 301, so POST/DELETE keep their method and
-	// body). See README's Operations section for the removal schedule.
-	for _, p := range []string{"/sessions", "/sessions/", "/healthz", "/stats", "/snapshot"} {
-		mux.HandleFunc(p, redirectV1)
-	}
 	s.mux = mux
 	if s.cfg.IdleTTL > 0 {
 		go s.janitor()
@@ -183,16 +177,6 @@ func New(cfg Config) *Server {
 		go s.snapshotLoop()
 	}
 	return s
-}
-
-// redirectV1 answers a deprecated unprefixed path with a 308 to the same
-// path under /v1, query string included.
-func redirectV1(w http.ResponseWriter, r *http.Request) {
-	target := "/v1" + r.URL.EscapedPath()
-	if r.URL.RawQuery != "" {
-		target += "?" + r.URL.RawQuery
-	}
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
 // ServeHTTP implements http.Handler. The outermost recovery is the

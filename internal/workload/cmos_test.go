@@ -63,8 +63,9 @@ func TestCMOSChipAccidentalTransistor(t *testing.T) {
 	}
 }
 
-// TestCMOSEngineParity: the incremental engine must produce byte-identical
-// reports for the deck-defined process too.
+// TestCMOSEngineParity: a held engine's cold run and no-edit replay must
+// reproduce Check's report byte for byte for the deck-defined process too
+// (parity with the chip-level reference is core's TestEngineMatchesCheck).
 func TestCMOSEngineParity(t *testing.T) {
 	tc := tech.CMOS()
 	chip := NewCMOSChip(tc, "cmos", 2, 3)

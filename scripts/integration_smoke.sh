@@ -7,9 +7,8 @@
 # per-class summary counts it) — asserting fingerprint parity with
 # offline runs replaying the same edit script at every step, plus the
 # report-delta path (?since= answers only added/removed, fingerprint-
-# asserted against the offline replay), the one-release 308 redirects
-# from the unprefixed paths, and the debounce bound (an edit burst
-# costs at most 2 rechecks).
+# asserted against the offline replay), and the debounce bound (an edit
+# burst costs at most 2 rechecks).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -164,18 +163,7 @@ grep -q '"reset": true' "$work/delta-reset.json" || fail "unknown base did not a
 [ "$(field "$work/delta-reset.json" fingerprint)" = "$fp_offline_clean" ] \
   || fail "reset delta fingerprint is not the full current state"
 
-# Step 7: the unprefixed paths stay up for one deprecation release as
-# 308 redirects that preserve method, path, and query string.
-echo "== deprecated unprefixed paths answer 308"
-code=$(curl -s -o /dev/null -w '%{http_code}' "$base/healthz")
-[ "$code" = 308 ] || fail "unprefixed /healthz answered $code, want 308"
-loc=$(curl -s -D - -o /dev/null "$base/sessions/$sid/report?since=$fp_base" \
-  | sed -n 's/^[Ll]ocation: \(.*\)$/\1/p' | tr -d '\r')
-[ "$loc" = "/v1/sessions/$sid/report?since=$fp_base" ] \
-  || fail "redirect Location '$loc' does not preserve path and query"
-curl -sfL "$base/healthz" > /dev/null || fail "redirect-following client cannot reach healthz"
-
-# Step 8: debounce — a 10-edit no-net-motion burst straight at the API
+# Step 7: debounce — a 10-edit no-net-motion burst straight at the API
 # must cost at most 2 rechecks (observable via /stats).
 echo "== debounce burst"
 before=$(curl -sf "$base/v1/sessions/$sid/stats" | sed -n 's/^    "rechecks": \([0-9]*\),\{0,1\}$/\1/p')
@@ -202,7 +190,7 @@ flush_batches=$(sed -n 's/^    "last_flush_batches": \([0-9]*\),\{0,1\}$/\1/p' "
 grep -q '"ctx_hits":' "$work/burst-stats.json" || fail "stats lack ctx_hits"
 grep -q '"ctx_misses":' "$work/burst-stats.json" || fail "stats lack ctx_misses"
 
-# Step 9: lifecycle cleanup through the API.
+# Step 8: lifecycle cleanup through the API.
 echo "== delete session"
 curl -sf -X DELETE "$base/v1/sessions/$sid" > /dev/null || fail "delete"
 curl -s "$base/v1/sessions/$sid/report" | grep -q '"error"' || fail "deleted session still serves reports"
