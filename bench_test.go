@@ -537,3 +537,35 @@ func BenchmarkRecheckOneBox(b *testing.B) {
 		b.Fatal("window patch path did not engage")
 	}
 }
+
+// BenchmarkFingerprintDigest measures the per-run report digest the check
+// service pays once per engine run, on the two report shapes the
+// benchmark's served workloads hold resident: an 8×8 CMOS array session
+// and a 24×24 unique-rows nMOS chip. The digest streams into the hash, so
+// allocs/op must not scale with the netlist (TestFingerprintDigestAllocs
+// is the hard guard).
+func BenchmarkFingerprintDigest(b *testing.B) {
+	cm, nm := tech.CMOS(), tech.NMOS()
+	for _, c := range []struct {
+		name string
+		tc   *tech.Technology
+		d    *layout.Design
+	}{
+		{"cmos8x8", cm, workload.NewCMOSChip(cm, "cmos", 8, 8).Design},
+		{"nmosUnique24x24", nm, workload.NewChipUnique(nm, "unique", 24, 24).Design},
+	} {
+		rep, err := core.Check(c.d, c.tc, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(core.Fingerprint(rep))))
+			for i := 0; i < b.N; i++ {
+				if len(core.FingerprintDigest(rep)) != 64 {
+					b.Fatal("digest is not a sha256 hex string")
+				}
+			}
+		})
+	}
+}

@@ -1281,7 +1281,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) bool {
 	r := &e.replay
 	p := inc.Patch
-	if !r.valid || r.nl != inc.Extraction.Netlist || r.root != inc.Root || r.inst != len(inc.Instances) {
+	if !r.valid || r.nl != p.PrevNetlist || r.root != inc.Root || r.inst != len(inc.Instances) {
 		return false
 	}
 	di, ok := e.inter[p.PrevHash]
@@ -1302,6 +1302,7 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 		e.inter[inc.Root.Hash] = di
 	}
 	e.interGen[inc.Root.Hash] = e.runs
+	r.nl = inc.Netlist // the patch's copy; the next patch starts from it
 	for _, h := range r.childHashes {
 		if _, ok := e.interGen[h]; ok {
 			e.interGen[h] = e.runs
@@ -1553,7 +1554,7 @@ func (s *directEnv) mayTouchIsolation(dev int) bool {
 func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction) {
 	var issues []netlist.Issue
 	done := false
-	if inc.Patch != nil && e.consValid && e.consNL == inc.Netlist {
+	if inc.Patch != nil && e.consValid && e.consNL == inc.Patch.PrevNetlist {
 		issues, done = e.patchConstruction(inc, inc.Patch.Items)
 	}
 	if !done {

@@ -392,3 +392,42 @@ func TestWindowRecheckAllocsBounded(t *testing.T) {
 		t.Fatalf("patched recheck allocates %.0f objects per run, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestReportStableAcrossWindowPatch locks the Cache contract that a
+// returned report is never rewritten by a later run: the window patch
+// reuses the previous extraction, so it must move the patched net's bounds
+// on a copy of the netlist, not on the one the previous report points at.
+func TestReportStableAcrossWindowPatch(t *testing.T) {
+	nm := tech.NMOS()
+	chip := workload.NewChip(nm, "stable", 6, 6)
+	d := chip.Design
+	metalL, _ := nm.LayerByName(tech.NMOSMetal)
+	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+
+	eng := NewEngine(nm, Options{Workers: 1})
+	r1, err := eng.Check(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp1 := Fingerprint(r1)
+	for step := 1; step <= 3; step++ {
+		if err := layout.ApplyEdit(d, nm, layout.Edit{
+			Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: -1, DY: 250,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		r2, err := eng.Recheck(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !eng.Stats().WindowPatched {
+			t.Fatalf("step %d: window patch path did not engage", step)
+		}
+		if Fingerprint(r2) == fp1 {
+			t.Fatalf("step %d: the move did not change the report", step)
+		}
+		if Fingerprint(r1) != fp1 {
+			t.Fatalf("step %d: the first run's report changed under its holder", step)
+		}
+	}
+}

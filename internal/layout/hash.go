@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 
 	"repro/internal/geom"
 )
@@ -38,25 +37,25 @@ type SymbolHashes struct {
 	Subtree Hash
 }
 
-// hashWriter accumulates content into a sha256 state with primitive
-// framing: every scalar is written fixed-width, every string
-// length-prefixed, so distinct contents cannot collide by concatenation.
+// hashWriter accumulates one symbol's content with primitive framing:
+// every scalar is written fixed-width, every string length-prefixed, so
+// distinct contents cannot collide by concatenation. The bytes gather in
+// one buffer that final hashes in a single sha256 call and empties, so a
+// whole ContentHashes pass reuses one allocation.
 type hashWriter struct {
-	sum hash.Hash
-	buf [8]byte
+	buf []byte
 }
 
-func newHashWriter() *hashWriter { return &hashWriter{sum: sha256.New()} }
-
 func (w *hashWriter) int64(v int64) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
-	w.sum.Write(w.buf[:])
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v))
 }
 
 func (w *hashWriter) str(s string) {
 	w.int64(int64(len(s)))
-	w.sum.Write([]byte(s))
+	w.buf = append(w.buf, s...)
 }
+
+func (w *hashWriter) hash(h Hash) { w.buf = append(w.buf, h[:]...) }
 
 func (w *hashWriter) point(p geom.Point) { w.int64(p.X); w.int64(p.Y) }
 
@@ -68,14 +67,13 @@ func (w *hashWriter) rect(r geom.Rect) {
 }
 
 func (w *hashWriter) final() Hash {
-	var out Hash
-	w.sum.Sum(out[:0])
+	out := Hash(sha256.Sum256(w.buf))
+	w.buf = w.buf[:0]
 	return out
 }
 
 // hashOwn computes the call-independent content hash of one symbol.
-func hashOwn(s *Symbol) Hash {
-	w := newHashWriter()
+func hashOwn(w *hashWriter, s *Symbol) Hash {
 	w.str(s.Name)
 	w.str(s.DeviceType)
 	if s.Checked {
@@ -102,18 +100,16 @@ func hashOwn(s *Symbol) Hash {
 	return w.final()
 }
 
-// hashSubtree folds the own hash with the call list and child subtree
-// hashes.
-func hashSubtree(s *Symbol, own Hash, child func(*Symbol) Hash) Hash {
-	w := newHashWriter()
-	w.sum.Write(own[:])
+// hashSubtree folds the own hash with the call list and the subtree
+// hashes of the called symbols, which done already holds.
+func hashSubtree(w *hashWriter, s *Symbol, own Hash, done map[*Symbol]SymbolHashes) Hash {
+	w.hash(own)
 	w.int64(int64(len(s.Calls)))
 	for _, c := range s.Calls {
 		w.str(c.Name)
 		w.int64(int64(c.T.Orient))
 		w.point(c.T.Trans)
-		ch := child(c.Target)
-		w.sum.Write(ch[:])
+		w.hash(done[c.Target].Subtree)
 	}
 	return w.final()
 }
@@ -125,11 +121,12 @@ func hashSubtree(s *Symbol, own Hash, child func(*Symbol) Hash) Hash {
 // chip, so a fresh pass is cheap and immune to stale-invalidation bugs
 // from in-place symbol mutation.
 func (d *Design) ContentHashes() map[*Symbol]SymbolHashes {
-	out := make(map[*Symbol]SymbolHashes)
-	for _, s := range d.SortedSymbols() { // topological: callees first
-		own := hashOwn(s)
-		sub := hashSubtree(s, own, func(t *Symbol) Hash { return out[t].Subtree })
-		out[s] = SymbolHashes{Own: own, Subtree: sub}
+	syms := d.SortedSymbols() // topological: callees first
+	out := make(map[*Symbol]SymbolHashes, len(syms))
+	var w hashWriter
+	for _, s := range syms {
+		own := hashOwn(&w, s)
+		out[s] = SymbolHashes{Own: own, Subtree: hashSubtree(&w, s, own, out)}
 	}
 	return out
 }

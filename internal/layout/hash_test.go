@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/geom"
@@ -148,4 +149,29 @@ func TestDirtySymbols(t *testing.T) {
 		}
 	}
 	_ = top
+}
+
+// TestContentHashesGolden pins three content addresses to the values the
+// original one-Write-per-scalar hasher produced: the framing (fixed-width
+// little-endian scalars, length-prefixed strings) is the on-disk identity
+// of every cached artifact, so a faster hasher must feed sha256 the very
+// same bytes.
+func TestContentHashesGolden(t *testing.T) {
+	d, top, mid, leaf := buildHashFixture(t)
+	leaf.DeviceType, leaf.Checked = "nfet", true
+	leaf.AddPolygon(2, geom.Polygon{{X: -300, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 700}, {X: -300, Y: 700}}, "gate")
+	h := d.ContentHashes()
+	for _, c := range []struct {
+		what string
+		got  Hash
+		want string
+	}{
+		{"leaf own", h[leaf].Own, "3b2c612623a7d7fc4f1b374666a5051dfdceb18aa48da04fdae85a3930b72e41"},
+		{"mid subtree", h[mid].Subtree, "67103b7b4f105f8e2b9d9239ffa2a5070ed03e29013a55b0b69cc2bc54dabb08"},
+		{"top subtree", h[top].Subtree, "78fc77e33fcf1383815d3f1a2adabca0667b8f70295f7122fa22a012cde89bae"},
+	} {
+		if got := hex.EncodeToString(c.got[:]); got != c.want {
+			t.Errorf("%s hash = %s, want %s", c.what, got, c.want)
+		}
+	}
 }

@@ -385,8 +385,12 @@ func scale4(t geom.Transform) geom.Transform {
 // arrays across runs: only the MOST RECENT IncExtraction produced through
 // a Cache is valid — a new extraction overwrites the previous result's
 // Instances and (when the root changed) its root classification in place.
-// The public Netlist (nets, devices) is never recycled and stays valid
-// indefinitely. This is the engine's contract: one live run per session.
+// The public Netlist (nets, devices) is never recycled or rewritten and
+// stays valid indefinitely: a root patch that moves a net's bounds does so
+// on a fresh Netlist with its own copy of the Nets slice, sharing with its
+// predecessor only what no patch touches — the per-net Declared/Terminals
+// slices, the Devices slice and the name index. This is the engine's
+// contract: one live run per session.
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
@@ -523,15 +527,19 @@ type EditWindow struct {
 	Window geom.Rect // union of old and new bounds of the edits
 }
 
-// RootPatch reports that extraction reused the previous run's netlist and
-// root artifacts, updating the changed items in place. Items lists the
-// root item indices whose geometry moved (possibly none: an unchanged
-// design replays verbatim). Consumers holding per-item caches keyed by
-// PrevHash can migrate them to the new root hash and patch the listed
-// items instead of rebuilding.
+// RootPatch reports that extraction reused the previous run's root
+// artifacts, updating the changed items in place. Items lists the root
+// item indices whose geometry moved (possibly none: an unchanged design
+// replays verbatim, netlist included). Consumers holding per-item caches
+// keyed by PrevHash can migrate them to the new root hash and patch the
+// listed items instead of rebuilding. PrevNetlist is the netlist the
+// patch started from — the previous run's, which stays as it was; state a
+// consumer recorded against it carries over to the extraction's Netlist,
+// which differs from it only in the listed items' net bounds.
 type RootPatch struct {
-	PrevHash layout.Hash
-	Items    []int
+	PrevHash    layout.Hash
+	PrevNetlist *Netlist
+	Items       []int
 }
 
 // IncExtraction is ExtractIncremental's result: the flat Extraction the
@@ -670,7 +678,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	if newHash == art.Hash {
 		// Nothing changed: the previous extraction is the answer.
 		inc.Hashes = hashes
-		inc.Patch = &RootPatch{PrevHash: art.Hash}
+		inc.Patch = &RootPatch{PrevHash: art.Hash, PrevNetlist: inc.Netlist}
 		c.artGen[art.Hash] = c.gen
 		c.refreshSubtree(art)
 		return inc, c.lastIssues, true
@@ -786,10 +794,14 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 
 	// Commit: re-key the root under its new hash and patch the moved
 	// geometry in place. Class structure, names, issues, devices, and
-	// instances are all untouched by construction.
+	// instances are all untouched by construction. The net bounds move on
+	// a copy: the previous run's report still points at nl.
 	prevHash := art.Hash
 	delete(c.arts, prevHash)
 	delete(c.artGen, prevHash)
+	prevNL := nl
+	nl = &Netlist{Nets: append([]Net(nil), prevNL.Nets...), Devices: prevNL.Devices, byName: prevNL.byName}
+	inc.Netlist = nl
 	patched := make([]int, len(patches))
 	for i, pi := range patches {
 		art.Foots[pi.foot].Bounds = pi.newBounds
@@ -807,7 +819,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	c.artGen[newHash] = c.gen
 	c.refreshSubtree(art)
 	inc.Hashes = hashes
-	inc.Patch = &RootPatch{PrevHash: prevHash, Items: patched}
+	inc.Patch = &RootPatch{PrevHash: prevHash, PrevNetlist: prevNL, Items: patched}
 	return inc, c.lastIssues, true
 }
 

@@ -15,6 +15,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -226,13 +227,26 @@ func violationsCore(vs []Violation) []core.Violation {
 	return out
 }
 
+// digestCount counts digest calls. Nothing in production reads it: it is
+// how the tests pin "one digest per completed engine run".
+var digestCount atomic.Int64
+
+// digest is the package's only call of core.FingerprintDigest — a whole
+// pass over the report's violations and netlist. A session pays it once
+// per completed engine run and carries the result beside the report; the
+// exported builders, which are handed a bare report, pay it once per call.
+func digest(rep *core.Report) string {
+	digestCount.Add(1)
+	return core.FingerprintDigest(rep)
+}
+
 // buildEnvelope assembles the shared header for a schema over one core
-// report. CheckNS is the summed stage durations — the engine-run cost of
-// producing this state.
-func buildEnvelope(schema string, rep *core.Report) Envelope {
+// report and its digest. CheckNS is the summed stage durations — the
+// engine-run cost of producing this state.
+func buildEnvelope(schema, fp string, rep *core.Report) Envelope {
 	env := Envelope{
 		Schema:      schema,
-		Fingerprint: core.FingerprintDigest(rep),
+		Fingerprint: fp,
 	}
 	if len(rep.Violations) > 0 {
 		env.Classes = core.CountByClass(rep.Violations)
@@ -243,15 +257,27 @@ func buildEnvelope(schema string, rep *core.Report) Envelope {
 	return env
 }
 
+// countErrors counts the error-severity violations without materializing
+// them the way Report.Errors does.
+func countErrors(vs []core.Violation) int {
+	n := 0
+	for i := range vs {
+		if vs[i].Severity == core.Error {
+			n++
+		}
+	}
+	return n
+}
+
 // buildBody assembles the non-violation remainder shared by full reports
 // and deltas.
 func buildBody(rep *core.Report, eng *core.Engine) ReportBody {
-	errs := rep.Errors()
+	errs := countErrors(rep.Violations)
 	body := ReportBody{
 		Design:   rep.Design.Name,
-		Clean:    rep.Clean(),
-		Errors:   len(errs),
-		Warnings: len(rep.Violations) - len(errs),
+		Clean:    errs == 0,
+		Errors:   errs,
+		Warnings: len(rep.Violations) - errs,
 	}
 	for _, s := range rep.Stats.Stages {
 		body.Stages = append(body.Stages, Stage{
@@ -286,8 +312,13 @@ func buildBody(rep *core.Report, eng *core.Engine) ReportBody {
 // BuildReport projects a core.Report (and, when non-nil, the engine that
 // produced it) into the wire form.
 func BuildReport(rep *core.Report, eng *core.Engine) *Report {
+	return buildReport(digest(rep), rep, eng)
+}
+
+// buildReport is BuildReport for a caller that already holds rep's digest.
+func buildReport(fp string, rep *core.Report, eng *core.Engine) *Report {
 	return &Report{
-		Envelope:   buildEnvelope(SchemaReport, rep),
+		Envelope:   buildEnvelope(SchemaReport, fp, rep),
 		ReportBody: buildBody(rep, eng),
 		Violations: violationsWire(rep.Violations),
 	}
@@ -299,9 +330,14 @@ func BuildReport(rep *core.Report, eng *core.Engine) *Report {
 // (core.DiffViolations) — the total order over violations makes the diff
 // deterministic and O(prev+current).
 func BuildDelta(base string, prev []core.Violation, rep *core.Report, eng *core.Engine) *ReportDelta {
+	return buildDelta(digest(rep), base, prev, rep, eng)
+}
+
+// buildDelta is BuildDelta for a caller that already holds rep's digest.
+func buildDelta(fp, base string, prev []core.Violation, rep *core.Report, eng *core.Engine) *ReportDelta {
 	added, removed := core.DiffViolations(prev, rep.Violations)
 	return &ReportDelta{
-		Envelope:   buildEnvelope(SchemaReportDelta, rep),
+		Envelope:   buildEnvelope(SchemaReportDelta, fp, rep),
 		Base:       base,
 		Added:      violationsWire(added),
 		Removed:    violationsWire(removed),
@@ -313,8 +349,14 @@ func BuildDelta(base string, prev []core.Violation, rep *core.Report, eng *core.
 // fallback when the requested base fingerprint is unknown or already
 // evicted from the bounded history: no base, Added carries everything.
 func BuildResetDelta(rep *core.Report, eng *core.Engine) *ReportDelta {
+	return buildResetDelta(digest(rep), rep, eng)
+}
+
+// buildResetDelta is BuildResetDelta for a caller that already holds
+// rep's digest.
+func buildResetDelta(fp string, rep *core.Report, eng *core.Engine) *ReportDelta {
 	return &ReportDelta{
-		Envelope:   buildEnvelope(SchemaReportDelta, rep),
+		Envelope:   buildEnvelope(SchemaReportDelta, fp, rep),
 		Reset:      true,
 		Added:      violationsWire(rep.Violations),
 		Removed:    []Violation{},

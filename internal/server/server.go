@@ -471,7 +471,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// Build the response before publishing the session: the moment it is
 	// registered, concurrent edits may mutate rep and the engine counters
 	// under the session lock, which this handler no longer holds.
-	resp := CreateResponse{ID: id, Report: BuildReport(sess.rep, sess.eng)}
+	resp := CreateResponse{ID: id, Report: buildReport(sess.fp, sess.rep, sess.eng)}
 	s.register(sess)
 	writeJSON(w, http.StatusCreated, resp)
 }

@@ -58,6 +58,7 @@ type Session struct {
 	tc     *tech.Technology
 	eng    *core.Engine
 	rep    *core.Report // last completed run's report
+	fp     string       // rep's digest, computed once when the run completed
 	dirty  bool         // edits applied since rep was produced
 	closed bool
 	poison error // non-nil: quarantined after a recovered panic
@@ -163,7 +164,7 @@ func newSession(ctx context.Context, id, name string, d *layout.Design, tc *tech
 	if err != nil {
 		return nil, err
 	}
-	s.rep = rep
+	s.rep, s.fp = rep, digest(rep)
 	s.stats.Rechecks = 1
 	s.stats.LastRecheckNS = time.Since(start).Nanoseconds()
 	s.stats.TotalRecheckNS = s.stats.LastRecheckNS
@@ -179,11 +180,10 @@ func (s *Session) pushHistoryLocked() {
 	if s.histCap <= 0 || s.rep == nil {
 		return
 	}
-	fp := core.FingerprintDigest(s.rep)
-	if n := len(s.history); n > 0 && s.history[n-1].fp == fp {
+	if n := len(s.history); n > 0 && s.history[n-1].fp == s.fp {
 		return
 	}
-	s.history = append(s.history, reportState{fp: fp, vs: s.rep.Violations})
+	s.history = append(s.history, reportState{fp: s.fp, vs: s.rep.Violations})
 	if len(s.history) > s.histCap {
 		// Shift rather than reslice so the evicted head's backing report
 		// becomes collectible.
@@ -367,7 +367,7 @@ func (s *Session) flushLocked(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	s.rep = rep
+	s.rep, s.fp = rep, digest(rep)
 	s.dirty = false
 	s.stats.Rechecks++
 	s.stats.LastRecheckNS = time.Since(start).Nanoseconds()
@@ -411,7 +411,7 @@ func (s *Session) report(ctx context.Context) (*Report, *svcError) {
 		}
 		s.stats.ReportFlushes++
 	}
-	return BuildReport(s.rep, s.eng), nil
+	return buildReport(s.fp, s.rep, s.eng), nil
 }
 
 // reportDelta answers GET .../report?since=<fp>: the current state as a
@@ -440,10 +440,10 @@ func (s *Session) reportDelta(ctx context.Context, since string) (*ReportDelta, 
 	}
 	s.stats.DeltaReports++
 	if prev, ok := s.lookupHistoryLocked(since); ok && since != "" {
-		return BuildDelta(since, prev, s.rep, s.eng), nil
+		return buildDelta(s.fp, since, prev, s.rep, s.eng), nil
 	}
 	s.stats.DeltaResets++
-	return BuildResetDelta(s.rep, s.eng), nil
+	return buildResetDelta(s.fp, s.rep, s.eng), nil
 }
 
 // StatsResponse is the /stats payload: service counters plus the engine's
@@ -509,7 +509,7 @@ func (s *Session) info() SessionInfo {
 		Name:     s.Name,
 		Design:   s.design.Name,
 		Tech:     s.tc.Name,
-		Clean:    s.rep != nil && s.rep.Clean() && !s.dirty,
+		Clean:    s.rep != nil && !s.dirty && countErrors(s.rep.Violations) == 0,
 		Dirty:    s.dirty,
 		Poisoned: s.poison != nil,
 		Edits:    s.stats.EditsApplied,

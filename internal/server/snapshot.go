@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/cif"
-	"repro/internal/core"
 )
 
 // SnapshotVersion is the on-disk session snapshot format version. A
@@ -90,7 +89,7 @@ func (s *Session) Snapshot(now time.Time) (*SessionSnapshot, error) {
 	}
 	return &SessionSnapshot{
 		Version:     SnapshotVersion,
-		Envelope:    buildEnvelope(SchemaSnapshot, s.rep),
+		Envelope:    buildEnvelope(SchemaSnapshot, s.fp, s.rep),
 		ID:          s.ID,
 		Name:        s.Name,
 		DesignName:  s.design.Name,
@@ -200,9 +199,9 @@ func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, 
 	if err != nil {
 		return nil, fmt.Errorf("restore %s: recheck: %w", snap.ID, err)
 	}
-	if got := core.FingerprintDigest(sess.rep); got != snap.Fingerprint {
+	if sess.fp != snap.Fingerprint {
 		return nil, fmt.Errorf("restore %s: fingerprint mismatch: recheck %s, snapshot %s",
-			snap.ID, got, snap.Fingerprint)
+			snap.ID, sess.fp, snap.Fingerprint)
 	}
 	// Rebuild the delta ring: the persisted entries older than the current
 	// state slot in ahead of the entry the cold check just pushed, so a
