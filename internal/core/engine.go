@@ -22,11 +22,13 @@ import (
 //
 // Cache keying follows layout.ContentHashes: stage-1 element results by a
 // symbol's own content hash, stage-2 device analyses likewise, extraction
-// artifacts and interaction adjudications by the subtree hash. Dirtiness
-// needs no explicit invalidation — an edited definition simply hashes to a
-// new key, and every ancestor's subtree hash changes with it (the
+// artifacts and interaction adjudications by the subtree hash. The engine's
+// caches need no invalidation of their own — an edited definition hashes
+// to a new key, and every ancestor's subtree hash changes with it (the
 // dirty-propagation walk up the call graph), so stale entries are never
-// reachable and age out of the caches.
+// reachable and age out. The hashes themselves are cached on the design
+// behind Symbol.Touch (layout.ApplyEdit touches on every op): a run
+// re-hashes the touched symbols and their callers, not the design.
 //
 // A warm Recheck returns a Report byte-identical to what a cold Check of
 // the same design state returns, except for wall-clock stage Durations;
@@ -58,7 +60,11 @@ type Engine struct {
 	ruleGen  map[layout.Hash]int
 	interGen map[layout.Hash]int
 
-	prev map[string]layout.Hash // last completed run's subtree hashes, by symbol name
+	// prev and mark are the last completed run's content hashes and the
+	// design's hashing mark as of then: the next run compares against prev
+	// only the symbols re-hashed after mark.
+	prev map[*layout.Symbol]layout.SymbolHashes
+	mark layout.HashMark
 	runs int
 	last EngineStats
 
@@ -181,6 +187,7 @@ type EngineStats struct {
 	Runs         int
 	Symbols      int // symbols reachable from Top in the last run
 	DirtySymbols int // symbols whose subtree hash changed since the prior run
+	Rehashed     int // symbols whose own or subtree hash was recomputed since the prior run
 	ArtifactDefs int // definition artifacts live in the extraction cache
 	InterBuilt   int // interaction definition caches built this run
 	InterReused  int // interaction definition caches replayed this run
@@ -272,9 +279,18 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	e.runs++
 	stats := EngineStats{Runs: e.runs}
 
-	dirty, hashes := d.DirtySymbols(e.prev)
+	// Only a re-hashed symbol can differ from the previous run's hashes (or
+	// be new to them), so the dirty set costs what the edit touched.
+	hashes, rehashed, mark := d.HashesSince(e.mark)
+	var dirty []*layout.Symbol
+	for _, s := range rehashed {
+		if p, ok := e.prev[s]; !ok || p.Subtree != hashes[s].Subtree {
+			dirty = append(dirty, s)
+		}
+	}
 	stats.Symbols = len(hashes)
 	stats.DirtySymbols = len(dirty)
+	stats.Rehashed = len(rehashed)
 
 	// When the only dirty symbol is the top and its edits were all
 	// window-scoped in-place moves, hand the window to extraction, which may
@@ -349,7 +365,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		// replay and the construction issue cache — may describe a run
 		// that never finished; drop them so the next run rebuilds from
 		// the durable caches instead of replaying a phantom. For the same
-		// reason e.prev, the edit records and seenSeq stay as the last
+		// reason e.prev, e.mark, the edit records and seenSeq stay as the last
 		// completed run left them: the next run must account for every edit
 		// since then, not since this abort. The extraction cache's patch
 		// base did advance if stage 4 ran, which is why tryPatchRoot checks
@@ -360,9 +376,9 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	}
 	sortViolations(rep.Violations)
 
-	e.prev = make(map[string]layout.Hash, len(hashes))
-	for s, h := range hashes {
-		e.prev[s.Name] = h.Subtree
+	// A symbol with an edit record was touched, so it is among the re-hashed.
+	e.prev, e.mark = hashes, mark
+	for _, s := range rehashed {
 		s.ResetDirty()
 	}
 	e.seenTop, e.seenSeq = d.Top, d.Top.Dirty().Seq
@@ -1369,13 +1385,15 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 	var oldT interactionTally
 	n := 0
 	for i := range di.pairs {
-		pr := di.pairs[i]
+		// By pointer: a copy whose address the geometry memo takes would be
+		// one heap object per pair of the root, moved or not.
+		pr := &di.pairs[i]
 		if movedL[pr.a] || movedL[pr.b] {
-			g := defPairGeom{p: &pr, opts: &e.opts}
+			g := defPairGeom{p: pr, opts: &e.opts}
 			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pr.a), di.itemAt(pr.b), env, &g, &oldT)
 			continue
 		}
-		di.pairs[n] = pr
+		di.pairs[n] = *pr
 		n++
 	}
 	di.pairs = di.pairs[:n]
@@ -1679,8 +1697,8 @@ func pathJoin(prefix, rel string) string {
 
 // String renders cache stats compactly for -repeat style loops.
 func (s EngineStats) String() string {
-	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit, contexts %d derived/%d built",
-		s.Runs, s.DirtySymbols, s.Symbols, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.CtxHits, s.CtxMisses)
+	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d rehashed, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit, contexts %d derived/%d built",
+		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.CtxHits, s.CtxMisses)
 	if s.WindowPatched {
 		out += ", window-patched"
 	}

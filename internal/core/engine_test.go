@@ -167,10 +167,12 @@ func mutateOneSymbol(rng *rand.Rand, d *layout.Design, tc *tech.Technology) stri
 				e.Poly[i].X += dx
 			}
 		}
+		s.Touch() // a direct geometry write: the hashes are cached behind it
 		return fmt.Sprintf("nudge element in %q by %d", s.Name, dx)
 	case 2: // change a net declaration
 		e := s.Elements[rng.Intn(len(s.Elements))]
 		e.Net = fmt.Sprintf("mut%d", rng.Intn(3))
+		s.Touch()
 		return fmt.Sprintf("redeclare net in %q", s.Name)
 	default: // duplicate an existing call under a shifted transform
 		if len(s.Calls) == 0 {
@@ -234,6 +236,61 @@ func TestEngineRecheckByteIdentical(t *testing.T) {
 				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs reference", i, desc), warm, ref)
 			}
 		})
+	}
+}
+
+// TestEngineSeesRenameAndScalarWrites: the content hashes are cached behind
+// Symbol.Touch, so every write that is content must reach them. Design.Rename
+// touches the symbol it renames (the name is part of the own hash and of
+// each violation it owns); DeviceType and Checked are plain fields a caller
+// may write directly, so the hash stamp itself must notice them. After each,
+// the warm report must move and must equal a cold check's.
+func TestEngineSeesRenameAndScalarWrites(t *testing.T) {
+	nm := tech.NMOS()
+	d := workload.NewChipUnique(nm, "scalars", 4, 5).Design
+	polyL, _ := nm.LayerByName(tech.NMOSPoly)
+	diffL, _ := nm.LayerByName(tech.NMOSDiff)
+	// A transistor definition with no gate overlap: it owns device errors.
+	bad := d.MustSymbol("bad-tran")
+	bad.DeviceType = tech.DevNMOSEnh
+	bad.AddBox(polyL, geom.R(-250, -250, 250, 250), "")
+	bad.AddBox(diffL, geom.R(-750, -250, 750, 250), "")
+	d.Top.AddCall(bad, geom.Translate(geom.Pt(-20000, 0)), "bad")
+	pulldown, ok := d.Symbol("lib.pulldown")
+	if !ok {
+		t.Fatal("lib.pulldown missing")
+	}
+
+	eng := NewEngine(nm, Options{Workers: 1})
+	rep, err := eng.Check(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := Fingerprint(rep)
+	for _, step := range []struct {
+		label string
+		write func()
+	}{
+		{"rename a called symbol", func() { d.Rename(bad, "worse-tran") }},
+		{"set Checked", func() { bad.Checked = true }},
+		{"clear Checked", func() { bad.Checked = false }},
+		{"change DeviceType", func() { pulldown.DeviceType = tech.DevNMOSDep }},
+	} {
+		step.write()
+		warm, err := eng.Recheck(d)
+		if err != nil {
+			t.Fatalf("%s: recheck: %v", step.label, err)
+		}
+		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		if err != nil {
+			t.Fatalf("%s: cold: %v", step.label, err)
+		}
+		requireSameReport(t, step.label+" warm vs cold", warm, cold)
+		fp := Fingerprint(warm)
+		if fp == last {
+			t.Fatalf("%s: the report did not move", step.label)
+		}
+		last = fp
 	}
 }
 

@@ -40,8 +40,9 @@ type SymbolHashes struct {
 // hashWriter accumulates one symbol's content with primitive framing:
 // every scalar is written fixed-width, every string length-prefixed, so
 // distinct contents cannot collide by concatenation. The bytes gather in
-// one buffer that final hashes in a single sha256 call and empties, so a
-// whole ContentHashes pass reuses one allocation.
+// one buffer that final hashes in a single sha256 call and empties; the
+// design keeps the writer, so hashing allocates only while that buffer is
+// still growing to its largest symbol.
 type hashWriter struct {
 	buf []byte
 }
@@ -100,89 +101,133 @@ func hashOwn(w *hashWriter, s *Symbol) Hash {
 	return w.final()
 }
 
-// hashSubtree folds the own hash with the call list and the subtree
-// hashes of the called symbols, which done already holds.
-func hashSubtree(w *hashWriter, s *Symbol, own Hash, done map[*Symbol]SymbolHashes) Hash {
+// hashSubtree folds the own hash with the call list and the cached subtree
+// hashes of the called symbols, which the bottom-up pass has already
+// brought up to date.
+func hashSubtree(w *hashWriter, s *Symbol, own Hash) Hash {
 	w.hash(own)
 	w.int64(int64(len(s.Calls)))
 	for _, c := range s.Calls {
 		w.str(c.Name)
 		w.int64(int64(c.T.Orient))
 		w.point(c.T.Trans)
-		w.hash(done[c.Target].Subtree)
+		var sub Hash // a nil target (Validate rejects it) hashes as zero
+		if c.Target != nil {
+			sub = c.Target.hc.h.Subtree
+		}
+		w.hash(sub)
 	}
 	return w.final()
 }
 
-// ContentHashes computes own and subtree content hashes for every symbol
-// reachable from Top, bottom-up (callees before callers). The map is
-// recomputed from scratch on every call — hashing is linear in definition
-// size, which for a hierarchical design is far smaller than the flattened
-// chip, so a fresh pass is cheap and immune to stale-invalidation bugs
-// from in-place symbol mutation.
+// ownStamp is everything ContentHashes compares to decide that a symbol's
+// cached hashes still describe it: the edit number Touch and TouchElement
+// maintain, plus the scalars a caller can write without them.
+type ownStamp struct {
+	seq              uint64
+	name, deviceType string
+	checked          bool
+	elements, calls  int
+}
+
+func (s *Symbol) stamp() ownStamp {
+	return ownStamp{
+		seq: s.dirty.Seq, name: s.Name, deviceType: s.DeviceType, checked: s.Checked,
+		elements: len(s.Elements), calls: len(s.Calls),
+	}
+}
+
+// hashCache is a symbol's memoised content hashes.
+type hashCache struct {
+	h     SymbolHashes
+	stamp ownStamp // what h.Own was computed from
+	// pass is the design's hashing pass that last confirmed h (0: never
+	// hashed). A symbol that sat out a pass was unreachable then, so no
+	// callee could tell it that its subtree hash moved.
+	pass uint64
+	// epoch is the design's hash epoch at which h was last recomputed.
+	epoch uint64
+	// stale is set by a callee whose subtree hash moved in the current pass.
+	stale bool
+}
+
+// HashMark names a moment in one design's hashing history; the zero value
+// precedes every hash of every design.
+type HashMark struct {
+	d     *Design
+	epoch uint64
+}
+
+// ContentHashes returns own and subtree content hashes for every symbol
+// reachable from Top. The hashes are cached on the symbols: a call
+// recomputes own hashes only where the symbol's edit number (or one of
+// Name, DeviceType, Checked, the element count, the call count) moved
+// since they were taken, and subtree hashes only there and in transitive
+// callers. That makes Touch part of the hashing contract: ApplyEdit is the
+// production mutator and touches on every op, and a direct write to
+// element or call geometry must be followed by Touch or TouchElement, or
+// the stale hash keeps addressing the old content. The returned map is
+// shared with later callers and must not be modified; it is never
+// rewritten — a call that finds a hash moved returns a new map.
 func (d *Design) ContentHashes() map[*Symbol]SymbolHashes {
-	syms := d.SortedSymbols() // topological: callees first
-	out := make(map[*Symbol]SymbolHashes, len(syms))
-	var w hashWriter
-	for _, s := range syms {
-		own := hashOwn(&w, s)
-		out[s] = SymbolHashes{Own: own, Subtree: hashSubtree(&w, s, own, out)}
-	}
-	return out
+	cur, _, _ := d.HashesSince(HashMark{})
+	return cur
 }
 
-// Callers returns the reverse call graph over symbols reachable from Top:
-// for each symbol, the distinct symbols that call it, in caller walk order.
-func (d *Design) Callers() map[*Symbol][]*Symbol {
-	out := make(map[*Symbol][]*Symbol)
-	for _, s := range d.SortedSymbols() {
-		seen := make(map[*Symbol]bool)
-		for _, c := range s.Calls {
-			if !seen[c.Target] {
-				seen[c.Target] = true
-				out[c.Target] = append(out[c.Target], s)
+// HashesSince is ContentHashes for a consumer that keeps state between
+// calls: besides the hashes it returns the reachable symbols whose own or
+// subtree hash was recomputed after since (callees before callers), and the
+// mark to pass next time. Everything the consumer derived from the hashes
+// of a symbol not listed still stands. A mark from another design, or the
+// zero mark, lists every reachable symbol.
+//
+// The pass is the paper's locality argument run in reverse: an edit inside
+// a definition can only affect that definition and the definitions that
+// (transitively) instantiate it, so a moved subtree hash marks the
+// symbol's callers stale through the memoised reverse call graph, and
+// sibling subtrees are not visited beyond a stamp compare.
+func (d *Design) HashesSince(since HashMark) (cur map[*Symbol]SymbolHashes, rehashed []*Symbol, now HashMark) {
+	g := d.callGraph()
+	d.hashPass++
+	moved := false
+	for _, s := range g.order {
+		c := &s.hc
+		st := s.stamp()
+		ownMoved := c.pass == 0 || c.stamp != st
+		if ownMoved || c.stale || c.pass != d.hashPass-1 {
+			if !moved {
+				moved = true
+				d.hashEpoch++
 			}
+			if ownMoved {
+				c.h.Own, c.stamp = hashOwn(&d.hashBuf, s), st
+			}
+			sub := hashSubtree(&d.hashBuf, s, c.h.Own)
+			if sub != c.h.Subtree {
+				c.h.Subtree = sub
+				for _, p := range g.callers[s] {
+					p.hc.stale = true
+				}
+			}
+			c.epoch = d.hashEpoch
+		}
+		c.stale, c.pass = false, d.hashPass
+	}
+	if moved || d.hashesOf != g.serial {
+		d.hashes = make(map[*Symbol]SymbolHashes, len(g.order))
+		for _, s := range g.order {
+			d.hashes[s] = s.hc.h
+		}
+		d.hashesOf = g.serial
+	}
+	floor := since.epoch
+	if since.d != d {
+		floor = 0
+	}
+	for _, s := range g.order {
+		if s.hc.epoch > floor {
+			rehashed = append(rehashed, s)
 		}
 	}
-	return out
-}
-
-// DirtyClosure propagates edits up the call graph: given seed symbols that
-// were modified, it returns the set including every (transitive) caller —
-// exactly the definitions whose subtree artifacts a cache must discard.
-// This is the paper's locality argument run in reverse: an edit inside a
-// symbol definition can only affect checks in that definition and in
-// definitions that (transitively) instantiate it; sibling subtrees keep
-// their results.
-func (d *Design) DirtyClosure(seeds ...*Symbol) map[*Symbol]bool {
-	callers := d.Callers()
-	dirty := make(map[*Symbol]bool)
-	var mark func(s *Symbol)
-	mark = func(s *Symbol) {
-		if dirty[s] {
-			return
-		}
-		dirty[s] = true
-		for _, p := range callers[s] {
-			mark(p)
-		}
-	}
-	for _, s := range seeds {
-		mark(s)
-	}
-	return dirty
-}
-
-// DirtySymbols compares current subtree hashes against a previous snapshot
-// (keyed by symbol name) and returns the symbols whose subtree content
-// changed — including, by construction of subtree hashing, every ancestor
-// of an edited symbol. Symbols absent from prev count as dirty.
-func (d *Design) DirtySymbols(prev map[string]Hash) (dirty []*Symbol, cur map[*Symbol]SymbolHashes) {
-	cur = d.ContentHashes()
-	for _, s := range d.SortedSymbols() {
-		if h, ok := prev[s.Name]; !ok || h != cur[s].Subtree {
-			dirty = append(dirty, s)
-		}
-	}
-	return dirty, cur
+	return d.hashes, rehashed, HashMark{d: d, epoch: d.hashEpoch}
 }

@@ -2,6 +2,8 @@ package layout
 
 import (
 	"encoding/hex"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -21,6 +23,107 @@ func buildHashFixture(t *testing.T) (*Design, *Symbol, *Symbol, *Symbol) {
 	top.AddCall(mid, geom.NewTransform(geom.R90, geom.Pt(0, 5000)), "m1")
 	d.Top = top
 	return d, top, mid, leaf
+}
+
+// scratchOrder, scratchValidate and scratchHashes are the oracle for the
+// memoised call graph and the cached hashes: the walks and the bottom-up
+// hashing pass as they were before anything was cached — every call redoes
+// everything from the design as it stands, so no Touch can be missing from
+// their answer.
+func scratchOrder(d *Design) []*Symbol {
+	var order []*Symbol
+	seen := make(map[*Symbol]bool)
+	var visit func(s *Symbol)
+	visit = func(s *Symbol) {
+		if seen[s] {
+			return
+		}
+		seen[s] = true
+		for _, c := range s.Calls {
+			visit(c.Target)
+		}
+		order = append(order, s)
+	}
+	if d.Top != nil {
+		visit(d.Top)
+	}
+	return order
+}
+
+func scratchValidate(d *Design) error {
+	if d.Top == nil {
+		return fmt.Errorf("layout: design %q has no top symbol", d.Name)
+	}
+	state := make(map[*Symbol]int) // 0 unvisited, 1 in-stack, 2 done
+	var visit func(s *Symbol) error
+	visit = func(s *Symbol) error {
+		switch state[s] {
+		case 1:
+			return fmt.Errorf("layout: recursive call cycle through symbol %q", s.Name)
+		case 2:
+			return nil
+		}
+		state[s] = 1
+		if s.IsPrimitive() && len(s.Calls) > 0 {
+			return fmt.Errorf("layout: primitive device symbol %q contains calls", s.Name)
+		}
+		for _, c := range s.Calls {
+			if c.Target == nil {
+				return fmt.Errorf("layout: symbol %q calls nil target", s.Name)
+			}
+			if d.byName[c.Target.Name] != c.Target {
+				return fmt.Errorf("layout: symbol %q calls unregistered symbol %q", s.Name, c.Target.Name)
+			}
+			if err := visit(c.Target); err != nil {
+				return err
+			}
+		}
+		state[s] = 2
+		return nil
+	}
+	return visit(d.Top)
+}
+
+func scratchHashes(d *Design) map[*Symbol]SymbolHashes {
+	out := make(map[*Symbol]SymbolHashes)
+	var w hashWriter
+	for _, s := range scratchOrder(d) { // callees first
+		own := hashOwn(&w, s)
+		w.hash(own)
+		w.int64(int64(len(s.Calls)))
+		for _, c := range s.Calls {
+			w.str(c.Name)
+			w.int64(int64(c.T.Orient))
+			w.point(c.T.Trans)
+			w.hash(out[c.Target].Subtree)
+		}
+		out[s] = SymbolHashes{Own: own, Subtree: w.final()}
+	}
+	return out
+}
+
+// requireScratchEqual compares the cached hashes, order and verdict of d
+// with the oracle's.
+func requireScratchEqual(t *testing.T, label string, d *Design) {
+	t.Helper()
+	if got, want := d.Validate(), scratchValidate(d); (got == nil) != (want == nil) {
+		t.Fatalf("%s: Validate = %v, from scratch %v", label, got, want)
+	} else if want != nil {
+		return
+	}
+	if got, want := d.SortedSymbols(), scratchOrder(d); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: SortedSymbols has %d symbols, from scratch %d, or another order", label, len(got), len(want))
+	}
+	got, want := d.ContentHashes(), scratchHashes(d)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cached hashes, %d from scratch", label, len(got), len(want))
+	}
+	for s, h := range want {
+		if got[s] != h {
+			t.Fatalf("%s: cached hashes of %q are stale: %v/%v, from scratch %v/%v",
+				label, s.Name, got[s].Own, got[s].Subtree, h.Own, h.Subtree)
+		}
+	}
 }
 
 func TestContentHashesStable(t *testing.T) {
@@ -59,6 +162,11 @@ func TestContentHashesPropagateUp(t *testing.T) {
 	}
 }
 
+// TestContentHashSensitivity: everything the checker's output depends on is
+// content. Each mutation must move the hash computed from scratch, and the
+// cached hash too — a geometry, layer or net write once the symbol is
+// touched (the Touch contract), a write to one of the stamped scalars
+// (DeviceType, Checked, the element count) on its own.
 func TestContentHashSensitivity(t *testing.T) {
 	base := func() (*Design, *Symbol) {
 		d := NewDesign("s")
@@ -67,32 +175,49 @@ func TestContentHashSensitivity(t *testing.T) {
 		d.Top = s
 		return d, s
 	}
-	d0, s0 := base()
-	h0 := d0.ContentHashes()[s0].Own
-
-	edits := []func(s *Symbol){
-		func(s *Symbol) { s.Elements[0].Box.X2 = 101 },          // geometry
-		func(s *Symbol) { s.Elements[0].Layer = 3 },             // layer
-		func(s *Symbol) { s.Elements[0].Net = "m" },             // declared net
-		func(s *Symbol) { s.DeviceType = "NE" },                 // device decl
-		func(s *Symbol) { s.Checked = true },                    // CHK flag
-		func(s *Symbol) { s.AddBox(2, geom.R(0, 0, 1, 1), "") }, // new element
+	edits := []struct {
+		what  string
+		touch bool
+		edit  func(s *Symbol)
+	}{
+		{"geometry", true, func(s *Symbol) { s.Elements[0].Box.X2 = 101 }},
+		{"layer", true, func(s *Symbol) { s.Elements[0].Layer = 3 }},
+		{"declared net", true, func(s *Symbol) { s.Elements[0].Net = "m" }},
+		{"device decl", false, func(s *Symbol) { s.DeviceType = "NE" }},
+		{"CHK flag", false, func(s *Symbol) { s.Checked = true }},
+		{"new element", false, func(s *Symbol) { s.AddBox(2, geom.R(0, 0, 1, 1), "") }},
+		{"element count", false, func(s *Symbol) { s.Elements = s.Elements[:0] }},
 	}
-	for i, edit := range edits {
+	for _, e := range edits {
 		d, s := base()
-		edit(s)
-		if d.ContentHashes()[s].Own == h0 {
-			t.Errorf("edit %d did not change the own hash", i)
+		h0 := d.ContentHashes()[s].Own
+		if scratchHashes(d)[s].Own != h0 {
+			t.Fatalf("%s: cached and from-scratch hashes differ before the edit", e.what)
 		}
+		e.edit(s)
+		if scratchHashes(d)[s].Own == h0 {
+			t.Errorf("%s edit did not change the own hash", e.what)
+		}
+		if e.touch {
+			s.Touch()
+		}
+		if d.ContentHashes()[s].Own == h0 {
+			t.Errorf("%s edit did not change the cached own hash", e.what)
+		}
+		requireScratchEqual(t, e.what, d)
 	}
 
 	// Transform and call-name changes move only the subtree hash.
 	d1, top1, mid1, _ := buildHashFixture(t)
 	h1 := d1.ContentHashes()
 	mid1.Calls[0].T = geom.Translate(geom.Pt(1001, 0))
+	if scratchHashes(d1)[mid1].Subtree == h1[mid1].Subtree {
+		t.Fatal("call transform edit did not change subtree hash")
+	}
+	mid1.Touch()
 	h2 := d1.ContentHashes()
 	if h1[mid1].Subtree == h2[mid1].Subtree {
-		t.Fatal("call transform edit did not change subtree hash")
+		t.Fatal("call transform edit did not change cached subtree hash")
 	}
 	if h1[mid1].Own != h2[mid1].Own {
 		t.Fatal("call transform edit changed own hash")
@@ -100,55 +225,61 @@ func TestContentHashSensitivity(t *testing.T) {
 	if h1[top1].Subtree == h2[top1].Subtree {
 		t.Fatal("call transform edit did not propagate to top")
 	}
+	requireScratchEqual(t, "call transform", d1)
 }
 
+// TestCallersAndDirtyClosure: the memoised reverse call graph lists each
+// symbol's distinct callers, and an edit re-hashes exactly its closure
+// under it — the edited symbol and every transitive caller.
 func TestCallersAndDirtyClosure(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
-	callers := d.Callers()
+	callers := d.callGraph().callers
 	if got := callers[leaf]; len(got) != 1 || got[0] != mid {
 		t.Fatalf("callers(leaf) = %v", got)
 	}
 	if got := callers[mid]; len(got) != 1 || got[0] != top {
-		t.Fatalf("callers(mid) = %v", got)
+		t.Fatalf("callers(mid) = %v", got) // two calls, one caller
 	}
-	dirty := d.DirtyClosure(leaf)
-	for _, s := range []*Symbol{leaf, mid, top} {
-		if !dirty[s] {
-			t.Fatalf("%q missing from dirty closure", s.Name)
-		}
-	}
-	if len(dirty) != 3 {
-		t.Fatalf("dirty closure has %d symbols, want 3", len(dirty))
+	_, _, mark := d.HashesSince(HashMark{})
+	leaf.Elements[0].Box.X2++
+	leaf.TouchElement(0, leaf.Elements[0].Box)
+	_, dirty, mark := d.HashesSince(mark)
+	if !reflect.DeepEqual(dirty, []*Symbol{leaf, mid, top}) {
+		t.Fatalf("leaf edit re-hashed %v, want leaf, mid, top", dirty)
 	}
 	// A top-only edit dirties nothing below.
-	dirty = d.DirtyClosure(top)
-	if len(dirty) != 1 || !dirty[top] {
-		t.Fatalf("dirty closure of top = %v", dirty)
+	top.Touch()
+	if _, dirty, _ = d.HashesSince(mark); !reflect.DeepEqual(dirty, []*Symbol{top}) {
+		t.Fatalf("top edit re-hashed %v, want top alone", dirty)
 	}
 }
 
+// TestDirtySymbols: HashesSince lists what was re-hashed after the caller's
+// mark, whoever triggered the re-hash — every symbol for the zero mark or
+// another design's, nothing for an unedited design.
 func TestDirtySymbols(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
-	_, cur := d.DirtySymbols(nil)
-	prev := make(map[string]Hash)
-	for s, h := range cur {
-		prev[s.Name] = h.Subtree
+	cur, dirty, mark := d.HashesSince(HashMark{})
+	if len(dirty) != 3 || len(cur) != 3 {
+		t.Fatalf("first pass re-hashed %v of %d symbols, want all 3", dirty, len(cur))
 	}
-	if dirty, _ := d.DirtySymbols(prev); len(dirty) != 0 {
+	if _, dirty, _ := d.HashesSince(mark); len(dirty) != 0 {
 		t.Fatalf("unedited design reports dirty symbols: %v", dirty)
 	}
 	leaf.AddBox(0, geom.R(1, 1, 2, 2), "")
-	dirty, _ := d.DirtySymbols(prev)
-	want := map[string]bool{leaf.Name: true, mid.Name: true, top.Name: true}
-	if len(dirty) != len(want) {
+	d.ContentHashes() // another consumer gets there first
+	next, dirty, _ := d.HashesSince(mark)
+	if !reflect.DeepEqual(dirty, []*Symbol{leaf, mid, top}) {
 		t.Fatalf("dirty = %v, want leaf+mid+top", dirty)
 	}
-	for _, s := range dirty {
-		if !want[s.Name] {
-			t.Fatalf("unexpected dirty symbol %q", s.Name)
-		}
+	if cur[leaf] == next[leaf] || cur[top] == next[top] {
+		t.Fatal("the edit moved no hash, or rewrote the map handed out before it")
 	}
-	_ = top
+	d2, _, _, _ := buildHashFixture(t)
+	_, _, foreign := d2.HashesSince(HashMark{})
+	if _, dirty, _ := d.HashesSince(foreign); len(dirty) != 3 {
+		t.Fatalf("another design's mark lists %v, want all 3", dirty)
+	}
 }
 
 // TestContentHashesGolden pins three content addresses to the values the

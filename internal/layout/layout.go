@@ -195,6 +195,11 @@ type Symbol struct {
 	bbox      geom.Rect
 
 	dirty DirtyInfo
+
+	// design is the registering design (nil for a free-standing symbol):
+	// Touch invalidates its memoised call graph.
+	design *Design
+	hc     hashCache
 }
 
 // DirtyInfo accumulates what a symbol's edits since the last ResetDirty
@@ -260,23 +265,31 @@ func (s *Symbol) AddCall(target *Symbol, t geom.Transform, name string) *Call {
 // IsPrimitive reports whether the symbol declares a device type.
 func (s *Symbol) IsPrimitive() bool { return s.DeviceType != "" }
 
-// Touch marks the symbol's derived caches (currently the bounding box)
-// stale and records full dirtiness. The Add* methods do this
-// automatically; call Touch after mutating element geometry in place —
-// the edit idiom of a long-lived incremental checking session. An editor
-// that can bound its change should call TouchElement instead, which keeps
-// the dirtiness window-scoped.
+// Touch marks everything derived from the symbol stale — its bounding
+// box, its cached content hashes, the design's memoised call graph — and
+// records full dirtiness. The Add* methods do this automatically; call
+// Touch after any direct write to an element's or a call's fields, or to
+// the Calls slice: the content hashes are recomputed only where an edit
+// number moved (see Design.ContentHashes), so an untouched write is not
+// seen by any cache keyed on them. An editor that moved one element's
+// geometry and can bound the change should call TouchElement instead,
+// which keeps the dirtiness window-scoped.
 func (s *Symbol) Touch() {
 	s.bboxValid = false
 	s.dirty.Seq++
 	s.dirty.Full = true
+	if s.design != nil {
+		s.design.structGen++
+	}
 }
 
 // TouchElement records an in-place geometry edit of element i whose
 // bounds before the edit were oldBounds. Unlike Touch it keeps the
 // dirtiness window-scoped: the accumulated window covers the element's
 // old and new extents, so a windowed recheck knows every place the edit
-// can have consequences. Out-of-range indices degrade to Touch.
+// can have consequences — and, an element edit leaving the call list as it
+// was, the design's memoised call graph stands. Out-of-range indices
+// degrade to full dirtiness.
 func (s *Symbol) TouchElement(i int, oldBounds geom.Rect) {
 	s.bboxValid = false
 	s.dirty.Seq++
@@ -348,12 +361,92 @@ func (s *Symbol) LayerRegion(layer tech.LayerID) geom.Region {
 	return geom.BulkUnion(regs)
 }
 
-// Design is a named set of symbols with a designated top.
+// Design is a named set of symbols with a designated top. It is not safe
+// for concurrent use, queries included: Validate, SortedSymbols and
+// ContentHashes refresh memos kept on the design and its symbols.
 type Design struct {
 	Name    string
 	symbols []*Symbol
 	byName  map[string]*Symbol
 	Top     *Symbol
+
+	// structGen counts the edits that can change the call graph or the
+	// name table: every Symbol.Touch, NewSymbol and Rename. graph is the
+	// walk from Top memoised against it.
+	structGen uint64
+	graph     callGraph
+
+	// Content-hash cache (see HashesSince): the pass and epoch counters
+	// the per-symbol caches are stamped with, the map last handed out and
+	// the serial of the call graph it lists, and the serialisation buffer.
+	hashPass, hashEpoch uint64
+	hashes              map[*Symbol]SymbolHashes
+	hashesOf            uint64
+	hashBuf             hashWriter
+}
+
+// callGraph is one walk of the calls reachable from a design's top: valid
+// while the design's structGen and Top are the ones it was taken at.
+type callGraph struct {
+	serial    uint64 // counts rebuilds; 0 means never built
+	structGen uint64
+	top       *Symbol
+	order     []*Symbol             // callees before callers, by call order
+	callers   map[*Symbol][]*Symbol // distinct callers of each symbol, in order's order
+	err       error                 // the first cycle, nil target or unregistered target met
+}
+
+// callGraph returns the memoised walk, redoing it only after an edit that
+// can have changed it.
+func (d *Design) callGraph() *callGraph {
+	g := &d.graph
+	if g.serial != 0 && g.structGen == d.structGen && g.top == d.Top {
+		return g
+	}
+	*g = callGraph{serial: g.serial + 1, structGen: d.structGen, top: d.Top}
+	if d.Top == nil {
+		return g
+	}
+	fail := func(err error) {
+		if g.err == nil {
+			g.err = err
+		}
+	}
+	state := make(map[*Symbol]uint8) // 0 unvisited, 1 in-stack, 2 done
+	var visit func(s *Symbol)
+	visit = func(s *Symbol) {
+		state[s] = 1
+		for _, c := range s.Calls {
+			t := c.Target
+			if t == nil {
+				fail(fmt.Errorf("layout: symbol %q calls nil target", s.Name))
+				continue
+			}
+			if d.byName[t.Name] != t {
+				fail(fmt.Errorf("layout: symbol %q calls unregistered symbol %q", s.Name, t.Name))
+			}
+			switch state[t] {
+			case 0:
+				visit(t)
+			case 1:
+				fail(fmt.Errorf("layout: recursive call cycle through symbol %q", t.Name))
+			}
+		}
+		state[s] = 2
+		g.order = append(g.order, s)
+	}
+	visit(d.Top)
+	g.callers = make(map[*Symbol][]*Symbol, len(g.order))
+	for _, s := range g.order {
+		for _, c := range s.Calls {
+			// A caller is appended to a target's list at its first call of
+			// it, so a repeat finds itself last.
+			if ps := g.callers[c.Target]; c.Target != nil && (len(ps) == 0 || ps[len(ps)-1] != s) {
+				g.callers[c.Target] = append(ps, s)
+			}
+		}
+	}
+	return g
 }
 
 // NewDesign creates an empty design.
@@ -366,9 +459,10 @@ func (d *Design) NewSymbol(name string) (*Symbol, error) {
 	if _, dup := d.byName[name]; dup {
 		return nil, fmt.Errorf("layout: duplicate symbol %q", name)
 	}
-	s := &Symbol{Name: name, ID: len(d.symbols)}
+	s := &Symbol{Name: name, ID: len(d.symbols), design: d}
 	d.symbols = append(d.symbols, s)
 	d.byName[name] = s
+	d.structGen++
 	return s, nil
 }
 
@@ -388,7 +482,9 @@ func (d *Design) Symbol(name string) (*Symbol, bool) {
 }
 
 // Rename changes a registered symbol's name, keeping the lookup table
-// consistent. Renaming to an existing different symbol's name panics; the
+// consistent. The name is content (it is part of the own hash and of every
+// violation's path), so a rename is an edit like any other and touches the
+// symbol. Renaming to an existing different symbol's name panics; the
 // caller is expected to have checked.
 func (d *Design) Rename(s *Symbol, name string) {
 	if other, exists := d.byName[name]; exists && other != s {
@@ -397,46 +493,32 @@ func (d *Design) Rename(s *Symbol, name string) {
 	delete(d.byName, s.Name)
 	s.Name = name
 	d.byName[name] = s
+	s.Touch()
 }
 
 // Symbols returns all symbols in definition order.
 func (d *Design) Symbols() []*Symbol { return d.symbols }
 
 // Validate checks structural soundness: a top symbol exists, the call
-// graph is acyclic, primitive device symbols contain no calls, and all
-// calls target registered symbols.
+// graph is acyclic, all calls target registered symbols, and primitive
+// device symbols contain no calls. The graph checks ride on the memoised
+// walk, so validating an unedited design again costs one pass over the
+// symbols, not over their calls.
 func (d *Design) Validate() error {
 	if d.Top == nil {
 		return fmt.Errorf("layout: design %q has no top symbol", d.Name)
 	}
-	state := make(map[*Symbol]int) // 0 unvisited, 1 in-stack, 2 done
-	var visit func(s *Symbol) error
-	visit = func(s *Symbol) error {
-		switch state[s] {
-		case 1:
-			return fmt.Errorf("layout: recursive call cycle through symbol %q", s.Name)
-		case 2:
-			return nil
-		}
-		state[s] = 1
+	g := d.callGraph()
+	if g.err != nil {
+		return g.err
+	}
+	// Not memoised: DeviceType is a field a caller may write without Touch.
+	for _, s := range g.order {
 		if s.IsPrimitive() && len(s.Calls) > 0 {
 			return fmt.Errorf("layout: primitive device symbol %q contains calls", s.Name)
 		}
-		for _, c := range s.Calls {
-			if c.Target == nil {
-				return fmt.Errorf("layout: symbol %q calls nil target", s.Name)
-			}
-			if d.byName[c.Target.Name] != c.Target {
-				return fmt.Errorf("layout: symbol %q calls unregistered symbol %q", s.Name, c.Target.Name)
-			}
-			if err := visit(c.Target); err != nil {
-				return err
-			}
-		}
-		state[s] = 2
-		return nil
 	}
-	return visit(d.Top)
+	return nil
 }
 
 // Stats summarizes a design for reports.
@@ -499,27 +581,10 @@ func (d *Design) Stats() Stats {
 }
 
 // SortedSymbols returns symbols reachable from Top in topological order
-// (callees before callers), deterministically.
-func (d *Design) SortedSymbols() []*Symbol {
-	var order []*Symbol
-	seen := make(map[*Symbol]bool)
-	var visit func(s *Symbol)
-	visit = func(s *Symbol) {
-		if seen[s] {
-			return
-		}
-		seen[s] = true
-		// Deterministic child order: by call order.
-		for _, c := range s.Calls {
-			visit(c.Target)
-		}
-		order = append(order, s)
-	}
-	if d.Top != nil {
-		visit(d.Top)
-	}
-	return order
-}
+// (callees before callers), deterministically: children in call order. The
+// slice is memoised until an edit that can change the call graph (Touch,
+// NewSymbol, Rename, a new Top); do not modify it.
+func (d *Design) SortedSymbols() []*Symbol { return d.callGraph().order }
 
 // UsedLayers returns the set of layers used by reachable elements, sorted.
 func (d *Design) UsedLayers() []tech.LayerID {

@@ -75,6 +75,8 @@ type SymbolArtifacts struct {
 	Sym  *layout.Symbol
 	Hash layout.Hash
 
+	gen int // the Cache generation that last reached this artifact (see Cache.touch)
+
 	// Flattened subtree in walk order: own elements (or device terminals
 	// and support geometry for a primitive), then each call's subtree.
 	// ItemFoot is always full subtree length, even on Virtual artifacts
@@ -333,6 +335,13 @@ type spanData struct {
 	pathTab     []string
 	itemPathIdx []int32
 	devPathIdx  []int32
+
+	// Cache ageing (see Cache.touch): gen is the generation that last
+	// reached this embedding; rep is its family representative (itself
+	// when it is one), whose classGen is the generation that last reached
+	// any member of the family.
+	gen, classGen int
+	rep           *spanData
 }
 
 // pathIndex builds the representative's distinct-path table.
@@ -396,15 +405,15 @@ type Cache struct {
 	spans map[spanKey]*spanData
 	infos map[layout.Hash]*analysisEntry
 
-	gen     int
-	artGen  map[layout.Hash]int
-	spanGen map[spanKey]int
+	// gen counts the runs that built a root. Every entry carries the
+	// generation that last reached it; evict retires the ones no root has
+	// reached for evictAge generations.
+	gen int
 
 	// spanClass indexes one representative embedding per (content,
 	// orientation) family; span misses whose family has a representative
 	// derive from it by translation instead of re-transforming the child.
-	spanClass    map[spanClassKey]*spanData
-	spanClassGen map[spanClassKey]int
+	spanClass map[spanClassKey]*spanData
 
 	// Context-dedup effectiveness counters (cumulative for the session):
 	// a hit is an embedding derived by translation from its family
@@ -448,13 +457,10 @@ type analysisEntry struct {
 // NewCache creates an empty artifact cache.
 func NewCache() *Cache {
 	return &Cache{
-		arts:         make(map[layout.Hash]*SymbolArtifacts),
-		spans:        make(map[spanKey]*spanData),
-		infos:        make(map[layout.Hash]*analysisEntry),
-		artGen:       make(map[layout.Hash]int),
-		spanGen:      make(map[spanKey]int),
-		spanClass:    make(map[spanClassKey]*spanData),
-		spanClassGen: make(map[spanClassKey]int),
+		arts:      make(map[layout.Hash]*SymbolArtifacts),
+		spans:     make(map[spanKey]*spanData),
+		infos:     make(map[layout.Hash]*analysisEntry),
+		spanClass: make(map[spanClassKey]*spanData),
 	}
 }
 
@@ -476,32 +482,52 @@ func (c *Cache) Analyze(s *layout.Symbol, ownHash layout.Hash, tc *tech.Technolo
 	return info, probs
 }
 
-// evictAge is how many runs an unused entry survives before eviction. The
-// root's artifacts turn over on every edit (its subtree hash always
-// changes), so a short horizon keeps a busy session's memory flat while
-// still riding out short A/B edit oscillations.
+// evictAge is how many root builds an entry survives unreached before
+// eviction; a run the root patch answers builds nothing and is not counted
+// (see extractIncremental). The root's artifacts turn over on every edit
+// that rebuilds it (its subtree hash always changes), so a short horizon
+// keeps a busy session's memory flat while still riding out short A/B edit
+// oscillations.
 const evictAge = 3
 
 func (c *Cache) evict() {
-	for h, g := range c.artGen {
-		if c.gen-g >= evictAge {
-			delete(c.artGen, h)
+	for h, a := range c.arts {
+		if c.gen-a.gen >= evictAge {
 			delete(c.arts, h)
 		}
 	}
-	for k, g := range c.spanGen {
-		if c.gen-g >= evictAge {
-			delete(c.spanGen, k)
+	for k, sd := range c.spans {
+		if c.gen-sd.gen >= evictAge {
 			delete(c.spans, k)
 		}
 	}
-	for k, g := range c.spanClassGen {
-		if c.gen-g >= evictAge {
-			delete(c.spanClassGen, k)
+	for k, sd := range c.spanClass {
+		if c.gen-sd.classGen >= evictAge {
 			delete(c.spanClass, k)
 		}
 	}
 }
+
+// touch marks a cached artifact, and everything it embeds, as reached in
+// this generation: what a live root reaches must not age, or the next edit
+// of one of its callers would rebuild definitions nobody changed. The
+// stamps are fields, and an artifact already stamped this generation is
+// not descended again, so a root build pays one pass over the call sites
+// below the definitions it reused.
+func (c *Cache) touch(a *SymbolArtifacts) {
+	if a.gen == c.gen {
+		return
+	}
+	a.gen = c.gen
+	for si := range a.Children {
+		c.reach(a.Children[si].sd)
+		c.touch(a.Children[si].Art)
+	}
+}
+
+// reach is touch for one embedding: it and its family were reached in this
+// generation.
+func (c *Cache) reach(sd *spanData) { sd.gen, sd.rep.classGen = c.gen, c.gen }
 
 // Instance is one placement of a definition on the chip: its artifacts
 // plus the global transform and the offsets of its subtree within the
@@ -596,13 +622,15 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	if hashes == nil {
 		hashes = d.ContentHashes()
 	}
-	c.gen++
 	if virtual {
+		// A patched run builds nothing and retires nothing: everything the
+		// previous root reaches is exactly as live as it was, so the cache
+		// does not age.
 		if inc, issues, ok := c.tryPatchRoot(d.Top, tc, hashes, win); ok {
-			c.evict()
 			return inc, issues, nil
 		}
 	}
+	c.gen++
 	root := c.buildRoot(d.Top, hashes, tc, virtual)
 	c.evict()
 
@@ -679,8 +707,6 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		// Nothing changed: the previous extraction is the answer.
 		inc.Hashes = hashes
 		inc.Patch = &RootPatch{PrevHash: art.Hash, PrevNetlist: inc.Netlist}
-		c.artGen[art.Hash] = c.gen
-		c.refreshSubtree(art)
 		return inc, c.lastIssues, true
 	}
 	if win == nil || len(win.Elems) == 0 || top.IsPrimitive() {
@@ -798,7 +824,6 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	// a copy: the previous run's report still points at nl.
 	prevHash := art.Hash
 	delete(c.arts, prevHash)
-	delete(c.artGen, prevHash)
 	prevNL := nl
 	nl = &Netlist{Nets: append([]Net(nil), prevNL.Nets...), Devices: prevNL.Devices, byName: prevNL.byName}
 	inc.Netlist = nl
@@ -816,39 +841,9 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	}
 	art.Hash = newHash
 	c.arts[newHash] = art
-	c.artGen[newHash] = c.gen
-	c.refreshSubtree(art)
 	inc.Hashes = hashes
 	inc.Patch = &RootPatch{PrevHash: prevHash, PrevNetlist: prevNL, Items: patched}
 	return inc, c.lastIssues, true
-}
-
-// refreshSubtree marks every artifact and span reachable from art as used
-// this generation, so a patched run ages nothing that is still live.
-func (c *Cache) refreshSubtree(art *SymbolArtifacts) {
-	seen := make(map[*SymbolArtifacts]bool, 16)
-	var walk func(a *SymbolArtifacts)
-	walk = func(a *SymbolArtifacts) {
-		for si := range a.Children {
-			sp := &a.Children[si]
-			if c.arts[sp.Art.Hash] == sp.Art {
-				c.artGen[sp.Art.Hash] = c.gen
-			}
-			key := spanKey{sp.Art.Hash, sp.Call.T, sp.Call.Name}
-			if c.spans[key] == sp.sd {
-				c.spanGen[key] = c.gen
-			}
-			ck := spanClassKey{sp.Art.Hash, sp.Call.T.Orient}
-			if _, ok := c.spanClass[ck]; ok {
-				c.spanClassGen[ck] = c.gen
-			}
-			if !seen[sp.Art] {
-				seen[sp.Art] = true
-				walk(sp.Art)
-			}
-		}
-	}
-	walk(art)
 }
 
 func (x *IncExtraction) buildInstances() {
@@ -902,12 +897,11 @@ func (x *IncExtraction) InstPath(ii int) string {
 func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology, virtual bool) *SymbolArtifacts {
 	h := hs[s].Subtree
 	if a, ok := c.arts[h]; ok && a.Virtual == virtual {
-		c.artGen[h] = c.gen
+		c.touch(a)
 		return a
 	}
 	if old := c.lastRoot; old != nil && c.arts[old.Hash] == old {
 		delete(c.arts, old.Hash)
-		delete(c.artGen, old.Hash)
 		// The retired root's classification arrays are unreachable from
 		// any report (only the run-local extraction read them); recycle.
 		c.spareClassOf = old.ClassOf
@@ -925,7 +919,7 @@ func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolH
 func (c *Cache) build(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
 	h := hs[s].Subtree
 	if a, ok := c.arts[h]; ok {
-		c.artGen[h] = c.gen
+		c.touch(a)
 		return a
 	}
 	return c.buildNew(s, hs, tc, false)
@@ -988,8 +982,8 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		art.Instances += art.Children[si].Art.Instances
 		art.LayerMask |= art.Children[si].Art.LayerMask
 	}
+	art.gen = c.gen
 	c.arts[h] = art
-	c.artGen[h] = c.gen
 	return art
 }
 
@@ -1223,7 +1217,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	key := spanKey{childArt.Hash, t, name}
 	if sd, ok := c.spans[key]; ok {
-		c.spanGen[key] = c.gen
+		c.reach(sd)
 		return sd
 	}
 	ck := spanClassKey{childArt.Hash, t.Orient}
@@ -1233,15 +1227,16 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 	// numbering the old embedding must not be replayed against.
 	if base, ok := c.spanClass[ck]; ok && base.childArt == childArt {
 		sd = c.deriveSpan(base, t, name, tc)
+		sd.rep = base
 		c.ctxHits++
 	} else {
 		sd = c.buildSpan(childArt, t, name, tc)
+		sd.rep = sd
 		c.spanClass[ck] = sd
 		c.ctxMisses++
 	}
-	c.spanClassGen[ck] = c.gen
+	c.reach(sd)
 	c.spans[key] = sd
-	c.spanGen[key] = c.gen
 	return sd
 }
 

@@ -179,5 +179,99 @@ func TestIncrementalWarmMatchesFull(t *testing.T) {
 
 	// Edit 3: declare a net on an existing element (changes names only).
 	chip.Design.Top.Elements[0].Net = "trunkprobe"
+	chip.Design.Top.Touch() // a direct write: the hashes are cached behind it
 	checkIncrementalMatch(t, "net rename", chip.Design, tc, c)
+}
+
+// TestPatchedRunsAgeNothing: a run the root patch answers builds nothing and
+// retires nothing, so it must not count toward evictAge — after a streak of
+// patched runs twice that long, every definition is still answered from the
+// cache (an edit of one row and its undo derive no embedding anew) — and
+// what a live root reaches never ages, while what edits leave behind still
+// does: over 200 edits that alternate a patched probe move with a drifting
+// row edit, the cache stays within evictAge generations of its cold size.
+func TestPatchedRunsAgeNothing(t *testing.T) {
+	tc := tech.NMOS()
+	d := workload.NewChipUnique(tc, "age", 4, 5).Design
+	metalL, _ := tc.LayerByName(tech.NMOSMetal)
+	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+	c := NewCache()
+	if _, _, err := ExtractVirtual(d, tc, c, nil); err != nil {
+		t.Fatal(err)
+	}
+	d.Top.ResetDirty()
+	coldArts, coldSpans := c.Len(), len(c.spans)
+
+	edit := func(e layout.Edit) {
+		t.Helper()
+		if err := layout.ApplyEdit(d, tc, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// run re-extracts, handing over the top's window-scoped edit record
+	// the way the engine does, and reports whether the patch answered.
+	run := func() bool {
+		t.Helper()
+		var win *EditWindow
+		if info := d.Top.Dirty(); !info.Full && len(info.Elems) > 0 {
+			win = &EditWindow{Elems: info.Elems, Window: info.Window}
+		}
+		inc, _, err := ExtractVirtualWindow(d, tc, c, nil, win)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Top.ResetDirty()
+		return inc.Patch != nil
+	}
+	dy := int64(250)
+	moveProbe := func() {
+		edit(layout.Edit{Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: -1, DY: dy})
+		dy = -dy
+	}
+
+	for i := 0; i < 2*evictAge+1; i++ {
+		moveProbe()
+		if !run() {
+			t.Fatalf("streak run %d: the root patch refused", i)
+		}
+	}
+	if c.Len() != coldArts || len(c.spans) != coldSpans {
+		t.Fatalf("after the streak: %d artifacts and %d spans, cold run left %d and %d", c.Len(), len(c.spans), coldArts, coldSpans)
+	}
+	row, _ := d.Symbol("row2")
+	rowHash := d.ContentHashes()[row].Subtree
+	edit(layout.Edit{Op: layout.OpMoveElement, Symbol: "row2", Index: 0, DY: 250})
+	if run() {
+		t.Fatal("a row edit was answered by the root patch")
+	}
+	edit(layout.Edit{Op: layout.OpMoveElement, Symbol: "row2", Index: 0, DY: -250})
+	if c.arts[rowHash] == nil {
+		t.Fatal("the streak aged the row's artifacts out of the cache")
+	}
+	hits, misses := c.ContextStats()
+	run()
+	if h, m := c.ContextStats(); h != hits || m != misses {
+		t.Fatalf("the undo derived %d and built %d embeddings; want all of them cached", h-hits, m-misses)
+	}
+
+	for i := 0; i < 200; i++ {
+		if i%2 == 0 {
+			moveProbe()
+		} else {
+			edit(layout.Edit{Op: layout.OpMoveElement, Symbol: "row2", Index: 0, DY: 250}) // drifts: every state is new
+		}
+		if patched := run(); patched != (i%2 == 0) {
+			t.Fatalf("edit %d: patched = %v", i, patched)
+		}
+		if c.Len() < coldArts || len(c.spans) < coldSpans {
+			t.Fatalf("edit %d: %d artifacts and %d spans left of the %d and %d the root reaches", i, c.Len(), len(c.spans), coldArts, coldSpans)
+		}
+		// One edited row leaves one artifact and one embedding behind.
+		if c.Len() > coldArts+evictAge || len(c.spans) > coldSpans+evictAge {
+			t.Fatalf("edit %d: cache grew to %d artifacts and %d spans from %d and %d", i, c.Len(), len(c.spans), coldArts, coldSpans)
+		}
+	}
+	if _, ok := c.arts[rowHash]; ok {
+		t.Fatal("the row state left behind 100 edits ago was never evicted")
+	}
 }

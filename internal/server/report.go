@@ -145,14 +145,17 @@ type Netlist struct {
 	Devices int `json:"devices"`
 }
 
-// EngineStats is the wire form of core.EngineStats. CtxHits/CtxMisses are
-// the netlist cache's span-context counters (derived-by-translation vs
-// built-from-scratch); WindowPatched reports whether the last run took the
-// windowed root-patch fast path.
+// EngineStats is the wire form of core.EngineStats. Rehashed counts the
+// symbols the last run had to re-hash (the edited ones and their callers:
+// the bookkeeping around a run scales with it, not with the design);
+// CtxHits/CtxMisses are the netlist cache's span-context counters
+// (derived-by-translation vs built-from-scratch); WindowPatched reports
+// whether the last run took the windowed root-patch fast path.
 type EngineStats struct {
 	Runs          int  `json:"runs"`
 	Symbols       int  `json:"symbols"`
 	DirtySymbols  int  `json:"dirty_symbols"`
+	Rehashed      int  `json:"rehashed"`
 	ArtifactDefs  int  `json:"artifact_defs"`
 	InterBuilt    int  `json:"inter_built"`
 	InterReused   int  `json:"inter_reused"`
@@ -168,7 +171,7 @@ func rectWire(r geom.Rect) Rect { return Rect{r.X1, r.Y1, r.X2, r.Y2} }
 func engineWire(es core.EngineStats) *EngineStats {
 	return &EngineStats{
 		Runs: es.Runs, Symbols: es.Symbols, DirtySymbols: es.DirtySymbols,
-		ArtifactDefs: es.ArtifactDefs, InterBuilt: es.InterBuilt,
+		Rehashed: es.Rehashed, ArtifactDefs: es.ArtifactDefs, InterBuilt: es.InterBuilt,
 		InterReused: es.InterReused, SigMisses: es.SigMisses, SigHits: es.SigHits,
 		CtxHits: es.CtxHits, CtxMisses: es.CtxMisses, WindowPatched: es.WindowPatched,
 	}

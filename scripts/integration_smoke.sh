@@ -189,6 +189,7 @@ flush_batches=$(sed -n 's/^    "last_flush_batches": \([0-9]*\),\{0,1\}$/\1/p' "
   || fail "last_flush_batches '$flush_batches' does not reflect the burst"
 grep -q '"ctx_hits":' "$work/burst-stats.json" || fail "stats lack ctx_hits"
 grep -q '"ctx_misses":' "$work/burst-stats.json" || fail "stats lack ctx_misses"
+grep -q '"rehashed":' "$work/burst-stats.json" || fail "stats lack rehashed"
 
 # Step 8: lifecycle cleanup through the API.
 echo "== delete session"
