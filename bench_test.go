@@ -552,6 +552,62 @@ func benchRecheckOneBox(b *testing.B, tc *tech.Technology, chip *workload.Chip) 
 	}
 }
 
+// BenchmarkRecheckActive measures the full (non-patched) warm re-derive on
+// the 64×64 unique-row chip plus probe box, under the three electrically
+// active edit shapes of the edit-loop workload — each changes the net
+// partition, so anonymous nets renumber and no window patch can answer:
+//
+//   - symbol: the head poly wire of one row definition moves ±250 (breaks
+//     and heals a skeletal connection inside a called definition);
+//   - struct: a floating metal sliver is added to / deleted from the top;
+//   - call: one row call moves ∓250 (opens and closes the GND rail).
+//
+// One iteration is one edit plus one Recheck; the root and (for symbol)
+// one row re-derive, every other definition replays from the caches.
+func BenchmarkRecheckActive(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		edit func(i int, top string) layout.Edit
+	}{
+		{"symbol", func(i int, _ string) layout.Edit {
+			return layout.Edit{Op: layout.OpMoveElement, Symbol: fmt.Sprintf("row%d", (i/2)%64), Index: 0, DY: 250 - 500*int64(i%2)}
+		}},
+		{"struct", func(i int, top string) layout.Edit {
+			if i%2 == 1 {
+				return layout.Edit{Op: layout.OpDeleteElement, Symbol: top, Index: -1}
+			}
+			return layout.Edit{Op: layout.OpAddBox, Symbol: top, Layer: tech.NMOSMetal, Box: []int64{-42000, -20000, -41750, -17500}}
+		}},
+		{"call", func(i int, top string) layout.Edit {
+			return layout.Edit{Op: layout.OpMoveCall, Symbol: top, Index: (i / 2) % 64, DX: -250 + 500*int64(i%2)}
+		}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			tc := tech.NMOS()
+			chip := workload.NewChipUnique(tc, "uniq", 64, 64)
+			metalL, _ := tc.LayerByName(tech.NMOSMetal)
+			chip.Design.Top.AddBox(metalL, geom.R(-30000, 0, -28000, 2000), "")
+			eng := core.NewEngine(tc, core.Options{})
+			if _, err := eng.Check(chip.Design); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := layout.ApplyEdit(chip.Design, tc, shape.edit(i, chip.Design.Top.Name)); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.Recheck(chip.Design); err != nil {
+					b.Fatal(err)
+				}
+				if eng.Stats().WindowPatched {
+					b.Fatal("an active edit took the window patch")
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFingerprintDigest measures the per-run report digest the check
 // service pays once per engine run, on the two report shapes the
 // benchmark's served workloads hold resident: an 8×8 CMOS array session

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -54,11 +55,9 @@ type Engine struct {
 	cache *netlist.Cache
 	elems map[layout.Hash]*elemEntry
 	rules map[layout.Hash]*ruleEntry
-	inter map[layout.Hash]*defInter
 
-	elemGen  map[layout.Hash]int
-	ruleGen  map[layout.Hash]int
-	interGen map[layout.Hash]int
+	elemGen map[layout.Hash]int
+	ruleGen map[layout.Hash]int
 
 	// prev and mark are the last completed run's content hashes and the
 	// design's hashing mark as of then: the next run compares against prev
@@ -107,13 +106,76 @@ type replayState struct {
 	root  *netlist.SymbolArtifacts // pointer identity of the root artifact
 	inst  int                      // instance count (defensive)
 
-	hasDev []bool          // per global net: carries a device terminal
-	shared map[uint64]bool // net-pair (lo<<32|hi): nets share a device
+	facts *netFacts // the per-run net facts the signatures read
 
-	rootTally   *interactionTally // instance 0's live tally (nil: no pairs)
-	childViol   []Violation       // instances 1.. violations, fully resolved
-	child       interCounters     // instances 1.. counter deltas
-	childHashes []layout.Hash     // distinct child definition hashes (cache refresh)
+	rootTally *interactionTally // instance 0's live tally (nil: no pairs)
+	childViol []Violation       // instances 1.. violations, fully resolved
+	child     interCounters     // instances 1.. counter deltas
+}
+
+// netFacts answers the two questions a net-environment signature asks of
+// the chip-global netlist: does a net carry a device terminal, and do two
+// nets share a device. Both are read off the netlist as extracted — the
+// second from the nets' terminal lists, so a run builds no chip-wide pair
+// table to ask it.
+type netFacts struct {
+	nl     *netlist.Netlist
+	hasDev []bool // per net: carries a device terminal (a dense column of len(Terminals) > 0)
+
+	// long memoises shares for the pairs whose shorter terminal list is
+	// longer than longScan (two rails, two buses): there are few such
+	// pairs and many instances may ask about each.
+	long map[uint64]bool
+}
+
+// longScan is the terminal-list length past which shares memoises.
+const longScan = 16
+
+func newNetFacts(nl *netlist.Netlist) *netFacts {
+	f := &netFacts{nl: nl, hasDev: make([]bool, len(nl.Nets))}
+	for i := range nl.Nets {
+		f.hasDev[i] = len(nl.Nets[i].Terminals) > 0
+	}
+	return f
+}
+
+// shares reports whether some device has terminals on both of two distinct
+// nets: it walks the shorter terminal list looking for a device that is
+// also on the other net.
+func (f *netFacts) shares(a, b netlist.NetID) bool {
+	terms, other := f.nl.Nets[a].Terminals, b
+	if tb := f.nl.Nets[b].Terminals; len(tb) < len(terms) {
+		terms, other = tb, a
+	}
+	if len(terms) <= longScan {
+		return f.scan(terms, other)
+	}
+	lo, hi := a, b
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	key := uint64(lo)<<32 | uint64(uint32(hi))
+	ans, ok := f.long[key]
+	if !ok {
+		if f.long == nil {
+			f.long = make(map[uint64]bool)
+		}
+		ans = f.scan(terms, other)
+		f.long[key] = ans
+	}
+	return ans
+}
+
+func (f *netFacts) scan(terms []netlist.TermRef, other netlist.NetID) bool {
+	for i := range terms {
+		tns := f.nl.Devices[terms[i].Device].TerminalNets
+		for ti := range tns {
+			if tns[ti].Net == other {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // interCounters is the interaction stage's additive counter set.
@@ -203,23 +265,36 @@ type EngineStats struct {
 	// fast path: extraction patched the previous root in place and the
 	// interaction stage replayed its recorded result.
 	WindowPatched bool
+
+	// FullPath names the first reason the run re-derived the root instead:
+	// one of the FullPath* values when the engine itself offered extraction
+	// no edit window, else extraction's own refusal (netlist.Refuse*).
+	// Empty on a window-patched run.
+	FullPath string
 }
+
+// Why a run offered extraction no edit window (EngineStats.FullPath).
+const (
+	FullPathCold           = "cold"            // the engine's first completed run
+	FullPathNewTop         = "new-top"         // the design's top symbol is not the one last checked
+	FullPathChildChanged   = "child-changed"   // a called definition changed, not only the top
+	FullPathStaleRecord    = "stale-record"    // the top's edit record was reset since this engine's last run
+	FullPathStructuralEdit = "structural-edit" // the top changed by more than in-place element moves
+)
 
 // NewEngine creates an incremental check session for one technology and
 // option set. Options are captured by value; construct a new engine to
 // check under different options.
 func NewEngine(tc *tech.Technology, opts Options) *Engine {
 	return &Engine{
-		tc:       tc,
-		ct:       tc.Compile(),
-		opts:     opts,
-		cache:    netlist.NewCache(),
-		elems:    make(map[layout.Hash]*elemEntry),
-		rules:    make(map[layout.Hash]*ruleEntry),
-		inter:    make(map[layout.Hash]*defInter),
-		elemGen:  make(map[layout.Hash]int),
-		ruleGen:  make(map[layout.Hash]int),
-		interGen: make(map[layout.Hash]int),
+		tc:      tc,
+		ct:      tc.Compile(),
+		opts:    opts,
+		cache:   netlist.NewCache(),
+		elems:   make(map[layout.Hash]*elemEntry),
+		rules:   make(map[layout.Hash]*ruleEntry),
+		elemGen: make(map[layout.Hash]int),
+		ruleGen: make(map[layout.Hash]int),
 	}
 }
 
@@ -300,10 +375,20 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	// back to this engine's own last completed run: a record another run
 	// reset in between has lost edits this engine never saw.
 	var win *netlist.EditWindow
-	if len(dirty) == 1 && dirty[0] == d.Top && d.Top == e.seenTop {
-		if info := d.Top.Dirty(); info.Since <= e.seenSeq && !info.Full && len(info.Elems) > 0 {
-			win = &netlist.EditWindow{Elems: info.Elems, Window: info.Window}
-		}
+	switch info := d.Top.Dirty(); {
+	case len(dirty) == 0: // nothing to re-derive: extraction replays
+	case e.seenTop == nil:
+		stats.FullPath = FullPathCold
+	case d.Top != e.seenTop:
+		stats.FullPath = FullPathNewTop
+	case len(dirty) != 1 || dirty[0] != d.Top:
+		stats.FullPath = FullPathChildChanged
+	case info.Since > e.seenSeq:
+		stats.FullPath = FullPathStaleRecord
+	case info.Full || len(info.Elems) == 0:
+		stats.FullPath = FullPathStructuralEdit
+	default:
+		win = &netlist.EditWindow{Elems: info.Elems, Window: info.Window}
 	}
 
 	rep := &Report{Design: d, Tech: e.tc}
@@ -386,6 +471,12 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stats.ArtifactDefs = e.cache.Len()
 	stats.CtxHits, stats.CtxMisses = e.cache.ContextStats()
 	stats.WindowPatched = inc != nil && inc.Patch != nil
+	switch {
+	case stats.WindowPatched:
+		stats.FullPath = ""
+	case stats.FullPath == "" && inc != nil:
+		stats.FullPath = inc.Refused // the engine had no objection: extraction's word
+	}
 	e.evict()
 	e.last = stats
 	return rep, nil
@@ -475,26 +566,23 @@ func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 	}
 }
 
+// keepRuns is how many runs a per-definition cache entry survives unused.
+const keepRuns = 8
+
 // evict ages out cache entries unused for several runs, bounding memory
-// for long-lived sessions that churn through design states.
+// for long-lived sessions that churn through design states. (Interaction
+// caches hang on their artifacts and go with them; see cachedInter.)
 func (e *Engine) evict() {
-	const keep = 8
 	for h, g := range e.elemGen {
-		if e.runs-g >= keep {
+		if e.runs-g >= keepRuns {
 			delete(e.elemGen, h)
 			delete(e.elems, h)
 		}
 	}
 	for h, g := range e.ruleGen {
-		if e.runs-g >= keep {
+		if e.runs-g >= keepRuns {
 			delete(e.ruleGen, h)
 			delete(e.rules, h)
-		}
-	}
-	for h, g := range e.interGen {
-		if e.runs-g >= keep {
-			delete(e.interGen, h)
-			delete(e.inter, h)
 		}
 	}
 }
@@ -530,6 +618,12 @@ const (
 type defInter struct {
 	art *netlist.SymbolArtifacts
 
+	// hash is the artifact content this entry describes. An artifact keeps
+	// its identity and changes its hash when extraction patches it in
+	// place; the entry follows only when the interaction replay patched it
+	// too (tryReplayInteractions), and is otherwise stale.
+	hash layout.Hash
+
 	pairs []defPair
 
 	// candClasses is the signature domain: every local class appearing in
@@ -538,9 +632,10 @@ type defInter struct {
 	candClasses []int
 	classPos    map[int]int
 
-	// classPairs are the distinct unordered class pairs for which the
-	// shares-a-device relation is part of the signature.
-	classPairs   [][2]int
+	// classPairAt lists the distinct unordered class pairs for which the
+	// shares-a-device relation is part of the signature, each as the two
+	// classes' positions in candClasses; classPairPos finds a pair's entry.
+	classPairAt  [][2]int32
 	classPairPos map[[2]int]int
 
 	termClasses map[int][]int // local device -> sorted distinct terminal classes
@@ -583,29 +678,47 @@ type keepTally struct {
 	vs     []violationDraft // Nets unused (drafts carry NoNet)
 }
 
-// defInterFor builds (or fetches) the interaction cache of one definition.
-// An entry is valid only for the exact artifact value it was built from
-// (pointer identity): the extraction cache recycles a retired root's
-// arrays in place, so a content hash seen again after intervening edits
-// may name a new artifact, and the stale entry's item indices must not be
-// replayed against it.
-func (e *Engine) defInterFor(art *netlist.SymbolArtifacts, maxGap int64, stats *EngineStats) *defInter {
-	if di, ok := e.inter[art.Hash]; ok && di.art == art {
-		e.interGen[art.Hash] = e.runs
-		if di.fresh {
-			// Prebuilt in this run's parallel phase: the first instance to
-			// reach it reports the build, exactly as a one-worker run would.
-			di.fresh = false
-			stats.InterBuilt++
-		} else {
-			stats.InterReused++
-		}
-		return di
+// cachedInter returns the live interaction cache of one definition, nil
+// when there is none. The entry hangs on the artifact it was built from
+// (SymbolArtifacts.Inter), so it is valid for that exact artifact value by
+// construction — the extraction cache may rebuild a content hash it has
+// seen before into a new artifact, whose item indices a stale entry must
+// not be replayed against — and reaching it costs the per-instance loop no
+// lookup. What remains to check is that the artifact was not patched in
+// place since (hash); a stale entry is simply rebuilt over. The entry lives
+// and dies with its artifact: the extraction cache's eviction is its only
+// horizon.
+func (e *Engine) cachedInter(art *netlist.SymbolArtifacts) *defInter {
+	return e.interAt(art, art.Hash)
+}
+
+// interAt is cachedInter against a stated content hash: the replay of a
+// patched run asks for the root's entry as of before the patch.
+func (e *Engine) interAt(art *netlist.SymbolArtifacts, h layout.Hash) *defInter {
+	di, _ := art.Inter.(*defInter)
+	if di == nil || di.hash != h {
+		return nil
 	}
-	di := e.buildDefInter(art, maxGap)
-	e.inter[art.Hash] = di
-	e.interGen[art.Hash] = e.runs
-	stats.InterBuilt++
+	return di
+}
+
+// defInterFor fetches (or builds) the interaction cache of one definition,
+// counting the reuse or build.
+func (e *Engine) defInterFor(art *netlist.SymbolArtifacts, maxGap int64, stats *EngineStats) *defInter {
+	di := e.cachedInter(art)
+	switch {
+	case di == nil:
+		di = e.buildDefInter(art, maxGap)
+		art.Inter = di
+		stats.InterBuilt++
+	case di.fresh:
+		// Prebuilt in this run's parallel phase: the first instance to
+		// reach it reports the build, exactly as a one-worker run would.
+		di.fresh = false
+		stats.InterBuilt++
+	default:
+		stats.InterReused++
+	}
 	return di
 }
 
@@ -615,6 +728,7 @@ func (e *Engine) defInterFor(art *netlist.SymbolArtifacts, maxGap int64, stats *
 func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defInter {
 	di := &defInter{
 		art:          art,
+		hash:         art.Hash,
 		classPos:     make(map[int]int),
 		classPairPos: make(map[[2]int]int),
 		termClasses:  make(map[int][]int),
@@ -653,10 +767,7 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		}
 		for si := range art.Children {
 			sp := &art.Children[si]
-			items := sp.SpanItems()
-			for k := range items {
-				layers[sp.ItemStart+k] = items[k].Layer
-			}
+			copy(layers[sp.ItemStart:], sp.SpanItemLayers())
 		}
 	}
 	art.CrossItemPairs(maxGap, func(i, j int) {
@@ -746,8 +857,8 @@ func (di *defInter) registerPairMeta(pa, pb int) {
 			cp[0], cp[1] = cp[1], cp[0]
 		}
 		if _, ok := di.classPairPos[cp]; !ok {
-			di.classPairPos[cp] = len(di.classPairs)
-			di.classPairs = append(di.classPairs, cp)
+			di.classPairPos[cp] = len(di.classPairAt)
+			di.classPairAt = append(di.classPairAt, [2]int32{int32(di.classPos[cp[0]]), int32(di.classPos[cp[1]])})
 		}
 	}
 }
@@ -785,8 +896,9 @@ func (di *defInter) itemAt(k int) *netlist.ConnItem {
 // same branches, same counters, same violations (up to the instance
 // transform and path) — so one cached tally serves them all.
 func (e *Engine) netEnvSignature(di *defInter, inc *netlist.IncExtraction, ii int,
-	hasDev []bool, shared map[uint64]bool, scratch *sigScratch) []byte {
+	facts *netFacts, scratch *sigScratch) []byte {
 
+	hasDev := facts.hasDev
 	scratch.global = scratch.global[:0]
 	scratch.labels = scratch.labels[:0]
 	scratch.sig = scratch.sig[:0]
@@ -815,22 +927,15 @@ func (e *Engine) netEnvSignature(di *defInter, inc *netlist.IncExtraction, ii in
 			scratch.sig = append(scratch.sig, 0)
 		}
 	}
-	for _, cp := range di.classPairs {
-		ga := scratch.global[di.classPos[cp[0]]]
-		gb := scratch.global[di.classPos[cp[1]]]
+	for _, at := range di.classPairAt {
+		ga, gb := scratch.global[at[0]], scratch.global[at[1]]
 		bit := byte(0)
 		if ga == gb {
 			if hasDev[ga] {
 				bit = 1
 			}
-		} else {
-			lo, hi := ga, gb
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			if shared[uint64(lo)<<32|uint64(uint32(hi))] {
-				bit = 1
-			}
+		} else if facts.shares(ga, gb) {
+			bit = 1
 		}
 		scratch.sig = append(scratch.sig, bit)
 	}
@@ -855,7 +960,7 @@ type sigEnv struct {
 	di     *defInter
 	labels []int
 	hasDev []byte // per candClasses position
-	share  []byte // per classPairs position
+	share  []byte // per classPairAt position
 }
 
 func (s *sigEnv) label(cl netlist.NetID) int {
@@ -973,47 +1078,25 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 		// its own gate are the same device, which the keepout rules skip.
 		return
 	}
+	// Devices are embedded span by span, so a device's owner is found by
+	// search. (A composite has no devices of its own.)
 	spanOfDev := func(dev int) int {
-		for si := range art.Children {
-			if dev >= art.Children[si].DevStart && dev < art.Children[si].DevEnd {
-				return si
-			}
+		si := sort.Search(len(art.Children), func(k int) bool { return art.Children[k].DevEnd > dev })
+		if si < len(art.Children) && dev >= art.Children[si].DevStart {
+			return si
 		}
 		return -1
 	}
-	// Per-owner item lists for the two probe layers: own items first,
-	// then each span straight out of the shared embedding (works whether
-	// or not the artifact materialized its flattened arrays).
+	// The probe-layer items: the definition's own by a scan of its own
+	// items, each span's straight from the lists cached with its embedding
+	// (nothing here walks the items of a span).
 	var ownCuts, ownIsos []int
-	spanCuts := make([][]int, len(art.Children))
-	spanIsos := make([][]int, len(art.Children))
-	classify := func(it *netlist.ConnItem, gi, si int) {
-		if lay.hasCut && it.Layer == lay.cutID {
-			if si < 0 {
-				ownCuts = append(ownCuts, gi)
-			} else {
-				spanCuts[si] = append(spanCuts[si], gi)
-			}
-		}
-		if lay.hasIso && it.Layer == lay.isoID {
-			if si < 0 {
-				ownIsos = append(ownIsos, gi)
-			} else {
-				spanIsos[si] = append(spanIsos[si], gi)
-			}
-		}
-	}
 	for i := 0; i < art.OwnItemEnd(); i++ {
-		classify(&art.Items[i], i, -1)
-	}
-	for si := range art.Children {
-		sp := &art.Children[si]
-		if !sp.Art.MayHaveLayer(lay.cutID, lay.hasCut) && !sp.Art.MayHaveLayer(lay.isoID, lay.hasIso) {
-			continue
+		if lay.hasCut && art.Items[i].Layer == lay.cutID {
+			ownCuts = append(ownCuts, i)
 		}
-		items := sp.SpanItems()
-		for k := range items {
-			classify(&items[k], sp.ItemStart+k, si)
+		if lay.hasIso && art.Items[i].Layer == lay.isoID {
+			ownIsos = append(ownIsos, i)
 		}
 	}
 	// Span adjacency under the widest probe (conservative: refined by the
@@ -1034,14 +1117,36 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 			}
 		}
 	}
+	// probeAll runs one keepout's probe over the own items of the layer and
+	// over those of the owner's neighbour spans that the search rect meets:
+	// item bounds lie inside their span's, so a span the rect misses holds
+	// nothing the probe's own bounds test would let through.
+	probeAll := func(dev int, search geom.Rect, own []int, layer tech.LayerID, probe func(it *netlist.ConnItem, gi int)) {
+		for _, i := range own {
+			probe(&art.Items[i], i)
+		}
+		owner := spanOfDev(dev)
+		if owner < 0 {
+			return
+		}
+		for _, sj := range adj[owner] {
+			sp := &art.Children[sj]
+			if !sp.Bounds.Touches(search) {
+				continue
+			}
+			items := sp.SpanItems()
+			for _, k := range sp.ItemsOnLayer(layer) {
+				probe(&items[k], sp.ItemStart+int(k))
+			}
+		}
+	}
 
-	if lay.hasCut && len(art.Gates) > 0 {
-		probe := func(gi int, items []int) {
+	if lay.hasCut {
+		for gi := range art.Gates {
 			g := &art.Gates[gi]
-			for _, i := range items {
-				it := art.ItemView(i)
+			probeAll(g.Dev, g.Bounds, ownCuts, lay.cutID, func(it *netlist.ConnItem, i int) {
 				if !it.Bounds.Touches(g.Bounds) {
-					continue
+					return
 				}
 				di.gateT.checks++
 				if ovb, ok := geom.IntersectBounds(it.Reg, g.Reg); ok {
@@ -1056,27 +1161,17 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 						aNet: netlist.NoNet, bNet: netlist.NoNet,
 					})
 				}
-			}
-		}
-		for gi := range art.Gates {
-			owner := spanOfDev(art.Gates[gi].Dev)
-			probe(gi, ownCuts)
-			if owner >= 0 {
-				for _, sj := range adj[owner] {
-					probe(gi, spanCuts[sj])
-				}
-			}
+			})
 		}
 	}
 
-	if lay.hasIso && len(art.BaseKeepouts) > 0 {
-		probe := func(ki int, items []int) {
+	if lay.hasIso {
+		for ki := range art.BaseKeepouts {
 			ko := &art.BaseKeepouts[ki]
 			search := ko.Bounds.Expand(ko.Clearance)
-			for _, i := range items {
-				it := art.ItemView(i)
+			probeAll(ko.Dev, search, ownIsos, lay.isoID, func(it *netlist.ConnItem, _ int) {
 				if !it.Bounds.Touches(search) {
-					continue
+					return
 				}
 				di.baseT.checks++
 				d, _, _ := geom.RegionDist(it.Reg, ko.Reg)
@@ -1092,16 +1187,7 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 						aNet: netlist.NoNet, bNet: netlist.NoNet,
 					})
 				}
-			}
-		}
-		for ki := range art.BaseKeepouts {
-			owner := spanOfDev(art.BaseKeepouts[ki].Dev)
-			probe(ki, ownIsos)
-			if owner >= 0 {
-				for _, sj := range adj[owner] {
-					probe(ki, spanIsos[sj])
-				}
-			}
+			})
 		}
 	}
 }
@@ -1143,25 +1229,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	ex := inc.Extraction
 	maxGap := e.ct.MaxSpacing()
 
-	// Global net facts feeding the signatures.
-	hasDev := make([]bool, len(ex.Netlist.Nets))
-	for i := range ex.Netlist.Nets {
-		hasDev[i] = len(ex.Netlist.Nets[i].Terminals) > 0
-	}
-	shared := make(map[uint64]bool, 256)
-	var netBuf []netlist.NetID
-	for di := range ex.Netlist.Devices {
-		netBuf = ex.Netlist.Devices[di].TerminalNetIDs(netBuf[:0])
-		for i := 0; i < len(netBuf); i++ {
-			for j := i + 1; j < len(netBuf); j++ {
-				lo, hi := netBuf[i], netBuf[j]
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				shared[uint64(lo)<<32|uint64(uint32(hi))] = true
-			}
-		}
-	}
+	facts := newNetFacts(ex.Netlist)
 
 	var keep keepLayers
 	keep.cutID, keep.hasCut = e.ct.Cut()
@@ -1182,16 +1250,15 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// run's (enforced by TestParallelDeterminism*).
 	if workers := e.opts.workerCount(); workers > 1 {
 		var order []*netlist.SymbolArtifacts
-		seen := make(map[*netlist.SymbolArtifacts]bool, 64)
+		seen := make(map[*netlist.SymbolArtifacts]bool)
 		for ii := range inc.Instances {
+			// The cached ones first: that test hashes nothing, and on a warm
+			// run it dismisses every instance but the root's.
 			art := inc.Instances[ii].Art
-			if seen[art] {
+			if e.cachedInter(art) != nil || seen[art] {
 				continue
 			}
 			seen[art] = true
-			if di, ok := e.inter[art.Hash]; ok && di.art == art {
-				continue
-			}
 			order = append(order, art)
 		}
 		if len(order) > 1 {
@@ -1202,8 +1269,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 			})
 			for k, art := range order {
 				dis[k].fresh = true
-				e.inter[art.Hash] = dis[k]
-				e.interGen[art.Hash] = e.runs
+				art.Inter = dis[k]
 			}
 		}
 	}
@@ -1238,7 +1304,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 			e.absorbInstance(c, inc, ii, di.freeTally)
 			return
 		}
-		sig := e.netEnvSignature(di, inc, ii, hasDev, shared, scratch)
+		sig := e.netEnvSignature(di, inc, ii, facts, scratch)
 		tally, ok := di.sigs[string(sig)]
 		if !ok {
 			tally = e.adjudicateDef(di, scratch.labels, sig)
@@ -1264,26 +1330,15 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// child instances' results are frozen as resolved violations plus
 	// counter deltas. Violations are copied — sortViolations reorders the
 	// report's backing array after every run.
-	hseen := make(map[layout.Hash]bool, 32)
-	var childHashes []layout.Hash
-	for ii := 1; ii < len(inc.Instances); ii++ {
-		h := inc.Instances[ii].Art.Hash
-		if !hseen[h] {
-			hseen[h] = true
-			childHashes = append(childHashes, h)
-		}
-	}
 	e.replay = replayState{
-		valid:       true,
-		nl:          ex.Netlist,
-		root:        inc.Root,
-		inst:        len(inc.Instances),
-		hasDev:      hasDev,
-		shared:      shared,
-		rootTally:   rootTally,
-		childViol:   append([]Violation(nil), c.rep.Violations[violMark:]...),
-		child:       captureCounters(c).sub(mark),
-		childHashes: childHashes,
+		valid:     true,
+		nl:        ex.Netlist,
+		root:      inc.Root,
+		inst:      len(inc.Instances),
+		facts:     facts,
+		rootTally: rootTally,
+		childViol: append([]Violation(nil), c.rep.Violations[violMark:]...),
+		child:     captureCounters(c).sub(mark),
 	}
 }
 
@@ -1300,30 +1355,23 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 	if !r.valid || r.nl != p.PrevNetlist || r.root != inc.Root || r.inst != len(inc.Instances) {
 		return false
 	}
-	di, ok := e.inter[p.PrevHash]
-	if !ok || di.art != inc.Root {
+	// The root's entry must describe the artifact as it was before this
+	// run's patch.
+	di := e.interAt(inc.Root, p.PrevHash)
+	if di == nil {
 		return false
 	}
 	if len(p.Items) > 0 && !e.patchRootInter(di, inc, p.Items) {
 		// The cache entry may be half-patched; drop it so the full stage
 		// rebuilds it from the (already patched) artifact.
-		delete(e.inter, p.PrevHash)
-		delete(e.interGen, p.PrevHash)
+		inc.Root.Inter = nil
 		r.valid = false
 		return false
 	}
-	if inc.Root.Hash != p.PrevHash {
-		delete(e.inter, p.PrevHash)
-		delete(e.interGen, p.PrevHash)
-		e.inter[inc.Root.Hash] = di
-	}
-	e.interGen[inc.Root.Hash] = e.runs
-	r.nl = inc.Netlist // the patch's copy; the next patch starts from it
-	for _, h := range r.childHashes {
-		if _, ok := e.interGen[h]; ok {
-			e.interGen[h] = e.runs
-		}
-	}
+	di.hash = inc.Root.Hash
+	// The patch's copy; the next patch starts from it. (It shares every
+	// terminal list with its predecessor, so the facts carry over.)
+	r.nl, r.facts.nl = inc.Netlist, inc.Netlist
 	stats.InterReused++
 	stats.SigHits += r.inst
 
@@ -1366,7 +1414,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 		}
 	}
 	maxGap := e.ct.MaxSpacing()
-	env := &directEnv{di: di, hasDev: e.replay.hasDev, shared: e.replay.shared}
+	env := &directEnv{di: di, facts: e.replay.facts}
 
 	movedL := make(map[int]bool, len(moved)) // local item-table indices
 	movedG := make(map[int]bool, len(moved)) // global item indices
@@ -1508,9 +1556,8 @@ func draftEq(a, b *violationDraft) bool {
 // as sigEnv does under the root instance's signature (and as the tests'
 // chip-level reference does), which the parity tests lock in.
 type directEnv struct {
-	di     *defInter
-	hasDev []bool
-	shared map[uint64]bool
+	di    *defInter
+	facts *netFacts
 }
 
 func (s *directEnv) sameNet(a, b *netlist.ConnItem) bool {
@@ -1538,13 +1585,9 @@ func (s *directEnv) related(a, b *netlist.ConnItem) bool {
 	}
 	if a.Net != netlist.NoNet && b.Net != netlist.NoNet {
 		if a.Net == b.Net {
-			return s.hasDev[a.Net]
+			return s.facts.hasDev[a.Net]
 		}
-		lo, hi := a.Net, b.Net
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return s.shared[uint64(lo)<<32|uint64(uint32(hi))]
+		return s.facts.shares(a.Net, b.Net)
 	}
 	return false
 }
@@ -1701,6 +1744,9 @@ func (s EngineStats) String() string {
 		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.CtxHits, s.CtxMisses)
 	if s.WindowPatched {
 		out += ", window-patched"
+	}
+	if s.FullPath != "" {
+		out += ", full path: " + s.FullPath
 	}
 	return out
 }

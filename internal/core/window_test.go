@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/geom"
@@ -278,6 +279,54 @@ func TestEngineWindowRecheckOtherSymbolFullPath(t *testing.T) {
 	requireSameReport(t, "row edit warm vs cold", warm, cold)
 }
 
+// TestNetFactsSharesLongPairs pins the memo of netFacts.shares on a
+// hand-built netlist whose four nets all carry more than longScan terminals:
+// x shares devices with y1 and z, y2 only with z. Every ordered pair is asked
+// in every sequence of first questions, so an answer memoised for one pair
+// can never stand in for another.
+func TestNetFactsSharesLongPairs(t *testing.T) {
+	const x, y1, y2, z = netlist.NetID(0), netlist.NetID(1), netlist.NetID(2), netlist.NetID(3)
+	nl := &netlist.Netlist{Nets: make([]netlist.Net, 4)}
+	join := func(n int, a, b netlist.NetID) {
+		for i := 0; i < n; i++ {
+			di := len(nl.Devices)
+			nl.Devices = append(nl.Devices, netlist.DeviceUse{TerminalNets: []netlist.TerminalNet{{Name: "a", Net: a}, {Name: "b", Net: b}}})
+			nl.Nets[a].Terminals = append(nl.Nets[a].Terminals, netlist.TermRef{Device: di, Terminal: "a"})
+			nl.Nets[b].Terminals = append(nl.Nets[b].Terminals, netlist.TermRef{Device: di, Terminal: "b"})
+		}
+	}
+	join(longScan+4, x, y1)
+	join(longScan+8, x, z)
+	join(longScan+1, y2, z)
+	want := map[[2]netlist.NetID]bool{
+		{x, y1}: true, {x, y2}: false, {x, z}: true,
+		{y1, y2}: false, {y1, z}: false, {y2, z}: true,
+	}
+	var asks [][2]netlist.NetID
+	for p := range want {
+		asks = append(asks, p, [2]netlist.NetID{p[1], p[0]})
+	}
+	sort.Slice(asks, func(i, j int) bool {
+		return asks[i][0] < asks[j][0] || asks[i][0] == asks[j][0] && asks[i][1] < asks[j][1]
+	})
+	for first := range asks {
+		facts := newNetFacts(nl)
+		for k := range asks {
+			q := asks[(first+k)%len(asks)]
+			lo, hi := q[0], q[1]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if got := facts.shares(q[0], q[1]); got != want[[2]netlist.NetID{lo, hi}] {
+				t.Fatalf("sequence from %v: shares(%d,%d) = %v", asks[first], q[0], q[1], got)
+			}
+		}
+		if len(facts.long) != len(want) {
+			t.Fatalf("memo holds %d pairs, want %d", len(facts.long), len(want))
+		}
+	}
+}
+
 // TestNetEnvSignatureTalliesIdentical pins the signature cache's core
 // guarantee: the signature bytes are deterministic, and two instances
 // with equal signatures adjudicate to byte-identical tallies — same
@@ -292,12 +341,10 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	e := NewEngine(nm, Options{Workers: 1})
 	maxGap := e.ct.MaxSpacing()
 
-	// The same global net facts checkInteractions computes.
+	// The global net facts checkInteractions computes, checked against the
+	// relation spelled out device by device.
 	ex := inc.Extraction
-	hasDev := make([]bool, len(ex.Netlist.Nets))
-	for i := range ex.Netlist.Nets {
-		hasDev[i] = len(ex.Netlist.Nets[i].Terminals) > 0
-	}
+	facts := newNetFacts(ex.Netlist)
 	shared := make(map[uint64]bool)
 	var netBuf []netlist.NetID
 	for di := range ex.Netlist.Devices {
@@ -311,6 +358,21 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 				shared[uint64(lo)<<32|uint64(uint32(hi))] = true
 			}
 		}
+	}
+	for a := range ex.Netlist.Nets {
+		if facts.hasDev[a] != (len(ex.Netlist.Nets[a].Terminals) > 0) {
+			t.Fatalf("net %d: hasDev %v", a, facts.hasDev[a])
+		}
+		for b := a + 1; b < len(ex.Netlist.Nets); b++ {
+			want := shared[uint64(a)<<32|uint64(b)]
+			na, nb := netlist.NetID(a), netlist.NetID(b)
+			if facts.shares(na, nb) != want || facts.shares(nb, na) != want {
+				t.Fatalf("nets %d,%d: shares %v/%v, want %v", a, b, facts.shares(na, nb), facts.shares(nb, na), want)
+			}
+		}
+	}
+	if len(facts.long) == 0 {
+		t.Fatal("no pair took the memoised long scan; workload too small to exercise it")
 	}
 	scratch := &sigScratch{
 		labelOf:   make([]int, len(ex.Netlist.Nets)),
@@ -329,9 +391,9 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 		if len(di.pairs) == 0 || di.netFree {
 			continue
 		}
-		sig := string(e.netEnvSignature(di, inc, ii, hasDev, shared, scratch))
+		sig := string(e.netEnvSignature(di, inc, ii, facts, scratch))
 		labels := append([]int(nil), scratch.labels...)
-		again := string(e.netEnvSignature(di, inc, ii, hasDev, shared, scratch))
+		again := string(e.netEnvSignature(di, inc, ii, facts, scratch))
 		if sig != again {
 			t.Fatalf("instance %d: signature not deterministic", ii)
 		}

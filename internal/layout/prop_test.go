@@ -13,61 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// randomEdit draws one edit of any of the seven ops against any registered
-// symbol — reachable or not, composite or device — with parameters that are
-// sometimes invalid (a missing symbol, layer or orientation, an index out of
-// range, a zero wire width, a call that would close a cycle or sit inside a
-// device): ApplyEdit must refuse those and leave no trace.
-func randomEdit(rng *rand.Rand, d *layout.Design, tc *tech.Technology) layout.Edit {
-	syms := d.Symbols()
-	pick := func() *layout.Symbol { return syms[rng.Intn(len(syms))] }
-	s := pick()
-	if rng.Intn(3) == 0 {
-		s = d.Top // most structure hangs off the top
-	}
-	e := layout.Edit{Symbol: s.Name}
-	if rng.Intn(25) == 0 {
-		e.Symbol = "no-such-symbol"
-	}
-	layers := tc.Layers()
-	e.Layer = layers[rng.Intn(len(layers))].Name
-	if rng.Intn(15) == 0 {
-		e.Layer = "no-such-layer"
-	}
-	// One past either end, so some indices miss.
-	index := func(n int) int { return rng.Intn(2*n+3) - n - 1 }
-	b := s.Bounds()
-	x := b.X1 + rng.Int63n(b.X2-b.X1+1000)
-	y := b.Y1 + rng.Int63n(b.Y2-b.Y1+1000)
-	switch rng.Intn(7) {
-	case 0:
-		e.Op = layout.OpAddBox
-		e.Box = []int64{x, y, x + 250 + 250*rng.Int63n(6), y + 250 + 250*rng.Int63n(6)}
-	case 1:
-		e.Op = layout.OpAddWire
-		e.Width = 250 * rng.Int63n(4) // 0 is refused
-		e.Path = []int64{x, y, x + 250*rng.Int63n(12), y}
-	case 2:
-		e.Op, e.Index = layout.OpDeleteElement, index(len(s.Elements))
-	case 3:
-		e.Op, e.Index = layout.OpMoveElement, index(len(s.Elements))
-		e.DX, e.DY = 250*(rng.Int63n(5)-2), 250*(rng.Int63n(5)-2)
-	case 4:
-		e.Op, e.Target = layout.OpAddCall, pick().Name
-		e.Orient = geom.Orient(rng.Intn(8)).String()
-		if rng.Intn(15) == 0 {
-			e.Orient = "R45"
-		}
-		e.DX, e.DY = x+40000, y+40000
-	case 5:
-		e.Op, e.Index = layout.OpDeleteCall, index(len(s.Calls))
-	case 6:
-		e.Op, e.Index = layout.OpMoveCall, index(len(s.Calls))
-		e.DX, e.DY = 250*(rng.Int63n(5)-2), 250*(rng.Int63n(5)-2)
-	}
-	return e
-}
-
 // TestCachedHashesEqualScratchUnderEditScripts is the property the cached
 // hashing rests on: through any script of layout.ApplyEdit ops — refused
 // edits, calls added and deleted so that whole subtrees leave and re-enter
@@ -105,7 +50,7 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 				}
 				applied, refused := 0, 0
 				for i := 0; i < steps; i++ {
-					e := randomEdit(rng, d, nm)
+					e := workload.RandomEdit(rng, d, nm)
 					label := fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol)
 					before := d.ContentHashes()
 					if err := layout.ApplyEdit(d, nm, e); err != nil {

@@ -64,6 +64,11 @@ type ChildSpan struct {
 	DevStart, DevEnd   int
 
 	sd *spanData // shared transformed embedding (skeleton cache lives here)
+
+	// node0 is the union-find node of the child's class 0 while the parent
+	// is being built: the child's partition enters the parent's as one
+	// node per child class, not one per footprint (see populate).
+	node0 int
 }
 
 // SymbolArtifacts is the complete extraction of one symbol's subtree in
@@ -79,9 +84,9 @@ type SymbolArtifacts struct {
 
 	// Flattened subtree in walk order: own elements (or device terminals
 	// and support geometry for a primitive), then each call's subtree.
-	// ItemFoot is always full subtree length, even on Virtual artifacts
-	// (it is the one flat array cheap enough to keep everywhere, and it
-	// makes item→foot resolution a direct index).
+	// ItemFoot is parallel to Items: full subtree length on a materialized
+	// artifact, own entries only on a Virtual one (ItemFootAt resolves the
+	// rest through the child definitions).
 	Items    []ConnItem  // Net holds the LOCAL class id (or NoNet)
 	Foots    []LocalFoot // connectable subset, parallel order
 	ItemFoot []int       // item index -> foot index, -1 for support geometry
@@ -99,6 +104,13 @@ type SymbolArtifacts struct {
 
 	Children []ChildSpan
 
+	// Inter is a slot for the one consumer that keeps per-definition state
+	// derived from this exact artifact value — the check engine hangs its
+	// interaction cache here, so it is reached without a lookup and is
+	// dropped with the artifact. The extractor neither reads nor writes it;
+	// the engine that owns the Cache is its only writer (see Cache).
+	Inter any
+
 	// Instances counts the placements in this subtree including itself
 	// (primitive and composite definitions alike), sized once at build so
 	// per-run instance enumeration can preallocate.
@@ -115,14 +127,15 @@ type SymbolArtifacts struct {
 	// through the accessors below (NumItems, ItemView, ResolveItem,
 	// FootView, ItemFootAt, FootItemAt), which are valid on materialized
 	// artifacts too. Foots holds only own entries on every composite
-	// (embedded footprints live solely in span storage), and counts,
-	// index offsets (Children spans, ClassOf, ClassFoot) and ItemFoot are
-	// always for the full flattened subtree.
+	// (embedded footprints live solely in span storage), and counts and
+	// index offsets (Children spans, ClassOf, ClassFoot) are always for
+	// the full flattened subtree.
 	Virtual  bool
 	numItems int
 	numFoots int
+	numTerms int // terminal→net assignments over Devices (sizes the parent's slab)
 
-	footItem []int // lazy inverse of ItemFoot (materialized artifacts)
+	footItem []int // lazy inverse of ItemFoot, as long as ItemFoot is
 
 	skels map[int]geom.Region // lazy skeletons of own footprints
 }
@@ -192,8 +205,8 @@ func (a *SymbolArtifacts) ResolveItem(i int) ConnItem {
 	if it.Dev >= 0 {
 		it.Dev += sp.DevStart
 	}
-	if f := a.ItemFootAt(i); f >= 0 {
-		it.Net = NetID(a.ClassOf[f])
+	if f := sp.Art.ItemFootAt(i - sp.ItemStart); f >= 0 {
+		it.Net = NetID(a.ClassOf[sp.FootStart+f])
 	} else {
 		it.Net = NoNet
 	}
@@ -214,23 +227,40 @@ func (a *SymbolArtifacts) FootView(i int) *LocalFoot {
 }
 
 // ItemFootAt returns the footprint index of item i, -1 for support
-// geometry. ItemFoot is full subtree length on every artifact, so this is
-// a direct index.
+// geometry: a direct index on a materialized artifact and for own items, a
+// span search and the child definition's answer for the embedded items of
+// a Virtual one.
 func (a *SymbolArtifacts) ItemFootAt(i int) int {
-	return a.ItemFoot[i]
+	if i < len(a.ItemFoot) {
+		return a.ItemFoot[i]
+	}
+	sp := &a.Children[a.itemSpan(i)]
+	if f := sp.Art.ItemFootAt(i - sp.ItemStart); f >= 0 {
+		return sp.FootStart + f
+	}
+	return -1
 }
 
-// FootItemAt returns the item index of footprint f.
+// FootItemAt returns the item index of footprint f, resolved like
+// ItemFootAt.
 func (a *SymbolArtifacts) FootItemAt(f int) int {
 	if a.footItem == nil {
-		a.footItem = make([]int, a.NumFoots())
+		n := a.numFoots
+		if len(a.ItemFoot) < a.numItems {
+			n = a.ownFootEnd() // own entries only
+		}
+		a.footItem = make([]int, n)
 		for i, ff := range a.ItemFoot {
 			if ff >= 0 {
 				a.footItem[ff] = i
 			}
 		}
 	}
-	return a.footItem[f]
+	if f < len(a.footItem) {
+		return a.footItem[f]
+	}
+	sp := &a.Children[a.footSpan(f)]
+	return sp.ItemStart + sp.Art.FootItemAt(f-sp.FootStart)
 }
 
 // MayHaveLayer reports whether the subtree may contain items on layer l
@@ -243,6 +273,19 @@ func (a *SymbolArtifacts) MayHaveLayer(l tech.LayerID, enabled bool) bool {
 // SpanItems exposes the embedded child's items in this frame (geometry
 // frame-correct; Path/Net/Dev are child-frame — see ResolveItem).
 func (sp *ChildSpan) SpanItems() []ConnItem { return sp.sd.items }
+
+// SpanItemLayers is the dense layer column of SpanItems.
+func (sp *ChildSpan) SpanItemLayers() []tech.LayerID { return sp.sd.itemLayers }
+
+// ItemsOnLayer lists the span-local indices of the embedded items on layer
+// l, ascending. The lists are cached with the embedding: asking costs
+// nothing per item of the span.
+func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
+	if int(l) >= len(sp.sd.onLayer) {
+		return nil
+	}
+	return sp.sd.onLayer[l]
+}
 
 // OwnItemEnd returns the end of the symbol's own (non-embedded) items.
 func (a *SymbolArtifacts) OwnItemEnd() int {
@@ -325,6 +368,13 @@ type spanData struct {
 	itemBoxes []geom.Rect
 	footBoxes []geom.Rect
 
+	// itemLayers[i] is items[i].Layer, and onLayer[l] lists the items on
+	// layer l in index order. Neither depends on the call transform, so a
+	// family builds them once (buildSpan) and its derived members share
+	// them; eager for the same reason as the bounds tables.
+	itemLayers []tech.LayerID
+	onLayer    [][]int32
+
 	// pathTab/itemPathIdx/devPathIdx index the distinct relative paths of
 	// items and devices, built lazily on a family representative the first
 	// time a sibling derives from it (extraction is single-goroutine, so
@@ -399,7 +449,18 @@ func scale4(t geom.Transform) geom.Transform {
 // on a fresh Netlist with its own copy of the Nets slice, sharing with its
 // predecessor only what no patch touches — the per-net Declared/Terminals
 // slices, the Devices slice and the name index. This is the engine's
-// contract: one live run per session.
+// contract: one live run per session. One engine owns a Cache: each
+// artifact carries a single consumer slot (SymbolArtifacts.Inter), so two
+// engines sharing a Cache would overwrite each other's entries.
+//
+// What a full re-derive of the root costs follows from what is kept here.
+// Per definition (SymbolArtifacts): the flattened subtree and its net
+// partition. Per embedding (spanData, shared by a translation family where
+// the call transform does not matter): the transformed items, footprints,
+// devices and keepouts, dense bounds and layer columns, and the items of
+// each layer. Per session: the interned anonymous net names. What a run
+// does per device or per net — the devices' terminal lists, the nets'
+// terminal lists — is carved from one slab each and filled at copy speed.
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
@@ -424,9 +485,12 @@ type Cache struct {
 	// working arrays are dead the moment a build returns, so one buffer
 	// serves every build (the Cache is single-threaded by contract).
 	ufScratch    uf
-	classScratch []int32
+	classScratch []int32 // union-find root -> class+1
+	nodeClass    []int32 // union-find node -> class
 	instScratch  []Instance
 	spareClassOf []int
+
+	anon anonNames // the session's interned anonymous net names
 
 	// lastRoot is the most recent changed top-level artifact. A root's
 	// subtree hash changes on every edit, so its (large, flat-sized)
@@ -452,6 +516,7 @@ type Cache struct {
 type analysisEntry struct {
 	info  *device.Info
 	probs []device.Problem
+	gen   int // the Cache generation that last read this analysis
 }
 
 // NewCache creates an empty artifact cache.
@@ -475,10 +540,11 @@ func (c *Cache) ContextStats() (hits, misses int) { return c.ctxHits, c.ctxMisse
 // Analyze memoizes device.Analyze by the symbol's own content hash.
 func (c *Cache) Analyze(s *layout.Symbol, ownHash layout.Hash, tc *tech.Technology) (*device.Info, []device.Problem) {
 	if e, ok := c.infos[ownHash]; ok {
+		e.gen = c.gen
 		return e.info, e.probs
 	}
 	info, probs := device.Analyze(s, tc)
-	c.infos[ownHash] = &analysisEntry{info: info, probs: probs}
+	c.infos[ownHash] = &analysisEntry{info: info, probs: probs, gen: c.gen}
 	return info, probs
 }
 
@@ -504,6 +570,11 @@ func (c *Cache) evict() {
 	for k, sd := range c.spanClass {
 		if c.gen-sd.classGen >= evictAge {
 			delete(c.spanClass, k)
+		}
+	}
+	for h, e := range c.infos {
+		if c.gen-e.gen >= evictAge {
+			delete(c.infos, h)
 		}
 	}
 }
@@ -579,7 +650,28 @@ type IncExtraction struct {
 	// Patch is non-nil when this extraction was produced by patching the
 	// previous one in place rather than re-deriving the root.
 	Patch *RootPatch
+	// Refused names why the root patch did not answer a virtual extraction
+	// (one of the Refuse* values); empty when Patch is set.
+	Refused string
 }
+
+// Why tryPatchRoot re-derived the root instead of patching it: one value
+// per refusal branch.
+const (
+	RefuseNoWindow           = "no-window"           // the caller offered no edit window (it knows why)
+	RefuseNoBaseline         = "no-baseline"         // no previous virtual extraction of this top to patch
+	RefusePrimitiveTop       = "primitive-top"       // the top symbol is a device
+	RefuseStaleBaseline      = "stale-baseline"      // the previous extraction embeds a child the design no longer has
+	RefuseElementGone        = "element-gone"        // the window names an element index past the end
+	RefuseElementUnextracted = "element-unextracted" // the edited element had no footprint (it failed to materialize)
+	RefuseElementDeclared    = "element-declared"    // the edited element carries a declared net name
+	RefuseLayerChanged       = "layer-changed"       // the edit moved the element to another layer
+	RefuseElementNotInert    = "element-not-inert"   // its net has other members, device terminals or names
+	RefuseIllegalContact     = "illegal-contact"     // it sits in an illegal-connection candidate pair
+	RefuseBadGeometry        = "bad-geometry"        // its new geometry does not materialize
+	RefuseContactAfterMove   = "contact-after-move"  // its new position touches another footprint of its layer
+	RefuseContactAmongMoved  = "contact-among-moved" // two moved elements touch at their new positions
+)
 
 // GlobalNet resolves a subtree-local net class of one instance to the
 // chip-global net id.
@@ -622,13 +714,16 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	if hashes == nil {
 		hashes = d.ContentHashes()
 	}
+	refused := ""
 	if virtual {
 		// A patched run builds nothing and retires nothing: everything the
 		// previous root reaches is exactly as live as it was, so the cache
 		// does not age.
-		if inc, issues, ok := c.tryPatchRoot(d.Top, tc, hashes, win); ok {
+		inc, issues, why := c.tryPatchRoot(d.Top, tc, hashes, win)
+		if why == "" {
 			return inc, issues, nil
 		}
+		refused = why
 	}
 	c.gen++
 	root := c.buildRoot(d.Top, hashes, tc, virtual)
@@ -653,7 +748,7 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 		return f.Bounds, f.Declared, f.Elements
 	}
 	nl := assembleNets(root.NumClasses, root.ClassOf, foot, root.NumFoots(), root.Devices)
-	issues = nameNets(nl, &issues)
+	issues = nameNets(nl, &issues, &c.anon)
 
 	ex := &Extraction{
 		Netlist:      nl,
@@ -674,7 +769,7 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 			ex.IllegalPairs = append(ex.IllegalPairs, p)
 		}
 	}
-	inc := &IncExtraction{Extraction: ex, Root: root, Hashes: hashes}
+	inc := &IncExtraction{Extraction: ex, Root: root, Hashes: hashes, Refused: refused}
 	if cap(c.instScratch) >= root.Instances {
 		inc.Instances = c.instScratch[:0]
 	}
@@ -695,22 +790,26 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 // layer before or after the move — the previous extraction stays valid
 // verbatim except for the moved geometry, which is patched in place. The
 // unchanged-hash case (no observable edit) replays with an empty patch.
-// Any condition failure returns ok == false and the caller re-derives.
-func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, bool) {
+// Any condition failure returns the reason (a Refuse* value) and the caller
+// re-derives; the empty reason means patched.
+func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
 	if art == nil || inc == nil || !art.Virtual || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
-		return nil, nil, false
+		return nil, nil, RefuseNoBaseline
 	}
 	newHash := hashes[top].Subtree
 	if newHash == art.Hash {
 		// Nothing changed: the previous extraction is the answer.
 		inc.Hashes = hashes
-		inc.Patch = &RootPatch{PrevHash: art.Hash, PrevNetlist: inc.Netlist}
-		return inc, c.lastIssues, true
+		inc.Patch, inc.Refused = &RootPatch{PrevHash: art.Hash, PrevNetlist: inc.Netlist}, ""
+		return inc, c.lastIssues, ""
 	}
-	if win == nil || len(win.Elems) == 0 || top.IsPrimitive() {
-		return nil, nil, false
+	if win == nil || len(win.Elems) == 0 {
+		return nil, nil, RefuseNoWindow
+	}
+	if top.IsPrimitive() {
+		return nil, nil, RefusePrimitiveTop
 	}
 	// The window speaks for the root's own elements only. The caller's
 	// baseline (its last completed run) and this cache's (its last
@@ -721,7 +820,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	for si := range art.Children {
 		sp := &art.Children[si]
 		if sp.Art.Hash != hashes[sp.Call.Target].Subtree {
-			return nil, nil, false
+			return nil, nil, RefuseStaleBaseline
 		}
 	}
 
@@ -748,20 +847,23 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		}
 		seen[ei] = true
 		if ei < 0 || ei >= len(top.Elements) {
-			return nil, nil, false
+			return nil, nil, RefuseElementGone
 		}
 		el := top.Elements[ei]
 		it, ok := itemOfElem[ei]
-		if !ok || el.Net != "" {
-			return nil, nil, false
+		if !ok {
+			return nil, nil, RefuseElementUnextracted
+		}
+		if el.Net != "" {
+			return nil, nil, RefuseElementDeclared
 		}
 		f := art.ItemFoot[it]
 		if f < 0 {
-			return nil, nil, false
+			return nil, nil, RefuseElementUnextracted
 		}
 		foot := &art.Foots[f]
 		if el.Layer != foot.Layer {
-			return nil, nil, false
+			return nil, nil, RefuseLayerChanged
 		}
 		cl := art.ClassOf[f]
 		net := &nl.Nets[cl]
@@ -770,16 +872,16 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		// illegal connection. Then moving it cannot change any class, any
 		// name, or any extraction issue — only its own geometry.
 		if len(net.Declared) != 0 || len(net.Terminals) != 0 || net.Elements != 1 {
-			return nil, nil, false
+			return nil, nil, RefuseElementNotInert
 		}
 		for _, p := range art.IllegalCands {
 			if p[0] == it || p[1] == it {
-				return nil, nil, false
+				return nil, nil, RefuseIllegalContact
 			}
 		}
 		reg, err := el.Region()
 		if err != nil {
-			return nil, nil, false
+			return nil, nil, RefuseBadGeometry
 		}
 		patches = append(patches, patchItem{item: it, foot: f, class: cl, newBounds: reg.Bounds(), newReg: reg})
 	}
@@ -794,7 +896,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		layer := art.Foots[pi.foot].Layer
 		for f := range art.Foots {
 			if f != pi.foot && art.Foots[f].Layer == layer && art.Foots[f].Bounds.Touches(nb) {
-				return nil, nil, false
+				return nil, nil, RefuseContactAfterMove
 			}
 		}
 		for si := range art.Children {
@@ -804,7 +906,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 			}
 			for local, b := range sp.sd.footBoxes {
 				if b.Touches(nb) && sp.sd.foots[local].Layer == layer {
-					return nil, nil, false
+					return nil, nil, RefuseContactAfterMove
 				}
 			}
 		}
@@ -813,7 +915,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		for j := i + 1; j < len(patches); j++ {
 			if art.Foots[patches[i].foot].Layer == art.Foots[patches[j].foot].Layer &&
 				patches[i].newBounds.Touches(patches[j].newBounds) {
-				return nil, nil, false
+				return nil, nil, RefuseContactAmongMoved
 			}
 		}
 	}
@@ -842,8 +944,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	art.Hash = newHash
 	c.arts[newHash] = art
 	inc.Hashes = hashes
-	inc.Patch = &RootPatch{PrevHash: prevHash, PrevNetlist: prevNL, Items: patched}
-	return inc, c.lastIssues, true
+	inc.Patch, inc.Refused = &RootPatch{PrevHash: prevHash, PrevNetlist: prevNL, Items: patched}, ""
+	return inc, c.lastIssues, ""
 }
 
 func (x *IncExtraction) buildInstances() {
@@ -933,12 +1035,8 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		u.union(pu[0], pu[1])
 	}
 	levelIllegal := c.connectSweep(art, u)
-	art.ClassOf, art.NumClasses = c.classifyReuse(u, art.NumFoots(), c.spareClassOf)
+	nodeClass := c.classify(art, u, c.spareClassOf)
 	c.spareClassOf = nil
-	art.ClassFoot = make([]int, art.NumClasses)
-	for i := art.NumFoots() - 1; i >= 0; i-- {
-		art.ClassFoot[art.ClassOf[i]] = i // first foot wins (reverse loop)
-	}
 	// Assign local classes to footprint-backed items.
 	for i := range art.Items {
 		if f := art.ItemFoot[i]; f >= 0 {
@@ -952,19 +1050,23 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		for ti := range dev.TerminalNets {
 			dev.TerminalNets[ti].Net = NetID(art.ClassOf[int(dev.TerminalNets[ti].Net)])
 		}
+		art.numTerms = len(dev.TerminalNets)
 	}
-	// Remap embedded devices' terminal classes into this frame.
+	// Remap embedded devices' terminal classes into this frame, every
+	// device's list carved out of one slab.
+	for si := range art.Children {
+		art.numTerms += art.Children[si].Art.numTerms
+	}
+	slab := make([]TerminalNet, art.numTerms)
 	for si := range art.Children {
 		sp := &art.Children[si]
+		classes := nodeClass[sp.node0:]
 		for di := sp.DevStart; di < sp.DevEnd; di++ {
-			childDev := &sp.Art.Devices[di-sp.DevStart]
-			tns := make([]TerminalNet, len(childDev.TerminalNets))
-			for ti := range childDev.TerminalNets {
-				cc := childDev.TerminalNets[ti].Net
-				tns[ti] = TerminalNet{
-					Name: childDev.TerminalNets[ti].Name,
-					Net:  NetID(art.ClassOf[sp.FootStart+sp.Art.ClassFoot[int(cc)]]),
-				}
+			child := sp.Art.Devices[di-sp.DevStart].TerminalNets
+			tns := slab[:len(child):len(child)]
+			slab = slab[len(child):]
+			for ti := range child {
+				tns[ti] = TerminalNet{Name: child[ti].Name, Net: NetID(classes[child[ti].Net])}
 			}
 			art.Devices[di].TerminalNets = tns
 		}
@@ -1111,7 +1213,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	}
 	art.Items = make([]ConnItem, 0, ownCap)
 	art.Foots = make([]LocalFoot, 0, len(s.Elements))
-	art.ItemFoot = make([]int, 0, nItems)
+	art.ItemFoot = make([]int, 0, ownCap)
 	art.Children = make([]ChildSpan, 0, len(s.Calls))
 	if nGates > 0 {
 		art.Gates = make([]Keepout, 0, nGates)
@@ -1149,8 +1251,12 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		})
 		art.ItemFoot = append(art.ItemFoot, len(art.Foots)-1)
 	}
+	// The union-find runs over the own footprints plus one node per class
+	// of each child: a child's internal partition is already decided, so
+	// its footprints enter as the classes they belong to and nothing is
+	// replayed per embedded footprint.
 	itemCount, footCount := len(art.Items), len(art.Foots)
-	ufp := c.takeUF(nFoots)
+	nodeCount := footCount
 	for ci := range s.Calls {
 		call := s.Calls[ci]
 		childArt := childArts[ci]
@@ -1158,7 +1264,9 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		sp := ChildSpan{
 			Call: call, Art: childArt, sd: sd, Bounds: sd.bounds,
 			ItemStart: itemCount, FootStart: footCount, DevStart: len(art.Devices),
+			node0: nodeCount,
 		}
+		nodeCount += childArt.NumClasses
 		if !virtual {
 			// Bulk-copy the transformed embedding, then fix the offsets.
 			art.Items = append(art.Items, sd.items...)
@@ -1169,13 +1277,12 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 					}
 				}
 			}
-		}
-		// ItemFoot is maintained at full subtree length in both modes.
-		for _, cf := range childArt.ItemFoot {
-			if cf >= 0 {
-				art.ItemFoot = append(art.ItemFoot, sp.FootStart+cf)
-			} else {
-				art.ItemFoot = append(art.ItemFoot, -1)
+			for i := 0; i < childArt.NumItems(); i++ {
+				if cf := childArt.ItemFootAt(i); cf >= 0 {
+					art.ItemFoot = append(art.ItemFoot, sp.FootStart+cf)
+				} else {
+					art.ItemFoot = append(art.ItemFoot, -1)
+				}
 			}
 		}
 		itemCount += childArt.NumItems()
@@ -1194,20 +1301,13 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		sp.FootEnd = footCount
 		sp.DevEnd = len(art.Devices)
 		art.Children = append(art.Children, sp)
-		// Replay the child's internal partition by index translation.
-		for cf := 0; cf < childArt.NumFoots(); cf++ {
-			rep := childArt.ClassFoot[childArt.ClassOf[cf]]
-			if rep != cf {
-				ufp.union(sp.FootStart+rep, sp.FootStart+cf)
-			}
-		}
 		// Inherit the child's illegal-connection candidates.
 		for _, p := range childArt.IllegalCands {
 			art.IllegalCands = append(art.IllegalCands, [2]int{sp.ItemStart + p[0], sp.ItemStart + p[1]})
 		}
 	}
 	art.numItems, art.numFoots = itemCount, footCount
-	return ufp, pending
+	return c.takeUF(nodeCount), pending
 }
 
 // span returns the cached transformed embedding of childArt under (t, name).
@@ -1276,7 +1376,7 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 	// inline, with no per-item index resolution.
 	lastRel, lastJoined := "\x00", ""
 	addItem := func(it ConnItem) {
-		if fi := childArt.ItemFoot[len(sd.items)]; fi >= 0 {
+		if fi := childArt.ItemFootAt(len(sd.items)); fi >= 0 {
 			it.Bounds = sd.foots[fi].Bounds
 			it.Reg = sd.foots[fi].Reg
 			it.Net = NetID(childArt.ClassOf[fi])
@@ -1325,6 +1425,7 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 	for i := range sd.items {
 		sd.itemBoxes[i] = sd.items[i].Bounds
 	}
+	sd.index()
 	sd.gates = transformKeepouts(childArt.Gates, t)
 	sd.keeps = transformKeepouts(childArt.BaseKeepouts, t)
 	sd.issues = make([]Issue, len(childArt.Issues))
@@ -1333,6 +1434,33 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 		sd.issues[i] = is
 	}
 	return sd
+}
+
+// index builds the tables a family shares: the embedding's layer column,
+// and its per-layer item lists (one counting sort; the lists are pieces of
+// one slab).
+func (sd *spanData) index() {
+	sd.itemLayers = make([]tech.LayerID, len(sd.items))
+	var counts [256]int32
+	top := -1
+	for i := range sd.items {
+		l := sd.items[i].Layer
+		sd.itemLayers[i] = l
+		counts[l]++
+		if int(l) > top {
+			top = int(l)
+		}
+	}
+	sd.onLayer = make([][]int32, top+1)
+	slab := make([]int32, len(sd.items))
+	for l := range sd.onLayer {
+		n := counts[l]
+		sd.onLayer[l] = slab[:0:n]
+		slab = slab[n:]
+	}
+	for i, l := range sd.itemLayers {
+		sd.onLayer[l] = append(sd.onLayer[l], int32(i))
+	}
 }
 
 // deriveSpan builds the embedding for (t, name) by translating the family
@@ -1375,7 +1503,7 @@ func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *te
 	sd.items = make([]ConnItem, len(base.items))
 	for i := range base.items {
 		it := base.items[i]
-		if fi := childArt.ItemFoot[i]; fi >= 0 {
+		if fi := childArt.ItemFootAt(i); fi >= 0 {
 			it.Bounds = sd.foots[fi].Bounds
 			it.Reg = sd.foots[fi].Reg
 		} else {
@@ -1402,6 +1530,7 @@ func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *te
 	for i := range sd.items {
 		sd.itemBoxes[i] = sd.items[i].Bounds
 	}
+	sd.itemLayers, sd.onLayer = base.itemLayers, base.onLayer
 	if len(base.gates) > 0 {
 		sd.gates = make([]Keepout, len(base.gates))
 		for i, k := range base.gates {
@@ -1462,36 +1591,80 @@ func (c *Cache) takeUF(n int) *uf {
 	return u
 }
 
-// classifyReuse converts the union-find over footprints into canonical
-// class labels — classes are numbered by the index of their first
-// footprint, which fixes the public net numbering ("n<k>" names)
-// independently of union order — using cache-owned scratch and an
-// optional recycled output buffer.
-func (c *Cache) classifyReuse(u *uf, n int, out []int) ([]int, int) {
-	if cap(out) >= n {
-		out = out[:n]
-	} else {
-		out = make([]int, n)
+// footNode returns the union-find node of footprint f while the artifact
+// is being built: the footprint itself when it is the symbol's own, the
+// child class it belongs to when it is embedded.
+func (a *SymbolArtifacts) footNode(f int) int {
+	si := a.footSpan(f)
+	if si < 0 {
+		return f
 	}
-	if cap(c.classScratch) < n {
-		c.classScratch = make([]int32, n)
+	sp := &a.Children[si]
+	return sp.node0 + sp.Art.ClassOf[f-sp.FootStart]
+}
+
+// classify converts the union-find over the artifact's nodes into its
+// canonical partition (ClassOf, ClassFoot, NumClasses) — classes numbered
+// by the index of their first footprint, which fixes the public net
+// numbering ("n<k>" names) independently of union order — and returns the
+// node → class table (cache-owned scratch, valid until the next build).
+//
+// Node order is first-footprint order: own footprints come first in both,
+// spans follow in footprint order, and within a child the classes are
+// themselves numbered by first footprint. So labelling the nodes in order
+// labels the classes exactly as a pass over every footprint would, and the
+// first node of a class holds the class's first footprint. out is an
+// optional recycled ClassOf buffer.
+func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
+	nNodes, nFoots := len(u.parent), art.NumFoots()
+	numClasses := 0
+	for i, p := range u.parent {
+		if p == i {
+			numClasses++
+		}
 	}
-	rootToClass := c.classScratch[:n]
+	if cap(c.classScratch) < nNodes {
+		c.classScratch = make([]int32, nNodes)
+		c.nodeClass = make([]int32, nNodes)
+	}
+	rootToClass, nodeClass := c.classScratch[:nNodes], c.nodeClass[:nNodes]
 	for i := range rootToClass {
 		rootToClass[i] = 0
 	}
-	numClasses := 0
-	for i := 0; i < n; i++ {
-		root := u.find(i)
-		if cl := rootToClass[root]; cl != 0 {
-			out[i] = int(cl - 1)
-			continue
+	classFoot := make([]int, 0, numClasses)
+	label := func(node, firstFoot int) {
+		root := u.find(node)
+		cl := rootToClass[root]
+		if cl == 0 {
+			classFoot = append(classFoot, firstFoot)
+			cl = int32(len(classFoot))
+			rootToClass[root] = cl
 		}
-		rootToClass[root] = int32(numClasses + 1)
-		out[i] = numClasses
-		numClasses++
+		nodeClass[node] = cl - 1
 	}
-	return out, numClasses
+	if cap(out) >= nFoots {
+		out = out[:nFoots]
+	} else {
+		out = make([]int, nFoots)
+	}
+	ownEnd := art.ownFootEnd()
+	for f := 0; f < ownEnd; f++ {
+		label(f, f)
+		out[f] = int(nodeClass[f])
+	}
+	for si := range art.Children {
+		sp := &art.Children[si]
+		for cc, first := range sp.Art.ClassFoot {
+			label(sp.node0+cc, sp.FootStart+first)
+		}
+		classes := nodeClass[sp.node0:]
+		dst := out[sp.FootStart:sp.FootEnd]
+		for cf, cc := range sp.Art.ClassOf {
+			dst[cf] = int(classes[cc])
+		}
+	}
+	art.ClassOf, art.ClassFoot, art.NumClasses = out, classFoot, numClasses
+	return nodeClass
 }
 
 // CrossItemPairs enumerates the candidate item pairs whose lowest common
@@ -1541,7 +1714,7 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 			return
 		}
 		if geom.SkeletonsConnected(art.FootSkel(i), art.FootSkel(j)) {
-			u.union(i, j)
+			u.union(art.footNode(i), art.footNode(j))
 		} else {
 			illegal = append(illegal, [2]int{i, j})
 		}

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -273,5 +274,109 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	}
 	if _, ok := c.arts[rowHash]; ok {
 		t.Fatal("the row state left behind 100 edits ago was never evicted")
+	}
+}
+
+// TestAnalysisCacheEvicted: the device-analysis memo ages on the same
+// horizon as the artifacts. Fifty successive edits of a primitive symbol —
+// every state new — leave a bounded number of analyses behind, where each
+// used to stay for the life of the session; an edit undone within the
+// horizon is still answered by the entry it left.
+func TestAnalysisCacheEvicted(t *testing.T) {
+	tc := tech.NMOS()
+	chip := workload.NewChip(tc, "infos", 3, 4)
+	d := chip.Design
+	c := NewCache()
+	run := func() {
+		t.Helper()
+		if _, _, err := ExtractVirtual(d, tc, c, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	cold := len(c.infos)
+	var prim *layout.Symbol
+	for _, s := range d.SortedSymbols() {
+		if s.IsPrimitive() && len(s.Elements) > 0 {
+			prim = s
+			break
+		}
+	}
+	if prim == nil {
+		t.Fatal("no primitive symbol to edit")
+	}
+	move := func(dx int64) {
+		t.Helper()
+		if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: prim.Name, Index: 0, DX: dx}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	before := c.infos[d.ContentHashes()[prim].Own]
+	if before == nil {
+		t.Fatal("the primitive's analysis is not cached after a cold run")
+	}
+	move(250)
+	run()
+	move(-250)
+	run()
+	if got := c.infos[d.ContentHashes()[prim].Own]; got != before {
+		t.Fatal("an edit and its undo re-analysed the device instead of reusing the cached analysis")
+	}
+
+	for i := 0; i < 50; i++ {
+		move(250) // drifts: every state is new
+		run()
+		if n := len(c.infos); n > cold+evictAge {
+			t.Fatalf("edit %d: %d analyses cached, want at most %d (cold) + %d", i, n, cold, evictAge)
+		}
+	}
+}
+
+// TestActiveEditsWarmMatchFull runs the active-shape edit scripts (the
+// ones core's TestActiveEditDifferential runs) against the flat reference
+// extractor: after every applied edit a warm materialized extraction equals
+// ExtractFull item for item, and a warm virtual one — the engine's path,
+// with its slab-carved terminal lists, interned names and per-class
+// union-find — yields the same netlist and issues.
+func TestActiveEditsWarmMatchFull(t *testing.T) {
+	nm, cm := tech.NMOS(), tech.CMOS()
+	steps := 50
+	if testing.Short() {
+		steps = 15
+	}
+	for _, tcase := range []struct {
+		name string
+		tc   *tech.Technology
+		d    *layout.Design
+	}{
+		{"unique", nm, workload.NewChipUnique(nm, "act", 3, 4).Design},
+		{"shared", nm, workload.NewChip(nm, "act", 3, 4).Design},
+		{"cmos", cm, workload.NewCMOSChip(cm, "act", 3, 3).Design},
+	} {
+		t.Run(tcase.name, func(t *testing.T) {
+			d, tc := tcase.d, tcase.tc
+			script := workload.NewActiveEdits(1)
+			flat, virt := NewCache(), NewCache()
+			checkIncrementalMatch(t, "cold", d, tc, flat)
+			for i := 0; i < steps; i++ {
+				e := script.Next(d, tc)
+				if layout.ApplyEdit(d, tc, e) != nil {
+					continue
+				}
+				label := fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol)
+				checkIncrementalMatch(t, label, d, tc, flat)
+				full, fullIssues, err := ExtractFull(d, tc)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				inc, incIssues, err := ExtractVirtual(d, tc, virt, nil)
+				if err != nil {
+					t.Fatalf("%s: virtual: %v", label, err)
+				}
+				diffIssues(t, label+" (virtual)", incIssues, fullIssues)
+				diffNetlists(t, label+" (virtual)", inc.Netlist, full.Netlist)
+			}
+		})
 	}
 }

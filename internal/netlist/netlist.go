@@ -50,7 +50,8 @@ type Net struct {
 	// into this net, sorted.
 	Declared []string
 	// Terminals lists the device terminals on this net, in deterministic
-	// order.
+	// order. Like DeviceUse.TerminalNets, the lists of one netlist are
+	// capacity-clipped pieces of one slab: read-only to every holder.
 	Terminals []TermRef
 	// Elements counts the interconnect elements on the net.
 	Elements int
@@ -78,6 +79,9 @@ type DeviceUse struct {
 	// name. A sorted slice rather than a map: devices are the most
 	// numerous re-derived objects in an incremental session, and a
 	// three-entry map per device per recheck is pure allocator load.
+	// The slices of one extraction are carved out of one slab (capacity
+	// clipped to length, so an append reallocates instead of running into
+	// the next device's entries): read-only to every holder.
 	TerminalNets []TerminalNet
 	// Info is the cached electrical analysis of the defining symbol.
 	Info *device.Info
@@ -128,10 +132,31 @@ type Netlist struct {
 	byName  map[string]NetID
 }
 
-// NetByName resolves a declared or canonical net name.
+// NetByName resolves a declared or canonical net name. A declared name
+// wins over an anonymous net's "n<k>" it happens to spell; a name declared
+// on several nets (NET.OPEN) answers the first.
 func (nl *Netlist) NetByName(name string) (NetID, bool) {
-	id, ok := nl.byName[name]
-	return id, ok
+	if id, ok := nl.byName[name]; ok {
+		return id, true
+	}
+	// byName holds declared names only; an anonymous net is named by its
+	// own index, so its name is looked up by parsing that index back out.
+	if len(name) < 2 || name[0] != 'n' {
+		return 0, false
+	}
+	k := 0
+	for _, ch := range []byte(name[1:]) {
+		if ch < '0' || ch > '9' || k >= len(nl.Nets) {
+			return 0, false
+		}
+		k = k*10 + int(ch-'0')
+	}
+	// Comparing the stored name rejects non-canonical spellings ("n03")
+	// and indices of nets that carry a declared name.
+	if k >= len(nl.Nets) || nl.Nets[k].Name != name || !nl.Nets[k].IsAnonymous() {
+		return 0, false
+	}
+	return NetID(k), true
 }
 
 // NumNets returns the number of nets.
@@ -161,7 +186,7 @@ func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
 // TerminalNets must already hold final net ids. Shared with the tests' flat
 // reference extractor, so both produce identical netlists by construction.
 func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse) *Netlist {
-	nl := &Netlist{byName: make(map[string]NetID, numClasses), Nets: make([]Net, numClasses)}
+	nl := &Netlist{Nets: make([]Net, numClasses)}
 	for i := range nl.Nets {
 		nl.Nets[i].ID = NetID(i)
 	}
@@ -170,21 +195,28 @@ func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.R
 		bounds, declared, elements := foot(i)
 		net.Elements += elements
 		net.Bounds = net.Bounds.Union(bounds)
-		if declared != "" {
+		// nameNets sorts and dedupes; dropping an immediate repeat here (a
+		// rail is declared once per cell) keeps the lists short.
+		if n := len(net.Declared); declared != "" && (n == 0 || net.Declared[n-1] != declared) {
 			net.Declared = append(net.Declared, declared)
 		}
 	}
-	// Pre-size each net's terminal list (one counting pass beats
-	// per-append growth at tens of thousands of terminals).
+	// One slab holds every net's terminal list: a counting pass sizes the
+	// pieces, each clipped to its own capacity so the appends below (and
+	// any a holder might make) cannot run into the next net's.
 	counts := make([]int32, numClasses)
+	total := 0
 	for di := range devices {
 		for ti := range devices[di].TerminalNets {
 			counts[devices[di].TerminalNets[ti].Net]++
 		}
+		total += len(devices[di].TerminalNets)
 	}
+	slab := make([]TermRef, total)
 	for i := range nl.Nets {
-		if counts[i] > 0 {
-			nl.Nets[i].Terminals = make([]TermRef, 0, counts[i])
+		if n := int(counts[i]); n > 0 {
+			nl.Nets[i].Terminals = slab[:0:n]
+			slab = slab[n:]
 		}
 	}
 	for di := range devices {
@@ -199,14 +231,25 @@ func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.R
 	return nl
 }
 
-// nameNets finalizes net names: dedupe declared names, detect merges and
-// opens, synthesize anonymous names, and fill the lookup table. It appends
-// NET.MERGED/NET.OPEN findings to issues and returns the final slice.
-func nameNets(nl *Netlist, issues *[]Issue) []Issue {
-	nameFirstNet := make(map[string]NetID, len(nl.Nets))
-	if nl.byName == nil {
-		nl.byName = make(map[string]NetID, len(nl.Nets))
+// anonNames interns the names of anonymous nets ("n<k>" for net k): a
+// netlist of a few thousand nets otherwise allocates as many short strings
+// on every run, and every run of a session spells the same ones.
+type anonNames []string
+
+func (a *anonNames) name(k int) string {
+	for len(*a) <= k {
+		*a = append(*a, "n"+strconv.Itoa(len(*a)))
 	}
+	return (*a)[k]
+}
+
+// nameNets finalizes net names: dedupe declared names, detect merges and
+// opens, name anonymous nets from anon, and fill the lookup table with the
+// declared names (NetByName finds an anonymous net by its index). It
+// appends NET.MERGED/NET.OPEN findings to issues and returns the final
+// slice.
+func nameNets(nl *Netlist, issues *[]Issue, anon *anonNames) []Issue {
+	nl.byName = make(map[string]NetID)
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
 		net.Declared = dedupeStrings(net.Declared)
@@ -220,22 +263,20 @@ func nameNets(nl *Netlist, issues *[]Issue) []Issue {
 				})
 			}
 		} else {
-			net.Name = "n" + strconv.Itoa(i)
+			net.Name = anon.name(i)
 		}
 		for _, dn := range net.Declared {
-			if prev, seen := nameFirstNet[dn]; seen {
+			// Declared is deduplicated, so a name seen before was seen on
+			// an earlier net.
+			if prev, seen := nl.byName[dn]; seen {
 				*issues = append(*issues, Issue{
 					Rule:   "NET.OPEN",
 					Detail: fmt.Sprintf("net %q is split across unconnected pieces", dn),
 					Where:  nl.Nets[prev].Bounds.Union(net.Bounds),
 				})
 			} else {
-				nameFirstNet[dn] = net.ID
 				nl.byName[dn] = net.ID
 			}
-		}
-		if _, taken := nl.byName[net.Name]; !taken {
-			nl.byName[net.Name] = net.ID
 		}
 	}
 	return *issues

@@ -315,3 +315,61 @@ func netNames(nl *Netlist) []string {
 	}
 	return out
 }
+
+// TestNetByNameTable pins NetByName's answers on every kind of name: a
+// declared name always wins over an anonymous "n<k>" it collides with,
+// whichever of the two nets comes first; a split name answers its first
+// net; only the canonical spelling of an anonymous name resolves.
+func TestNetByNameTable(t *testing.T) {
+	tc := tech.NMOS()
+	metalL, _ := tc.LayerByName(tech.NMOSMetal)
+	d := layout.NewDesign("names")
+	top := d.MustSymbol("top")
+	// Twelve isolated boxes: element k is net k (first-footprint order).
+	declared := map[int]string{1: "a", 2: "n7", 5: "q", 8: "q", 9: "n3"}
+	for k := 0; k < 12; k++ {
+		x := int64(k) * 10000
+		top.AddBox(metalL, geom.R(x, 0, x+2000, 2000), declared[k])
+	}
+	d.Top = top
+	nl, issues := mustExtract(t, d, tc)
+	if nl.NumNets() != 12 {
+		t.Fatalf("nets = %d, want 12", nl.NumNets())
+	}
+	if !hasIssue(issues, "NET.OPEN") {
+		t.Fatalf("split name q not reported: %v", issues)
+	}
+	for _, c := range []struct {
+		name string
+		id   NetID
+		ok   bool
+	}{
+		{"a", 1, true},                      // declared
+		{"n0", 0, true},                     // anonymous, by index
+		{"n11", 11, true},                   // the last anonymous net
+		{"n3", 9, true},                     // declared on net 9 beats the live anonymous net 3
+		{"n7", 2, true},                     // declared on net 2 beats the later anonymous net 7
+		{"q", 5, true},                      // split across nets 5 and 8: the first
+		{"n1", 0, false},                    // net 1 is named "a", not "n1"
+		{"n9", 0, false},                    // net 9 is named "n3"
+		{"n12", 0, false},                   // past the end
+		{"n03", 0, false},                   // not the canonical spelling
+		{"n+4", 0, false},                   // nor this
+		{"n-0", 0, false},                   // nor this
+		{"n", 0, false},                     // no digits
+		{"n4x", 0, false},                   // trailing junk
+		{"", 0, false},                      // empty
+		{"missing", 0, false},               // never declared
+		{"n99999999999999999999", 0, false}, // overflows
+	} {
+		id, ok := nl.NetByName(c.name)
+		if ok != c.ok || (ok && id != c.id) {
+			t.Errorf("NetByName(%q) = %d, %v; want %d, %v", c.name, id, ok, c.id, c.ok)
+		}
+	}
+	for i, want := range []string{"n0", "a", "n7", "n3", "n4", "q", "n6", "n7", "q", "n3", "n10", "n11"} {
+		if nl.Nets[i].Name != want {
+			t.Errorf("net %d named %q, want %q", i, nl.Nets[i].Name, want)
+		}
+	}
+}

@@ -302,7 +302,7 @@ func assemble(foots []footprint, devices []DeviceUse, uf *uf, tc *tech.Technolog
 	nl := assembleNets(numClasses, classOf, func(i int) (geom.Rect, string, int) {
 		return foots[i].bounds, foots[i].declared, foots[i].elements
 	}, len(foots), devices)
-	return nl, nameNets(nl, &issues), nil
+	return nl, nameNets(nl, &issues, new(anonNames)), nil
 }
 
 func newUF(n int) *uf {

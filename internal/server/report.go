@@ -150,20 +150,23 @@ type Netlist struct {
 // the bookkeeping around a run scales with it, not with the design);
 // CtxHits/CtxMisses are the netlist cache's span-context counters
 // (derived-by-translation vs built-from-scratch); WindowPatched reports
-// whether the last run took the windowed root-patch fast path.
+// whether the last run took the windowed root-patch fast path, and
+// FullPath, when it did not, the first reason why (core.FullPath* or
+// netlist.Refuse*).
 type EngineStats struct {
-	Runs          int  `json:"runs"`
-	Symbols       int  `json:"symbols"`
-	DirtySymbols  int  `json:"dirty_symbols"`
-	Rehashed      int  `json:"rehashed"`
-	ArtifactDefs  int  `json:"artifact_defs"`
-	InterBuilt    int  `json:"inter_built"`
-	InterReused   int  `json:"inter_reused"`
-	SigMisses     int  `json:"sig_misses"`
-	SigHits       int  `json:"sig_hits"`
-	CtxHits       int  `json:"ctx_hits"`
-	CtxMisses     int  `json:"ctx_misses"`
-	WindowPatched bool `json:"window_patched"`
+	Runs          int    `json:"runs"`
+	Symbols       int    `json:"symbols"`
+	DirtySymbols  int    `json:"dirty_symbols"`
+	Rehashed      int    `json:"rehashed"`
+	ArtifactDefs  int    `json:"artifact_defs"`
+	InterBuilt    int    `json:"inter_built"`
+	InterReused   int    `json:"inter_reused"`
+	SigMisses     int    `json:"sig_misses"`
+	SigHits       int    `json:"sig_hits"`
+	CtxHits       int    `json:"ctx_hits"`
+	CtxMisses     int    `json:"ctx_misses"`
+	WindowPatched bool   `json:"window_patched"`
+	FullPath      string `json:"full_path,omitempty"`
 }
 
 func rectWire(r geom.Rect) Rect { return Rect{r.X1, r.Y1, r.X2, r.Y2} }
@@ -174,6 +177,7 @@ func engineWire(es core.EngineStats) *EngineStats {
 		Rehashed: es.Rehashed, ArtifactDefs: es.ArtifactDefs, InterBuilt: es.InterBuilt,
 		InterReused: es.InterReused, SigMisses: es.SigMisses, SigHits: es.SigHits,
 		CtxHits: es.CtxHits, CtxMisses: es.CtxMisses, WindowPatched: es.WindowPatched,
+		FullPath: es.FullPath,
 	}
 }
 

@@ -157,6 +157,9 @@ grep -q '"added": \[\]' "$work/delta-rev.json" || fail "reverse delta added some
 grep -q '"rule": "DEV.ACCIDENTAL"' "$work/delta-rev.json" || fail "reverse delta does not remove DEV.ACCIDENTAL"
 [ "$(field "$work/delta-rev.json" fingerprint)" = "$fp_offline_clean" ] \
   || fail "reverse delta fingerprint is not the clean state"
+# The run behind that delta re-derived the root; the stats name why.
+curl -sf "$base/v1/sessions/$sid/stats" | grep -q '"full_path": "structural-edit"' \
+  || fail "stats do not name why the delete_element run took the full path"
 curl -sf "$base/v1/sessions/$sid/report?since=no-such-fingerprint" > "$work/delta-reset.json" \
   || fail "reset delta fetch"
 grep -q '"reset": true' "$work/delta-reset.json" || fail "unknown base did not answer a reset delta"
@@ -190,6 +193,7 @@ flush_batches=$(sed -n 's/^    "last_flush_batches": \([0-9]*\),\{0,1\}$/\1/p' "
 grep -q '"ctx_hits":' "$work/burst-stats.json" || fail "stats lack ctx_hits"
 grep -q '"ctx_misses":' "$work/burst-stats.json" || fail "stats lack ctx_misses"
 grep -q '"rehashed":' "$work/burst-stats.json" || fail "stats lack rehashed"
+grep -q '"full_path":' "$work/burst-stats.json" && fail "a replayed run reports a full-path reason"
 
 # Step 8: lifecycle cleanup through the API.
 echo "== delete session"
