@@ -439,10 +439,12 @@ func BenchmarkRecheckOneSymbol(b *testing.B) {
 	if _, err := eng.Check(chip.Design); err != nil {
 		b.Fatal(err)
 	}
-	step := int64(250)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%2 == 1 {
+		// Every second visit of a row undoes the first, so no row drifts
+		// into its neighbour however many iterations run.
+		step := int64(250)
+		if (i/len(rows))%2 == 1 {
 			step = -step
 		}
 		nudgeRow(rows[i%len(rows)], step)
@@ -613,9 +615,25 @@ func BenchmarkRecheckActive(b *testing.B) {
 // benchmark's served workloads hold resident: an 8×8 CMOS array session
 // and a 24×24 unique-rows nMOS chip. The digest streams into the hash, so
 // allocs/op must not scale with the netlist (TestFingerprintDigestAllocs
-// is the hard guard).
+// is the hard guard). The first two cases digest one report over and over,
+// which streams every device line each time: a netlist on its own never
+// memoises them. cmos8x8Patched is what a served-poll session pays: each
+// report is a window-patched successor (probe moved) sharing the first
+// one's device array, so its device lines are hashed from the memo.
+// nmosUnique24x24Once is what a one-shot check pays: a netlist with no
+// memo at all, the only digest of a fresh extraction.
 func BenchmarkFingerprintDigest(b *testing.B) {
 	cm, nm := tech.CMOS(), tech.NMOS()
+	digest := func(b *testing.B, reps ...*core.Report) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(core.Fingerprint(reps[0]))))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(core.FingerprintDigest(reps[i%len(reps)])) != 64 {
+				b.Fatal("digest is not a sha256 hex string")
+			}
+		}
+	}
 	for _, c := range []struct {
 		name string
 		tc   *tech.Technology
@@ -628,14 +646,47 @@ func BenchmarkFingerprintDigest(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(core.Fingerprint(rep))))
-			for i := 0; i < b.N; i++ {
-				if len(core.FingerprintDigest(rep)) != 64 {
-					b.Fatal("digest is not a sha256 hex string")
-				}
-			}
-		})
+		b.Run(c.name, func(b *testing.B) { digest(b, rep) })
 	}
+
+	b.Run("cmos8x8Patched", func(b *testing.B) {
+		d := workload.NewCMOSChip(cm, "poll", 8, 8).Design
+		metalL, _ := cm.LayerByName(tech.CMOSMetal)
+		for j := int64(0); j < 20; j++ { // the served-poll slivers, then its probe
+			d.Top.AddBox(metalL, geom.R(-30000, -20000-5000*j, -29900, -19000-5000*j), "")
+		}
+		d.Top.AddBox(metalL, geom.R(-30000, 0, -29000, 1000), "")
+		eng := core.NewEngine(cm, core.Options{})
+		if _, err := eng.Check(d); err != nil {
+			b.Fatal(err)
+		}
+		reps := make([]*core.Report, 16)
+		for i := range reps {
+			dy := int64(300 - 600*(i%2))
+			if err := layout.ApplyEdit(d, cm, layout.Edit{Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: -1, DY: dy}); err != nil {
+				b.Fatal(err)
+			}
+			rep, err := eng.Recheck(d)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !eng.Stats().WindowPatched {
+				b.Fatal("probe move was not window-patched")
+			}
+			reps[i] = rep
+		}
+		digest(b, reps...)
+	})
+
+	b.Run("nmosUnique24x24Once", func(b *testing.B) {
+		rep, err := core.Check(workload.NewChipUnique(nm, "unique", 24, 24).Design, nm, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// A netlist built by hand has no memo: every digest of it streams,
+		// as the only digest of an extracted netlist does.
+		once := *rep
+		once.Netlist = &netlist.Netlist{Nets: rep.Netlist.Nets, Devices: rep.Netlist.Devices}
+		digest(b, &once)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -186,21 +187,223 @@ func FuzzFingerprintDigest(f *testing.F) {
 	})
 }
 
+// twin returns a second report over a copy of rep's netlist: the same
+// device array and memo under another Netlist, as a re-assembly over the
+// same root artifact gives.
+func twin(rep *Report) *Report {
+	r, nl := *rep, *rep.Netlist
+	r.Netlist = &nl
+	return &r
+}
+
 // TestFingerprintDigestAllocs pins the point of streaming: the digest
-// allocates a constant handful of objects (hash state, chunk, hex string)
-// however large the netlist, where the text form allocates with it.
+// allocates a constant handful of objects (hash state, hex string)
+// however large the netlist, where the text form allocates with it — on
+// the path a netlist digested on its own takes (every device line
+// streamed) and on the one a second netlist over its device array takes
+// (the device section hashed from the memo). The 24×24 chip is
+// violation-heavy: its NET.* details all quote a net name, so every one of
+// them takes the escape path.
 func TestFingerprintDigestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	nm := tech.NMOS()
-	for _, n := range []int{8, 32} {
-		chip := workload.NewChipUnique(nm, "alloc", n, n)
-		workload.InjectErrors(chip, n, 1)
+	for _, c := range []struct{ n, errors int }{{8, 8}, {32, 32}, {24, 24 * 24}} {
+		chip := workload.NewChipUnique(nm, "alloc", c.n, c.n)
+		workload.InjectErrors(chip, c.errors, 1)
 		rep := checkedReport(t, chip.Design, nm)
+		escapes := 0
+		for _, v := range rep.Violations {
+			if strings.HasPrefix(v.Rule, "NET.") && strings.Contains(v.Detail, `"`) {
+				escapes++
+			}
+		}
+		if c.n == 24 && escapes < 24 {
+			t.Fatalf("24x24: %d NET.* details with a quoted name, want a violation-heavy report", escapes)
+		}
+		// A netlist built by hand has no memo: every digest of it streams.
+		streamed := *rep
+		streamed.Netlist = &netlist.Netlist{Nets: rep.Netlist.Nets, Devices: rep.Netlist.Devices}
+		successor := twin(rep)
+		before := deviceSections.Load()
+		FingerprintDigest(rep)
+		FingerprintDigest(successor) // a second netlist over the array fills the memo
+		if got := deviceSections.Load() - before; got != 1 {
+			t.Fatalf("%dx%d: device section rendered %d times, want 1", c.n, c.n, got)
+		}
 		const maxAllocs = 8
-		if allocs := testing.AllocsPerRun(5, func() { FingerprintDigest(rep) }); allocs > maxAllocs {
-			t.Errorf("%dx%d: FingerprintDigest allocates %.0f objects, want <= %d", n, n, allocs, maxAllocs)
+		for _, p := range []struct {
+			path string
+			rep  *Report
+		}{{"streamed", &streamed}, {"memo hit", successor}} {
+			if allocs := testing.AllocsPerRun(5, func() { FingerprintDigest(p.rep) }); allocs > maxAllocs {
+				t.Errorf("%dx%d with %d errors, %s: FingerprintDigest allocates %.0f objects, want <= %d",
+					c.n, c.n, c.errors, p.path, allocs, maxAllocs)
+			}
+		}
+	}
+}
+
+// TestFingerprintDigestAcrossWindowPatch pins the device-section memo to
+// the format: over a streak of window-patched runs, every new report and
+// every earlier one still held digests to the sha256 of the oracle text,
+// while the device section is rendered once for the whole streak. A
+// structural edit gives the netlist a new device array, which its own
+// digests never memoise and its first patched successor does; undoing the
+// edit matches the oracle too.
+func TestFingerprintDigestAcrossWindowPatch(t *testing.T) {
+	cm, nm := tech.CMOS(), tech.NMOS()
+	// The served-poll session: an 8×8 CMOS array, 20 sub-width slivers,
+	// then the probe.
+	poll := workload.NewCMOSChip(cm, "poll", 8, 8).Design
+	cmMetal, _ := cm.LayerByName(tech.CMOSMetal)
+	for j := int64(0); j < 20; j++ {
+		poll.Top.AddBox(cmMetal, geom.R(-30000, -20000-5000*j, -29900, -19000-5000*j), "")
+	}
+	poll.Top.AddBox(cmMetal, geom.R(-30000, 0, -29000, 1000), "")
+	unique := workload.NewChipUnique(nm, "unique", 6, 6)
+	workload.InjectErrors(unique, 12, 3)
+	nmMetal, _ := nm.LayerByName(tech.NMOSMetal)
+	unique.Design.Top.AddBox(nmMetal, geom.R(-15000, 0, -14250, 1000), "")
+
+	for _, c := range []struct {
+		name  string
+		tc    *tech.Technology
+		d     *layout.Design
+		metal string
+	}{{"cmos 8x8 poll", cm, poll, tech.CMOSMetal}, {"nmos unique 6x6 + errors", nm, unique.Design, tech.NMOSMetal}} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := NewEngine(c.tc, Options{Workers: 1})
+			if _, err := eng.Check(c.d); err != nil {
+				t.Fatal(err)
+			}
+			top := c.d.Top.Name
+			// recheck applies edit and rechecks, failing unless the window
+			// patch answered exactly when patched says it must.
+			recheck := func(edit layout.Edit, patched bool) *Report {
+				t.Helper()
+				if err := layout.ApplyEdit(c.d, c.tc, edit); err != nil {
+					t.Fatal(err)
+				}
+				rep, err := eng.Recheck(c.d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := eng.Stats().WindowPatched; got != patched {
+					t.Fatalf("%+v: WindowPatched = %v, want %v", edit, got, patched)
+				}
+				return rep
+			}
+			// Every report of the session stays held, with its oracle text
+			// taken when it was new, and is digested again after each run.
+			type heldReport struct {
+				rep        *Report
+				text, want string
+			}
+			var held []heldReport
+			hold := func(label string, rep *Report) {
+				t.Helper()
+				text := oracleFingerprint(rep)
+				sum := sha256.Sum256([]byte(text))
+				held = append(held, heldReport{rep, text, hex.EncodeToString(sum[:])})
+				for i, h := range held {
+					if Fingerprint(h.rep) != h.text {
+						t.Fatalf("%s: report %d: Fingerprint diverges from the oracle", label, i)
+					}
+					if got := FingerprintDigest(h.rep); got != h.want {
+						t.Fatalf("%s: report %d: FingerprintDigest = %s, sha256 of the oracle text = %s", label, i, got, h.want)
+					}
+				}
+			}
+			before := deviceSections.Load()
+			for i := 0; i < 20; i++ {
+				dy := int64(250)
+				if i%4 >= 2 {
+					dy = -dy
+				}
+				hold(fmt.Sprintf("move %d", i), recheck(layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: -1, DY: dy}, true))
+			}
+			if got := deviceSections.Load() - before; got != 1 {
+				t.Fatalf("device section rendered %d times across 20 patched runs, want 1", got)
+			}
+
+			before = deviceSections.Load()
+			hold("structural edit", recheck(layout.Edit{Op: layout.OpAddBox, Symbol: top, Layer: c.metal,
+				Box: []int64{-40000, 0, -39000, 1000}}, false))
+			if got := deviceSections.Load() - before; got != 0 {
+				t.Fatalf("device section rendered %d times for a netlist digested on its own, want 0", got)
+			}
+			// The added box is the top's last element now: move it, then undo
+			// the edit that added it.
+			hold("move after the structural edit", recheck(layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: -1, DY: 250}, true))
+			if got := deviceSections.Load() - before; got != 1 {
+				t.Fatalf("device section rendered %d times for the structural edit's device array, want 1", got)
+			}
+			hold("structural edit undone", recheck(layout.Edit{Op: layout.OpDeleteElement, Symbol: top, Index: -1}, false))
+		})
+	}
+}
+
+// TestFingerprintDigestMemoKeyedByArray: the memo describes one device
+// array, so a netlist whose Devices are appended to, re-sliced or replaced
+// after the memo was filled never hashes the stale bytes.
+func TestFingerprintDigestMemoKeyedByArray(t *testing.T) {
+	nm := tech.NMOS()
+	chip := workload.NewChipUnique(nm, "stale", 3, 4)
+	workload.InjectErrors(chip, 4, 2)
+	rep := checkedReport(t, chip.Design, nm)
+	nl := rep.Netlist
+	orig := nl.Devices
+	n := len(orig)
+	roomy := append(make([]netlist.DeviceUse, 0, n+1), orig...) // appends in place
+	replaced := append([]netlist.DeviceUse(nil), orig...)
+	replaced[n-1].Path = "replaced"
+	for _, c := range []struct {
+		name       string
+		base, then []netlist.DeviceUse
+	}{
+		{"appended", orig, append(orig[:n:n], orig[0])},
+		{"appended in place", roomy, append(roomy, orig[0])},
+		{"truncated", orig, orig[:n-1]},
+		{"replaced", orig, replaced},
+	} {
+		nl.Devices = c.base
+		before := deviceSections.Load()
+		assertMatchesOracle(t, "before "+c.name, rep)
+		assertMatchesOracle(t, "before "+c.name+", second netlist", twin(rep))
+		if got := deviceSections.Load() - before; got != 1 {
+			t.Fatalf("before %s: device section rendered %d times, want 1", c.name, got)
+		}
+		nl.Devices = c.then
+		assertMatchesOracle(t, c.name, rep)
+		assertMatchesOracle(t, c.name+", second netlist", twin(rep))
+	}
+}
+
+// TestFingerprintDigestConcurrentFirstDigests: goroutines racing to be the
+// first digests of one device array, from two netlists over it, all get
+// the same answer (run under -race).
+func TestFingerprintDigestConcurrentFirstDigests(t *testing.T) {
+	nm := tech.NMOS()
+	rep := checkedReport(t, workload.NewChipUnique(nm, "race", 4, 4).Design, nm)
+	reps := []*Report{rep, twin(rep)}
+	sum := sha256.Sum256([]byte(oracleFingerprint(rep)))
+	want := hex.EncodeToString(sum[:])
+	const goroutines = 8
+	got := make([]string, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = FingerprintDigest(reps[g%len(reps)])
+		}(g)
+	}
+	wg.Wait()
+	for g, d := range got {
+		if d != want {
+			t.Errorf("goroutine %d: digest %s, want %s", g, d, want)
 		}
 	}
 }

@@ -334,7 +334,7 @@ func TestNetFactsSharesLongPairs(t *testing.T) {
 func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "sigdet", 4, 5)
-	inc, _, err := netlist.ExtractVirtual(chip.Design, nm, netlist.NewCache(), nil)
+	inc, _, err := netlist.ExtractVirtualWindow(chip.Design, nm, netlist.NewCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,6 +97,7 @@ type SymbolArtifacts struct {
 	NumClasses int
 
 	Devices      []DeviceUse // Path and T relative; TerminalNets hold local class ids
+	devText      *deviceMemo // Devices' DeviceText memo, made when a netlist is first assembled over them
 	Gates        []Keepout   // local coordinates; Dev is the local device index
 	BaseKeepouts []Keepout
 	Issues       []Issue  // NET.ELEM findings, local coordinates
@@ -448,10 +449,11 @@ func scale4(t geom.Transform) geom.Transform {
 // stays valid indefinitely: a root patch that moves a net's bounds does so
 // on a fresh Netlist with its own copy of the Nets slice, sharing with its
 // predecessor only what no patch touches — the per-net Declared/Terminals
-// slices, the Devices slice and the name index. This is the engine's
-// contract: one live run per session. One engine owns a Cache: each
-// artifact carries a single consumer slot (SymbolArtifacts.Inter), so two
-// engines sharing a Cache would overwrite each other's entries.
+// slices, the Devices slice with its DeviceText memo, and the name index.
+// This is the engine's contract: one live run per session. One engine owns
+// a Cache: each artifact carries a single consumer slot
+// (SymbolArtifacts.Inter), so two engines sharing a Cache would overwrite
+// each other's entries.
 //
 // What a full re-derive of the root costs follows from what is kept here.
 // Per definition (SymbolArtifacts): the flattened subtree and its net
@@ -688,21 +690,16 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	return extractIncremental(d, tc, c, hashes, false, nil)
 }
 
-// ExtractVirtual is ExtractIncremental without materializing the flat
+// ExtractVirtualWindow is ExtractIncremental without materializing the flat
 // item array: Extraction.Items is nil and per-item access goes through
 // Root.ResolveItem / ItemView. This is the engine's steady-state path —
 // the chip is never fully instantiated, so a warm recheck's cost scales
-// with the edit, not with the flattened chip size.
-func ExtractVirtual(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes) (*IncExtraction, []Issue, error) {
-	return extractIncremental(d, tc, c, hashes, true, nil)
-}
-
-// ExtractVirtualWindow is ExtractVirtual with an optional edit window: when
-// the caller can prove the only change since the previous extraction is
-// the in-place geometry edits win describes (top symbol only), the
-// extractor may patch the previous result instead of re-deriving the root.
-// The result is identical either way (Patch reports which path was taken);
-// win == nil is exactly ExtractVirtual.
+// with the edit, not with the flattened chip size. win is an optional edit
+// window: when the caller can prove the only change since the previous
+// extraction is the in-place geometry edits it describes (top symbol
+// only), the extractor may patch the previous result instead of
+// re-deriving the root. The result is identical either way (Patch reports
+// which path was taken); win == nil re-derives unless nothing changed.
 func ExtractVirtualWindow(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, error) {
 	return extractIncremental(d, tc, c, hashes, true, win)
 }
@@ -747,7 +744,10 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 		f := &sp.sd.foots[i-sp.FootStart]
 		return f.Bounds, f.Declared, f.Elements
 	}
-	nl := assembleNets(root.NumClasses, root.ClassOf, foot, root.NumFoots(), root.Devices)
+	if root.devText == nil {
+		root.devText = new(deviceMemo)
+	}
+	nl := assembleNets(root.NumClasses, root.ClassOf, foot, root.NumFoots(), root.Devices, root.devText)
 	issues = nameNets(nl, &issues, &c.anon)
 
 	ex := &Extraction{
@@ -927,7 +927,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	prevHash := art.Hash
 	delete(c.arts, prevHash)
 	prevNL := nl
-	nl = &Netlist{Nets: append([]Net(nil), prevNL.Nets...), Devices: prevNL.Devices, byName: prevNL.byName}
+	nl = &Netlist{Nets: append([]Net(nil), prevNL.Nets...), Devices: prevNL.Devices, byName: prevNL.byName, devText: prevNL.devText}
 	inc.Netlist = nl
 	patched := make([]int, len(patches))
 	for i, pi := range patches {

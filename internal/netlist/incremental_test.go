@@ -197,7 +197,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	c := NewCache()
-	if _, _, err := ExtractVirtual(d, tc, c, nil); err != nil {
+	if _, _, err := ExtractVirtualWindow(d, tc, c, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Top.ResetDirty()
@@ -289,7 +289,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	c := NewCache()
 	run := func() {
 		t.Helper()
-		if _, _, err := ExtractVirtual(d, tc, c, nil); err != nil {
+		if _, _, err := ExtractVirtualWindow(d, tc, c, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func TestActiveEditsWarmMatchFull(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				inc, incIssues, err := ExtractVirtual(d, tc, virt, nil)
+				inc, incIssues, err := ExtractVirtualWindow(d, tc, virt, nil, nil)
 				if err != nil {
 					t.Fatalf("%s: virtual: %v", label, err)
 				}

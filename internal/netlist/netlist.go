@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/geom"
@@ -127,9 +128,60 @@ func (i Issue) String() string { return fmt.Sprintf("%s at %v: %s", i.Rule, i.Wh
 
 // Netlist is the extraction result.
 type Netlist struct {
-	Nets    []Net
+	Nets []Net
+	// Devices is read-only once the netlist is published: a window-patched
+	// successor, and any netlist re-assembled over the same cached root,
+	// carries the very same array, and DeviceText's memo describes it.
+	// Replacing or re-slicing it is safe (the memo is keyed by the array);
+	// writing an element in place is not.
 	Devices []DeviceUse
 	byName  map[string]NetID
+	devText *deviceMemo // shared by every netlist built over Devices' array
+}
+
+// deviceMemo holds the rendering of one device array for DeviceText. It
+// lives with the root artifact that owns the array, so every netlist
+// carrying that array reaches it; a netlist built by hand has none.
+type deviceMemo struct{ p atomic.Pointer[deviceText] }
+
+// deviceText is one published state of a deviceMemo: the array it is
+// about (first element and length), the netlist that asked for it first
+// while nothing is rendered, then the rendered bytes.
+type deviceText struct {
+	first *DeviceUse
+	n     int
+	asker *Netlist
+	text  []byte
+}
+
+// DeviceText returns render(nl.Devices) when it is worth keeping, nil when
+// the caller should render the devices itself. The netlist that asks first
+// for an array only has it noted, however often it asks again, so a
+// netlist on its own keeps nothing; the first request from another netlist
+// over the same array — a window-patched successor, a re-assembly over the
+// same root — renders, publishes the bytes for every netlist that shares
+// the array, and returns them; later requests return them as they are.
+// render must be a pure function of the devices: two goroutines rendering
+// at once may both render, and either result is kept.
+func (nl *Netlist) DeviceText(render func([]DeviceUse) []byte) []byte {
+	m := nl.devText
+	if m == nil || len(nl.Devices) == 0 {
+		return nil
+	}
+	first, n := &nl.Devices[0], len(nl.Devices)
+	cur := m.p.Load()
+	switch {
+	case cur == nil || cur.first != first || cur.n != n:
+		m.p.CompareAndSwap(cur, &deviceText{first: first, n: n, asker: nl})
+		return nil
+	case cur.text != nil:
+		return cur.text
+	case cur.asker == nl:
+		return nil
+	}
+	next := &deviceText{first: first, n: n, text: render(nl.Devices)}
+	m.p.CompareAndSwap(cur, next)
+	return next.text
 }
 
 // NetByName resolves a declared or canonical net name. A declared name
@@ -183,10 +235,11 @@ func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
 // assembleNets builds the Netlist skeleton — nets in canonical class order
 // with aggregated bounds, element counts, declared names, and device
 // terminal references — from any footprint representation. Device
-// TerminalNets must already hold final net ids. Shared with the tests' flat
-// reference extractor, so both produce identical netlists by construction.
-func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse) *Netlist {
-	nl := &Netlist{Nets: make([]Net, numClasses)}
+// TerminalNets must already hold final net ids; memo is the DeviceText
+// holder of the devices array. Shared with the tests' flat reference
+// extractor, so both produce identical netlists by construction.
+func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse, memo *deviceMemo) *Netlist {
+	nl := &Netlist{Nets: make([]Net, numClasses), devText: memo}
 	for i := range nl.Nets {
 		nl.Nets[i].ID = NetID(i)
 	}

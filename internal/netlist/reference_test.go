@@ -301,7 +301,7 @@ func assemble(foots []footprint, devices []DeviceUse, uf *uf, tc *tech.Technolog
 	}
 	nl := assembleNets(numClasses, classOf, func(i int) (geom.Rect, string, int) {
 		return foots[i].bounds, foots[i].declared, foots[i].elements
-	}, len(foots), devices)
+	}, len(foots), devices, new(deviceMemo))
 	return nl, nameNets(nl, &issues, new(anonNames)), nil
 }
 
