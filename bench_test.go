@@ -1,9 +1,13 @@
 package dic
 
-// One benchmark per experiment of DESIGN.md's index (E01..E16), plus
-// micro-benchmarks of the computational kernels. Run with:
+// One benchmark per experiment (E01..E16; internal/eval/experiments.go,
+// where each E.. function's doc names its figure), plus micro-benchmarks
+// of the computational kernels. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench . -benchmem
+//
+// (add -json for machine-readable output). End-to-end performance is
+// measured by the bench/ module, not here.
 //
 // The experiment benchmarks measure the cost of regenerating each paper
 // figure/claim; the kernel benchmarks track the geometry engine, the

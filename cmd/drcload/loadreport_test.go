@@ -1,4 +1,4 @@
-package perfbench
+package main
 
 import (
 	"encoding/json"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestSummarizeLatencies(t *testing.T) {
-	if got := SummarizeLatencies(nil); got.Count != 0 || got.P99NS != 0 {
+	if got := summarizeLatencies(nil); got.Count != 0 || got.P99NS != 0 {
 		t.Fatalf("empty summary not zero: %+v", got)
 	}
 
@@ -18,7 +18,7 @@ func TestSummarizeLatencies(t *testing.T) {
 	}
 	// Order must not matter.
 	samples[0], samples[99] = samples[99], samples[0]
-	s := SummarizeLatencies(samples)
+	s := summarizeLatencies(samples)
 	if s.Count != 100 {
 		t.Fatalf("count = %d", s.Count)
 	}
@@ -38,14 +38,14 @@ func TestSummarizeLatencies(t *testing.T) {
 		t.Fatalf("mean = %v, want %v", s.MeanN, want)
 	}
 
-	one := SummarizeLatencies([]time.Duration{7 * time.Millisecond})
+	one := summarizeLatencies([]time.Duration{7 * time.Millisecond})
 	if one.P50NS != one.P99NS || one.P99NS != one.MaxNS {
 		t.Fatalf("single-sample percentiles disagree: %+v", one)
 	}
 }
 
 func TestLoadSnapshotArtifact(t *testing.T) {
-	snap := LoadSnapshot{Date: "2026-08-08", Sessions: 4, Chaos: true,
+	snap := loadSnapshot{Date: "2026-08-08", Sessions: 4, Chaos: true,
 		ErrClass: map[string]uint64{"overload": 3}}
 	if snap.Filename() != "BENCH_LOAD_2026-08-08.json" {
 		t.Fatalf("filename = %s", snap.Filename())
@@ -54,7 +54,7 @@ func TestLoadSnapshotArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back LoadSnapshot
+	var back loadSnapshot
 	if err := json.Unmarshal(out, &back); err != nil {
 		t.Fatal(err)
 	}

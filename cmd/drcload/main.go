@@ -62,7 +62,6 @@ import (
 
 	"repro/internal/cif"
 	"repro/internal/layout"
-	"repro/internal/perfbench"
 	"repro/internal/server"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -242,7 +241,7 @@ func run() int {
 		d.mu.Unlock()
 	}
 	col.mu.Lock()
-	snap := perfbench.LoadSnapshot{
+	snap := loadSnapshot{
 		Date:             time.Now().Format("2006-01-02"),
 		GoVersion:        runtime.Version(),
 		NumCPU:           runtime.NumCPU(),
@@ -251,13 +250,13 @@ func run() int {
 		Delta:            *delta,
 		DurationNS:       duration.Nanoseconds(),
 		Requests:         col.requests,
-		Reports:          perfbench.SummarizeLatencies(reps),
-		Edits:            perfbench.SummarizeLatencies(edits),
-		Creates:          perfbench.SummarizeLatencies(crts),
+		Reports:          summarizeLatencies(reps),
+		Edits:            summarizeLatencies(edits),
+		Creates:          summarizeLatencies(crts),
 		ErrClass:         col.errClass,
 		Transport:        col.transport,
-		FullBytes:        perfbench.SummarizeBytes(fullBytes),
-		DeltaBytes:       perfbench.SummarizeBytes(deltaBytes),
+		FullBytes:        summarizeBytes(fullBytes),
+		DeltaBytes:       summarizeBytes(deltaBytes),
 		DeltaResets:      col.resets,
 		Churns:           col.churns,
 		ServerGoroutines: st.Goroutines,

@@ -225,13 +225,3 @@ func (r Rect) Corners() [4]Point {
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d]", r.X1, r.Y1, r.X2, r.Y2)
 }
-
-func clampInt64(v, lo, hi int64) int64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}

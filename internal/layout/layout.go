@@ -54,9 +54,9 @@ type Element struct {
 	// Box geometry (KindBox).
 	Box geom.Rect
 
-	// Wire geometry (KindWire): a path with total width; ends are squared
-	// off flush with the endpoints (the CIF round ends are approximated
-	// orthogonally, documented in DESIGN.md).
+	// Wire geometry (KindWire): a path with total width; the CIF round
+	// ends are approximated by square caps half a width past the
+	// endpoints (see wireRegion).
 	Path  []geom.Point
 	Width int64
 

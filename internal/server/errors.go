@@ -57,10 +57,6 @@ type errorBody struct {
 // doubles as the safe-to-retry signal the client's POST retry needs.
 const retryAfterSeconds = 1
 
-func writeErr(w http.ResponseWriter, code int, err error) {
-	writeErrClass(w, code, "", err)
-}
-
 func writeErrClass(w http.ResponseWriter, code int, class string, err error) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
@@ -68,8 +64,7 @@ func writeErrClass(w http.ResponseWriter, code int, class string, err error) {
 	writeJSON(w, code, errorBody{Error: err.Error(), Class: class})
 }
 
-// writeSvcErr renders a svcError; other errors default to 500/panic-free
-// generic form with the given fallback code.
+// writeSvcErr renders a svcError with its own status code and class.
 func writeSvcErr(w http.ResponseWriter, err *svcError) {
 	writeErrClass(w, err.code, err.class, err.err)
 }

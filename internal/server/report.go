@@ -371,83 +371,12 @@ func buildResetDelta(fp string, rep *core.Report, eng *core.Engine) *ReportDelta
 	}
 }
 
-// severityRank orders wire severities the way core.CompareViolations
-// orders core ones (error before warning).
-func severityRank(s string) int {
-	if s == core.Warning.String() {
-		return 1
-	}
-	return 0
-}
-
-// compareWireViolations mirrors core.CompareViolations over the wire
-// form, field for field, so a wire-side merge agrees byte-for-byte with
-// the engine-side diff that produced the delta.
+// compareWireViolations orders wire violations by core.CompareViolations
+// over their lossless core projections, so a wire-side merge agrees
+// byte-for-byte with the engine-side diff that produced the delta.
 func compareWireViolations(a, b *Violation) int {
-	cmpStr := func(x, y string) int {
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	}
-	cmpInt := func(x, y int64) int {
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	}
-	if c := cmpStr(a.Rule, b.Rule); c != 0 {
-		return c
-	}
-	if c := cmpStr(a.Symbol, b.Symbol); c != 0 {
-		return c
-	}
-	if c := cmpStr(a.Path, b.Path); c != 0 {
-		return c
-	}
-	if c := cmpInt(a.Where.X1, b.Where.X1); c != 0 {
-		return c
-	}
-	if c := cmpInt(a.Where.Y1, b.Where.Y1); c != 0 {
-		return c
-	}
-	if c := cmpStr(a.Detail, b.Detail); c != 0 {
-		return c
-	}
-	if c := cmpInt(a.Where.X2, b.Where.X2); c != 0 {
-		return c
-	}
-	if c := cmpInt(a.Where.Y2, b.Where.Y2); c != 0 {
-		return c
-	}
-	if c := severityRank(a.Severity) - severityRank(b.Severity); c != 0 {
-		return c
-	}
-	if c := a.Layer - b.Layer; c != 0 {
-		return c
-	}
-	if c := len(a.Nets) - len(b.Nets); c != 0 {
-		// Prefix-compare first, length only breaks full-prefix ties — the
-		// same rule slices.CompareFunc applies on the core side.
-		for i := range min(len(a.Nets), len(b.Nets)) {
-			if cc := cmpStr(a.Nets[i], b.Nets[i]); cc != 0 {
-				return cc
-			}
-		}
-		return c
-	}
-	for i := range a.Nets {
-		if cc := cmpStr(a.Nets[i], b.Nets[i]); cc != 0 {
-			return cc
-		}
-	}
-	return 0
+	ca, cb := violationCore(a), violationCore(b)
+	return core.CompareViolations(&ca, &cb)
 }
 
 // ApplyDelta reconstructs the full report a delta describes. For a reset

@@ -11,8 +11,8 @@ package tech
 // argument for device-aware checking.
 //
 // The process is defined by decks/bipolar.deck; Bipolar is a thin loader
-// over the embedded text, and bipolarFromCode is the retained reference
-// constructor for the deck-parity tests.
+// over the embedded text, and bipolarFromCode (legacy_test.go) is the
+// retained reference constructor for the deck-parity tests.
 
 // Bipolar layer name constants.
 const (
@@ -36,68 +36,3 @@ func init() { Register("bipolar", Bipolar) }
 // embedded rule deck (decks/bipolar.deck). Dimensions use a 100
 // centimicron (1 µm) unit.
 func Bipolar() *Technology { return mustParseDeck(bipolarDeck) }
-
-// bipolarFromCode is the legacy hand-built constructor.
-func bipolarFromCode() *Technology {
-	const u = 100
-	t := New("bipolar-demo", 0)
-
-	iso := t.AddLayer(Layer{Name: BipIso, CIF: "BI", Role: RoleIsolation, MinWidth: 4 * u, MinSpace: 6 * u})
-	base := t.AddLayer(Layer{Name: BipBase, CIF: "BB", Role: RoleBase, MinWidth: 4 * u, MinSpace: 6 * u})
-	em := t.AddLayer(Layer{Name: BipEmitter, CIF: "BE", Role: RoleEmitter, MinWidth: 3 * u, MinSpace: 4 * u})
-	c := t.AddLayer(Layer{Name: BipContact, CIF: "BC", Role: RoleContact, MinWidth: 2 * u, MinSpace: 2 * u})
-	m := t.AddLayer(Layer{Name: BipMetal, CIF: "BM", Role: RoleMetal, MinWidth: 3 * u, MinSpace: 3 * u})
-
-	t.SetSpacing(base, base, SpacingRule{
-		DiffNet: 6 * u, SameNet: 0, ExemptRelated: true,
-		Note: "base diffusion spacing",
-	})
-	// The Figure 6 rule: base (of a transistor) to isolation. The checker
-	// overrides this per-device: transistor base must keep the spacing even
-	// when shorted (error if touching), resistor base may touch legally.
-	t.SetSpacing(base, iso, SpacingRule{
-		DiffNet: 2 * u, SameNet: 2 * u,
-		Note: "base to isolation; device-dependent (Fig 6)",
-	})
-	t.SetSpacing(iso, iso, SpacingRule{Note: "isolation merges freely"})
-	t.SetSpacing(em, em, SpacingRule{DiffNet: 4 * u, Note: "emitter spacing"})
-	t.SetSpacing(em, base, SpacingRule{ExemptRelated: true, Note: "emitter sits in base (checked in symbol)"})
-	t.SetSpacing(em, iso, SpacingRule{DiffNet: 4 * u, Note: "emitter to isolation"})
-	t.SetSpacing(m, m, SpacingRule{DiffNet: 3 * u, Note: "metal spacing"})
-	t.SetSpacing(c, c, SpacingRule{DiffNet: 2 * u, Note: "contact spacing"})
-	t.SetSpacing(base, m, SpacingRule{Note: "no rule"})
-	t.SetSpacing(iso, m, SpacingRule{Note: "no rule"})
-
-	// Geometric rule classes beyond pairwise spacing, in raw centimicrons.
-	t.SetWidthRule(iso, LayerRule{Min: 4 * u, Note: "isolation web region width"})
-	t.SetCrossRule(CrossEnclose, base, em, CrossRule{Margin: 1 * u, Note: "base past emitter, judged over merged geometry"})
-
-	t.AddDevice(DevNPN, DeviceSpec{
-		Class:    "npn-transistor",
-		Describe: "npn transistor: emitter within base; base must not touch isolation",
-		Params: map[string]int64{
-			"emitter-enclosure": 1 * u, // base beyond emitter
-			"iso-clearance":     2 * u, // base to isolation clearance
-		},
-	})
-	t.AddDevice(DevResistorBase, DeviceSpec{
-		Class:    "resistor",
-		Describe: "base-diffusion resistor; may legally tie to isolation (Fig 6b)",
-		Params: map[string]int64{
-			"min-length": 6 * u,
-		},
-	})
-	t.AddDevice(DevBipContact, DeviceSpec{
-		Class:    "contact",
-		Describe: "metal contact",
-		Params: map[string]int64{
-			"cut-size":        2 * u,
-			"metal-enclosure": 1 * u,
-			"lower-enclosure": 1 * u,
-		},
-	})
-
-	t.PowerNets = []string{"VCC", "vcc"}
-	t.GroundNets = []string{"GND", "gnd"}
-	return t
-}

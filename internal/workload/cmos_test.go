@@ -62,30 +62,3 @@ func TestCMOSChipAccidentalTransistor(t *testing.T) {
 		t.Fatalf("accidental transistor not flagged: %v", rep.Errors())
 	}
 }
-
-// TestCMOSEngineParity: a held engine's cold run and no-edit replay must
-// reproduce Check's report byte for byte for the deck-defined process too
-// (parity with the chip-level reference is core's TestEngineMatchesCheck).
-func TestCMOSEngineParity(t *testing.T) {
-	tc := tech.CMOS()
-	chip := NewCMOSChip(tc, "cmos", 2, 3)
-	cold, err := core.Check(chip.Design, tc, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := core.NewEngine(tc, core.Options{})
-	warm, err := eng.Check(chip.Design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.Fingerprint(cold) != core.Fingerprint(warm) {
-		t.Fatal("engine report diverges from Check on the CMOS chip")
-	}
-	again, err := eng.Recheck(chip.Design)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core.Fingerprint(cold) != core.Fingerprint(again) {
-		t.Fatal("warm Recheck diverges on the CMOS chip")
-	}
-}
