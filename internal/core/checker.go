@@ -35,9 +35,6 @@ type Options struct {
 	Reference netlist.Reference
 	// SkipConstruction disables the non-geometric construction rules.
 	SkipConstruction bool
-	// SkipInteractions disables the chip-level interaction stage (used by
-	// ablation benches).
-	SkipInteractions bool
 	// NoExemptions is an ablation switch: ignore the same-net and
 	// related-through-device subcases and check every interaction as if
 	// the elements were unrelated — i.e. throw away exactly the

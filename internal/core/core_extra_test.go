@@ -79,30 +79,6 @@ func TestReferenceNetlistOption(t *testing.T) {
 	}
 }
 
-func TestSkipInteractionsOption(t *testing.T) {
-	tc := tech.NMOS()
-	diff, _ := tc.LayerByName(tech.NMOSDiff)
-	d := layout.NewDesign("skip")
-	top := d.MustSymbol("top")
-	top.AddBox(diff, geom.R(0, 0, 2000, 500), "")
-	top.AddBox(diff, geom.R(0, 1000, 2000, 1500), "") // 500 < 750 apart
-	d.Top = top
-	rep, err := Check(d, tc, Options{SkipConstruction: true, SkipInteractions: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := ruleCount(t, rep, "S.ND.ND.diff"); n != 0 {
-		t.Fatalf("interactions ran despite SkipInteractions: %v", rep.Violations)
-	}
-	full, err := Check(d, tc, Options{SkipConstruction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := ruleCount(t, full, "S.ND.ND.diff"); n != 1 {
-		t.Fatalf("full check should flag: %v", full.Violations)
-	}
-}
-
 func TestNoExemptionsAblation(t *testing.T) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "abl", 2, 2)
@@ -302,7 +278,7 @@ func TestDefinitionLevelWidthViolationReportedOnce(t *testing.T) {
 		top.AddCall(cell, geom.Translate(geom.Pt(int64(i)*10000, 0)), "")
 	}
 	d.Top = top
-	rep, err := Check(d, tc, Options{SkipConstruction: true, SkipInteractions: true})
+	rep, err := Check(d, tc, Options{SkipConstruction: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -139,9 +141,9 @@ func newNetFacts(nl *netlist.Netlist) *netFacts {
 	return f
 }
 
-// shares reports whether some device has terminals on both of two distinct
-// nets: it walks the shorter terminal list looking for a device that is
-// also on the other net.
+// shares reports whether some device has terminals on both of two nets (of
+// one net twice: whether the net carries a device terminal): it walks the
+// shorter terminal list looking for a device that is also on the other net.
 func (f *netFacts) shares(a, b netlist.NetID) bool {
 	terms, other := f.nl.Nets[a].Terminals, b
 	if tb := f.nl.Nets[b].Terminals; len(tb) < len(terms) {
@@ -429,9 +431,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	})
 	if inc != nil {
 		stage("check legal connections", func() { e.checkConnections(c, inc) })
-		if !e.opts.SkipInteractions {
-			stage("check interactions", func() { e.checkInteractions(c, inc, &stats) })
-		}
+		stage("check interactions", func() { e.checkInteractions(c, inc, &stats) })
 		if !e.opts.SkipConstruction {
 			stage("check construction rules", func() { e.checkConstruction(c, inc) })
 		}
@@ -774,9 +774,9 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		if i > j {
 			i, j = j, i
 		}
-		// Layers that can never interact are dropped before the pair is
-		// recorded — the same gate the reference sweep's pair filter
-		// applies, so candidate counters stay identical to the oracle's.
+		// Layers that can never interact (no spacing cell, no device rule)
+		// are dropped before the pair is recorded: such a pair can produce
+		// no check and no violation, and is no candidate.
 		if !e.ct.Interacts(layerOf(i), layerOf(j)) {
 			return
 		}
@@ -954,78 +954,16 @@ type sigScratch struct {
 	epoch     uint32
 }
 
-// sigEnv implements pairEnv over a definition's local classes plus one
-// instance's net-environment signature.
-type sigEnv struct {
-	di     *defInter
-	labels []int
-	hasDev []byte // per candClasses position
-	share  []byte // per classPairAt position
-}
-
-func (s *sigEnv) label(cl netlist.NetID) int {
-	return s.labels[s.di.classPos[int(cl)]]
-}
-
-func (s *sigEnv) sameNet(a, b *netlist.ConnItem) bool {
-	if a.Net == netlist.NoNet || b.Net == netlist.NoNet {
-		return false
-	}
-	return s.label(a.Net) == s.label(b.Net)
-}
-
-func (s *sigEnv) devOnNet(dev int, net netlist.NetID) bool {
-	want := s.label(net)
-	for _, tcl := range s.di.termClasses[dev] {
-		if s.labels[s.di.classPos[tcl]] == want {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *sigEnv) related(a, b *netlist.ConnItem) bool {
-	if a.Dev >= 0 && a.Dev == b.Dev {
-		return true
-	}
-	if a.Dev >= 0 && b.Net != netlist.NoNet && s.devOnNet(a.Dev, b.Net) {
-		return true
-	}
-	if b.Dev >= 0 && a.Net != netlist.NoNet && s.devOnNet(b.Dev, a.Net) {
-		return true
-	}
-	if a.Net != netlist.NoNet && b.Net != netlist.NoNet {
-		cp := [2]int{int(a.Net), int(b.Net)}
-		if cp[0] > cp[1] {
-			cp[0], cp[1] = cp[1], cp[0]
-		}
-		return s.share[s.di.classPairPos[cp]] != 0
-	}
-	return false
-}
-
-func (s *sigEnv) keepsSameNetSpacing(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := s.di.art.Devices[dev].Info
-	return info != nil && !info.SpacingExemptSameNet
-}
-
-func (s *sigEnv) mayTouchIsolation(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := s.di.art.Devices[dev].Info
-	return info != nil && info.MayTouchIsolation
-}
-
-// defPairGeom implements pairGeom with per-definition memoization.
+// defPairGeom supplies the geometric measurements of pair adjudication,
+// memoized in the definition pair: they are invariant under the Manhattan
+// instance transforms.
 type defPairGeom struct {
 	p    *defPair
 	opts *Options
 }
 
+// accOverlapBounds returns the bounding box of the region overlap (the
+// accidental-transistor check), and whether it is non-empty.
 func (g *defPairGeom) accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool) {
 	if g.p.flags&gAcc == 0 {
 		g.p.accBounds, g.p.accOK = geom.IntersectBounds(a.Reg, b.Reg)
@@ -1034,6 +972,7 @@ func (g *defPairGeom) accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool)
 	return g.p.accBounds, g.p.accOK
 }
 
+// regOverlaps reports whether the regions overlap (same-layer pairs).
 func (g *defPairGeom) regOverlaps(a, b *netlist.ConnItem) bool {
 	if g.p.flags&gOverlap == 0 {
 		g.p.overlaps = a.Reg.Overlaps(b.Reg)
@@ -1042,6 +981,7 @@ func (g *defPairGeom) regOverlaps(a, b *netlist.ConnItem) bool {
 	return g.p.overlaps
 }
 
+// dist returns the spacing under the configured metric.
 func (g *defPairGeom) dist(a, b *netlist.ConnItem) float64 {
 	if g.p.flags&gDist == 0 {
 		if g.opts.Metric == Orthogonal {
@@ -1055,6 +995,8 @@ func (g *defPairGeom) dist(a, b *netlist.ConnItem) float64 {
 	return g.p.distVal
 }
 
+// processOK asks the Eq. 1 process model whether the printed images keep
+// the margin under worst-case misalignment mis.
 func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) bool {
 	if g.p.flags&gProc == 0 {
 		g.p.procVal = g.opts.ProcessSpacing.SpacingOK(a.Reg, b.Reg, mis, margin)
@@ -1066,10 +1008,10 @@ func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) boo
 // buildKeepouts fills a definition's keepout tallies: every cross-owner
 // (cut item, MOS gate) and (isolation item, base keepout) candidate whose
 // LCA is this definition, adjudicated in local coordinates. A chip-wide
-// sweep (the tests' reference pipeline runs one) enumerates exactly these
-// pairs summed over instances (a pair of distinct devices separates into
-// different owners at its LCA), so replaying the tallies reproduces the
-// same check counts and violations without any per-run chip-wide sweep.
+// sweep would enumerate exactly these pairs summed over instances (a pair
+// of distinct devices separates into different owners at its LCA), so
+// replaying the tallies reproduces its check counts and violations without
+// any per-run chip-wide sweep.
 func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	di.keepBuilt = true
 	art := di.art
@@ -1263,7 +1205,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		}
 		if len(order) > 1 {
 			dis := make([]*defInter, len(order))
-			geom.RunShards(len(order), workers, func(k int) {
+			runShards(len(order), workers, func(k int) {
 				dis[k] = e.buildDefInter(order[k], maxGap)
 				e.buildKeepouts(dis[k], keep)
 			})
@@ -1342,6 +1284,37 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	}
 }
 
+// runShards executes fn(0..n-1) on up to `workers` goroutines, handing out
+// indices from a shared counter; every index is visited exactly once. It
+// returns when every call is done.
+func runShards(n, workers int, fn func(k int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			fn(k)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				fn(k)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // tryReplayInteractions reproduces the previous run's interaction stage
 // when extraction patched the root in place: the child instances replay
 // from the recorded aggregate, and the root definition's pair set is
@@ -1414,7 +1387,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 		}
 	}
 	maxGap := e.ct.MaxSpacing()
-	env := &directEnv{di: di, facts: e.replay.facts}
+	env := &pairEnv{di: di, facts: e.replay.facts}
 
 	movedL := make(map[int]bool, len(moved)) // local item-table indices
 	movedG := make(map[int]bool, len(moved)) // global item indices
@@ -1550,64 +1523,6 @@ func draftEq(a, b *violationDraft) bool {
 		a.v.Symbol == b.v.Symbol && a.v.Path == b.v.Path && a.v.Layer == b.v.Layer
 }
 
-// directEnv implements pairEnv for the root frame against the global net
-// facts directly — the root's local classes ARE the global net ids, so no
-// signature indirection is needed. Branch for branch it decides exactly
-// as sigEnv does under the root instance's signature (and as the tests'
-// chip-level reference does), which the parity tests lock in.
-type directEnv struct {
-	di    *defInter
-	facts *netFacts
-}
-
-func (s *directEnv) sameNet(a, b *netlist.ConnItem) bool {
-	return a.Net != netlist.NoNet && a.Net == b.Net
-}
-
-func (s *directEnv) devOnNet(dev int, net netlist.NetID) bool {
-	for _, tcl := range s.di.termClasses[dev] {
-		if netlist.NetID(tcl) == net {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *directEnv) related(a, b *netlist.ConnItem) bool {
-	if a.Dev >= 0 && a.Dev == b.Dev {
-		return true
-	}
-	if a.Dev >= 0 && b.Net != netlist.NoNet && s.devOnNet(a.Dev, b.Net) {
-		return true
-	}
-	if b.Dev >= 0 && a.Net != netlist.NoNet && s.devOnNet(b.Dev, a.Net) {
-		return true
-	}
-	if a.Net != netlist.NoNet && b.Net != netlist.NoNet {
-		if a.Net == b.Net {
-			return s.facts.hasDev[a.Net]
-		}
-		return s.facts.shares(a.Net, b.Net)
-	}
-	return false
-}
-
-func (s *directEnv) keepsSameNetSpacing(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := s.di.art.Devices[dev].Info
-	return info != nil && !info.SpacingExemptSameNet
-}
-
-func (s *directEnv) mayTouchIsolation(dev int) bool {
-	if dev < 0 {
-		return false
-	}
-	info := s.di.art.Devices[dev].Info
-	return info != nil && info.MayTouchIsolation
-}
-
 // checkConstruction is stage 6 with the same patched-root replay: the
 // rule set reads only nets and devices, and a root patch changes nothing
 // but the patched nets' bounds, so the previous issues are rewritten in
@@ -1666,16 +1581,11 @@ func (e *Engine) patchConstruction(inc *netlist.IncExtraction, moved []int) ([]n
 // one definition under one net-environment signature, producing the
 // replayable tally.
 func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interactionTally {
-	env := &sigEnv{di: di, labels: labels}
+	env := pairEnv{di: di, labels: labels}
 	if sig != nil {
-		// Unpack the per-position bits back out of the signature bytes
-		// (five bytes per class: 4-byte label + hasDevice bit).
-		n := len(di.candClasses)
-		env.hasDev = make([]byte, n)
-		for i := 0; i < n; i++ {
-			env.hasDev[i] = sig[5*i+4]
-		}
-		env.share = sig[5*n:]
+		// The share bits follow five bytes per class (a 4-byte label and a
+		// has-device bit).
+		env.share = sig[5*len(di.candClasses):]
 	}
 	// With a nil sig (netFree definitions) every pair is same-device and
 	// the env's net methods are provably never reached.
@@ -1685,7 +1595,7 @@ func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interact
 	for i := range di.pairs {
 		p := &di.pairs[i]
 		g.p = p
-		adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(p.a), di.itemAt(p.b), env, &g, t)
+		adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(p.a), di.itemAt(p.b), &env, &g, t)
 	}
 	return t
 }

@@ -48,9 +48,11 @@ func referencesFor(nl *netlist.Netlist) (good, bad netlist.Reference) {
 }
 
 // TestEngineMatchesCheck: the engine — which is what Check, dicheck and
-// every experiment run — must fingerprint-match the chip-level reference
-// pipeline on clean, dirty, bipolar, CMOS and pathology designs, under
-// every option the experiments pass and with the prebuild pool off and on.
+// every experiment run — must agree with the spec on nets, connections and
+// interactions for clean, dirty, bipolar, CMOS and pathology designs, under
+// every option the experiments pass and with the prebuild pool off and on;
+// and on every rule family its cold run must equal a one-worker cold run and
+// a no-edit recheck.
 func TestEngineMatchesCheck(t *testing.T) {
 	type tcase struct {
 		label  string
@@ -81,9 +83,9 @@ func TestEngineMatchesCheck(t *testing.T) {
 
 	model := process.DefaultModel()
 	for _, tcse := range cases {
-		base, err := referenceCheck(tcse.design, tcse.tc, Options{})
+		base, err := Check(tcse.design, tcse.tc, Options{})
 		if err != nil {
-			t.Fatalf("%s: reference: %v", tcse.label, err)
+			t.Fatalf("%s: %v", tcse.label, err)
 		}
 		good, bad := referencesFor(base.Netlist)
 		variants := []struct {
@@ -96,19 +98,13 @@ func TestEngineMatchesCheck(t *testing.T) {
 			{"no exemptions", Options{NoExemptions: true}, 0},
 			{"process model", Options{ProcessSpacing: &model, ProcessMargin: 100}, 0},
 			{"skip construction", Options{SkipConstruction: true}, 0},
-			{"skip interactions", Options{SkipInteractions: true}, 0},
 			{"good reference", Options{Reference: good}, 0},
 			{"bad reference", Options{Reference: bad}, 1},
 		}
 		for _, v := range variants {
 			label := tcse.label + ", " + v.label
-			want, err := referenceCheck(tcse.design, tcse.tc, v.opts)
-			if err != nil {
-				t.Fatalf("%s: reference: %v", label, err)
-			}
-			if got := ruleCount(t, want, "NET.MISSING"); got != v.missing {
-				t.Fatalf("%s: %d NET.MISSING, want %d", label, got, v.missing)
-			}
+			spec := specCheck(tcse.design, tcse.tc, v.opts)
+			var serial *Report
 			for _, workers := range []int{1, 0} {
 				opts := v.opts
 				opts.Workers = workers
@@ -118,14 +114,22 @@ func TestEngineMatchesCheck(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: engine: %v", wl, err)
 				}
-				requireSameReport(t, wl+" (cold engine vs reference)", got, want)
+				requireSpec(t, wl+" (cold engine vs spec)", got, spec)
+				if n := ruleCount(t, got, "NET.MISSING"); n != v.missing {
+					t.Fatalf("%s: %d NET.MISSING, want %d", wl, n, v.missing)
+				}
+				if serial == nil {
+					serial = got
+				} else {
+					requireSameReport(t, wl+" (cold engine vs one worker)", got, serial)
+				}
 
 				// A second run with nothing edited must replay to the same report.
 				again, err := eng.Recheck(tcse.design)
 				if err != nil {
 					t.Fatalf("%s: recheck: %v", wl, err)
 				}
-				requireSameReport(t, wl+" (no-edit recheck)", again, want)
+				requireSameReport(t, wl+" (no-edit recheck)", again, got)
 			}
 		}
 	}
@@ -195,8 +199,8 @@ func max64(a, b int64) int64 {
 
 // TestEngineRecheckByteIdentical is the tentpole's acceptance test: after
 // each random single-symbol edit, a warm Recheck must produce a report
-// byte-identical (modulo durations) to both a cold engine Check and the
-// chip-level reference pipeline on the same design state.
+// byte-identical (modulo durations) to a cold engine Check of the same
+// design state, and agree with the spec.
 func TestEngineRecheckByteIdentical(t *testing.T) {
 	for _, variant := range []string{"shared", "unique"} {
 		variant := variant
@@ -229,11 +233,7 @@ func TestEngineRecheckByteIdentical(t *testing.T) {
 					t.Fatalf("edit %d (%s): cold: %v", i, desc, err)
 				}
 				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs cold", i, desc), warm, cold)
-				ref, err := referenceCheck(d, nm, Options{})
-				if err != nil {
-					t.Fatalf("edit %d (%s): reference: %v", i, desc, err)
-				}
-				requireSameReport(t, fmt.Sprintf("edit %d (%s) warm vs reference", i, desc), warm, ref)
+				requireSpec(t, fmt.Sprintf("edit %d (%s) warm vs spec", i, desc), warm, specCheck(d, nm, Options{}))
 			}
 		})
 	}

@@ -3,46 +3,95 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
 
 // pairEnv answers the net/device relationship questions of the Figure 12
-// subcases for one candidate pair. The engine implements it over a symbol
-// definition's local net classes plus a per-instance merge signature
-// (sigEnv) and, for the root frame, over global nets directly (directEnv);
-// the tests' chip-level reference implements it over the flat netlist. All
-// must answer identically for the same chip state, which is what makes
-// definition-level adjudication caching sound.
-type pairEnv interface {
-	// sameNet reports whether the items are on the same electrical net.
-	sameNet(a, b *netlist.ConnItem) bool
-	// related reports whether the items are related through a device.
-	related(a, b *netlist.ConnItem) bool
-	// keepsSameNetSpacing reports whether the item's device demands
-	// spacing checks even on its own net (resistors, Figure 5b).
-	keepsSameNetSpacing(dev int) bool
-	// mayTouchIsolation reports whether the item's device may legally
-	// connect to isolation (Figure 6b resistors).
-	mayTouchIsolation(dev int) bool
+// subcases for the candidate pairs of one definition. A local net class
+// maps to a label, and two classes are one net when their labels are
+// equal: under an instance's net-environment signature the label is the
+// class's block in the signature's merge partition; in the root frame
+// (labels nil) the root's classes are the global net ids themselves.
+// Whether two nets share a device comes from the signature's share bytes,
+// or in the root frame straight from the net facts. For the root instance
+// both answer alike, so the root-patch replay can adjudicate pairs into a
+// tally first adjudicated under the root's signature.
+type pairEnv struct {
+	di     *defInter
+	labels []int     // per candClasses position; nil: classes are global net ids
+	share  []byte    // per classPairAt position: the two nets share a device
+	facts  *netFacts // the root frame's share answers (share is unused)
 }
 
-// pairGeom supplies the geometric measurements of pair adjudication. The
-// engine memoizes them per definition pair (they are invariant under the
-// Manhattan instance transforms); the tests' chip-level reference computes
-// them directly.
-type pairGeom interface {
-	// accOverlapBounds returns the bounding box of the region overlap
-	// (the accidental-transistor check), and whether it is non-empty.
-	accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool)
-	// regOverlaps reports whether the regions overlap (same-layer pairs).
-	regOverlaps(a, b *netlist.ConnItem) bool
-	// dist returns the spacing under the configured metric.
-	dist(a, b *netlist.ConnItem) float64
-	// processOK asks the Eq. 1 process model whether the printed images
-	// keep the margin under worst-case misalignment mis.
-	processOK(a, b *netlist.ConnItem, mis, margin float64) bool
+func (s *pairEnv) label(cl netlist.NetID) int {
+	if s.labels == nil {
+		return int(cl)
+	}
+	return s.labels[s.di.classPos[int(cl)]]
+}
+
+// sameNet reports whether the items are on the same electrical net.
+func (s *pairEnv) sameNet(a, b *netlist.ConnItem) bool {
+	return a.Net != netlist.NoNet && b.Net != netlist.NoNet && s.label(a.Net) == s.label(b.Net)
+}
+
+// devOnNet reports whether a local device has a terminal on a class's net.
+func (s *pairEnv) devOnNet(dev int, net netlist.NetID) bool {
+	want := s.label(net)
+	for _, tcl := range s.di.termClasses[dev] {
+		if s.label(netlist.NetID(tcl)) == want {
+			return true
+		}
+	}
+	return false
+}
+
+// related reports whether the items are related through a device: one
+// device's, or one on a net a device of the other has a terminal on, or on
+// two nets that meet at a common device — e.g. the source and drain feed
+// wires of one transistor, whose separation is the channel, not a spacing.
+func (s *pairEnv) related(a, b *netlist.ConnItem) bool {
+	if a.Dev >= 0 && a.Dev == b.Dev {
+		return true
+	}
+	if a.Dev >= 0 && b.Net != netlist.NoNet && s.devOnNet(a.Dev, b.Net) {
+		return true
+	}
+	if b.Dev >= 0 && a.Net != netlist.NoNet && s.devOnNet(b.Dev, a.Net) {
+		return true
+	}
+	if a.Net == netlist.NoNet || b.Net == netlist.NoNet {
+		return false
+	}
+	if s.facts != nil {
+		return s.facts.shares(a.Net, b.Net) // of one net: it carries a device
+	}
+	cp := [2]int{int(a.Net), int(b.Net)}
+	if cp[0] > cp[1] {
+		cp[0], cp[1] = cp[1], cp[0]
+	}
+	return s.share[s.di.classPairPos[cp]] != 0
+}
+
+// keepsSameNetSpacing reports whether a local device demands spacing
+// checks even on its own net (resistors, Figure 5b).
+func (s *pairEnv) keepsSameNetSpacing(dev int) bool {
+	if dev < 0 {
+		return false
+	}
+	info := s.di.art.Devices[dev].Info
+	return info != nil && !info.SpacingExemptSameNet
+}
+
+// mayTouchIsolation reports whether a local device may legally connect to
+// isolation (Figure 6b resistors).
+func (s *pairEnv) mayTouchIsolation(dev int) bool {
+	if dev < 0 {
+		return false
+	}
+	info := s.di.art.Devices[dev].Info
+	return info != nil && info.MayTouchIsolation
 }
 
 // violationDraft is a violation whose net names are not yet resolved: a
@@ -69,11 +118,10 @@ type interactionTally struct {
 // device-dependent cross-symbol rules first (accidental transistors), then
 // the same-net / different-net / related spacing subcases, with geometry
 // asked only when the topology fails to excuse the pair. The relationship
-// answers come from env and the measurements from g, so the same logic —
-// and therefore byte-identical reports — serves the engine's
-// definition-level replay, its root-frame patch, and the tests'
-// chip-level reference sweep.
-func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *netlist.ConnItem, env pairEnv, g pairGeom, t *interactionTally) {
+// answers come from env and the memoized measurements from g, so the same
+// logic — and therefore byte-identical reports — serves the engine's
+// definition-level tallies and its root-frame patch.
+func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *netlist.ConnItem, env *pairEnv, g *defPairGeom, t *interactionTally) {
 	t.candidates++
 	sameDevice := a.Dev >= 0 && a.Dev == b.Dev
 

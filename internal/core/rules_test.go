@@ -14,9 +14,9 @@ var newRuleClasses = []string{"WIDTH.", "AREA.", "ENC.", "OVL.", "EXT."}
 
 // TestLayerRuleGroundTruth drives each ground-truth breaker end-to-end:
 // the defect must produce exactly one violation of its target rule, at the
-// recorded location, with none of the other layer-rule classes firing —
-// and the reference pipeline, a cold engine Check, and a warm engine
-// Recheck (the edit applied to an already-checked clean chip) must agree
+// recorded location, with none of the other layer-rule classes firing; a
+// cold engine Check must agree with the spec, and a warm engine Recheck
+// (the edit applied to an already-checked clean chip) with the cold Check
 // byte for byte.
 func TestLayerRuleGroundTruth(t *testing.T) {
 	cases := []struct {
@@ -34,19 +34,20 @@ func TestLayerRuleGroundTruth(t *testing.T) {
 		t.Run(tcse.name, func(t *testing.T) {
 			tc := tech.NMOS()
 
-			// Reference pipeline over the broken chip.
+			// Cold engine over the broken chip.
 			chip := workload.NewChip(tc, "bk-"+tcse.name, 2, 2)
 			where := tcse.brk(chip)
-			flat, err := referenceCheck(chip.Design, tc, Options{})
+			cold, err := NewEngine(tc, Options{}).Check(chip.Design)
 			if err != nil {
 				t.Fatal(err)
 			}
+			requireSpec(t, tcse.name+" cold engine", cold, specCheck(chip.Design, tc, Options{}))
 
-			counts := CountByRule(flat.Violations)
+			counts := CountByRule(cold.Violations)
 			if counts[tcse.rule] != 1 {
 				t.Fatalf("%s count = %d, want exactly 1 (all: %v)", tcse.rule, counts[tcse.rule], counts)
 			}
-			for _, v := range flat.Violations {
+			for _, v := range cold.Violations {
 				if v.Rule == tcse.rule && v.Where != where {
 					t.Fatalf("%s at %v, ground truth %v", tcse.rule, v.Where, where)
 				}
@@ -61,13 +62,6 @@ func TestLayerRuleGroundTruth(t *testing.T) {
 					}
 				}
 			}
-
-			// Cold engine over the same broken state.
-			cold, err := NewEngine(tc, Options{}).Check(chip.Design)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameReport(t, tcse.name+" cold engine", cold, flat)
 
 			// Warm engine: check clean, apply the edit, recheck.
 			chip2 := workload.NewChip(tc, "bk-"+tcse.name, 2, 2)
@@ -84,7 +78,7 @@ func TestLayerRuleGroundTruth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameReport(t, tcse.name+" warm recheck", warm, flat)
+			requireSameReport(t, tcse.name+" warm recheck", warm, cold)
 		})
 	}
 }

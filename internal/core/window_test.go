@@ -18,9 +18,10 @@ import (
 
 // TestEngineWindowRecheckParity locks the windowed recheck: after any
 // window-scoped edit (layout.ApplyEdit move_element), a warm Recheck must
-// fingerprint-match a cold engine on the same design state, whether the
-// patch fast path engaged or refused. The WindowPatched stat pins down
-// which path ran, so the fast path cannot silently stop engaging.
+// agree with the spec and fingerprint-match a cold engine on the same
+// design state, whether the patch fast path engaged or refused. The
+// WindowPatched stat pins down which path ran, so the fast path cannot
+// silently stop engaging.
 func TestEngineWindowRecheckParity(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "win", 6, 6)
@@ -32,6 +33,13 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 	top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	top.AddBox(metalL, geom.R(-20000, 4000, -19250, 5000), "")
 	probeA, probeB := len(top.Elements)-2, len(top.Elements)-1
+	// An anonymous diffusion probe above another net's diffusion: related
+	// diffusion pairs are exempt, so moving the probe into spacing makes the
+	// patch ask the net facts whether the two nets share a device.
+	diffL, _ := nm.LayerByName(tech.NMOSDiff)
+	top.AddBox(diffL, geom.R(-20000, -12000, -18000, -11500), "")
+	top.AddBox(diffL, geom.R(-20000, -9000, -18000, -8500), "")
+	probeD := len(top.Elements) - 1
 
 	eng := NewEngine(nm, Options{Workers: 1})
 	if _, err := eng.Check(d); err != nil {
@@ -55,6 +63,7 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 		if got := eng.Stats().WindowPatched; got != wantPatched {
 			t.Fatalf("%s: WindowPatched = %v, want %v", label, got, wantPatched)
 		}
+		requireSpec(t, label, warm, specCheck(d, nm, Options{}))
 		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", label, err)
@@ -73,6 +82,13 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 
 	// An unchanged design replays the previous run verbatim.
 	verify("no-edit replay", true)
+
+	// The diffusion probe 500 from the other net's diffusion (the rule is
+	// 750), then back out of reach.
+	move(probeD, 0, -2000)
+	verify("diffusion probe into spacing", true)
+	move(probeD, 0, 2000)
+	verify("diffusion probe out of spacing", true)
 
 	// Moving a declared-net element (the VDD trunk) is window-scoped but
 	// not electrically inert: the patch must refuse and the full path

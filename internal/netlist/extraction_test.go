@@ -9,7 +9,17 @@ import (
 	"repro/internal/tech"
 )
 
-func TestExtractFullArtifacts(t *testing.T) {
+// coldExtract is a materialised extraction on a fresh cache: every item
+// of the chip in walk order.
+func coldExtract(d *layout.Design, tc *tech.Technology) (*Extraction, error) {
+	inc, _, err := ExtractIncremental(d, tc, NewCache(), nil)
+	if err != nil {
+		return nil, err
+	}
+	return inc.Extraction, nil
+}
+
+func TestExtractArtifacts(t *testing.T) {
 	tc := tech.NMOS()
 	diff, _ := tc.LayerByName(tech.NMOSDiff)
 	poly, _ := tc.LayerByName(tech.NMOSPoly)
@@ -21,7 +31,7 @@ func TestExtractFullArtifacts(t *testing.T) {
 	top.AddWire(poly, 500, "gat", geom.Pt(0, 250), geom.Pt(0, 2500))
 	d.Top = top
 
-	ex, _, err := ExtractFull(d, tc)
+	ex, err := coldExtract(d, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +66,7 @@ func TestExtractFullArtifacts(t *testing.T) {
 	}
 }
 
-func TestExtractFullSupportGeometry(t *testing.T) {
+func TestExtractSupportGeometry(t *testing.T) {
 	// A contact's cut layer becomes a NoNet support item; a resistor's
 	// body middle does too.
 	tc := tech.NMOS()
@@ -68,7 +78,7 @@ func TestExtractFullSupportGeometry(t *testing.T) {
 	top.AddCall(res, geom.Translate(geom.Pt(10000, 0)), "r1")
 	d.Top = top
 
-	ex, _, err := ExtractFull(d, tc)
+	ex, err := coldExtract(d, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +108,7 @@ func TestExtractFullSupportGeometry(t *testing.T) {
 	}
 }
 
-func TestExtractFullIllegalPairs(t *testing.T) {
+func TestExtractIllegalPairs(t *testing.T) {
 	tc := tech.NMOS()
 	diff, _ := tc.LayerByName(tech.NMOSDiff)
 	d := layout.NewDesign("illegal")
@@ -110,7 +120,7 @@ func TestExtractFullIllegalPairs(t *testing.T) {
 	top.AddBox(diff, geom.R(0, 5000, 2000, 5500), "")
 	top.AddBox(diff, geom.R(1000, 5000, 3000, 5500), "")
 	d.Top = top
-	ex, _, err := ExtractFull(d, tc)
+	ex, err := coldExtract(d, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestIllegalPairSuppressedWhenConnectedElsewhere(t *testing.T) {
 	// A bridge connecting both deeply (full-width overlaps).
 	top.AddBox(diff, geom.R(500, 0, 3000, 500), "")
 	d.Top = top
-	ex, _, err := ExtractFull(d, tc)
+	ex, err := coldExtract(d, tc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,8 +31,8 @@ func sortedPairs(ps [][2]int) [][2]int {
 }
 
 // diffExtractions fails the test unless the two extractions are equal
-// (illegal pairs compared as sets — discovery order is the one place the
-// hierarchical and flat sweeps legitimately differ).
+// (illegal pairs compared as sets: their discovery order depends on which
+// definitions a warm cache re-derived).
 func diffExtractions(t *testing.T, label string, inc *Extraction, full *Extraction) {
 	t.Helper()
 	if len(inc.Items) != len(full.Items) {
@@ -100,18 +100,21 @@ func diffIssues(t *testing.T, label string, a, b []Issue) {
 	}
 }
 
+// checkIncrementalMatch extracts the design through cache c and fails the
+// test unless the result equals, item for item, a cold materialised
+// extraction on a fresh cache.
 func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tech.Technology, c *Cache) {
 	t.Helper()
-	full, fullIssues, fullErr := ExtractFull(d, tc)
+	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil)
 	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil)
 	if (fullErr == nil) != (incErr == nil) {
-		t.Fatalf("%s: error mismatch: full=%v inc=%v", label, fullErr, incErr)
+		t.Fatalf("%s: error mismatch: cold=%v through cache=%v", label, fullErr, incErr)
 	}
 	if fullErr != nil {
 		return
 	}
 	diffIssues(t, label, incIssues, fullIssues)
-	diffExtractions(t, label, inc.Extraction, full)
+	diffExtractions(t, label, inc.Extraction, full.Extraction)
 
 	// The instance tree must tile the item array exactly.
 	for ii := 1; ii < len(inc.Instances); ii++ {
@@ -155,8 +158,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 }
 
 // TestIncrementalWarmMatchesFull mutates one symbol and re-extracts with a
-// warm cache: the result must equal a from-scratch flat extraction of the
-// mutated design.
+// warm cache: the result must equal a cold extraction of the mutated design.
 func TestIncrementalWarmMatchesFull(t *testing.T) {
 	tc := tech.NMOS()
 	c := NewCache()
@@ -334,11 +336,11 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 }
 
 // TestActiveEditsWarmMatchFull runs the active-shape edit scripts (the
-// ones core's TestActiveEditDifferential runs) against the flat reference
-// extractor: after every applied edit a warm materialized extraction equals
-// ExtractFull item for item, and a warm virtual one — the engine's path,
-// with its slab-carved terminal lists, interned names and per-class
-// union-find — yields the same netlist and issues.
+// ones core's TestActiveEditDifferential runs): after every applied edit a
+// warm materialized extraction equals a cold one on a fresh cache item for
+// item, and a warm virtual one — the engine's path, with its slab-carved
+// terminal lists, interned names and per-class union-find — yields the same
+// netlist and issues.
 func TestActiveEditsWarmMatchFull(t *testing.T) {
 	nm, cm := tech.NMOS(), tech.CMOS()
 	steps := 50
@@ -366,7 +368,7 @@ func TestActiveEditsWarmMatchFull(t *testing.T) {
 				}
 				label := fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol)
 				checkIncrementalMatch(t, label, d, tc, flat)
-				full, fullIssues, err := ExtractFull(d, tc)
+				full, fullIssues, err := ExtractIncremental(d, tc, NewCache(), nil)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
