@@ -213,11 +213,11 @@ func deviceProblemViolations(s *layout.Symbol, probs []device.Problem) []Violati
 	return vs
 }
 
-func (c *checker) netNames(ex *netlist.Extraction, ids ...netlist.NetID) []string {
+func (c *checker) netNames(nl *netlist.Netlist, ids ...netlist.NetID) []string {
 	var out []string
 	for _, id := range ids {
-		if id >= 0 && int(id) < len(ex.Netlist.Nets) {
-			out = append(out, ex.Netlist.Nets[id].Name)
+		if id >= 0 && int(id) < len(nl.Nets) {
+			out = append(out, nl.Nets[id].Name)
 		}
 	}
 	return out

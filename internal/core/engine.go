@@ -419,7 +419,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
-		inc, issues, err = netlist.ExtractVirtualWindow(d, e.tc, e.cache, hashes, win)
+		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, win)
 		if err != nil {
 			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
 			return
@@ -543,9 +543,8 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layou
 	}
 }
 
-// checkConnections is stage 4 over a virtual extraction: the illegal
-// pairs were gathered from per-definition candidates; the items resolve
-// through the artifact accessors (Extraction.Items is not materialized).
+// checkConnections is stage 4: the illegal pairs were gathered from
+// per-definition candidates; the items resolve through the root artifact.
 func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 	c.rep.Stats.DeviceInstances = len(inc.Netlist.Devices)
 	for _, pair := range inc.IllegalPairs {
@@ -561,7 +560,7 @@ func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 			Where: a.Bounds.Intersect(b.Bounds),
 			Path:  a.Path,
 			Layer: a.Layer,
-			Nets:  c.netNames(inc.Extraction, a.Net, b.Net),
+			Nets:  c.netNames(inc.Netlist, a.Net, b.Net),
 		})
 	}
 }
@@ -594,7 +593,7 @@ func (e *Engine) evict() {
 // Manhattan transforms instances are placed with, so they are computed at
 // most once per definition, not once per instance or per run.
 type defPair struct {
-	a, b int // local item indices, a < b
+	a, b int // positions in defInter.items; a is the lower definition item index
 
 	flags     uint8
 	accBounds geom.Rect
@@ -640,14 +639,13 @@ type defInter struct {
 
 	termClasses map[int][]int // local device -> sorted distinct terminal classes
 
-	// items holds frame-resolved copies of pair-endpoint items when the
-	// artifact is virtual (its embedded items live in child frames); pair
-	// indices then refer to this slice instead of art.Items.
+	// items holds frame-resolved copies of the pair-endpoint items (the
+	// embedded ones live in child frames); pair indices refer to it.
 	items []netlist.ConnItem
 
-	// itemIdx maps global item index -> position in items (-1: not yet a
-	// pair endpoint). Retained on virtual artifacts so a root patch can
-	// resolve the moved items' new pairs without a rebuild.
+	// itemIdx maps definition item index -> position in items (-1: not yet
+	// a pair endpoint). Retained so a root patch can resolve the moved
+	// items' new pairs without a rebuild.
 	itemIdx []int32
 
 	// netFree marks definitions whose every candidate pair is internal to
@@ -735,39 +733,29 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		sigs:         make(map[string]*interactionTally),
 	}
 	di.netFree = true
-	var itemIdx []int32
-	var layers []tech.LayerID
-	resolve := func(gi int) int {
-		if k := itemIdx[gi]; k >= 0 {
-			return int(k)
-		}
-		k := len(di.items)
-		di.items = append(di.items, art.ResolveItem(gi))
-		itemIdx[gi] = int32(k)
-		return k
+	// Flat per-item tables replace per-candidate map lookups and span
+	// binary searches: the callback below runs once per sweep candidate,
+	// the hottest loop of a definition (re)build. It records the pairs by
+	// definition item index and marks their endpoints (itemIdx 0); the
+	// endpoints then resolve once each into an exactly sized table.
+	n := art.NumItems()
+	di.itemIdx = make([]int32, n)
+	for i := range di.itemIdx {
+		di.itemIdx[i] = -1
 	}
-	layerOf := func(gi int) tech.LayerID {
-		if layers != nil {
-			return layers[gi]
-		}
-		return art.Items[gi].Layer
+	layers := make([]tech.LayerID, n)
+	for i := range art.Items {
+		layers[i] = art.Items[i].Layer
 	}
-	if art.Virtual {
-		// Flat per-item tables replace per-candidate map lookups and span
-		// binary searches: the callback below runs once per sweep
-		// candidate, the hottest loop of a definition (re)build.
-		n := art.NumItems()
-		itemIdx = make([]int32, n)
-		for i := range itemIdx {
-			itemIdx[i] = -1
-		}
-		layers = make([]tech.LayerID, n)
-		for i := 0; i < art.OwnItemEnd(); i++ {
-			layers[i] = art.Items[i].Layer
-		}
-		for si := range art.Children {
-			sp := &art.Children[si]
-			copy(layers[sp.ItemStart:], sp.SpanItemLayers())
+	for si := range art.Children {
+		sp := &art.Children[si]
+		copy(layers[sp.ItemStart:], sp.SpanItemLayers())
+	}
+	endpoints := 0
+	mark := func(i int) {
+		if di.itemIdx[i] < 0 {
+			di.itemIdx[i] = 0
+			endpoints++
 		}
 	}
 	art.CrossItemPairs(maxGap, func(i, j int) {
@@ -777,18 +765,24 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		// Layers that can never interact (no spacing cell, no device rule)
 		// are dropped before the pair is recorded: such a pair can produce
 		// no check and no violation, and is no candidate.
-		if !e.ct.Interacts(layerOf(i), layerOf(j)) {
+		if !e.ct.Interacts(layers[i], layers[j]) {
 			return
 		}
-		pa, pb := i, j
-		if art.Virtual {
-			pa, pb = resolve(i), resolve(j)
-		}
-		di.pairs = append(di.pairs, defPair{a: pa, b: pb})
-		di.registerPairMeta(pa, pb)
+		mark(i)
+		mark(j)
+		di.pairs = append(di.pairs, defPair{a: i, b: j})
 	})
-	if art.Virtual {
-		di.itemIdx = itemIdx
+	di.items = make([]netlist.ConnItem, 0, endpoints)
+	for i, k := range di.itemIdx {
+		if k == 0 {
+			di.itemIdx[i] = int32(len(di.items))
+			di.items = append(di.items, art.ResolveItem(i))
+		}
+	}
+	for i := range di.pairs {
+		p := &di.pairs[i]
+		p.a, p.b = int(di.itemIdx[p.a]), int(di.itemIdx[p.b])
+		di.registerPairMeta(p.a, p.b)
 	}
 	return di
 }
@@ -863,8 +857,8 @@ func (di *defInter) registerPairMeta(pa, pb int) {
 	}
 }
 
-// resolveLocal resolves a global item index into the pair-endpoint item
-// table, appending on first use. Valid only when itemIdx was retained.
+// resolveLocal resolves a definition item index into the pair-endpoint
+// item table, appending on first use.
 func (di *defInter) resolveLocal(gi int) int {
 	if k := di.itemIdx[gi]; k >= 0 {
 		return int(k)
@@ -876,12 +870,7 @@ func (di *defInter) resolveLocal(gi int) int {
 }
 
 // itemAt resolves a pair-endpoint index to its frame-correct item.
-func (di *defInter) itemAt(k int) *netlist.ConnItem {
-	if di.items != nil {
-		return &di.items[k]
-	}
-	return &di.art.Items[k]
-}
+func (di *defInter) itemAt(k int) *netlist.ConnItem { return &di.items[k] }
 
 // netEnvSignature captures everything one instance's global net
 // environment can contribute to pair adjudication at this definition:
@@ -1033,7 +1022,7 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	// items, each span's straight from the lists cached with its embedding
 	// (nothing here walks the items of a span).
 	var ownCuts, ownIsos []int
-	for i := 0; i < art.OwnItemEnd(); i++ {
+	for i := range art.Items {
 		if lay.hasCut && art.Items[i].Layer == lay.cutID {
 			ownCuts = append(ownCuts, i)
 		}
@@ -1168,10 +1157,9 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		return
 	}
 	e.replay = replayState{}
-	ex := inc.Extraction
 	maxGap := e.ct.MaxSpacing()
 
-	facts := newNetFacts(ex.Netlist)
+	facts := newNetFacts(inc.Netlist)
 
 	var keep keepLayers
 	keep.cutID, keep.hasCut = e.ct.Cut()
@@ -1179,8 +1167,8 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// With no cut geometry, gates or base keepouts anywhere on the chip no
 	// definition can hold a keepout pair (a tally only ever counts real
 	// pairs), so the conservative layer mask is a pure work gate.
-	keep.hasCut = keep.hasCut && inc.Root.MayHaveLayer(keep.cutID, true) && len(ex.Gates) > 0
-	keep.hasIso = keep.hasIso && len(ex.BaseKeepouts) > 0
+	keep.hasCut = keep.hasCut && inc.Root.MayHaveLayer(keep.cutID) && len(inc.Gates) > 0
+	keep.hasIso = keep.hasIso && len(inc.BaseKeepouts) > 0
 
 	// Parallel prebuild: the per-definition candidate sweeps (CrossItemPairs
 	// plus the keepout probes) are the stage's dominant cost on a cold or
@@ -1217,8 +1205,8 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	}
 
 	scratch := &sigScratch{
-		labelOf:   make([]int, len(ex.Netlist.Nets)),
-		labelSeen: make([]uint32, len(ex.Netlist.Nets)),
+		labelOf:   make([]int, len(inc.Netlist.Nets)),
+		labelSeen: make([]uint32, len(inc.Netlist.Nets)),
 	}
 	var rootTally *interactionTally
 	processInstance := func(ii int) {
@@ -1274,7 +1262,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// report's backing array after every run.
 	e.replay = replayState{
 		valid:     true,
-		nl:        ex.Netlist,
+		nl:        inc.Netlist,
 		root:      inc.Root,
 		inst:      len(inc.Instances),
 		facts:     facts,
@@ -1365,9 +1353,6 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 // cleared — pair membership changed, so any cached adjudication is stale.
 func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved []int) bool {
 	art := inc.Root
-	if di.itemIdx == nil {
-		return false
-	}
 	// Keepout tallies (contact-over-gate, isolation-vs-base) depend on
 	// cut/isolation geometry; a moved item on those layers would
 	// invalidate them. The netlist patch only moves foot-backed
@@ -1433,7 +1418,6 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 			di.items[k] = art.ResolveItem(gi)
 		}
 	}
-	ownEnd := art.OwnItemEnd()
 	for _, gi := range moved {
 		la := art.ItemView(gi).Layer
 		probe := art.ItemView(gi).Bounds.Expand(maxGap)
@@ -1456,7 +1440,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pa), di.itemAt(pb), env, &g, t)
 			di.pairs = append(di.pairs, pr)
 		}
-		for j := 0; j < ownEnd; j++ {
+		for j := range art.Items {
 			// Moved-moved pairs are emitted once, by the lower index.
 			if j == gi || (movedG[j] && j < gi) {
 				continue
@@ -1632,7 +1616,7 @@ func (e *Engine) absorbInstance(c *checker, inc *netlist.IncExtraction, ii int, 
 		if d.bNet != netlist.NoNet {
 			gb = inc.GlobalNet(ii, int(d.bNet))
 		}
-		v.Nets = c.netNames(inc.Extraction, ga, gb)
+		v.Nets = c.netNames(inc.Netlist, ga, gb)
 		c.rep.Violations = append(c.rep.Violations, v)
 	}
 }

@@ -49,9 +49,9 @@ func referencesFor(nl *netlist.Netlist) (good, bad netlist.Reference) {
 
 // TestEngineMatchesCheck: the engine — which is what Check, dicheck and
 // every experiment run — must agree with the spec on nets, connections and
-// interactions for clean, dirty, bipolar, CMOS and pathology designs, under
-// every option the experiments pass and with the prebuild pool off and on;
-// and on every rule family its cold run must equal a one-worker cold run and
+// interactions for clean, dirty, bipolar, CMOS, pathology and rotated-block
+// designs, under every option the experiments pass and with the prebuild
+// pool off and on; and on every rule family its cold run must equal a one-worker cold run and
 // a no-edit recheck.
 func TestEngineMatchesCheck(t *testing.T) {
 	type tcase struct {
@@ -63,6 +63,9 @@ func TestEngineMatchesCheck(t *testing.T) {
 	nm := tech.NMOS()
 	cases = append(cases, tcase{"clean 4x5", workload.NewChip(nm, "clean", 4, 5).Design, nm})
 	cases = append(cases, tcase{"unique 3x4", workload.NewChipUnique(nm, "uniq", 3, 4).Design, nm})
+	// Cell items resolve through two or three spans under composed
+	// rotations, with same-net and different-net pairs across the blocks.
+	cases = append(cases, tcase{"oriented blocks", workload.NewOrientedBlocks(nm), nm})
 
 	dirty := workload.NewChip(nm, "dirty", 6, 7)
 	workload.InjectErrors(dirty, 25, 42)

@@ -350,7 +350,7 @@ func TestNetFactsSharesLongPairs(t *testing.T) {
 func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "sigdet", 4, 5)
-	inc, _, err := netlist.ExtractVirtualWindow(chip.Design, nm, netlist.NewCache(), nil, nil)
+	inc, _, err := netlist.ExtractIncremental(chip.Design, nm, netlist.NewCache(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,12 +359,12 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 
 	// The global net facts checkInteractions computes, checked against the
 	// relation spelled out device by device.
-	ex := inc.Extraction
-	facts := newNetFacts(ex.Netlist)
+	nl := inc.Netlist
+	facts := newNetFacts(nl)
 	shared := make(map[uint64]bool)
 	var netBuf []netlist.NetID
-	for di := range ex.Netlist.Devices {
-		netBuf = ex.Netlist.Devices[di].TerminalNetIDs(netBuf[:0])
+	for di := range nl.Devices {
+		netBuf = nl.Devices[di].TerminalNetIDs(netBuf[:0])
 		for i := 0; i < len(netBuf); i++ {
 			for j := i + 1; j < len(netBuf); j++ {
 				lo, hi := netBuf[i], netBuf[j]
@@ -375,11 +375,11 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 			}
 		}
 	}
-	for a := range ex.Netlist.Nets {
-		if facts.hasDev[a] != (len(ex.Netlist.Nets[a].Terminals) > 0) {
+	for a := range nl.Nets {
+		if facts.hasDev[a] != (len(nl.Nets[a].Terminals) > 0) {
 			t.Fatalf("net %d: hasDev %v", a, facts.hasDev[a])
 		}
-		for b := a + 1; b < len(ex.Netlist.Nets); b++ {
+		for b := a + 1; b < len(nl.Nets); b++ {
 			want := shared[uint64(a)<<32|uint64(b)]
 			na, nb := netlist.NetID(a), netlist.NetID(b)
 			if facts.shares(na, nb) != want || facts.shares(nb, na) != want {
@@ -391,8 +391,8 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 		t.Fatal("no pair took the memoised long scan; workload too small to exercise it")
 	}
 	scratch := &sigScratch{
-		labelOf:   make([]int, len(ex.Netlist.Nets)),
-		labelSeen: make([]uint32, len(ex.Netlist.Nets)),
+		labelOf:   make([]int, len(nl.Nets)),
+		labelSeen: make([]uint32, len(nl.Nets)),
 	}
 
 	type obs struct {

@@ -32,24 +32,3 @@ type Keepout struct {
 	Bounds    geom.Rect
 	Clearance int64 // 0 = overlap forbidden, >0 = spacing required
 }
-
-// Extraction is the full result of netlist extraction, retained so the
-// checker's connection and interaction stages reuse the same geometry and
-// net assignment instead of re-deriving them.
-type Extraction struct {
-	Netlist *Netlist
-	Items   []ConnItem
-
-	// Gates are MOS channel keepouts (contact cuts must not land on them,
-	// Figure 7).
-	Gates []Keepout
-
-	// BaseKeepouts are bipolar base regions that isolation must stay clear
-	// of (Figure 6a).
-	BaseKeepouts []Keepout
-
-	// IllegalPairs indexes Item pairs that overlap on the same layer
-	// without being skeletally connected AND end up on different nets —
-	// the illegal connections of Figures 11/15.
-	IllegalPairs [][2]int
-}

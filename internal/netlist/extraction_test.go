@@ -9,14 +9,10 @@ import (
 	"repro/internal/tech"
 )
 
-// coldExtract is a materialised extraction on a fresh cache: every item
-// of the chip in walk order.
-func coldExtract(d *layout.Design, tc *tech.Technology) (*Extraction, error) {
-	inc, _, err := ExtractIncremental(d, tc, NewCache(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return inc.Extraction, nil
+// coldExtract is an extraction on a fresh cache.
+func coldExtract(d *layout.Design, tc *tech.Technology) (*IncExtraction, error) {
+	inc, _, err := ExtractIncremental(d, tc, NewCache(), nil, nil)
+	return inc, err
 }
 
 func TestExtractArtifacts(t *testing.T) {
@@ -37,8 +33,9 @@ func TestExtractArtifacts(t *testing.T) {
 	}
 	// Items: 2 interconnect + 3 terminals (g, s, d) + the diff-layer
 	// channel remainder exported as netless support geometry.
-	if len(ex.Items) != 6 {
-		t.Fatalf("items = %d, want 6", len(ex.Items))
+	items := resolvedItems(ex)
+	if len(items) != 6 {
+		t.Fatalf("items = %d, want 6", len(items))
 	}
 	// The transistor exports one gate keepout.
 	if len(ex.Gates) != 1 {
@@ -53,7 +50,7 @@ func TestExtractArtifacts(t *testing.T) {
 	// Exactly one item is netless: the channel's diff-layer footprint
 	// ("the gate ... cannot be assigned to a net").
 	noNet := 0
-	for _, it := range ex.Items {
+	for _, it := range items {
 		if it.Net == NoNet {
 			noNet++
 			if got := it.Bounds; got != geom.R(-250, -250, 250, 250) {
@@ -85,7 +82,7 @@ func TestExtractSupportGeometry(t *testing.T) {
 	cutL, _ := tc.LayerByName(tech.NMOSContact)
 	diffL, _ := tc.LayerByName(tech.NMOSDiff)
 	foundCut, foundMiddle := false, false
-	for _, it := range ex.Items {
+	for _, it := range resolvedItems(ex) {
 		if it.Net != NoNet {
 			continue
 		}
@@ -127,8 +124,8 @@ func TestExtractIllegalPairs(t *testing.T) {
 	if len(ex.IllegalPairs) != 1 {
 		t.Fatalf("illegal pairs = %d, want 1", len(ex.IllegalPairs))
 	}
-	a := ex.Items[ex.IllegalPairs[0][0]]
-	b := ex.Items[ex.IllegalPairs[0][1]]
+	a := ex.Root.ResolveItem(ex.IllegalPairs[0][0])
+	b := ex.Root.ResolveItem(ex.IllegalPairs[0][1])
 	if a.Net == b.Net {
 		t.Fatal("illegal pair must be on different nets")
 	}

@@ -2,20 +2,21 @@ package netlist
 
 // Incremental, content-addressed extraction.
 //
-// Walking the fully instantiated chip redoes every element region, every
-// skeleton, and every connectivity test per instance and per run (the
-// tests' flat reference extractor does exactly that). This file structures
-// extraction around the paper's own locality argument — "the information
-// about what symbol the piece of geometry came from is never lost" — so
-// that everything derivable from a symbol *definition* is computed once,
-// keyed by the definition's content hash, and reused across instances and
-// across checker runs:
+// Walking the fully instantiated chip would redo every element region,
+// every skeleton, and every connectivity test per instance and per run.
+// This file structures extraction around the paper's own locality
+// argument — "the information about what symbol the piece of geometry came
+// from is never lost" — so that everything derivable from a symbol
+// *definition* is computed once, keyed by the definition's content hash,
+// and reused across instances and across checker runs:
 //
-//   - SymbolArtifacts holds the fully flattened subtree of one symbol in
-//     symbol-local coordinates: items, footprints, the subtree-local net
-//     partition (union-find classes), device uses, keepouts, illegal
-//     connection candidates, and NET.ELEM issues. It is keyed by the
-//     symbol's subtree content hash (layout.ContentHashes).
+//   - SymbolArtifacts describes the subtree of one symbol in symbol-local
+//     coordinates: its own items and footprints, the embedded subtrees as
+//     child spans, the subtree-local net partition (union-find classes),
+//     device uses, keepouts, illegal connection candidates, and NET.ELEM
+//     issues. It is keyed by the symbol's subtree content hash
+//     (layout.ContentHashes). No artifact copies its children's items: an
+//     embedded item resolves through the span that holds it.
 //   - Connectivity between two footprints is discovered exactly once, at
 //     the definition of their lowest common ancestor: each definition runs
 //     a cross-owner sweep over its own footprints and its children's
@@ -25,12 +26,12 @@ package netlist
 //     (child hash, call transform, call name), so re-deriving a parent
 //     does not re-transform unchanged child geometry.
 //
-// The root symbol's artifacts are, by construction, exactly the flat
-// extraction: local coordinates are chip coordinates, relative paths are
-// instance paths, and local class ids are the final net ids (both number
-// connected components by first-footprint order). ExtractIncremental
-// therefore produces an Extraction equal to the flat reference's, cheaper
-// on a warm cache by every subtree whose content hash is unchanged.
+// The root symbol's artifacts are, by construction, the chip's extraction:
+// local coordinates are chip coordinates, relative paths are instance
+// paths, and local class ids are the final net ids (connected components
+// numbered by first-footprint order). A warm ExtractIncremental therefore
+// equals a cold one, cheaper by every subtree whose content hash is
+// unchanged.
 
 import (
 	"sort"
@@ -82,14 +83,16 @@ type SymbolArtifacts struct {
 
 	gen int // the Cache generation that last reached this artifact (see Cache.touch)
 
-	// Flattened subtree in walk order: own elements (or device terminals
-	// and support geometry for a primitive), then each call's subtree.
-	// ItemFoot is parallel to Items: full subtree length on a materialized
-	// artifact, own entries only on a Virtual one (ItemFootAt resolves the
-	// rest through the child definitions).
+	// The symbol's own entries: its elements (or device terminals and
+	// support geometry for a primitive). The flattened subtree indexes own
+	// entries first, then each call's subtree in call order; embedded
+	// entries live in the child spans and resolve through the accessors
+	// below (NumItems, ItemView, ResolveItem, FootView, ItemFootAt,
+	// FootItemAt). Counts and index offsets (Children spans, ClassOf,
+	// ClassFoot) are for the full flattened subtree.
 	Items    []ConnItem  // Net holds the LOCAL class id (or NoNet)
 	Foots    []LocalFoot // connectable subset, parallel order
-	ItemFoot []int       // item index -> foot index, -1 for support geometry
+	ItemFoot []int       // own item index -> foot index, -1 for support geometry
 
 	// Local net partition over Foots, labeled in first-footprint order.
 	ClassOf    []int
@@ -122,21 +125,11 @@ type SymbolArtifacts struct {
 	// conservative: a set bit means "maybe present").
 	LayerMask uint64
 
-	// Virtual marks an artifact built without materializing the embedded
-	// Items array — the subtree is never fully instantiated. Items then
-	// holds only the symbol's own entries; embedded entries resolve
-	// through the accessors below (NumItems, ItemView, ResolveItem,
-	// FootView, ItemFootAt, FootItemAt), which are valid on materialized
-	// artifacts too. Foots holds only own entries on every composite
-	// (embedded footprints live solely in span storage), and counts and
-	// index offsets (Children spans, ClassOf, ClassFoot) are always for
-	// the full flattened subtree.
-	Virtual  bool
 	numItems int
 	numFoots int
 	numTerms int // terminal→net assignments over Devices (sizes the parent's slab)
 
-	footItem []int // lazy inverse of ItemFoot, as long as ItemFoot is
+	footItem []int // lazy inverse of ItemFoot over the own footprints
 
 	skels map[int]geom.Region // lazy skeletons of own footprints
 }
@@ -149,7 +142,7 @@ func (a *SymbolArtifacts) NumFoots() int { return a.numFoots }
 
 // itemSpan locates the child span containing item index i (-1 for own).
 func (a *SymbolArtifacts) itemSpan(i int) int {
-	if i < a.OwnItemEnd() {
+	if i < len(a.Items) {
 		return -1
 	}
 	lo, hi := 0, len(a.Children)-1
@@ -166,7 +159,7 @@ func (a *SymbolArtifacts) itemSpan(i int) int {
 
 // footSpan locates the child span containing foot index i (-1 for own).
 func (a *SymbolArtifacts) footSpan(i int) int {
-	if i < a.ownFootEnd() {
+	if i < len(a.Foots) {
 		return -1
 	}
 	lo, hi := 0, len(a.Children)-1
@@ -182,11 +175,11 @@ func (a *SymbolArtifacts) footSpan(i int) int {
 }
 
 // ItemView returns a pointer to the stored item for index i. Geometry
-// (Layer, Bounds, Reg) is always frame-correct; on a Virtual artifact the
-// Path, Net, and Dev of embedded items are in the CHILD's frame — use
-// ResolveItem when those matter.
+// (Layer, Bounds, Reg) is always frame-correct; the Path, Net, and Dev of
+// embedded items are in the CHILD's frame — use ResolveItem when those
+// matter.
 func (a *SymbolArtifacts) ItemView(i int) *ConnItem {
-	if !a.Virtual || i < a.OwnItemEnd() {
+	if i < len(a.Items) {
 		return &a.Items[i]
 	}
 	sp := &a.Children[a.itemSpan(i)]
@@ -198,16 +191,17 @@ func (a *SymbolArtifacts) ItemView(i int) *ConnItem {
 // call name), Dev offset into this frame, Net set to this frame's local
 // class (NoNet for support geometry).
 func (a *SymbolArtifacts) ResolveItem(i int) ConnItem {
-	if !a.Virtual || i < a.OwnItemEnd() {
+	if i < len(a.Items) {
 		return a.Items[i]
 	}
 	sp := &a.Children[a.itemSpan(i)]
-	it := sp.sd.items[i-sp.ItemStart]
+	local := i - sp.ItemStart
+	it := sp.sd.items[local]
 	if it.Dev >= 0 {
 		it.Dev += sp.DevStart
 	}
-	if f := sp.Art.ItemFootAt(i - sp.ItemStart); f >= 0 {
-		it.Net = NetID(a.ClassOf[sp.FootStart+f])
+	if f := sp.sd.itemFoot[local]; f >= 0 {
+		it.Net = NetID(a.ClassOf[sp.FootStart+int(f)])
 	} else {
 		it.Net = NoNet
 	}
@@ -216,11 +210,9 @@ func (a *SymbolArtifacts) ResolveItem(i int) ConnItem {
 
 // FootView returns a pointer to the stored footprint for index i; all
 // fields, including the Declared name, are frame-correct (span
-// construction qualified them on embedding). Embedded footprints always
-// resolve through the span storage: unlike Items, the flattened Foots
-// array is never materialized on composites, whatever the Virtual flag.
+// construction qualified them on embedding).
 func (a *SymbolArtifacts) FootView(i int) *LocalFoot {
-	if i < a.ownFootEnd() {
+	if i < len(a.Foots) {
 		return &a.Foots[i]
 	}
 	sp := &a.Children[a.footSpan(i)]
@@ -228,47 +220,41 @@ func (a *SymbolArtifacts) FootView(i int) *LocalFoot {
 }
 
 // ItemFootAt returns the footprint index of item i, -1 for support
-// geometry: a direct index on a materialized artifact and for own items, a
-// span search and the child definition's answer for the embedded items of
-// a Virtual one.
+// geometry: a direct index for own items, a span search and the span's
+// item→foot column for embedded ones.
 func (a *SymbolArtifacts) ItemFootAt(i int) int {
 	if i < len(a.ItemFoot) {
 		return a.ItemFoot[i]
 	}
 	sp := &a.Children[a.itemSpan(i)]
-	if f := sp.Art.ItemFootAt(i - sp.ItemStart); f >= 0 {
-		return sp.FootStart + f
+	if f := sp.sd.itemFoot[i-sp.ItemStart]; f >= 0 {
+		return sp.FootStart + int(f)
 	}
 	return -1
 }
 
-// FootItemAt returns the item index of footprint f, resolved like
-// ItemFootAt.
+// FootItemAt returns the item index of footprint f: a direct index for
+// own footprints, the child definition's answer for embedded ones.
 func (a *SymbolArtifacts) FootItemAt(f int) int {
+	if f >= len(a.Foots) {
+		sp := &a.Children[a.footSpan(f)]
+		return sp.ItemStart + sp.Art.FootItemAt(f-sp.FootStart)
+	}
 	if a.footItem == nil {
-		n := a.numFoots
-		if len(a.ItemFoot) < a.numItems {
-			n = a.ownFootEnd() // own entries only
-		}
-		a.footItem = make([]int, n)
+		a.footItem = make([]int, len(a.Foots))
 		for i, ff := range a.ItemFoot {
 			if ff >= 0 {
 				a.footItem[ff] = i
 			}
 		}
 	}
-	if f < len(a.footItem) {
-		return a.footItem[f]
-	}
-	sp := &a.Children[a.footSpan(f)]
-	return sp.ItemStart + sp.Art.FootItemAt(f-sp.FootStart)
+	return a.footItem[f]
 }
 
 // MayHaveLayer reports whether the subtree may contain items on layer l
-// (conservative: true can be a false positive for layers ≥ 63). With
-// enabled false it returns false, letting callers fold a feature gate in.
-func (a *SymbolArtifacts) MayHaveLayer(l tech.LayerID, enabled bool) bool {
-	return enabled && a.LayerMask&layerBit(l) != 0
+// (conservative: true can be a false positive for layers ≥ 63).
+func (a *SymbolArtifacts) MayHaveLayer(l tech.LayerID) bool {
+	return a.LayerMask&layerBit(l) != 0
 }
 
 // SpanItems exposes the embedded child's items in this frame (geometry
@@ -286,21 +272,6 @@ func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
 		return nil
 	}
 	return sp.sd.onLayer[l]
-}
-
-// OwnItemEnd returns the end of the symbol's own (non-embedded) items.
-func (a *SymbolArtifacts) OwnItemEnd() int {
-	if len(a.Children) > 0 {
-		return a.Children[0].ItemStart
-	}
-	return len(a.Items)
-}
-
-func (a *SymbolArtifacts) ownFootEnd() int {
-	if len(a.Children) > 0 {
-		return a.Children[0].FootStart
-	}
-	return len(a.Foots)
 }
 
 // FootSkel returns the (lazily computed) skeleton of footprint i, in the
@@ -369,12 +340,14 @@ type spanData struct {
 	itemBoxes []geom.Rect
 	footBoxes []geom.Rect
 
-	// itemLayers[i] is items[i].Layer, and onLayer[l] lists the items on
-	// layer l in index order. Neither depends on the call transform, so a
+	// itemLayers[i] is items[i].Layer, onLayer[l] lists the items on layer
+	// l in index order, and itemFoot[i] is the span-local footprint of item
+	// i (-1 for support geometry). None depends on the call transform, so a
 	// family builds them once (buildSpan) and its derived members share
 	// them; eager for the same reason as the bounds tables.
 	itemLayers []tech.LayerID
 	onLayer    [][]int32
+	itemFoot   []int32
 
 	// pathTab/itemPathIdx/devPathIdx index the distinct relative paths of
 	// items and devices, built lazily on a family representative the first
@@ -456,11 +429,11 @@ func scale4(t geom.Transform) geom.Transform {
 // each other's entries.
 //
 // What a full re-derive of the root costs follows from what is kept here.
-// Per definition (SymbolArtifacts): the flattened subtree and its net
-// partition. Per embedding (spanData, shared by a translation family where
-// the call transform does not matter): the transformed items, footprints,
-// devices and keepouts, dense bounds and layer columns, and the items of
-// each layer. Per session: the interned anonymous net names. What a run
+// Per definition (SymbolArtifacts): its own entries, the spans of its
+// calls, and the subtree's net partition. Per embedding (spanData, shared
+// by a translation family where the call transform does not matter): the
+// transformed items, footprints, devices and keepouts, dense bounds, layer
+// and item→footprint columns, and the items of each layer. Per session: the interned anonymous net names. What a run
 // does per device or per net — the devices' terminal lists, the nets'
 // terminal lists — is carved from one slab each and filled at copy speed.
 type Cache struct {
@@ -507,7 +480,7 @@ type Cache struct {
 	// item region.
 	regStore geom.RegionStore
 
-	// lastInc/lastIssues retain the most recent virtual extraction so a
+	// lastInc/lastIssues retain the most recent extraction so a
 	// window-scoped root edit can patch it in place (tryPatchRoot) instead
 	// of re-deriving the root. They obey the same contract as instScratch:
 	// only the most recent IncExtraction is valid.
@@ -641,19 +614,35 @@ type RootPatch struct {
 	Items       []int
 }
 
-// IncExtraction is ExtractIncremental's result: the flat Extraction the
-// checker stages consume, plus the definition/instance structure the
-// incremental interaction stage keys its caches on.
+// IncExtraction is ExtractIncremental's result: the netlist, keepouts and
+// illegal pairs the checker stages consume, plus the definition/instance
+// structure the incremental interaction stage keys its caches on. Items
+// are never flattened into one array: item i of the chip is
+// Root.ResolveItem(i).
 type IncExtraction struct {
-	*Extraction
+	Netlist *Netlist
+
+	// Gates are MOS channel keepouts (contact cuts must not land on them,
+	// Figure 7).
+	Gates []Keepout
+
+	// BaseKeepouts are bipolar base regions that isolation must stay clear
+	// of (Figure 6a).
+	BaseKeepouts []Keepout
+
+	// IllegalPairs indexes root item pairs that overlap on the same layer
+	// without being skeletally connected AND end up on different nets —
+	// the illegal connections of Figures 11/15.
+	IllegalPairs [][2]int
+
 	Root      *SymbolArtifacts
 	Hashes    map[*layout.Symbol]layout.SymbolHashes
 	Instances []Instance // depth-first preorder; [0] is the root
 	// Patch is non-nil when this extraction was produced by patching the
 	// previous one in place rather than re-deriving the root.
 	Patch *RootPatch
-	// Refused names why the root patch did not answer a virtual extraction
-	// (one of the Refuse* values); empty when Patch is set.
+	// Refused names why the root patch did not answer this extraction (one
+	// of the Refuse* values); empty when Patch is set.
 	Refused string
 }
 
@@ -661,7 +650,7 @@ type IncExtraction struct {
 // per refusal branch.
 const (
 	RefuseNoWindow           = "no-window"           // the caller offered no edit window (it knows why)
-	RefuseNoBaseline         = "no-baseline"         // no previous virtual extraction of this top to patch
+	RefuseNoBaseline         = "no-baseline"         // no previous extraction of this top to patch
 	RefusePrimitiveTop       = "primitive-top"       // the top symbol is a device
 	RefuseStaleBaseline      = "stale-baseline"      // the previous extraction embeds a child the design no longer has
 	RefuseElementGone        = "element-gone"        // the window names an element index past the end
@@ -682,58 +671,41 @@ func (x *IncExtraction) GlobalNet(inst int, class int) NetID {
 	return NetID(x.Root.ClassOf[in.FootStart+in.Art.ClassFoot[class]])
 }
 
-// ExtractIncremental extracts over the artifact cache: output identical to
-// the flat reference walk (see TestIncrementalMatchesFull), but
-// per-definition work is reused across instances and across runs. hashes
-// may be nil, in which case content hashes are computed here.
-func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes) (*IncExtraction, []Issue, error) {
-	return extractIncremental(d, tc, c, hashes, false, nil)
-}
-
-// ExtractVirtualWindow is ExtractIncremental without materializing the flat
-// item array: Extraction.Items is nil and per-item access goes through
-// Root.ResolveItem / ItemView. This is the engine's steady-state path —
-// the chip is never fully instantiated, so a warm recheck's cost scales
-// with the edit, not with the flattened chip size. win is an optional edit
-// window: when the caller can prove the only change since the previous
-// extraction is the in-place geometry edits it describes (top symbol
-// only), the extractor may patch the previous result instead of
-// re-deriving the root. The result is identical either way (Patch reports
-// which path was taken); win == nil re-derives unless nothing changed.
-func ExtractVirtualWindow(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, error) {
-	return extractIncremental(d, tc, c, hashes, true, win)
-}
-
-func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, virtual bool, win *EditWindow) (*IncExtraction, []Issue, error) {
+// ExtractIncremental extracts over the artifact cache: per-definition work
+// is reused across instances and across runs, and the chip is never fully
+// instantiated, so a warm recheck's cost scales with the edit, not with
+// the flattened chip size. hashes may be nil, in which case content hashes
+// are computed here. win is an optional edit window: when the caller can
+// prove the only change since the previous extraction is the in-place
+// geometry edits it describes (top symbol only), the extractor may patch
+// the previous result instead of re-deriving the root. The result is
+// identical either way (Patch reports which path was taken); win == nil
+// re-derives unless nothing changed.
+func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if hashes == nil {
 		hashes = d.ContentHashes()
 	}
-	refused := ""
-	if virtual {
-		// A patched run builds nothing and retires nothing: everything the
-		// previous root reaches is exactly as live as it was, so the cache
-		// does not age.
-		inc, issues, why := c.tryPatchRoot(d.Top, tc, hashes, win)
-		if why == "" {
-			return inc, issues, nil
-		}
-		refused = why
+	// A patched run builds nothing and retires nothing: everything the
+	// previous root reaches is exactly as live as it was, so the cache does
+	// not age.
+	inc, issues, refused := c.tryPatchRoot(d.Top, tc, hashes, win)
+	if refused == "" {
+		return inc, issues, nil
 	}
 	c.gen++
-	root := c.buildRoot(d.Top, hashes, tc, virtual)
+	root := c.buildRoot(d.Top, hashes, tc)
 	c.evict()
 
-	issues := make([]Issue, 0, len(root.Issues))
+	issues = make([]Issue, 0, len(root.Issues))
 	issues = append(issues, root.Issues...)
 	// Sequential footprint resolution with a span cursor (the assembly
 	// visits foots strictly in index order).
-	ownEnd := root.ownFootEnd()
 	cursor := 0
 	foot := func(i int) (geom.Rect, string, int) {
-		if i < ownEnd {
+		if i < len(root.Foots) {
 			f := &root.Foots[i]
 			return f.Bounds, f.Declared, f.Elements
 		}
@@ -750,13 +722,13 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	nl := assembleNets(root.NumClasses, root.ClassOf, foot, root.NumFoots(), root.Devices, root.devText)
 	issues = nameNets(nl, &issues, &c.anon)
 
-	ex := &Extraction{
+	inc = &IncExtraction{
 		Netlist:      nl,
 		Gates:        root.Gates,
 		BaseKeepouts: root.BaseKeepouts,
-	}
-	if !root.Virtual {
-		ex.Items = root.Items
+		Root:         root,
+		Hashes:       hashes,
+		Refused:      refused,
 	}
 	netAt := func(i int) NetID {
 		if f := root.ItemFootAt(i); f >= 0 {
@@ -766,25 +738,20 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	}
 	for _, p := range root.IllegalCands {
 		if netAt(p[0]) != netAt(p[1]) {
-			ex.IllegalPairs = append(ex.IllegalPairs, p)
+			inc.IllegalPairs = append(inc.IllegalPairs, p)
 		}
 	}
-	inc := &IncExtraction{Extraction: ex, Root: root, Hashes: hashes, Refused: refused}
 	if cap(c.instScratch) >= root.Instances {
 		inc.Instances = c.instScratch[:0]
 	}
 	inc.buildInstances()
 	c.instScratch = inc.Instances
-	if virtual {
-		c.lastInc, c.lastIssues = inc, issues
-	} else {
-		c.lastInc, c.lastIssues = nil, nil
-	}
+	c.lastInc, c.lastIssues = inc, issues
 	return inc, issues, nil
 }
 
 // tryPatchRoot attempts the windowed recheck: when the design's only
-// change since the previous virtual extraction is in-place geometry edits
+// change since the previous extraction is in-place geometry edits
 // of top-level elements whose nets are provably isolated — each edited
 // element is the sole member of an anonymous net, touches nothing on its
 // layer before or after the move — the previous extraction stays valid
@@ -795,7 +762,7 @@ func extractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
-	if art == nil || inc == nil || !art.Virtual || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
+	if art == nil || inc == nil || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
 		return nil, nil, RefuseNoBaseline
 	}
 	newHash := hashes[top].Subtree
@@ -826,9 +793,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 
 	// Own items of the root in element order (skipping elements that
 	// failed to materialize — those cannot be patched).
-	ownEnd := art.OwnItemEnd()
-	itemOfElem := make(map[int]int, ownEnd)
-	for i := 0; i < ownEnd; i++ {
+	itemOfElem := make(map[int]int, len(art.Items))
+	for i := range art.Items {
 		if e := art.Items[i].Elem; e >= 0 {
 			itemOfElem[e] = i
 		}
@@ -990,15 +956,11 @@ func (x *IncExtraction) InstPath(ii int) string {
 	return out
 }
 
-// buildRoot builds the design top's artifacts. A root rebuilt in virtual
-// mode never materializes the embedded item/footprint arrays — "the chip
-// is never fully instantiated" — so an edit-recheck pays for offsets and
-// classification, not for copying the flattened chip. On a content change
-// the previous root entry is retired immediately (its hash can never be
-// asked for again except by an exact undo, which simply rebuilds).
-func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology, virtual bool) *SymbolArtifacts {
-	h := hs[s].Subtree
-	if a, ok := c.arts[h]; ok && a.Virtual == virtual {
+// buildRoot builds the design top's artifacts. On a content change the
+// previous root entry is retired immediately (its hash can never be asked
+// for again except by an exact undo, which simply rebuilds).
+func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
+	if a, ok := c.arts[hs[s].Subtree]; ok {
 		c.touch(a)
 		return a
 	}
@@ -1008,29 +970,24 @@ func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolH
 		// any report (only the run-local extraction read them); recycle.
 		c.spareClassOf = old.ClassOf
 	}
-	art := c.buildNew(s, hs, tc, virtual)
+	art := c.buildNew(s, hs, tc)
 	c.lastRoot = art
 	return art
 }
 
-// build computes (or returns cached) artifacts for one symbol. Non-root
-// definitions are materialized: the engine's per-definition interaction
-// replay indexes their flattened item arrays on its hottest path, where
-// accessor indirection measurably outweighs the storage saved (the root —
-// the one artifact that turns over on every edit — stays virtual).
+// build computes (or returns cached) artifacts for one symbol.
 func (c *Cache) build(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
-	h := hs[s].Subtree
-	if a, ok := c.arts[h]; ok {
+	if a, ok := c.arts[hs[s].Subtree]; ok {
 		c.touch(a)
 		return a
 	}
-	return c.buildNew(s, hs, tc, false)
+	return c.buildNew(s, hs, tc)
 }
 
-func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology, virtual bool) *SymbolArtifacts {
+func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
 	h := hs[s].Subtree
 	art := &SymbolArtifacts{Sym: s, Hash: h}
-	u, pending := c.populate(art, s, hs, tc, virtual)
+	u, pending := c.populate(art, s, hs, tc)
 	for _, pu := range pending {
 		u.union(pu[0], pu[1])
 	}
@@ -1077,7 +1034,7 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		art.IllegalCands = append(art.IllegalCands, [2]int{art.FootItemAt(p[0]), art.FootItemAt(p[1])})
 	}
 	art.Instances = 1
-	for i := 0; i < art.OwnItemEnd(); i++ {
+	for i := range art.Items {
 		art.LayerMask |= layerBit(art.Items[i].Layer)
 	}
 	for si := range art.Children {
@@ -1101,8 +1058,9 @@ func layerBit(l tech.LayerID) uint64 {
 // populate fills the walk-order arrays of art (items, foots, devices,
 // keepouts, issues, child spans) and returns the union-find seeded with
 // child partitions, plus pending unions (device-internal node fusing).
-// With virtual set, embedded item/footprint arrays are not materialized.
-func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology, virtual bool) (*uf, [][2]int) {
+// Embedded items and footprints are not copied: spans record offsets and
+// the accessors resolve entries straight out of the shared span cache.
+func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) (*uf, [][2]int) {
 	var pending [][2]int
 	if s.IsPrimitive() {
 		info, _ := c.Analyze(s, hs[s].Own, tc)
@@ -1188,32 +1146,23 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	// Composite: own elements first, then each call's embedded subtree.
 	// Child artifacts and spans are resolved up front so every array can
 	// be sized exactly once — the root of a large chip embeds tens of
-	// thousands of entries, and incremental regrowth would dominate the
-	// whole warm-recheck budget. In virtual mode the embedded item and
-	// footprint arrays are not copied at all: spans record offsets and the
-	// accessors resolve entries straight out of the shared span cache.
+	// thousands of devices and keepouts, and incremental regrowth would
+	// dominate the whole warm-recheck budget.
 	childArts := make([]*SymbolArtifacts, len(s.Calls))
 	spans := make([]*spanData, len(s.Calls))
-	nItems, nFoots, nDevs, nGates, nKeeps, nIssues, nIll := len(s.Elements), len(s.Elements), 0, 0, 0, 0, 0
+	nDevs, nGates, nKeeps, nIssues, nIll := 0, 0, 0, 0, 0
 	for ci, call := range s.Calls {
 		childArts[ci] = c.build(call.Target, hs, tc)
 		spans[ci] = c.span(childArts[ci], call.T, call.Name, tc)
-		nItems += childArts[ci].NumItems()
-		nFoots += childArts[ci].NumFoots()
 		nDevs += len(childArts[ci].Devices)
 		nGates += len(childArts[ci].Gates)
 		nKeeps += len(childArts[ci].BaseKeepouts)
 		nIssues += len(childArts[ci].Issues)
 		nIll += len(childArts[ci].IllegalCands)
 	}
-	art.Virtual = virtual
-	ownCap := nItems
-	if virtual {
-		ownCap = len(s.Elements)
-	}
-	art.Items = make([]ConnItem, 0, ownCap)
+	art.Items = make([]ConnItem, 0, len(s.Elements))
 	art.Foots = make([]LocalFoot, 0, len(s.Elements))
-	art.ItemFoot = make([]int, 0, ownCap)
+	art.ItemFoot = make([]int, 0, len(s.Elements))
 	art.Children = make([]ChildSpan, 0, len(s.Calls))
 	if nGates > 0 {
 		art.Gates = make([]Keepout, 0, nGates)
@@ -1267,24 +1216,6 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 			node0: nodeCount,
 		}
 		nodeCount += childArt.NumClasses
-		if !virtual {
-			// Bulk-copy the transformed embedding, then fix the offsets.
-			art.Items = append(art.Items, sd.items...)
-			if sp.DevStart > 0 {
-				for i := sp.ItemStart; i < len(art.Items); i++ {
-					if art.Items[i].Dev >= 0 {
-						art.Items[i].Dev += sp.DevStart
-					}
-				}
-			}
-			for i := 0; i < childArt.NumItems(); i++ {
-				if cf := childArt.ItemFootAt(i); cf >= 0 {
-					art.ItemFoot = append(art.ItemFoot, sp.FootStart+cf)
-				} else {
-					art.ItemFoot = append(art.ItemFoot, -1)
-				}
-			}
-		}
 		itemCount += childArt.NumItems()
 		footCount += childArt.NumFoots()
 		art.Devices = append(art.Devices, sd.devs...) // TerminalNets remapped by build()
@@ -1345,10 +1276,9 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 // family.
 func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	sd := &spanData{childArt: childArt, t: t, name: name}
-	// The child may be virtual (its flattened arrays live in its own span
-	// embeddings), so iteration goes through the accessors.
-	nFoots, nItems := childArt.NumFoots(), childArt.NumItems()
-	sd.foots = make([]LocalFoot, 0, nFoots)
+	sd.foots = make([]LocalFoot, 0, childArt.NumFoots())
+	sd.itemFoot = make([]int32, 0, childArt.NumItems())
+	sd.items = make([]ConnItem, 0, childArt.NumItems())
 	addFoot := func(f LocalFoot) {
 		f.Bounds = t.ApplyRect(f.Bounds)
 		f.Reg = c.regStore.TransformBy(f.Reg, t)
@@ -1357,26 +1287,14 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 		}
 		sd.foots = append(sd.foots, f)
 	}
-	for i := range childArt.Foots { // own footprints only, on any artifact
-		addFoot(childArt.Foots[i])
-	}
-	for si := range childArt.Children {
-		for _, f := range childArt.Children[si].sd.foots {
-			addFoot(f)
-		}
-	}
-	sd.items = make([]ConnItem, 0, nItems)
 	// Consecutive items overwhelmingly share the same relative path (all
 	// the geometry of one embedded instance comes in one run), so one
 	// cached join replaces a per-item string concatenation; footprint-
 	// backed items share the footprint's transformed geometry instead of
-	// re-deriving it. The walk is sequential: own items first, then each
-	// child embedding straight out of the shared span storage — a virtual
-	// child's Dev offsets and net classes are mapped into the child frame
-	// inline, with no per-item index resolution.
+	// re-deriving it.
 	lastRel, lastJoined := "\x00", ""
 	addItem := func(it ConnItem) {
-		if fi := childArt.ItemFootAt(len(sd.items)); fi >= 0 {
+		if fi := sd.itemFoot[len(sd.items)]; fi >= 0 {
 			it.Bounds = sd.foots[fi].Bounds
 			it.Reg = sd.foots[fi].Reg
 			it.Net = NetID(childArt.ClassOf[fi])
@@ -1392,22 +1310,36 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 		sd.items = append(sd.items, it)
 		sd.bounds = sd.bounds.Union(it.Bounds)
 	}
-	for i := 0; i < childArt.OwnItemEnd(); i++ {
-		addItem(childArt.Items[i])
+	// The child's flattened arrays are its own entries followed by its
+	// spans' embeddings, so the walk is sequential: own entries first, then
+	// each span straight out of the shared span storage — foot indices, Dev
+	// offsets and net classes are mapped into the child frame inline, with
+	// no per-item index resolution.
+	for i := range childArt.Foots {
+		addFoot(childArt.Foots[i])
 	}
-	if childArt.Virtual {
-		for si := range childArt.Children {
-			csp := &childArt.Children[si]
-			for _, it := range csp.sd.items {
-				if it.Dev >= 0 {
-					it.Dev += csp.DevStart
-				}
-				addItem(it)
-			}
+	for _, f := range childArt.ItemFoot {
+		sd.itemFoot = append(sd.itemFoot, int32(f))
+	}
+	for _, it := range childArt.Items {
+		addItem(it)
+	}
+	for si := range childArt.Children {
+		csp := &childArt.Children[si]
+		for _, f := range csp.sd.foots {
+			addFoot(f)
 		}
-	} else {
-		for i := childArt.OwnItemEnd(); i < len(childArt.Items); i++ {
-			addItem(childArt.Items[i])
+		for _, f := range csp.sd.itemFoot {
+			if f >= 0 {
+				f += int32(csp.FootStart)
+			}
+			sd.itemFoot = append(sd.itemFoot, f)
+		}
+		for _, it := range csp.sd.items {
+			if it.Dev >= 0 {
+				it.Dev += csp.DevStart
+			}
+			addItem(it)
 		}
 	}
 	sd.devs = make([]DeviceUse, len(childArt.Devices))
@@ -1471,8 +1403,7 @@ func (sd *spanData) index() {
 // region transform, no string qualification logic, no accessor walks.
 func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	d := t.Trans.Sub(base.t.Trans)
-	childArt := base.childArt
-	sd := &spanData{childArt: childArt, t: t, name: name, bounds: base.bounds.Translate(d)}
+	sd := &spanData{childArt: base.childArt, t: t, name: name, bounds: base.bounds.Translate(d)}
 
 	sd.foots = make([]LocalFoot, len(base.foots))
 	for i := range base.foots {
@@ -1503,7 +1434,7 @@ func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *te
 	sd.items = make([]ConnItem, len(base.items))
 	for i := range base.items {
 		it := base.items[i]
-		if fi := childArt.ItemFootAt(i); fi >= 0 {
+		if fi := base.itemFoot[i]; fi >= 0 {
 			it.Bounds = sd.foots[fi].Bounds
 			it.Reg = sd.foots[fi].Reg
 		} else {
@@ -1530,7 +1461,7 @@ func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *te
 	for i := range sd.items {
 		sd.itemBoxes[i] = sd.items[i].Bounds
 	}
-	sd.itemLayers, sd.onLayer = base.itemLayers, base.onLayer
+	sd.itemLayers, sd.onLayer, sd.itemFoot = base.itemLayers, base.onLayer, base.itemFoot
 	if len(base.gates) > 0 {
 		sd.gates = make([]Keepout, len(base.gates))
 		for i, k := range base.gates {
@@ -1647,7 +1578,7 @@ func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
 	} else {
 		out = make([]int, nFoots)
 	}
-	ownEnd := art.ownFootEnd()
+	ownEnd := len(art.Foots)
 	for f := 0; f < ownEnd; f++ {
 		label(f, f)
 		out[f] = int(nodeClass[f])
@@ -1679,7 +1610,7 @@ func (a *SymbolArtifacts) CrossItemPairs(gap int64, emit func(i, j int)) {
 	if a.NumItems() < 2 {
 		return
 	}
-	forEachCrossPair(a.NumItems(), a.OwnItemEnd(), a.Children,
+	forEachCrossPair(a.NumItems(), len(a.Items), a.Children,
 		func(si int) (int, int) { return a.Children[si].ItemStart, a.Children[si].ItemEnd },
 		func(i int) geom.Rect { return a.ItemView(i).Bounds },
 		func(si int) []geom.Rect { return a.Children[si].sd.itemBoxes },
@@ -1698,7 +1629,7 @@ const bipartiteThreshold = 256
 // orientation.
 func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	var illegal [][2]int
-	ownEnd := art.ownFootEnd()
+	ownEnd := len(art.Foots)
 	if art.NumFoots() < 2 {
 		return nil
 	}

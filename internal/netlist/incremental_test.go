@@ -30,16 +30,27 @@ func sortedPairs(ps [][2]int) [][2]int {
 	return out
 }
 
-// diffExtractions fails the test unless the two extractions are equal
-// (illegal pairs compared as sets: their discovery order depends on which
-// definitions a warm cache re-derived).
-func diffExtractions(t *testing.T, label string, inc *Extraction, full *Extraction) {
-	t.Helper()
-	if len(inc.Items) != len(full.Items) {
-		t.Fatalf("%s: item count %d != %d", label, len(inc.Items), len(full.Items))
+// resolvedItems resolves every item index of the extraction's root: the
+// chip's items in walk order, each in chip coordinates with its global net.
+func resolvedItems(x *IncExtraction) []ConnItem {
+	out := make([]ConnItem, x.Root.NumItems())
+	for i := range out {
+		out[i] = x.Root.ResolveItem(i)
 	}
-	for i := range inc.Items {
-		a, b := inc.Items[i], full.Items[i]
+	return out
+}
+
+// diffExtractions fails the test unless the two extractions are equal item
+// for item (illegal pairs compared as sets: their discovery order depends
+// on which definitions a warm cache re-derived).
+func diffExtractions(t *testing.T, label string, inc, full *IncExtraction) {
+	t.Helper()
+	incItems, fullItems := resolvedItems(inc), resolvedItems(full)
+	if len(incItems) != len(fullItems) {
+		t.Fatalf("%s: item count %d != %d", label, len(incItems), len(fullItems))
+	}
+	for i := range incItems {
+		a, b := incItems[i], fullItems[i]
 		if a.Layer != b.Layer || a.Bounds != b.Bounds || a.Net != b.Net ||
 			a.Dev != b.Dev || a.Sym != b.Sym || a.Elem != b.Elem || a.Path != b.Path {
 			t.Fatalf("%s: item %d differs:\n inc: %+v\nfull: %+v", label, i, a, b)
@@ -101,12 +112,12 @@ func diffIssues(t *testing.T, label string, a, b []Issue) {
 }
 
 // checkIncrementalMatch extracts the design through cache c and fails the
-// test unless the result equals, item for item, a cold materialised
-// extraction on a fresh cache.
+// test unless the result equals, item for item, a cold extraction on a
+// fresh cache.
 func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tech.Technology, c *Cache) {
 	t.Helper()
-	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil)
-	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil)
+	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, nil)
+	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, nil)
 	if (fullErr == nil) != (incErr == nil) {
 		t.Fatalf("%s: error mismatch: cold=%v through cache=%v", label, fullErr, incErr)
 	}
@@ -114,19 +125,18 @@ func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tec
 		return
 	}
 	diffIssues(t, label, incIssues, fullIssues)
-	diffExtractions(t, label, inc.Extraction, full.Extraction)
+	diffExtractions(t, label, inc, full)
 
-	// The instance tree must tile the item array exactly.
+	// The instance tree must tile the root's items exactly.
 	for ii := 1; ii < len(inc.Instances); ii++ {
 		in := inc.Instances[ii]
-		end := in.ItemStart + len(in.Art.Items)
-		if in.ItemStart < 0 || end > len(inc.Items) {
+		end := in.ItemStart + in.Art.NumItems()
+		if in.ItemStart < 0 || end > inc.Root.NumItems() {
 			t.Fatalf("%s: instance %d item range [%d,%d) out of bounds", label, ii, in.ItemStart, end)
 		}
-		for k := range in.Art.Items {
-			gi := in.ItemStart + k
-			li := &in.Art.Items[k]
-			g := &inc.Items[gi]
+		for k := 0; k < in.Art.NumItems(); k++ {
+			li := in.Art.ResolveItem(k)
+			g := inc.Root.ResolveItem(in.ItemStart + k)
 			if g.Layer != li.Layer || g.Sym != li.Sym || g.Elem != li.Elem {
 				t.Fatalf("%s: instance %d item %d does not correspond to def item", label, ii, k)
 			}
@@ -163,7 +173,7 @@ func TestIncrementalWarmMatchesFull(t *testing.T) {
 	tc := tech.NMOS()
 	c := NewCache()
 	chip := workload.NewChip(tc, "warm", 4, 6)
-	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil); err != nil {
+	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -199,7 +209,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	c := NewCache()
-	if _, _, err := ExtractVirtualWindow(d, tc, c, nil, nil); err != nil {
+	if _, _, err := ExtractIncremental(d, tc, c, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	d.Top.ResetDirty()
@@ -219,7 +229,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 		if info := d.Top.Dirty(); !info.Full && len(info.Elems) > 0 {
 			win = &EditWindow{Elems: info.Elems, Window: info.Window}
 		}
-		inc, _, err := ExtractVirtualWindow(d, tc, c, nil, win)
+		inc, _, err := ExtractIncremental(d, tc, c, nil, win)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +301,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	c := NewCache()
 	run := func() {
 		t.Helper()
-		if _, _, err := ExtractVirtualWindow(d, tc, c, nil, nil); err != nil {
+		if _, _, err := ExtractIncremental(d, tc, c, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,10 +347,9 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 
 // TestActiveEditsWarmMatchFull runs the active-shape edit scripts (the
 // ones core's TestActiveEditDifferential runs): after every applied edit a
-// warm materialized extraction equals a cold one on a fresh cache item for
-// item, and a warm virtual one — the engine's path, with its slab-carved
-// terminal lists, interned names and per-class union-find — yields the same
-// netlist and issues.
+// warm extraction — with its slab-carved terminal lists, interned names and
+// per-class union-find — equals a cold one on a fresh cache item for item,
+// with the same netlist and issues.
 func TestActiveEditsWarmMatchFull(t *testing.T) {
 	nm, cm := tech.NMOS(), tech.CMOS()
 	steps := 50
@@ -359,26 +368,67 @@ func TestActiveEditsWarmMatchFull(t *testing.T) {
 		t.Run(tcase.name, func(t *testing.T) {
 			d, tc := tcase.d, tcase.tc
 			script := workload.NewActiveEdits(1)
-			flat, virt := NewCache(), NewCache()
-			checkIncrementalMatch(t, "cold", d, tc, flat)
+			warm := NewCache()
+			checkIncrementalMatch(t, "cold", d, tc, warm)
 			for i := 0; i < steps; i++ {
 				e := script.Next(d, tc)
 				if layout.ApplyEdit(d, tc, e) != nil {
 					continue
 				}
-				label := fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol)
-				checkIncrementalMatch(t, label, d, tc, flat)
-				full, fullIssues, err := ExtractIncremental(d, tc, NewCache(), nil)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				inc, incIssues, err := ExtractVirtualWindow(d, tc, virt, nil, nil)
-				if err != nil {
-					t.Fatalf("%s: virtual: %v", label, err)
-				}
-				diffIssues(t, label+" (virtual)", incIssues, fullIssues)
-				diffNetlists(t, label+" (virtual)", inc.Netlist, full.Netlist)
+				checkIncrementalMatch(t, fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol), d, tc, warm)
 			}
 		})
 	}
+}
+
+// TestResolveItemMatchesFlatten: on a design whose items sit two and three
+// spans deep under all eight orientations, ResolveItem over every root
+// index yields exactly the interconnect elements layout.Flatten
+// instantiates — the same (symbol, element, instance path, bounds)
+// multiset — cold, and again through the warm cache after an edit of the
+// cell.
+func TestResolveItemMatchesFlatten(t *testing.T) {
+	tc := tech.NMOS()
+	d := workload.NewOrientedBlocks(tc)
+	c := NewCache()
+	type key struct {
+		sym    *layout.Symbol
+		elem   int
+		path   string
+		bounds geom.Rect
+	}
+	check := func(label string) {
+		t.Helper()
+		inc, _, err := ExtractIncremental(d, tc, c, nil, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got := make(map[key]int)
+		for _, it := range resolvedItems(inc) {
+			if it.Elem >= 0 {
+				got[key{it.Sym, it.Elem, it.Path, it.Bounds}]++
+			}
+		}
+		flat, err := d.Flatten()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		want := make(map[key]int)
+		for _, fe := range flat {
+			if _, err := fe.Region(); err == nil && !fe.Symbol.IsPrimitive() {
+				want[key{fe.Symbol, fe.Elem.Index, fe.Path, fe.Bounds()}]++
+			}
+		}
+		if len(want) != 2*8*3+1 {
+			t.Fatalf("%s: the design flattens to %d interconnect elements, want 49", label, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: resolved interconnect items differ from the flattened elements:\n got: %v\nwant: %v", label, got, want)
+		}
+	}
+	check("cold")
+	if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: "ocell", Index: 2, DX: 250, DY: -250}); err != nil {
+		t.Fatal(err)
+	}
+	check("warm, after a cell edit")
 }

@@ -225,7 +225,7 @@ func (nl *Netlist) Stats() string {
 // Extract is a one-shot ExtractIncremental over a fresh cache, for callers
 // that only need the netlist.
 func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
-	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil)
+	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, nil)
 	if err != nil {
 		return nil, issues, err
 	}
@@ -234,10 +234,9 @@ func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
 
 // assembleNets builds the Netlist skeleton — nets in canonical class order
 // with aggregated bounds, element counts, declared names, and device
-// terminal references — from any footprint representation. Device
-// TerminalNets must already hold final net ids; memo is the DeviceText
-// holder of the devices array. Shared with the tests' flat reference
-// extractor, so both produce identical netlists by construction.
+// terminal references — from a footprint accessor visited in index order.
+// Device TerminalNets must already hold final net ids; memo is the
+// DeviceText holder of the devices array.
 func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse, memo *deviceMemo) *Netlist {
 	nl := &Netlist{Nets: make([]Net, numClasses), devText: memo}
 	for i := range nl.Nets {

@@ -388,10 +388,28 @@ func classifyRunErr(err error) *svcError {
 	return errf(http.StatusUnprocessableEntity, ClassFailed, "%v", err)
 }
 
+// flushPendingLocked rechecks pending edits before a report read, so the
+// caller always observes the post-batch result. The flush is engine work,
+// so it is admitted through the bounded queue under the request's context.
+func (s *Session) flushPendingLocked(ctx context.Context) *svcError {
+	if !s.dirty {
+		return nil
+	}
+	if s.adm != nil {
+		if serr := s.adm.acquire(ctx); serr != nil {
+			return serr
+		}
+		defer s.adm.release()
+	}
+	if err := s.flushLocked(ctx); err != nil {
+		return classifyRunErr(err)
+	}
+	s.stats.ReportFlushes++
+	return nil
+}
+
 // report returns the wire report for the current design state, flushing
-// pending edits first so the caller always observes the post-batch
-// result. The flush is engine work, so it is admitted through the
-// bounded queue under the request's context.
+// pending edits first.
 func (s *Session) report(ctx context.Context) (*Report, *svcError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -399,17 +417,8 @@ func (s *Session) report(ctx context.Context) (*Report, *svcError) {
 		return nil, err
 	}
 	s.faultPointLocked()
-	if s.dirty {
-		if s.adm != nil {
-			if serr := s.adm.acquire(ctx); serr != nil {
-				return nil, serr
-			}
-			defer s.adm.release()
-		}
-		if err := s.flushLocked(ctx); err != nil {
-			return nil, classifyRunErr(err)
-		}
-		s.stats.ReportFlushes++
+	if err := s.flushPendingLocked(ctx); err != nil {
+		return nil, err
 	}
 	return buildReport(s.fp, s.rep, s.eng), nil
 }
@@ -426,17 +435,8 @@ func (s *Session) reportDelta(ctx context.Context, since string) (*ReportDelta, 
 		return nil, err
 	}
 	s.faultPointLocked()
-	if s.dirty {
-		if s.adm != nil {
-			if serr := s.adm.acquire(ctx); serr != nil {
-				return nil, serr
-			}
-			defer s.adm.release()
-		}
-		if err := s.flushLocked(ctx); err != nil {
-			return nil, classifyRunErr(err)
-		}
-		s.stats.ReportFlushes++
+	if err := s.flushPendingLocked(ctx); err != nil {
+		return nil, err
 	}
 	s.stats.DeltaReports++
 	if prev, ok := s.lookupHistoryLocked(since); ok && since != "" {
