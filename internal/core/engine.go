@@ -548,8 +548,8 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layou
 func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 	c.rep.Stats.DeviceInstances = len(inc.Netlist.Devices)
 	for _, pair := range inc.IllegalPairs {
-		a := inc.Root.ResolveItem(pair[0])
-		b := inc.Root.ResolveItem(pair[1])
+		a, _ := inc.Root.ResolveItem(pair[0])
+		b, _ := inc.Root.ResolveItem(pair[1])
 		c.countCheck()
 		layer := c.tech.Layer(a.Layer)
 		c.add(Violation{
@@ -640,8 +640,12 @@ type defInter struct {
 	termClasses map[int][]int // local device -> sorted distinct terminal classes
 
 	// items holds frame-resolved copies of the pair-endpoint items (the
-	// embedded ones live in child frames); pair indices refer to it.
-	items []netlist.ConnItem
+	// embedded ones live in child frames); pair indices refer to it. An
+	// item of a derived span keeps its family representative's region:
+	// itemOff moves it into this frame (netlist.ResolveItem), and
+	// the pair measurements apply it (defPairGeom).
+	items   []netlist.ConnItem
+	itemOff []geom.Point
 
 	// itemIdx maps definition item index -> position in items (-1: not yet
 	// a pair endpoint). Retained so a root patch can resolve the moved
@@ -772,11 +776,14 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		mark(j)
 		di.pairs = append(di.pairs, defPair{a: i, b: j})
 	})
-	di.items = make([]netlist.ConnItem, 0, endpoints)
-	for i, k := range di.itemIdx {
-		if k == 0 {
-			di.itemIdx[i] = int32(len(di.items))
-			di.items = append(di.items, art.ResolveItem(i))
+	di.items = make([]netlist.ConnItem, endpoints)
+	di.itemOff = make([]geom.Point, endpoints)
+	k := int32(0)
+	for i, v := range di.itemIdx {
+		if v == 0 {
+			di.itemIdx[i] = k
+			di.items[k], di.itemOff[k] = art.ResolveItem(i)
+			k++
 		}
 	}
 	for i := range di.pairs {
@@ -864,7 +871,8 @@ func (di *defInter) resolveLocal(gi int) int {
 		return int(k)
 	}
 	k := len(di.items)
-	di.items = append(di.items, di.art.ResolveItem(gi))
+	it, off := di.art.ResolveItem(gi)
+	di.items, di.itemOff = append(di.items, it), append(di.itemOff, off)
 	di.itemIdx[gi] = int32(k)
 	return k
 }
@@ -945,17 +953,26 @@ type sigScratch struct {
 
 // defPairGeom supplies the geometric measurements of pair adjudication,
 // memoized in the definition pair: they are invariant under the Manhattan
-// instance transforms.
+// instance transforms. The endpoints' regions are stored moved by off
+// (defInter.itemOff), so the integer kernels measure b's against a's
+// shifted by the difference, and only the process model, which works in
+// absolute coordinates, translates.
 type defPairGeom struct {
 	p    *defPair
 	opts *Options
+	off  []geom.Point
 }
 
 // accOverlapBounds returns the bounding box of the region overlap (the
 // accidental-transistor check), and whether it is non-empty.
 func (g *defPairGeom) accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool) {
 	if g.p.flags&gAcc == 0 {
-		g.p.accBounds, g.p.accOK = geom.IntersectBounds(a.Reg, b.Reg)
+		da := g.off[g.p.a]
+		r, ok := geom.IntersectBoundsShifted(a.Reg, b.Reg, g.off[g.p.b].Sub(da))
+		if ok {
+			r = r.Translate(da)
+		}
+		g.p.accBounds, g.p.accOK = r, ok
 		g.p.flags |= gAcc
 	}
 	return g.p.accBounds, g.p.accOK
@@ -964,7 +981,7 @@ func (g *defPairGeom) accOverlapBounds(a, b *netlist.ConnItem) (geom.Rect, bool)
 // regOverlaps reports whether the regions overlap (same-layer pairs).
 func (g *defPairGeom) regOverlaps(a, b *netlist.ConnItem) bool {
 	if g.p.flags&gOverlap == 0 {
-		g.p.overlaps = a.Reg.Overlaps(b.Reg)
+		g.p.overlaps = geom.OverlapsShifted(a.Reg, b.Reg, g.off[g.p.b].Sub(g.off[g.p.a]))
 		g.p.flags |= gOverlap
 	}
 	return g.p.overlaps
@@ -973,11 +990,11 @@ func (g *defPairGeom) regOverlaps(a, b *netlist.ConnItem) bool {
 // dist returns the spacing under the configured metric.
 func (g *defPairGeom) dist(a, b *netlist.ConnItem) float64 {
 	if g.p.flags&gDist == 0 {
+		d := g.off[g.p.b].Sub(g.off[g.p.a])
 		if g.opts.Metric == Orthogonal {
-			g.p.distVal = float64(geom.RegionOrthoDist(a.Reg, b.Reg))
+			g.p.distVal = float64(geom.RegionOrthoDistShifted(a.Reg, b.Reg, d))
 		} else {
-			d, _, _ := geom.RegionDist(a.Reg, b.Reg)
-			g.p.distVal = d
+			g.p.distVal = geom.RegionDistShifted(a.Reg, b.Reg, d)
 		}
 		g.p.flags |= gDist
 	}
@@ -988,7 +1005,14 @@ func (g *defPairGeom) dist(a, b *netlist.ConnItem) float64 {
 // the margin under worst-case misalignment mis.
 func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) bool {
 	if g.p.flags&gProc == 0 {
-		g.p.procVal = g.opts.ProcessSpacing.SpacingOK(a.Reg, b.Reg, mis, margin)
+		ra, rb := a.Reg, b.Reg
+		if da := g.off[g.p.a]; da != (geom.Point{}) {
+			ra = ra.Translate(da)
+		}
+		if db := g.off[g.p.b]; db != (geom.Point{}) {
+			rb = rb.Translate(db)
+		}
+		g.p.procVal = g.opts.ProcessSpacing.SpacingOK(ra, rb, mis, margin)
 		g.p.flags |= gProc
 	}
 	return g.p.procVal
@@ -1051,10 +1075,11 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	// probeAll runs one keepout's probe over the own items of the layer and
 	// over those of the owner's neighbour spans that the search rect meets:
 	// item bounds lie inside their span's, so a span the rect misses holds
-	// nothing the probe's own bounds test would let through.
-	probeAll := func(dev int, search geom.Rect, own []int, layer tech.LayerID, probe func(it *netlist.ConnItem, gi int)) {
+	// nothing the probe's own bounds test would let through. The probe gets
+	// an item's bounds and resolves the item only when they pass.
+	probeAll := func(dev int, search geom.Rect, own []int, layer tech.LayerID, probe func(b geom.Rect, gi int)) {
 		for _, i := range own {
-			probe(&art.Items[i], i)
+			probe(art.Items[i].Bounds, i)
 		}
 		owner := spanOfDev(dev)
 		if owner < 0 {
@@ -1065,9 +1090,8 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 			if !sp.Bounds.Touches(search) {
 				continue
 			}
-			items := sp.SpanItems()
 			for _, k := range sp.ItemsOnLayer(layer) {
-				probe(&items[k], sp.ItemStart+int(k))
+				probe(sp.SpanItemBounds(int(k)), sp.ItemStart+int(k))
 			}
 		}
 	}
@@ -1075,19 +1099,20 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	if lay.hasCut {
 		for gi := range art.Gates {
 			g := &art.Gates[gi]
-			probeAll(g.Dev, g.Bounds, ownCuts, lay.cutID, func(it *netlist.ConnItem, i int) {
-				if !it.Bounds.Touches(g.Bounds) {
+			probeAll(g.Dev, g.Bounds, ownCuts, lay.cutID, func(b geom.Rect, i int) {
+				if !b.Touches(g.Bounds) {
 					return
 				}
 				di.gateT.checks++
-				if ovb, ok := geom.IntersectBounds(it.Reg, g.Reg); ok {
+				it, off := art.ResolveItem(i)
+				if ovb, ok := geom.IntersectBoundsShifted(g.Reg, it.Reg, off); ok {
 					di.gateT.vs = append(di.gateT.vs, violationDraft{
 						v: Violation{
 							Rule:     "DEV.GATE.CONTACT",
 							Severity: Error,
 							Detail:   "contact cut over the active gate of a transistor (Figure 7)",
 							Where:    ovb,
-							Path:     art.ResolveItem(i).Path,
+							Path:     it.Path,
 						},
 						aNet: netlist.NoNet, bNet: netlist.NoNet,
 					})
@@ -1100,19 +1125,20 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 		for ki := range art.BaseKeepouts {
 			ko := &art.BaseKeepouts[ki]
 			search := ko.Bounds.Expand(ko.Clearance)
-			probeAll(ko.Dev, search, ownIsos, lay.isoID, func(it *netlist.ConnItem, _ int) {
-				if !it.Bounds.Touches(search) {
+			probeAll(ko.Dev, search, ownIsos, lay.isoID, func(b geom.Rect, i int) {
+				if !b.Touches(search) {
 					return
 				}
 				di.baseT.checks++
-				d, _, _ := geom.RegionDist(it.Reg, ko.Reg)
-				if d < float64(ko.Clearance) || (ko.Clearance == 0 && it.Reg.Overlaps(ko.Reg)) {
+				it, off := art.ResolveItem(i)
+				d := geom.RegionDistShifted(ko.Reg, it.Reg, off)
+				if d < float64(ko.Clearance) || (ko.Clearance == 0 && geom.OverlapsShifted(ko.Reg, it.Reg, off)) {
 					di.baseT.vs = append(di.baseT.vs, violationDraft{
 						v: Violation{
 							Rule:     "DEV.NPN.ISO",
 							Severity: Error,
 							Detail:   "isolation touches or approaches a transistor base (Figure 6a)",
-							Where:    it.Bounds.Intersect(search),
+							Where:    b.Intersect(search),
 							Path:     art.Devices[ko.Dev].Path,
 						},
 						aNet: netlist.NoNet, bNet: netlist.NoNet,
@@ -1359,14 +1385,14 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 	// interconnect, so in practice this never trips.
 	if cutID, ok := e.ct.Cut(); ok {
 		for _, gi := range moved {
-			if art.ItemView(gi).Layer == cutID {
+			if art.ItemLayer(gi) == cutID {
 				return false
 			}
 		}
 	}
 	if isoID, ok := e.ct.Isolation(); ok {
 		for _, gi := range moved {
-			if art.ItemView(gi).Layer == isoID {
+			if art.ItemLayer(gi) == isoID {
 				return false
 			}
 		}
@@ -1395,7 +1421,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 		// one heap object per pair of the root, moved or not.
 		pr := &di.pairs[i]
 		if movedL[pr.a] || movedL[pr.b] {
-			g := defPairGeom{p: pr, opts: &e.opts}
+			g := defPairGeom{p: pr, opts: &e.opts, off: di.itemOff}
 			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pr.a), di.itemAt(pr.b), env, &g, &oldT)
 			continue
 		}
@@ -1415,14 +1441,14 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 	// straight into the live tally.
 	for _, gi := range moved {
 		if k := di.itemIdx[gi]; k >= 0 {
-			di.items[k] = art.ResolveItem(gi)
+			di.items[k], di.itemOff[k] = art.ResolveItem(gi)
 		}
 	}
 	for _, gi := range moved {
-		la := art.ItemView(gi).Layer
-		probe := art.ItemView(gi).Bounds.Expand(maxGap)
+		la := art.ItemLayer(gi)
+		probe := art.ItemBounds(gi).Expand(maxGap)
 		addPair := func(gj int) {
-			if !e.ct.Interacts(la, art.ItemView(gj).Layer) {
+			if !e.ct.Interacts(la, art.ItemLayer(gj)) {
 				return
 			}
 			i, j := gi, gj
@@ -1436,7 +1462,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 				e.replay.rootTally = t
 			}
 			pr := defPair{a: pa, b: pb}
-			g := defPairGeom{p: &pr, opts: &e.opts}
+			g := defPairGeom{p: &pr, opts: &e.opts, off: di.itemOff}
 			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pa), di.itemAt(pb), env, &g, t)
 			di.pairs = append(di.pairs, pr)
 		}
@@ -1454,9 +1480,8 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 			if !probe.Touches(sp.Bounds) {
 				continue
 			}
-			items := sp.SpanItems()
-			for k := range items {
-				if probe.Touches(items[k].Bounds) {
+			for k := 0; k < sp.ItemEnd-sp.ItemStart; k++ {
+				if probe.Touches(sp.SpanItemBounds(k)) {
 					addPair(sp.ItemStart + k)
 				}
 			}
@@ -1575,7 +1600,7 @@ func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interact
 	// the env's net methods are provably never reached.
 
 	t := &interactionTally{}
-	g := defPairGeom{opts: &e.opts}
+	g := defPairGeom{opts: &e.opts, off: di.itemOff}
 	for i := range di.pairs {
 		p := &di.pairs[i]
 		g.p = p

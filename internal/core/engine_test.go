@@ -49,10 +49,10 @@ func referencesFor(nl *netlist.Netlist) (good, bad netlist.Reference) {
 
 // TestEngineMatchesCheck: the engine — which is what Check, dicheck and
 // every experiment run — must agree with the spec on nets, connections and
-// interactions for clean, dirty, bipolar, CMOS, pathology and rotated-block
-// designs, under every option the experiments pass and with the prebuild
-// pool off and on; and on every rule family its cold run must equal a one-worker cold run and
-// a no-edit recheck.
+// interactions for clean, dirty, bipolar, CMOS, pathology, rotated-block
+// and translated-family designs, under every option the experiments pass
+// and with the prebuild pool off and on; and on every rule family its cold
+// run must equal a one-worker cold run and a no-edit recheck.
 func TestEngineMatchesCheck(t *testing.T) {
 	type tcase struct {
 		label  string
@@ -66,6 +66,9 @@ func TestEngineMatchesCheck(t *testing.T) {
 	// Cell items resolve through two or three spans under composed
 	// rotations, with same-net and different-net pairs across the blocks.
 	cases = append(cases, tcase{"oriented blocks", workload.NewOrientedBlocks(nm), nm})
+	// Translation families at two levels under R90 and MX: every later
+	// placement is a view of the first, and pairs cross between views.
+	cases = append(cases, tcase{"translated families", workload.NewTranslatedFamilies(nm), nm})
 
 	dirty := workload.NewChip(nm, "dirty", 6, 7)
 	workload.InjectErrors(dirty, 25, 42)

@@ -771,6 +771,10 @@ func (r Region) Rects() []Rect {
 	return out
 }
 
+// NumBands returns the number of horizontal bands of the canonical form
+// (with NumRects, the storage a RegionStore needs to hold a copy).
+func (r Region) NumBands() int { return len(r.bands) }
+
 // NumRects returns the number of rects in the canonical decomposition.
 func (r Region) NumRects() int {
 	n := 0
@@ -884,39 +888,46 @@ func (r Region) Equal(s Region) bool {
 
 // Overlaps reports whether r and s share any interior area, without
 // materializing the intersection.
-func (r Region) Overlaps(s Region) bool {
-	ri, si := 0, 0
-	for ri < len(r.bands) && si < len(s.bands) {
-		rb, sb := r.bands[ri], s.bands[si]
-		if rb.y2 <= sb.y1 {
-			ri++
+func (r Region) Overlaps(s Region) bool { return OverlapsShifted(r, s, Point{}) }
+
+// OverlapsShifted reports whether a and b moved by d share any interior
+// area: a.Overlaps(b.Translate(d)) without materializing the translation,
+// so geometry stored once in one frame can be tested in another.
+func OverlapsShifted(a, b Region, d Point) bool {
+	ai, bi := 0, 0
+	for ai < len(a.bands) && bi < len(b.bands) {
+		ab, bb := &a.bands[ai], &b.bands[bi]
+		by1, by2 := bb.y1+d.Y, bb.y2+d.Y
+		if ab.y2 <= by1 {
+			ai++
 			continue
 		}
-		if sb.y2 <= rb.y1 {
-			si++
+		if by2 <= ab.y1 {
+			bi++
 			continue
 		}
-		if spansOverlap(rb.spans, sb.spans) {
+		if spansOverlap(ab.spans, bb.spans, d.X) {
 			return true
 		}
-		if rb.y2 <= sb.y2 {
-			ri++
+		if ab.y2 <= by2 {
+			ai++
 		} else {
-			si++
+			bi++
 		}
 	}
 	return false
 }
 
-func spansOverlap(sa, sb []Span) bool {
+// spansOverlap reports whether span lists sa and sb moved by dx overlap.
+func spansOverlap(sa, sb []Span, dx int64) bool {
 	ia, ib := 0, 0
 	for ia < len(sa) && ib < len(sb) {
 		a, b := sa[ia], sb[ib]
-		if a.X2 <= b.X1 {
+		if a.X2 <= b.X1+dx {
 			ia++
 			continue
 		}
-		if b.X2 <= a.X1 {
+		if b.X2+dx <= a.X1 {
 			ib++
 			continue
 		}
@@ -928,25 +939,31 @@ func spansOverlap(sa, sb []Span) bool {
 // IntersectBounds returns the bounding box of r ∩ s and whether the
 // intersection is non-empty, without materializing the intersection
 // region. It equals r.Intersect(s).Bounds() exactly.
-func IntersectBounds(r, s Region) (Rect, bool) {
+func IntersectBounds(r, s Region) (Rect, bool) { return IntersectBoundsShifted(r, s, Point{}) }
+
+// IntersectBoundsShifted is IntersectBounds(r, s.Translate(d)) without
+// materializing the translation; the bounds are in r's frame.
+func IntersectBoundsShifted(r, s Region, d Point) (Rect, bool) {
 	var out Rect
 	found := false
 	ri, si := 0, 0
 	for ri < len(r.bands) && si < len(s.bands) {
 		rb, sb := &r.bands[ri], &s.bands[si]
-		if rb.y2 <= sb.y1 {
+		sy1, sy2 := sb.y1+d.Y, sb.y2+d.Y
+		if rb.y2 <= sy1 {
 			ri++
 			continue
 		}
-		if sb.y2 <= rb.y1 {
+		if sy2 <= rb.y1 {
 			si++
 			continue
 		}
-		yLo := maxInt64(rb.y1, sb.y1)
-		yHi := minInt64(rb.y2, sb.y2)
+		yLo := maxInt64(rb.y1, sy1)
+		yHi := minInt64(rb.y2, sy2)
 		ia, ib := 0, 0
 		for ia < len(rb.spans) && ib < len(sb.spans) {
 			a, b := rb.spans[ia], sb.spans[ib]
+			b.X1, b.X2 = b.X1+d.X, b.X2+d.X
 			if a.X2 <= b.X1 {
 				ia++
 				continue
@@ -972,7 +989,7 @@ func IntersectBounds(r, s Region) (Rect, bool) {
 				ib++
 			}
 		}
-		if rb.y2 <= sb.y2 {
+		if rb.y2 <= sy2 {
 			ri++
 		} else {
 			si++
@@ -1166,6 +1183,18 @@ func (st *RegionStore) takeSpans(n int) []Span {
 	out := st.spans[len(st.spans) : len(st.spans)+n : len(st.spans)+n]
 	st.spans = st.spans[:len(st.spans)+n]
 	return out
+}
+
+// Reserve makes room for regions totalling bands bands and spans spans in
+// one allocation each, so a store filled with a known set of regions holds
+// exactly their storage.
+func (st *RegionStore) Reserve(bands, spans int) {
+	if cap(st.bands)-len(st.bands) < bands {
+		st.bands = make([]band, 0, bands)
+	}
+	if cap(st.spans)-len(st.spans) < spans {
+		st.spans = make([]Span, 0, spans)
+	}
 }
 
 // TransformBy returns r mapped through t with the result's storage drawn

@@ -247,6 +247,37 @@ func TestTransformByMatchesRectByRect(t *testing.T) {
 	}
 }
 
+// TestShiftedKernelsMatchTranslate: the offset-aware kernels — overlap,
+// intersection bounds, Euclidean and orthogonal distance — equal the plain
+// kernels against the materialized translation, over random regions and
+// offsets that straddle, abut and clear each other.
+func TestShiftedKernelsMatchTranslate(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 400; trial++ {
+		a := FromRects(randRects(rng, 1+rng.Intn(10), 120, 50))
+		b := FromRects(randRects(rng, 1+rng.Intn(10), 120, 50))
+		d := Point{int64(rng.Intn(240) - 120), int64(rng.Intn(240) - 120)}
+		moved := b.Translate(d)
+		if got, want := OverlapsShifted(a, b, d), a.Overlaps(moved); got != want {
+			t.Fatalf("trial %d: OverlapsShifted(a, b, %v) = %v, want %v\na=%v\nb=%v", trial, d, got, want, a, b)
+		}
+		// The stored region moved into the other frame answers the same.
+		if got, want := OverlapsShifted(b, a, d.Neg()), a.Overlaps(moved); got != want {
+			t.Fatalf("trial %d: OverlapsShifted(b, a, %v) = %v, want %v", trial, d.Neg(), got, want)
+		}
+		gotB, gotOK := IntersectBoundsShifted(a, b, d)
+		if wantB, wantOK := IntersectBounds(a, moved); gotOK != wantOK || gotB != wantB {
+			t.Fatalf("trial %d: IntersectBoundsShifted(a, b, %v) = %v,%v, want %v,%v", trial, d, gotB, gotOK, wantB, wantOK)
+		}
+		if got, want := RegionDistShifted(a, b, d), func() float64 { w, _, _ := RegionDist(a, moved); return w }(); got != want {
+			t.Fatalf("trial %d: RegionDistShifted(a, b, %v) = %v, want %v", trial, d, got, want)
+		}
+		if got, want := RegionOrthoDistShifted(a, b, d), RegionOrthoDist(a, moved); got != want {
+			t.Fatalf("trial %d: RegionOrthoDistShifted(a, b, %v) = %v, want %v", trial, d, got, want)
+		}
+	}
+}
+
 // ---- Allocation regression guards -------------------------------------
 //
 // The zero-allocation discipline of the sweep core is load-bearing: these
@@ -350,5 +381,47 @@ func TestDistanceAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Fatalf("distance/bounds kernels allocate %.1f/op, want 0", avg)
+	}
+}
+
+func TestShiftedKernelsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guards run in the non-race CI step")
+	}
+	a := FromRects(noisyRects(60))
+	b := FromRects(noisyRects(60))
+	avg := testing.AllocsPerRun(100, func() {
+		for _, d := range []Point{{7, -3}, {20000, 20000}} {
+			_ = OverlapsShifted(a, b, d)
+			_, _ = IntersectBoundsShifted(a, b, d)
+			_ = RegionDistShifted(a, b, d)
+			_ = RegionOrthoDistShifted(a, b, d)
+		}
+	})
+	if avg > 0 {
+		t.Fatalf("offset-aware kernels allocate %.1f/op, want 0", avg)
+	}
+}
+
+// TestRegionStoreReserveAllocs: a store reserved for a region's storage
+// translates it with no further allocation, and the copy is the region
+// moved.
+func TestRegionStoreReserveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guards run in the non-race CI step")
+	}
+	r := FromRects(noisyRects(60))
+	d := Point{40, -15}
+	var got Region
+	avg := testing.AllocsPerRun(100, func() {
+		var st RegionStore
+		st.Reserve(r.NumBands(), r.NumRects())
+		got = st.Translate(r, d)
+	})
+	if avg > 2 {
+		t.Fatalf("reserved RegionStore.Translate allocates %.1f/op, want <= 2 (the reservation)", avg)
+	}
+	if !got.Equal(r.Translate(d)) {
+		t.Fatal("reserved RegionStore.Translate differs from Region.Translate")
 	}
 }

@@ -124,8 +124,8 @@ func TestExtractIllegalPairs(t *testing.T) {
 	if len(ex.IllegalPairs) != 1 {
 		t.Fatalf("illegal pairs = %d, want 1", len(ex.IllegalPairs))
 	}
-	a := ex.Root.ResolveItem(ex.IllegalPairs[0][0])
-	b := ex.Root.ResolveItem(ex.IllegalPairs[0][1])
+	a, _ := ex.Root.ResolveItem(ex.IllegalPairs[0][0])
+	b, _ := ex.Root.ResolveItem(ex.IllegalPairs[0][1])
 	if a.Net == b.Net {
 		t.Fatal("illegal pair must be on different nets")
 	}

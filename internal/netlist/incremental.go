@@ -24,7 +24,10 @@ package netlist
 //     the child's artifacts and are inherited by index translation.
 //   - A span cache keys the transformed embedding of a child subtree by
 //     (child hash, call transform, call name), so re-deriving a parent
-//     does not re-transform unchanged child geometry.
+//     does not re-transform unchanged child geometry. Embeddings that
+//     differ only by translation form a family: one representative holds
+//     the geometry, and every other member is a view of it — an offset and
+//     a call name, shifted on read.
 //
 // The root symbol's artifacts are, by construction, the chip's extraction:
 // local coordinates are chip coordinates, relative paths are instance
@@ -87,7 +90,7 @@ type SymbolArtifacts struct {
 	// support geometry for a primitive). The flattened subtree indexes own
 	// entries first, then each call's subtree in call order; embedded
 	// entries live in the child spans and resolve through the accessors
-	// below (NumItems, ItemView, ResolveItem, FootView, ItemFootAt,
+	// below (NumItems, ItemLayer, ItemBounds, ResolveItem, ItemFootAt,
 	// FootItemAt). Counts and index offsets (Children spans, ClassOf,
 	// ClassFoot) are for the full flattened subtree.
 	Items    []ConnItem  // Net holds the LOCAL class id (or NoNet)
@@ -131,7 +134,7 @@ type SymbolArtifacts struct {
 
 	footItem []int // lazy inverse of ItemFoot over the own footprints
 
-	skels map[int]geom.Region // lazy skeletons of own footprints
+	skels map[int]geom.Region // lazy skeletons of own footprints (see footSkel)
 }
 
 // NumItems returns the flattened subtree item count.
@@ -174,49 +177,61 @@ func (a *SymbolArtifacts) footSpan(i int) int {
 	return lo
 }
 
-// ItemView returns a pointer to the stored item for index i. Geometry
-// (Layer, Bounds, Reg) is always frame-correct; the Path, Net, and Dev of
-// embedded items are in the CHILD's frame — use ResolveItem when those
-// matter.
-func (a *SymbolArtifacts) ItemView(i int) *ConnItem {
+// ItemLayer returns the layer of item i.
+func (a *SymbolArtifacts) ItemLayer(i int) tech.LayerID {
 	if i < len(a.Items) {
-		return &a.Items[i]
+		return a.Items[i].Layer
 	}
 	sp := &a.Children[a.itemSpan(i)]
-	return &sp.sd.items[i-sp.ItemStart]
+	return sp.sd.rep.itemLayers[i-sp.ItemStart]
 }
 
-// ResolveItem returns a frame-correct copy of item i: geometry and path
-// as stored in the span embedding (span construction already prefixed the
-// call name), Dev offset into this frame, Net set to this frame's local
-// class (NoNet for support geometry).
-func (a *SymbolArtifacts) ResolveItem(i int) ConnItem {
+// ItemBounds returns the bounds of item i in this frame.
+func (a *SymbolArtifacts) ItemBounds(i int) geom.Rect {
 	if i < len(a.Items) {
-		return a.Items[i]
+		return a.Items[i].Bounds
+	}
+	sp := &a.Children[a.itemSpan(i)]
+	return sp.SpanItemBounds(i - sp.ItemStart)
+}
+
+// ResolveItem returns item i and the offset that moves its region into
+// this frame. Everything else is already in this frame: bounds and path
+// (span construction prefixed the call name; a derived span shifts its
+// representative's entry and swaps the name), Dev offset into this frame,
+// Net set to this frame's local class (NoNet for support geometry). The
+// region is as stored — for an item of a derived span, its family
+// representative's, so resolving copies no geometry — and off is zero for
+// every other item.
+func (a *SymbolArtifacts) ResolveItem(i int) (it ConnItem, off geom.Point) {
+	if i < len(a.Items) {
+		return a.Items[i], geom.Point{}
 	}
 	sp := &a.Children[a.itemSpan(i)]
 	local := i - sp.ItemStart
-	it := sp.sd.items[local]
+	it = sp.sd.item(local)
 	if it.Dev >= 0 {
 		it.Dev += sp.DevStart
 	}
-	if f := sp.sd.itemFoot[local]; f >= 0 {
+	if f := sp.sd.rep.itemFoot[local]; f >= 0 {
 		it.Net = NetID(a.ClassOf[sp.FootStart+int(f)])
 	} else {
 		it.Net = NoNet
 	}
-	return it
+	return it, sp.sd.d
 }
 
-// FootView returns a pointer to the stored footprint for index i; all
-// fields, including the Declared name, are frame-correct (span
-// construction qualified them on embedding).
-func (a *SymbolArtifacts) FootView(i int) *LocalFoot {
-	if i < len(a.Foots) {
-		return &a.Foots[i]
+// footAt returns footprint f as stored and the offset that moves its
+// geometry into this frame: own footprints and representatives' entries
+// are stored in place (zero offset), a derived span's are its
+// representative's. The stored Declared name is the representative's;
+// footDeclared has the member's.
+func (a *SymbolArtifacts) footAt(f int) (*LocalFoot, geom.Point) {
+	if f < len(a.Foots) {
+		return &a.Foots[f], geom.Point{}
 	}
-	sp := &a.Children[a.footSpan(i)]
-	return &sp.sd.foots[i-sp.FootStart]
+	sp := &a.Children[a.footSpan(f)]
+	return &sp.sd.rep.foots[f-sp.FootStart], sp.sd.d
 }
 
 // ItemFootAt returns the footprint index of item i, -1 for support
@@ -227,7 +242,7 @@ func (a *SymbolArtifacts) ItemFootAt(i int) int {
 		return a.ItemFoot[i]
 	}
 	sp := &a.Children[a.itemSpan(i)]
-	if f := sp.sd.itemFoot[i-sp.ItemStart]; f >= 0 {
+	if f := sp.sd.rep.itemFoot[i-sp.ItemStart]; f >= 0 {
 		return sp.FootStart + int(f)
 	}
 	return -1
@@ -257,30 +272,35 @@ func (a *SymbolArtifacts) MayHaveLayer(l tech.LayerID) bool {
 	return a.LayerMask&layerBit(l) != 0
 }
 
-// SpanItems exposes the embedded child's items in this frame (geometry
-// frame-correct; Path/Net/Dev are child-frame — see ResolveItem).
-func (sp *ChildSpan) SpanItems() []ConnItem { return sp.sd.items }
-
-// SpanItemLayers is the dense layer column of SpanItems.
-func (sp *ChildSpan) SpanItemLayers() []tech.LayerID { return sp.sd.itemLayers }
-
-// ItemsOnLayer lists the span-local indices of the embedded items on layer
-// l, ascending. The lists are cached with the embedding: asking costs
-// nothing per item of the span.
-func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
-	if int(l) >= len(sp.sd.onLayer) {
-		return nil
-	}
-	return sp.sd.onLayer[l]
+// SpanItemBounds returns the bounds of the embedded child's item k
+// (span-local index) in the parent frame.
+func (sp *ChildSpan) SpanItemBounds(k int) geom.Rect {
+	return sp.sd.rep.itemBoxes[k].Translate(sp.sd.d)
 }
 
-// FootSkel returns the (lazily computed) skeleton of footprint i, in the
-// 4× coordinates of geom.Skeleton. Own footprints erode their region;
-// embedded footprints transform the child definition's cached skeleton —
+// SpanItemLayers is the dense layer column of the embedded child's items.
+func (sp *ChildSpan) SpanItemLayers() []tech.LayerID { return sp.sd.rep.itemLayers }
+
+// ItemsOnLayer lists the span-local indices of the embedded items on layer
+// l, ascending. The lists are cached with the embedding's family: asking
+// costs nothing per item of the span.
+func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
+	onLayer := sp.sd.rep.onLayer
+	if int(l) >= len(onLayer) {
+		return nil
+	}
+	return onLayer[l]
+}
+
+// footSkel returns the skeleton of footprint i, in the 4× coordinates of
+// geom.Skeleton, as a region and the offset that moves it into this frame.
+// Own footprints erode their region (lazily, once); embedded footprints
+// take their span's, which transforms the child definition's skeleton —
 // erosion commutes with Manhattan rigid transforms, so the result is the
 // region the flat extractor would have eroded, at transform cost instead
-// of erosion cost, shared across every instance of the child.
-func (a *SymbolArtifacts) FootSkel(i int) geom.Region {
+// of erosion cost, shared across every instance of the child and, through
+// the offset, across every member of the span's family.
+func (a *SymbolArtifacts) footSkel(i int) (geom.Region, geom.Point) {
 	if si := a.footSpan(i); si >= 0 {
 		sp := &a.Children[si]
 		return sp.sd.footSkel(i - sp.FootStart)
@@ -288,13 +308,13 @@ func (a *SymbolArtifacts) FootSkel(i int) geom.Region {
 	if a.skels == nil {
 		a.skels = make(map[int]geom.Region)
 	}
-	if s, ok := a.skels[i]; ok {
-		return s
+	s, ok := a.skels[i]
+	if !ok {
+		f := &a.Foots[i]
+		s = geom.Skeleton(f.Reg, f.MinWidth)
+		a.skels[i] = s
 	}
-	f := &a.Foots[i]
-	s := geom.Skeleton(f.Reg, f.MinWidth)
-	a.skels[i] = s
-	return s
+	return s, geom.Point{}
 }
 
 // spanKey identifies one transformed embedding of a subtree.
@@ -307,8 +327,9 @@ type spanKey struct {
 // spanClassKey identifies a family of embeddings that differ only by
 // translation: same child content, same orientation. Every member of the
 // class is the same geometry shifted, so once one member is built the
-// rest derive by translating it — the array-regularity dedup that makes a
-// uniform 64×64 array cost one full embedding plus cheap copies.
+// rest are views of it — an offset and a call name — the array-regularity
+// dedup that makes a uniform 64×64 array cost one full embedding plus a
+// few words per further placement.
 type spanClassKey struct {
 	hash   layout.Hash
 	orient geom.Orient
@@ -318,69 +339,78 @@ type spanClassKey struct {
 // the child's artifacts mapped through one call transform with paths
 // prefixed by the call name. Shared by every parent that places the same
 // content under the same transform and name, and across runs.
+//
+// Only a family representative (rep == itself) stores entries. A derived
+// member is a view: its entries are the representative's moved by d, with
+// the representative's call name swapped for its own, and every reader
+// shifts on read (item, itemPath, footDeclared, footSkel, footAt,
+// SpanItemBounds, the sweeps, and the copies populate makes). A member's
+// values are immutable once derived.
 type spanData struct {
 	childArt *SymbolArtifacts
 	t        geom.Transform
-	name     string      // call name the paths/declared names are prefixed with
-	items    []ConnItem  // parent-frame coordinates, relative paths prefixed
-	foots    []LocalFoot // span index left unset; parent assigns
-	devs     []DeviceUse // TerminalNets nil; parent remaps classes
-	gates    []Keepout
-	keeps    []Keepout
-	issues   []Issue
-	bounds   geom.Rect
+	name     string    // call name the paths/declared names are prefixed with
+	bounds   geom.Rect // parent frame
+	rep      *spanData // the family representative (itself when it is one)
+	d        geom.Point
+
+	// The representative's entries (nil on a derived member).
+	items  []ConnItem  // parent-frame coordinates, relative paths prefixed
+	foots  []LocalFoot // span index left unset; parent assigns
+	devs   []DeviceUse // TerminalNets nil; parent remaps classes
+	gates  []Keepout
+	keeps  []Keepout
+	issues []Issue
 
 	skels map[int]geom.Region // lazily transformed child skeletons
 
 	// Dense bounds tables for the cross-pair refinement scans: reading a
 	// 32-byte rect stream instead of striding the full 100+-byte struct
 	// array keeps the hot collect() loops in cache. Built eagerly with the
-	// span (they are also read concurrently by the engine's parallel
-	// definition builds, so they must never be materialized lazily).
+	// representative (they are also read concurrently by the engine's
+	// parallel definition builds, so they must never be materialized
+	// lazily); members read them shifted.
 	itemBoxes []geom.Rect
 	footBoxes []geom.Rect
 
 	// itemLayers[i] is items[i].Layer, onLayer[l] lists the items on layer
 	// l in index order, and itemFoot[i] is the span-local footprint of item
 	// i (-1 for support geometry). None depends on the call transform, so a
-	// family builds them once (buildSpan) and its derived members share
-	// them; eager for the same reason as the bounds tables.
+	// family builds them once (buildSpan) and its members read the
+	// representative's; eager for the same reason as the bounds tables.
 	itemLayers []tech.LayerID
 	onLayer    [][]int32
 	itemFoot   []int32
 
-	// pathTab/itemPathIdx/devPathIdx index the distinct relative paths of
-	// items and devices, built lazily on a family representative the first
-	// time a sibling derives from it (extraction is single-goroutine, so
-	// the lazy build needs no lock). Artifact item order favors sweep
-	// locality over instance order, so consecutive-run memoization degrades
-	// to one allocation per item; the table lets a derived span swap each
-	// distinct path once and assign by index.
-	pathTab     []string
-	itemPathIdx []int32
-	devPathIdx  []int32
+	// paths holds the family's distinct relative paths and non-rail
+	// declared names, under this span's call name. The representative's
+	// table and its index columns (item, device and footprint → entry, -1
+	// for a footprint whose declared name is kept verbatim) are built when
+	// the first member derives; a member swaps its name into the table as
+	// it derives, once per distinct path, so reading a member's path is an
+	// index. Both happen during extraction, which is single-goroutine; the
+	// engine's parallel definition builds only read them.
+	paths                                []string
+	itemPathIdx, devPathIdx, footNameIdx []int32
 
 	// Cache ageing (see Cache.touch): gen is the generation that last
-	// reached this embedding; rep is its family representative (itself
-	// when it is one), whose classGen is the generation that last reached
-	// any member of the family.
+	// reached this embedding, and the representative's classGen is the
+	// generation that last reached any member of the family.
 	gen, classGen int
-	rep           *spanData
 }
 
 // pathIndex builds the representative's distinct-path table.
-func (sd *spanData) pathIndex() {
-	if sd.pathTab != nil {
+func (sd *spanData) pathIndex(tc *tech.Technology) {
+	if sd.itemPathIdx != nil {
 		return
 	}
 	idx := make(map[string]int32, 64)
-	tab := make([]string, 0, 64)
 	of := func(p string) int32 {
 		if i, ok := idx[p]; ok {
 			return i
 		}
-		i := int32(len(tab))
-		tab = append(tab, p)
+		i := int32(len(sd.paths))
+		sd.paths = append(sd.paths, p)
 		idx[p] = i
 		return i
 	}
@@ -392,19 +422,64 @@ func (sd *spanData) pathIndex() {
 	for i := range sd.devs {
 		sd.devPathIdx[i] = of(sd.devs[i].Path)
 	}
-	sd.pathTab = tab
+	// Base qualification left exactly two shapes of declared name: rails
+	// verbatim, and everything else prefixed with the call name.
+	sd.footNameIdx = make([]int32, len(sd.foots))
+	for i := range sd.foots {
+		sd.footNameIdx[i] = -1
+		if dcl := sd.foots[i].Declared; dcl != "" && !tc.IsRail(dcl) {
+			sd.footNameIdx[i] = of(dcl)
+		}
+	}
 }
 
-func (sd *spanData) footSkel(i int) geom.Region {
-	if sd.skels == nil {
-		sd.skels = make(map[int]geom.Region)
+// item returns span-local item k with its bounds in the parent frame and
+// its path re-prefixed; the region stays as the representative stores it
+// (moved by d, it is the member's), and Dev and Net stay in the child's
+// frame.
+func (sd *spanData) item(k int) ConnItem {
+	rep := sd.rep
+	it := rep.items[k]
+	if rep != sd {
+		it.Bounds = it.Bounds.Translate(sd.d)
+		it.Path = sd.itemPath(k)
 	}
-	if s, ok := sd.skels[i]; ok {
-		return s
+	return it
+}
+
+// itemPath returns the relative path of span-local item k.
+func (sd *spanData) itemPath(k int) string {
+	if sd.rep == sd {
+		return sd.items[k].Path
 	}
-	s := sd.childArt.FootSkel(i).TransformBy(scale4(sd.t))
-	sd.skels[i] = s
-	return s
+	return sd.paths[sd.rep.itemPathIdx[k]]
+}
+
+// footDeclared returns the declared name of span-local footprint k.
+func (sd *spanData) footDeclared(k int) string {
+	if sd.rep != sd {
+		if j := sd.rep.footNameIdx[k]; j >= 0 {
+			return sd.paths[j]
+		}
+	}
+	return sd.rep.foots[k].Declared
+}
+
+// footSkel returns the skeleton of span-local footprint k: the
+// representative's, cached on it, and the offset (4d) that moves it onto
+// this member.
+func (sd *spanData) footSkel(k int) (geom.Region, geom.Point) {
+	rep := sd.rep
+	if rep.skels == nil {
+		rep.skels = make(map[int]geom.Region)
+	}
+	s, ok := rep.skels[k]
+	if !ok {
+		cs, off := rep.childArt.footSkel(k)
+		s = cs.TransformBy(geom.Translate(off).Compose(scale4(rep.t)))
+		rep.skels[k] = s
+	}
+	return s, geom.Point{X: 4 * sd.d.X, Y: 4 * sd.d.Y}
 }
 
 // scale4 lifts a Manhattan transform into the 4× coordinate space of
@@ -430,12 +505,15 @@ func scale4(t geom.Transform) geom.Transform {
 //
 // What a full re-derive of the root costs follows from what is kept here.
 // Per definition (SymbolArtifacts): its own entries, the spans of its
-// calls, and the subtree's net partition. Per embedding (spanData, shared
-// by a translation family where the call transform does not matter): the
+// calls, the subtree's net partition, and its devices and keepouts. Per
+// translation family of embeddings (spanData representatives): the
 // transformed items, footprints, devices and keepouts, dense bounds, layer
-// and item→footprint columns, and the items of each layer. Per session: the interned anonymous net names. What a run
-// does per device or per net — the devices' terminal lists, the nets'
-// terminal lists — is carved from one slab each and filled at copy speed.
+// and item→footprint columns, the items of each layer, and the regions in
+// RegionStore slabs. Per further member of a family: an offset and its
+// re-prefixed distinct paths, nothing per entry. Per session: the interned
+// anonymous net names. What a run does per device or per net — the
+// devices' terminal lists, the nets' terminal lists — is carved from one
+// slab each and filled at copy speed.
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
@@ -448,12 +526,12 @@ type Cache struct {
 
 	// spanClass indexes one representative embedding per (content,
 	// orientation) family; span misses whose family has a representative
-	// derive from it by translation instead of re-transforming the child.
+	// become views of it instead of re-transforming the child.
 	spanClass map[spanClassKey]*spanData
 
 	// Context-dedup effectiveness counters (cumulative for the session):
-	// a hit is an embedding derived by translation from its family
-	// representative, a miss is a full transform build.
+	// a hit is an embedding made a view of its family representative, a
+	// miss is a full transform build.
 	ctxHits, ctxMisses int
 
 	// Reusable per-build scratch: the union-find and classification
@@ -476,8 +554,8 @@ type Cache struct {
 	lastRoot *SymbolArtifacts
 
 	// regStore slab-allocates the storage of every transformed region the
-	// span embeddings hold: two allocations per slab instead of two per
-	// item region.
+	// family representatives hold: two allocations per slab instead of two
+	// per item region. Derived members hold no regions.
 	regStore geom.RegionStore
 
 	// lastInc/lastIssues retain the most recent extraction so a
@@ -508,7 +586,7 @@ func NewCache() *Cache {
 func (c *Cache) Len() int { return len(c.arts) }
 
 // ContextStats reports the cumulative span context-dedup counters: hits
-// are embeddings derived by translation from a same-(content, orientation)
+// are embeddings made views of a same-(content, orientation)
 // representative, misses are full transform builds.
 func (c *Cache) ContextStats() (hits, misses int) { return c.ctxHits, c.ctxMisses }
 
@@ -713,8 +791,9 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 			cursor++
 		}
 		sp := &root.Children[cursor]
-		f := &sp.sd.foots[i-sp.FootStart]
-		return f.Bounds, f.Declared, f.Elements
+		sd, k := sp.sd, i-sp.FootStart
+		f := &sd.rep.foots[k]
+		return f.Bounds.Translate(sd.d), sd.footDeclared(k), f.Elements
 	}
 	if root.devText == nil {
 		root.devText = new(deviceMemo)
@@ -870,8 +949,9 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 			if !sp.Bounds.Touches(nb) {
 				continue
 			}
-			for local, b := range sp.sd.footBoxes {
-				if b.Touches(nb) && sp.sd.foots[local].Layer == layer {
+			rep, probe := sp.sd.rep, nb.Translate(sp.sd.d.Neg())
+			for local, b := range rep.footBoxes {
+				if b.Touches(probe) && rep.foots[local].Layer == layer {
 					return nil, nil, RefuseContactAfterMove
 				}
 			}
@@ -1151,6 +1231,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	childArts := make([]*SymbolArtifacts, len(s.Calls))
 	spans := make([]*spanData, len(s.Calls))
 	nDevs, nGates, nKeeps, nIssues, nIll := 0, 0, 0, 0, 0
+	keepBands, keepSpans := 0, 0 // storage of the keepout regions moved out of views
 	for ci, call := range s.Calls {
 		childArts[ci] = c.build(call.Target, hs, tc)
 		spans[ci] = c.span(childArts[ci], call.T, call.Name, tc)
@@ -1159,7 +1240,17 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		nKeeps += len(childArts[ci].BaseKeepouts)
 		nIssues += len(childArts[ci].Issues)
 		nIll += len(childArts[ci].IllegalCands)
+		if rep := spans[ci].rep; rep != spans[ci] {
+			for _, ks := range [2][]Keepout{rep.gates, rep.keeps} {
+				for i := range ks {
+					keepBands += ks[i].Reg.NumBands()
+					keepSpans += ks[i].Reg.NumRects()
+				}
+			}
+		}
 	}
+	var keepStore geom.RegionStore
+	keepStore.Reserve(keepBands, keepSpans)
 	art.Items = make([]ConnItem, 0, len(s.Elements))
 	art.Foots = make([]LocalFoot, 0, len(s.Elements))
 	art.ItemFoot = make([]int, 0, len(s.Elements))
@@ -1218,16 +1309,32 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		nodeCount += childArt.NumClasses
 		itemCount += childArt.NumItems()
 		footCount += childArt.NumFoots()
-		art.Devices = append(art.Devices, sd.devs...) // TerminalNets remapped by build()
-		for _, g := range sd.gates {
+		// A view's entries are its representative's moved by d, shifted
+		// here as they are copied in (TerminalNets are remapped by build()).
+		rep, d := sd.rep, sd.d
+		if rep == sd {
+			art.Devices = append(art.Devices, sd.devs...)
+		} else {
+			for i, dv := range rep.devs {
+				dv.Path = sd.paths[rep.devPathIdx[i]]
+				dv.T.Trans = dv.T.Trans.Add(d)
+				art.Devices = append(art.Devices, dv)
+			}
+		}
+		for _, g := range rep.gates {
 			g.Dev += sp.DevStart
+			g.Reg, g.Bounds = keepStore.Translate(g.Reg, d), g.Bounds.Translate(d)
 			art.Gates = append(art.Gates, g)
 		}
-		for _, k := range sd.keeps {
+		for _, k := range rep.keeps {
 			k.Dev += sp.DevStart
+			k.Reg, k.Bounds = keepStore.Translate(k.Reg, d), k.Bounds.Translate(d)
 			art.BaseKeepouts = append(art.BaseKeepouts, k)
 		}
-		art.Issues = append(art.Issues, sd.issues...)
+		for _, is := range rep.issues {
+			is.Where = is.Where.Translate(d)
+			art.Issues = append(art.Issues, is)
+		}
 		sp.ItemEnd = itemCount
 		sp.FootEnd = footCount
 		sp.DevEnd = len(art.Devices)
@@ -1242,9 +1349,9 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 }
 
 // span returns the cached transformed embedding of childArt under (t, name).
-// A miss first looks for a same-(content, orientation) representative to
-// derive from by translation; only the first member of each family pays
-// for the full transform build.
+// A miss first looks for a same-(content, orientation) representative and
+// makes the embedding a view of it; only the first member of each family
+// pays for the full transform build.
 func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	key := spanKey{childArt.Hash, t, name}
 	if sd, ok := c.spans[key]; ok {
@@ -1258,7 +1365,6 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 	// numbering the old embedding must not be replayed against.
 	if base, ok := c.spanClass[ck]; ok && base.childArt == childArt {
 		sd = c.deriveSpan(base, t, name, tc)
-		sd.rep = base
 		c.ctxHits++
 	} else {
 		sd = c.buildSpan(childArt, t, name, tc)
@@ -1276,14 +1382,16 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 // family.
 func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	sd := &spanData{childArt: childArt, t: t, name: name}
+	sd.rep = sd
 	sd.foots = make([]LocalFoot, 0, childArt.NumFoots())
 	sd.itemFoot = make([]int32, 0, childArt.NumItems())
 	sd.items = make([]ConnItem, 0, childArt.NumItems())
-	addFoot := func(f LocalFoot) {
-		f.Bounds = t.ApplyRect(f.Bounds)
-		f.Reg = c.regStore.TransformBy(f.Reg, t)
-		if f.Declared != "" && !tc.IsRail(f.Declared) {
-			f.Declared = name + "." + f.Declared
+	addFoot := func(f LocalFoot, declared string, tt geom.Transform) {
+		f.Bounds = tt.ApplyRect(f.Bounds)
+		f.Reg = c.regStore.TransformBy(f.Reg, tt)
+		f.Declared = declared
+		if declared != "" && !tc.IsRail(declared) {
+			f.Declared = name + "." + declared
 		}
 		sd.foots = append(sd.foots, f)
 	}
@@ -1293,18 +1401,18 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 	// backed items share the footprint's transformed geometry instead of
 	// re-deriving it.
 	lastRel, lastJoined := "\x00", ""
-	addItem := func(it ConnItem) {
+	addItem := func(it ConnItem, rel string, tt geom.Transform) {
 		if fi := sd.itemFoot[len(sd.items)]; fi >= 0 {
 			it.Bounds = sd.foots[fi].Bounds
 			it.Reg = sd.foots[fi].Reg
 			it.Net = NetID(childArt.ClassOf[fi])
 		} else {
-			it.Bounds = t.ApplyRect(it.Bounds)
-			it.Reg = c.regStore.TransformBy(it.Reg, t)
+			it.Bounds = tt.ApplyRect(it.Bounds)
+			it.Reg = c.regStore.TransformBy(it.Reg, tt)
 			it.Net = NoNet
 		}
-		if it.Path != lastRel {
-			lastRel, lastJoined = it.Path, prefixPath(name, it.Path)
+		if rel != lastRel {
+			lastRel, lastJoined = rel, prefixPath(name, rel)
 		}
 		it.Path = lastJoined
 		sd.items = append(sd.items, it)
@@ -1312,34 +1420,36 @@ func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name stri
 	}
 	// The child's flattened arrays are its own entries followed by its
 	// spans' embeddings, so the walk is sequential: own entries first, then
-	// each span straight out of the shared span storage — foot indices, Dev
-	// offsets and net classes are mapped into the child frame inline, with
-	// no per-item index resolution.
+	// each span straight out of its representative's storage, the span's
+	// offset folded into the transform — foot indices, Dev offsets and net
+	// classes are mapped into the child frame inline, with no per-item
+	// index resolution.
 	for i := range childArt.Foots {
-		addFoot(childArt.Foots[i])
+		addFoot(childArt.Foots[i], childArt.Foots[i].Declared, t)
 	}
 	for _, f := range childArt.ItemFoot {
 		sd.itemFoot = append(sd.itemFoot, int32(f))
 	}
 	for _, it := range childArt.Items {
-		addItem(it)
+		addItem(it, it.Path, t)
 	}
 	for si := range childArt.Children {
 		csp := &childArt.Children[si]
-		for _, f := range csp.sd.foots {
-			addFoot(f)
+		src, tt := csp.sd.rep, geom.Translate(csp.sd.d).Compose(t)
+		for k := range src.foots {
+			addFoot(src.foots[k], csp.sd.footDeclared(k), tt)
 		}
-		for _, f := range csp.sd.itemFoot {
+		for _, f := range src.itemFoot {
 			if f >= 0 {
 				f += int32(csp.FootStart)
 			}
 			sd.itemFoot = append(sd.itemFoot, f)
 		}
-		for _, it := range csp.sd.items {
+		for k, it := range src.items {
 			if it.Dev >= 0 {
 				it.Dev += csp.DevStart
 			}
-			addItem(it)
+			addItem(it, csp.sd.itemPath(k), tt)
 		}
 	}
 	sd.devs = make([]DeviceUse, len(childArt.Devices))
@@ -1395,93 +1505,19 @@ func (sd *spanData) index() {
 	}
 }
 
-// deriveSpan builds the embedding for (t, name) by translating the family
+// deriveSpan makes the embedding for (t, name) a view of the family
 // representative: same child content, same orientation, so every region,
-// bounds, and skeleton differs from base's by the constant offset
-// d = t.Trans - base.t.Trans, and every path/declared name differs only
-// in the leading call-name component. Copy, shift, and re-prefix — no
-// region transform, no string qualification logic, no accessor walks.
-func (c *Cache) deriveSpan(base *spanData, t geom.Transform, name string, tc *tech.Technology) *spanData {
-	d := t.Trans.Sub(base.t.Trans)
-	sd := &spanData{childArt: base.childArt, t: t, name: name, bounds: base.bounds.Translate(d)}
-
-	sd.foots = make([]LocalFoot, len(base.foots))
-	for i := range base.foots {
-		f := base.foots[i]
-		f.Bounds = f.Bounds.Translate(d)
-		f.Reg = c.regStore.Translate(f.Reg, d)
-		// Base qualification left exactly two shapes: rails verbatim, and
-		// everything else prefixed with the base call name.
-		if f.Declared != "" && !tc.IsRail(f.Declared) {
-			f.Declared = name + f.Declared[len(base.name):]
-		}
-		sd.foots[i] = f
-	}
-
-	// Base qualification is a pure prefix swap (base.name → name), so the
-	// whole derivation needs one new string per *distinct* path, not per
-	// item: the representative's path table maps every item/dev to its
-	// distinct path, and this span swaps each table entry once.
-	base.pathIndex()
-	swapped := make([]string, len(base.pathTab))
-	for i, p := range base.pathTab {
-		if len(p) == len(base.name) {
-			swapped[i] = name
-		} else {
-			swapped[i] = name + p[len(base.name):]
-		}
-	}
-	sd.items = make([]ConnItem, len(base.items))
-	for i := range base.items {
-		it := base.items[i]
-		if fi := base.itemFoot[i]; fi >= 0 {
-			it.Bounds = sd.foots[fi].Bounds
-			it.Reg = sd.foots[fi].Reg
-		} else {
-			it.Bounds = it.Bounds.Translate(d)
-			it.Reg = c.regStore.Translate(it.Reg, d)
-		}
-		it.Path = swapped[base.itemPathIdx[i]]
-		sd.items[i] = it
-	}
-
-	sd.devs = make([]DeviceUse, len(base.devs))
-	for i := range base.devs {
-		dv := base.devs[i]
-		dv.Path = swapped[base.devPathIdx[i]]
-		dv.T.Trans = dv.T.Trans.Add(d)
-		sd.devs[i] = dv
-	}
-
-	sd.footBoxes = make([]geom.Rect, len(sd.foots))
-	for i := range sd.foots {
-		sd.footBoxes[i] = sd.foots[i].Bounds
-	}
-	sd.itemBoxes = make([]geom.Rect, len(sd.items))
-	for i := range sd.items {
-		sd.itemBoxes[i] = sd.items[i].Bounds
-	}
-	sd.itemLayers, sd.onLayer, sd.itemFoot = base.itemLayers, base.onLayer, base.itemFoot
-	if len(base.gates) > 0 {
-		sd.gates = make([]Keepout, len(base.gates))
-		for i, k := range base.gates {
-			k.Reg = c.regStore.Translate(k.Reg, d)
-			k.Bounds = k.Bounds.Translate(d)
-			sd.gates[i] = k
-		}
-	}
-	if len(base.keeps) > 0 {
-		sd.keeps = make([]Keepout, len(base.keeps))
-		for i, k := range base.keeps {
-			k.Reg = c.regStore.Translate(k.Reg, d)
-			k.Bounds = k.Bounds.Translate(d)
-			sd.keeps[i] = k
-		}
-	}
-	sd.issues = make([]Issue, len(base.issues))
-	for i, is := range base.issues {
-		is.Where = is.Where.Translate(d)
-		sd.issues[i] = is
+// bounds, and skeleton differs from the representative's by the constant
+// offset d = t.Trans - rep.t.Trans, and every path/declared name only in
+// the leading call-name component. The view stores the offset and one
+// re-prefixed string per distinct path; it copies no entry.
+func (c *Cache) deriveSpan(rep *spanData, t geom.Transform, name string, tc *tech.Technology) *spanData {
+	rep.pathIndex(tc)
+	d := t.Trans.Sub(rep.t.Trans)
+	sd := &spanData{childArt: rep.childArt, t: t, name: name, bounds: rep.bounds.Translate(d), rep: rep, d: d}
+	sd.paths = make([]string, len(rep.paths))
+	for i, p := range rep.paths {
+		sd.paths[i] = name + p[len(rep.name):]
 	}
 	return sd
 }
@@ -1612,8 +1648,8 @@ func (a *SymbolArtifacts) CrossItemPairs(gap int64, emit func(i, j int)) {
 	}
 	forEachCrossPair(a.NumItems(), len(a.Items), a.Children,
 		func(si int) (int, int) { return a.Children[si].ItemStart, a.Children[si].ItemEnd },
-		func(i int) geom.Rect { return a.ItemView(i).Bounds },
-		func(si int) []geom.Rect { return a.Children[si].sd.itemBoxes },
+		func(i int) geom.Rect { return a.Items[i].Bounds },
+		func(si int) []geom.Rect { return a.Children[si].sd.rep.itemBoxes },
 		gap, emit)
 }
 
@@ -1633,18 +1669,24 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	if art.NumFoots() < 2 {
 		return nil
 	}
+	// Footprints of views are tested where they are stored, the partner
+	// shifted by the difference of the two offsets.
 	test := func(i, j int) {
 		if i > j {
 			i, j = j, i
 		}
-		a, b := art.FootView(i), art.FootView(j)
-		if a.Layer != b.Layer || !a.Bounds.Touches(b.Bounds) {
+		a, da := art.footAt(i)
+		b, db := art.footAt(j)
+		if a.Layer != b.Layer || !a.Bounds.Translate(da).Touches(b.Bounds.Translate(db)) {
 			return
 		}
-		if !a.Reg.Overlaps(b.Reg) {
+		if !geom.OverlapsShifted(a.Reg, b.Reg, db.Sub(da)) {
 			return
 		}
-		if geom.SkeletonsConnected(art.FootSkel(i), art.FootSkel(j)) {
+		// geom.SkeletonsConnected, across the two frames.
+		sa, oa := art.footSkel(i)
+		sb, ob := art.footSkel(j)
+		if geom.OverlapsShifted(sa, sb, ob.Sub(oa)) {
 			u.union(art.footNode(i), art.footNode(j))
 		} else {
 			illegal = append(illegal, [2]int{i, j})
@@ -1652,8 +1694,8 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	}
 	forEachCrossPair(art.NumFoots(), ownEnd, art.Children,
 		func(si int) (int, int) { return art.Children[si].FootStart, art.Children[si].FootEnd },
-		func(i int) geom.Rect { return art.FootView(i).Bounds },
-		func(si int) []geom.Rect { return art.Children[si].sd.footBoxes },
+		func(i int) geom.Rect { return art.Foots[i].Bounds },
+		func(si int) []geom.Rect { return art.Children[si].sd.rep.footBoxes },
 		0, test)
 	return illegal
 }
@@ -1661,8 +1703,10 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 // forEachCrossPair enumerates candidate element pairs at one hierarchy
 // level without visiting pairs internal to a child: a coarse sweep over
 // own entries and child bounding boxes, refined per candidate by scanning
-// only the entries near the partner. The enumeration is deterministic for
-// identical inputs, which the engine's replayable caches rely on.
+// only the entries near the partner. boundsAt reads own entries; spanBoxes
+// is a span's bounds table as its representative stores it, read shifted
+// by the span's offset. The enumeration is deterministic for identical
+// inputs, which the engine's replayable caches rely on.
 func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 	childRange func(si int) (int, int), boundsAt func(i int) geom.Rect,
 	spanBoxes func(si int) []geom.Rect,
@@ -1682,18 +1726,20 @@ func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 	within := func(a, b geom.Rect) bool { return a.Expand(gap).Touches(b) }
 	// collect gathers the child's entries near the probe rect, with their
 	// bounds, reading the span embedding directly (no per-element index
-	// resolution — this scan is the hot inner loop of a root re-derive).
+	// resolution — this scan is the hot inner loop of a root re-derive):
+	// the probe moves into the representative's frame, each hit back out.
 	type entry struct {
 		i int
 		b geom.Rect
 	}
 	collect := func(si int, probe geom.Rect, buf []entry) []entry {
 		buf = buf[:0]
-		probe = probe.Expand(gap)
+		d := children[si].sd.d
+		probe = probe.Expand(gap).Translate(d.Neg())
 		lo, _ := childRange(si)
 		for local, b := range spanBoxes(si) {
 			if probe.Touches(b) {
-				buf = append(buf, entry{lo + local, b})
+				buf = append(buf, entry{lo + local, b.Translate(d)})
 			}
 		}
 		return buf

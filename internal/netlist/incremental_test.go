@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
@@ -31,11 +32,14 @@ func sortedPairs(ps [][2]int) [][2]int {
 }
 
 // resolvedItems resolves every item index of the extraction's root: the
-// chip's items in walk order, each in chip coordinates with its global net.
+// chip's items in walk order, each in chip coordinates (its region moved
+// too) with its global net.
 func resolvedItems(x *IncExtraction) []ConnItem {
 	out := make([]ConnItem, x.Root.NumItems())
 	for i := range out {
-		out[i] = x.Root.ResolveItem(i)
+		it, off := x.Root.ResolveItem(i)
+		it.Reg = it.Reg.Translate(off)
+		out[i] = it
 	}
 	return out
 }
@@ -135,8 +139,8 @@ func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tec
 			t.Fatalf("%s: instance %d item range [%d,%d) out of bounds", label, ii, in.ItemStart, end)
 		}
 		for k := 0; k < in.Art.NumItems(); k++ {
-			li := in.Art.ResolveItem(k)
-			g := inc.Root.ResolveItem(in.ItemStart + k)
+			li, _ := in.Art.ResolveItem(k)
+			g, _ := inc.Root.ResolveItem(in.ItemStart + k)
 			if g.Layer != li.Layer || g.Sym != li.Sym || g.Elem != li.Elem {
 				t.Fatalf("%s: instance %d item %d does not correspond to def item", label, ii, k)
 			}
@@ -381,54 +385,121 @@ func TestActiveEditsWarmMatchFull(t *testing.T) {
 	}
 }
 
-// TestResolveItemMatchesFlatten: on a design whose items sit two and three
-// spans deep under all eight orientations, ResolveItem over every root
-// index yields exactly the interconnect elements layout.Flatten
+// TestResolveItemMatchesFlatten: on designs whose items sit two and three
+// spans deep under all eight orientations, and under translation families
+// at two levels (views of views, under R90 and MX), ResolveItem over every
+// root index yields exactly the interconnect elements layout.Flatten
 // instantiates — the same (symbol, element, instance path, bounds)
 // multiset — cold, and again through the warm cache after an edit of the
 // cell.
 func TestResolveItemMatchesFlatten(t *testing.T) {
 	tc := tech.NMOS()
-	d := workload.NewOrientedBlocks(tc)
-	c := NewCache()
-	type key struct {
-		sym    *layout.Symbol
-		elem   int
-		path   string
-		bounds geom.Rect
-	}
-	check := func(label string) {
-		t.Helper()
-		inc, _, err := ExtractIncremental(d, tc, c, nil, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		got := make(map[key]int)
-		for _, it := range resolvedItems(inc) {
-			if it.Elem >= 0 {
-				got[key{it.Sym, it.Elem, it.Path, it.Bounds}]++
+	for _, tcase := range []struct {
+		name  string
+		d     *layout.Design
+		cell  string
+		elems int // interconnect elements of the flattened design
+	}{
+		{"oriented blocks", workload.NewOrientedBlocks(tc), "ocell", 2*8*3 + 1},
+		{"translated families", workload.NewTranslatedFamilies(tc), "fcell", 2*3*3 + 1},
+	} {
+		t.Run(tcase.name, func(t *testing.T) {
+			d := tcase.d
+			c := NewCache()
+			type key struct {
+				sym    *layout.Symbol
+				elem   int
+				path   string
+				bounds geom.Rect
 			}
-		}
-		flat, err := d.Flatten()
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		want := make(map[key]int)
-		for _, fe := range flat {
-			if _, err := fe.Region(); err == nil && !fe.Symbol.IsPrimitive() {
-				want[key{fe.Symbol, fe.Elem.Index, fe.Path, fe.Bounds()}]++
+			check := func(label string) {
+				t.Helper()
+				inc, _, err := ExtractIncremental(d, tc, c, nil, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got := make(map[key]int)
+				for _, it := range resolvedItems(inc) {
+					if it.Elem >= 0 {
+						got[key{it.Sym, it.Elem, it.Path, it.Bounds}]++
+					}
+				}
+				flat, err := d.Flatten()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want := make(map[key]int)
+				for _, fe := range flat {
+					if _, err := fe.Region(); err == nil && !fe.Symbol.IsPrimitive() {
+						want[key{fe.Symbol, fe.Elem.Index, fe.Path, fe.Bounds()}]++
+					}
+				}
+				if len(want) != tcase.elems {
+					t.Fatalf("%s: the design flattens to %d interconnect elements, want %d", label, len(want), tcase.elems)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: resolved interconnect items differ from the flattened elements:\n got: %v\nwant: %v", label, got, want)
+				}
 			}
-		}
-		if len(want) != 2*8*3+1 {
-			t.Fatalf("%s: the design flattens to %d interconnect elements, want 49", label, len(want))
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: resolved interconnect items differ from the flattened elements:\n got: %v\nwant: %v", label, got, want)
-		}
+			check("cold")
+			if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: tcase.cell, Index: 2, DX: 250, DY: -250}); err != nil {
+				t.Fatal(err)
+			}
+			check("warm, after a cell edit")
+		})
 	}
-	check("cold")
-	if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: "ocell", Index: 2, DX: 250, DY: -250}); err != nil {
-		t.Fatal(err)
+}
+
+// TestDerivedSpanAllocs: a family hit is a view — an offset, a call name
+// and the representative's distinct paths under that name — so deriving
+// one allocates a small constant number of objects, the same for a child
+// of eight boxes as for one of two hundred and fifty-six, and the view
+// holds none of the representative's entries.
+func TestDerivedSpanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
 	}
-	check("warm, after a cell edit")
+	tc := tech.NMOS()
+	metalL, _ := tc.LayerByName(tech.NMOSMetal)
+	measure := func(boxes int) float64 {
+		d := layout.NewDesign("family")
+		cell := d.MustSymbol("cell")
+		cell.AddCall(device.NewDiffContact(d, tc, "contact"), geom.Identity, "ct")
+		for i := 0; i < boxes; i++ {
+			x := int64(i) * 1500
+			cell.AddBox(metalL, geom.R(x, 1000, x+750, 1750), "")
+		}
+		top := d.MustSymbol("top")
+		top.AddCall(cell, geom.Identity, "c0")
+		d.Top = top
+		c := NewCache()
+		art := c.build(cell, d.ContentHashes(), tc)
+		rep := c.span(art, geom.NewTransform(geom.R90, geom.Pt(0, 0)), "c0", tc)
+		const runs = 100
+		names := make([]string, runs+1)
+		for i := range names {
+			names[i] = fmt.Sprintf("c%d", i+1)
+		}
+		k := 0
+		var last *spanData
+		allocs := testing.AllocsPerRun(runs, func() {
+			last = c.span(art, geom.NewTransform(geom.R90, geom.Pt(0, int64(k+1)*2000)), names[k], tc)
+			k++
+		})
+		if last.rep != rep || last.items != nil || last.foots != nil || last.devs != nil ||
+			last.gates != nil || last.keeps != nil || last.issues != nil ||
+			last.itemBoxes != nil || last.footBoxes != nil {
+			t.Fatalf("%d boxes: a derived span holds entries of its own (rep %p, want %p)", boxes, last.rep, rep)
+		}
+		if hits, _ := c.ContextStats(); hits != runs+1 {
+			t.Fatalf("%d boxes: %d family hits, want %d", boxes, hits, runs+1)
+		}
+		return allocs
+	}
+	small, large := measure(8), measure(256)
+	const maxAllocs = 4 // measured 3: the view, its path table, one re-prefixed path
+	if small > maxAllocs || large != small {
+		t.Fatalf("deriving a span allocates %.1f objects for an 8-box child and %.1f for a 256-box one, want the same and <= %d",
+			small, large, maxAllocs)
+	}
 }
