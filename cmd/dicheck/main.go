@@ -19,8 +19,6 @@
 //	-noconstruct         skip the non-geometric construction rules (the
 //	                     bipolar demo workload needs this: its device
 //	                     terminals are deliberately unwired)
-//	-workers n           goroutines building per-definition interaction
-//	                     caches (0 = all cores, 1 = serial)
 //	-v                   print every violation, not just the summary
 //	-netlist             print the extracted hierarchical net list
 //	-stats               print per-stage statistics
@@ -84,7 +82,6 @@ func run() int {
 	showStats := flag.Bool("stats", false, "print per-stage statistics")
 	noConstruct := flag.Bool("noconstruct", false, "skip the non-geometric construction rules (fanout, rails)")
 	procModel := flag.Bool("process", false, "give spacing violations a second opinion from the Eq.1 process model")
-	workers := flag.Int("workers", 0, "goroutines building per-definition interaction caches (0 = all cores, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "emit the report as machine-readable JSON")
 	repeat := flag.Int("repeat", 0, "run the engine this many times, printing per-run timings and cache stats (0 = one quiet run)")
 	editsFile := flag.String("edits", "", "apply this JSON edit script before checking (or to the served session)")
@@ -185,7 +182,7 @@ func run() int {
 
 	exitCode := 0
 	if !*flatOnly {
-		opts := core.Options{Workers: *workers, SkipConstruction: *noConstruct}
+		opts := core.Options{SkipConstruction: *noConstruct}
 		if *metric == "ortho" {
 			opts.Metric = core.Orthogonal
 		}

@@ -16,7 +16,6 @@
 //	-idle D            evict sessions idle longer than D (default 30m)
 //	-debounce D        edit-coalescing window before a background recheck
 //	                   (default 25ms)
-//	-workers N         engine interaction-stage goroutines (0 = all cores)
 //	-check-timeout D   deadline on request-triggered checks; expiry is a
 //	                   503 + Retry-After (default 2m, 0 = none)
 //	-edit-timeout D    deadline on edit batches (default 10s, 0 = none)
@@ -30,7 +29,7 @@
 //	                   snapshot on shutdown/eviction and every -snapshot-every
 //	-snapshot-every D  periodic snapshot interval (default 30s with -state-dir)
 //	-test-hooks        register POST /v1/sessions/{id}/inject (fault
-//	                   injection for the load harness; never in production)
+//	                   injection for drills; never in production)
 //
 // Endpoints (all JSON, versioned under /v1):
 //
@@ -75,7 +74,6 @@ func run() int {
 	maxSessions := flag.Int("max-sessions", 64, "LRU cap on live sessions")
 	idle := flag.Duration("idle", 30*time.Minute, "evict sessions idle longer than this")
 	debounce := flag.Duration("debounce", 25*time.Millisecond, "edit-coalescing window before a background recheck")
-	workers := flag.Int("workers", 0, "engine interaction-stage goroutines (0 = all cores)")
 	checkTimeout := flag.Duration("check-timeout", 2*time.Minute, "deadline on request-triggered checks (0 = none)")
 	editTimeout := flag.Duration("edit-timeout", 10*time.Second, "deadline on edit batches (0 = none)")
 	maxInflight := flag.Int("max-inflight", 0, "engine-run concurrency cap (0 = NumCPU)")
@@ -112,7 +110,6 @@ func run() int {
 		MaxSessions:   *maxSessions,
 		IdleTTL:       *idle,
 		Debounce:      *debounce,
-		Workers:       *workers,
 		CheckTimeout:  *checkTimeout,
 		EditTimeout:   *editTimeout,
 		MaxInflight:   *maxInflight,

@@ -5,13 +5,10 @@
 //
 // Usage:
 //
-//	drcbench [-quick] [-run E01,E09] [-workers n]
+//	drcbench [-quick] [-run E01,E09]
 //
 //	-quick        smaller chip sizes (fast smoke run)
 //	-run          comma-separated experiment ids (default: all)
-//	-workers      goroutines building the DIC's per-definition interaction
-//	              caches (0 = all cores, 1 = serial); E18 reports serial vs
-//	              pooled regardless of this setting
 //	-cpuprofile   write a pprof CPU profile of the run
 //	-memprofile   write a pprof heap profile at exit
 package main
@@ -35,11 +32,9 @@ func main() {
 func realMain() int {
 	quick := flag.Bool("quick", false, "smaller workloads")
 	run := flag.String("run", "", "comma-separated experiment ids (default all)")
-	workers := flag.Int("workers", 0, "goroutines building the DIC's per-definition interaction caches (0 = all cores, 1 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
-	eval.Workers = *workers
 
 	// Profiling hooks, same contract as dicheck's: hot-path investigation
 	// of an experiment shouldn't need a throwaway harness. Deferred here

@@ -163,7 +163,14 @@ func (p *parser) defStart(f []string) error {
 		}
 		p.scaleNum, p.scaleDen = a, b
 	}
-	sym, err := p.design.NewSymbol(fmt.Sprintf("S%d", num))
+	// The default name may already be some earlier symbol's declared one
+	// (Write renumbers symbols and names each with a 9 command); a name
+	// declared after this DS replaces the placeholder anyway.
+	name := fmt.Sprintf("S%d", num)
+	for _, taken := p.design.Symbol(name); taken; _, taken = p.design.Symbol(name) {
+		name += "_"
+	}
+	sym, err := p.design.NewSymbol(name)
 	if err != nil {
 		return err
 	}

@@ -17,12 +17,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Workers is the core.Options.Workers value every experiment passes to the
-// DIC (0 = all cores, 1 = definition caches built serially). cmd/drcbench
-// sets it from -workers; the checker's report is identical either way,
-// only the wall time changes.
-var Workers int
-
 // Outcome classifies one checker's output against ground truth.
 type Outcome struct {
 	Injected    int
@@ -155,7 +149,7 @@ func RunE1(tc *tech.Technology, rows, cols, nErrors int, seed int64) (E1Result, 
 	res := E1Result{Rows: rows, Cols: cols, Devices: chip.DeviceCount(), Injected: len(injected)}
 
 	start := time.Now()
-	dicRep, err := core.Check(chip.Design, tc, core.Options{Workers: Workers})
+	dicRep, err := core.Check(chip.Design, tc, core.Options{})
 	if err != nil {
 		return res, fmt.Errorf("dic: %w", err)
 	}
@@ -185,7 +179,7 @@ type PathologyResult struct {
 func RunPathology(p workload.Pathology) (PathologyResult, error) {
 	res := PathologyResult{Pathology: p, DICRules: map[string]int{}, FlatRules: map[string]int{}}
 
-	rep, err := core.Check(p.Design, p.Tech, core.Options{SkipConstruction: true, Workers: Workers})
+	rep, err := core.Check(p.Design, p.Tech, core.Options{SkipConstruction: true})
 	if err != nil {
 		return res, err
 	}

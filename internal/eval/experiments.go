@@ -192,7 +192,7 @@ func E09(quick bool) (*Table, error) {
 		st := chip.Design.Stats()
 
 		start := time.Now()
-		rep, err := core.Check(chip.Design, tc, core.Options{Workers: Workers})
+		rep, err := core.Check(chip.Design, tc, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -280,7 +280,7 @@ func E11() (*Table, error) {
 	t.Note("%d of %d upper-triangular cells carry any rule; the rest are skipped outright", checked, checked+skipped)
 
 	chip := workload.NewChip(tc, "e11", 8, 12)
-	rep, err := core.Check(chip.Design, tc, core.Options{Workers: Workers})
+	rep, err := core.Check(chip.Design, tc, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +363,7 @@ func E15() (*Table, error) {
 	tc := tech.NMOS()
 
 	chip := workload.NewChip(tc, "e15clean", 4, 4)
-	cleanRep, err := core.Check(chip.Design, tc, core.Options{Workers: Workers})
+	cleanRep, err := core.Check(chip.Design, tc, core.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +403,7 @@ func E15() (*Table, error) {
 	}
 	for _, cse := range cases {
 		c := cse.mk()
-		rep, err := core.Check(c.Design, tc, core.Options{Workers: Workers})
+		rep, err := core.Check(c.Design, tc, core.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -463,13 +463,13 @@ func E06(quick bool) (*Table, error) {
 	}
 	for _, n := range sizes {
 		clean := workload.NewBipolarChip(tech.Bipolar(), "e06clean", n)
-		cleanRep, err := core.Check(clean.Design, clean.Tech, core.Options{SkipConstruction: true, Workers: Workers})
+		cleanRep, err := core.Check(clean.Design, clean.Tech, core.Options{SkipConstruction: true})
 		if err != nil {
 			return nil, err
 		}
 		broken := workload.NewBipolarChip(tech.Bipolar(), "e06broken", n)
 		where := broken.BreakIsolation(n / 2)
-		brokenRep, err := core.Check(broken.Design, broken.Tech, core.Options{SkipConstruction: true, Workers: Workers})
+		brokenRep, err := core.Check(broken.Design, broken.Tech, core.Options{SkipConstruction: true})
 		if err != nil {
 			return nil, err
 		}
@@ -513,11 +513,11 @@ func E17(quick bool) (*Table, error) {
 		note string
 	}
 	cfgs := []cfg{
-		{"full DIC (nets + devices + Euclidean)", core.Options{Workers: Workers},
+		{"full DIC (nets + devices + Euclidean)", core.Options{},
 			"the paper's checker"},
-		{"orthogonal metric", core.Options{Metric: core.Orthogonal, Workers: Workers},
+		{"orthogonal metric", core.Options{Metric: core.Orthogonal},
 			"Figure 4 corner metric inside the DIC"},
-		{"no net/device exemptions", core.Options{NoExemptions: true, Workers: Workers},
+		{"no net/device exemptions", core.Options{NoExemptions: true},
 			"every pair checked as unrelated (Figures 5/12 discarded)"},
 	}
 	for _, c := range cfgs {

@@ -25,10 +25,6 @@ func (p FPolygon) SignedArea() float64 {
 // Area returns the absolute area.
 func (p FPolygon) Area() float64 { return math.Abs(p.SignedArea()) }
 
-// OrthogonalExpandRect is the paper's orthogonal expand applied to a rect:
-// square corners are preserved (Figure 3, left).
-func OrthogonalExpandRect(r Rect, d int64) Rect { return r.Expand(d) }
-
 // OrthogonalExpandArea returns the exact area of the orthogonal expansion
 // of a region by d, computed with the region algebra.
 func OrthogonalExpandArea(r Region, d int64) int64 { return r.Dilate(d).Area() }

@@ -37,13 +37,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// Dist2 returns the squared Euclidean distance from p to q as a float64
-// (exactness is preserved for coordinates below 2^26).
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := float64(p.X-q.X), float64(p.Y-q.Y)
-	return dx*dx + dy*dy
-}
-
 // ManhattanDist returns |dx|+|dy|.
 func (p Point) ManhattanDist(q Point) int64 {
 	return absInt64(p.X-q.X) + absInt64(p.Y-q.Y)

@@ -54,9 +54,6 @@ func (r Rect) MinSide() int64 { return minInt64(r.W(), r.H()) }
 // Center returns the center point of r (rounded toward the lower-left).
 func (r Rect) Center() Point { return Point{(r.X1 + r.X2) / 2, (r.Y1 + r.Y2) / 2} }
 
-// Canon returns r normalized so X1<=X2 and Y1<=Y2.
-func (r Rect) Canon() Rect { return R(r.X1, r.Y1, r.X2, r.Y2) }
-
 // Translate returns r moved by d.
 func (r Rect) Translate(d Point) Rect {
 	return Rect{r.X1 + d.X, r.Y1 + d.Y, r.X2 + d.X, r.Y2 + d.Y}
@@ -117,11 +114,6 @@ func (r Rect) Touches(s Rect) bool {
 // Contains reports whether p lies in the closed rect r.
 func (r Rect) Contains(p Point) bool {
 	return r.X1 <= p.X && p.X <= r.X2 && r.Y1 <= p.Y && p.Y <= r.Y2
-}
-
-// ContainsRect reports whether s lies entirely within the closed rect r.
-func (r Rect) ContainsRect(s Rect) bool {
-	return r.X1 <= s.X1 && s.X2 <= r.X2 && r.Y1 <= s.Y1 && s.Y2 <= r.Y2
 }
 
 // GapX returns the horizontal clearance between r and s (0 if the X

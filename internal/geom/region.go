@@ -998,14 +998,6 @@ func IntersectBoundsShifted(r, s Region, d Point) (Rect, bool) {
 	return out, found
 }
 
-// OverlapsRect reports whether r shares interior area with rect q.
-func (r Region) OverlapsRect(q Rect) bool {
-	if q.Empty() {
-		return false
-	}
-	return r.Overlaps(FromRectR(q))
-}
-
 // ContainsRegion reports whether s ⊆ r.
 func (r Region) ContainsRegion(s Region) bool {
 	return !boolOpAny(s, r, opSubtract)

@@ -82,6 +82,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if len(e.Box) != 4 {
 			return fmt.Errorf("layout: edit add_box on %q: box needs [x1 y1 x2 y2], got %d values", e.Symbol, len(e.Box))
 		}
+		if err := d.checkGrowth(s, 0, 1); err != nil {
+			return fmt.Errorf("layout: edit add_box on %q: %w", e.Symbol, err)
+		}
 		s.AddBox(layer, geom.R(e.Box[0], e.Box[1], e.Box[2], e.Box[3]), e.Net)
 	case OpAddWire:
 		layer, err := editLayer(tc, e)
@@ -93,6 +96,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		}
 		if e.Width <= 0 {
 			return fmt.Errorf("layout: edit add_wire on %q: width %d", e.Symbol, e.Width)
+		}
+		if err := d.checkGrowth(s, 0, 1); err != nil {
+			return fmt.Errorf("layout: edit add_wire on %q: %w", e.Symbol, err)
 		}
 		pts := make([]geom.Point, len(e.Path)/2)
 		for i := range pts {
@@ -138,6 +144,10 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 			// An acknowledged cycle would wedge every later check (Validate
 			// fails), so reject it here where the edit is still atomic.
 			return fmt.Errorf("layout: edit add_call: %q -> %q would create a call cycle", e.Symbol, e.Target)
+		}
+		inst, elems := flatSize(target, make(map[*Symbol][2]int64))
+		if err := d.checkGrowth(s, inst, elems); err != nil {
+			return fmt.Errorf("layout: edit add_call: %q -> %q: %w", e.Symbol, e.Target, err)
 		}
 		s.AddCall(target, geom.NewTransform(o, geom.Pt(e.DX, e.DY)), e.Name)
 	case OpDeleteCall:
@@ -194,17 +204,27 @@ func editIndex(e Edit, n int, kind string) (int, error) {
 }
 
 // reaches reports whether to is reachable from from through calls
-// (including from == to).
+// (including from == to). It visits each symbol once: a hierarchy within
+// the size cap can still hold millions of call paths.
 func reaches(from, to *Symbol) bool {
-	if from == to {
-		return true
-	}
-	for _, c := range from.Calls {
-		if c.Target != nil && reaches(c.Target, to) {
+	seen := make(map[*Symbol]bool)
+	var walk func(s *Symbol) bool
+	walk = func(s *Symbol) bool {
+		if s == to {
 			return true
 		}
+		if seen[s] {
+			return false
+		}
+		seen[s] = true
+		for _, c := range s.Calls {
+			if c.Target != nil && walk(c.Target) {
+				return true
+			}
+		}
+		return false
 	}
-	return false
+	return walk(from)
 }
 
 func moveElement(el *Element, dx, dy int64) {

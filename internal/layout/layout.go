@@ -16,6 +16,7 @@
 package layout
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -385,6 +386,26 @@ type Design struct {
 	hashBuf             hashWriter
 }
 
+// maxFlat caps a design's flattened size: the symbol instances its top
+// expands to, and the elements those instances hold. A few kilobytes of
+// CIF in which each symbol calls the previous one twice parse to 2^n
+// instances; past the cap a design is refused (ErrTooLarge) instead of
+// being expanded until the process runs out of memory. 1<<22 is 42 times
+// a 64×64 array chip and 2.7 times a 256×256 one.
+const maxFlat = 1 << 22
+
+// ErrTooLarge is wrapped by every error that refuses a design, or an edit,
+// for flattening to more than maxFlat instances or elements.
+var ErrTooLarge = errors.New("design too large")
+
+// satAdd adds two non-negative counts, saturating just past maxFlat.
+func satAdd(a, b int64) int64 {
+	if a+b > maxFlat {
+		return maxFlat + 1
+	}
+	return a + b
+}
+
 // callGraph is one walk of the calls reachable from a design's top: valid
 // while the design's structGen and Top are the ones it was taken at.
 type callGraph struct {
@@ -394,6 +415,10 @@ type callGraph struct {
 	order     []*Symbol             // callees before callers, by call order
 	callers   map[*Symbol][]*Symbol // distinct callers of each symbol, in order's order
 	err       error                 // the first cycle, nil target or unregistered target met
+	// inst counts the placements of each symbol (by ID) in the flattened
+	// top, and instances their sum; both saturate past maxFlat.
+	inst      []int64
+	instances int64
 }
 
 // callGraph returns the memoised walk, redoing it only after an edit that
@@ -436,6 +461,19 @@ func (d *Design) callGraph() *callGraph {
 		g.order = append(g.order, s)
 	}
 	visit(d.Top)
+	if g.err == nil {
+		// Callers before callees: a symbol's count is final when reached.
+		g.inst = make([]int64, len(d.symbols))
+		g.inst[d.Top.ID] = 1
+		for i := len(g.order) - 1; i >= 0; i-- {
+			s := g.order[i]
+			n := g.inst[s.ID]
+			g.instances = satAdd(g.instances, n)
+			for _, c := range s.Calls {
+				g.inst[c.Target.ID] = satAdd(g.inst[c.Target.ID], n)
+			}
+		}
+	}
 	g.callers = make(map[*Symbol][]*Symbol, len(g.order))
 	for _, s := range g.order {
 		for _, c := range s.Calls {
@@ -500,10 +538,11 @@ func (d *Design) Rename(s *Symbol, name string) {
 func (d *Design) Symbols() []*Symbol { return d.symbols }
 
 // Validate checks structural soundness: a top symbol exists, the call
-// graph is acyclic, all calls target registered symbols, and primitive
-// device symbols contain no calls. The graph checks ride on the memoised
-// walk, so validating an unedited design again costs one pass over the
-// symbols, not over their calls.
+// graph is acyclic, all calls target registered symbols, primitive device
+// symbols contain no calls, and the flattened design stays within maxFlat
+// instances and elements. The graph checks ride on the memoised walk, so
+// validating an unedited design again costs one pass over the symbols,
+// not over their calls.
 func (d *Design) Validate() error {
 	if d.Top == nil {
 		return fmt.Errorf("layout: design %q has no top symbol", d.Name)
@@ -518,7 +557,51 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("layout: primitive device symbol %q contains calls", s.Name)
 		}
 	}
+	return g.overCap(0, 0)
+}
+
+// overCap refuses a design that, grown by extra instances and elements,
+// flattens past maxFlat.
+func (g *callGraph) overCap(extraInst, extraElems int64) error {
+	if satAdd(g.instances, extraInst) > maxFlat {
+		return fmt.Errorf("layout: %w: more than %d symbol instances", ErrTooLarge, maxFlat)
+	}
+	elems := extraElems
+	for _, s := range g.order {
+		elems = satAdd(elems, min(int64(len(s.Elements))*g.inst[s.ID], maxFlat+1))
+	}
+	if elems > maxFlat {
+		return fmt.Errorf("layout: %w: more than %d flattened elements", ErrTooLarge, maxFlat)
+	}
 	return nil
+}
+
+// checkGrowth refuses an edit that adds, to every placement of s, inst
+// more symbol instances and elems more elements, if the grown design
+// would flatten past maxFlat. A symbol the top does not reach grows
+// nothing.
+func (d *Design) checkGrowth(s *Symbol, inst, elems int64) error {
+	g := d.callGraph()
+	if g.err != nil || d.Top == nil {
+		return nil // Validate reports it; the edit changes nothing about it
+	}
+	k := g.inst[s.ID]
+	return g.overCap(min(k*inst, maxFlat+1), min(k*elems, maxFlat+1))
+}
+
+// flatSize counts the instances (itself included) and the elements one
+// placement of s expands to, saturating past maxFlat.
+func flatSize(s *Symbol, memo map[*Symbol][2]int64) (inst, elems int64) {
+	if v, ok := memo[s]; ok {
+		return v[0], v[1]
+	}
+	inst, elems = 1, min(int64(len(s.Elements)), maxFlat+1)
+	for _, c := range s.Calls {
+		i, e := flatSize(c.Target, memo)
+		inst, elems = satAdd(inst, i), satAdd(elems, e)
+	}
+	memo[s] = [2]int64{inst, elems}
+	return inst, elems
 }
 
 // Stats summarizes a design for reports.

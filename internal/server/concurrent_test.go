@@ -34,8 +34,9 @@ func TestConcurrentSessions(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, sessions*4)
 
+	var drivers sync.WaitGroup
 	drive := func(name string) {
-		defer wg.Done()
+		defer drivers.Done()
 		created, err := c.SessionCreate(context.Background(), CreateRequest{Name: name, CIF: text, Tech: "nmos"})
 		if err != nil {
 			errs <- fmt.Errorf("%s: create: %w", name, err)
@@ -73,7 +74,7 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 
-	wg.Add(sessions)
+	drivers.Add(sessions)
 	for i := 0; i < sessions; i++ {
 		go drive(fmt.Sprintf("sess%d", i))
 	}
@@ -134,13 +135,10 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}()
 
-	done := make(chan struct{})
-	go func() {
-		time.Sleep(500 * time.Millisecond)
-		close(stop)
-		close(done)
-	}()
-	<-done
+	// The shared session's racers run until every independent driver is
+	// done.
+	drivers.Wait()
+	close(stop)
 	wg.Wait()
 	close(errs)
 	for err := range errs {

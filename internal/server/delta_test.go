@@ -362,3 +362,54 @@ func TestDeltaStats(t *testing.T) {
 	}
 	_ = time.Now
 }
+
+// TestDeltaPayloadFraction is the point of the delta path in bytes: on a
+// violation-heavy session polled after each small edit, every delta
+// payload is at most a quarter of the full report of the same state. The
+// session carries 40 sub-minimum metal slivers, and the edits move a
+// floating probe box back and forth.
+func TestDeltaPayloadFraction(t *testing.T) {
+	text, _ := cmosCIF(t, 1, 2)
+	_, c := newTestServer(t, Config{Debounce: -1})
+	ctx := context.Background()
+	created, err := c.SessionCreate(ctx, CreateRequest{Name: "heavy", CIF: text, Tech: "cmos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seed []layout.Edit
+	for j := int64(0); j < 40; j++ {
+		y := -20000 - j*5000
+		seed = append(seed, layout.Edit{Op: layout.OpAddBox, Symbol: "chip", Layer: tech.CMOSMetal, Box: []int64{-30000, y, -29900, y + 1000}})
+	}
+	seed = append(seed, layout.Edit{Op: layout.OpAddBox, Symbol: "chip", Layer: tech.CMOSMetal, Box: []int64{-30000, 0, -29000, 1000}})
+	if _, err := c.SessionEdit(ctx, created.ID, seed); err != nil {
+		t.Fatal(err)
+	}
+	cached, err := c.SessionReport(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cached.Violations) < 40 {
+		t.Fatalf("seeded session has %d violations, want at least 40", len(cached.Violations))
+	}
+	for i, dy := 0, int64(250); i < 8; i, dy = i+1, -dy {
+		if _, err := c.SessionEdit(ctx, created.ID, []layout.Edit{{Op: layout.OpMoveElement, Symbol: "chip", Index: -1, DY: dy}}); err != nil {
+			t.Fatal(err)
+		}
+		rep, delta, err := c.SessionReportApply(ctx, created.ID, cached)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := c.SessionReport(ctx, created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Reset || rep.Fingerprint != full.Fingerprint {
+			t.Fatalf("step %d: reset=%v, reconstructed %s, full %s", i, delta.Reset, rep.Fingerprint, full.Fingerprint)
+		}
+		if 4*delta.WireBytes > full.WireBytes {
+			t.Fatalf("step %d: delta %d bytes, full report %d: more than a quarter", i, delta.WireBytes, full.WireBytes)
+		}
+		cached = rep
+	}
+}

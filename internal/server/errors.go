@@ -7,8 +7,7 @@ import (
 
 // Error classes of the wire error contract. Every non-2xx response body
 // is {"error": "...", "class": "..."}; the class is machine-stable (the
-// message is not) and is what clients and the load harness key their
-// histograms on.
+// message is not) and is what clients key on.
 //
 //	bad_request  400  malformed JSON, unknown tech/metric, invalid edit
 //	not_found    404  no such session (never existed, or fully evicted)

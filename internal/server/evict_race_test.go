@@ -50,23 +50,20 @@ func TestEvictRaceHammer(t *testing.T) {
 		return false
 	}
 
+	// Editors and reporters, one pair per slot, each making a fixed number
+	// of requests; the evictor and the creators run until they are done.
+	const rounds = 150
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, clients sync.WaitGroup
 	fail := make(chan error, 64)
 
-	// Editors and reporters, one pair per slot.
 	for i := 0; i < nSessions; i++ {
 		slot := i
-		wg.Add(2)
+		clients.Add(2)
 		go func() {
-			defer wg.Done()
+			defer clients.Done()
 			flip := false
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for n := 0; n < rounds; n++ {
 				id, _ := ids[slot].Load().(string)
 				if id == "" {
 					continue
@@ -87,13 +84,8 @@ func TestEvictRaceHammer(t *testing.T) {
 			}
 		}()
 		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			defer clients.Done()
+			for n := 0; n < rounds; n++ {
 				id, _ := ids[slot].Load().(string)
 				if id == "" {
 					continue
@@ -149,7 +141,7 @@ func TestEvictRaceHammer(t *testing.T) {
 		}
 	}()
 
-	time.Sleep(800 * time.Millisecond)
+	clients.Wait()
 	close(stop)
 	wg.Wait()
 	select {

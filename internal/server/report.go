@@ -352,15 +352,10 @@ func buildDelta(fp, base string, prev []core.Violation, rep *core.Report, eng *c
 	}
 }
 
-// BuildResetDelta projects the current report as a reset delta — the
-// fallback when the requested base fingerprint is unknown or already
-// evicted from the bounded history: no base, Added carries everything.
-func BuildResetDelta(rep *core.Report, eng *core.Engine) *ReportDelta {
-	return buildResetDelta(digest(rep), rep, eng)
-}
-
-// buildResetDelta is BuildResetDelta for a caller that already holds
-// rep's digest.
+// buildResetDelta projects the current report, whose digest is fp, as a
+// reset delta — the fallback when the requested base fingerprint is
+// unknown or already evicted from the bounded history: no base, Added
+// carries everything.
 func buildResetDelta(fp string, rep *core.Report, eng *core.Engine) *ReportDelta {
 	return &ReportDelta{
 		Envelope:   buildEnvelope(SchemaReportDelta, fp, rep),

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/workload"
 )
 
 // noRetry returns the client with automatic retries disabled, so tests
@@ -92,10 +95,10 @@ func TestPanicPoisonsOnlyItsSession(t *testing.T) {
 // TestDeadlineExpiry503 arms a slow check longer than the configured
 // check deadline and asserts the report comes back 503/timeout with a
 // Retry-After, the session recovers within one more report, and the
-// daemon does not leak goroutines.
+// expired request leaves no goroutine behind.
 func TestDeadlineExpiry503(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	_, c := newTestServer(t, Config{
+	srv, c, clk := newFakeClockServer(t, Config{
 		Debounce:     time.Hour, // reports are the only flush trigger
 		CheckTimeout: 80 * time.Millisecond,
 		TestHooks:    true,
@@ -113,14 +116,22 @@ func TestDeadlineExpiry503(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := runtime.NumGoroutine()
-	_, err = c.SessionReport(context.Background(), created.ID)
-	apiErr := apiStatus(t, err)
-	if apiErr.Status != http.StatusServiceUnavailable || apiErr.Class != ClassTimeout {
-		t.Fatalf("slow report: got %d/%s, want 503/%s", apiErr.Status, apiErr.Class, ClassTimeout)
+	// Straight through the handler, so no connection goroutine muddies the
+	// count: the slow check sleeps on the fake clock until its deadline.
+	before, start := runtime.NumGoroutine(), clk.Now()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/sessions/"+created.ID+"/report", nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), ClassTimeout) {
+		t.Fatalf("slow report: got %d %s, want 503/%s", rec.Code, rec.Body, ClassTimeout)
 	}
-	if apiErr.RetryAfter <= 0 {
+	if rec.Header().Get("Retry-After") == "" {
 		t.Fatal("503 carried no Retry-After")
+	}
+	if waited := clk.Now().Sub(start); waited != 80*time.Millisecond {
+		t.Fatalf("the slow check gave up after %v, want the 80ms deadline", waited)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines leaked: %d before expiry, %d after", before, after)
 	}
 
 	// The injected slowness was consumed by the aborted run; the retry the
@@ -132,69 +143,34 @@ func TestDeadlineExpiry503(t *testing.T) {
 	if rep.Clean {
 		t.Fatal("recovered report lost the edit")
 	}
-
-	// No goroutine may be parked on the expired flush. Allow the count to
-	// settle — HTTP keep-alive and timer goroutines wind down lazily.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("goroutines leaked: %d before expiry, %d after settle", before, runtime.NumGoroutine())
 }
 
-// TestAdmissionQueueFull429 fills the single check slot (zero queue) with
-// an injected slow flush and asserts the next check-triggering request is
-// rejected 429/overload immediately, with the rejection visible on the
-// global stats.
+// TestAdmissionQueueFull429 takes the single check slot (zero queue), as
+// a long check on another session would, and asserts the next
+// check-triggering request is rejected 429/overload immediately, with the
+// rejection visible on the global stats.
 func TestAdmissionQueueFull429(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	_, c := newTestServer(t, Config{
+	srv, c := newTestServer(t, Config{
 		Debounce:    time.Hour,
 		MaxInflight: 1,
 		QueueDepth:  -1, // no waiting room: reject the moment the slot is taken
-		TestHooks:   true,
 	})
 	noRetry(c)
 
-	a, err := c.SessionCreate(context.Background(), CreateRequest{Name: "hog", CIF: text, Tech: "cmos"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := c.SessionCreate(context.Background(), CreateRequest{Name: "starved", CIF: text, Tech: "cmos"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{a.ID, b.ID} {
-		if _, err := c.SessionEdit(context.Background(), id, breakEdits()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.SessionInject(context.Background(), a.ID, InjectRequest{SlowMS: 1500, SlowCount: 1}); err != nil {
+	if _, err := c.SessionEdit(context.Background(), b.ID, breakEdits()); err != nil {
 		t.Fatal(err)
 	}
-
-	hogDone := make(chan error, 1)
-	go func() {
-		_, err := c.SessionReport(context.Background(), a.ID)
-		hogDone <- err
-	}()
-	// Wait until the hog actually holds the slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		gst, err := c.ServerStats(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gst.InflightChecks >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("hog never took the check slot")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if !srv.adm.tryAcquire() {
+		t.Fatal("check slot busy")
+	}
+	gst, err := c.ServerStats(context.Background())
+	if err != nil || gst.InflightChecks != 1 {
+		t.Fatalf("held slot not visible: %+v %v", gst, err)
 	}
 
 	_, err = c.SessionReport(context.Background(), b.ID)
@@ -205,18 +181,16 @@ func TestAdmissionQueueFull429(t *testing.T) {
 	if apiErr.RetryAfter <= 0 {
 		t.Fatal("429 carried no Retry-After")
 	}
-	if err := <-hogDone; err != nil {
-		t.Fatalf("hog report failed: %v", err)
-	}
+	srv.adm.release()
 
-	gst, err := c.ServerStats(context.Background())
+	gst, err = c.ServerStats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gst.Rejected429 == 0 {
 		t.Fatalf("rejection not counted: %+v", gst)
 	}
-	// Once the hog drains, the starved session must get through.
+	// Once the slot is free, the starved session must get through.
 	if rep, err := c.SessionReport(context.Background(), b.ID); err != nil || rep.Clean {
 		t.Fatalf("post-saturation report: err=%v", err)
 	}
@@ -276,5 +250,31 @@ func TestInjectRequiresTestHooks(t *testing.T) {
 	apiErr := apiStatus(t, err)
 	if apiErr.Status != http.StatusNotFound {
 		t.Fatalf("inject without -test-hooks: got %d, want 404", apiErr.Status)
+	}
+}
+
+// TestDoublingCIF413 posts a kilobyte of CIF that flattens to 2^31
+// instances — once enough to run the daemon out of memory and take every
+// session down with it. It must be refused quickly as too large, and the
+// daemon must keep serving.
+func TestDoublingCIF413(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	start := time.Now()
+	_, err := c.SessionCreate(context.Background(), CreateRequest{Name: "doubling", CIF: workload.DoublingCIF(32), Tech: "nmos"})
+	apiErr := apiStatus(t, err)
+	if apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Class != ClassTooLarge {
+		t.Fatalf("doubling CIF: got %d/%s, want 413/%s", apiErr.Status, apiErr.Class, ClassTooLarge)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("refusal took %v", el)
+	}
+	resp, err := http.Get(c.BaseURL + "/v1/healthz")
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the refusal: %v %v", resp, err)
+	}
+	resp.Body.Close()
+	text, _ := cmosCIF(t, 1, 2)
+	if _, err := c.SessionCreate(context.Background(), CreateRequest{Name: "after", CIF: text, Tech: "cmos"}); err != nil {
+		t.Fatalf("create after the refusal: %v", err)
 	}
 }

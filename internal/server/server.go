@@ -31,9 +31,6 @@ type Config struct {
 	// whichever comes first (default 25ms; negative disables the timer,
 	// leaving report requests as the only flush trigger).
 	Debounce time.Duration
-	// Workers sizes each engine's pool for building per-definition
-	// interaction caches (core.Options.Workers; 0 = all cores, 1 = serial).
-	Workers int
 
 	// CheckTimeout bounds engine runs triggered by a request — the cold
 	// check on create and the flush a report forces. On expiry the
@@ -133,26 +130,31 @@ type Server struct {
 	nextID   int
 	stats    serverStats
 
-	// now is the clock, injectable for eviction tests.
-	now func() time.Time
+	// clk schedules everything time-driven: deadlines, debounce, the
+	// janitor and snapshot loops, LRU and idle stamps.
+	clk clock
+	// loops are the pending janitor and snapshot-sweep timers (under mu);
+	// closing stops them re-arming.
+	loops   []timer
+	closing bool
 
-	start    time.Time
-	stop     chan struct{}
-	stopOnce sync.Once
+	start time.Time
 }
 
 // New creates a Server. Call Close when done to stop the background
-// goroutines (idle janitor, periodic snapshots); if Config.StateDir is
-// set, call RestoreFromDisk before serving to resurrect saved sessions.
-func New(cfg Config) *Server {
+// timers (idle janitor, periodic snapshots); if Config.StateDir is set,
+// call RestoreFromDisk before serving to resurrect saved sessions.
+func New(cfg Config) *Server { return newServer(cfg, realClock{}) }
+
+// newServer is New on a given clock.
+func newServer(cfg Config, clk clock) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:      cfg,
 		adm:      newAdmission(cfg.MaxInflight, cfg.QueueDepth),
 		sessions: make(map[string]*Session),
-		now:      time.Now,
+		clk:      clk,
 		start:    time.Now(),
-		stop:     make(chan struct{}),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleCreate)
@@ -171,12 +173,31 @@ func New(cfg Config) *Server {
 	})
 	s.mux = mux
 	if s.cfg.IdleTTL > 0 {
-		go s.janitor()
+		s.every(s.cfg.IdleTTL/4, func() { s.SweepIdle(s.clk.Now()) })
 	}
 	if s.cfg.StateDir != "" && s.cfg.SnapshotEvery > 0 {
-		go s.snapshotLoop()
+		s.every(s.cfg.SnapshotEvery, func() { s.SnapshotAll(s.clk.Now()) })
 	}
 	return s
+}
+
+// every runs f each time d elapses on the server's clock, until Close:
+// the idle janitor and the periodic snapshot sweep. The next run is
+// armed when the previous one returns, so runs never overlap.
+func (s *Server) every(d time.Duration, f func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := len(s.loops)
+	var tick func()
+	tick = func() {
+		f()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closing {
+			s.loops[i] = s.clk.AfterFunc(d, tick)
+		}
+	}
+	s.loops = append(s.loops, s.clk.AfterFunc(d, tick))
 }
 
 // ServeHTTP implements http.Handler. The outermost recovery is the
@@ -199,9 +220,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // state directory is configured (the graceful-shutdown snapshot), and
 // closes every session.
 func (s *Server) Close() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.mu.Lock()
+	s.closing = true
+	for _, t := range s.loops {
+		t.Stop()
+	}
+	s.mu.Unlock()
 	if s.cfg.StateDir != "" {
-		s.SnapshotAll(s.now())
+		s.SnapshotAll(s.clk.Now())
 	}
 	s.mu.Lock()
 	victims := make([]*Session, 0, len(s.sessions))
@@ -212,20 +238,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	for _, sess := range victims {
 		sess.close()
-	}
-}
-
-// janitor periodically evicts idle sessions.
-func (s *Server) janitor() {
-	tick := time.NewTicker(s.cfg.IdleTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.SweepIdle(s.now())
-		}
 	}
 }
 
@@ -260,7 +272,7 @@ func (s *Server) SweepIdle(now time.Time) int {
 // clean 410 from the closed session, never a torn state.
 func (s *Server) retire(sess *Session) {
 	if s.cfg.StateDir != "" {
-		if n, err := s.snapshotSession(sess, s.now()); err == nil && n > 0 {
+		if n, err := s.snapshotSession(sess, s.clk.Now()); err == nil && n > 0 {
 			s.mu.Lock()
 			s.stats.SnapshotsSaved++
 			s.mu.Unlock()
@@ -275,20 +287,21 @@ func (s *Server) lookup(id string) (*Session, bool) {
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
 	if ok {
-		sess.lastUsed = s.now()
+		sess.lastUsed = s.clk.Now()
 	}
 	return sess, ok
 }
 
 // register inserts a new session, evicting the least-recently-used one if
-// the table is full.
+// the table is full (the lowest id among equally old ones).
 func (s *Server) register(sess *Session) {
 	s.mu.Lock()
 	var victim *Session
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		var oldest *Session
 		for _, cand := range s.sessions {
-			if oldest == nil || cand.lastUsed.Before(oldest.lastUsed) {
+			if oldest == nil || cand.lastUsed.Before(oldest.lastUsed) ||
+				cand.lastUsed.Equal(oldest.lastUsed) && lessID(cand.ID, oldest.ID) {
 				oldest = cand
 			}
 		}
@@ -331,11 +344,11 @@ func (s *Server) guardSession(sess *Session, fn func() *svcError) (serr *svcErro
 }
 
 // opCtx derives the request context with the configured deadline.
-func opCtx(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
+func (s *Server) opCtx(r *http.Request, timeout time.Duration) (context.Context, context.CancelFunc) {
 	if timeout <= 0 {
 		return r.Context(), func() {}
 	}
-	return context.WithTimeout(r.Context(), timeout)
+	return s.clk.WithTimeout(r.Context(), timeout)
 }
 
 // decodeBody decodes a JSON request body under the size cap, mapping
@@ -403,12 +416,12 @@ func resolveTech(req *CreateRequest) (*tech.Technology, error) {
 // resolveCreate resolves a create request into the technology and check
 // options — shared between the create handler and snapshot restore so a
 // restored session is configured exactly like the original.
-func resolveCreate(req *CreateRequest, workers int) (*tech.Technology, core.Options, error) {
+func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 	tc, err := resolveTech(req)
 	if err != nil {
 		return nil, core.Options{}, err
 	}
-	opts := core.Options{Workers: workers, SkipConstruction: req.NoConstruct}
+	opts := core.Options{SkipConstruction: req.NoConstruct}
 	switch req.Metric {
 	case "", "euclid":
 	case "ortho":
@@ -429,7 +442,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty cif source"))
 		return
 	}
-	tc, opts, err := resolveCreate(&req, s.cfg.Workers)
+	tc, opts, err := resolveCreate(&req)
 	if err != nil {
 		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "%v", err))
 		return
@@ -442,12 +455,16 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		designName = "design"
 	}
 	d, err := cif.Parse(req.CIF, tc, designName)
+	if errors.Is(err, layout.ErrTooLarge) {
+		writeSvcErr(w, errf(http.StatusRequestEntityTooLarge, ClassTooLarge, "parse cif: %v", err))
+		return
+	}
 	if err != nil {
 		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "parse cif: %v", err))
 		return
 	}
 
-	ctx, cancel := opCtx(r, s.cfg.CheckTimeout)
+	ctx, cancel := s.opCtx(r, s.cfg.CheckTimeout)
 	defer cancel()
 	// The cold check is the most expensive thing the daemon does; it goes
 	// through the admission queue like every other engine run.
@@ -462,7 +479,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	origin := sessionOrigin{Tech: req.Tech, Deck: req.Deck, Metric: req.Metric, NoConstruct: req.NoConstruct}
-	sess, err := newSession(ctx, id, req.Name, d, tc, opts, origin, s.adm, s.cfg.Debounce, s.cfg.ReportHistory, s.now())
+	sess, err := newSession(ctx, id, req.Name, d, tc, opts, origin, s.adm, s.clk, s.cfg.Debounce, s.cfg.ReportHistory)
 	s.adm.release()
 	if err != nil {
 		writeSvcErr(w, classifyRunErr(fmt.Errorf("initial check: %w", err)))
@@ -535,7 +552,7 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty edit batch"))
 		return
 	}
-	_, cancel := opCtx(r, s.cfg.EditTimeout)
+	_, cancel := s.opCtx(r, s.cfg.EditTimeout)
 	defer cancel()
 	var resp EditResponse
 	serr := s.guardSession(sess, func() *svcError {
@@ -565,7 +582,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.inflight.Add(1)
 	defer sess.inflight.Add(-1)
-	ctx, cancel := opCtx(r, s.cfg.CheckTimeout)
+	ctx, cancel := s.opCtx(r, s.cfg.CheckTimeout)
 	defer cancel()
 	if r.URL.Query().Has("since") {
 		// Delta mode: ?since=<fingerprint> answers with added/removed
@@ -673,8 +690,7 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServerStatsResponse is the GET /stats payload: global gauges and
-// counters for capacity planning and the load harness's bounded-resource
-// assertions.
+// counters for capacity planning and bounded-resource checks.
 type ServerStatsResponse struct {
 	Sessions        int   `json:"sessions"`
 	SessionsDirty   int   `json:"sessions_dirty"`

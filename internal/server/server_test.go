@@ -45,7 +45,19 @@ func revertEdits() []layout.Edit {
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
-	srv := New(cfg)
+	return serveTest(t, New(cfg))
+}
+
+// newFakeClockServer is newTestServer on a fake clock: nothing time-driven
+// happens until the test advances it (see fakeClock in sim_test.go).
+func newFakeClockServer(t *testing.T, cfg Config) (*Server, *Client, *fakeClock) {
+	t.Helper()
+	clk := &fakeClock{now: time.Unix(1e9, 0)}
+	srv, c := serveTest(t, newServer(cfg, clk))
+	return srv, c, clk
+}
+
+func serveTest(t *testing.T, srv *Server) (*Server, *Client) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -205,11 +217,12 @@ func TestDebounceBatching(t *testing.T) {
 	}
 }
 
-// TestDebounceTimerFlush proves the background path: with a short window
-// and no report request, the timer runs the recheck on its own.
+// TestDebounceTimerFlush proves the background path: with no report
+// request, the timer runs the recheck on its own once the window passes,
+// and not before.
 func TestDebounceTimerFlush(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	_, c := newTestServer(t, Config{Debounce: 10 * time.Millisecond})
+	_, c, clk := newFakeClockServer(t, Config{Debounce: 10 * time.Millisecond})
 
 	created, err := c.SessionCreate(context.Background(), CreateRequest{Name: "timer", CIF: text, Tech: "cmos"})
 	if err != nil {
@@ -220,25 +233,25 @@ func TestDebounceTimerFlush(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	for _, step := range []struct {
+		advance time.Duration
+		flushed bool
+	}{{9 * time.Millisecond, false}, {time.Millisecond, true}} {
+		clk.advance(step.advance, nil)
+		clk.runReady()
 		st, err := c.SessionStats(context.Background(), created.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st.Dirty && st.Session.DebounceFlushes >= 1 {
-			break
+		if flushed := !st.Dirty && st.Session.DebounceFlushes == 1; flushed != step.flushed {
+			t.Fatalf("after %v more: flushed=%v, want %v: %+v", step.advance, flushed, step.flushed, st.Session)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("debounce timer never flushed: %+v", st.Session)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	text, _ := cmosCIF(t, 1, 1)
-	_, c := newTestServer(t, Config{MaxSessions: 2, Debounce: time.Hour})
+	_, c, clk := newFakeClockServer(t, Config{MaxSessions: 2, Debounce: time.Hour})
 
 	var ids []string
 	for _, name := range []string{"a", "b", "c"} {
@@ -247,8 +260,7 @@ func TestLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		ids = append(ids, created.ID)
-		// Distinct lastUsed stamps even on a coarse clock.
-		time.Sleep(2 * time.Millisecond)
+		clk.advance(time.Millisecond, nil)
 	}
 	if _, err := c.SessionReport(context.Background(), ids[0]); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("oldest session not evicted: %v", err)
@@ -402,4 +414,29 @@ func TestWidthClassRoundTrip(t *testing.T) {
 	if got, want := rep.Fingerprint, core.FingerprintDigest(repOff); got != want {
 		t.Fatalf("served fingerprint %s != offline %s", got, want)
 	}
+}
+
+// TestLoopsOnRealClock runs the idle janitor and the snapshot sweep on the
+// real clock until both have fired, then closes the server under them:
+// the race detector's view of the re-arming timers, which the simulation
+// only ever runs on one goroutine.
+func TestLoopsOnRealClock(t *testing.T) {
+	text, _ := cmosCIF(t, 1, 1)
+	srv, c := newTestServer(t, Config{IdleTTL: 4 * time.Millisecond, StateDir: t.TempDir(), SnapshotEvery: time.Millisecond})
+	if _, err := c.SessionCreate(context.Background(), CreateRequest{Name: "idle", CIF: text, Tech: "cmos"}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		gst, err := c.ServerStats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gst.EvictionsIdle > 0 && gst.SnapshotsSaved > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("loops never fired: %+v", gst)
+		}
+	}
+	srv.Close()
 }

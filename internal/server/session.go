@@ -66,8 +66,9 @@ type Session struct {
 	origin   sessionOrigin
 	restored bool // rebuilt from an on-disk snapshot at boot
 
+	clk      clock // the owning server's
 	debounce time.Duration
-	timer    *time.Timer
+	timer    timer
 	timerGen int // invalidates fired-but-not-yet-run timer callbacks
 
 	// adm is the owning server's admission queue; engine runs (the cold
@@ -145,7 +146,8 @@ type reportState struct {
 
 // newSession parses nothing — the server constructs it with a validated
 // design and technology — and runs the initial cold check under ctx.
-func newSession(ctx context.Context, id, name string, d *layout.Design, tc *tech.Technology, opts core.Options, origin sessionOrigin, adm *admission, debounce time.Duration, histCap int, now time.Time) (*Session, error) {
+func newSession(ctx context.Context, id, name string, d *layout.Design, tc *tech.Technology, opts core.Options, origin sessionOrigin, adm *admission, clk clock, debounce time.Duration, histCap int) (*Session, error) {
+	now := clk.Now()
 	s := &Session{
 		ID:       id,
 		Name:     name,
@@ -154,6 +156,7 @@ func newSession(ctx context.Context, id, name string, d *layout.Design, tc *tech
 		eng:      core.NewEngine(tc, opts),
 		origin:   origin,
 		adm:      adm,
+		clk:      clk,
 		debounce: debounce,
 		histCap:  histCap,
 		lastUsed: now,
@@ -300,7 +303,7 @@ func (s *Session) armTimerLocked() {
 	}
 	s.timerGen++
 	gen := s.timerGen
-	s.timer = time.AfterFunc(s.debounce, func() { s.timerFlush(gen) })
+	s.timer = s.clk.AfterFunc(s.debounce, func() { s.timerFlush(gen) })
 }
 
 // timerFlush is the debounce timer callback: recheck if still dirty and
@@ -350,17 +353,12 @@ func (s *Session) timerFlush(gen int) {
 // On failure the session stays dirty and keeps the previous report; the
 // error surfaces on the report request that forced the flush. The
 // injected slow-check hook sleeps here, context-respecting, simulating a
-// recheck that outlives its deadline.
+// recheck that outlives its deadline: the engine run that follows sees
+// the expired context at its first stage boundary and aborts.
 func (s *Session) flushLocked(ctx context.Context) error {
 	if s.inject.slowN > 0 && s.inject.slow > 0 {
 		s.inject.slowN--
-		t := time.NewTimer(s.inject.slow)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		}
+		s.clk.Sleep(ctx, s.inject.slow)
 	}
 	start := time.Now()
 	rep, err := s.eng.RecheckContext(ctx, s.design)

@@ -176,7 +176,7 @@ func ReadSnapshotFile(path string) (*SessionSnapshot, error) {
 // the crash. A mismatch refuses the session — serving a state that
 // diverges from what the client last saw would break the parity
 // contract silently.
-func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, debounce time.Duration, histCap, workers int, now time.Time) (*Session, error) {
+func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, clk clock, debounce time.Duration, histCap int) (*Session, error) {
 	req := CreateRequest{
 		Name:        snap.Name,
 		DesignName:  snap.DesignName,
@@ -186,7 +186,7 @@ func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, 
 		Metric:      snap.Metric,
 		NoConstruct: snap.NoConstruct,
 	}
-	tc, opts, err := resolveCreate(&req, workers)
+	tc, opts, err := resolveCreate(&req)
 	if err != nil {
 		return nil, fmt.Errorf("restore %s: %w", snap.ID, err)
 	}
@@ -195,7 +195,7 @@ func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, 
 		return nil, fmt.Errorf("restore %s: parse cif: %w", snap.ID, err)
 	}
 	origin := sessionOrigin{Tech: snap.Tech, Deck: snap.Deck, Metric: snap.Metric, NoConstruct: snap.NoConstruct}
-	sess, err := newSession(ctx, snap.ID, snap.Name, d, tc, opts, origin, adm, debounce, histCap, now)
+	sess, err := newSession(ctx, snap.ID, snap.Name, d, tc, opts, origin, adm, clk, debounce, histCap)
 	if err != nil {
 		return nil, fmt.Errorf("restore %s: recheck: %w", snap.ID, err)
 	}
@@ -326,7 +326,7 @@ func (s *Server) RestoreFromDisk(ctx context.Context) (restored int, errs []erro
 			errs = append(errs, fmt.Errorf("%s: already live, not restored", snap.ID))
 			continue
 		}
-		sess, err := RestoreSession(ctx, snap, s.adm, s.cfg.Debounce, s.cfg.ReportHistory, s.cfg.Workers, s.now())
+		sess, err := RestoreSession(ctx, snap, s.adm, s.clk, s.cfg.Debounce, s.cfg.ReportHistory)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -360,21 +360,6 @@ func idNum(id string) int {
 	return n
 }
 
-// snapshotLoop is the periodic snapshot goroutine, started when both a
-// state directory and an interval are configured.
-func (s *Server) snapshotLoop() {
-	tick := time.NewTicker(s.cfg.SnapshotEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-tick.C:
-			s.SnapshotAll(s.now())
-		}
-	}
-}
-
 // SnapshotSweepResponse reports what a forced snapshot sweep wrote.
 type SnapshotSweepResponse struct {
 	Saved  int      `json:"saved"`
@@ -389,7 +374,7 @@ func (s *Server) handleSnapshotNow(w http.ResponseWriter, r *http.Request) {
 		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "no -state-dir configured"))
 		return
 	}
-	saved, errs := s.SnapshotAll(s.now())
+	saved, errs := s.SnapshotAll(s.clk.Now())
 	resp := SnapshotSweepResponse{Saved: saved}
 	for _, err := range errs {
 		resp.Errors = append(resp.Errors, err.Error())

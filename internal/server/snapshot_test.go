@@ -69,7 +69,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 		}
 		origin := sessionOrigin{Tech: "cmos"}
 		sess, err := newSession(context.Background(), fmt.Sprintf("s%d", trial+1), "prop", d, tc,
-			core.Options{}, origin, nil, -1, 8, time.Now())
+			core.Options{}, origin, nil, realClock{}, -1, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: snapshot fingerprint %s != live %s", trial, snap.Fingerprint, liveFP)
 		}
 
-		restored, err := RestoreSession(context.Background(), snap, nil, -1, 8, 0, time.Now())
+		restored, err := RestoreSession(context.Background(), snap, nil, realClock{}, -1, 8)
 		if err != nil {
 			t.Fatalf("trial %d: restore: %v", trial, err)
 		}
@@ -132,7 +132,7 @@ func TestSnapshotFileAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, err := newSession(context.Background(), "s1", "disk", d, tc,
-		core.Options{}, sessionOrigin{Tech: "cmos"}, nil, -1, 8, time.Now())
+		core.Options{}, sessionOrigin{Tech: "cmos"}, nil, realClock{}, -1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,11 +171,6 @@ func (c *Compiled) Interacts(a, b LayerID) bool {
 	return c.interacts[int(a)*c.stride+int(b)/64]&(1<<(uint(b)%64)) != 0
 }
 
-// InteractsTag is Interacts over the int tags the pair sweep carries.
-func (c *Compiled) InteractsTag(a, b int) bool {
-	return c.interacts[a*c.stride+b/64]&(1<<(uint(b)%64)) != 0
-}
-
 // Poly returns the poly-role layer (gate material), if any.
 func (c *Compiled) Poly() (LayerID, bool) { return c.polyID, c.hasPoly }
 

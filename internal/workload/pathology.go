@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/device"
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -238,4 +241,18 @@ func AllPathologies() []Pathology {
 		Figure8AccidentalTransistor(),
 		Figure15SelfSufficiency(),
 	}
+}
+
+// DoublingCIF is hostile input of a few hundred bytes per level: an nMOS
+// metal box in symbol 1, and each of symbols 2..levels calling the
+// previous one twice, side by side. It parses to 2^(levels-1) flattened
+// instances of the box, which the design-size cap must refuse.
+func DoublingCIF(levels int) string {
+	var b strings.Builder
+	b.WriteString("DS 1; L NM; B 400 400 200 200; DF;\n")
+	for i := 2; i <= levels; i++ {
+		fmt.Fprintf(&b, "DS %d; C %d; C %d T %d 0; DF;\n", i, i-1, i-1, int64(500)<<(i-2))
+	}
+	fmt.Fprintf(&b, "C %d;\nE\n", levels)
+	return b.String()
 }

@@ -7,8 +7,9 @@
 # per-class summary counts it) — asserting fingerprint parity with
 # offline runs replaying the same edit script at every step, plus the
 # report-delta path (?since= answers only added/removed, fingerprint-
-# asserted against the offline replay), and the debounce bound (an edit
-# burst costs at most 2 rechecks).
+# asserted against the offline replay), the debounce bound (an edit
+# burst costs at most 2 rechecks), a bounded goroutine count after the
+# session, and a clean SIGTERM shutdown (exit 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -200,4 +201,17 @@ echo "== delete session"
 curl -sf -X DELETE "$base/v1/sessions/$sid" > /dev/null || fail "delete"
 curl -s "$base/v1/sessions/$sid/report" | grep -q '"error"' || fail "deleted session still serves reports"
 
-echo "PASS: integration smoke (clean -> violating -> clean, fingerprint parity, deltas, burst cost $burst rechecks)"
+# Step 9: bounded resources and a clean shutdown. No debounce timer,
+# request or session may leave a goroutine behind, and SIGTERM must
+# drain the daemon and exit 0.
+echo "== goroutines and SIGTERM"
+curl -sf "$base/v1/stats" > "$work/stats.json" || fail "GET /v1/stats"
+goroutines=$(field "$work/stats.json" goroutines)
+[ -n "$goroutines" ] && [ "$goroutines" -le 300 ] || fail "daemon holds $goroutines goroutines (want <= 300)"
+kill -TERM "$daemon_pid"
+rc=0
+wait "$daemon_pid" || rc=$?
+daemon_pid=""
+[ "$rc" = 0 ] || fail "daemon exited $rc on SIGTERM"
+
+echo "PASS: integration smoke (clean -> violating -> clean, fingerprint parity, deltas, burst cost $burst rechecks, $goroutines goroutines, clean SIGTERM)"
