@@ -125,3 +125,13 @@ func TestParallelDefaultWorkers(t *testing.T) {
 			len(auto.Violations), len(serial.Violations))
 	}
 }
+
+// TestParallelDeterminismNestedOrientations: one cell embedded upright and
+// under every orientation, with an upright family nested under a mirrored
+// parent (nestedOrientedDesign), so the pooled definition builds read
+// child artifacts through both upright and reoriented embeddings at once.
+func TestParallelDeterminismNestedOrientations(t *testing.T) {
+	tc := tech.NMOS()
+	requireIdentical(t, "nested orientations", nestedOrientedDesign(tc), tc, Options{})
+	requireIdentical(t, "nested orientations ortho", nestedOrientedDesign(tc), tc, Options{Metric: Orthogonal})
+}
