@@ -478,6 +478,86 @@ func BenchmarkRecheckNoEdit(b *testing.B) {
 	}
 }
 
+// orientedWorkloads are reoriented variants of the 32×32 unique-rows
+// chip, which no end-to-end workload reaches: every second row mirrored
+// about its own axis, the whole chip under R90, and a 16×16 grid of
+// NewOrientedBlocks placed under all eight orientations. The returned
+// rows are the chip's row definitions (nil for the grid).
+func orientedWorkloads() []struct {
+	name string
+	tc   *tech.Technology
+	d    *layout.Design
+	rows []*layout.Symbol
+} {
+	tc, mx, mxRows := recheckWorkload(32, 32)
+	for i, c := range mx.Design.Top.Calls {
+		if b := c.Target.Bounds(); i%2 == 1 {
+			c.T = geom.NewTransform(geom.MX, geom.Pt(c.T.Trans.X, c.T.Trans.Y+b.Y1+b.Y2))
+		}
+	}
+	mx.Design.Top.Touch()
+	_, rot, rotRows := recheckWorkload(32, 32)
+	wrap := rot.Design.MustSymbol("wrap")
+	wrap.AddCall(rot.Design.Top, geom.NewTransform(geom.R90, geom.Pt(0, 0)), "w")
+	rot.Design.Top = wrap
+	blocks := workload.NewOrientedBlocks(tc)
+	grid := blocks.MustSymbol("grid")
+	for i := 0; i < 256; i++ {
+		o := geom.Orient(i % 8)
+		grid.AddCall(blocks.Top, geom.NewTransform(o, geom.Pt(int64(i%16)*60000, int64(i/16)*60000)), fmt.Sprintf("g%d", i))
+	}
+	blocks.Top = grid
+	return []struct {
+		name string
+		tc   *tech.Technology
+		d    *layout.Design
+		rows []*layout.Symbol
+	}{{"mirroredRows", tc, mx.Design, mxRows}, {"rotatedChip", tc, rot.Design, rotRows}, {"rotatedBlocks", tc, blocks, nil}}
+}
+
+// BenchmarkCheckColdOriented is BenchmarkCheckCold on the reoriented
+// workloads: embeddings under a mirror or a rotation read their regions
+// from their family's transformed column, not from the owner.
+func BenchmarkCheckColdOriented(b *testing.B) {
+	for _, w := range orientedWorkloads() {
+		b.Run(w.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewEngine(w.tc, core.Options{}).Check(w.d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRecheckOriented is BenchmarkRecheckOneSymbol on the reoriented
+// chips: each edited row re-derives its family, the chip root (and the
+// rotated wrapper) again.
+func BenchmarkRecheckOriented(b *testing.B) {
+	for _, w := range orientedWorkloads() {
+		if w.rows == nil {
+			continue
+		}
+		b.Run(w.name, func(b *testing.B) {
+			eng := core.NewEngine(w.tc, core.Options{})
+			if _, err := eng.Check(w.d); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step := int64(250)
+				if (i/len(w.rows))%2 == 1 {
+					step = -step
+				}
+				nudgeRow(w.rows[i%len(w.rows)], step)
+				if _, err := eng.Recheck(w.d); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCheckColdArray measures a from-scratch engine run on the
 // uniform 64×64 array chip: one shared row definition instanced 64 times
 // (4096 cells total). The instance-context dedup makes this far cheaper

@@ -18,6 +18,7 @@ func FuzzParseCIF(f *testing.F) {
 	f.Add("DS 1 2 1; L NM; B 10 20 5 5; DF; C 1 R 0 1 T 7 9; E")
 	f.Add("(nested (comment)); 9 x; L ND; W 4 0 0 10 0; P 0 0 10 0 10 10; E")
 	f.Add(workload.DoublingCIF(32))
+	f.Add(workload.ChainCIF(1 << 16))
 	tc := tech.NMOS()
 	f.Fuzz(func(t *testing.T, src string) {
 		d, err := Parse(src, tc, "fuzz")
@@ -40,6 +41,32 @@ func FuzzParseCIF(f *testing.F) {
 			t.Fatalf("Write∘Parse is not a fixed point:\n%s\n---\n%s", text, again)
 		}
 	})
+}
+
+// TestChainCIFRefused: a chain of 2^16 symbols, each calling the previous
+// once, is small when flattened but 2^16 levels deep; Parse refuses it as
+// too large without walking the chain, and accepts a chain at the cap.
+// Reading the 1.2 MB of definitions is the whole cost (about 0.2 s, six
+// times that under -race); the bound catches a refusal that walks the
+// chain instead.
+func TestChainCIFRefused(t *testing.T) {
+	src := workload.ChainCIF(1 << 16)
+	start := time.Now()
+	_, err := Parse(src, tech.NMOS(), "chain")
+	if !errors.Is(err, layout.ErrTooLarge) {
+		t.Fatalf("2^16-deep chain: err = %v, want layout.ErrTooLarge", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("refusal of %d bytes took %v", len(src), el)
+	}
+	// The top-level call makes a top symbol: n chained symbols are n+1
+	// levels.
+	if _, err := Parse(workload.ChainCIF(1023), tech.NMOS(), "chain"); err != nil {
+		t.Fatalf("1024-level chain refused: %v", err)
+	}
+	if _, err := Parse(workload.ChainCIF(1024), tech.NMOS(), "chain"); !errors.Is(err, layout.ErrTooLarge) {
+		t.Fatalf("1025-level chain: err = %v, want layout.ErrTooLarge", err)
+	}
 }
 
 // TestDoublingCIFRefused is the regression for a 1 KB file that parsed

@@ -641,9 +641,10 @@ type defInter struct {
 
 	// items holds frame-resolved copies of the pair-endpoint items (the
 	// embedded ones live in child frames); pair indices refer to it. An
-	// item of a derived span keeps its family representative's region:
-	// itemOff moves it into this frame (netlist.ResolveItem), and
-	// the pair measurements apply it (defPairGeom).
+	// embedded item under upright embeddings keeps the region of the
+	// definition that owns it: itemOff moves it into this frame
+	// (netlist.ResolveItem), and the pair measurements apply it
+	// (defPairGeom).
 	items   []netlist.ConnItem
 	itemOff []geom.Point
 

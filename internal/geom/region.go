@@ -1065,6 +1065,14 @@ func (r Region) TransformBy(t Transform) Region {
 	if negX, negY, ok := axisPreserving(t.Orient); ok {
 		return r.flip(negX, negY, t.Trans)
 	}
+	var out Region
+	r.rotate(t, func(sw *sweeper) { sw.materialize(&out) })
+	return out
+}
+
+// rotate sweeps r's rects mapped through the 90°-rotating transform t and
+// hands the staged result to emit before the sweeper returns to the pool.
+func (r Region) rotate(t Transform, emit func(*sweeper)) {
 	sw := getSweeper()
 	rects := sw.rects[:0]
 	for _, b := range r.bands {
@@ -1072,11 +1080,12 @@ func (r Region) TransformBy(t Transform) Region {
 			rects = append(rects, t.ApplyRect(Rect{s.X1, b.y1, s.X2, b.y2}))
 		}
 	}
-	var out Region
-	fromRectsSub(&out, rects)
+	inner := getSweeper()
+	inner.fromRects(rects)
+	emit(inner)
+	putSweeper(inner)
 	sw.rects = rects
 	putSweeper(sw)
-	return out
 }
 
 // fromRectsSub runs a FromRects sweep for a caller whose own pooled
@@ -1145,13 +1154,11 @@ func axisPreserving(o Orient) (negX, negY, ok bool) {
 	return false, false, false
 }
 
-// regionStoreChunk is the slab granularity of RegionStore.
-const regionStoreChunk = 4096
-
 // RegionStore packs the storage of many transformed regions into shared
-// slab allocations: a cache that holds thousands of small regions (the
-// incremental extractor's span embeddings) pays two allocations per slab
-// instead of two per region. Regions built through a store are immutable
+// slab allocations: a definition that places hundreds of keepouts or
+// reoriented item regions pays two allocations for all of them instead of
+// two per region. Reserve sizes the slabs; a region that no longer fits
+// gets storage of its own. Regions built through a store are immutable
 // like any other region; their span capacity is clipped so they can never
 // grow into a neighbour's storage.
 type RegionStore struct {
@@ -1161,7 +1168,7 @@ type RegionStore struct {
 
 func (st *RegionStore) takeBands(n int) []band {
 	if cap(st.bands)-len(st.bands) < n {
-		st.bands = make([]band, 0, max(n, regionStoreChunk))
+		return make([]band, n)
 	}
 	out := st.bands[len(st.bands) : len(st.bands)+n : len(st.bands)+n]
 	st.bands = st.bands[:len(st.bands)+n]
@@ -1170,7 +1177,7 @@ func (st *RegionStore) takeBands(n int) []band {
 
 func (st *RegionStore) takeSpans(n int) []Span {
 	if cap(st.spans)-len(st.spans) < n {
-		st.spans = make([]Span, 0, max(n, regionStoreChunk))
+		return make([]Span, n)
 	}
 	out := st.spans[len(st.spans) : len(st.spans)+n : len(st.spans)+n]
 	st.spans = st.spans[:len(st.spans)+n]
@@ -1178,8 +1185,9 @@ func (st *RegionStore) takeSpans(n int) []Span {
 }
 
 // Reserve makes room for regions totalling bands bands and spans spans in
-// one allocation each, so a store filled with a known set of regions holds
-// exactly their storage.
+// one allocation each. Under an axis-preserving transform a region keeps
+// its band and span counts, so reserving the sources' counts holds their
+// images exactly; a rotated image can need more or fewer.
 func (st *RegionStore) Reserve(bands, spans int) {
 	if cap(st.bands)-len(st.bands) < bands {
 		st.bands = make([]band, 0, bands)
@@ -1190,33 +1198,29 @@ func (st *RegionStore) Reserve(bands, spans int) {
 }
 
 // TransformBy returns r mapped through t with the result's storage drawn
-// from the store when the orientation preserves the band structure;
-// rotating orientations fall back to a standalone sweep.
+// from the store.
 func (st *RegionStore) TransformBy(r Region, t Transform) Region {
 	if t == Identity || r.Empty() {
 		return r
 	}
 	negX, negY, ok := axisPreserving(t.Orient)
-	if !ok {
-		return r.TransformBy(t)
+	if ok {
+		bands := st.takeBands(len(r.bands))
+		arena := st.takeSpans(r.NumRects())
+		copyAxisTransformed(bands, arena, r, negX, negY, t.Trans)
+		return Region{bands: bands}
 	}
-	bands := st.takeBands(len(r.bands))
-	arena := st.takeSpans(r.NumRects())
-	copyAxisTransformed(bands, arena, r, negX, negY, t.Trans)
-	return Region{bands: bands}
-}
-
-// Translate returns r moved by d with the result's storage drawn from the
-// store — TransformBy specialized to the pure-translation case, with no
-// orientation dispatch on the per-span copy loop.
-func (st *RegionStore) Translate(r Region, d Point) Region {
-	if (d == Point{}) || r.Empty() {
-		return r
-	}
-	bands := st.takeBands(len(r.bands))
-	arena := st.takeSpans(r.NumRects())
-	copyAxisTransformed(bands, arena, r, false, false, d)
-	return Region{bands: bands}
+	var out Region
+	r.rotate(t, func(sw *sweeper) {
+		bands := st.takeBands(len(sw.meta))
+		arena := st.takeSpans(len(sw.arena))
+		copy(arena, sw.arena)
+		for i, m := range sw.meta {
+			bands[i] = band{m.y1, m.y2, arena[m.lo:m.hi:m.hi]}
+		}
+		out.bands = bands
+	})
+	return out
 }
 
 // ---- Morphology -------------------------------------------------------

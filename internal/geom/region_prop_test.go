@@ -403,25 +403,27 @@ func TestShiftedKernelsAllocs(t *testing.T) {
 	}
 }
 
-// TestRegionStoreReserveAllocs: a store reserved for a region's storage
-// translates it with no further allocation, and the copy is the region
-// moved.
+// TestRegionStoreReserveAllocs: a store reserved for a region's image
+// places it with no further allocation, translated or rotated, and the
+// copy is the region transformed.
 func TestRegionStoreReserveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; guards run in the non-race CI step")
 	}
 	r := FromRects(noisyRects(60))
-	d := Point{40, -15}
-	var got Region
-	avg := testing.AllocsPerRun(100, func() {
-		var st RegionStore
-		st.Reserve(r.NumBands(), r.NumRects())
-		got = st.Translate(r, d)
-	})
-	if avg > 2 {
-		t.Fatalf("reserved RegionStore.Translate allocates %.1f/op, want <= 2 (the reservation)", avg)
-	}
-	if !got.Equal(r.Translate(d)) {
-		t.Fatal("reserved RegionStore.Translate differs from Region.Translate")
+	for _, tr := range []Transform{Translate(Point{40, -15}), NewTransform(R90, Point{40, -15})} {
+		want := r.TransformBy(tr)
+		var got Region
+		avg := testing.AllocsPerRun(100, func() {
+			var st RegionStore
+			st.Reserve(want.NumBands(), want.NumRects())
+			got = st.TransformBy(r, tr)
+		})
+		if avg > 2 {
+			t.Fatalf("reserved RegionStore.TransformBy(%v) allocates %.1f/op, want <= 2 (the reservation)", tr, avg)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("reserved RegionStore.TransformBy(%v) differs from Region.TransformBy", tr)
+		}
 	}
 }

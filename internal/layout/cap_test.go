@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -76,6 +77,63 @@ func TestDesignSizeCap(t *testing.T) {
 	}
 	if err := ApplyEdit(d, tc, Edit{Op: OpAddCall, Symbol: "l22", Target: "orphan", DX: 5000}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("placing a subtree past the cap: err = %v, want ErrTooLarge", err)
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatalf("design invalid after refused edits: %v", err)
+	}
+}
+
+// chainDesign builds levels symbols, the first holding one metal box and
+// each later one calling the previous once: a hierarchy levels deep.
+func chainDesign(levels int) (*Design, *tech.Technology) {
+	tc := tech.NMOS()
+	metal, _ := tc.LayerByName(tech.NMOSMetal)
+	d := NewDesign("chain")
+	prev := d.MustSymbol("l1")
+	prev.AddBox(metal, geom.R(0, 0, 400, 400), "")
+	for i := 2; i <= levels; i++ {
+		s := d.MustSymbol(fmt.Sprintf("l%d", i))
+		s.AddCall(prev, geom.Identity, "")
+		prev = s
+	}
+	d.Top = prev
+	return d, tc
+}
+
+// TestDesignDepthCap holds the hierarchy depth cap: a chain one level past
+// it is refused by Validate (and one far past it without walking it), an
+// add_call that would deepen a design past it is refused atomically, and
+// so is one that would build an unplaced subtree past it.
+func TestDesignDepthCap(t *testing.T) {
+	for _, levels := range []int{maxDepth + 1, 1 << 16} {
+		d, _ := chainDesign(levels)
+		start := time.Now()
+		if err := d.Validate(); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("%d levels: Validate = %v, want ErrTooLarge", levels, err)
+		}
+		if el := time.Since(start); el > 100*time.Millisecond {
+			t.Fatalf("%d levels: refusal took %v", levels, el)
+		}
+	}
+	d, tc := chainDesign(maxDepth)
+	if err := d.Validate(); err != nil {
+		t.Fatalf("design at the cap refused: %v", err)
+	}
+	if err := ApplyEdit(d, tc, Edit{Op: OpAddCall, Symbol: fmt.Sprintf("l%d", maxDepth), Target: "l2", DX: 1000}); err != nil {
+		t.Fatalf("a call that does not deepen the design refused: %v", err)
+	}
+	leaf := d.MustSymbol("leaf")
+	for _, e := range []Edit{
+		{Op: OpAddCall, Symbol: "l1", Target: "leaf"},                         // the chain grows one level at the bottom
+		{Op: OpAddCall, Symbol: "leaf", Target: fmt.Sprintf("l%d", maxDepth)}, // an unplaced subtree past the cap
+	} {
+		calls := len(d.symbols[0].Calls) + len(leaf.Calls)
+		if err := ApplyEdit(d, tc, e); !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("add_call %s -> %s: err = %v, want ErrTooLarge", e.Symbol, e.Target, err)
+		}
+		if len(d.symbols[0].Calls)+len(leaf.Calls) != calls {
+			t.Fatalf("add_call %s -> %s refused but applied", e.Symbol, e.Target)
+		}
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatalf("design invalid after refused edits: %v", err)

@@ -82,7 +82,7 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if len(e.Box) != 4 {
 			return fmt.Errorf("layout: edit add_box on %q: box needs [x1 y1 x2 y2], got %d values", e.Symbol, len(e.Box))
 		}
-		if err := d.checkGrowth(s, 0, 1); err != nil {
+		if err := d.checkGrowth(s, 0, 1, 0); err != nil {
 			return fmt.Errorf("layout: edit add_box on %q: %w", e.Symbol, err)
 		}
 		s.AddBox(layer, geom.R(e.Box[0], e.Box[1], e.Box[2], e.Box[3]), e.Net)
@@ -97,7 +97,7 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if e.Width <= 0 {
 			return fmt.Errorf("layout: edit add_wire on %q: width %d", e.Symbol, e.Width)
 		}
-		if err := d.checkGrowth(s, 0, 1); err != nil {
+		if err := d.checkGrowth(s, 0, 1, 0); err != nil {
 			return fmt.Errorf("layout: edit add_wire on %q: %w", e.Symbol, err)
 		}
 		pts := make([]geom.Point, len(e.Path)/2)
@@ -145,8 +145,8 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 			// fails), so reject it here where the edit is still atomic.
 			return fmt.Errorf("layout: edit add_call: %q -> %q would create a call cycle", e.Symbol, e.Target)
 		}
-		inst, elems := flatSize(target, make(map[*Symbol][2]int64))
-		if err := d.checkGrowth(s, inst, elems); err != nil {
+		inst, elems, height := flatSize(target, make(map[*Symbol][3]int64))
+		if err := d.checkGrowth(s, inst, elems, height); err != nil {
 			return fmt.Errorf("layout: edit add_call: %q -> %q: %w", e.Symbol, e.Target, err)
 		}
 		s.AddCall(target, geom.NewTransform(o, geom.Pt(e.DX, e.DY)), e.Name)

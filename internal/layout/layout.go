@@ -394,9 +394,21 @@ type Design struct {
 // a 64×64 array chip and 2.7 times a 256×256 one.
 const maxFlat = 1 << 22
 
+// maxDepth caps a design's hierarchy depth: the symbols on its longest
+// call chain from the top, the top included. Walks of the hierarchy go one
+// level per frame or per step, so a few kilobytes of CIF chaining each
+// symbol to the previous one once would otherwise buy a call stack as deep
+// as the file is long. 1024 is fifty times the depth of any real cell
+// hierarchy.
+const maxDepth = 1 << 10
+
 // ErrTooLarge is wrapped by every error that refuses a design, or an edit,
-// for flattening to more than maxFlat instances or elements.
+// for flattening to more than maxFlat instances or elements, or for
+// nesting deeper than maxDepth.
 var ErrTooLarge = errors.New("design too large")
+
+// errTooDeep is the refusal of a design or an edit past maxDepth.
+var errTooDeep = fmt.Errorf("layout: %w: more than %d hierarchy levels", ErrTooLarge, maxDepth)
 
 // satAdd adds two non-negative counts, saturating just past maxFlat.
 func satAdd(a, b int64) int64 {
@@ -419,6 +431,10 @@ type callGraph struct {
 	// top, and instances their sum; both saturate past maxFlat.
 	inst      []int64
 	instances int64
+	// level counts the symbols on the longest call chain from the top
+	// down to each symbol (by ID), both included; zero for a symbol the
+	// top does not reach.
+	level []int64
 }
 
 // callGraph returns the memoised walk, redoing it only after an edit that
@@ -438,8 +454,15 @@ func (d *Design) callGraph() *callGraph {
 		}
 	}
 	state := make(map[*Symbol]uint8) // 0 unvisited, 1 in-stack, 2 done
-	var visit func(s *Symbol)
-	visit = func(s *Symbol) {
+	// The walk stops descending past maxDepth, so it never recurses deeper
+	// than the cap; a longer chain it reaches by a shorter path first
+	// shows in the levels below.
+	var visit func(s *Symbol, depth int)
+	visit = func(s *Symbol, depth int) {
+		if depth > maxDepth {
+			fail(errTooDeep)
+			return
+		}
 		state[s] = 1
 		for _, c := range s.Calls {
 			t := c.Target
@@ -452,7 +475,7 @@ func (d *Design) callGraph() *callGraph {
 			}
 			switch state[t] {
 			case 0:
-				visit(t)
+				visit(t, depth+1)
 			case 1:
 				fail(fmt.Errorf("layout: recursive call cycle through symbol %q", t.Name))
 			}
@@ -460,17 +483,23 @@ func (d *Design) callGraph() *callGraph {
 		state[s] = 2
 		g.order = append(g.order, s)
 	}
-	visit(d.Top)
+	visit(d.Top, 1)
 	if g.err == nil {
-		// Callers before callees: a symbol's count is final when reached.
+		// Callers before callees: a symbol's count and level are final
+		// when reached.
 		g.inst = make([]int64, len(d.symbols))
-		g.inst[d.Top.ID] = 1
+		g.level = make([]int64, len(d.symbols))
+		g.inst[d.Top.ID], g.level[d.Top.ID] = 1, 1
 		for i := len(g.order) - 1; i >= 0; i-- {
 			s := g.order[i]
 			n := g.inst[s.ID]
 			g.instances = satAdd(g.instances, n)
 			for _, c := range s.Calls {
 				g.inst[c.Target.ID] = satAdd(g.inst[c.Target.ID], n)
+				g.level[c.Target.ID] = max(g.level[c.Target.ID], g.level[s.ID]+1)
+			}
+			if g.level[s.ID] > maxDepth {
+				fail(errTooDeep)
 			}
 		}
 	}
@@ -539,10 +568,10 @@ func (d *Design) Symbols() []*Symbol { return d.symbols }
 
 // Validate checks structural soundness: a top symbol exists, the call
 // graph is acyclic, all calls target registered symbols, primitive device
-// symbols contain no calls, and the flattened design stays within maxFlat
-// instances and elements. The graph checks ride on the memoised walk, so
-// validating an unedited design again costs one pass over the symbols,
-// not over their calls.
+// symbols contain no calls, the hierarchy is at most maxDepth levels deep,
+// and the flattened design stays within maxFlat instances and elements.
+// The graph checks ride on the memoised walk, so validating an unedited
+// design again costs one pass over the symbols, not over their calls.
 func (d *Design) Validate() error {
 	if d.Top == nil {
 		return fmt.Errorf("layout: design %q has no top symbol", d.Name)
@@ -578,30 +607,36 @@ func (g *callGraph) overCap(extraInst, extraElems int64) error {
 
 // checkGrowth refuses an edit that adds, to every placement of s, inst
 // more symbol instances and elems more elements, if the grown design
-// would flatten past maxFlat. A symbol the top does not reach grows
-// nothing.
-func (d *Design) checkGrowth(s *Symbol, inst, elems int64) error {
+// would flatten past maxFlat, or that hangs below s a subtree height
+// symbols deep, if a chain through it would pass maxDepth. A symbol the
+// top does not reach grows nothing, but its own subtree must stay within
+// maxDepth.
+func (d *Design) checkGrowth(s *Symbol, inst, elems, height int64) error {
 	g := d.callGraph()
 	if g.err != nil || d.Top == nil {
 		return nil // Validate reports it; the edit changes nothing about it
+	}
+	if max(g.level[s.ID], 1)+height > maxDepth {
+		return errTooDeep
 	}
 	k := g.inst[s.ID]
 	return g.overCap(min(k*inst, maxFlat+1), min(k*elems, maxFlat+1))
 }
 
 // flatSize counts the instances (itself included) and the elements one
-// placement of s expands to, saturating past maxFlat.
-func flatSize(s *Symbol, memo map[*Symbol][2]int64) (inst, elems int64) {
+// placement of s expands to, saturating past maxFlat, and the symbols on
+// its longest call chain.
+func flatSize(s *Symbol, memo map[*Symbol][3]int64) (inst, elems, height int64) {
 	if v, ok := memo[s]; ok {
-		return v[0], v[1]
+		return v[0], v[1], v[2]
 	}
-	inst, elems = 1, min(int64(len(s.Elements)), maxFlat+1)
+	inst, elems, height = 1, min(int64(len(s.Elements)), maxFlat+1), 1
 	for _, c := range s.Calls {
-		i, e := flatSize(c.Target, memo)
-		inst, elems = satAdd(inst, i), satAdd(elems, e)
+		i, e, h := flatSize(c.Target, memo)
+		inst, elems, height = satAdd(inst, i), satAdd(elems, e), max(height, h+1)
 	}
-	memo[s] = [2]int64{inst, elems}
-	return inst, elems
+	memo[s] = [3]int64{inst, elems, height}
+	return inst, elems, height
 }
 
 // Stats summarizes a design for reports.

@@ -15,19 +15,25 @@ package netlist
 //     child spans, the subtree-local net partition (union-find classes),
 //     device uses, keepouts, illegal connection candidates, and NET.ELEM
 //     issues. It is keyed by the symbol's subtree content hash
-//     (layout.ContentHashes). No artifact copies its children's items: an
-//     embedded item resolves through the span that holds it.
+//     (layout.ContentHashes). No artifact copies its children's items,
+//     footprints or regions: an embedded entry is read from the
+//     definition that owns it, through the spans that lead there.
 //   - Connectivity between two footprints is discovered exactly once, at
 //     the definition of their lowest common ancestor: each definition runs
 //     a cross-owner sweep over its own footprints and its children's
 //     bounding boxes; pairs internal to one child were already resolved in
 //     the child's artifacts and are inherited by index translation.
-//   - A span cache keys the transformed embedding of a child subtree by
-//     (child hash, call transform, call name), so re-deriving a parent
-//     does not re-transform unchanged child geometry. Embeddings that
-//     differ only by translation form a family: one representative holds
-//     the geometry, and every other member is a view of it — an offset and
-//     a call name, shifted on read.
+//   - A span cache keys the embedding of a child subtree by (child hash,
+//     call transform, call name), so re-deriving a parent does not
+//     re-index unchanged child geometry. An embedding is an index over the
+//     child, not a copy: bounds, layer, item→footprint and name columns,
+//     with the payload (items, footprints, regions, skeletons, devices,
+//     keepouts, issues) read from the definition that owns it and shared
+//     under an upright transform; a reoriented family also keeps its
+//     regions transformed, once, and each skeleton it has transformed.
+//     Embeddings that differ only by translation form a family: one
+//     representative holds the columns, and every other member is a view
+//     of it — an offset and a call name, shifted on read.
 //
 // The root symbol's artifacts are, by construction, the chip's extraction:
 // local coordinates are chip coordinates, relative paths are instance
@@ -67,7 +73,7 @@ type ChildSpan struct {
 	FootStart, FootEnd int
 	DevStart, DevEnd   int
 
-	sd *spanData // shared transformed embedding (skeleton cache lives here)
+	sd *spanData // the embedding's columns, shared (see spanData)
 
 	// node0 is the union-find node of the child's class 0 while the parent
 	// is being built: the child's partition enters the parent's as one
@@ -197,41 +203,100 @@ func (a *SymbolArtifacts) ItemBounds(i int) geom.Rect {
 
 // ResolveItem returns item i and the offset that moves its region into
 // this frame. Everything else is already in this frame: bounds and path
-// (span construction prefixed the call name; a derived span shifts its
-// representative's entry and swaps the name), Dev offset into this frame,
-// Net set to this frame's local class (NoNet for support geometry). The
-// region is as stored — for an item of a derived span, its family
-// representative's, so resolving copies no geometry — and off is zero for
-// every other item.
+// (read from the span's columns), Dev offset into this frame, Net set to
+// this frame's local class (NoNet for support geometry). An embedded item
+// is read from the definition that owns it, its region from where
+// ChildSpan.ownerItem finds it. Own items have a zero offset.
 func (a *SymbolArtifacts) ResolveItem(i int) (it ConnItem, off geom.Point) {
 	if i < len(a.Items) {
 		return a.Items[i], geom.Point{}
 	}
 	sp := &a.Children[a.itemSpan(i)]
 	local := i - sp.ItemStart
-	it = sp.sd.item(local)
+	owner, k, devOff, reg, off := sp.ownerItem(local)
+	it = owner.Items[k]
+	it.Reg = reg
+	it.Bounds = sp.SpanItemBounds(local)
+	it.Path = sp.sd.itemPath(local)
 	if it.Dev >= 0 {
-		it.Dev += sp.DevStart
+		it.Dev += devOff
 	}
 	if f := sp.sd.rep.itemFoot[local]; f >= 0 {
 		it.Net = NetID(a.ClassOf[sp.FootStart+int(f)])
 	} else {
 		it.Net = NoNet
 	}
-	return it, sp.sd.d
+	return it, off
 }
 
-// footAt returns footprint f as stored and the offset that moves its
-// geometry into this frame: own footprints and representatives' entries
-// are stored in place (zero offset), a derived span's are its
-// representative's. The stored Declared name is the representative's;
-// footDeclared has the member's.
-func (a *SymbolArtifacts) footAt(f int) (*LocalFoot, geom.Point) {
+// ownerItem descends from the span's item i to the definition that
+// stores it among its own items: that definition, the item's index k
+// there and the offset of its device indices in the span's parent frame;
+// and the item's region with the offset that moves it into that frame.
+// The region is the owner's, shared, when every embedding on the way down
+// is upright, or else the entry of the first reoriented family on the
+// way, whose region column holds it transformed. The descent is a loop,
+// one span search per level.
+func (sp *ChildSpan) ownerItem(i int) (owner *SymbolArtifacts, k int, devOff int, reg geom.Region, off geom.Point) {
+	homed := false
+	for {
+		if !homed {
+			if rep := sp.sd.rep; rep.regs != nil {
+				reg, off, homed = rep.regs[i], off.Add(sp.sd.d), true
+			} else {
+				off = off.Add(sp.sd.t.Trans)
+			}
+		}
+		devOff += sp.DevStart
+		a := sp.Art
+		if i < len(a.Items) {
+			if !homed {
+				reg = a.Items[i].Reg
+			}
+			return a, i, devOff, reg, off
+		}
+		sp = &a.Children[a.itemSpan(i)]
+		i -= sp.ItemStart
+	}
+}
+
+// footHome descends from footprint f to where its geometry is stored: the
+// representative of the first reoriented family on the way down, whose
+// columns hold it transformed (rep set, k its span-local footprint), or
+// else the definition that owns it (k its own footprint). off moves the
+// stored geometry into a's frame.
+func (a *SymbolArtifacts) footHome(f int) (owner *SymbolArtifacts, rep *spanData, k int, off geom.Point) {
+	for f >= len(a.Foots) {
+		sp := &a.Children[a.footSpan(f)]
+		f -= sp.FootStart
+		if sp.sd.rep.regs != nil {
+			return nil, sp.sd.rep, f, off.Add(sp.sd.d)
+		}
+		off = off.Add(sp.sd.t.Trans)
+		a = sp.Art
+	}
+	return a, nil, f, off
+}
+
+// footLayer returns the layer of footprint f, from the own footprint or
+// the span's columns.
+func (a *SymbolArtifacts) footLayer(f int) tech.LayerID {
 	if f < len(a.Foots) {
-		return &a.Foots[f], geom.Point{}
+		return a.Foots[f].Layer
 	}
 	sp := &a.Children[a.footSpan(f)]
-	return &sp.sd.rep.foots[f-sp.FootStart], sp.sd.d
+	rep := sp.sd.rep
+	return rep.itemLayers[rep.footItem[f-sp.FootStart]]
+}
+
+// footReg returns the region of footprint f and the offset that moves it
+// into this frame (see footHome).
+func (a *SymbolArtifacts) footReg(f int) (geom.Region, geom.Point) {
+	owner, rep, k, off := a.footHome(f)
+	if rep != nil {
+		return rep.regs[rep.footItem[k]], off
+	}
+	return owner.Foots[k].Reg, off
 }
 
 // ItemFootAt returns the footprint index of item i, -1 for support
@@ -249,11 +314,12 @@ func (a *SymbolArtifacts) ItemFootAt(i int) int {
 }
 
 // FootItemAt returns the item index of footprint f: a direct index for
-// own footprints, the child definition's answer for embedded ones.
+// own footprints, a span search and the span's footprint→item column for
+// embedded ones.
 func (a *SymbolArtifacts) FootItemAt(f int) int {
 	if f >= len(a.Foots) {
 		sp := &a.Children[a.footSpan(f)]
-		return sp.ItemStart + sp.Art.FootItemAt(f-sp.FootStart)
+		return sp.ItemStart + int(sp.sd.rep.footItem[f-sp.FootStart])
 	}
 	if a.footItem == nil {
 		a.footItem = make([]int, len(a.Foots))
@@ -292,29 +358,41 @@ func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
 	return onLayer[l]
 }
 
-// footSkel returns the skeleton of footprint i, in the 4× coordinates of
+// footSkel returns the skeleton of footprint f, in the 4× coordinates of
 // geom.Skeleton, as a region and the offset that moves it into this frame.
-// Own footprints erode their region (lazily, once); embedded footprints
-// take their span's, which transforms the child definition's skeleton —
-// erosion commutes with Manhattan rigid transforms, so the result is the
-// region the flat extractor would have eroded, at transform cost instead
-// of erosion cost, shared across every instance of the child and, through
-// the offset, across every member of the span's family.
-func (a *SymbolArtifacts) footSkel(i int) (geom.Region, geom.Point) {
-	if si := a.footSpan(i); si >= 0 {
-		sp := &a.Children[si]
-		return sp.sd.footSkel(i - sp.FootStart)
+// The definition that owns the footprint erodes it (lazily, once); every
+// upright embedding above shares that skeleton through the offset, and a
+// reoriented family transforms it once and keeps it — erosion commutes
+// with Manhattan rigid transforms, so the result is the region the flat
+// extractor would have eroded, at transform cost (nothing, under upright
+// embeddings) instead of erosion cost, shared across every instance of the
+// owner. Skeletons are read only by the extraction goroutine
+// (connectSweep), so both lazy fills are race-free.
+func (a *SymbolArtifacts) footSkel(f int) (geom.Region, geom.Point) {
+	owner, rep, k, off := a.footHome(f)
+	off = geom.Point{X: 4 * off.X, Y: 4 * off.Y}
+	if rep != nil {
+		s, ok := rep.skels[k]
+		if !ok {
+			cs, coff := rep.childArt.footSkel(k)
+			s = cs.TransformBy(geom.Translate(coff).Compose(scale4(rep.t)))
+			if rep.skels == nil {
+				rep.skels = make(map[int]geom.Region)
+			}
+			rep.skels[k] = s
+		}
+		return s, off
 	}
-	if a.skels == nil {
-		a.skels = make(map[int]geom.Region)
+	if owner.skels == nil {
+		owner.skels = make(map[int]geom.Region)
 	}
-	s, ok := a.skels[i]
+	s, ok := owner.skels[k]
 	if !ok {
-		f := &a.Foots[i]
-		s = geom.Skeleton(f.Reg, f.MinWidth)
-		a.skels[i] = s
+		lf := &owner.Foots[k]
+		s = geom.Skeleton(lf.Reg, lf.MinWidth)
+		owner.skels[k] = s
 	}
-	return s, geom.Point{}
+	return s, off
 }
 
 // spanKey identifies one transformed embedding of a subtree.
@@ -335,17 +413,24 @@ type spanClassKey struct {
 	orient geom.Orient
 }
 
-// spanData is the cached transformed embedding of a child subtree:
-// the child's artifacts mapped through one call transform with paths
-// prefixed by the call name. Shared by every parent that places the same
+// spanData is the cached embedding of a child subtree under one call
+// transform and call name. Shared by every parent that places the same
 // content under the same transform and name, and across runs.
 //
-// Only a family representative (rep == itself) stores entries. A derived
-// member is a view: its entries are the representative's moved by d, with
-// the representative's call name swapped for its own, and every reader
-// shifts on read (item, itemPath, footDeclared, footSkel, footAt,
-// SpanItemBounds, the sweeps, and the copies populate makes). A member's
-// values are immutable once derived.
+// An embedding is an index over the child's artifacts, not a copy of
+// them. A family representative (rep == itself) keeps only the columns
+// the sweeps and the sequential walks read: item bounds in the parent
+// frame, item layers and the per-layer lists, item→footprint and its
+// inverse (a footprint's bounds and layer are its item's), footprint
+// element counts, and the distinct-path and declared-name index. Items,
+// footprints, devices, keepouts and issues stay where the child's
+// definitions hold them and are read through the child's accessors,
+// placed on read (ResolveItem, footReg, and the copies populate makes);
+// so do regions and skeletons under an upright transform. A reoriented
+// family transforms its regions once, into a column (see regs). A
+// derived member is a view of the representative: the same columns moved
+// by d, under its own call name. Every value but the lazily transformed
+// skeletons is immutable once built.
 type spanData struct {
 	childArt *SymbolArtifacts
 	t        geom.Transform
@@ -354,44 +439,44 @@ type spanData struct {
 	rep      *spanData // the family representative (itself when it is one)
 	d        geom.Point
 
-	// The representative's entries (nil on a derived member).
-	items  []ConnItem  // parent-frame coordinates, relative paths prefixed
-	foots  []LocalFoot // span index left unset; parent assigns
-	devs   []DeviceUse // TerminalNets nil; parent remaps classes
-	gates  []Keepout
-	keeps  []Keepout
-	issues []Issue
-
-	skels map[int]geom.Region // lazily transformed child skeletons
-
-	// Dense bounds tables for the cross-pair refinement scans: reading a
-	// 32-byte rect stream instead of striding the full 100+-byte struct
-	// array keeps the hot collect() loops in cache. Built eagerly with the
-	// representative (they are also read concurrently by the engine's
-	// parallel definition builds, so they must never be materialized
-	// lazily); members read them shifted.
+	// The representative's columns (nil on a derived member), built
+	// eagerly with it: the engine's parallel definition builds read them
+	// concurrently, so nothing here is ever filled lazily.
+	//
+	// itemBoxes is the dense bounds table of the cross-pair refinement
+	// scans: reading a 32-byte rect stream keeps the hot collect() loops in
+	// cache.
 	itemBoxes []geom.Rect
-	footBoxes []geom.Rect
 
-	// itemLayers[i] is items[i].Layer, onLayer[l] lists the items on layer
-	// l in index order, and itemFoot[i] is the span-local footprint of item
-	// i (-1 for support geometry). None depends on the call transform, so a
-	// family builds them once (buildSpan) and its members read the
-	// representative's; eager for the same reason as the bounds tables.
-	itemLayers []tech.LayerID
-	onLayer    [][]int32
-	itemFoot   []int32
+	// itemLayers[i] is item i's layer, onLayer[l] lists the items on layer
+	// l in index order, itemFoot[i] is the span-local footprint of item i
+	// (-1 for support geometry), footItem is its inverse, and footElems[f]
+	// is footprint f's interconnect element count. None depends on the
+	// call translation, so a family builds them once.
+	itemLayers                    []tech.LayerID
+	onLayer                       [][]int32
+	itemFoot, footItem, footElems []int32
 
 	// paths holds the family's distinct relative paths and non-rail
-	// declared names, under this span's call name. The representative's
-	// table and its index columns (item, device and footprint → entry, -1
-	// for a footprint whose declared name is kept verbatim) are built when
-	// the first member derives; a member swaps its name into the table as
-	// it derives, once per distinct path, so reading a member's path is an
-	// index. Both happen during extraction, which is single-goroutine; the
-	// engine's parallel definition builds only read them.
+	// declared names, under this span's call name: the representative
+	// builds the table and its index columns (item, device and footprint →
+	// entry), and a member re-prefixes the table once per distinct path as
+	// it derives, so reading any span's path is an index. A footprint's
+	// name index is -1 when it has none; a rail name is kept verbatim, in
+	// the representative's rails table at index -2-j.
 	paths                                []string
+	rails                                []string
 	itemPathIdx, devPathIdx, footNameIdx []int32
+
+	// A reoriented family (t.Orient != R0) also keeps its items' regions
+	// transformed into its frame, regs[i] for item i, in one store's
+	// slabs: the engine's parallel interaction builds read them through
+	// ResolveItem, and a rotation costs a sweep. skels holds the
+	// footprint skeletons the extraction goroutine has transformed so far
+	// (see footSkel). An upright family keeps neither: its members read
+	// the owners' regions through an offset.
+	regs  []geom.Region
+	skels map[int]geom.Region
 
 	// Cache ageing (see Cache.touch): gen is the generation that last
 	// reached this embedding, and the representative's classGen is the
@@ -399,87 +484,22 @@ type spanData struct {
 	gen, classGen int
 }
 
-// pathIndex builds the representative's distinct-path table.
-func (sd *spanData) pathIndex(tc *tech.Technology) {
-	if sd.itemPathIdx != nil {
-		return
-	}
-	idx := make(map[string]int32, 64)
-	of := func(p string) int32 {
-		if i, ok := idx[p]; ok {
-			return i
-		}
-		i := int32(len(sd.paths))
-		sd.paths = append(sd.paths, p)
-		idx[p] = i
-		return i
-	}
-	sd.itemPathIdx = make([]int32, len(sd.items))
-	for i := range sd.items {
-		sd.itemPathIdx[i] = of(sd.items[i].Path)
-	}
-	sd.devPathIdx = make([]int32, len(sd.devs))
-	for i := range sd.devs {
-		sd.devPathIdx[i] = of(sd.devs[i].Path)
-	}
-	// Base qualification left exactly two shapes of declared name: rails
-	// verbatim, and everything else prefixed with the call name.
-	sd.footNameIdx = make([]int32, len(sd.foots))
-	for i := range sd.foots {
-		sd.footNameIdx[i] = -1
-		if dcl := sd.foots[i].Declared; dcl != "" && !tc.IsRail(dcl) {
-			sd.footNameIdx[i] = of(dcl)
-		}
-	}
-}
-
-// item returns span-local item k with its bounds in the parent frame and
-// its path re-prefixed; the region stays as the representative stores it
-// (moved by d, it is the member's), and Dev and Net stay in the child's
-// frame.
-func (sd *spanData) item(k int) ConnItem {
-	rep := sd.rep
-	it := rep.items[k]
-	if rep != sd {
-		it.Bounds = it.Bounds.Translate(sd.d)
-		it.Path = sd.itemPath(k)
-	}
-	return it
-}
-
 // itemPath returns the relative path of span-local item k.
-func (sd *spanData) itemPath(k int) string {
-	if sd.rep == sd {
-		return sd.items[k].Path
-	}
-	return sd.paths[sd.rep.itemPathIdx[k]]
-}
+func (sd *spanData) itemPath(k int) string { return sd.paths[sd.rep.itemPathIdx[k]] }
+
+// devPath returns the relative path of span-local device k.
+func (sd *spanData) devPath(k int) string { return sd.paths[sd.rep.devPathIdx[k]] }
 
 // footDeclared returns the declared name of span-local footprint k.
 func (sd *spanData) footDeclared(k int) string {
-	if sd.rep != sd {
-		if j := sd.rep.footNameIdx[k]; j >= 0 {
-			return sd.paths[j]
-		}
+	switch j := sd.rep.footNameIdx[k]; {
+	case j >= 0:
+		return sd.paths[j]
+	case j == -1:
+		return ""
+	default:
+		return sd.rep.rails[-2-j]
 	}
-	return sd.rep.foots[k].Declared
-}
-
-// footSkel returns the skeleton of span-local footprint k: the
-// representative's, cached on it, and the offset (4d) that moves it onto
-// this member.
-func (sd *spanData) footSkel(k int) (geom.Region, geom.Point) {
-	rep := sd.rep
-	if rep.skels == nil {
-		rep.skels = make(map[int]geom.Region)
-	}
-	s, ok := rep.skels[k]
-	if !ok {
-		cs, off := rep.childArt.footSkel(k)
-		s = cs.TransformBy(geom.Translate(off).Compose(scale4(rep.t)))
-		rep.skels[k] = s
-	}
-	return s, geom.Point{X: 4 * sd.d.X, Y: 4 * sd.d.Y}
 }
 
 // scale4 lifts a Manhattan transform into the 4× coordinate space of
@@ -504,16 +524,18 @@ func scale4(t geom.Transform) geom.Transform {
 // each other's entries.
 //
 // What a full re-derive of the root costs follows from what is kept here.
-// Per definition (SymbolArtifacts): its own entries, the spans of its
-// calls, the subtree's net partition, and its devices and keepouts. Per
-// translation family of embeddings (spanData representatives): the
-// transformed items, footprints, devices and keepouts, dense bounds, layer
-// and item→footprint columns, the items of each layer, and the regions in
-// RegionStore slabs. Per further member of a family: an offset and its
-// re-prefixed distinct paths, nothing per entry. Per session: the interned
-// anonymous net names. What a run does per device or per net — the
-// devices' terminal lists, the nets' terminal lists — is carved from one
-// slab each and filled at copy speed.
+// Per definition (SymbolArtifacts): its own entries and their regions, the
+// spans of its calls, the subtree's net partition, and its devices and
+// keepouts. Per translation family of embeddings (spanData
+// representatives): index columns only — item bounds, item layers and the
+// items of each layer, item→footprint and its inverse, footprint element
+// counts, and the distinct-path and declared-name index — about 50 bytes
+// per item; no item, footprint, device, keepout or issue is copied, and
+// regions only by a reoriented family, transformed. Per further member of
+// a family: an offset and its re-prefixed distinct paths, nothing per
+// entry. Per session: the interned anonymous net names. What a run does
+// per device or per net — the devices' terminal lists, the nets' terminal
+// lists — is carved from one slab each and filled at copy speed.
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
@@ -552,11 +574,6 @@ type Cache struct {
 	// Devices and their TerminalNets maps escape into the public Netlist
 	// and are never recycled.
 	lastRoot *SymbolArtifacts
-
-	// regStore slab-allocates the storage of every transformed region the
-	// family representatives hold: two allocations per slab instead of two
-	// per item region. Derived members hold no regions.
-	regStore geom.RegionStore
 
 	// lastInc/lastIssues retain the most recent extraction so a
 	// window-scoped root edit can patch it in place (tryPatchRoot) instead
@@ -792,8 +809,8 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 		}
 		sp := &root.Children[cursor]
 		sd, k := sp.sd, i-sp.FootStart
-		f := &sd.rep.foots[k]
-		return f.Bounds.Translate(sd.d), sd.footDeclared(k), f.Elements
+		rep := sd.rep
+		return rep.itemBoxes[rep.footItem[k]].Translate(sd.d), sd.footDeclared(k), int(rep.footElems[k])
 	}
 	if root.devText == nil {
 		root.devText = new(deviceMemo)
@@ -950,8 +967,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 				continue
 			}
 			rep, probe := sp.sd.rep, nb.Translate(sp.sd.d.Neg())
-			for local, b := range rep.footBoxes {
-				if b.Touches(probe) && rep.foots[local].Layer == layer {
+			for local, b := range rep.itemBoxes {
+				if b.Touches(probe) && rep.itemFoot[local] >= 0 && rep.itemLayers[local] == layer {
 					return nil, nil, RefuseContactAfterMove
 				}
 			}
@@ -1231,7 +1248,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	childArts := make([]*SymbolArtifacts, len(s.Calls))
 	spans := make([]*spanData, len(s.Calls))
 	nDevs, nGates, nKeeps, nIssues, nIll := 0, 0, 0, 0, 0
-	keepBands, keepSpans := 0, 0 // storage of the keepout regions moved out of views
+	keepBands, keepSpans := 0, 0 // the keepout images a non-identity placement stores (see RegionStore.Reserve)
 	for ci, call := range s.Calls {
 		childArts[ci] = c.build(call.Target, hs, tc)
 		spans[ci] = c.span(childArts[ci], call.T, call.Name, tc)
@@ -1240,8 +1257,8 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		nKeeps += len(childArts[ci].BaseKeepouts)
 		nIssues += len(childArts[ci].Issues)
 		nIll += len(childArts[ci].IllegalCands)
-		if rep := spans[ci].rep; rep != spans[ci] {
-			for _, ks := range [2][]Keepout{rep.gates, rep.keeps} {
+		if spans[ci].t != geom.Identity {
+			for _, ks := range [2][]Keepout{childArts[ci].Gates, childArts[ci].BaseKeepouts} {
 				for i := range ks {
 					keepBands += ks[i].Reg.NumBands()
 					keepSpans += ks[i].Reg.NumRects()
@@ -1309,30 +1326,26 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		nodeCount += childArt.NumClasses
 		itemCount += childArt.NumItems()
 		footCount += childArt.NumFoots()
-		// A view's entries are its representative's moved by d, shifted
-		// here as they are copied in (TerminalNets are remapped by build()).
-		rep, d := sd.rep, sd.d
-		if rep == sd {
-			art.Devices = append(art.Devices, sd.devs...)
-		} else {
-			for i, dv := range rep.devs {
-				dv.Path = sd.paths[rep.devPathIdx[i]]
-				dv.T.Trans = dv.T.Trans.Add(d)
-				art.Devices = append(art.Devices, dv)
-			}
+		// The child's devices, keepouts and issues are copied in placed
+		// through the call transform, one sequential pass over each of the
+		// child's arrays (TerminalNets are remapped by build()).
+		t := sd.t
+		for i, dv := range childArt.Devices {
+			dv.Path, dv.T, dv.TerminalNets = sd.devPath(i), dv.T.Compose(t), nil
+			art.Devices = append(art.Devices, dv)
 		}
-		for _, g := range rep.gates {
+		for _, g := range childArt.Gates {
 			g.Dev += sp.DevStart
-			g.Reg, g.Bounds = keepStore.Translate(g.Reg, d), g.Bounds.Translate(d)
+			g.Reg, g.Bounds = keepStore.TransformBy(g.Reg, t), t.ApplyRect(g.Bounds)
 			art.Gates = append(art.Gates, g)
 		}
-		for _, k := range rep.keeps {
+		for _, k := range childArt.BaseKeepouts {
 			k.Dev += sp.DevStart
-			k.Reg, k.Bounds = keepStore.Translate(k.Reg, d), k.Bounds.Translate(d)
+			k.Reg, k.Bounds = keepStore.TransformBy(k.Reg, t), t.ApplyRect(k.Bounds)
 			art.BaseKeepouts = append(art.BaseKeepouts, k)
 		}
-		for _, is := range rep.issues {
-			is.Where = is.Where.Translate(d)
+		for _, is := range childArt.Issues {
+			is.Where = t.ApplyRect(is.Where)
 			art.Issues = append(art.Issues, is)
 		}
 		sp.ItemEnd = itemCount
@@ -1364,11 +1377,10 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 	// hash seen again after eviction names a rebuilt artifact whose class
 	// numbering the old embedding must not be replayed against.
 	if base, ok := c.spanClass[ck]; ok && base.childArt == childArt {
-		sd = c.deriveSpan(base, t, name, tc)
+		sd = deriveSpan(base, t, name)
 		c.ctxHits++
 	} else {
-		sd = c.buildSpan(childArt, t, name, tc)
-		sd.rep = sd
+		sd = buildSpan(childArt, t, name, tc)
 		c.spanClass[ck] = sd
 		c.ctxMisses++
 	}
@@ -1377,124 +1389,157 @@ func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, t
 	return sd
 }
 
-// buildSpan materializes one transformed embedding from the child's
-// artifacts — the full-cost path, taken once per (content, orientation)
-// family.
-func (c *Cache) buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
+// buildSpan builds a family representative: the child's columns mapped
+// through t, taken once per (content, orientation) family. The walk is
+// sequential — the child's own entries, then each of its spans straight
+// out of that span's columns, the span's offset folded into the transform
+// — so no entry costs an index resolution, and none of the child's
+// payload is copied. The index columns are pieces of one slab.
+func buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
+	nItems, nFoots, nDevs := childArt.NumItems(), childArt.NumFoots(), len(childArt.Devices)
 	sd := &spanData{childArt: childArt, t: t, name: name}
 	sd.rep = sd
-	sd.foots = make([]LocalFoot, 0, childArt.NumFoots())
-	sd.itemFoot = make([]int32, 0, childArt.NumItems())
-	sd.items = make([]ConnItem, 0, childArt.NumItems())
-	addFoot := func(f LocalFoot, declared string, tt geom.Transform) {
-		f.Bounds = tt.ApplyRect(f.Bounds)
-		f.Reg = c.regStore.TransformBy(f.Reg, tt)
-		f.Declared = declared
-		if declared != "" && !tc.IsRail(declared) {
-			f.Declared = name + "." + declared
-		}
-		sd.foots = append(sd.foots, f)
+	sd.itemBoxes = make([]geom.Rect, nItems)
+	sd.itemLayers = make([]tech.LayerID, nItems)
+	cols := make([]int32, 3*nItems+3*nFoots+nDevs)
+	take := func(n int) []int32 {
+		s := cols[:n:n]
+		cols = cols[n:]
+		return s
 	}
-	// Consecutive items overwhelmingly share the same relative path (all
-	// the geometry of one embedded instance comes in one run), so one
-	// cached join replaces a per-item string concatenation; footprint-
-	// backed items share the footprint's transformed geometry instead of
-	// re-deriving it.
-	lastRel, lastJoined := "\x00", ""
-	addItem := func(it ConnItem, rel string, tt geom.Transform) {
-		if fi := sd.itemFoot[len(sd.items)]; fi >= 0 {
-			it.Bounds = sd.foots[fi].Bounds
-			it.Reg = sd.foots[fi].Reg
-			it.Net = NetID(childArt.ClassOf[fi])
-		} else {
-			it.Bounds = tt.ApplyRect(it.Bounds)
-			it.Reg = c.regStore.TransformBy(it.Reg, tt)
-			it.Net = NoNet
+	sd.itemFoot, sd.itemPathIdx = take(nItems), take(nItems)
+	sd.footItem, sd.footElems, sd.footNameIdx = take(nFoots), take(nFoots), take(nFoots)
+	sd.devPathIdx = take(nDevs)
+
+	idx := make(map[string]int32, 64)
+	of := func(p string) int32 {
+		if i, ok := idx[p]; ok {
+			return i
 		}
-		if rel != lastRel {
-			lastRel, lastJoined = rel, prefixPath(name, rel)
-		}
-		it.Path = lastJoined
-		sd.items = append(sd.items, it)
-		sd.bounds = sd.bounds.Union(it.Bounds)
+		i := int32(len(sd.paths))
+		sd.paths = append(sd.paths, p)
+		idx[p] = i
+		return i
 	}
-	// The child's flattened arrays are its own entries followed by its
-	// spans' embeddings, so the walk is sequential: own entries first, then
-	// each span straight out of its representative's storage, the span's
-	// offset folded into the transform — foot indices, Dev offsets and net
-	// classes are mapped into the child frame inline, with no per-item
-	// index resolution.
+	// Base qualification left exactly two shapes of declared name: rails
+	// verbatim, and everything else prefixed with the call name.
+	nameOf := func(dcl string) int32 {
+		switch {
+		case dcl == "":
+			return -1
+		case tc.IsRail(dcl):
+			for j, r := range sd.rails {
+				if r == dcl {
+					return int32(-2 - j)
+				}
+			}
+			sd.rails = append(sd.rails, dcl)
+			return int32(-1 - len(sd.rails))
+		}
+		return of(name + "." + dcl)
+	}
 	for i := range childArt.Foots {
-		addFoot(childArt.Foots[i], childArt.Foots[i].Declared, t)
+		f := &childArt.Foots[i]
+		sd.footElems[i], sd.footNameIdx[i] = int32(f.Elements), nameOf(f.Declared)
 	}
-	for _, f := range childArt.ItemFoot {
-		sd.itemFoot = append(sd.itemFoot, int32(f))
-	}
-	for _, it := range childArt.Items {
-		addItem(it, it.Path, t)
+	// Consecutive items overwhelmingly share one relative path (the
+	// geometry of one embedded instance comes in one run), so a path is
+	// joined and looked up once per run, not per item.
+	lastRel, last := "\x00", int32(0)
+	for i := range childArt.Items {
+		it := &childArt.Items[i]
+		sd.itemBoxes[i], sd.itemLayers[i] = t.ApplyRect(it.Bounds), it.Layer
+		sd.itemFoot[i] = int32(childArt.ItemFoot[i])
+		if it.Path != lastRel {
+			lastRel, last = it.Path, of(prefixPath(name, it.Path))
+		}
+		sd.itemPathIdx[i] = last
 	}
 	for si := range childArt.Children {
 		csp := &childArt.Children[si]
 		src, tt := csp.sd.rep, geom.Translate(csp.sd.d).Compose(t)
-		for k := range src.foots {
-			addFoot(src.foots[k], csp.sd.footDeclared(k), tt)
+		f0, i0 := csp.FootStart, csp.ItemStart
+		for k := range src.footElems {
+			sd.footElems[f0+k], sd.footNameIdx[f0+k] = src.footElems[k], nameOf(csp.sd.footDeclared(k))
 		}
-		for _, f := range src.itemFoot {
+		lastIdx := int32(-1)
+		for k := range src.itemBoxes {
+			sd.itemBoxes[i0+k], sd.itemLayers[i0+k] = tt.ApplyRect(src.itemBoxes[k]), src.itemLayers[k]
+			f := src.itemFoot[k]
 			if f >= 0 {
-				f += int32(csp.FootStart)
+				f += int32(f0)
 			}
-			sd.itemFoot = append(sd.itemFoot, f)
-		}
-		for k, it := range src.items {
-			if it.Dev >= 0 {
-				it.Dev += csp.DevStart
+			sd.itemFoot[i0+k] = f
+			if r := src.itemPathIdx[k]; r != lastIdx {
+				lastIdx, last = r, of(prefixPath(name, csp.sd.paths[r]))
 			}
-			addItem(it, csp.sd.itemPath(k), tt)
+			sd.itemPathIdx[i0+k] = last
 		}
 	}
-	sd.devs = make([]DeviceUse, len(childArt.Devices))
-	for i, d := range childArt.Devices {
-		d.Path = prefixPath(name, d.Path)
-		d.T = d.T.Compose(t)
-		d.TerminalNets = nil // parent remaps classes
-		sd.devs[i] = d
+	lastRel = "\x00"
+	for i := range childArt.Devices {
+		if p := childArt.Devices[i].Path; p != lastRel {
+			lastRel, last = p, of(prefixPath(name, p))
+		}
+		sd.devPathIdx[i] = last
 	}
-	sd.footBoxes = make([]geom.Rect, len(sd.foots))
-	for i := range sd.foots {
-		sd.footBoxes[i] = sd.foots[i].Bounds
+	for i, f := range sd.itemFoot {
+		if f >= 0 {
+			sd.footItem[f] = int32(i)
+		}
 	}
-	sd.itemBoxes = make([]geom.Rect, len(sd.items))
-	for i := range sd.items {
-		sd.itemBoxes[i] = sd.items[i].Bounds
+	for _, b := range sd.itemBoxes {
+		sd.bounds = sd.bounds.Union(b)
 	}
-	sd.index()
-	sd.gates = transformKeepouts(childArt.Gates, t)
-	sd.keeps = transformKeepouts(childArt.BaseKeepouts, t)
-	sd.issues = make([]Issue, len(childArt.Issues))
-	for i, is := range childArt.Issues {
-		is.Where = t.ApplyRect(is.Where)
-		sd.issues[i] = is
+	sd.index(take(nItems))
+	if t.Orient != geom.R0 {
+		bands, spans := 0, 0
+		walkRegs(childArt, t, func(r geom.Region, _ geom.Transform) {
+			bands, spans = bands+r.NumBands(), spans+r.NumRects()
+		})
+		var st geom.RegionStore
+		st.Reserve(bands, spans)
+		sd.regs = make([]geom.Region, 0, nItems)
+		walkRegs(childArt, t, func(r geom.Region, tt geom.Transform) {
+			sd.regs = append(sd.regs, st.TransformBy(r, tt))
+		})
 	}
 	return sd
 }
 
-// index builds the tables a family shares: the embedding's layer column,
-// and its per-layer item lists (one counting sort; the lists are pieces of
-// one slab).
-func (sd *spanData) index() {
-	sd.itemLayers = make([]tech.LayerID, len(sd.items))
+// walkRegs visits the items of art's subtree in index order, each with
+// its stored region and the transform that maps the region into the frame
+// t maps art into: own items, then each span's items — from its family's
+// region column when it has one, else from the child's definition.
+func walkRegs(art *SymbolArtifacts, t geom.Transform, visit func(r geom.Region, t geom.Transform)) {
+	for i := range art.Items {
+		visit(art.Items[i].Reg, t)
+	}
+	for si := range art.Children {
+		sp := &art.Children[si]
+		if rep := sp.sd.rep; rep.regs != nil {
+			tt := geom.Translate(sp.sd.d).Compose(t)
+			for _, r := range rep.regs {
+				visit(r, tt)
+			}
+		} else {
+			walkRegs(sp.Art, sp.sd.t.Compose(t), visit)
+		}
+	}
+}
+
+// index builds the per-layer item lists of a representative (one
+// counting sort; the lists are pieces of slab).
+func (sd *spanData) index(slab []int32) {
 	var counts [256]int32
 	top := -1
-	for i := range sd.items {
-		l := sd.items[i].Layer
-		sd.itemLayers[i] = l
+	for _, l := range sd.itemLayers {
 		counts[l]++
 		if int(l) > top {
 			top = int(l)
 		}
 	}
 	sd.onLayer = make([][]int32, top+1)
-	slab := make([]int32, len(sd.items))
 	for l := range sd.onLayer {
 		n := counts[l]
 		sd.onLayer[l] = slab[:0:n]
@@ -1506,13 +1551,12 @@ func (sd *spanData) index() {
 }
 
 // deriveSpan makes the embedding for (t, name) a view of the family
-// representative: same child content, same orientation, so every region,
-// bounds, and skeleton differs from the representative's by the constant
+// representative: same child content, same orientation, so every bounds,
+// region and skeleton differs from the representative's by the constant
 // offset d = t.Trans - rep.t.Trans, and every path/declared name only in
 // the leading call-name component. The view stores the offset and one
 // re-prefixed string per distinct path; it copies no entry.
-func (c *Cache) deriveSpan(rep *spanData, t geom.Transform, name string, tc *tech.Technology) *spanData {
-	rep.pathIndex(tc)
+func deriveSpan(rep *spanData, t geom.Transform, name string) *spanData {
 	d := t.Trans.Sub(rep.t.Trans)
 	sd := &spanData{childArt: rep.childArt, t: t, name: name, bounds: rep.bounds.Translate(d), rep: rep, d: d}
 	sd.paths = make([]string, len(rep.paths))
@@ -1520,19 +1564,6 @@ func (c *Cache) deriveSpan(rep *spanData, t geom.Transform, name string, tc *tec
 		sd.paths[i] = name + p[len(rep.name):]
 	}
 	return sd
-}
-
-func transformKeepouts(ks []Keepout, t geom.Transform) []Keepout {
-	if len(ks) == 0 {
-		return nil
-	}
-	out := make([]Keepout, len(ks))
-	for i, k := range ks {
-		k.Reg = k.Reg.TransformBy(t)
-		k.Bounds = t.ApplyRect(k.Bounds)
-		out[i] = k
-	}
-	return out
 }
 
 func prefixPath(name, rel string) string {
@@ -1649,7 +1680,7 @@ func (a *SymbolArtifacts) CrossItemPairs(gap int64, emit func(i, j int)) {
 	forEachCrossPair(a.NumItems(), len(a.Items), a.Children,
 		func(si int) (int, int) { return a.Children[si].ItemStart, a.Children[si].ItemEnd },
 		func(i int) geom.Rect { return a.Items[i].Bounds },
-		func(si int) []geom.Rect { return a.Children[si].sd.rep.itemBoxes },
+		func(si int) ([]geom.Rect, []int32) { return a.Children[si].sd.rep.itemBoxes, nil },
 		gap, emit)
 }
 
@@ -1669,18 +1700,19 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	if art.NumFoots() < 2 {
 		return nil
 	}
-	// Footprints of views are tested where they are stored, the partner
-	// shifted by the difference of the two offsets.
+	// The sweep emits only pairs whose bounds touch. Embedded footprints
+	// are tested where their owners store them, the partner shifted by the
+	// difference of the two offsets.
 	test := func(i, j int) {
 		if i > j {
 			i, j = j, i
 		}
-		a, da := art.footAt(i)
-		b, db := art.footAt(j)
-		if a.Layer != b.Layer || !a.Bounds.Translate(da).Touches(b.Bounds.Translate(db)) {
+		if art.footLayer(i) != art.footLayer(j) {
 			return
 		}
-		if !geom.OverlapsShifted(a.Reg, b.Reg, db.Sub(da)) {
+		ra, da := art.footReg(i)
+		rb, db := art.footReg(j)
+		if !geom.OverlapsShifted(ra, rb, db.Sub(da)) {
 			return
 		}
 		// geom.SkeletonsConnected, across the two frames.
@@ -1695,7 +1727,9 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	forEachCrossPair(art.NumFoots(), ownEnd, art.Children,
 		func(si int) (int, int) { return art.Children[si].FootStart, art.Children[si].FootEnd },
 		func(i int) geom.Rect { return art.Foots[i].Bounds },
-		func(si int) []geom.Rect { return art.Children[si].sd.rep.footBoxes },
+		func(si int) ([]geom.Rect, []int32) {
+			return art.Children[si].sd.rep.itemBoxes, art.Children[si].sd.rep.itemFoot
+		},
 		0, test)
 	return illegal
 }
@@ -1704,12 +1738,14 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 // level without visiting pairs internal to a child: a coarse sweep over
 // own entries and child bounding boxes, refined per candidate by scanning
 // only the entries near the partner. boundsAt reads own entries; spanBoxes
-// is a span's bounds table as its representative stores it, read shifted
-// by the span's offset. The enumeration is deterministic for identical
-// inputs, which the engine's replayable caches rely on.
+// is a span's item bounds table as its representative stores it, read
+// shifted by the span's offset, and the span-local entry index of each
+// item (nil: the item itself; -1: no entry). The enumeration is
+// deterministic for identical inputs, which the engine's replayable caches
+// rely on.
 func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 	childRange func(si int) (int, int), boundsAt func(i int) geom.Rect,
-	spanBoxes func(si int) []geom.Rect,
+	spanBoxes func(si int) ([]geom.Rect, []int32),
 	gap int64, emit func(i, j int)) {
 
 	var pf geom.PairFinder
@@ -1737,10 +1773,17 @@ func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 		d := children[si].sd.d
 		probe = probe.Expand(gap).Translate(d.Neg())
 		lo, _ := childRange(si)
-		for local, b := range spanBoxes(si) {
-			if probe.Touches(b) {
-				buf = append(buf, entry{lo + local, b.Translate(d)})
+		boxes, ids := spanBoxes(si)
+		for local, b := range boxes {
+			if !probe.Touches(b) {
+				continue
 			}
+			if ids != nil {
+				if local = int(ids[local]); local < 0 {
+					continue
+				}
+			}
+			buf = append(buf, entry{lo + local, b.Translate(d)})
 		}
 		return buf
 	}

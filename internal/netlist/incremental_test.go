@@ -450,28 +450,47 @@ func TestResolveItemMatchesFlatten(t *testing.T) {
 	}
 }
 
+// familyCell builds a design whose cell holds a contact device and the
+// given number of metal boxes, placed once by the top.
+func familyCell(tc *tech.Technology, boxes int) (*layout.Design, *layout.Symbol) {
+	metalL, _ := tc.LayerByName(tech.NMOSMetal)
+	d := layout.NewDesign("family")
+	cell := d.MustSymbol("cell")
+	cell.AddCall(device.NewDiffContact(d, tc, "contact"), geom.Identity, "ct")
+	for i := 0; i < boxes; i++ {
+		x := int64(i) * 1500
+		cell.AddBox(metalL, geom.R(x, 1000, x+750, 1750), "")
+	}
+	top := d.MustSymbol("top")
+	top.AddCall(cell, geom.Identity, "c0")
+	d.Top = top
+	return d, cell
+}
+
+// viewHoldsNoColumns reports whether every column of sd but its path
+// table is nil, as a derived member's must be.
+func viewHoldsNoColumns(sd *spanData) bool {
+	v := reflect.ValueOf(sd).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice && v.Type().Field(i).Name != "paths" && !f.IsNil() {
+			return false
+		}
+	}
+	return true
+}
+
 // TestDerivedSpanAllocs: a family hit is a view — an offset, a call name
 // and the representative's distinct paths under that name — so deriving
 // one allocates a small constant number of objects, the same for a child
 // of eight boxes as for one of two hundred and fifty-six, and the view
-// holds none of the representative's entries.
+// holds none of the representative's columns.
 func TestDerivedSpanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	tc := tech.NMOS()
-	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	measure := func(boxes int) float64 {
-		d := layout.NewDesign("family")
-		cell := d.MustSymbol("cell")
-		cell.AddCall(device.NewDiffContact(d, tc, "contact"), geom.Identity, "ct")
-		for i := 0; i < boxes; i++ {
-			x := int64(i) * 1500
-			cell.AddBox(metalL, geom.R(x, 1000, x+750, 1750), "")
-		}
-		top := d.MustSymbol("top")
-		top.AddCall(cell, geom.Identity, "c0")
-		d.Top = top
+		d, cell := familyCell(tc, boxes)
 		c := NewCache()
 		art := c.build(cell, d.ContentHashes(), tc)
 		rep := c.span(art, geom.NewTransform(geom.R90, geom.Pt(0, 0)), "c0", tc)
@@ -486,10 +505,8 @@ func TestDerivedSpanAllocs(t *testing.T) {
 			last = c.span(art, geom.NewTransform(geom.R90, geom.Pt(0, int64(k+1)*2000)), names[k], tc)
 			k++
 		})
-		if last.rep != rep || last.items != nil || last.foots != nil || last.devs != nil ||
-			last.gates != nil || last.keeps != nil || last.issues != nil ||
-			last.itemBoxes != nil || last.footBoxes != nil {
-			t.Fatalf("%d boxes: a derived span holds entries of its own (rep %p, want %p)", boxes, last.rep, rep)
+		if last.rep != rep || !viewHoldsNoColumns(last) {
+			t.Fatalf("%d boxes: a derived span holds columns of its own (rep %p, want %p)", boxes, last.rep, rep)
 		}
 		if hits, _ := c.ContextStats(); hits != runs+1 {
 			t.Fatalf("%d boxes: %d family hits, want %d", boxes, hits, runs+1)
@@ -501,5 +518,82 @@ func TestDerivedSpanAllocs(t *testing.T) {
 	if small > maxAllocs || large != small {
 		t.Fatalf("deriving a span allocates %.1f objects for an 8-box child and %.1f for a 256-box one, want the same and <= %d",
 			small, large, maxAllocs)
+	}
+}
+
+// payloadField names the first field of typ that holds (directly or in a
+// slice, array or map) a copy of child payload — an item, footprint,
+// device, keepout or issue — or returns "". Pointers are references, not
+// copies, and are not followed. Regions are not payload here: a
+// reoriented family keeps its items' regions transformed, and
+// TestRepresentativeAllocs checks that an upright one keeps none.
+func payloadField(typ reflect.Type) string {
+	payload := map[reflect.Type]bool{
+		reflect.TypeOf(ConnItem{}): true, reflect.TypeOf(LocalFoot{}): true,
+		reflect.TypeOf(DeviceUse{}): true, reflect.TypeOf(Keepout{}): true,
+		reflect.TypeOf(Issue{}): true,
+	}
+	var holds func(t reflect.Type) bool
+	holds = func(t reflect.Type) bool {
+		switch t.Kind() {
+		case reflect.Slice, reflect.Array:
+			return holds(t.Elem())
+		case reflect.Map:
+			return holds(t.Key()) || holds(t.Elem())
+		}
+		return payload[t]
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holds(f.Type) {
+			return f.Name
+		}
+	}
+	return ""
+}
+
+// TestRepresentativeAllocs: a family's first member is an index over its
+// child — bounds, layer, item→footprint, element-count and name columns in
+// three slabs, plus, under a reoriented transform, the items' transformed
+// regions in one store — so building it allocates the same few objects for
+// a child of eight boxes as for one of two hundred and fifty-six, upright
+// or rotated. It holds no copy of the child's items, footprints, devices,
+// keepouts or issues, and an upright one holds no region at all.
+func TestRepresentativeAllocs(t *testing.T) {
+	if f := payloadField(reflect.TypeOf(spanData{})); f != "" {
+		t.Fatalf("spanData.%s holds a copy of child payload", f)
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	tc := tech.NMOS()
+	measure := func(boxes int, o geom.Orient) float64 {
+		d, cell := familyCell(tc, boxes)
+		c := NewCache()
+		art := c.build(cell, d.ContentHashes(), tc)
+		tr := geom.NewTransform(o, geom.Pt(3000, -7000))
+		var rep *spanData
+		allocs := testing.AllocsPerRun(50, func() { rep = buildSpan(art, tr, "c0", tc) })
+		if len(rep.itemBoxes) != art.NumItems() || len(rep.footItem) != art.NumFoots() || rep.rep != rep {
+			t.Fatalf("%d boxes, %v: representative columns sized %d/%d, want %d/%d",
+				boxes, o, len(rep.itemBoxes), len(rep.footItem), art.NumItems(), art.NumFoots())
+		}
+		if wantRegs := map[bool]int{true: 0, false: art.NumItems()}[o == geom.R0]; len(rep.regs) != wantRegs || rep.skels != nil {
+			t.Fatalf("%d boxes, %v: representative holds %d regions and %d skeletons, want %d and none",
+				boxes, o, len(rep.regs), len(rep.skels), wantRegs)
+		}
+		return allocs
+	}
+	// Measured 12 upright: the span, its three slabs, the per-layer list
+	// headers, the path map and table, and the two joined paths. Rotated
+	// adds the region column and the store's two slabs.
+	for _, c := range []struct {
+		o         geom.Orient
+		maxAllocs float64
+	}{{geom.R0, 16}, {geom.R90, 19}} {
+		small, large := measure(8, c.o), measure(256, c.o)
+		if small != large || small > c.maxAllocs {
+			t.Fatalf("building a representative under %v allocates %.1f objects for an 8-box child and %.1f for a 256-box one, want the same and <= %v",
+				c.o, small, large, c.maxAllocs)
+		}
 	}
 }

@@ -255,18 +255,21 @@ func TestInjectRequiresTestHooks(t *testing.T) {
 
 // TestDoublingCIF413 posts a kilobyte of CIF that flattens to 2^31
 // instances — once enough to run the daemon out of memory and take every
-// session down with it. It must be refused quickly as too large, and the
+// session down with it — and a chain of symbols 4 096 levels deep, four
+// times the depth cap. Each must be refused quickly as too large, and the
 // daemon must keep serving.
 func TestDoublingCIF413(t *testing.T) {
 	_, c := newTestServer(t, Config{})
-	start := time.Now()
-	_, err := c.SessionCreate(context.Background(), CreateRequest{Name: "doubling", CIF: workload.DoublingCIF(32), Tech: "nmos"})
-	apiErr := apiStatus(t, err)
-	if apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Class != ClassTooLarge {
-		t.Fatalf("doubling CIF: got %d/%s, want 413/%s", apiErr.Status, apiErr.Class, ClassTooLarge)
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Fatalf("refusal took %v", el)
+	for name, cif := range map[string]string{"doubling": workload.DoublingCIF(32), "chain": workload.ChainCIF(1 << 12)} {
+		start := time.Now()
+		_, err := c.SessionCreate(context.Background(), CreateRequest{Name: name, CIF: cif, Tech: "nmos"})
+		apiErr := apiStatus(t, err)
+		if apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Class != ClassTooLarge {
+			t.Fatalf("%s CIF: got %d/%s, want 413/%s", name, apiErr.Status, apiErr.Class, ClassTooLarge)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Fatalf("%s refusal took %v", name, el)
+		}
 	}
 	resp, err := http.Get(c.BaseURL + "/v1/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {

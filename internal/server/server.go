@@ -389,7 +389,29 @@ type CreateResponse struct {
 	Report *Report `json:"report"`
 }
 
-// resolveTech loads the request's technology.
+// builtinTechs memoizes each built-in technology (name → its
+// tech.ByName constructor under sync.OnceValue), so the embedded deck is
+// parsed once per process, not once per create and per restore. Sessions
+// share the value: nothing outside internal/tech mutates a Technology, and
+// its compiled rule table is cached atomically.
+var builtinTechs sync.Map
+
+// builtinTech returns the process-wide value of a built-in technology.
+func builtinTech(name string) (*tech.Technology, bool) {
+	once, ok := builtinTechs.Load(name)
+	if !ok {
+		fn, known := tech.ByName(name)
+		if !known {
+			return nil, false
+		}
+		once, _ = builtinTechs.LoadOrStore(name, sync.OnceValue(fn))
+	}
+	return once.(func() *tech.Technology)(), true
+}
+
+// resolveTech loads the request's technology: an uploaded deck parses into
+// a technology of the session's own, a built-in name resolves to the
+// process-wide value.
 func resolveTech(req *CreateRequest) (*tech.Technology, error) {
 	if req.Deck != "" {
 		d, err := deck.Parse(req.Deck)
@@ -406,11 +428,11 @@ func resolveTech(req *CreateRequest) (*tech.Technology, error) {
 	if name == "" {
 		name = "nmos"
 	}
-	fn, ok := tech.ByName(name)
+	tc, ok := builtinTech(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown technology %q", name)
 	}
-	return fn(), nil
+	return tc, nil
 }
 
 // resolveCreate resolves a create request into the technology and check

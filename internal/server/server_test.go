@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,6 +322,57 @@ func TestCreateFromDeck(t *testing.T) {
 	if byDeck.Report.Fingerprint != byName.Report.Fingerprint {
 		t.Fatalf("deck vs registry fingerprint mismatch: %s vs %s",
 			byDeck.Report.Fingerprint, byName.Report.Fingerprint)
+	}
+}
+
+// TestBuiltinTechShared: sessions created from one built-in technology
+// name share one *tech.Technology, parsed once per process; a session
+// created from an uploaded deck gets a technology of its own.
+func TestBuiltinTechShared(t *testing.T) {
+	text, tc := cmosCIF(t, 1, 2)
+	srv, c := newTestServer(t, Config{Debounce: time.Hour})
+	techOf := func(req CreateRequest) *tech.Technology {
+		t.Helper()
+		created, err := c.SessionCreate(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.sessions[created.ID].tc
+	}
+	a := techOf(CreateRequest{Name: "a", CIF: text, Tech: "cmos"})
+	b := techOf(CreateRequest{Name: "b", CIF: text, Tech: "cmos"})
+	byDeck := techOf(CreateRequest{Name: "c", DesignName: "c", CIF: text, Deck: deck.Write(tech.ToDeck(tc))})
+	if a != b {
+		t.Fatalf("two cmos sessions hold two technologies (%p, %p)", a, b)
+	}
+	if byDeck == a {
+		t.Fatal("a deck-created session shares the built-in technology")
+	}
+	if shared, _ := builtinTech("cmos"); shared != a {
+		t.Fatal("the sessions' technology is not the process-wide one")
+	}
+
+	// Concurrent resolutions (the first ones, unless an earlier test asked
+	// for bipolar) all get the one value, and compile it concurrently.
+	const n = 8
+	got := make([]*tech.Technology, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tc, _ := builtinTech("bipolar")
+			tc.Compile()
+			got[i] = tc
+		}()
+	}
+	wg.Wait()
+	for _, tc := range got[1:] {
+		if tc != got[0] {
+			t.Fatal("concurrent first resolutions returned different technologies")
+		}
 	}
 }
 

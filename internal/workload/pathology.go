@@ -256,3 +256,17 @@ func DoublingCIF(levels int) string {
 	fmt.Fprintf(&b, "C %d;\nE\n", levels)
 	return b.String()
 }
+
+// ChainCIF is hostile input of a few dozen bytes per level: an nMOS metal
+// box in symbol 1, and each of symbols 2..levels calling the previous one
+// once. It flattens to one box in levels instances, a hierarchy levels
+// deep, which the depth cap must refuse once levels passes it.
+func ChainCIF(levels int) string {
+	var b strings.Builder
+	b.WriteString("DS 1; L NM; B 400 400 200 200; DF;\n")
+	for i := 2; i <= levels; i++ {
+		fmt.Fprintf(&b, "DS %d; C %d; DF;\n", i, i-1)
+	}
+	fmt.Fprintf(&b, "C %d;\nE\n", levels)
+	return b.String()
+}
