@@ -58,11 +58,19 @@ type Options struct {
 	// process model (default: half the technology λ when zero).
 	Misalign float64
 
-	// Workers is the number of goroutines the interaction stage uses to
-	// build missing per-definition caches (candidate sweeps and keepout
-	// probes, independent across definitions): 0 uses runtime.NumCPU(), 1
-	// builds them serially. Tallies, signatures and report assembly are
-	// always serial, so any worker count produces an identical Report.
+	// Workers is the number of goroutines, the calling one included, that
+	// the engine's chip-sized work splits across: 0 uses
+	// runtime.GOMAXPROCS(0), 1 runs everything on the calling goroutine.
+	// The pool builds missing per-definition interaction caches
+	// (candidate sweeps and keepout probes, independent across
+	// definitions), and on a full re-derive of the root it splits
+	// extraction's per-call copies, terminal remap, net assembly and
+	// instance table, and the interaction stage's net-environment
+	// signatures, and runs the construction rules beside the interaction
+	// stage. Work below a fixed size never leaves the calling goroutine,
+	// so a window-patched recheck spawns nothing. Tallies, adjudication and
+	// report assembly stay serial and every split writes disjoint output,
+	// so any worker count produces an identical Report.
 	Workers int
 }
 
@@ -71,7 +79,7 @@ func (o Options) workerCount() int {
 	if o.Workers > 0 {
 		return o.Workers
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // StageStats times one pipeline stage.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -44,8 +43,13 @@ import (
 // instance transforms — and the Figure 12 subcase logic is re-run only
 // when an instance's surrounding connectivity actually differs (see
 // signature below). Options are fixed at engine construction; Workers
-// sizes the pool that builds missing per-definition interaction caches
-// (see checkInteractions) and nothing else.
+// sizes the pool a run splits its chip-sized work across (see
+// Options.Workers): the builds of missing per-definition interaction
+// caches, and on a full re-derive of the root, extraction's per-call,
+// per-footprint and per-device passes, the signatures, and the
+// construction rules beside the interaction stage. The calling goroutine
+// is one of the workers, work below a fixed size never leaves it, and the
+// report does not depend on the pool's size.
 //
 // An Engine is not safe for concurrent use. Reports share structure with
 // the engine's caches; treat them as immutable.
@@ -419,7 +423,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
-		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, win)
+		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, win, e.opts.workerCount())
 		if err != nil {
 			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
 			return
@@ -431,9 +435,15 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	})
 	if inc != nil {
 		stage("check legal connections", func() { e.checkConnections(c, inc) })
-		stage("check interactions", func() { e.checkInteractions(c, inc, &stats) })
+		// A run that re-derived the root has no construction issues to
+		// patch, and the rules read nothing but the netlist: on the pool
+		// they run beside the interaction stage. Their violations are
+		// still added by their own stage, after it.
+		var cons []netlist.Issue
+		beside := !e.opts.SkipConstruction && inc.Patch == nil && e.opts.workerCount() > 1
+		stage("check interactions", func() { cons = e.checkInteractions(c, inc, &stats, beside) })
 		if !e.opts.SkipConstruction {
-			stage("check construction rules", func() { e.checkConstruction(c, inc) })
+			stage("check construction rules", func() { e.checkConstruction(c, inc, cons, beside) })
 		}
 		if e.opts.Reference != nil {
 			stage("check netlist reference", func() {
@@ -661,17 +671,11 @@ type defInter struct {
 	netFree   bool
 	freeTally *interactionTally
 
-	// fresh marks an entry produced by the parallel prebuild phase that no
-	// instance has consumed yet (the first consumer reports the build in
-	// the run stats, keeping them identical to a one-worker run's).
-	fresh bool
-
 	sigs map[string]*interactionTally
 
 	// Keepout checks (contact-over-gate, isolation-vs-base) have no net
 	// dependence at all, so one tally per definition replays for every
 	// instance and every signature.
-	keepBuilt    bool
 	gateT, baseT keepTally
 }
 
@@ -701,26 +705,6 @@ func (e *Engine) interAt(art *netlist.SymbolArtifacts, h layout.Hash) *defInter 
 	di, _ := art.Inter.(*defInter)
 	if di == nil || di.hash != h {
 		return nil
-	}
-	return di
-}
-
-// defInterFor fetches (or builds) the interaction cache of one definition,
-// counting the reuse or build.
-func (e *Engine) defInterFor(art *netlist.SymbolArtifacts, maxGap int64, stats *EngineStats) *defInter {
-	di := e.cachedInter(art)
-	switch {
-	case di == nil:
-		di = e.buildDefInter(art, maxGap)
-		art.Inter = di
-		stats.InterBuilt++
-	case di.fresh:
-		// Prebuilt in this run's parallel phase: the first instance to
-		// reach it reports the build, exactly as a one-worker run would.
-		di.fresh = false
-		stats.InterBuilt++
-	default:
-		stats.InterReused++
 	}
 	return di
 }
@@ -940,9 +924,12 @@ func (e *Engine) netEnvSignature(di *defInter, inc *netlist.IncExtraction, ii in
 	return scratch.sig
 }
 
-// sigScratch holds signature-evaluation buffers reused across instances.
-// Per-net label state is epoch-stamped (indexed by global net id) so
-// resetting between instances is one counter increment, not a map clear.
+// sigScratch holds signature-evaluation buffers reused across instances,
+// one per shard of the signature phase. Per-net label state is
+// epoch-stamped (indexed by global net id) so resetting between instances
+// is one counter increment, not a map clear. facts is the shard's own
+// view of the run's net facts: the memo of long terminal-list scans is
+// written as signatures are computed, so no two shards share one.
 type sigScratch struct {
 	global    []netlist.NetID
 	labels    []int
@@ -950,6 +937,32 @@ type sigScratch struct {
 	labelOf   []int
 	labelSeen []uint32
 	epoch     uint32
+	facts     netFacts
+}
+
+// newSigScratch makes a shard's scratch for a run over facts' netlist.
+func newSigScratch(facts *netFacts) *sigScratch {
+	n := len(facts.nl.Nets)
+	return &sigScratch{
+		labelOf:   make([]int, n),
+		labelSeen: make([]uint32, n),
+		facts:     netFacts{nl: facts.nl, hasDev: facts.hasDev},
+	}
+}
+
+// lookupTallies computes the net-environment signatures of instances [lo,
+// hi) and records in tallies each one's cached tally, nil when there is
+// none yet (or the definition needs no signature). It reads the instances'
+// definition caches and writes nothing but its scratch and its range of
+// tallies, so shards of instances run concurrently.
+func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, sc *sigScratch, tallies []*interactionTally) {
+	for ii := lo; ii < hi; ii++ {
+		di := inc.Instances[ii].Art.Inter.(*defInter)
+		if len(di.pairs) == 0 || di.netFree {
+			continue
+		}
+		tallies[ii] = di.sigs[string(e.netEnvSignature(di, inc, ii, &sc.facts, sc))]
+	}
 }
 
 // defPairGeom supplies the geometric measurements of pair adjudication,
@@ -1027,7 +1040,6 @@ func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) boo
 // replaying the tallies reproduces its check counts and violations without
 // any per-run chip-wide sweep.
 func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
-	di.keepBuilt = true
 	art := di.art
 	if len(art.Children) == 0 {
 		// A primitive definition holds a single device; its own cuts vs
@@ -1178,10 +1190,13 @@ func (e *Engine) absorbKeepouts(c *checker, inc *netlist.IncExtraction, ii int, 
 // checkInteractions is the incremental stage 5: for every instance, look
 // up (or adjudicate once) the definition-level tally for the instance's
 // net-environment signature and fold it, with the definition's keepout
-// tallies, into the report.
-func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) {
+// tallies, into the report. With construct set it also runs the
+// construction rules on the pool, beside the definition builds (where a
+// full re-derive works through the root's, partly serially), and returns
+// their findings for the construction stage.
+func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats, construct bool) []netlist.Issue {
 	if inc.Patch != nil && e.tryReplayInteractions(c, inc, stats) {
-		return
+		return nil
 	}
 	e.replay = replayState{}
 	maxGap := e.ct.MaxSpacing()
@@ -1197,51 +1212,74 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	keep.hasCut = keep.hasCut && inc.Root.MayHaveLayer(keep.cutID) && len(inc.Gates) > 0
 	keep.hasIso = keep.hasIso && len(inc.BaseKeepouts) > 0
 
-	// Parallel prebuild: the per-definition candidate sweeps (CrossItemPairs
-	// plus the keepout probes) are the stage's dominant cost on a cold or
-	// heavily edited run, and they are independent across definitions —
-	// they read only immutable artifacts and the compiled technology. Build
-	// every missing entry on the worker pool first; the serial replay loop
-	// below then finds them cached. Tallies, signatures, and report
-	// assembly stay serial, so the report is byte-identical to a one-worker
-	// run's (enforced by TestParallelDeterminism*).
-	if workers := e.opts.workerCount(); workers > 1 {
-		var order []*netlist.SymbolArtifacts
-		seen := make(map[*netlist.SymbolArtifacts]bool)
-		for ii := range inc.Instances {
-			// The cached ones first: that test hashes nothing, and on a warm
-			// run it dismisses every instance but the root's.
-			art := inc.Instances[ii].Art
-			if e.cachedInter(art) != nil || seen[art] {
-				continue
-			}
-			seen[art] = true
-			order = append(order, art)
+	// Build every definition cache the instances lack, on the pool: the
+	// per-definition candidate sweeps (CrossItemPairs plus the keepout
+	// probes) are the stage's dominant cost on a cold or heavily edited
+	// run, and they are independent across definitions — they read only
+	// immutable artifacts and the compiled technology. A warm run lacks
+	// only the re-derived definitions'. Every instance counts one build,
+	// the first to reach its definition, or one reuse.
+	workers := e.opts.workerCount()
+	var order []*netlist.SymbolArtifacts
+	var seen map[*netlist.SymbolArtifacts]bool
+	for ii := range inc.Instances {
+		art := inc.Instances[ii].Art
+		if e.cachedInter(art) != nil || seen[art] {
+			continue
 		}
-		if len(order) > 1 {
-			dis := make([]*defInter, len(order))
-			runShards(len(order), workers, func(k int) {
-				dis[k] = e.buildDefInter(order[k], maxGap)
-				e.buildKeepouts(dis[k], keep)
-			})
-			for k, art := range order {
-				dis[k].fresh = true
-				art.Inter = dis[k]
-			}
+		if seen == nil {
+			seen = make(map[*netlist.SymbolArtifacts]bool)
 		}
+		seen[art] = true
+		order = append(order, art)
 	}
+	dis := make([]*defInter, len(order))
+	tasks := len(order)
+	var cons []netlist.Issue
+	if construct {
+		fanned.Add(1)
+		tasks++
+	}
+	geom.RunShards(tasks, workers, func(k int) {
+		if k == len(order) {
+			cons = netlist.ConstructionRules(inc.Netlist, e.tc)
+			return
+		}
+		dis[k] = e.buildDefInter(order[k], maxGap)
+		e.buildKeepouts(dis[k], keep)
+	})
+	for k, art := range order {
+		art.Inter = dis[k]
+	}
+	stats.InterBuilt += len(order)
+	stats.InterReused += len(inc.Instances) - len(order)
 
-	scratch := &sigScratch{
-		labelOf:   make([]int, len(inc.Netlist.Nets)),
-		labelSeen: make([]uint32, len(inc.Netlist.Nets)),
+	tallies := make([]*interactionTally, len(inc.Instances))
+
+	// Signatures are the stage's per-instance cost, and each reads only the
+	// netlist and the instance's immutable definition cache: compute and
+	// look them up on the pool, every shard over its own range of
+	// instances with its own scratch. A tally not found stays nil; the
+	// serial loop adjudicates it.
+	m := min(geom.Shards(len(inc.Instances), workers), workers)
+	if m > 1 {
+		fanned.Add(1)
 	}
+	scratches := make([]*sigScratch, m)
+	for k := range scratches {
+		scratches[k] = newSigScratch(facts)
+	}
+	geom.RunShards(m, workers, func(k int) {
+		lo, hi := geom.ShardRange(k, m, len(inc.Instances))
+		e.lookupTallies(inc, lo, hi, scratches[k], tallies)
+	})
+
+	// The serial loop looks up what the pool did not find, adjudicates,
+	// and absorbs, in instance order.
+	scratch := scratches[0]
 	var rootTally *interactionTally
 	processInstance := func(ii int) {
-		inst := &inc.Instances[ii]
-		di := e.defInterFor(inst.Art, maxGap, stats)
-		if !di.keepBuilt {
-			e.buildKeepouts(di, keep)
-		}
+		di := inc.Instances[ii].Art.Inter.(*defInter)
 		e.absorbKeepouts(c, inc, ii, di)
 		if len(di.pairs) == 0 {
 			return
@@ -1261,12 +1299,19 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 			e.absorbInstance(c, inc, ii, di.freeTally)
 			return
 		}
-		sig := e.netEnvSignature(di, inc, ii, facts, scratch)
-		tally, ok := di.sigs[string(sig)]
-		if !ok {
-			tally = e.adjudicateDef(di, scratch.labels, sig)
-			di.sigs[string(sig)] = tally
-			stats.SigMisses++
+		tally := tallies[ii]
+		if tally == nil {
+			// Not cached when the pool looked: an instance before this one
+			// may have adjudicated the signature since.
+			sig := e.netEnvSignature(di, inc, ii, &scratch.facts, scratch)
+			var ok bool
+			if tally, ok = di.sigs[string(sig)]; !ok {
+				tally = e.adjudicateDef(di, scratch.labels, sig)
+				di.sigs[string(sig)] = tally
+				stats.SigMisses++
+			} else {
+				stats.SigHits++
+			}
 		} else {
 			stats.SigHits++
 		}
@@ -1297,38 +1342,13 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		childViol: append([]Violation(nil), c.rep.Violations[violMark:]...),
 		child:     captureCounters(c).sub(mark),
 	}
+	return cons
 }
 
-// runShards executes fn(0..n-1) on up to `workers` goroutines, handing out
-// indices from a shared counter; every index is visited exactly once. It
-// returns when every call is done.
-func runShards(n, workers int, fn func(k int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			fn(k)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				fn(k)
-			}
-		}()
-	}
-	wg.Wait()
-}
+// fanned counts the phases that split across more than one worker. Only
+// tests read it: a differential that means to compare pooled against
+// serial runs asserts that the pool was used.
+var fanned atomic.Int64
 
 // tryReplayInteractions reproduces the previous run's interaction stage
 // when extraction patched the root in place: the child instances replay
@@ -1536,11 +1556,11 @@ func draftEq(a, b *violationDraft) bool {
 // checkConstruction is stage 6 with the same patched-root replay: the
 // rule set reads only nets and devices, and a root patch changes nothing
 // but the patched nets' bounds, so the previous issues are rewritten in
-// place instead of recomputed.
-func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction) {
-	var issues []netlist.Issue
-	done := false
-	if inc.Patch != nil && e.consValid && e.consNL == inc.Patch.PrevNetlist {
+// place instead of recomputed. done reports that issues already holds the
+// rules' findings for this run's netlist (computed beside the interaction
+// stage).
+func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction, issues []netlist.Issue, done bool) {
+	if !done && inc.Patch != nil && e.consValid && e.consNL == inc.Patch.PrevNetlist {
 		issues, done = e.patchConstruction(inc, inc.Patch.Items)
 	}
 	if !done {

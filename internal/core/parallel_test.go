@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -107,7 +109,7 @@ func TestParallelDeterminismPathologies(t *testing.T) {
 	}
 }
 
-// Workers:0 (all cores) must behave like any other explicit count.
+// Workers:0 (GOMAXPROCS) must behave like any other explicit count.
 func TestParallelDefaultWorkers(t *testing.T) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "par-default", 4, 6)
@@ -126,6 +128,23 @@ func TestParallelDefaultWorkers(t *testing.T) {
 	}
 }
 
+// Workers:0 sizes the pool by GOMAXPROCS, not by the machine's cores: a
+// process pinned to one P runs everything on the calling goroutine.
+func TestParallelWorkersFollowGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	if n := (Options{}).workerCount(); n != 1 {
+		t.Fatalf("Workers:0 under GOMAXPROCS=1 resolves to %d workers, want 1", n)
+	}
+	runtime.GOMAXPROCS(3)
+	if n := (Options{}).workerCount(); n != 3 {
+		t.Fatalf("Workers:0 under GOMAXPROCS=3 resolves to %d workers, want 3", n)
+	}
+	if n := (Options{Workers: 5}).workerCount(); n != 5 {
+		t.Fatalf("Workers:5 resolves to %d workers", n)
+	}
+}
+
 // TestParallelDeterminismNestedOrientations: one cell embedded upright and
 // under every orientation, with an upright family nested under a mirrored
 // parent (nestedOrientedDesign), so the pooled definition builds read
@@ -134,4 +153,87 @@ func TestParallelDeterminismNestedOrientations(t *testing.T) {
 	tc := tech.NMOS()
 	requireIdentical(t, "nested orientations", nestedOrientedDesign(tc), tc, Options{})
 	requireIdentical(t, "nested orientations ortho", nestedOrientedDesign(tc), tc, Options{Metric: Orthogonal})
+}
+
+// TestParallelDeterminismActiveEdits covers the full warm re-derive on the
+// pool. A 32×32 unique-row chip is large enough that every chip-sized
+// phase of a root re-derive splits (extraction's are asserted by netlist's
+// twin of this test; the interaction stage's signatures and the
+// construction rules beside it here). The first step places the oriented
+// blocks under all eight orientations, so reoriented families' region
+// columns are read by pooled phases under the race detector. Then an
+// active-edit script runs on engines with Workers 1, 2 and 7 side by side:
+// after every step the three reports and a cold check's have one
+// fingerprint.
+func TestParallelDeterminismActiveEdits(t *testing.T) {
+	nm := tech.NMOS()
+	steps := 14
+	if testing.Short() {
+		steps = 5
+	}
+	d := workload.NewChipUnique(nm, "pardet", 32, 32).Design
+	blocks := workload.AddOrientedBlocks(d, nm)
+	var engines []*Engine
+	for _, w := range []int{1, 2, 7} {
+		eng := NewEngine(nm, Options{Workers: w})
+		if _, err := eng.Check(d); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+	recheck := func(label string) {
+		t.Helper()
+		before := fanned.Load()
+		var reps []*Report
+		for _, eng := range engines {
+			rep, err := eng.Recheck(d)
+			if err != nil {
+				t.Fatalf("%s: workers=%d: %v", label, eng.opts.Workers, err)
+			}
+			reps = append(reps, rep)
+		}
+		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		if err != nil {
+			t.Fatalf("%s: cold: %v", label, err)
+		}
+		want := FingerprintDigest(cold)
+		for k, rep := range reps {
+			if FingerprintDigest(rep) != want {
+				requireSameReport(t, fmt.Sprintf("%s: workers=%d vs cold", label, engines[k].opts.Workers), rep, cold)
+			}
+		}
+		// The pooled engines re-derive the root (each run resets the edit
+		// record the next engine would patch from), and each splits the
+		// signatures and runs construction beside the stage.
+		for _, eng := range engines[1:] {
+			if eng.Stats().FullPath == "" {
+				t.Fatalf("%s: workers=%d window-patched", label, eng.opts.Workers)
+			}
+		}
+		if got := fanned.Load() - before; got < 4 {
+			t.Fatalf("%s: %d pooled phases in the interaction stages, want at least 4", label, got)
+		}
+	}
+	top := d.Top.Name
+	for o := geom.R0; o <= geom.MX270; o++ {
+		e := layout.Edit{Op: layout.OpAddCall, Symbol: top, Target: blocks.Name, Orient: o.String(),
+			DX: -60000 - 40000*int64(o), DY: -60000, Name: fmt.Sprintf("ob%d", o)}
+		if err := layout.ApplyEdit(d, nm, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recheck("oriented blocks placed")
+	script := workload.NewActiveEdits(3)
+	applied := 0
+	for i := 0; i < steps; i++ {
+		e := script.Next(d, nm)
+		if layout.ApplyEdit(d, nm, e) != nil {
+			continue
+		}
+		applied++
+		recheck(fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol))
+	}
+	if applied < steps/2 {
+		t.Fatalf("script too tame: %d of %d edits applied", applied, steps)
+	}
 }

@@ -350,7 +350,7 @@ func TestNetFactsSharesLongPairs(t *testing.T) {
 func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "sigdet", 4, 5)
-	inc, _, err := netlist.ExtractIncremental(chip.Design, nm, netlist.NewCache(), nil, nil)
+	inc, _, err := netlist.ExtractIncremental(chip.Design, nm, netlist.NewCache(), nil, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,11 +399,14 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 		tally *interactionTally
 		inst  int
 	}
-	stats := &EngineStats{}
 	bySig := make(map[string][]obs)
 	for ii := range inc.Instances {
 		art := inc.Instances[ii].Art
-		di := e.defInterFor(art, maxGap, stats)
+		di := e.cachedInter(art)
+		if di == nil {
+			di = e.buildDefInter(art, maxGap)
+			art.Inter = di
+		}
 		if len(di.pairs) == 0 || di.netFree {
 			continue
 		}

@@ -573,45 +573,94 @@ func interactionStage(rep *core.Report) time.Duration {
 	return 0
 }
 
-// E18 measures the engine's definition-prebuild pool: interaction-stage
-// wall time of a cold check with the per-definition caches built serially
-// (Workers:1) versus on the worker pool (Workers:0 = all cores), on
-// unique-rows shift-register chips of growing size — one definition per
-// row, so the pool has independent work — verifying along the way that
-// both runs report identically. On a single-core host the two columns
-// coincide; the speedup column is the point of the experiment on real
-// hardware.
+// E18 measures the engine's worker pool, Workers:1 against Workers:0
+// (GOMAXPROCS goroutines), and verifies along the way that both report
+// identically. Cold rows check unique-rows shift-register chips of
+// growing size — one definition per row, so the definition prebuild has
+// independent work — and report the interaction stage's wall time and
+// the whole run's. The warm row re-derives a 32×32 chip after an
+// electrically active edit (a row's head wire moved out and back), where
+// the pool splits the root's chip-sized phases: its columns are the mean
+// recheck. On a single-core host the columns coincide; the speedups are
+// the point of the experiment on real hardware.
 func E18(quick bool) (*Table, error) {
 	t := &Table{
-		ID:      "E18",
-		Title:   "definition-prebuild pool (serial vs all-cores)",
-		Figure:  "the ROADMAP 'as fast as the hardware allows' axis",
-		Columns: []string{"cells", "candidates", "serial stage", "parallel stage", "speedup", "errors"},
+		ID:     "E18",
+		Title:  "worker pool (serial vs GOMAXPROCS workers)",
+		Figure: "the ROADMAP 'as fast as the hardware allows' axis",
+		Columns: []string{"cells", "run", "candidates", "serial stage", "pooled stage", "stage speedup",
+			"serial run", "pooled run", "run speedup", "errors"},
 	}
 	sizes := []struct{ rows, cols int }{{8, 8}, {8, 16}, {16, 16}, {16, 32}}
 	if quick {
 		sizes = sizes[:2]
 	}
+	timed := func(run func() (*core.Report, error)) (*core.Report, time.Duration, error) {
+		start := time.Now()
+		rep, err := run()
+		return rep, time.Since(start), err
+	}
+	row := func(cells int, run string, serial, par *core.Report, sr, pr time.Duration) {
+		ss, ps := interactionStage(serial), interactionStage(par)
+		t.AddRow(cells, run, serial.Stats.InteractionCandidates,
+			ss.Round(time.Microsecond).String(), ps.Round(time.Microsecond).String(), speedupString(ss, ps),
+			sr.Round(time.Microsecond).String(), pr.Round(time.Microsecond).String(), speedupString(sr, pr),
+			len(serial.Errors()))
+	}
 	for _, size := range sizes {
 		tc := tech.NMOS()
 		chip := workload.NewChipUnique(tc, "e18", size.rows, size.cols)
-		serial, err := core.Check(chip.Design, tc, core.Options{Workers: 1})
+		serial, sr, err := timed(func() (*core.Report, error) { return core.Check(chip.Design, tc, core.Options{Workers: 1}) })
 		if err != nil {
 			return nil, err
 		}
-		par, err := core.Check(chip.Design, tc, core.Options{Workers: 0})
+		par, pr, err := timed(func() (*core.Report, error) { return core.Check(chip.Design, tc, core.Options{Workers: 0}) })
 		if err != nil {
 			return nil, err
 		}
 		if core.Fingerprint(serial) != core.Fingerprint(par) {
-			return nil, fmt.Errorf("E18: parallel run diverged from serial on %dx%d", size.rows, size.cols)
+			return nil, fmt.Errorf("E18: pooled run diverged from serial on %dx%d", size.rows, size.cols)
 		}
-		ss, ps := interactionStage(serial), interactionStage(par)
-		t.AddRow(size.rows*size.cols, serial.Stats.InteractionCandidates,
-			ss.Round(time.Microsecond).String(), ps.Round(time.Microsecond).String(),
-			speedupString(ss, ps), len(serial.Errors()))
+		row(size.rows*size.cols, "cold", serial, par, sr, pr)
 	}
-	t.Note("Workers:1 builds each definition's candidate sweep and keepout probes in turn; Workers:0 builds them on runtime.NumCPU() goroutines, then replays tallies serially — reports are byte-identical")
+
+	tc := tech.NMOS()
+	chip := workload.NewChipUnique(tc, "e18", 32, 32)
+	d := chip.Design
+	serialEng, parEng := core.NewEngine(tc, core.Options{Workers: 1}), core.NewEngine(tc, core.Options{Workers: 0})
+	for _, eng := range []*core.Engine{serialEng, parEng} {
+		if _, err := eng.Check(d); err != nil {
+			return nil, err
+		}
+	}
+	edits := 8
+	if quick {
+		edits = 4
+	}
+	var serial, par *core.Report
+	var sr, pr time.Duration
+	for i := 0; i < edits; i++ {
+		dy := int64(250 - 500*(i%2))
+		if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: "row1", Index: 0, DY: dy}); err != nil {
+			return nil, err
+		}
+		var s, p time.Duration
+		var err error
+		if serial, s, err = timed(func() (*core.Report, error) { return serialEng.Recheck(d) }); err != nil {
+			return nil, err
+		}
+		if par, p, err = timed(func() (*core.Report, error) { return parEng.Recheck(d) }); err != nil {
+			return nil, err
+		}
+		if core.Fingerprint(serial) != core.Fingerprint(par) {
+			return nil, fmt.Errorf("E18: pooled recheck diverged from serial after edit %d", i)
+		}
+		sr, pr = sr+s, pr+p
+	}
+	row(32*32, "warm", serial, par, sr/time.Duration(edits), pr/time.Duration(edits))
+	t.Note("cold: Workers:1 builds each definition's candidate sweep and keepout probes in turn, Workers:0 on GOMAXPROCS goroutines")
+	t.Note("warm: an active edit re-derives the chip root; Workers:0 splits its per-call copies, terminal remap, net assembly, instance table and signatures, and runs the construction rules beside the interaction stage")
+	t.Note("tallies, adjudication and report assembly stay serial — reports are byte-identical")
 	return t, nil
 }
 

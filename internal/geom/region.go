@@ -1197,6 +1197,14 @@ func (st *RegionStore) Reserve(bands, spans int) {
 	}
 }
 
+// Part returns a store over bands [b0, b1) and spans [s0, s1) of the room
+// Reserve made in st. Parts over disjoint ranges share st's two
+// allocations but no storage, so they may fill concurrently; st itself
+// must not be filled beside them.
+func (st *RegionStore) Part(b0, b1, s0, s1 int) RegionStore {
+	return RegionStore{bands: st.bands[b0:b0:b1], spans: st.spans[s0:s0:s1]}
+}
+
 // TransformBy returns r mapped through t with the result's storage drawn
 // from the store.
 func (st *RegionStore) TransformBy(r Region, t Transform) Region {

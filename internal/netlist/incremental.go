@@ -44,6 +44,7 @@ package netlist
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/device"
 	"repro/internal/geom"
@@ -509,10 +510,16 @@ func scale4(t geom.Transform) geom.Transform {
 }
 
 // Cache is the content-addressed artifact store backing incremental
-// extraction. It is not safe for concurrent use, and it recycles working
-// arrays across runs: only the MOST RECENT IncExtraction produced through
-// a Cache is valid — a new extraction overwrites the previous result's
-// Instances and (when the root changed) its root classification in place.
+// extraction. It is not safe for concurrent use: one goroutine at a time
+// extracts through it. A run may itself split its chip-sized phases
+// across the workers ExtractIncremental is given, the calling goroutine
+// among them; every such phase writes disjoint, pre-sized output, and
+// nothing of the cache's own state — the maps, the lazily filled
+// skeletons, the scratch — is written off the calling goroutine. The
+// cache recycles working arrays across runs: only the MOST RECENT
+// IncExtraction produced through a Cache is valid — a new extraction
+// overwrites the previous result's Instances and (when the root changed)
+// its root classification in place.
 // The public Netlist (nets, devices) is never recycled or rewritten and
 // stays valid indefinitely: a root patch that moves a net's bounds does so
 // on a fresh Netlist with its own copy of the Nets slice, sharing with its
@@ -564,6 +571,12 @@ type Cache struct {
 	nodeClass    []int32 // union-find node -> class
 	instScratch  []Instance
 	spareClassOf []int
+	starts       []callStart // the calls of the definition being built (see populate)
+
+	// workers sizes the pool the chip-sized phases of a build and of the
+	// netlist assembly split across (see runCalls); ExtractIncremental
+	// sets it for its run.
+	workers int
 
 	anon anonNames // the session's interned anonymous net names
 
@@ -775,11 +788,14 @@ func (x *IncExtraction) GlobalNet(inst int, class int) NetID {
 // geometry edits it describes (top symbol only), the extractor may patch
 // the previous result instead of re-deriving the root. The result is
 // identical either way (Patch reports which path was taken); win == nil
-// re-derives unless nothing changed.
-func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, error) {
+// re-derives unless nothing changed. workers sizes the pool a re-derive's
+// chip-sized phases split across (1 or less: the calling goroutine alone);
+// the result does not depend on it.
+func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow, workers int) (*IncExtraction, []Issue, error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
+	c.workers = max(workers, 1)
 	if hashes == nil {
 		hashes = d.ContentHashes()
 	}
@@ -796,36 +812,16 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 
 	issues = make([]Issue, 0, len(root.Issues))
 	issues = append(issues, root.Issues...)
-	// Sequential footprint resolution with a span cursor (the assembly
-	// visits foots strictly in index order).
-	cursor := 0
-	foot := func(i int) (geom.Rect, string, int) {
-		if i < len(root.Foots) {
-			f := &root.Foots[i]
-			return f.Bounds, f.Declared, f.Elements
-		}
-		for cursor < len(root.Children) && i >= root.Children[cursor].FootEnd {
-			cursor++
-		}
-		sp := &root.Children[cursor]
-		sd, k := sp.sd, i-sp.FootStart
-		rep := sd.rep
-		return rep.itemBoxes[rep.footItem[k]].Translate(sd.d), sd.footDeclared(k), int(rep.footElems[k])
-	}
-	if root.devText == nil {
-		root.devText = new(deviceMemo)
-	}
-	nl := assembleNets(root.NumClasses, root.ClassOf, foot, root.NumFoots(), root.Devices, root.devText)
-	issues = nameNets(nl, &issues, &c.anon)
-
 	inc = &IncExtraction{
-		Netlist:      nl,
 		Gates:        root.Gates,
 		BaseKeepouts: root.BaseKeepouts,
 		Root:         root,
 		Hashes:       hashes,
 		Refused:      refused,
 	}
+	nl := c.assemble(inc)
+	issues = nameNets(nl, &issues, &c.anon)
+	inc.Netlist = nl
 	netAt := func(i int) NetID {
 		if f := root.ItemFootAt(i); f >= 0 {
 			return NetID(root.ClassOf[f])
@@ -837,11 +833,6 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 			inc.IllegalPairs = append(inc.IllegalPairs, p)
 		}
 	}
-	if cap(c.instScratch) >= root.Instances {
-		inc.Instances = c.instScratch[:0]
-	}
-	inc.buildInstances()
-	c.instScratch = inc.Instances
 	c.lastInc, c.lastIssues = inc, issues
 	return inc, issues, nil
 }
@@ -1011,29 +1002,105 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	return inc, c.lastIssues, ""
 }
 
-func (x *IncExtraction) buildInstances() {
-	if x.Instances == nil {
-		x.Instances = make([]Instance, 0, x.Root.Instances)
+// assemble builds the netlist skeleton over the root's classification —
+// nets in class order with aggregated element counts, bounds, declared
+// names and device terminal references (device TerminalNets already hold
+// final net ids) — and, beside it, the instance table inc.Instances. Both
+// are chip-sized, so they run on the pool as one batch of independent
+// shards: the footprint pass by footprint range, each shard past the
+// first into a partial of the nets merged in shard order; the terminal
+// count by device range; and the instance table by ranges of the root's
+// calls, each call's preorder block placed by the instance counts before
+// it. A second batch writes the terminals where the counts put them.
+func (c *Cache) assemble(inc *IncExtraction) *Netlist {
+	root := inc.Root
+	if root.devText == nil {
+		root.devText = new(deviceMemo)
 	}
-	x.Instances = append(x.Instances, Instance{Art: x.Root, Parent: -1, T: geom.Identity})
-	var rec func(pi int)
-	rec = func(pi int) {
-		inst := x.Instances[pi] // copy: the slice reallocates while growing
-		for si := range inst.Art.Children {
-			sp := &inst.Art.Children[si]
-			ci := len(x.Instances)
-			x.Instances = append(x.Instances, Instance{
-				Art:       sp.Art,
-				Parent:    pi,
-				Name:      sp.Call.Name,
-				T:         sp.Call.T.Compose(inst.T),
-				ItemStart: inst.ItemStart + sp.ItemStart,
-				FootStart: inst.FootStart + sp.FootStart,
-			})
-			rec(ci)
+	nc, devs, w := root.NumClasses, root.Devices, c.workers
+	nl := &Netlist{Nets: make([]Net, nc), Devices: devs, devText: root.devText}
+	for i := range nl.Nets {
+		nl.Nets[i].ID = NetID(i)
+	}
+	if cap(c.instScratch) >= root.Instances {
+		inc.Instances = c.instScratch[:root.Instances]
+	} else {
+		inc.Instances = make([]Instance, root.Instances)
+	}
+	c.instScratch = inc.Instances
+	inc.Instances[0] = Instance{Art: root, Parent: -1, T: geom.Identity}
+
+	// A shard's partial costs a net table, and its terminal counts a
+	// column per net, for the run: the footprint and terminal passes split
+	// no further than there are workers.
+	nFoots := root.NumFoots()
+	mf := shards(nFoots, w, w)
+	mt := shards(root.numTerms, w, w)
+	mi := shards(root.Instances, w, len(root.Children))
+	parts, counts := make([]Net, (mf-1)*nc), make([]int32, mt*nc)
+	geom.RunShards(mf+mt+mi, w, func(k int) {
+		switch {
+		case k < mf:
+			nets := nl.Nets
+			if k > 0 {
+				nets = parts[(k-1)*nc : k*nc]
+			}
+			lo, hi := geom.ShardRange(k, mf, nFoots)
+			addFoots(nets, root, lo, hi)
+		case k < mf+mt:
+			k -= mf
+			lo, hi := geom.ShardRange(k, mt, len(devs))
+			countTerms(counts[k*nc:(k+1)*nc], devs, lo, hi)
+		default:
+			k -= mf + mt
+			c0, c1 := geom.ShardRange(k, mi, len(root.Children))
+			inc.placeCalls(c0, c1)
 		}
+	})
+	for k := 1; k < mf; k++ {
+		mergeFoots(nl.Nets, parts[(k-1)*nc:k*nc])
 	}
-	rec(0)
+	slab := placeTerms(nl.Nets, counts, mt, root.numTerms)
+	geom.RunShards(mt, w, func(k int) {
+		lo, hi := geom.ShardRange(k, mt, len(devs))
+		fillTerms(slab, counts[k*nc:(k+1)*nc], devs, lo, hi)
+	})
+	return nl
+}
+
+// placeCalls writes the instance table's entries for the root's calls
+// [c0, c1): each call's preorder block, placed after the root and the
+// blocks of the calls before it (instance 0, the root itself, is written
+// before the batch).
+func (x *IncExtraction) placeCalls(c0, c1 int) {
+	root := x.Root
+	at := 1
+	for si := 0; si < c0; si++ {
+		at += root.Children[si].Art.Instances
+	}
+	for si := c0; si < c1; si++ {
+		at = x.place(0, &root.Children[si], at)
+	}
+}
+
+// place writes the instance of span sp of instance pi at index at, then
+// its subtree's in preorder, and returns the index past them.
+func (x *IncExtraction) place(pi int, sp *ChildSpan, at int) int {
+	parent := &x.Instances[pi]
+	x.Instances[at] = Instance{
+		Art:       sp.Art,
+		Parent:    pi,
+		Name:      sp.Call.Name,
+		T:         sp.Call.T.Compose(parent.T),
+		ItemStart: parent.ItemStart + sp.ItemStart,
+		FootStart: parent.FootStart + sp.FootStart,
+	}
+	ii := at
+	at++
+	for si := range sp.Art.Children {
+		at = x.place(ii, &sp.Art.Children[si], at)
+	}
+	return at
 }
 
 // InstPath materializes the absolute instance path of instance ii.
@@ -1107,23 +1174,27 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		art.numTerms = len(dev.TerminalNets)
 	}
 	// Remap embedded devices' terminal classes into this frame, every
-	// device's list carved out of one slab.
-	for si := range art.Children {
-		art.numTerms += art.Children[si].Art.numTerms
-	}
-	slab := make([]TerminalNet, art.numTerms)
-	for si := range art.Children {
-		sp := &art.Children[si]
-		classes := nodeClass[sp.node0:]
-		for di := sp.DevStart; di < sp.DevEnd; di++ {
-			child := sp.Art.Devices[di-sp.DevStart].TerminalNets
-			tns := slab[:len(child):len(child)]
-			slab = slab[len(child):]
-			for ti := range child {
-				tns[ti] = TerminalNet{Name: child[ti].Name, Net: NetID(classes[child[ti].Net])}
+	// device's list carved out of one slab where the starts table puts its
+	// call's, on the pool like populate's copies.
+	if len(art.Children) > 0 {
+		starts := c.starts
+		art.numTerms = starts[len(art.Children)].term
+		slab := make([]TerminalNet, art.numTerms)
+		c.runCalls(starts, func(c0, c1 int) {
+			for si := c0; si < c1; si++ {
+				sp := &art.Children[si]
+				classes := nodeClass[sp.node0:]
+				tns := slab[starts[si].term:starts[si+1].term]
+				for di := sp.DevStart; di < sp.DevEnd; di++ {
+					child := sp.Art.Devices[di-sp.DevStart].TerminalNets
+					for ti := range child {
+						tns[ti] = TerminalNet{Name: child[ti].Name, Net: NetID(classes[child[ti].Net])}
+					}
+					art.Devices[di].TerminalNets = tns[:len(child):len(child)]
+					tns = tns[len(child):]
+				}
 			}
-			art.Devices[di].TerminalNets = tns
-		}
+		})
 	}
 	// Footprint pairs translate to item pairs; inherited candidates first
 	// (span order), then this level's, both already canonically oriented.
@@ -1247,44 +1318,14 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	// dominate the whole warm-recheck budget.
 	childArts := make([]*SymbolArtifacts, len(s.Calls))
 	spans := make([]*spanData, len(s.Calls))
-	nDevs, nGates, nKeeps, nIssues, nIll := 0, 0, 0, 0, 0
-	keepBands, keepSpans := 0, 0 // the keepout images a non-identity placement stores (see RegionStore.Reserve)
 	for ci, call := range s.Calls {
 		childArts[ci] = c.build(call.Target, hs, tc)
 		spans[ci] = c.span(childArts[ci], call.T, call.Name, tc)
-		nDevs += len(childArts[ci].Devices)
-		nGates += len(childArts[ci].Gates)
-		nKeeps += len(childArts[ci].BaseKeepouts)
-		nIssues += len(childArts[ci].Issues)
-		nIll += len(childArts[ci].IllegalCands)
-		if spans[ci].t != geom.Identity {
-			for _, ks := range [2][]Keepout{childArts[ci].Gates, childArts[ci].BaseKeepouts} {
-				for i := range ks {
-					keepBands += ks[i].Reg.NumBands()
-					keepSpans += ks[i].Reg.NumRects()
-				}
-			}
-		}
 	}
-	var keepStore geom.RegionStore
-	keepStore.Reserve(keepBands, keepSpans)
 	art.Items = make([]ConnItem, 0, len(s.Elements))
 	art.Foots = make([]LocalFoot, 0, len(s.Elements))
 	art.ItemFoot = make([]int, 0, len(s.Elements))
 	art.Children = make([]ChildSpan, 0, len(s.Calls))
-	if nGates > 0 {
-		art.Gates = make([]Keepout, 0, nGates)
-	}
-	if nKeeps > 0 {
-		art.BaseKeepouts = make([]Keepout, 0, nKeeps)
-	}
-	if nIssues > 0 {
-		art.Issues = make([]Issue, 0, nIssues)
-	}
-	if nIll > 0 {
-		art.IllegalCands = make([][2]int, 0, nIll)
-	}
-	art.Devices = make([]DeviceUse, 0, nDevs)
 	for _, e := range s.Elements {
 		reg, err := e.Region()
 		if err != nil {
@@ -1311,53 +1352,99 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	// The union-find runs over the own footprints plus one node per class
 	// of each child: a child's internal partition is already decided, so
 	// its footprints enter as the classes they belong to and nothing is
-	// replayed per embedded footprint.
+	// replayed per embedded footprint. The spans and the starts table are
+	// prefix sums over the calls, taken in call order.
 	itemCount, footCount := len(art.Items), len(art.Foots)
 	nodeCount := footCount
-	for ci := range s.Calls {
-		call := s.Calls[ci]
-		childArt := childArts[ci]
-		sd := spans[ci]
-		sp := ChildSpan{
+	starts := c.takeStarts(len(s.Calls))
+	at := callStart{issue: len(art.Issues)}
+	for ci, call := range s.Calls {
+		childArt, sd := childArts[ci], spans[ci]
+		starts[ci] = at
+		art.Children = append(art.Children, ChildSpan{
 			Call: call, Art: childArt, sd: sd, Bounds: sd.bounds,
-			ItemStart: itemCount, FootStart: footCount, DevStart: len(art.Devices),
+			ItemStart: itemCount, ItemEnd: itemCount + childArt.NumItems(),
+			FootStart: footCount, FootEnd: footCount + childArt.NumFoots(),
+			DevStart: at.dev, DevEnd: at.dev + len(childArt.Devices),
 			node0: nodeCount,
-		}
+		})
 		nodeCount += childArt.NumClasses
 		itemCount += childArt.NumItems()
 		footCount += childArt.NumFoots()
-		// The child's devices, keepouts and issues are copied in placed
-		// through the call transform, one sequential pass over each of the
-		// child's arrays (TerminalNets are remapped by build()).
-		t := sd.t
-		for i, dv := range childArt.Devices {
-			dv.Path, dv.T, dv.TerminalNets = sd.devPath(i), dv.T.Compose(t), nil
-			art.Devices = append(art.Devices, dv)
-		}
-		for _, g := range childArt.Gates {
-			g.Dev += sp.DevStart
-			g.Reg, g.Bounds = keepStore.TransformBy(g.Reg, t), t.ApplyRect(g.Bounds)
-			art.Gates = append(art.Gates, g)
-		}
-		for _, k := range childArt.BaseKeepouts {
-			k.Dev += sp.DevStart
-			k.Reg, k.Bounds = keepStore.TransformBy(k.Reg, t), t.ApplyRect(k.Bounds)
-			art.BaseKeepouts = append(art.BaseKeepouts, k)
-		}
-		for _, is := range childArt.Issues {
-			is.Where = t.ApplyRect(is.Where)
-			art.Issues = append(art.Issues, is)
-		}
-		sp.ItemEnd = itemCount
-		sp.FootEnd = footCount
-		sp.DevEnd = len(art.Devices)
-		art.Children = append(art.Children, sp)
-		// Inherit the child's illegal-connection candidates.
-		for _, p := range childArt.IllegalCands {
-			art.IllegalCands = append(art.IllegalCands, [2]int{sp.ItemStart + p[0], sp.ItemStart + p[1]})
+		at.dev += len(childArt.Devices)
+		at.gate += len(childArt.Gates)
+		at.keep += len(childArt.BaseKeepouts)
+		at.issue += len(childArt.Issues)
+		at.ill += len(childArt.IllegalCands)
+		at.term += childArt.numTerms
+		if sd.t != geom.Identity {
+			for _, ks := range [2][]Keepout{childArt.Gates, childArt.BaseKeepouts} {
+				for i := range ks {
+					at.bands += ks[i].Reg.NumBands()
+					at.spans += ks[i].Reg.NumRects()
+				}
+			}
 		}
 	}
+	starts[len(s.Calls)] = at
 	art.numItems, art.numFoots = itemCount, footCount
+
+	// The children's devices, keepouts, issues and illegal-connection
+	// candidates are copied in placed through the call transforms (device
+	// TerminalNets are remapped by buildNew): each call's entries go to
+	// where the starts table puts them, so the calls fill on the pool,
+	// every shard its own range of calls and its own part of the keepout
+	// store.
+	art.Devices = make([]DeviceUse, at.dev)
+	if at.gate > 0 {
+		art.Gates = make([]Keepout, at.gate)
+	}
+	if at.keep > 0 {
+		art.BaseKeepouts = make([]Keepout, at.keep)
+	}
+	if at.issue > len(art.Issues) {
+		art.Issues = append(make([]Issue, 0, at.issue), art.Issues...)[:at.issue]
+	}
+	if at.ill > 0 {
+		art.IllegalCands = make([][2]int, at.ill)
+	}
+	var keepStore geom.RegionStore
+	keepStore.Reserve(at.bands, at.spans)
+	c.runCalls(starts, func(c0, c1 int) {
+		from, to := starts[c0], starts[c1]
+		store := keepStore.Part(from.bands, to.bands, from.spans, to.spans)
+		for ci := c0; ci < c1; ci++ {
+			sp, st := &art.Children[ci], &starts[ci]
+			childArt, sd := sp.Art, sp.sd
+			t := sd.t
+			devs := art.Devices[st.dev:]
+			for i, dv := range childArt.Devices {
+				dv.Path, dv.T, dv.TerminalNets = sd.devPath(i), dv.T.Compose(t), nil
+				devs[i] = dv
+			}
+			gates := art.Gates[st.gate:]
+			for i, g := range childArt.Gates {
+				g.Dev += sp.DevStart
+				g.Reg, g.Bounds = store.TransformBy(g.Reg, t), t.ApplyRect(g.Bounds)
+				gates[i] = g
+			}
+			keeps := art.BaseKeepouts[st.keep:]
+			for i, k := range childArt.BaseKeepouts {
+				k.Dev += sp.DevStart
+				k.Reg, k.Bounds = store.TransformBy(k.Reg, t), t.ApplyRect(k.Bounds)
+				keeps[i] = k
+			}
+			issues := art.Issues[st.issue:]
+			for i, is := range childArt.Issues {
+				is.Where = t.ApplyRect(is.Where)
+				issues[i] = is
+			}
+			ill := art.IllegalCands[st.ill:]
+			for i, p := range childArt.IllegalCands {
+				ill[i] = [2]int{sp.ItemStart + p[0], sp.ItemStart + p[1]}
+			}
+		}
+	})
 	return c.takeUF(nodeCount), pending
 }
 
@@ -1573,6 +1660,69 @@ func prefixPath(name, rel string) string {
 	return name + "." + rel
 }
 
+// callStart is where one call's embedded entries start in its parent's
+// arrays while the parent is built — devices, gates, base keepouts,
+// issues, illegal-connection candidates, terminal-slab entries, and the
+// keepout images' bands and spans in the parent's store — and, one past
+// the last call, their totals. The table is a prefix sum over the calls:
+// every call's entries have a place before any is filled, so the calls
+// fill concurrently.
+type callStart struct {
+	dev, gate, keep, issue, ill, term int
+	bands, spans                      int
+}
+
+// work is the entry count before the call: how runCalls weighs shards.
+func (st *callStart) work() int { return st.dev + st.gate + st.keep + st.issue + st.ill + st.term }
+
+// takeStarts hands out the cache's reusable starts table for n calls (n+1
+// entries). A build's table is written after its children are built, so
+// one table serves the recursion.
+func (c *Cache) takeStarts(n int) []callStart {
+	if cap(c.starts) < n+1 {
+		c.starts = make([]callStart, n+1)
+	}
+	c.starts = c.starts[:n+1]
+	return c.starts
+}
+
+// runCalls runs fill over the calls of a starts table, split on the pool
+// into ranges of calls [c0, c1) of near-equal work: serially, as one
+// range, below geom.Shards' fan-out size or with one worker.
+func (c *Cache) runCalls(starts []callStart, fill func(c0, c1 int)) {
+	n := len(starts) - 1
+	total := starts[n].work()
+	m := shards(total, c.workers, n)
+	if m <= 1 {
+		fill(0, n)
+		return
+	}
+	geom.RunShards(m, c.workers, func(k int) {
+		lo, hi := geom.ShardRange(k, m, total)
+		c0 := sort.Search(n, func(ci int) bool { return starts[ci].work() >= lo })
+		c1 := n
+		if k < m-1 {
+			c1 = sort.Search(n, func(ci int) bool { return starts[ci].work() >= hi })
+		}
+		fill(c0, c1)
+	})
+}
+
+// fanned counts the phases that split across more than one worker. Only
+// tests read it: a differential that means to compare pooled against
+// serial runs asserts that the pool was used.
+var fanned atomic.Int64
+
+// shards is geom.Shards capped at most shards, counting in fanned a phase
+// that splits.
+func shards(n, workers, most int) int {
+	m := min(geom.Shards(n, workers), most)
+	if m > 1 {
+		fanned.Add(1)
+	}
+	return m
+}
+
 // takeUF hands out the cache's reusable union-find sized for n nodes.
 func (c *Cache) takeUF(n int) *uf {
 	u := &c.ufScratch
@@ -1688,6 +1838,40 @@ func (a *SymbolArtifacts) CrossItemPairs(gap int64, emit func(i, j int)) {
 // refinement; beyond it a plane sweep takes over.
 const bipartiteThreshold = 256
 
+// scanLeaf is the item count of a span that scanNear scans box by box
+// rather than descend into.
+const scanLeaf = 16
+
+// scanNear calls visit, in index order, with every item k of a's subtree
+// whose box boxes[base+k] — a's items as t maps them, the layout of a span
+// representative's bounds column — touches probe. A span of a whose bounds,
+// mapped by t, miss probe is passed over whole, since its items' boxes lie
+// within them: a wire that crosses a row of cells visits the cells it
+// meets, not every item of the row.
+func scanNear(a *SymbolArtifacts, t geom.Transform, boxes []geom.Rect, base int, probe geom.Rect, visit func(k int)) {
+	for k := base; k < base+len(a.Items); k++ {
+		if probe.Touches(boxes[k]) {
+			visit(k)
+		}
+	}
+	for si := range a.Children {
+		cs := &a.Children[si]
+		if !probe.Touches(t.ApplyRect(cs.Bounds)) {
+			continue
+		}
+		lo, hi := base+cs.ItemStart, base+cs.ItemEnd
+		if hi-lo > scanLeaf {
+			scanNear(cs.Art, cs.sd.t.Compose(t), boxes, lo, probe, visit)
+			continue
+		}
+		for k := lo; k < hi; k++ {
+			if probe.Touches(boxes[k]) {
+				visit(k)
+			}
+		}
+	}
+}
+
 // connectSweep discovers same-layer footprint connectivity at this
 // definition's level: own-vs-own, own-vs-child, and child-vs-child pairs
 // (pairs internal to one child were resolved in the child's artifacts).
@@ -1737,12 +1921,12 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 // forEachCrossPair enumerates candidate element pairs at one hierarchy
 // level without visiting pairs internal to a child: a coarse sweep over
 // own entries and child bounding boxes, refined per candidate by scanning
-// only the entries near the partner. boundsAt reads own entries; spanBoxes
-// is a span's item bounds table as its representative stores it, read
-// shifted by the span's offset, and the span-local entry index of each
-// item (nil: the item itself; -1: no entry). The enumeration is
-// deterministic for identical inputs, which the engine's replayable caches
-// rely on.
+// only the entries near the partner (scanNear). boundsAt reads own
+// entries; spanBoxes is a span's item bounds table as its representative
+// stores it, read shifted by the span's offset, and the span-local entry
+// index of each item (nil: the item itself; -1: no entry). The
+// enumeration is deterministic for identical inputs, which the engine's
+// replayable caches rely on.
 func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 	childRange func(si int) (int, int), boundsAt func(i int) geom.Rect,
 	spanBoxes func(si int) ([]geom.Rect, []int32),
@@ -1770,21 +1954,20 @@ func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 	}
 	collect := func(si int, probe geom.Rect, buf []entry) []entry {
 		buf = buf[:0]
-		d := children[si].sd.d
+		sp := &children[si]
+		d := sp.sd.d
 		probe = probe.Expand(gap).Translate(d.Neg())
 		lo, _ := childRange(si)
 		boxes, ids := spanBoxes(si)
-		for local, b := range boxes {
-			if !probe.Touches(b) {
-				continue
-			}
+		scanNear(sp.Art, sp.sd.rep.t, boxes, 0, probe, func(local int) {
+			b := boxes[local]
 			if ids != nil {
 				if local = int(ids[local]); local < 0 {
-					continue
+					return
 				}
 			}
 			buf = append(buf, entry{lo + local, b.Translate(d)})
-		}
+		})
 		return buf
 	}
 	var bufA, bufB []entry

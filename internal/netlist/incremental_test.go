@@ -120,8 +120,8 @@ func diffIssues(t *testing.T, label string, a, b []Issue) {
 // fresh cache.
 func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tech.Technology, c *Cache) {
 	t.Helper()
-	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, nil)
-	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, nil)
+	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, nil, 1)
+	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, nil, 1)
 	if (fullErr == nil) != (incErr == nil) {
 		t.Fatalf("%s: error mismatch: cold=%v through cache=%v", label, fullErr, incErr)
 	}
@@ -177,7 +177,7 @@ func TestIncrementalWarmMatchesFull(t *testing.T) {
 	tc := tech.NMOS()
 	c := NewCache()
 	chip := workload.NewChip(tc, "warm", 4, 6)
-	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, nil); err != nil {
+	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,7 +213,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	c := NewCache()
-	if _, _, err := ExtractIncremental(d, tc, c, nil, nil); err != nil {
+	if _, _, err := ExtractIncremental(d, tc, c, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	d.Top.ResetDirty()
@@ -233,7 +233,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 		if info := d.Top.Dirty(); !info.Full && len(info.Elems) > 0 {
 			win = &EditWindow{Elems: info.Elems, Window: info.Window}
 		}
-		inc, _, err := ExtractIncremental(d, tc, c, nil, win)
+		inc, _, err := ExtractIncremental(d, tc, c, nil, win, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	c := NewCache()
 	run := func() {
 		t.Helper()
-		if _, _, err := ExtractIncremental(d, tc, c, nil, nil); err != nil {
+		if _, _, err := ExtractIncremental(d, tc, c, nil, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,7 +414,7 @@ func TestResolveItemMatchesFlatten(t *testing.T) {
 			}
 			check := func(label string) {
 				t.Helper()
-				inc, _, err := ExtractIncremental(d, tc, c, nil, nil)
+				inc, _, err := ExtractIncremental(d, tc, c, nil, nil, 1)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -595,5 +595,72 @@ func TestRepresentativeAllocs(t *testing.T) {
 			t.Fatalf("building a representative under %v allocates %.1f objects for an 8-box child and %.1f for a 256-box one, want the same and <= %v",
 				c.o, small, large, c.maxAllocs)
 		}
+	}
+}
+
+// TestParallelDeterminismExtraction: the full re-derive's chip-sized
+// phases on the pool. A 32×32 unique-row chip with the oriented blocks
+// placed under all eight orientations is extracted through three caches,
+// with 1, 2 and 7 workers, after every step of an active-edit script. The
+// pooled extractions split every phase — populate's per-call copies, the
+// terminal remap, and the net assembly's footprint, terminal and instance
+// passes — and equal the serial one exactly: items, nets, devices, issues, illegal pairs in
+// order, and the instance table.
+func TestParallelDeterminismExtraction(t *testing.T) {
+	tc := tech.NMOS()
+	steps := 8
+	if testing.Short() {
+		steps = 3
+	}
+	d := workload.NewChipUnique(tc, "pardet", 32, 32).Design
+	blocks := workload.AddOrientedBlocks(d, tc)
+	caches := []*Cache{NewCache(), NewCache(), NewCache()}
+	workers := []int{1, 2, 7}
+	extract := func(label string) {
+		t.Helper()
+		var base *IncExtraction
+		var baseIssues []Issue
+		for k, c := range caches {
+			before := fanned.Load()
+			inc, issues, err := ExtractIncremental(d, tc, c, nil, nil, workers[k])
+			if err != nil {
+				t.Fatalf("%s: workers=%d: %v", label, workers[k], err)
+			}
+			if got := fanned.Load() - before; workers[k] > 1 && got < 5 {
+				t.Fatalf("%s: workers=%d: %d phases split, want all 5", label, workers[k], got)
+			}
+			if k == 0 {
+				base, baseIssues = inc, issues
+				continue
+			}
+			l := fmt.Sprintf("%s: workers=%d", label, workers[k])
+			diffExtractions(t, l, inc, base)
+			if !reflect.DeepEqual(issues, baseIssues) {
+				t.Fatalf("%s: issues differ", l)
+			}
+			if !reflect.DeepEqual(inc.IllegalPairs, base.IllegalPairs) {
+				t.Fatalf("%s: illegal pairs differ in order", l)
+			}
+			if !reflect.DeepEqual(inc.Instances, base.Instances) {
+				t.Fatalf("%s: instance tables differ", l)
+			}
+		}
+	}
+	extract("cold")
+	for o := geom.R0; o <= geom.MX270; o++ {
+		e := layout.Edit{Op: layout.OpAddCall, Symbol: d.Top.Name, Target: blocks.Name, Orient: o.String(),
+			DX: -60000 - 40000*int64(o), DY: -60000, Name: fmt.Sprintf("ob%d", o)}
+		if err := layout.ApplyEdit(d, tc, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	extract("oriented blocks placed")
+	script := workload.NewActiveEdits(3)
+	for i := 0; i < steps; i++ {
+		e := script.Next(d, tc)
+		if layout.ApplyEdit(d, tc, e) != nil {
+			continue
+		}
+		extract(fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol))
 	}
 }

@@ -225,62 +225,114 @@ func (nl *Netlist) Stats() string {
 // Extract is a one-shot ExtractIncremental over a fresh cache, for callers
 // that only need the netlist.
 func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
-	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, nil)
+	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, nil, 1)
 	if err != nil {
 		return nil, issues, err
 	}
 	return inc.Netlist, issues, nil
 }
 
-// assembleNets builds the Netlist skeleton — nets in canonical class order
-// with aggregated bounds, element counts, declared names, and device
-// terminal references — from a footprint accessor visited in index order.
-// Device TerminalNets must already hold final net ids; memo is the
-// DeviceText holder of the devices array.
-func assembleNets(numClasses int, classOf []int, foot func(i int) (bounds geom.Rect, declared string, elements int), numFoots int, devices []DeviceUse, memo *deviceMemo) *Netlist {
-	nl := &Netlist{Nets: make([]Net, numClasses), devText: memo}
-	for i := range nl.Nets {
-		nl.Nets[i].ID = NetID(i)
+// addFoots folds the root's footprints [lo, hi) into nets, indexed by
+// class: element counts, bounds and declared names, read in footprint
+// order — own footprints, then each span's from its columns. nets is the
+// netlist's own array or a shard's partial of it (see Cache.assemble).
+func addFoots(nets []Net, root *SymbolArtifacts, lo, hi int) {
+	classOf := root.ClassOf
+	i := lo
+	for ; i < hi && i < len(root.Foots); i++ {
+		f := &root.Foots[i]
+		nets[classOf[i]].addFoot(f.Bounds, f.Declared, f.Elements)
 	}
-	for i := 0; i < numFoots; i++ {
-		net := &nl.Nets[classOf[i]]
-		bounds, declared, elements := foot(i)
-		net.Elements += elements
-		net.Bounds = net.Bounds.Union(bounds)
-		// nameNets sorts and dedupes; dropping an immediate repeat here (a
-		// rail is declared once per cell) keeps the lists short.
-		if n := len(net.Declared); declared != "" && (n == 0 || net.Declared[n-1] != declared) {
-			net.Declared = append(net.Declared, declared)
+	if i >= hi {
+		return
+	}
+	for si := root.footSpan(i); i < hi; si++ {
+		sp := &root.Children[si]
+		sd, end := sp.sd, min(hi, sp.FootEnd)
+		rep := sd.rep
+		for ; i < end; i++ {
+			k := i - sp.FootStart
+			nets[classOf[i]].addFoot(rep.itemBoxes[rep.footItem[k]].Translate(sd.d), sd.footDeclared(k), int(rep.footElems[k]))
 		}
 	}
-	// One slab holds every net's terminal list: a counting pass sizes the
-	// pieces, each clipped to its own capacity so the appends below (and
-	// any a holder might make) cannot run into the next net's.
-	counts := make([]int32, numClasses)
-	total := 0
-	for di := range devices {
+}
+
+// addFoot folds one footprint into the net.
+func (net *Net) addFoot(bounds geom.Rect, declared string, elements int) {
+	net.Elements += elements
+	net.Bounds = net.Bounds.Union(bounds)
+	// nameNets sorts and dedupes; dropping an immediate repeat here (a
+	// rail is declared once per cell) keeps the lists short.
+	if n := len(net.Declared); declared != "" && (n == 0 || net.Declared[n-1] != declared) {
+		net.Declared = append(net.Declared, declared)
+	}
+}
+
+// mergeFoots folds a shard's partial of the footprint pass into nets. Sums
+// and bounds unions do not depend on the order of folding, and declared
+// names are appended in shard order, so the lists come out as one pass
+// over every footprint leaves them.
+func mergeFoots(nets, part []Net) {
+	for i := range part {
+		p := &part[i]
+		if p.Elements == 0 && p.Bounds.Empty() && p.Declared == nil {
+			continue
+		}
+		net := &nets[i]
+		net.Elements += p.Elements
+		net.Bounds = net.Bounds.Union(p.Bounds)
+		for _, dn := range p.Declared {
+			if n := len(net.Declared); n == 0 || net.Declared[n-1] != dn {
+				net.Declared = append(net.Declared, dn)
+			}
+		}
+	}
+}
+
+// countTerms counts the terminals of devices [lo, hi) per net into counts.
+func countTerms(counts []int32, devices []DeviceUse, lo, hi int) {
+	for di := lo; di < hi; di++ {
 		for ti := range devices[di].TerminalNets {
 			counts[devices[di].TerminalNets[ti].Net]++
 		}
-		total += len(devices[di].TerminalNets)
 	}
+}
+
+// placeTerms carves every net's terminal list out of one slab, each list
+// clipped to its own capacity so an append (a holder's) cannot run into
+// the next net's. counts holds m shards' per-net terminal counts (see
+// countTerms), shard after shard; each count becomes the slab position
+// where that shard's first terminal of the net goes, so that the lists
+// come out in device order.
+func placeTerms(nets []Net, counts []int32, m, total int) []TermRef {
 	slab := make([]TermRef, total)
-	for i := range nl.Nets {
-		if n := int(counts[i]); n > 0 {
-			nl.Nets[i].Terminals = slab[:0:n]
-			slab = slab[n:]
+	nc := len(nets)
+	at := int32(0)
+	for i := range nets {
+		base := at
+		for k := 0; k < m; k++ {
+			c := &counts[k*nc+i]
+			at, *c = at+*c, at
+		}
+		if at > base {
+			nets[i].Terminals = slab[base:at:at]
 		}
 	}
-	for di := range devices {
+	return slab
+}
+
+// fillTerms writes the terminals of devices [lo, hi) into their nets'
+// lists, at the positions placeTerms left in cursor.
+func fillTerms(slab []TermRef, cursor []int32, devices []DeviceUse, lo, hi int) {
+	for di := lo; di < hi; di++ {
 		dev := &devices[di]
 		// TerminalNets is sorted by name: deterministic terminal order.
 		for ti := range dev.TerminalNets {
 			tn := &dev.TerminalNets[ti]
-			nl.Nets[tn.Net].Terminals = append(nl.Nets[tn.Net].Terminals, TermRef{Device: di, Terminal: tn.Name})
+			slab[cursor[tn.Net]] = TermRef{Device: di, Terminal: tn.Name}
+			cursor[tn.Net]++
 		}
 	}
-	nl.Devices = devices
-	return nl
 }
 
 // anonNames interns the names of anonymous nets ("n<k>" for net k): a

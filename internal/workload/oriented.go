@@ -18,10 +18,18 @@ import (
 // contact pads, so those spacing pairs are same-net) and as two separate
 // poly stubs, a different-net pair closer than the poly rule.
 func NewOrientedBlocks(tc *tech.Technology) *layout.Design {
+	d := layout.NewDesign("oriented")
+	d.Top = AddOrientedBlocks(d, tc)
+	return d
+}
+
+// AddOrientedBlocks builds NewOrientedBlocks' symbols into d, which must
+// not yet hold symbols of their names ("ocell", "ocontact", "oblock",
+// "otop"), and returns their top, "otop", uncalled.
+func AddOrientedBlocks(d *layout.Design, tc *tech.Technology) *layout.Symbol {
 	polyL, _ := tc.LayerByName(tech.NMOSPoly)
 	diffL, _ := tc.LayerByName(tech.NMOSDiff)
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
-	d := layout.NewDesign("oriented")
 
 	// The cell: contact pad [-500,500]², a metal arm east, a diffusion tail
 	// south, and an isolated poly stub reaching the pad's west edge.
@@ -42,8 +50,7 @@ func NewOrientedBlocks(tc *tech.Technology) *layout.Design {
 	top.AddCall(block, geom.NewTransform(geom.R90, geom.Pt(0, 0)), "b1")
 	top.AddCall(block, geom.NewTransform(geom.MX270, geom.Pt(0, -1400)), "b2")
 	top.AddWire(metalL, 750, "", geom.Pt(0, 0), geom.Pt(0, -1400))
-	d.Top = top
-	return d
+	return top
 }
 
 // NewTranslatedFamilies builds a small nMOS design in which translation
