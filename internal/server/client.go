@@ -302,7 +302,7 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return err
 	}
@@ -325,11 +325,38 @@ func (c *Client) attempt(ctx context.Context, method, path string, payload []byt
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	// The report payloads read themselves in one pass (wire.go);
+	// json.Unmarshal would scan their bytes twice more before handing
+	// them over.
+	if u, ok := out.(json.Unmarshaler); ok {
+		err = u.UnmarshalJSON(data)
+	} else {
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
 		return err
 	}
 	if ws, ok := out.(wireSized); ok {
 		ws.setWireBytes(int64(len(data)))
 	}
 	return nil
+}
+
+// maxPresize bounds the buffer a Content-Length header may presize; a
+// larger declared body is read by io.ReadAll as it arrives.
+const maxPresize = 64 << 20
+
+// readBody reads a response body into a buffer presized from its
+// Content-Length (the daemon always sends one), so the read neither
+// grows nor copies.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresize {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }

@@ -56,14 +56,16 @@ type errorBody struct {
 // doubles as the safe-to-retry signal the client's POST retry needs.
 const retryAfterSeconds = 1
 
-func writeErrClass(w http.ResponseWriter, code int, class string, err error) {
+// replyErrClass writes the error payload; a 429 or 503 carries the
+// Retry-After hint.
+func (s *Server) replyErrClass(w http.ResponseWriter, code int, class string, err error) {
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", retryAfterSeconds))
 	}
-	writeJSON(w, code, errorBody{Error: err.Error(), Class: class})
+	s.reply(w, code, errorBody{Error: err.Error(), Class: class})
 }
 
-// writeSvcErr renders a svcError with its own status code and class.
-func writeSvcErr(w http.ResponseWriter, err *svcError) {
-	writeErrClass(w, err.code, err.class, err.err)
+// replyErr renders a svcError with its own status code and class.
+func (s *Server) replyErr(w http.ResponseWriter, err *svcError) {
+	s.replyErrClass(w, err.code, err.class, err.err)
 }

@@ -10,6 +10,12 @@
 // on-disk snapshot — declares its schema explicitly (report/v1,
 // report-delta/v1, snapshot/v1) and shares one Envelope, so there is
 // exactly one place the common header fields are defined.
+//
+// Every response is compact JSON, encoded once into a pooled buffer and
+// written in one piece with its Content-Length (writeJSON, the one write
+// path); snapshots are compact files. The client reads report payloads
+// with the single-pass reader in wire.go, which decodes exactly what
+// encoding/json decodes from the same bytes.
 package server
 
 import (

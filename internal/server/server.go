@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cif"
@@ -129,6 +132,8 @@ type Server struct {
 	sessions map[string]*Session
 	nextID   int
 	stats    serverStats
+	// bytesOut counts response body bytes by wire class (wireReport…).
+	bytesOut [wireClasses]atomic.Uint64
 
 	// clk schedules everything time-driven: deadlines, debounce, the
 	// janitor and snapshot loops, LRU and idle stamps.
@@ -169,7 +174,7 @@ func newServer(cfg Config, clk clock) *Server {
 		mux.HandleFunc("POST /v1/sessions/{id}/inject", s.handleInject)
 	}
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		s.reply(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	s.mux = mux
 	if s.cfg.IdleTTL > 0 {
@@ -209,7 +214,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			s.notePanic()
 			// Best effort: if the handler already wrote headers this is a
 			// lost cause for this response, but the process survives.
-			writeErrClass(w, http.StatusInternalServerError, ClassPanic,
+			s.replyErrClass(w, http.StatusInternalServerError, ClassPanic,
 				fmt.Errorf("internal panic: %v", rec))
 		}
 	}()
@@ -457,16 +462,16 @@ func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
 	if serr := s.decodeBody(w, r, &req); serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
 	if req.CIF == "" {
-		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty cif source"))
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty cif source"))
 		return
 	}
 	tc, opts, err := resolveCreate(&req)
 	if err != nil {
-		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "%v", err))
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "%v", err))
 		return
 	}
 	designName := req.DesignName
@@ -478,11 +483,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := cif.Parse(req.CIF, tc, designName)
 	if errors.Is(err, layout.ErrTooLarge) {
-		writeSvcErr(w, errf(http.StatusRequestEntityTooLarge, ClassTooLarge, "parse cif: %v", err))
+		s.replyErr(w, errf(http.StatusRequestEntityTooLarge, ClassTooLarge, "parse cif: %v", err))
 		return
 	}
 	if err != nil {
-		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "parse cif: %v", err))
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "parse cif: %v", err))
 		return
 	}
 
@@ -491,7 +496,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// The cold check is the most expensive thing the daemon does; it goes
 	// through the admission queue like every other engine run.
 	if serr := s.adm.acquire(ctx); serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
 
@@ -504,7 +509,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	sess, err := newSession(ctx, id, req.Name, d, tc, opts, origin, s.adm, s.clk, s.cfg.Debounce, s.cfg.ReportHistory)
 	s.adm.release()
 	if err != nil {
-		writeSvcErr(w, classifyRunErr(fmt.Errorf("initial check: %w", err)))
+		s.replyErr(w, classifyRunErr(fmt.Errorf("initial check: %w", err)))
 		return
 	}
 	// Build the response before publishing the session: the moment it is
@@ -512,7 +517,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// under the session lock, which this handler no longer holds.
 	resp := CreateResponse{ID: id, Report: buildReport(sess.fp, sess.rep, sess.eng)}
 	s.register(sess)
-	writeJSON(w, http.StatusCreated, resp)
+	s.reply(w, http.StatusCreated, resp)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -532,7 +537,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			infos[j], infos[j-1] = infos[j-1], infos[j]
 		}
 	}
-	writeJSON(w, http.StatusOK, infos)
+	s.reply(w, http.StatusOK, infos)
 }
 
 // lessID orders "sN" ids numerically.
@@ -560,18 +565,18 @@ type EditResponse struct {
 func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeSvcErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
+		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
 		return
 	}
 	sess.inflight.Add(1)
 	defer sess.inflight.Add(-1)
 	var req EditRequest
 	if serr := s.decodeBody(w, r, &req); serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
 	if len(req.Edits) == 0 {
-		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty edit batch"))
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty edit batch"))
 		return
 	}
 	_, cancel := s.opCtx(r, s.cfg.EditTimeout)
@@ -587,19 +592,19 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 			// The successful prefix is applied and will be rechecked;
 			// report partial application so the client can reconcile.
 			resp.Error = serr.Error()
-			writeJSON(w, http.StatusBadRequest, resp)
+			s.reply(w, http.StatusBadRequest, resp)
 			return
 		}
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeSvcErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
+		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
 		return
 	}
 	sess.inflight.Add(1)
@@ -617,7 +622,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			return serr
 		})
 		if serr != nil {
-			writeSvcErr(w, serr)
+			s.replyErr(w, serr)
 			return
 		}
 		s.mu.Lock()
@@ -626,7 +631,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			s.stats.DeltaResets++
 		}
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, delta)
+		s.reply(w, http.StatusOK, delta)
 		return
 	}
 	var rep *Report
@@ -636,24 +641,24 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return serr
 	})
 	if serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	s.reply(w, http.StatusOK, rep)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeSvcErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
+		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
 		return
 	}
 	st, serr := sess.statsSnapshot()
 	if serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	s.reply(w, http.StatusOK, st)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -665,12 +670,12 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		writeSvcErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", id))
+		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", id))
 		return
 	}
 	sess.close()
 	s.removeSnapshot(id)
-	writeJSON(w, http.StatusOK, DeleteResponse{Deleted: id})
+	s.reply(w, http.StatusOK, DeleteResponse{Deleted: id})
 }
 
 // DeleteResponse acknowledges a session deletion.
@@ -692,12 +697,12 @@ type InjectRequest struct {
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
 	if !ok {
-		writeSvcErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
+		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
 		return
 	}
 	var req InjectRequest
 	if serr := s.decodeBody(w, r, &req); serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
 	slowN := req.SlowCount
@@ -705,10 +710,10 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		slowN = 1
 	}
 	if serr := sess.setInject(time.Duration(req.SlowMS)*time.Millisecond, slowN, req.PanicCount); serr != nil {
-		writeSvcErr(w, serr)
+		s.replyErr(w, serr)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"armed": true})
+	s.reply(w, http.StatusOK, map[string]bool{"armed": true})
 }
 
 // ServerStatsResponse is the GET /stats payload: global gauges and
@@ -739,6 +744,13 @@ type ServerStatsResponse struct {
 	DeltasServed uint64 `json:"deltas_served"`
 	DeltaResets  uint64 `json:"delta_resets"`
 
+	// BytesOut* are the response body bytes written since boot: bodies
+	// carrying a full report (create and GET report), report deltas, and
+	// every other body, errors included.
+	BytesOutReport uint64 `json:"bytes_out_report"`
+	BytesOutDelta  uint64 `json:"bytes_out_delta"`
+	BytesOutOther  uint64 `json:"bytes_out_other"`
+
 	Goroutines    int    `json:"goroutines"`
 	HeapAllocByte uint64 `json:"heap_alloc_bytes"`
 	UptimeNS      int64  `json:"uptime_ns"`
@@ -765,6 +777,9 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 		SnapshotsRestored: st.SnapshotsRestored,
 		DeltasServed:      st.DeltasServed,
 		DeltaResets:       st.DeltaResets,
+		BytesOutReport:    s.bytesOut[wireReport].Load(),
+		BytesOutDelta:     s.bytesOut[wireDelta].Load(),
+		BytesOutOther:     s.bytesOut[wireOther].Load(),
 		Goroutines:        runtime.NumGoroutine(),
 		UptimeNS:          time.Since(s.start).Nanoseconds(),
 	}
@@ -788,13 +803,56 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	resp.HeapAllocByte = ms.HeapAlloc
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, http.StatusOK, resp)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// maxPooledBuf caps the response buffers bufPool keeps: a buffer that
+// grew past it for one huge report goes to the GC rather than pinning
+// its size in the pool.
+const maxPooledBuf = 1 << 20
+
+var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON is the daemon's one response path. It encodes v compactly
+// into a pooled buffer and writes it once, with Content-Length, so a
+// body of any size leaves in a single write, not in chunks. It returns
+// the body's length.
+func writeJSON(w http.ResponseWriter, code int, v any) int {
+	buf := bufPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBuf {
+			bufPool.Put(buf)
+		}
+	}()
+	_ = json.NewEncoder(buf).Encode(v)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	n, _ := w.Write(buf.Bytes())
+	return n
+}
+
+// Wire classes of the bytes_out counters: bodies that carry a full
+// report (create and GET report), report deltas, and everything else
+// (errors included).
+const (
+	wireReport = iota
+	wireDelta
+	wireOther
+	wireClasses
+)
+
+// reply writes v through writeJSON and adds its body to the matching
+// bytes_out counter.
+func (s *Server) reply(w http.ResponseWriter, code int, v any) {
+	class := wireOther
+	switch v.(type) {
+	case *Report, CreateResponse:
+		class = wireReport
+	case *ReportDelta:
+		class = wireDelta
+	}
+	s.bytesOut[class].Add(uint64(writeJSON(w, code, v)))
 }

@@ -117,7 +117,7 @@ func (s *Session) noteSnapshotted(gen int) {
 // name, fsync the directory. A crash at any point leaves either the old
 // snapshot or the new one, never a torn file.
 func WriteSnapshotFile(dir string, snap *SessionSnapshot) (string, error) {
-	data, err := json.MarshalIndent(snap, "", "  ")
+	data, err := json.Marshal(snap)
 	if err != nil {
 		return "", err
 	}
@@ -371,7 +371,7 @@ type SnapshotSweepResponse struct {
 // a known quantity before pulling the plug.
 func (s *Server) handleSnapshotNow(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.StateDir == "" {
-		writeSvcErr(w, errf(http.StatusBadRequest, ClassBadRequest, "no -state-dir configured"))
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "no -state-dir configured"))
 		return
 	}
 	saved, errs := s.SnapshotAll(s.clk.Now())
@@ -379,5 +379,5 @@ func (s *Server) handleSnapshotNow(w http.ResponseWriter, r *http.Request) {
 	for _, err := range errs {
 		resp.Errors = append(resp.Errors, err.Error())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	s.reply(w, http.StatusOK, resp)
 }

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -322,4 +324,70 @@ func TestEvictionSnapshotsThenCloses(t *testing.T) {
 		}
 	}
 	_ = srv
+}
+
+// TestIndentedSnapshotRestores: snapshots are written compact, and a
+// snapshot in the indented form earlier daemons wrote still restores —
+// same fingerprint, and a non-reset delta against the fingerprint the
+// session had before its last edit.
+func TestIndentedSnapshotRestores(t *testing.T) {
+	if SnapshotVersion != 1 {
+		t.Fatalf("SnapshotVersion = %d: compact snapshots need no new version", SnapshotVersion)
+	}
+	dir, old := t.TempDir(), t.TempDir()
+	text, _ := cmosCIF(t, 2, 2)
+	ctx := context.Background()
+	_, c1 := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	created, err := c1.SessionCreate(ctx, CreateRequest{Name: "old", CIF: text, Tech: "cmos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.SessionEdit(ctx, created.ID, breakEdits()); err != nil {
+		t.Fatal(err)
+	}
+	broken, err := c1.SessionReport(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.SnapshotAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	name := created.ID + snapshotExt
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte("\n")) {
+		t.Fatal("snapshot file is not compact")
+	}
+	snap, err := ReadSnapshotFile(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(old, name), indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, Config{Debounce: -1, StateDir: old})
+	if n, errs := srv2.RestoreFromDisk(ctx); n != 1 || len(errs) > 0 {
+		t.Fatalf("restore: %d sessions, errs %v", n, errs)
+	}
+	rep, err := c2.SessionReport(ctx, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fingerprint != broken.Fingerprint {
+		t.Fatalf("restored fingerprint %s != snapshotted %s", rep.Fingerprint, broken.Fingerprint)
+	}
+	d, err := c2.SessionReportSince(ctx, created.ID, created.Report.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Reset || d.Base != created.Report.Fingerprint || d.Fingerprint != broken.Fingerprint {
+		t.Fatalf("delta against the pre-edit fingerprint: reset=%v base=%s fingerprint=%s", d.Reset, d.Base, d.Fingerprint)
+	}
 }

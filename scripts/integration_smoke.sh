@@ -23,9 +23,8 @@ trap cleanup EXIT
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
 
-# jq-free JSON field extraction (top-level scalar fields of pretty-printed
-# output). Usage: field FILE NAME
-field() { sed -n "s/^  \"$2\": \"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$1" | head -1; }
+# flat, field and has read JSON fields whatever the whitespace.
+. scripts/json.sh
 
 echo "== build"
 mkdir -p "$bin"
@@ -80,7 +79,7 @@ set +e
 rc=$?
 set -e
 [ "$rc" = 1 ] || fail "served broken check exited $rc, want 1"
-grep -q '"rule": "DEV.ACCIDENTAL"' "$work/served-broken.json" \
+has "$work/served-broken.json" 'violations[].rule=DEV.ACCIDENTAL' \
   || fail "DEV.ACCIDENTAL not reported by the service"
 set +e
 "$bin/dicheck" -tech cmos -edits "$work/break.json" -json "$work/chip.cif" > "$work/offline-broken.json"
@@ -110,9 +109,9 @@ set +e
 rc=$?
 set -e
 [ "$rc" = 1 ] || fail "served narrow-wire check exited $rc, want 1"
-grep -q '"rule": "WIDTH.CM"' "$work/served-narrow.json" \
+has "$work/served-narrow.json" 'violations[].rule=WIDTH.CM' \
   || fail "WIDTH.CM not reported by the service"
-grep -q '"width": 2' "$work/served-narrow.json" \
+has "$work/served-narrow.json" 'classes.width=2' \
   || fail "per-class summary does not count the two width findings"
 set +e
 "$bin/dicheck" -tech cmos -edits "$work/narrow.json" -json "$work/chip.cif" > "$work/offline-narrow.json"
@@ -134,7 +133,8 @@ fp_offline_narrow=$(field "$work/offline-narrow.json" fingerprint)
 # revert and diff the other way (removed, nothing added), and finally
 # probe the reset fallback with a fingerprint the daemon never served.
 echo "== report deltas"
-sid=$(curl -sf "$base/v1/sessions" | sed -n 's/^    "id": "\(s[0-9]*\)",$/\1/p' | head -1)
+curl -sf "$base/v1/sessions" > "$work/sessions.json" || fail "session listing"
+sid=$(field "$work/sessions.json" '[].id')
 [ -n "$sid" ] || fail "no session id in listing"
 curl -sf "$base/v1/sessions/$sid/report" > "$work/delta-base.json"
 fp_base=$(field "$work/delta-base.json" fingerprint)
@@ -143,63 +143,66 @@ curl -sf -X POST "$base/v1/sessions/$sid/edits" \
   -d '{"edits":[{"op":"add_wire","symbol":"chip","layer":"poly","width":200,"path":[3200,-400,3200,400]}]}' \
   > /dev/null || fail "delta break edit"
 curl -sf "$base/v1/sessions/$sid/report?since=$fp_base" > "$work/delta-fwd.json" || fail "delta fetch"
-grep -q '"schema": "report-delta/v1"' "$work/delta-fwd.json" || fail "delta lacks its schema tag"
+has "$work/delta-fwd.json" 'schema=report-delta/v1' || fail "delta lacks its schema tag"
 [ "$(field "$work/delta-fwd.json" base)" = "$fp_base" ] || fail "delta does not name its base"
-grep -q '"reset": true' "$work/delta-fwd.json" && fail "known base answered a reset delta"
-grep -q '"rule": "DEV.ACCIDENTAL"' "$work/delta-fwd.json" || fail "delta does not add DEV.ACCIDENTAL"
-grep -q '"removed": \[\]' "$work/delta-fwd.json" || fail "forward delta removed something from a clean base"
+has "$work/delta-fwd.json" 'reset=true' && fail "known base answered a reset delta"
+has "$work/delta-fwd.json" 'added[].rule=DEV.ACCIDENTAL' || fail "delta does not add DEV.ACCIDENTAL"
+has "$work/delta-fwd.json" 'removed=[]' || fail "forward delta removed something from a clean base"
 fp_delta=$(field "$work/delta-fwd.json" fingerprint)
 [ "$fp_delta" = "$fp_offline_broken" ] \
   || fail "delta fingerprint $fp_delta != offline broken replay $fp_offline_broken"
 curl -sf -X POST "$base/v1/sessions/$sid/edits" \
   -d '{"edits":[{"op":"delete_element","symbol":"chip","index":-1}]}' > /dev/null || fail "delta revert edit"
 curl -sf "$base/v1/sessions/$sid/report?since=$fp_delta" > "$work/delta-rev.json" || fail "reverse delta fetch"
-grep -q '"added": \[\]' "$work/delta-rev.json" || fail "reverse delta added something"
-grep -q '"rule": "DEV.ACCIDENTAL"' "$work/delta-rev.json" || fail "reverse delta does not remove DEV.ACCIDENTAL"
+has "$work/delta-rev.json" 'added=[]' || fail "reverse delta added something"
+has "$work/delta-rev.json" 'removed[].rule=DEV.ACCIDENTAL' || fail "reverse delta does not remove DEV.ACCIDENTAL"
 [ "$(field "$work/delta-rev.json" fingerprint)" = "$fp_offline_clean" ] \
   || fail "reverse delta fingerprint is not the clean state"
 # The run behind that delta re-derived the root; the stats name why.
-curl -sf "$base/v1/sessions/$sid/stats" | grep -q '"full_path": "structural-edit"' \
+curl -sf "$base/v1/sessions/$sid/stats" > "$work/delta-stats.json" || fail "stats after the delta"
+has "$work/delta-stats.json" 'engine.full_path=structural-edit' \
   || fail "stats do not name why the delete_element run took the full path"
 curl -sf "$base/v1/sessions/$sid/report?since=no-such-fingerprint" > "$work/delta-reset.json" \
   || fail "reset delta fetch"
-grep -q '"reset": true' "$work/delta-reset.json" || fail "unknown base did not answer a reset delta"
+has "$work/delta-reset.json" 'reset=true' || fail "unknown base did not answer a reset delta"
 [ "$(field "$work/delta-reset.json" fingerprint)" = "$fp_offline_clean" ] \
   || fail "reset delta fingerprint is not the full current state"
 
 # Step 7: debounce — a 10-edit no-net-motion burst straight at the API
 # must cost at most 2 rechecks (observable via /stats).
 echo "== debounce burst"
-before=$(curl -sf "$base/v1/sessions/$sid/stats" | sed -n 's/^    "rechecks": \([0-9]*\),\{0,1\}$/\1/p')
+curl -sf "$base/v1/sessions/$sid/stats" > "$work/pre-burst-stats.json" || fail "stats before the burst"
+before=$(field "$work/pre-burst-stats.json" session.rechecks)
 for i in $(seq 5); do
   curl -sf -X POST "$base/v1/sessions/$sid/edits" -d '{"edits":[{"op":"move_element","symbol":"chip","index":-1,"dy":100}]}' > /dev/null
   curl -sf -X POST "$base/v1/sessions/$sid/edits" -d '{"edits":[{"op":"move_element","symbol":"chip","index":-1,"dy":-100}]}' > /dev/null
 done
 curl -sf "$base/v1/sessions/$sid/report" > "$work/burst-report.json"
 curl -sf "$base/v1/sessions/$sid/stats" > "$work/burst-stats.json"
-after=$(sed -n 's/^    "rechecks": \([0-9]*\),\{0,1\}$/\1/p' "$work/burst-stats.json")
+after=$(field "$work/burst-stats.json" session.rechecks)
 burst=$((after - before))
 [ "$burst" -le 2 ] || fail "10-edit burst cost $burst rechecks (want <= 2)"
-grep -q '"clean": true' "$work/burst-report.json" || fail "burst end state not clean"
+has "$work/burst-report.json" 'clean=true' || fail "burst end state not clean"
 
 # The stats payload must expose the recheck timings, the size of the burst
 # the last flush absorbed, and the engine's context-cache counters.
-last_ns=$(sed -n 's/^    "last_recheck_ns": \([0-9]*\),\{0,1\}$/\1/p' "$work/burst-stats.json")
+last_ns=$(field "$work/burst-stats.json" session.last_recheck_ns)
 [ -n "$last_ns" ] && [ "$last_ns" -gt 0 ] || fail "stats lack a positive last_recheck_ns"
-total_ns=$(sed -n 's/^    "total_recheck_ns": \([0-9]*\),\{0,1\}$/\1/p' "$work/burst-stats.json")
+total_ns=$(field "$work/burst-stats.json" session.total_recheck_ns)
 [ -n "$total_ns" ] && [ "$total_ns" -ge "$last_ns" ] || fail "stats lack a sane total_recheck_ns"
-flush_batches=$(sed -n 's/^    "last_flush_batches": \([0-9]*\),\{0,1\}$/\1/p' "$work/burst-stats.json")
+flush_batches=$(field "$work/burst-stats.json" session.last_flush_batches)
 [ -n "$flush_batches" ] && [ "$flush_batches" -ge 1 ] && [ "$flush_batches" -le 10 ] \
   || fail "last_flush_batches '$flush_batches' does not reflect the burst"
-grep -q '"ctx_hits":' "$work/burst-stats.json" || fail "stats lack ctx_hits"
-grep -q '"ctx_misses":' "$work/burst-stats.json" || fail "stats lack ctx_misses"
-grep -q '"rehashed":' "$work/burst-stats.json" || fail "stats lack rehashed"
-grep -q '"full_path":' "$work/burst-stats.json" && fail "a replayed run reports a full-path reason"
+[ -n "$(field "$work/burst-stats.json" engine.ctx_hits)" ] || fail "stats lack ctx_hits"
+[ -n "$(field "$work/burst-stats.json" engine.ctx_misses)" ] || fail "stats lack ctx_misses"
+[ -n "$(field "$work/burst-stats.json" engine.rehashed)" ] || fail "stats lack rehashed"
+[ -n "$(field "$work/burst-stats.json" engine.full_path)" ] && fail "a replayed run reports a full-path reason"
 
 # Step 8: lifecycle cleanup through the API.
 echo "== delete session"
 curl -sf -X DELETE "$base/v1/sessions/$sid" > /dev/null || fail "delete"
-curl -s "$base/v1/sessions/$sid/report" | grep -q '"error"' || fail "deleted session still serves reports"
+curl -s "$base/v1/sessions/$sid/report" > "$work/deleted-report.json" || true
+[ -n "$(field "$work/deleted-report.json" error)" ] || fail "deleted session still serves reports"
 
 # Step 9: bounded resources and a clean shutdown. No debounce timer,
 # request or session may leave a goroutine behind, and SIGTERM must

@@ -19,7 +19,8 @@ cleanup() {
 trap cleanup EXIT
 
 fail() { echo "FAIL: $*" >&2; exit 1; }
-field() { sed -n "s/^  \"$2\": \"\{0,1\}\([^\",]*\)\"\{0,1\},\{0,1\}\$/\1/p" "$1" | head -1; }
+# flat, field and has read JSON fields whatever the whitespace.
+. scripts/json.sh
 
 echo "== build"
 mkdir -p "$bin"
@@ -56,7 +57,7 @@ set -e
 fp_prekill=$(field "$work/pre-kill.json" fingerprint)
 [ -n "$fp_prekill" ] || fail "no pre-kill fingerprint"
 curl -sf -X POST "$base/v1/snapshot" > "$work/snap.json" || fail "POST /snapshot"
-grep -q '"saved": 1' "$work/snap.json" || fail "snapshot sweep saved nothing: $(cat "$work/snap.json")"
+has "$work/snap.json" 'saved=1' || fail "snapshot sweep saved nothing: $(cat "$work/snap.json")"
 
 echo "== post-snapshot burst, then kill -9 mid-burst"
 for i in 1 2 3; do
@@ -94,16 +95,16 @@ fp_offline=$(field "$work/offline.json" fingerprint)
 echo "== delta continuity across the crash"
 curl -sf "$base/v1/sessions/s1/report?since=$fp_prekill" > "$work/post-restore-delta.json" \
   || fail "post-restore delta fetch"
-grep -q '"reset": true' "$work/post-restore-delta.json" \
+has "$work/post-restore-delta.json" 'reset=true' \
   && fail "restored daemon forgot the pre-kill fingerprint (reset delta)"
-grep -q '"added": \[\]' "$work/post-restore-delta.json" || fail "post-restore delta added something"
-grep -q '"removed": \[\]' "$work/post-restore-delta.json" || fail "post-restore delta removed something"
+has "$work/post-restore-delta.json" 'added=[]' || fail "post-restore delta added something"
+has "$work/post-restore-delta.json" 'removed=[]' || fail "post-restore delta removed something"
 [ "$(field "$work/post-restore-delta.json" fingerprint)" = "$fp_prekill" ] \
   || fail "post-restore delta fingerprint drifted"
 
 echo "== restored session keeps working"
 curl -sf "$base/v1/sessions/s1/stats" > "$work/stats.json" || fail "restored stats"
-grep -q '"restored": true' "$work/stats.json" || fail "session not flagged restored"
+has "$work/stats.json" 'restored=true' || fail "session not flagged restored"
 set +e
 "$bin/dicheck" -serve "$base" -session drill -edits "$work/break.json" -json > /dev/null
 rc=$?
