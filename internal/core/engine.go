@@ -22,15 +22,20 @@ import (
 //	...edit some symbols...
 //	rep, err = eng.Recheck(design)     // warm: re-derives only dirty subtrees
 //
-// Cache keying follows layout.ContentHashes: stage-1 element results by a
-// symbol's own content hash, stage-2 device analyses likewise, extraction
-// artifacts and interaction adjudications by the subtree hash. The engine's
-// caches need no invalidation of their own — an edited definition hashes
-// to a new key, and every ancestor's subtree hash changes with it (the
-// dirty-propagation walk up the call graph), so stale entries are never
-// reachable and age out. The hashes themselves are cached on the design
-// behind Symbol.Touch (layout.ApplyEdit touches on every op): a run
-// re-hashes the touched symbols and their callers, not the design.
+// Every result the engine memoizes lives in its netlist.Cache, on the
+// entry of the content it describes, keyed as layout.ContentHashes keys
+// it: stage-1 element and stage-3 layer-rule results on a symbol's own
+// entry (netlist.OwnEntry) beside its stage-2 device analysis, interaction
+// adjudications on the subtree-hashed extraction artifact, and the record
+// of the last run's interaction and construction stages on the extraction
+// it was computed from. The entries need no invalidation of their own — an
+// edited definition hashes to a new key, and every ancestor's subtree hash
+// changes with it (the dirty-propagation walk up the call graph), so stale
+// entries are never reachable — and they age out on the Cache's one
+// horizon. The engine itself holds no cached result. The hashes are cached
+// on the design behind Symbol.Touch (layout.ApplyEdit touches on every
+// op): a run re-hashes the touched symbols and their callers, not the
+// design.
 //
 // A warm Recheck returns a Report byte-identical to what a cold Check of
 // the same design state returns, except for wall-clock stage Durations;
@@ -59,11 +64,6 @@ type Engine struct {
 	opts Options
 
 	cache *netlist.Cache
-	elems map[layout.Hash]*elemEntry
-	rules map[layout.Hash]*ruleEntry
-
-	elemGen map[layout.Hash]int
-	ruleGen map[layout.Hash]int
 
 	// prev and mark are the last completed run's content hashes and the
 	// design's hashing mark as of then: the next run compares against prev
@@ -80,19 +80,6 @@ type Engine struct {
 	seenTop *layout.Symbol
 	seenSeq uint64
 
-	// replay holds everything needed to reproduce the interaction stage
-	// of the previous run when extraction reports a root patch (see
-	// tryReplayInteractions): the per-run net facts, the root instance's
-	// live tally, and the aggregated child-instance results.
-	replay replayState
-
-	// Construction-stage cache for the same patched-root replay: the
-	// issues of the previous run stay valid except for the patched nets'
-	// bounds, which are rewritten in place.
-	consNL     *netlist.Netlist
-	consIssues []netlist.Issue
-	consValid  bool
-
 	// poisoned, once set, refuses every further run: a panic that escaped
 	// mid-run may have left the caches half-written, and a half-written
 	// cache can silently corrupt reports. The owner (e.g. a dicheckd
@@ -101,22 +88,24 @@ type Engine struct {
 	poisoned error
 }
 
-// replayState is the recorded interaction stage of the previous run,
-// replayable when extraction patched the root instead of rebuilding it.
+// replayRecord is one completed run's interaction and construction stages,
+// replayable when extraction patches the root instead of rebuilding it.
 // Everything instance-structural (net facts, child tallies, counters) is
 // unchanged by such a patch; only the root definition's own pairs can
-// differ, and those are patched through patchRootInter.
-type replayState struct {
-	valid bool
-	nl    *netlist.Netlist         // pointer identity of the extraction replayed
-	root  *netlist.SymbolArtifacts // pointer identity of the root artifact
-	inst  int                      // instance count (defensive)
-
+// differ, and those are patched through patchRootInter, and the patched
+// nets' bounds, rewritten by patchConstruction. The record hangs on the
+// extraction it was computed from (IncExtraction.Replay), and only once
+// its run completed: a patch hands it over with the root's interaction
+// cache (RootPatch), so what the engine finds there always describes the
+// extraction as it was before the patch.
+type replayRecord struct {
 	facts *netFacts // the per-run net facts the signatures read
 
 	rootTally *interactionTally // instance 0's live tally (nil: no pairs)
 	childViol []Violation       // instances 1.. violations, fully resolved
 	child     interCounters     // instances 1.. counter deltas
+
+	cons []netlist.Issue // the construction stage's findings
 }
 
 // netFacts answers the two questions a net-environment signature asks of
@@ -235,6 +224,27 @@ func (a interCounters) addTo(c *checker) {
 	}
 }
 
+// ownResults are one definition's stage-1 and layer-rule results, kept on
+// the extraction cache's entry for its own content hash
+// (netlist.OwnEntry.Checks), so they age with its device analysis. Either
+// is nil until its stage first reaches the definition.
+type ownResults struct {
+	elems *elemEntry
+	rules *ruleEntry
+}
+
+// own returns the results of one definition's own content, marking its
+// entry reached in this run.
+func (e *Engine) own(h layout.Hash) *ownResults {
+	ent := e.cache.Own(h)
+	r, _ := ent.Checks.(*ownResults)
+	if r == nil {
+		r = &ownResults{}
+		ent.Checks = r
+	}
+	return r
+}
+
 // elemEntry caches one definition's stage-1 result.
 type elemEntry struct {
 	vs       []Violation
@@ -292,16 +302,7 @@ const (
 // option set. Options are captured by value; construct a new engine to
 // check under different options.
 func NewEngine(tc *tech.Technology, opts Options) *Engine {
-	return &Engine{
-		tc:      tc,
-		ct:      tc.Compile(),
-		opts:    opts,
-		cache:   netlist.NewCache(),
-		elems:   make(map[layout.Hash]*elemEntry),
-		rules:   make(map[layout.Hash]*ruleEntry),
-		elemGen: make(map[layout.Hash]int),
-		ruleGen: make(map[layout.Hash]int),
-	}
+	return &Engine{tc: tc, ct: tc.Compile(), opts: opts, cache: netlist.NewCache()}
 }
 
 // Stats returns cache-effectiveness counters for the most recent run.
@@ -420,6 +421,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stage("check layer rules", func() { e.checkLayerRules(c, d, hashes) })
 
 	var inc *netlist.IncExtraction
+	var rec *replayRecord
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
@@ -441,9 +443,9 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		// still added by their own stage, after it.
 		var cons []netlist.Issue
 		beside := !e.opts.SkipConstruction && inc.Patch == nil && e.opts.workerCount() > 1
-		stage("check interactions", func() { cons = e.checkInteractions(c, inc, &stats, beside) })
+		stage("check interactions", func() { rec, cons = e.checkInteractions(c, inc, &stats, beside) })
 		if !e.opts.SkipConstruction {
-			stage("check construction rules", func() { e.checkConstruction(c, inc, cons, beside) })
+			stage("check construction rules", func() { rec.cons = e.checkConstruction(c, inc, cons, beside) })
 		}
 		if e.opts.Reference != nil {
 			stage("check netlist reference", func() {
@@ -454,22 +456,17 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		}
 	}
 	if ctxErr != nil {
-		// Aborted between stages. The content-addressed caches filled by
-		// the completed stages stay valid (stale keys are simply never
-		// reachable), but the run-scoped replay records — the interaction
-		// replay and the construction issue cache — may describe a run
-		// that never finished; drop them so the next run rebuilds from
-		// the durable caches instead of replaying a phantom. For the same
-		// reason e.prev, e.mark, the edit records and seenSeq stay as the last
-		// completed run left them: the next run must account for every edit
-		// since then, not since this abort. The extraction cache's patch
-		// base did advance if stage 4 ran, which is why tryPatchRoot checks
-		// the children that base embeds instead of taking the window's word.
-		e.replay = replayState{}
-		e.consValid = false
+		// Aborted between stages: e.prev, e.mark, the edit records and
+		// seenSeq stay as the last completed run left them, so the next run
+		// accounts for every edit since then, not since this abort. The
+		// run's record is hung on its extraction only below, so a root patch
+		// never hands over the record of a run that did not finish.
 		return nil, ctxErr
 	}
 	sortViolations(rep.Violations)
+	if inc != nil {
+		inc.Replay = rec
+	}
 
 	// A symbol with an edit record was touched, so it is among the re-hashed.
 	e.prev, e.mark = hashes, mark
@@ -487,7 +484,6 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	case stats.FullPath == "" && inc != nil:
 		stats.FullPath = inc.Refused // the engine had no objection: extraction's word
 	}
-	e.evict()
 	e.last = stats
 	return rep, nil
 }
@@ -498,14 +494,12 @@ func (e *Engine) checkElements(c *checker, d *layout.Design, hashes map[*layout.
 		if s.IsPrimitive() {
 			continue
 		}
-		key := hashes[s].Own
-		ent, ok := e.elems[key]
-		if !ok {
+		r := e.own(hashes[s].Own)
+		if r.elems == nil {
 			vs, checks, elements := elementChecks(s, e.tc)
-			ent = &elemEntry{vs: vs, checks: checks, elements: elements}
-			e.elems[key] = ent
+			r.elems = &elemEntry{vs: vs, checks: checks, elements: elements}
 		}
-		e.elemGen[key] = e.runs
+		ent := r.elems
 		c.rep.Stats.ElementsChecked += ent.elements
 		if c.curStage != nil {
 			c.curStage.Checks += ent.checks
@@ -538,14 +532,12 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layou
 		if s.IsPrimitive() {
 			continue
 		}
-		key := hashes[s].Own
-		ent, ok := e.rules[key]
-		if !ok {
+		r := e.own(hashes[s].Own)
+		if r.rules == nil {
 			vs, checks := layerRuleChecks(s, e.tc, e.ct)
-			ent = &ruleEntry{vs: vs, checks: checks}
-			e.rules[key] = ent
+			r.rules = &ruleEntry{vs: vs, checks: checks}
 		}
-		e.ruleGen[key] = e.runs
+		ent := r.rules
 		if c.curStage != nil {
 			c.curStage.Checks += ent.checks
 		}
@@ -572,27 +564,6 @@ func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 			Layer: a.Layer,
 			Nets:  c.netNames(inc.Netlist, a.Net, b.Net),
 		})
-	}
-}
-
-// keepRuns is how many runs a per-definition cache entry survives unused.
-const keepRuns = 8
-
-// evict ages out cache entries unused for several runs, bounding memory
-// for long-lived sessions that churn through design states. (Interaction
-// caches hang on their artifacts and go with them; see cachedInter.)
-func (e *Engine) evict() {
-	for h, g := range e.elemGen {
-		if e.runs-g >= keepRuns {
-			delete(e.elemGen, h)
-			delete(e.elems, h)
-		}
-	}
-	for h, g := range e.ruleGen {
-		if e.runs-g >= keepRuns {
-			delete(e.ruleGen, h)
-			delete(e.rules, h)
-		}
 	}
 }
 
@@ -626,12 +597,6 @@ const (
 // signature.
 type defInter struct {
 	art *netlist.SymbolArtifacts
-
-	// hash is the artifact content this entry describes. An artifact keeps
-	// its identity and changes its hash when extraction patches it in
-	// place; the entry follows only when the interaction replay patched it
-	// too (tryReplayInteractions), and is otherwise stale.
-	hash layout.Hash
 
 	pairs []defPair
 
@@ -691,21 +656,11 @@ type keepTally struct {
 // construction — the extraction cache may rebuild a content hash it has
 // seen before into a new artifact, whose item indices a stale entry must
 // not be replayed against — and reaching it costs the per-instance loop no
-// lookup. What remains to check is that the artifact was not patched in
-// place since (hash); a stale entry is simply rebuilt over. The entry lives
-// and dies with its artifact: the extraction cache's eviction is its only
-// horizon.
+// lookup. An artifact patched in place loses its entry to the RootPatch
+// until the replay puts it back patched too. The entry lives and dies with
+// its artifact: the extraction cache's eviction is its only horizon.
 func (e *Engine) cachedInter(art *netlist.SymbolArtifacts) *defInter {
-	return e.interAt(art, art.Hash)
-}
-
-// interAt is cachedInter against a stated content hash: the replay of a
-// patched run asks for the root's entry as of before the patch.
-func (e *Engine) interAt(art *netlist.SymbolArtifacts, h layout.Hash) *defInter {
 	di, _ := art.Inter.(*defInter)
-	if di == nil || di.hash != h {
-		return nil
-	}
 	return di
 }
 
@@ -715,7 +670,6 @@ func (e *Engine) interAt(art *netlist.SymbolArtifacts, h layout.Hash) *defInter 
 func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defInter {
 	di := &defInter{
 		art:          art,
-		hash:         art.Hash,
 		classPos:     make(map[int]int),
 		classPairPos: make(map[[2]int]int),
 		termClasses:  make(map[int][]int),
@@ -1190,15 +1144,16 @@ func (e *Engine) absorbKeepouts(c *checker, inc *netlist.IncExtraction, ii int, 
 // checkInteractions is the incremental stage 5: for every instance, look
 // up (or adjudicate once) the definition-level tally for the instance's
 // net-environment signature and fold it, with the definition's keepout
-// tallies, into the report. With construct set it also runs the
-// construction rules on the pool, beside the definition builds (where a
-// full re-derive works through the root's, partly serially), and returns
-// their findings for the construction stage.
-func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats, construct bool) []netlist.Issue {
-	if inc.Patch != nil && e.tryReplayInteractions(c, inc, stats) {
-		return nil
+// tallies, into the report. It returns the run's replay record. With
+// construct set it also runs the construction rules on the pool, beside
+// the definition builds (where a full re-derive works through the root's,
+// partly serially), and returns their findings for the construction stage.
+func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats, construct bool) (*replayRecord, []netlist.Issue) {
+	if inc.Patch != nil {
+		if r := e.tryReplayInteractions(c, inc, stats); r != nil {
+			return r, nil
+		}
 	}
-	e.replay = replayState{}
 	maxGap := e.ct.MaxSpacing()
 
 	facts := newNetFacts(inc.Netlist)
@@ -1332,17 +1287,12 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// child instances' results are frozen as resolved violations plus
 	// counter deltas. Violations are copied — sortViolations reorders the
 	// report's backing array after every run.
-	e.replay = replayState{
-		valid:     true,
-		nl:        inc.Netlist,
-		root:      inc.Root,
-		inst:      len(inc.Instances),
+	return &replayRecord{
 		facts:     facts,
 		rootTally: rootTally,
 		childViol: append([]Violation(nil), c.rep.Violations[violMark:]...),
 		child:     captureCounters(c).sub(mark),
-	}
-	return cons
+	}, cons
 }
 
 // fanned counts the phases that split across more than one worker. Only
@@ -1352,36 +1302,26 @@ var fanned atomic.Int64
 
 // tryReplayInteractions reproduces the previous run's interaction stage
 // when extraction patched the root in place: the child instances replay
-// from the recorded aggregate, and the root definition's pair set is
-// patched for the moved items (old pairs' contributions subtracted, new
-// pairs adjudicated directly against the global net facts). Returns false
-// — with the recorded state invalidated — when any precondition fails;
-// the caller then runs the full stage, which re-records.
-func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) bool {
-	r := &e.replay
+// from the record the patch handed over, and the root definition's pair
+// set is patched for the moved items (old pairs' contributions subtracted,
+// new pairs adjudicated directly against the global net facts). It puts
+// the root's patched interaction cache back and returns the record, nil
+// when the patch came without one or the pairs would not patch; the caller
+// then runs the full stage, which rebuilds the root's entry and records
+// anew.
+func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) *replayRecord {
 	p := inc.Patch
-	if !r.valid || r.nl != p.PrevNetlist || r.root != inc.Root || r.inst != len(inc.Instances) {
-		return false
+	r, _ := p.Replay.(*replayRecord)
+	di, _ := p.Inter.(*defInter)
+	if r == nil || di == nil || len(p.Items) > 0 && !e.patchRootInter(r, di, inc, p.Items) {
+		return nil
 	}
-	// The root's entry must describe the artifact as it was before this
-	// run's patch.
-	di := e.interAt(inc.Root, p.PrevHash)
-	if di == nil {
-		return false
-	}
-	if len(p.Items) > 0 && !e.patchRootInter(di, inc, p.Items) {
-		// The cache entry may be half-patched; drop it so the full stage
-		// rebuilds it from the (already patched) artifact.
-		inc.Root.Inter = nil
-		r.valid = false
-		return false
-	}
-	di.hash = inc.Root.Hash
+	inc.Root.Inter = di
 	// The patch's copy; the next patch starts from it. (It shares every
 	// terminal list with its predecessor, so the facts carry over.)
-	r.nl, r.facts.nl = inc.Netlist, inc.Netlist
+	r.facts.nl = inc.Netlist
 	stats.InterReused++
-	stats.SigHits += r.inst
+	stats.SigHits += len(inc.Instances)
 
 	e.absorbKeepouts(c, inc, 0, di)
 	if r.rootTally != nil {
@@ -1389,7 +1329,7 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 	}
 	r.child.addTo(c)
 	c.rep.Violations = append(c.rep.Violations, r.childViol...)
-	return true
+	return r
 }
 
 // patchRootInter rewrites the root definition's interaction cache for a
@@ -1398,7 +1338,8 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 // is refreshed, and the moved items' new candidate pairs are enumerated
 // and adjudicated into the tally. The per-signature tally cache is
 // cleared — pair membership changed, so any cached adjudication is stale.
-func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved []int) bool {
+// On false the entry may be half-patched.
+func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncExtraction, moved []int) bool {
 	art := inc.Root
 	// Keepout tallies (contact-over-gate, isolation-vs-base) depend on
 	// cut/isolation geometry; a moved item on those layers would
@@ -1419,7 +1360,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 		}
 	}
 	maxGap := e.ct.MaxSpacing()
-	env := &pairEnv{di: di, facts: e.replay.facts}
+	env := &pairEnv{di: di, facts: r.facts}
 
 	movedL := make(map[int]bool, len(moved)) // local item-table indices
 	movedG := make(map[int]bool, len(moved)) // global item indices
@@ -1430,7 +1371,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 		}
 	}
 
-	t := e.replay.rootTally
+	t := r.rootTally
 	// Subtract the removed pairs' contributions while di.items still
 	// holds the old geometry (the memoized pair geometry plus the live
 	// net environment reproduce the original adjudication exactly), then
@@ -1480,7 +1421,7 @@ func (e *Engine) patchRootInter(di *defInter, inc *netlist.IncExtraction, moved 
 			di.registerPairMeta(pa, pb)
 			if t == nil {
 				t = &interactionTally{}
-				e.replay.rootTally = t
+				r.rootTally = t
 			}
 			pr := defPair{a: pa, b: pb}
 			g := defPairGeom{p: &pr, opts: &e.opts, off: di.itemOff}
@@ -1555,38 +1496,37 @@ func draftEq(a, b *violationDraft) bool {
 
 // checkConstruction is stage 6 with the same patched-root replay: the
 // rule set reads only nets and devices, and a root patch changes nothing
-// but the patched nets' bounds, so the previous issues are rewritten in
-// place instead of recomputed. done reports that issues already holds the
-// rules' findings for this run's netlist (computed beside the interaction
-// stage).
-func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction, issues []netlist.Issue, done bool) {
-	if !done && inc.Patch != nil && e.consValid && e.consNL == inc.Patch.PrevNetlist {
-		issues, done = e.patchConstruction(inc, inc.Patch.Items)
+// but the patched nets' bounds, so the issues of the record the patch
+// handed over are rewritten in place instead of recomputed. done reports
+// that issues already holds the rules' findings for this run's netlist
+// (computed beside the interaction stage). It returns the findings, for
+// the run's record.
+func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction, issues []netlist.Issue, done bool) []netlist.Issue {
+	if p := inc.Patch; !done && p != nil {
+		if r, _ := p.Replay.(*replayRecord); r != nil && patchConstruction(inc, r.cons, p.Items) {
+			issues, done = r.cons, true
+		}
 	}
 	if !done {
 		issues = netlist.ConstructionRules(inc.Netlist, e.tc)
 	}
-	e.consNL, e.consIssues, e.consValid = inc.Netlist, issues, true
 	for _, is := range issues {
 		c.add(Violation{Rule: is.Rule, Severity: Error, Detail: is.Detail, Where: is.Where})
 	}
+	return issues
 }
 
-// patchConstruction rewrites the previous run's construction issues for a
-// root patch. Each patched item is the sole member of an anonymous net
-// with no terminals (the netlist patch preconditions), so its one issue
-// is the NET.FANOUT finding, keyed stably by (rule, detail) — only the
-// Where moves. Issue order is preserved (sortIssues keys on rule and
-// detail, both unchanged).
-func (e *Engine) patchConstruction(inc *netlist.IncExtraction, moved []int) ([]netlist.Issue, bool) {
-	if len(moved) == 0 {
-		return e.consIssues, true
-	}
-	out := append([]netlist.Issue(nil), e.consIssues...)
+// patchConstruction rewrites a record's construction issues in place for a
+// root patch, reporting whether every moved item found its issue. Each
+// patched item is the sole member of an anonymous net with no terminals
+// (the netlist patch preconditions), so its one issue is the NET.FANOUT
+// finding, keyed stably by (rule, detail) — only the Where moves. Issue
+// order is preserved (sortIssues keys on rule and detail, both unchanged).
+func patchConstruction(inc *netlist.IncExtraction, out []netlist.Issue, moved []int) bool {
 	for _, gi := range moved {
 		f := inc.Root.ItemFootAt(gi)
 		if f < 0 {
-			return nil, false
+			return false
 		}
 		cl := inc.Root.ClassOf[f]
 		net := &inc.Netlist.Nets[cl]
@@ -1601,10 +1541,10 @@ func (e *Engine) patchConstruction(inc *netlist.IncExtraction, moved []int) ([]n
 			}
 		}
 		if !found {
-			return nil, false
+			return false
 		}
 	}
-	return out, true
+	return true
 }
 
 // adjudicateDef runs the shared subcase logic over every candidate pair of

@@ -201,6 +201,29 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 				}
 			}
 		}},
+		// A window-patched run that dies after extracting has moved the probe
+		// in the extraction and recorded nothing. The next run, with no
+		// further edit, is the patch's unchanged-hash replay: it lists no
+		// moved item, so a record the aborted run left reachable would replay
+		// the probe where it was before.
+		{"own window-patched run aborted after extraction", false, func(t *testing.T, eng *Engine, d *layout.Design) {
+			ctx := &expiringContext{Context: context.Background(), boundaries: 4}
+			if _, err := eng.RecheckContext(ctx, d); !errors.Is(err, context.Canceled) {
+				t.Fatalf("aborted run: err = %v, want context.Canceled", err)
+			}
+			warm, err := eng.Recheck(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eng.Stats().WindowPatched {
+				t.Fatal("the run after the abort re-derived the root")
+			}
+			cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameReport(t, "no-edit run after the abort, warm vs cold", warm, cold)
+		}},
 	}
 	for _, tcse := range cases {
 		t.Run(tcse.name, func(t *testing.T) {

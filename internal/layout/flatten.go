@@ -116,25 +116,3 @@ func (d *Design) FlatLayerRegions(numLayers int) ([]geom.Region, error) {
 	}
 	return regions, nil
 }
-
-// InstanceCount returns the number of fully instantiated calls below the
-// top (each nested call multiplies).
-func (d *Design) InstanceCount() int {
-	memo := make(map[*Symbol]int)
-	var count func(s *Symbol) int
-	count = func(s *Symbol) int {
-		if v, ok := memo[s]; ok {
-			return v
-		}
-		n := 0
-		for _, c := range s.Calls {
-			n += 1 + count(c.Target)
-		}
-		memo[s] = n
-		return n
-	}
-	if d.Top == nil {
-		return 0
-	}
-	return count(d.Top)
-}

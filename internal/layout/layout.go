@@ -649,51 +649,29 @@ type Stats struct {
 	FlatDevices      int // device symbol instances after instantiation
 }
 
-// Stats computes design statistics from the top symbol.
+// Stats computes design statistics over the symbols the top reaches, read
+// off the memoised call graph: each symbol counts once, and its elements
+// and devices once per placement. On a call graph Validate refuses, only
+// the definition counts are sure to be filled; past the size cap the
+// flattened counts saturate with the placement counts.
 func (d *Design) Stats() Stats {
-	st := Stats{}
-	seen := make(map[*Symbol]bool)
-	// flatCounts memoizes (elements, devices) per symbol.
-	type fc struct{ elems, devs int64 }
-	memo := make(map[*Symbol]fc)
-	var count func(s *Symbol) fc
-	count = func(s *Symbol) fc {
-		if v, ok := memo[s]; ok {
-			return v
-		}
-		v := fc{elems: int64(len(s.Elements))}
-		if s.IsPrimitive() {
-			v.devs = 1
-		}
-		for _, c := range s.Calls {
-			sub := count(c.Target)
-			v.elems += sub.elems
-			v.devs += sub.devs
-		}
-		memo[s] = v
-		return v
-	}
-	var walk func(s *Symbol)
-	walk = func(s *Symbol) {
-		if seen[s] {
-			return
-		}
-		seen[s] = true
+	var st Stats
+	g := d.callGraph()
+	for _, s := range g.order {
 		st.Symbols++
+		st.Elements += len(s.Elements)
+		st.Calls += len(s.Calls)
 		if s.IsPrimitive() {
 			st.PrimitiveSymbols++
 		}
-		st.Elements += len(s.Elements)
-		st.Calls += len(s.Calls)
-		for _, c := range s.Calls {
-			walk(c.Target)
+		if g.inst == nil {
+			continue
 		}
-	}
-	if d.Top != nil {
-		walk(d.Top)
-		f := count(d.Top)
-		st.FlatElements = int(f.elems)
-		st.FlatDevices = int(f.devs)
+		n := int(g.inst[s.ID])
+		st.FlatElements += n * len(s.Elements)
+		if s.IsPrimitive() {
+			st.FlatDevices += n
+		}
 	}
 	return st
 }

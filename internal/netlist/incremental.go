@@ -121,8 +121,11 @@ type SymbolArtifacts struct {
 	// Inter is a slot for the one consumer that keeps per-definition state
 	// derived from this exact artifact value — the check engine hangs its
 	// interaction cache here, so it is reached without a lookup and is
-	// dropped with the artifact. The extractor neither reads nor writes it;
-	// the engine that owns the Cache is its only writer (see Cache).
+	// dropped with the artifact. The extractor reads it only to hand it
+	// over: a root patch changes the artifact in place, so tryPatchRoot
+	// moves the slot onto the RootPatch and clears it, and the consumer
+	// puts back what it brought up to date. The engine that owns the Cache
+	// is its only other writer (see Cache).
 	Inter any
 
 	// Instances counts the placements in this subtree including itself
@@ -526,9 +529,12 @@ func scale4(t geom.Transform) geom.Transform {
 // predecessor only what no patch touches — the per-net Declared/Terminals
 // slices, the Devices slice with its DeviceText memo, and the name index.
 // This is the engine's contract: one live run per session. One engine owns
-// a Cache: each artifact carries a single consumer slot
-// (SymbolArtifacts.Inter), so two engines sharing a Cache would overwrite
-// each other's entries.
+// a Cache: the artifacts, the own entries and the extraction each carry a
+// single consumer slot (SymbolArtifacts.Inter, OwnEntry.Checks,
+// IncExtraction.Replay), so two engines sharing a Cache would overwrite
+// each other's entries. Whatever a consumer keeps in a slot lives and is
+// evicted with the entry it hangs on: the Cache has one horizon, evictAge
+// root builds, for everything it holds.
 //
 // What a full re-derive of the root costs follows from what is kept here.
 // Per definition (SymbolArtifacts): its own entries and their regions, the
@@ -546,11 +552,14 @@ func scale4(t geom.Transform) geom.Transform {
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
-	infos map[layout.Hash]*analysisEntry
+	owns  map[layout.Hash]*OwnEntry
 
-	// gen counts the runs that built a root. Every entry carries the
-	// generation that last reached it; evict retires the ones no root has
-	// reached for evictAge generations.
+	// gen numbers the root builds: it is the number of the build in
+	// progress, or else of the next one. Every entry carries the generation
+	// that last reached it, so an entry reached between builds — by a
+	// consumer ahead of its run's build, or in a run the root patch answers
+	// — counts as reached by the next build. After each build evict retires
+	// the entries the last evictAge builds did not reach.
 	gen int
 
 	// spanClass indexes one representative embedding per (content,
@@ -596,10 +605,21 @@ type Cache struct {
 	lastIssues []Issue
 }
 
-type analysisEntry struct {
-	info  *device.Info
-	probs []device.Problem
-	gen   int // the Cache generation that last read this analysis
+// OwnEntry is the cache's entry for one definition's own content, keyed
+// by the symbol's own content hash: what is derived from its own elements
+// whatever its subtree — the device analysis of a primitive, and the
+// consumer's per-definition results.
+type OwnEntry struct {
+	info     *device.Info
+	probs    []device.Problem
+	analyzed bool
+	gen      int // the Cache generation that last reached this entry
+
+	// Checks is a slot for the one consumer that keeps results derived
+	// from the definition's own content — the check engine keeps its
+	// element and layer-rule results here, so they age with the entry. The
+	// extractor neither reads nor writes it.
+	Checks any
 }
 
 // NewCache creates an empty artifact cache.
@@ -607,7 +627,7 @@ func NewCache() *Cache {
 	return &Cache{
 		arts:      make(map[layout.Hash]*SymbolArtifacts),
 		spans:     make(map[spanKey]*spanData),
-		infos:     make(map[layout.Hash]*analysisEntry),
+		owns:      make(map[layout.Hash]*OwnEntry),
 		spanClass: make(map[spanClassKey]*spanData),
 	}
 }
@@ -620,15 +640,27 @@ func (c *Cache) Len() int { return len(c.arts) }
 // representative, misses are full transform builds.
 func (c *Cache) ContextStats() (hits, misses int) { return c.ctxHits, c.ctxMisses }
 
-// Analyze memoizes device.Analyze by the symbol's own content hash.
-func (c *Cache) Analyze(s *layout.Symbol, ownHash layout.Hash, tc *tech.Technology) (*device.Info, []device.Problem) {
-	if e, ok := c.infos[ownHash]; ok {
-		e.gen = c.gen
-		return e.info, e.probs
+// Own returns the entry for a definition's own content hash, empty when
+// first asked for, and marks it reached by the current root build, or else
+// by the next one.
+func (c *Cache) Own(ownHash layout.Hash) *OwnEntry {
+	e := c.owns[ownHash]
+	if e == nil {
+		e = &OwnEntry{}
+		c.owns[ownHash] = e
 	}
-	info, probs := device.Analyze(s, tc)
-	c.infos[ownHash] = &analysisEntry{info: info, probs: probs, gen: c.gen}
-	return info, probs
+	e.gen = c.gen
+	return e
+}
+
+// Analyze memoizes device.Analyze on the symbol's own entry.
+func (c *Cache) Analyze(s *layout.Symbol, ownHash layout.Hash, tc *tech.Technology) (*device.Info, []device.Problem) {
+	e := c.Own(ownHash)
+	if !e.analyzed {
+		e.info, e.probs = device.Analyze(s, tc)
+		e.analyzed = true
+	}
+	return e.info, e.probs
 }
 
 // evictAge is how many root builds an entry survives unreached before
@@ -655,9 +687,9 @@ func (c *Cache) evict() {
 			delete(c.spanClass, k)
 		}
 	}
-	for h, e := range c.infos {
+	for h, e := range c.owns {
 		if c.gen-e.gen >= evictAge {
-			delete(c.infos, h)
+			delete(c.owns, h)
 		}
 	}
 }
@@ -710,16 +742,17 @@ type EditWindow struct {
 // RootPatch reports that extraction reused the previous run's root
 // artifacts, updating the changed items in place. Items lists the root
 // item indices whose geometry moved (possibly none: an unchanged design
-// replays verbatim, netlist included). Consumers holding per-item caches
-// keyed by PrevHash can migrate them to the new root hash and patch the
-// listed items instead of rebuilding. PrevNetlist is the netlist the
-// patch started from — the previous run's, which stays as it was; state a
-// consumer recorded against it carries over to the extraction's Netlist,
-// which differs from it only in the listed items' net bounds.
+// replays verbatim, netlist included); the extraction's Netlist differs
+// from the previous one only in the listed items' net bounds.
+//
+// Replay and Inter are the consumer slots of the patched extraction and of
+// its root artifact (IncExtraction.Replay, SymbolArtifacts.Inter) as the
+// patch found them: they describe the state before the patch, so the patch
+// takes them off what it changed. A consumer may patch the listed items
+// into them instead of rebuilding, and put them back.
 type RootPatch struct {
-	PrevHash    layout.Hash
-	PrevNetlist *Netlist
-	Items       []int
+	Items         []int
+	Replay, Inter any
 }
 
 // IncExtraction is ExtractIncremental's result: the netlist, keepouts and
@@ -749,6 +782,11 @@ type IncExtraction struct {
 	// Patch is non-nil when this extraction was produced by patching the
 	// previous one in place rather than re-deriving the root.
 	Patch *RootPatch
+	// Replay is a slot for the one consumer that records what it computed
+	// from this extraction — the check engine hangs the record of its
+	// interaction and construction stages here, for a root patch to hand
+	// over (see RootPatch). The extractor reads it only to hand it over.
+	Replay any
 	// Refused names why the root patch did not answer this extraction (one
 	// of the Refuse* values); empty when Patch is set.
 	Refused string
@@ -806,9 +844,9 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	if refused == "" {
 		return inc, issues, nil
 	}
-	c.gen++
 	root := c.buildRoot(d.Top, hashes, tc)
 	c.evict()
+	c.gen++
 
 	issues = make([]Issue, 0, len(root.Issues))
 	issues = append(issues, root.Issues...)
@@ -856,7 +894,7 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	if newHash == art.Hash {
 		// Nothing changed: the previous extraction is the answer.
 		inc.Hashes = hashes
-		inc.Patch, inc.Refused = &RootPatch{PrevHash: art.Hash, PrevNetlist: inc.Netlist}, ""
+		inc.Patch, inc.Refused = handOver(inc, nil), ""
 		return inc, c.lastIssues, ""
 	}
 	if win == nil || len(win.Elems) == 0 {
@@ -978,10 +1016,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	// geometry in place. Class structure, names, issues, devices, and
 	// instances are all untouched by construction. The net bounds move on
 	// a copy: the previous run's report still points at nl.
-	prevHash := art.Hash
-	delete(c.arts, prevHash)
-	prevNL := nl
-	nl = &Netlist{Nets: append([]Net(nil), prevNL.Nets...), Devices: prevNL.Devices, byName: prevNL.byName, devText: prevNL.devText}
+	delete(c.arts, art.Hash)
+	nl = &Netlist{Nets: append([]Net(nil), nl.Nets...), Devices: nl.Devices, byName: nl.byName, devText: nl.devText}
 	inc.Netlist = nl
 	patched := make([]int, len(patches))
 	for i, pi := range patches {
@@ -998,8 +1034,17 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	art.Hash = newHash
 	c.arts[newHash] = art
 	inc.Hashes = hashes
-	inc.Patch, inc.Refused = &RootPatch{PrevHash: prevHash, PrevNetlist: prevNL, Items: patched}, ""
+	inc.Patch, inc.Refused = handOver(inc, patched), ""
 	return inc, c.lastIssues, ""
+}
+
+// handOver makes the RootPatch of an extraction patched in place: its
+// consumer slots and its root's move onto the patch, and what they hung on
+// no longer holds them.
+func handOver(inc *IncExtraction, items []int) *RootPatch {
+	p := &RootPatch{Items: items, Replay: inc.Replay, Inter: inc.Root.Inter}
+	inc.Replay, inc.Root.Inter = nil, nil
+	return p
 }
 
 // assemble builds the netlist skeleton over the root's classification —

@@ -310,7 +310,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 		}
 	}
 	run()
-	cold := len(c.infos)
+	cold := len(c.owns)
 	var prim *layout.Symbol
 	for _, s := range d.SortedSymbols() {
 		if s.IsPrimitive() && len(s.Elements) > 0 {
@@ -328,7 +328,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 		}
 	}
 
-	before := c.infos[d.ContentHashes()[prim].Own]
+	before := c.owns[d.ContentHashes()[prim].Own]
 	if before == nil {
 		t.Fatal("the primitive's analysis is not cached after a cold run")
 	}
@@ -336,14 +336,14 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	run()
 	move(-250)
 	run()
-	if got := c.infos[d.ContentHashes()[prim].Own]; got != before {
+	if got := c.owns[d.ContentHashes()[prim].Own]; got != before {
 		t.Fatal("an edit and its undo re-analysed the device instead of reusing the cached analysis")
 	}
 
 	for i := 0; i < 50; i++ {
 		move(250) // drifts: every state is new
 		run()
-		if n := len(c.infos); n > cold+evictAge {
+		if n := len(c.owns); n > cold+evictAge {
 			t.Fatalf("edit %d: %d analyses cached, want at most %d (cold) + %d", i, n, cold, evictAge)
 		}
 	}
