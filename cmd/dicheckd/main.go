@@ -18,7 +18,6 @@
 //	                   (default 25ms)
 //	-check-timeout D   deadline on request-triggered checks; expiry is a
 //	                   503 + Retry-After (default 2m, 0 = none)
-//	-edit-timeout D    deadline on edit batches (default 10s, 0 = none)
 //	-max-inflight N    engine-run concurrency cap (default NumCPU)
 //	-queue-depth N     runs allowed to wait for a slot before 429 (default 64)
 //	-max-body BYTES    request-body cap; oversize is 413 (default 64 MiB)
@@ -75,7 +74,6 @@ func run() int {
 	idle := flag.Duration("idle", 30*time.Minute, "evict sessions idle longer than this")
 	debounce := flag.Duration("debounce", 25*time.Millisecond, "edit-coalescing window before a background recheck")
 	checkTimeout := flag.Duration("check-timeout", 2*time.Minute, "deadline on request-triggered checks (0 = none)")
-	editTimeout := flag.Duration("edit-timeout", 10*time.Second, "deadline on edit batches (0 = none)")
 	maxInflight := flag.Int("max-inflight", 0, "engine-run concurrency cap (0 = NumCPU)")
 	queueDepth := flag.Int("queue-depth", 64, "engine runs allowed to wait for a slot before 429")
 	maxBody := flag.Int64("max-body", 64<<20, "request-body byte cap; oversize is 413")
@@ -111,7 +109,6 @@ func run() int {
 		IdleTTL:       *idle,
 		Debounce:      *debounce,
 		CheckTimeout:  *checkTimeout,
-		EditTimeout:   *editTimeout,
 		MaxInflight:   *maxInflight,
 		QueueDepth:    *queueDepth,
 		MaxBodyBytes:  *maxBody,

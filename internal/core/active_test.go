@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -112,20 +113,20 @@ func TestFullPathReasons(t *testing.T) {
 			t.Fatalf("%s: full path %q (window-patched %v), want %q", label, st.FullPath, st.WindowPatched, want)
 		}
 	}
-	run("first run", FullPathCold)
+	run("first run", netlist.RefuseNoBaseline)
 	run("no edit", "")
 	// The script's four shapes.
 	run("window: probe move", "",
 		layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DY: 250})
-	run("symbol: head wire of one row", FullPathChildChanged,
+	run("symbol: head wire of one row", netlist.RefuseChildChanged,
 		layout.Edit{Op: layout.OpMoveElement, Symbol: "row1", Index: 0, DY: 250})
-	run("struct: sliver added", FullPathStructuralEdit,
+	run("struct: sliver added", netlist.RefuseStructuralEdit,
 		layout.Edit{Op: layout.OpAddBox, Symbol: top, Layer: tech.NMOSMetal, Box: []int64{-42000, -20000, -41750, -17500}})
-	run("struct: sliver deleted", FullPathStructuralEdit,
+	run("struct: sliver deleted", netlist.RefuseStructuralEdit,
 		layout.Edit{Op: layout.OpDeleteElement, Symbol: top, Index: -1})
-	run("call: row moved", FullPathStructuralEdit,
+	run("call: row moved", netlist.RefuseStructuralEdit,
 		layout.Edit{Op: layout.OpMoveCall, Symbol: top, Index: 2, DX: -250})
-	// Extraction's own refusals: the window was offered and turned down.
+	// Extraction's refusals of moved elements.
 	run("a rail trunk moved", netlist.RefuseElementDeclared,
 		layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: 0, DX: 250})
 	run("the trunk moved back", netlist.RefuseElementDeclared,
@@ -134,18 +135,23 @@ func TestFullPathReasons(t *testing.T) {
 		layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe,
 			DX: d.Top.Elements[0].Bounds().X1 - d.Top.Elements[probe].Bounds().X1,
 			DY: d.Top.Elements[0].Bounds().Y1 - d.Top.Elements[probe].Bounds().Y1})
-	// Another engine's run resets the top's edit record under this one.
-	if err := layout.ApplyEdit(d, nm, layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DX: -40000}); err != nil {
+	if got := eng.Stats().String(); !strings.HasSuffix(got, ", full path: "+netlist.RefuseContactAfterMove) {
+		t.Fatalf("String() = %q, want the reason at the end", got)
+	}
+	run("the probe moved off the trunk", netlist.RefuseElementNotInert,
+		layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DX: -40000})
+	// Another engine's run between two of this one's costs it nothing.
+	if err := layout.ApplyEdit(d, nm, layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DY: 250}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewEngine(nm, Options{Workers: 1}).Check(d); err != nil {
 		t.Fatal(err)
 	}
-	run("edit record reset by another engine", FullPathStaleRecord,
+	run("probe moved after another engine's run", "",
 		layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DY: 250})
-	if got := eng.Stats().String(); got[len(got)-len("full path: stale-record"):] != "full path: stale-record" {
-		t.Fatalf("String() = %q, want the reason at the end", got)
-	}
+	row, _ := d.Symbol("row1")
+	d.Top = row
+	run("new top", netlist.RefuseNoBaseline)
 }
 
 // activeRecheck returns one iteration of the benchmark's symbol shape: the
@@ -167,8 +173,8 @@ func activeRecheck(t *testing.T, n int) (func(), *Engine) {
 		if _, err := eng.Recheck(d); err != nil {
 			t.Fatal(err)
 		}
-		if st := eng.Stats(); st.FullPath != FullPathChildChanged {
-			t.Fatalf("%dx%d row edit: full path %q, want %q", n, n, st.FullPath, FullPathChildChanged)
+		if st := eng.Stats(); st.FullPath != netlist.RefuseChildChanged {
+			t.Fatalf("%dx%d row edit: full path %q, want %q", n, n, st.FullPath, netlist.RefuseChildChanged)
 		}
 	}, eng
 }

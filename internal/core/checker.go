@@ -46,17 +46,15 @@ type Options struct {
 	// ProcessSpacing, when non-nil, gives every spacing violation a second
 	// opinion from the paper's 2-D process model (Figure 13, Eq. 1): the
 	// pair is re-evaluated along the line of closest approach, with
-	// worst-case mask misalignment for cross-layer pairs, and a violation
-	// whose printed images still keep at least ProcessMargin of clearance
-	// is downgraded to a warning. This is the paper's "more correct"
-	// physics-based check layered over the fixed-number rules.
+	// worst-case mask misalignment (half the technology λ) for cross-layer
+	// pairs, and a violation whose printed images still keep at least
+	// ProcessMargin of clearance is downgraded to a warning. This is the
+	// paper's "more correct" physics-based check layered over the
+	// fixed-number rules.
 	ProcessSpacing *process.Model
 	// ProcessMargin is the minimum printed gap the process model must
 	// predict for a downgrade (centimicrons; 0 = any positive gap).
 	ProcessMargin float64
-	// Misalign is the worst-case cross-layer mask misalignment for the
-	// process model (default: half the technology λ when zero).
-	Misalign float64
 
 	// Workers is the number of goroutines, the calling one included, that
 	// the engine's chip-sized work splits across: 0 uses
@@ -133,8 +131,8 @@ func (r *Report) Clean() bool { return len(r.Errors()) == 0 }
 
 // Check runs the full DIC pipeline on a design: one cold run of a fresh
 // Engine. Callers that will check the design again after editing it should
-// keep an Engine instead. Like every engine run it resets the design's
-// edit records when it completes, so checks of one design must not run
+// keep an Engine instead. Like every engine run it caches content hashes
+// on the design's symbols, so checks of one design must not run
 // concurrently.
 func Check(d *layout.Design, tc *tech.Technology, opts Options) (*Report, error) {
 	return NewEngine(tc, opts).Check(d)

@@ -35,7 +35,10 @@ import (
 // horizon. The engine itself holds no cached result. The hashes are cached
 // on the design behind Symbol.Touch (layout.ApplyEdit touches on every
 // op): a run re-hashes the touched symbols and their callers, not the
-// design.
+// design. Whether a run may patch the previous root instead of re-deriving
+// it is extraction's decision (netlist.ExtractIncremental), made against
+// its cache's own last extraction, so other consumers of the design
+// between two runs cost the engine nothing.
 //
 // A warm Recheck returns a Report byte-identical to what a cold Check of
 // the same design state returns, except for wall-clock stage Durations;
@@ -72,13 +75,6 @@ type Engine struct {
 	mark layout.HashMark
 	runs int
 	last EngineStats
-
-	// seenTop/seenSeq name the top symbol and its edit sequence number as
-	// of this engine's last completed run: the top's edit record may stand
-	// in for re-deriving the root only when it reaches back at least that
-	// far (see run).
-	seenTop *layout.Symbol
-	seenSeq uint64
 
 	// poisoned, once set, refuses every further run: a panic that escaped
 	// mid-run may have left the caches half-written, and a half-written
@@ -282,21 +278,11 @@ type EngineStats struct {
 	// interaction stage replayed its recorded result.
 	WindowPatched bool
 
-	// FullPath names the first reason the run re-derived the root instead:
-	// one of the FullPath* values when the engine itself offered extraction
-	// no edit window, else extraction's own refusal (netlist.Refuse*).
-	// Empty on a window-patched run.
+	// FullPath names why the run re-derived the root instead: extraction's
+	// refusal of the root patch (netlist.Refuse*). Empty on a window-patched
+	// run.
 	FullPath string
 }
-
-// Why a run offered extraction no edit window (EngineStats.FullPath).
-const (
-	FullPathCold           = "cold"            // the engine's first completed run
-	FullPathNewTop         = "new-top"         // the design's top symbol is not the one last checked
-	FullPathChildChanged   = "child-changed"   // a called definition changed, not only the top
-	FullPathStaleRecord    = "stale-record"    // the top's edit record was reset since this engine's last run
-	FullPathStructuralEdit = "structural-edit" // the top changed by more than in-place element moves
-)
 
 // NewEngine creates an incremental check session for one technology and
 // option set. Options are captured by value; construct a new engine to
@@ -362,41 +348,15 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stats := EngineStats{Runs: e.runs}
 
 	// Only a re-hashed symbol can differ from the previous run's hashes (or
-	// be new to them), so the dirty set costs what the edit touched.
+	// be new to them), so counting the dirty set costs what the edit touched.
 	hashes, rehashed, mark := d.HashesSince(e.mark)
-	var dirty []*layout.Symbol
 	for _, s := range rehashed {
 		if p, ok := e.prev[s]; !ok || p.Subtree != hashes[s].Subtree {
-			dirty = append(dirty, s)
+			stats.DirtySymbols++
 		}
 	}
 	stats.Symbols = len(hashes)
-	stats.DirtySymbols = len(dirty)
 	stats.Rehashed = len(rehashed)
-
-	// When the only dirty symbol is the top and its edits were all
-	// window-scoped in-place moves, hand the window to extraction, which may
-	// patch the previous root instead of re-deriving it (the windowed
-	// recheck). The record is shared by every consumer of the design and
-	// reset by whichever run completes, so it is trusted only when it reaches
-	// back to this engine's own last completed run: a record another run
-	// reset in between has lost edits this engine never saw.
-	var win *netlist.EditWindow
-	switch info := d.Top.Dirty(); {
-	case len(dirty) == 0: // nothing to re-derive: extraction replays
-	case e.seenTop == nil:
-		stats.FullPath = FullPathCold
-	case d.Top != e.seenTop:
-		stats.FullPath = FullPathNewTop
-	case len(dirty) != 1 || dirty[0] != d.Top:
-		stats.FullPath = FullPathChildChanged
-	case info.Since > e.seenSeq:
-		stats.FullPath = FullPathStaleRecord
-	case info.Full || len(info.Elems) == 0:
-		stats.FullPath = FullPathStructuralEdit
-	default:
-		win = &netlist.EditWindow{Elems: info.Elems, Window: info.Window}
-	}
 
 	rep := &Report{Design: d, Tech: e.tc}
 	c := &checker{design: d, tech: e.tc, ct: e.ct, opts: e.opts, rep: rep}
@@ -425,7 +385,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
-		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, win, e.opts.workerCount())
+		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, e.opts.workerCount())
 		if err != nil {
 			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
 			return
@@ -456,11 +416,11 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		}
 	}
 	if ctxErr != nil {
-		// Aborted between stages: e.prev, e.mark, the edit records and
-		// seenSeq stay as the last completed run left them, so the next run
-		// accounts for every edit since then, not since this abort. The
-		// run's record is hung on its extraction only below, so a root patch
-		// never hands over the record of a run that did not finish.
+		// Aborted between stages: e.prev and e.mark stay as the last
+		// completed run left them, so the next run accounts for every edit
+		// since then, not since this abort. The run's record is hung on its
+		// extraction only below, so a root patch never hands over the record
+		// of a run that did not finish.
 		return nil, ctxErr
 	}
 	sortViolations(rep.Violations)
@@ -468,21 +428,12 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		inc.Replay = rec
 	}
 
-	// A symbol with an edit record was touched, so it is among the re-hashed.
 	e.prev, e.mark = hashes, mark
-	for _, s := range rehashed {
-		s.ResetDirty()
-	}
-	e.seenTop, e.seenSeq = d.Top, d.Top.Dirty().Seq
 
 	stats.ArtifactDefs = e.cache.Len()
 	stats.CtxHits, stats.CtxMisses = e.cache.ContextStats()
-	stats.WindowPatched = inc != nil && inc.Patch != nil
-	switch {
-	case stats.WindowPatched:
-		stats.FullPath = ""
-	case stats.FullPath == "" && inc != nil:
-		stats.FullPath = inc.Refused // the engine had no objection: extraction's word
+	if inc != nil {
+		stats.WindowPatched, stats.FullPath = inc.Patch != nil, inc.Refused
 	}
 	e.last = stats
 	return rep, nil

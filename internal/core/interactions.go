@@ -230,10 +230,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 			// require the printed images to keep the margin.
 			mis := 0.0
 			if a.Layer != b.Layer {
-				mis = opts.Misalign
-				if mis == 0 && tc.Lambda > 0 {
-					mis = float64(tc.Lambda) / 2
-				}
+				mis = float64(tc.Lambda) / 2
 			}
 			if g.processOK(a, b, mis, opts.ProcessMargin) {
 				severity = Warning

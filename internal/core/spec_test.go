@@ -256,9 +256,7 @@ func specCheck(d *layout.Design, tc *tech.Technology, opts Options) (rep specRep
 			}
 			severity, extra, mis := Error, "", 0.0 // Eq. 1: a cross-layer pair shifts by the worst misalignment
 			if a.layer != b.layer {
-				if mis = opts.Misalign; mis == 0 {
-					mis = float64(tc.Lambda) / 2
-				}
+				mis = float64(tc.Lambda) / 2
 			}
 			if m := opts.ProcessSpacing; m != nil && dist > 0 && m.SpacingOK(a.reg, b.reg, mis, opts.ProcessMargin) {
 				severity, extra = Warning, " (process model predicts a safe printed gap; downgraded)"

@@ -142,14 +142,14 @@ func (c *expiringContext) Err() error {
 	return context.Canceled
 }
 
-// TestEngineWindowRecheckInterleavedChecks: a symbol's edit record is shared
-// by every consumer of the design, so the window patch may trust it only
-// while it still covers every edit since this engine's own last completed
-// run. Whatever runs between two rechecks — a one-shot Check, another
-// engine, the engine's own aborted run — the warm report must stay
-// cold-identical; a lost edit shows up here as the missing spacing error
-// between the two probes. Once a full run has caught up, the patch must
-// engage again.
+// TestEngineWindowRecheckInterleavedChecks: the move stamps are shared by
+// every consumer of the design, and the engine's baseline (its last
+// completed run) and its extraction cache's (its last extraction) part
+// ways when a run dies after extracting. Whatever runs between two
+// rechecks — a one-shot Check, another engine, the engine's own aborted
+// run — the warm report must stay cold-identical; a lost edit shows up
+// here as the missing spacing error between the two probes. The clean
+// move after it must be window-patched.
 func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 	nm := tech.NMOS()
 	abort := func(t *testing.T, eng *Engine, d *layout.Design) {
@@ -281,6 +281,104 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 	}
 }
 
+// TestWindowPatchAcrossOtherConsumers: the move stamps are the design's and
+// never reset, and each extraction cache compares them with its own last
+// extraction, so a one-shot Check or a second Engine run between two probe
+// moves leaves the next recheck window-patched, and equal to cold — a move
+// lost to the other run shows as the missing spacing error between the
+// probes.
+func TestWindowPatchAcrossOtherConsumers(t *testing.T) {
+	nm := tech.NMOS()
+	for _, c := range []struct {
+		name  string
+		other func(d *layout.Design) error
+	}{
+		{"one-shot Check", func(d *layout.Design) error {
+			_, err := Check(d, nm, Options{Workers: 1})
+			return err
+		}},
+		{"another Engine", func(d *layout.Design) error {
+			_, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := workload.NewChip(nm, "others", 6, 6).Design
+			metalL, _ := nm.LayerByName(tech.NMOSMetal)
+			top := d.Top
+			top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+			top.AddBox(metalL, geom.R(-20000, 4000, -19250, 5000), "")
+			probeA, probeB := len(top.Elements)-2, len(top.Elements)-1
+			eng := NewEngine(nm, Options{Workers: 1})
+			if _, err := eng.Check(d); err != nil {
+				t.Fatal(err)
+			}
+			move := func(idx int, dx, dy int64) {
+				t.Helper()
+				if err := layout.ApplyEdit(d, nm, layout.Edit{
+					Op: layout.OpMoveElement, Symbol: top.Name, Index: idx, DX: dx, DY: dy,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			move(probeA, -4200, 4000) // 50 from B: a metal spacing error
+			if err := c.other(d); err != nil {
+				t.Fatal(err)
+			}
+			move(probeB, 0, 250)
+			warm, err := eng.Recheck(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := eng.Stats(); !st.WindowPatched {
+				t.Fatalf("recheck after the other run re-derived the root (full path %q)", st.FullPath)
+			}
+			cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameReport(t, "warm vs cold", warm, cold)
+		})
+	}
+}
+
+// TestDirectWriteThenStamp: a direct write to a top element is seen through
+// the stamp that follows it. Touch re-derives the root (structural-edit),
+// TouchElement(i) lets the patch answer, and either way the warm report
+// equals cold.
+func TestDirectWriteThenStamp(t *testing.T) {
+	nm := tech.NMOS()
+	d := workload.NewChip(nm, "direct", 6, 6).Design
+	metalL, _ := nm.LayerByName(tech.NMOSMetal)
+	probe := d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+	eng := NewEngine(nm, Options{Workers: 1})
+	if _, err := eng.Check(d); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		label, want string
+		stamp       func()
+	}{
+		{"Touch", netlist.RefuseStructuralEdit, d.Top.Touch},
+		{"TouchElement", "", func() { d.Top.TouchElement(probe.Index) }},
+	} {
+		probe.Box = probe.Box.Translate(geom.Pt(0, 250))
+		c.stamp()
+		warm, err := eng.Recheck(d)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if st := eng.Stats(); st.FullPath != c.want || st.WindowPatched != (c.want == "") {
+			t.Fatalf("%s: full path %q (window-patched %v), want %q", c.label, st.FullPath, st.WindowPatched, c.want)
+		}
+		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameReport(t, c.label+": warm vs cold", warm, cold)
+	}
+}
+
 // TestEngineWindowRecheckOtherSymbolFullPath: a window-scoped edit inside
 // a non-top symbol dirties the whole subtree chain, so the windowed patch
 // must not engage — and the warm result still matches the oracle.
@@ -373,7 +471,7 @@ func TestNetFactsSharesLongPairs(t *testing.T) {
 func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "sigdet", 4, 5)
-	inc, _, err := netlist.ExtractIncremental(chip.Design, nm, netlist.NewCache(), nil, nil, 1)
+	inc, _, err := netlist.ExtractIncremental(chip.Design, nm, netlist.NewCache(), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

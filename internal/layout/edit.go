@@ -122,12 +122,11 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if err != nil {
 			return err
 		}
-		old := s.Elements[i].Bounds()
 		moveElement(s.Elements[i], e.DX, e.DY)
-		// Window-scoped dirtiness: a move is the one edit whose effect is
-		// bounded by the element's old and new extents, which lets the
-		// engine recheck a window instead of the whole definition.
-		s.TouchElement(i, old)
+		// A move is the one edit whose effect is bounded by the element's
+		// old and new extents, which lets extraction patch a window instead
+		// of re-deriving the whole definition.
+		s.TouchElement(i)
 	case OpAddCall:
 		target, ok := d.Symbol(e.Target)
 		if !ok {

@@ -132,7 +132,7 @@ type ownStamp struct {
 
 func (s *Symbol) stamp() ownStamp {
 	return ownStamp{
-		seq: s.dirty.Seq, name: s.Name, deviceType: s.DeviceType, checked: s.Checked,
+		seq: s.seq, name: s.Name, deviceType: s.DeviceType, checked: s.Checked,
 		elements: len(s.Elements), calls: len(s.Calls),
 	}
 }

@@ -242,7 +242,7 @@ func TestCallersAndDirtyClosure(t *testing.T) {
 	}
 	_, _, mark := d.HashesSince(HashMark{})
 	leaf.Elements[0].Box.X2++
-	leaf.TouchElement(0, leaf.Elements[0].Box)
+	leaf.TouchElement(0)
 	_, dirty, mark := d.HashesSince(mark)
 	if !reflect.DeepEqual(dirty, []*Symbol{leaf, mid, top}) {
 		t.Fatalf("leaf edit re-hashed %v, want leaf, mid, top", dirty)

@@ -195,37 +195,16 @@ type Symbol struct {
 	bboxValid bool
 	bbox      geom.Rect
 
-	dirty DirtyInfo
+	// seq numbers the symbol's edits; touched is the number of its last
+	// Touch, and moved[i] the number of element i's last TouchElement after
+	// it (Touch empties moved: it may have renumbered the elements).
+	seq, touched uint64
+	moved        []uint64
 
 	// design is the registering design (nil for a free-standing symbol):
 	// Touch invalidates its memoised call graph.
 	design *Design
 	hc     hashCache
-}
-
-// DirtyInfo accumulates what a symbol's edits since the last ResetDirty
-// covered: either full (structural) dirtiness, or a set of in-place
-// element geometry edits together with the bounding window of everything
-// they moved. Consumers that know how to recheck a window (the engine's
-// windowed recheck) read it through Dirty; plain Touch degrades to Full,
-// so every unscoped edit path stays correct.
-//
-// A symbol numbers its edits, and the record is stamped with the range it
-// covers, because every consumer of a design shares it: a consumer that
-// remembers the Seq of the state it last derived can tell whether the
-// record still reaches back that far (Since <= remembered Seq) or was
-// reset in between by someone else, in which case it has lost edits and
-// must not be trusted.
-type DirtyInfo struct {
-	// The record covers exactly the edits numbered Since+1..Seq; Seq is
-	// the symbol's edit count so far.
-	Since, Seq uint64
-	Full       bool // structural or unscoped edit: the whole definition is dirty
-	// Elems lists the element indices edited in place (deduplicated),
-	// meaningful only when !Full.
-	Elems []int
-	// Window is the union of the edited elements' old and new bounds.
-	Window geom.Rect
 }
 
 // AddElement appends an element, assigning its Index.
@@ -268,62 +247,55 @@ func (s *Symbol) IsPrimitive() bool { return s.DeviceType != "" }
 
 // Touch marks everything derived from the symbol stale — its bounding
 // box, its cached content hashes, the design's memoised call graph — and
-// records full dirtiness. The Add* methods do this automatically; call
-// Touch after any direct write to an element's or a call's fields, or to
-// the Calls slice: the content hashes are recomputed only where an edit
+// stamps the edit as structural. The Add* methods do this automatically;
+// call Touch after any direct write to an element's or a call's fields, or
+// to the Calls slice: the content hashes are recomputed only where an edit
 // number moved (see Design.ContentHashes), so an untouched write is not
-// seen by any cache keyed on them. An editor that moved one element's
-// geometry and can bound the change should call TouchElement instead,
-// which keeps the dirtiness window-scoped.
+// seen by any cache keyed on them. An editor that only moved element i's
+// geometry should call TouchElement(i) instead, which lets a consumer
+// patch what it derived from the symbol (see MovedSince).
 func (s *Symbol) Touch() {
 	s.bboxValid = false
-	s.dirty.Seq++
-	s.dirty.Full = true
+	s.seq++
+	s.touched, s.moved = s.seq, s.moved[:0]
 	if s.design != nil {
 		s.design.structGen++
 	}
 }
 
-// TouchElement records an in-place geometry edit of element i whose
-// bounds before the edit were oldBounds. Unlike Touch it keeps the
-// dirtiness window-scoped: the accumulated window covers the element's
-// old and new extents, so a windowed recheck knows every place the edit
-// can have consequences — and, an element edit leaving the call list as it
-// was, the design's memoised call graph stands. Out-of-range indices
-// degrade to full dirtiness.
-func (s *Symbol) TouchElement(i int, oldBounds geom.Rect) {
-	s.bboxValid = false
-	s.dirty.Seq++
-	if s.dirty.Full {
-		return
-	}
+// TouchElement stamps an in-place geometry edit of element i. Unlike Touch
+// it leaves the call list, and so the design's memoised call graph, as it
+// was. An out-of-range index counts as a Touch.
+func (s *Symbol) TouchElement(i int) {
 	if i < 0 || i >= len(s.Elements) {
-		s.dirty.Full = true
+		s.Touch()
 		return
 	}
-	found := false
-	for _, k := range s.dirty.Elems {
-		if k == i {
-			found = true
-			break
-		}
+	s.bboxValid = false
+	s.seq++
+	if n := len(s.Elements) - len(s.moved); n > 0 {
+		s.moved = append(s.moved, make([]uint64, n)...)
 	}
-	if !found {
-		s.dirty.Elems = append(s.dirty.Elems, i)
-	}
-	s.dirty.Window = s.dirty.Window.Union(oldBounds).Union(s.Elements[i].Bounds())
+	s.moved[i] = s.seq
 }
 
-// Dirty returns the edit record accumulated since the last ResetDirty.
-// Reading does not consume it: a consumer whose run is abandoned leaves
-// the record intact for the next one.
-func (s *Symbol) Dirty() DirtyInfo { return s.dirty }
+// Seq returns the symbol's edit number: it grows on every Touch and
+// TouchElement.
+func (s *Symbol) Seq() uint64 { return s.seq }
 
-// ResetDirty starts a fresh record at the current edit number. The engine
-// calls it on every symbol when a run completes, so between completed
-// runs the record accumulates across any number of edits.
-func (s *Symbol) ResetDirty() {
-	s.dirty = DirtyInfo{Since: s.dirty.Seq, Seq: s.dirty.Seq}
+// MovedSince lists, in index order, the elements stamped by TouchElement
+// after edit number seq. ok is false when a Touch came after seq: the
+// symbol then changed by more than element moves.
+func (s *Symbol) MovedSince(seq uint64) (elems []int, ok bool) {
+	if s.touched > seq {
+		return nil, false
+	}
+	for i, m := range s.moved[:min(len(s.moved), len(s.Elements))] {
+		if m > seq {
+			elems = append(elems, i)
+		}
+	}
+	return elems, true
 }
 
 // Bounds returns the symbol's bounding box including called symbols,

@@ -603,6 +603,9 @@ type Cache struct {
 	// only the most recent IncExtraction is valid.
 	lastInc    *IncExtraction
 	lastIssues []Issue
+	// lastSeq is the top's edit number as of lastInc: the root patch asks
+	// the top which elements moved after it (layout.Symbol.MovedSince).
+	lastSeq uint64
 }
 
 // OwnEntry is the cache's entry for one definition's own content, keyed
@@ -730,15 +733,6 @@ type Instance struct {
 	FootStart int
 }
 
-// EditWindow scopes one run's dirtiness to in-place geometry edits of the
-// top symbol's own elements (layout.DirtyInfo, converted by the engine).
-// The extractor may use it to patch the previous extraction instead of
-// re-deriving the root; it is free to ignore it and rebuild.
-type EditWindow struct {
-	Elems  []int     // edited element indices
-	Window geom.Rect // union of old and new bounds of the edits
-}
-
 // RootPatch reports that extraction reused the previous run's root
 // artifacts, updating the changed items in place. Items lists the root
 // item indices whose geometry moved (possibly none: an unchanged design
@@ -795,11 +789,10 @@ type IncExtraction struct {
 // Why tryPatchRoot re-derived the root instead of patching it: one value
 // per refusal branch.
 const (
-	RefuseNoWindow           = "no-window"           // the caller offered no edit window (it knows why)
 	RefuseNoBaseline         = "no-baseline"         // no previous extraction of this top to patch
 	RefusePrimitiveTop       = "primitive-top"       // the top symbol is a device
-	RefuseStaleBaseline      = "stale-baseline"      // the previous extraction embeds a child the design no longer has
-	RefuseElementGone        = "element-gone"        // the window names an element index past the end
+	RefuseChildChanged       = "child-changed"       // a definition the previous extraction embeds changed
+	RefuseStructuralEdit     = "structural-edit"     // the top changed by more than in-place element moves
 	RefuseElementUnextracted = "element-unextracted" // the edited element had no footprint (it failed to materialize)
 	RefuseElementDeclared    = "element-declared"    // the edited element carries a declared net name
 	RefuseLayerChanged       = "layer-changed"       // the edit moved the element to another layer
@@ -821,15 +814,14 @@ func (x *IncExtraction) GlobalNet(inst int, class int) NetID {
 // is reused across instances and across runs, and the chip is never fully
 // instantiated, so a warm recheck's cost scales with the edit, not with
 // the flattened chip size. hashes may be nil, in which case content hashes
-// are computed here. win is an optional edit window: when the caller can
-// prove the only change since the previous extraction is the in-place
-// geometry edits it describes (top symbol only), the extractor may patch
-// the previous result instead of re-deriving the root. The result is
-// identical either way (Patch reports which path was taken); win == nil
-// re-derives unless nothing changed. workers sizes the pool a re-derive's
-// chip-sized phases split across (1 or less: the calling goroutine alone);
-// the result does not depend on it.
-func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow, workers int) (*IncExtraction, []Issue, error) {
+// are computed here. When the only change since the cache's previous
+// extraction is in-place moves of the top's own elements (TouchElement),
+// the extractor may patch the previous result instead of re-deriving the
+// root. The result is identical either way (Patch reports which path was
+// taken, Refused why not). workers sizes the pool a re-derive's chip-sized
+// phases split across (1 or less: the calling goroutine alone); the result
+// does not depend on it.
+func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, workers int) (*IncExtraction, []Issue, error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -840,7 +832,8 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 	// A patched run builds nothing and retires nothing: everything the
 	// previous root reaches is exactly as live as it was, so the cache does
 	// not age.
-	inc, issues, refused := c.tryPatchRoot(d.Top, tc, hashes, win)
+	inc, issues, refused := c.tryPatchRoot(d.Top, tc, hashes)
+	c.lastSeq = d.Top.Seq()
 	if refused == "" {
 		return inc, issues, nil
 	}
@@ -884,7 +877,7 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 // unchanged-hash case (no observable edit) replays with an empty patch.
 // Any condition failure returns the reason (a Refuse* value) and the caller
 // re-derives; the empty reason means patched.
-func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes, win *EditWindow) (*IncExtraction, []Issue, string) {
+func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
 	if art == nil || inc == nil || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
@@ -897,23 +890,20 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		inc.Patch, inc.Refused = handOver(inc, nil), ""
 		return inc, c.lastIssues, ""
 	}
-	if win == nil || len(win.Elems) == 0 {
-		return nil, nil, RefuseNoWindow
-	}
 	if top.IsPrimitive() {
 		return nil, nil, RefusePrimitiveTop
 	}
-	// The window speaks for the root's own elements only. The caller's
-	// baseline (its last completed run) and this cache's (its last
-	// extraction) part ways when a run is abandoned after extracting, so a
-	// child edited for that run and since restored looks clean to the caller
-	// while art still embeds the edited child: verify the embedded subtrees
-	// against the hashes in hand rather than trusting the caller for them.
+	// The move stamps speak for the root's own elements only: the embedded
+	// subtrees are checked against the hashes in hand.
 	for si := range art.Children {
 		sp := &art.Children[si]
 		if sp.Art.Hash != hashes[sp.Call.Target].Subtree {
-			return nil, nil, RefuseStaleBaseline
+			return nil, nil, RefuseChildChanged
 		}
+	}
+	moved, ok := top.MovedSince(c.lastSeq)
+	if !ok || len(moved) == 0 {
+		return nil, nil, RefuseStructuralEdit
 	}
 
 	// Own items of the root in element order (skipping elements that
@@ -930,16 +920,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		newReg            geom.Region
 	}
 	nl := inc.Netlist
-	patches := make([]patchItem, 0, len(win.Elems))
-	seen := make(map[int]bool, len(win.Elems))
-	for _, ei := range win.Elems {
-		if seen[ei] {
-			continue
-		}
-		seen[ei] = true
-		if ei < 0 || ei >= len(top.Elements) {
-			return nil, nil, RefuseElementGone
-		}
+	patches := make([]patchItem, 0, len(moved))
+	for _, ei := range moved {
 		el := top.Elements[ei]
 		it, ok := itemOfElem[ei]
 		if !ok {

@@ -120,8 +120,8 @@ func diffIssues(t *testing.T, label string, a, b []Issue) {
 // fresh cache.
 func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tech.Technology, c *Cache) {
 	t.Helper()
-	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, nil, 1)
-	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, nil, 1)
+	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, 1)
+	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, 1)
 	if (fullErr == nil) != (incErr == nil) {
 		t.Fatalf("%s: error mismatch: cold=%v through cache=%v", label, fullErr, incErr)
 	}
@@ -177,7 +177,7 @@ func TestIncrementalWarmMatchesFull(t *testing.T) {
 	tc := tech.NMOS()
 	c := NewCache()
 	chip := workload.NewChip(tc, "warm", 4, 6)
-	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, nil, 1); err != nil {
+	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -213,10 +213,9 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	c := NewCache()
-	if _, _, err := ExtractIncremental(d, tc, c, nil, nil, 1); err != nil {
+	if _, _, err := ExtractIncremental(d, tc, c, nil, 1); err != nil {
 		t.Fatal(err)
 	}
-	d.Top.ResetDirty()
 	coldArts, coldSpans := c.Len(), len(c.spans)
 
 	edit := func(e layout.Edit) {
@@ -225,19 +224,13 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// run re-extracts, handing over the top's window-scoped edit record
-	// the way the engine does, and reports whether the patch answered.
+	// run re-extracts and reports whether the patch answered.
 	run := func() bool {
 		t.Helper()
-		var win *EditWindow
-		if info := d.Top.Dirty(); !info.Full && len(info.Elems) > 0 {
-			win = &EditWindow{Elems: info.Elems, Window: info.Window}
-		}
-		inc, _, err := ExtractIncremental(d, tc, c, nil, win, 1)
+		inc, _, err := ExtractIncremental(d, tc, c, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Top.ResetDirty()
 		return inc.Patch != nil
 	}
 	dy := int64(250)
@@ -305,7 +298,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	c := NewCache()
 	run := func() {
 		t.Helper()
-		if _, _, err := ExtractIncremental(d, tc, c, nil, nil, 1); err != nil {
+		if _, _, err := ExtractIncremental(d, tc, c, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -414,7 +407,7 @@ func TestResolveItemMatchesFlatten(t *testing.T) {
 			}
 			check := func(label string) {
 				t.Helper()
-				inc, _, err := ExtractIncremental(d, tc, c, nil, nil, 1)
+				inc, _, err := ExtractIncremental(d, tc, c, nil, 1)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -622,7 +615,7 @@ func TestParallelDeterminismExtraction(t *testing.T) {
 		var baseIssues []Issue
 		for k, c := range caches {
 			before := fanned.Load()
-			inc, issues, err := ExtractIncremental(d, tc, c, nil, nil, workers[k])
+			inc, issues, err := ExtractIncremental(d, tc, c, nil, workers[k])
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", label, workers[k], err)
 			}

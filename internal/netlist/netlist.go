@@ -225,7 +225,7 @@ func (nl *Netlist) Stats() string {
 // Extract is a one-shot ExtractIncremental over a fresh cache, for callers
 // that only need the netlist.
 func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
-	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, nil, 1)
+	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, 1)
 	if err != nil {
 		return nil, issues, err
 	}

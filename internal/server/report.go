@@ -157,8 +157,7 @@ type Netlist struct {
 // CtxHits/CtxMisses are the netlist cache's span-context counters
 // (derived-by-translation vs built-from-scratch); WindowPatched reports
 // whether the last run took the windowed root-patch fast path, and
-// FullPath, when it did not, the first reason why (core.FullPath* or
-// netlist.Refuse*).
+// FullPath, when it did not, why (a netlist.Refuse* value).
 type EngineStats struct {
 	Runs          int    `json:"runs"`
 	Symbols       int    `json:"symbols"`

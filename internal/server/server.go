@@ -39,8 +39,6 @@ type Config struct {
 	// check on create and the flush a report forces. On expiry the
 	// request gets 503 + Retry-After (0 = no deadline).
 	CheckTimeout time.Duration
-	// EditTimeout bounds edit-batch requests (0 = no deadline).
-	EditTimeout time.Duration
 	// MaxInflight is the engine-run concurrency cap fronting cold checks
 	// and flushes (default: NumCPU, minimum 2).
 	MaxInflight int
@@ -579,8 +577,6 @@ func (s *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty edit batch"))
 		return
 	}
-	_, cancel := s.opCtx(r, s.cfg.EditTimeout)
-	defer cancel()
 	var resp EditResponse
 	serr := s.guardSession(sess, func() *svcError {
 		applied, gen, serr := sess.applyEdits(req.Edits)

@@ -250,6 +250,11 @@ func (s *Session) setInject(slow time.Duration, slowN, panicN int) *svcError {
 func (s *Session) poisonWith(reason error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.poisonLocked(reason)
+}
+
+// poisonLocked is poisonWith with the lock held; the first reason sticks.
+func (s *Session) poisonLocked(reason error) {
 	if s.poison != nil {
 		return
 	}
@@ -318,17 +323,8 @@ func (s *Session) timerFlush(gen int) {
 	defer s.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			reason := fmt.Errorf("panic in debounce flush: %v", r)
-			// The lock is held here (this defer runs before the unlock);
-			// poison inline rather than via poisonWith.
-			if s.poison == nil {
-				s.poison = reason
-				s.eng.Poison(reason)
-				if s.timer != nil {
-					s.timer.Stop()
-					s.timer = nil
-				}
-			}
+			// The lock is held here: this defer runs before the unlock.
+			s.poisonLocked(fmt.Errorf("panic in debounce flush: %v", r))
 		}
 	}()
 	if s.closed || s.poison != nil || !s.dirty || gen != s.timerGen {

@@ -8,7 +8,8 @@
 # offline runs replaying the same edit script at every step, plus the
 # report-delta path (?since= answers only added/removed, fingerprint-
 # asserted against the offline replay), the debounce bound (an edit
-# burst costs at most 2 rechecks), a bounded goroutine count after the
+# burst costs at most 2 rechecks), the served window path (a floating
+# box's move is window-patched), a bounded goroutine count after the
 # session, and a clean SIGTERM shutdown (exit 0).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -198,13 +199,36 @@ flush_batches=$(field "$work/burst-stats.json" session.last_flush_batches)
 [ -n "$(field "$work/burst-stats.json" engine.rehashed)" ] || fail "stats lack rehashed"
 [ -n "$(field "$work/burst-stats.json" engine.full_path)" ] && fail "a replayed run reports a full-path reason"
 
-# Step 8: lifecycle cleanup through the API.
+# Step 8: the served window path. A floating metal box added to chip and
+# then moved: the move's run must patch the root in place, not re-derive
+# it, and its report must match the offline replay of the same state (the
+# edits before left the design as generated).
+echo "== served window patch"
+probe_add='{"op":"add_box","symbol":"chip","layer":"metal","box":[-50000,0,-49000,1000]}'
+probe_move='{"op":"move_element","symbol":"chip","index":-1,"dy":250}'
+echo "[$probe_add,$probe_move]" > "$work/probe.json"
+curl -sf -X POST "$base/v1/sessions/$sid/edits" -d "{\"edits\":[$probe_add]}" > /dev/null || fail "probe add edit"
+curl -sf "$base/v1/sessions/$sid/report" > /dev/null || fail "report after the probe add"
+curl -sf -X POST "$base/v1/sessions/$sid/edits" -d "{\"edits\":[$probe_move]}" > /dev/null || fail "probe move edit"
+curl -sf "$base/v1/sessions/$sid/report" > "$work/window-report.json" || fail "report after the probe move"
+curl -sf "$base/v1/sessions/$sid/stats" > "$work/window-stats.json" || fail "stats after the probe move"
+has "$work/window-stats.json" 'engine.window_patched=true' \
+  || fail "the probe move's run was not window-patched (full path: $(field "$work/window-stats.json" engine.full_path))"
+[ -n "$(field "$work/window-stats.json" engine.full_path)" ] && fail "a window-patched run reports a full-path reason"
+set +e
+"$bin/dicheck" -tech cmos -edits "$work/probe.json" -json "$work/chip.cif" > "$work/offline-probe.json"
+set -e
+fp_probe=$(field "$work/offline-probe.json" fingerprint)
+[ -n "$fp_probe" ] && [ "$(field "$work/window-report.json" fingerprint)" = "$fp_probe" ] \
+  || fail "window-patched fingerprint does not match the offline replay $fp_probe"
+
+# Step 9: lifecycle cleanup through the API.
 echo "== delete session"
 curl -sf -X DELETE "$base/v1/sessions/$sid" > /dev/null || fail "delete"
 curl -s "$base/v1/sessions/$sid/report" > "$work/deleted-report.json" || true
 [ -n "$(field "$work/deleted-report.json" error)" ] || fail "deleted session still serves reports"
 
-# Step 9: bounded resources and a clean shutdown. No debounce timer,
+# Step 10: bounded resources and a clean shutdown. No debounce timer,
 # request or session may leave a goroutine behind, and SIGTERM must
 # drain the daemon and exit 0.
 echo "== goroutines and SIGTERM"
