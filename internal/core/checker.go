@@ -97,6 +97,12 @@ type Stats struct {
 	SymbolDefsChecked int // primitive symbol definitions checked
 	DeviceInstances   int // device instances on the chip (for comparison)
 
+	InteractionStats
+}
+
+// InteractionStats are the interaction stage's counters. The engine keeps
+// one set per adjudicated tally and adds them up into the report's.
+type InteractionStats struct {
 	InteractionCandidates  int // candidate pairs from the sweep
 	InteractionChecked     int // pairs geometrically measured
 	SkippedNoRule          int // layer pair has no rule at all
@@ -104,6 +110,28 @@ type Stats struct {
 	SkippedRelated         int // same device, related exemption
 	SkippedConnectionPairs int // handled by the connection stage
 	ProcessDowngrades      int // rule violations the process model cleared
+}
+
+// add adds o's counters to s.
+func (s *InteractionStats) add(o *InteractionStats) {
+	s.InteractionCandidates += o.InteractionCandidates
+	s.InteractionChecked += o.InteractionChecked
+	s.SkippedNoRule += o.SkippedNoRule
+	s.SkippedSameNetExempt += o.SkippedSameNetExempt
+	s.SkippedRelated += o.SkippedRelated
+	s.SkippedConnectionPairs += o.SkippedConnectionPairs
+	s.ProcessDowngrades += o.ProcessDowngrades
+}
+
+// sub subtracts o's counters from s.
+func (s *InteractionStats) sub(o *InteractionStats) {
+	s.InteractionCandidates -= o.InteractionCandidates
+	s.InteractionChecked -= o.InteractionChecked
+	s.SkippedNoRule -= o.SkippedNoRule
+	s.SkippedSameNetExempt -= o.SkippedSameNetExempt
+	s.SkippedRelated -= o.SkippedRelated
+	s.SkippedConnectionPairs -= o.SkippedConnectionPairs
+	s.ProcessDowngrades -= o.ProcessDowngrades
 }
 
 // Report is the result of a DIC run.
@@ -165,10 +193,19 @@ func (c *checker) add(v Violation) {
 	c.rep.Violations = append(c.rep.Violations, v)
 }
 
-func (c *checker) countCheck() {
+// countChecks adds n to the running stage's checks.
+func (c *checker) countChecks(n int) {
 	if c.curStage != nil {
-		c.curStage.Checks++
+		c.curStage.Checks += n
 	}
+}
+
+// stageChecks returns the running stage's checks so far.
+func (c *checker) stageChecks() int {
+	if c.curStage != nil {
+		return c.curStage.Checks
+	}
+	return 0
 }
 
 // elementChecks runs stage-1 width checking for one composite symbol

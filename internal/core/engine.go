@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -99,7 +98,9 @@ type replayRecord struct {
 
 	rootTally *interactionTally // instance 0's live tally (nil: no pairs)
 	childViol []Violation       // instances 1.. violations, fully resolved
-	child     interCounters     // instances 1.. counter deltas
+
+	child       InteractionStats // instances 1.. counter deltas
+	childChecks int              // instances 1.. stage checks
 
 	cons []netlist.Issue // the construction stage's findings
 }
@@ -167,57 +168,6 @@ func (f *netFacts) scan(terms []netlist.TermRef, other netlist.NetID) bool {
 		}
 	}
 	return false
-}
-
-// interCounters is the interaction stage's additive counter set.
-type interCounters struct {
-	candidates, checked            int
-	noRule, sameNet, related, conn int
-	downgrades, checks             int
-}
-
-func captureCounters(c *checker) interCounters {
-	st := &c.rep.Stats
-	ic := interCounters{
-		candidates: st.InteractionCandidates,
-		checked:    st.InteractionChecked,
-		noRule:     st.SkippedNoRule,
-		sameNet:    st.SkippedSameNetExempt,
-		related:    st.SkippedRelated,
-		conn:       st.SkippedConnectionPairs,
-		downgrades: st.ProcessDowngrades,
-	}
-	if c.curStage != nil {
-		ic.checks = c.curStage.Checks
-	}
-	return ic
-}
-
-func (a interCounters) sub(b interCounters) interCounters {
-	return interCounters{
-		candidates: a.candidates - b.candidates,
-		checked:    a.checked - b.checked,
-		noRule:     a.noRule - b.noRule,
-		sameNet:    a.sameNet - b.sameNet,
-		related:    a.related - b.related,
-		conn:       a.conn - b.conn,
-		downgrades: a.downgrades - b.downgrades,
-		checks:     a.checks - b.checks,
-	}
-}
-
-func (a interCounters) addTo(c *checker) {
-	st := &c.rep.Stats
-	st.InteractionCandidates += a.candidates
-	st.InteractionChecked += a.checked
-	st.SkippedNoRule += a.noRule
-	st.SkippedSameNetExempt += a.sameNet
-	st.SkippedRelated += a.related
-	st.SkippedConnectionPairs += a.conn
-	st.ProcessDowngrades += a.downgrades
-	if c.curStage != nil {
-		c.curStage.Checks += a.checks
-	}
 }
 
 // ownResults are one definition's stage-1 and layer-rule results, kept on
@@ -452,9 +402,7 @@ func (e *Engine) checkElements(c *checker, d *layout.Design, hashes map[*layout.
 		}
 		ent := r.elems
 		c.rep.Stats.ElementsChecked += ent.elements
-		if c.curStage != nil {
-			c.curStage.Checks += ent.checks
-		}
+		c.countChecks(ent.checks)
 		c.rep.Violations = append(c.rep.Violations, ent.vs...)
 	}
 }
@@ -467,7 +415,7 @@ func (e *Engine) checkPrimitiveSymbols(c *checker, d *layout.Design, hashes map[
 			continue
 		}
 		c.rep.Stats.SymbolDefsChecked++
-		c.countCheck()
+		c.countChecks(1)
 		_, probs := e.cache.Analyze(s, hashes[s].Own, e.tc)
 		for _, v := range deviceProblemViolations(s, probs) {
 			c.add(v)
@@ -489,9 +437,7 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layou
 			r.rules = &ruleEntry{vs: vs, checks: checks}
 		}
 		ent := r.rules
-		if c.curStage != nil {
-			c.curStage.Checks += ent.checks
-		}
+		c.countChecks(ent.checks)
 		c.rep.Violations = append(c.rep.Violations, ent.vs...)
 	}
 }
@@ -503,7 +449,7 @@ func (e *Engine) checkConnections(c *checker, inc *netlist.IncExtraction) {
 	for _, pair := range inc.IllegalPairs {
 		a, _ := inc.Root.ResolveItem(pair[0])
 		b, _ := inc.Root.ResolveItem(pair[1])
-		c.countCheck()
+		c.countChecks(1)
 		layer := c.tech.Layer(a.Layer)
 		c.add(Violation{
 			Rule:     "CONN.ILLEGAL",
@@ -627,23 +573,17 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		sigs:         make(map[string]*interactionTally),
 	}
 	di.netFree = true
-	// Flat per-item tables replace per-candidate map lookups and span
-	// binary searches: the callback below runs once per sweep candidate,
-	// the hottest loop of a definition (re)build. It records the pairs by
-	// definition item index and marks their endpoints (itemIdx 0); the
-	// endpoints then resolve once each into an exactly sized table.
-	n := art.NumItems()
-	di.itemIdx = make([]int32, n)
+	// A flat per-item table replaces per-candidate map lookups: the
+	// callback below runs once per sweep candidate, the hottest loop of a
+	// definition (re)build. It records the pairs by definition item index
+	// and marks their endpoints (itemIdx 0); the endpoints then resolve
+	// once each into an exactly sized table. Layers that can never
+	// interact (no spacing cell, no device rule) are dropped by the sweep:
+	// such a pair can produce no check and no violation, and is no
+	// candidate.
+	di.itemIdx = make([]int32, art.NumItems())
 	for i := range di.itemIdx {
 		di.itemIdx[i] = -1
-	}
-	layers := make([]tech.LayerID, n)
-	for i := range art.Items {
-		layers[i] = art.Items[i].Layer
-	}
-	for si := range art.Children {
-		sp := &art.Children[si]
-		copy(layers[sp.ItemStart:], sp.SpanItemLayers())
 	}
 	endpoints := 0
 	mark := func(i int) {
@@ -652,15 +592,9 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 			endpoints++
 		}
 	}
-	art.CrossItemPairs(maxGap, func(i, j int) {
+	art.CrossItemPairs(maxGap, e.ct.Interacts, func(i, j int) {
 		if i > j {
 			i, j = j, i
-		}
-		// Layers that can never interact (no spacing cell, no device rule)
-		// are dropped before the pair is recorded: such a pair can produce
-		// no check and no violation, and is no candidate.
-		if !e.ct.Interacts(layers[i], layers[j]) {
-			return
 		}
 		mark(i)
 		mark(j)
@@ -946,79 +880,20 @@ func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) boo
 // any per-run chip-wide sweep.
 func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	art := di.art
-	if len(art.Children) == 0 {
+	if art.Sym.IsPrimitive() {
 		// A primitive definition holds a single device; its own cuts vs
 		// its own gate are the same device, which the keepout rules skip.
 		return
 	}
-	// Devices are embedded span by span, so a device's owner is found by
-	// search. (A composite has no devices of its own.)
-	spanOfDev := func(dev int) int {
-		si := sort.Search(len(art.Children), func(k int) bool { return art.Children[k].DevEnd > dev })
-		if si < len(art.Children) && dev >= art.Children[si].DevStart {
-			return si
-		}
-		return -1
-	}
-	// The probe-layer items: the definition's own by a scan of its own
-	// items, each span's straight from the lists cached with its embedding
-	// (nothing here walks the items of a span).
-	var ownCuts, ownIsos []int
-	for i := range art.Items {
-		if lay.hasCut && art.Items[i].Layer == lay.cutID {
-			ownCuts = append(ownCuts, i)
-		}
-		if lay.hasIso && art.Items[i].Layer == lay.isoID {
-			ownIsos = append(ownIsos, i)
-		}
-	}
-	// Span adjacency under the widest probe (conservative: refined by the
-	// exact per-pair predicates below). Gates deep inside one child can
-	// never meet another child's cuts unless the children's bounds come
-	// within the probe gap of each other.
-	var maxClear int64
-	for ki := range art.BaseKeepouts {
-		if cl := art.BaseKeepouts[ki].Clearance; cl > maxClear {
-			maxClear = cl
-		}
-	}
-	adj := make([][]int, len(art.Children))
-	for si := range art.Children {
-		for sj := range art.Children {
-			if si != sj && art.Children[si].Bounds.Expand(maxClear).Touches(art.Children[sj].Bounds) {
-				adj[si] = append(adj[si], sj)
-			}
-		}
-	}
-	// probeAll runs one keepout's probe over the own items of the layer and
-	// over those of the owner's neighbour spans that the search rect meets:
-	// item bounds lie inside their span's, so a span the rect misses holds
-	// nothing the probe's own bounds test would let through. The probe gets
-	// an item's bounds and resolves the item only when they pass.
-	probeAll := func(dev int, search geom.Rect, own []int, layer tech.LayerID, probe func(b geom.Rect, gi int)) {
-		for _, i := range own {
-			probe(art.Items[i].Bounds, i)
-		}
-		owner := spanOfDev(dev)
-		if owner < 0 {
-			return
-		}
-		for _, sj := range adj[owner] {
-			sp := &art.Children[sj]
-			if !sp.Bounds.Touches(search) {
-				continue
-			}
-			for _, k := range sp.ItemsOnLayer(layer) {
-				probe(sp.SpanItemBounds(int(k)), sp.ItemStart+int(k))
-			}
-		}
-	}
-
+	// A composite has no devices of its own: a keepout's probe looks at
+	// the definition's own items and at the spans other than the one that
+	// embeds its device (SymbolArtifacts.Near), and gets an item's layer
+	// and bounds, resolving the item only when they pass.
 	if lay.hasCut {
 		for gi := range art.Gates {
 			g := &art.Gates[gi]
-			probeAll(g.Dev, g.Bounds, ownCuts, lay.cutID, func(b geom.Rect, i int) {
-				if !b.Touches(g.Bounds) {
+			art.Near(g.Bounds, g.Dev, func(i int, l tech.LayerID, _ geom.Rect) {
+				if l != lay.cutID {
 					return
 				}
 				di.gateT.checks++
@@ -1043,8 +918,8 @@ func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 		for ki := range art.BaseKeepouts {
 			ko := &art.BaseKeepouts[ki]
 			search := ko.Bounds.Expand(ko.Clearance)
-			probeAll(ko.Dev, search, ownIsos, lay.isoID, func(b geom.Rect, i int) {
-				if !b.Touches(search) {
+			art.Near(search, ko.Dev, func(i int, l tech.LayerID, b geom.Rect) {
+				if l != lay.isoID {
 					return
 				}
 				di.baseT.checks++
@@ -1079,9 +954,7 @@ func (e *Engine) absorbKeepouts(c *checker, inc *netlist.IncExtraction, ii int, 
 		if t.checks == 0 {
 			continue
 		}
-		if c.curStage != nil {
-			c.curStage.Checks += t.checks
-		}
+		c.countChecks(t.checks)
 		inst := &inc.Instances[ii]
 		for _, d := range t.vs {
 			v := d.v
@@ -1112,10 +985,9 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	var keep keepLayers
 	keep.cutID, keep.hasCut = e.ct.Cut()
 	keep.isoID, keep.hasIso = e.ct.Isolation()
-	// With no cut geometry, gates or base keepouts anywhere on the chip no
-	// definition can hold a keepout pair (a tally only ever counts real
-	// pairs), so the conservative layer mask is a pure work gate.
-	keep.hasCut = keep.hasCut && inc.Root.MayHaveLayer(keep.cutID) && len(inc.Gates) > 0
+	// With no gates or base keepouts anywhere on the chip no definition
+	// can hold a keepout pair (a tally only ever counts real pairs).
+	keep.hasCut = keep.hasCut && len(inc.Gates) > 0
 	keep.hasIso = keep.hasIso && len(inc.BaseKeepouts) > 0
 
 	// Build every definition cache the instances lack, on the pool: the
@@ -1228,7 +1100,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	}
 	processInstance(0)
 	violMark := len(c.rep.Violations)
-	mark := captureCounters(c)
+	mark, checksMark := c.rep.Stats.InteractionStats, c.stageChecks()
 	for ii := 1; ii < len(inc.Instances); ii++ {
 		processInstance(ii)
 	}
@@ -1238,11 +1110,14 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// child instances' results are frozen as resolved violations plus
 	// counter deltas. Violations are copied — sortViolations reorders the
 	// report's backing array after every run.
+	child := c.rep.Stats.InteractionStats
+	child.sub(&mark)
 	return &replayRecord{
-		facts:     facts,
-		rootTally: rootTally,
-		childViol: append([]Violation(nil), c.rep.Violations[violMark:]...),
-		child:     captureCounters(c).sub(mark),
+		facts:       facts,
+		rootTally:   rootTally,
+		childViol:   append([]Violation(nil), c.rep.Violations[violMark:]...),
+		child:       child,
+		childChecks: c.stageChecks() - checksMark,
 	}, cons
 }
 
@@ -1278,7 +1153,8 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 	if r.rootTally != nil {
 		e.absorbInstance(c, inc, 0, r.rootTally)
 	}
-	r.child.addTo(c)
+	c.rep.Stats.add(&r.child)
+	c.countChecks(r.childChecks)
 	c.rep.Violations = append(c.rep.Violations, r.childViol...)
 	return r
 }
@@ -1343,7 +1219,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 	}
 	di.pairs = di.pairs[:n]
 	if t == nil {
-		if oldT.candidates > 0 {
+		if oldT.InteractionCandidates > 0 {
 			return false
 		}
 	} else if !t.subtract(&oldT) {
@@ -1360,8 +1236,9 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 	for _, gi := range moved {
 		la := art.ItemLayer(gi)
 		probe := art.ItemBounds(gi).Expand(maxGap)
-		addPair := func(gj int) {
-			if !e.ct.Interacts(la, art.ItemLayer(gj)) {
+		art.Near(probe, -1, func(gj int, lj tech.LayerID, _ geom.Rect) {
+			// Moved-moved pairs are emitted once, by the lower index.
+			if gj == gi || (movedG[gj] && gj < gi) || !e.ct.Interacts(la, lj) {
 				return
 			}
 			i, j := gi, gj
@@ -1378,27 +1255,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 			g := defPairGeom{p: &pr, opts: &e.opts, off: di.itemOff}
 			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pa), di.itemAt(pb), env, &g, t)
 			di.pairs = append(di.pairs, pr)
-		}
-		for j := range art.Items {
-			// Moved-moved pairs are emitted once, by the lower index.
-			if j == gi || (movedG[j] && j < gi) {
-				continue
-			}
-			if probe.Touches(art.Items[j].Bounds) {
-				addPair(j)
-			}
-		}
-		for si := range art.Children {
-			sp := &art.Children[si]
-			if !probe.Touches(sp.Bounds) {
-				continue
-			}
-			for k := 0; k < sp.ItemEnd-sp.ItemStart; k++ {
-				if probe.Touches(sp.SpanItemBounds(k)) {
-					addPair(sp.ItemStart + k)
-				}
-			}
-		}
+		})
 	}
 	// Pair membership changed: every cached per-signature adjudication of
 	// this definition is stale.
@@ -1426,13 +1283,7 @@ func (t *interactionTally) subtract(o *interactionTally) bool {
 		t.violations = append(t.violations[:found], t.violations[found+1:]...)
 	}
 	t.checks -= o.checks
-	t.candidates -= o.candidates
-	t.checked -= o.checked
-	t.skippedNoRule -= o.skippedNoRule
-	t.skippedSameNet -= o.skippedSameNet
-	t.skippedRelated -= o.skippedRelated
-	t.skippedConn -= o.skippedConn
-	t.downgrades -= o.downgrades
+	t.sub(&o.InteractionStats)
 	return true
 }
 
@@ -1526,17 +1377,8 @@ func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interact
 // space (transform the location, prefix the instance path, resolve the
 // local net classes against the global netlist).
 func (e *Engine) absorbInstance(c *checker, inc *netlist.IncExtraction, ii int, t *interactionTally) {
-	st := &c.rep.Stats
-	st.InteractionCandidates += t.candidates
-	st.InteractionChecked += t.checked
-	st.SkippedNoRule += t.skippedNoRule
-	st.SkippedSameNetExempt += t.skippedSameNet
-	st.SkippedRelated += t.skippedRelated
-	st.SkippedConnectionPairs += t.skippedConn
-	st.ProcessDowngrades += t.downgrades
-	if c.curStage != nil {
-		c.curStage.Checks += t.checks
-	}
+	c.rep.Stats.add(&t.InteractionStats)
+	c.countChecks(t.checks)
 	if len(t.violations) == 0 {
 		return
 	}

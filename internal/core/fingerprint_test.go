@@ -119,7 +119,7 @@ func syntheticReport(design, sym, path, net, detail string, x, y int64, orient u
 		Stats: Stats{
 			Stages:          []StageStats{{Name: "elements", Checks: int(x), Violations: int(y)}, {Name: detail}},
 			ElementsChecked: int(x), SymbolDefsChecked: int(y), DeviceInstances: -1,
-			InteractionCandidates: 1 << 40, ProcessDowngrades: int(orient),
+			InteractionStats: InteractionStats{InteractionCandidates: 1 << 40, ProcessDowngrades: int(orient)},
 		},
 	}
 }

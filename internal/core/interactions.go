@@ -108,10 +108,7 @@ type violationDraft struct {
 type interactionTally struct {
 	violations []violationDraft
 	checks     int
-
-	candidates, checked                                        int
-	skippedNoRule, skippedSameNet, skippedRelated, skippedConn int
-	downgrades                                                 int
+	InteractionStats
 }
 
 // adjudicatePair runs the Figure 12 subcase logic for one candidate pair:
@@ -122,7 +119,7 @@ type interactionTally struct {
 // logic — and therefore byte-identical reports — serves the engine's
 // definition-level tallies and its root-frame patch.
 func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *netlist.ConnItem, env *pairEnv, g *defPairGeom, t *interactionTally) {
-	t.candidates++
+	t.InteractionCandidates++
 	sameDevice := a.Dev >= 0 && a.Dev == b.Dev
 
 	// Accidental transistor (Figure 8): poly over any diffusion-role layer
@@ -150,7 +147,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 
 	rule := ct.Rule(a.Layer, b.Layer)
 	if rule.DiffNet == 0 && rule.SameNet == 0 {
-		t.skippedNoRule++
+		t.SkippedNoRule++
 		return
 	}
 	// Figure 5b: a resistor keeps its spacing checks even against
@@ -162,7 +159,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 	isRelated := env.related(a, b)
 	if !opts.NoExemptions {
 		if rule.ExemptRelated && isRelated && !resException {
-			t.skippedRelated++
+			t.SkippedRelated++
 			return
 		}
 	}
@@ -170,7 +167,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 		// Device-internal geometry is stage 2's business even under
 		// the ablation; measuring a device against itself is
 		// meaningless in any model.
-		t.skippedRelated++
+		t.SkippedRelated++
 		return
 	}
 
@@ -182,12 +179,12 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 			need = rule.DiffNet
 		}
 		if need == 0 {
-			t.skippedSameNet++
+			t.SkippedSameNetExempt++
 			return
 		}
 	}
 	if need == 0 {
-		t.skippedNoRule++
+		t.SkippedNoRule++
 		return
 	}
 
@@ -199,7 +196,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 			other = b
 		}
 		if env.mayTouchIsolation(other.Dev) {
-			t.skippedRelated++
+			t.SkippedRelated++
 			return
 		}
 	}
@@ -208,17 +205,17 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 	// stage (legal skeletal connection or CONN.ILLEGAL); measuring
 	// them again would double-report.
 	if a.Layer == b.Layer && g.regOverlaps(a, b) {
-		t.skippedConn++
+		t.SkippedConnectionPairs++
 		return
 	}
 
-	t.checked++
+	t.InteractionChecked++
 	t.checks++
 	dist := g.dist(a, b)
 	// A touching, related element under the resistor exception is the
 	// legitimate connection into the resistor terminal, not a short.
 	if resException && isRelated && dist == 0 {
-		t.skippedRelated++
+		t.SkippedRelated++
 		return
 	}
 	if dist < float64(need) {
@@ -235,7 +232,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 			if g.processOK(a, b, mis, opts.ProcessMargin) {
 				severity = Warning
 				extra = " (process model predicts a safe printed gap; downgraded)"
-				t.downgrades++
+				t.ProcessDowngrades++
 			}
 		}
 		sub := "diff"

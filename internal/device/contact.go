@@ -23,7 +23,7 @@ func analyzeContact(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolog
 	// geometry in the symbol.
 	lowerID := tech.NoLayer
 	if _, bound := spec.Layers["lower"]; bound {
-		lowerID = roleID(tc, spec, "lower", "")
+		lowerID = roleID(tc, spec, "lower")
 	} else {
 		for _, l := range tc.Layers() {
 			if l.ID == metalID || l.ID == cutID {
@@ -92,10 +92,10 @@ func analyzeContact(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolog
 // metal covers the cut; everything is one node.
 func analyzeButting(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (*Info, []Problem) {
 	var probs []Problem
-	poly := roleRegion(sym, tc, spec, tech.RolePoly, tech.NMOSPoly)
-	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion, tech.NMOSDiff)
-	cut := roleRegion(sym, tc, spec, tech.RoleContact, tech.NMOSContact)
-	metal := roleRegion(sym, tc, spec, tech.RoleMetal, tech.NMOSMetal)
+	poly := roleRegion(sym, tc, spec, tech.RolePoly)
+	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion)
+	cut := roleRegion(sym, tc, spec, tech.RoleContact)
+	metal := roleRegion(sym, tc, spec, tech.RoleMetal)
 	info := &Info{SpacingExemptSameNet: true}
 
 	overlap := poly.Intersect(diff)
@@ -130,16 +130,15 @@ func analyzeButting(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolog
 	for _, t := range []struct {
 		name string
 		role string
-		lay  string
 		reg  geom.Region
 	}{
-		{"p", tech.RolePoly, tech.NMOSPoly, poly},
-		{"d", tech.RoleDiffusion, tech.NMOSDiff, diff},
-		{"m", tech.RoleMetal, tech.NMOSMetal, metal},
+		{"p", tech.RolePoly, poly},
+		{"d", tech.RoleDiffusion, diff},
+		{"m", tech.RoleMetal, metal},
 	} {
 		if !t.reg.Empty() {
 			info.Terminals = append(info.Terminals, Terminal{
-				Name: t.name, Layer: roleID(tc, spec, t.role, t.lay), Reg: t.reg, Node: 0,
+				Name: t.name, Layer: roleID(tc, spec, t.role), Reg: t.reg, Node: 0,
 			})
 		}
 	}
@@ -151,9 +150,9 @@ func analyzeButting(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolog
 // The buried window must enclose the poly∩diffusion overlap.
 func analyzeBuried(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (*Info, []Problem) {
 	var probs []Problem
-	poly := roleRegion(sym, tc, spec, tech.RolePoly, tech.NMOSPoly)
-	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion, tech.NMOSDiff)
-	buried := roleRegion(sym, tc, spec, tech.RoleBuried, tech.NMOSBuried)
+	poly := roleRegion(sym, tc, spec, tech.RolePoly)
+	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion)
+	buried := roleRegion(sym, tc, spec, tech.RoleBuried)
 	info := &Info{SpacingExemptSameNet: true}
 
 	overlap := poly.Intersect(diff)
@@ -173,21 +172,21 @@ func analyzeBuried(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology
 	}
 	if !poly.Empty() {
 		info.Terminals = append(info.Terminals, Terminal{
-			Name: "p", Layer: roleID(tc, spec, tech.RolePoly, tech.NMOSPoly), Reg: poly, Node: 0,
+			Name: "p", Layer: roleID(tc, spec, tech.RolePoly), Reg: poly, Node: 0,
 		})
 	}
 	if !diff.Empty() {
 		info.Terminals = append(info.Terminals, Terminal{
-			Name: "d", Layer: roleID(tc, spec, tech.RoleDiffusion, tech.NMOSDiff), Reg: diff, Node: 0,
+			Name: "d", Layer: roleID(tc, spec, tech.RoleDiffusion), Reg: diff, Node: 0,
 		})
 	}
 	return info, probs
 }
 
 // contactLayers resolves the metal and cut layers through the device's
-// role bindings, the technology's role tags, or the legacy layer names.
+// role bindings or the technology's role tags.
 func contactLayers(tc *tech.Technology, spec tech.DeviceSpec) (metal, cut tech.LayerID) {
-	metal = roleID(tc, spec, tech.RoleMetal, tech.NMOSMetal)
-	cut = roleID(tc, spec, tech.RoleContact, tech.NMOSContact)
+	metal = roleID(tc, spec, tech.RoleMetal)
+	cut = roleID(tc, spec, tech.RoleContact)
 	return metal, cut
 }

@@ -142,11 +142,11 @@ func Analyze(sym *layout.Symbol, tc *tech.Technology) (*Info, []Problem) {
 
 // roleRegion unions a symbol's elements on the layer a device-rule role
 // resolves to: the device's explicit "use" binding first, then the
-// technology's role-tagged layer, then the legacy layer name. The role
-// indirection is what lets one analyzer serve both polarities of a CMOS
-// process — the p-channel spec binds "diffusion" to the p-diffusion layer.
-func roleRegion(sym *layout.Symbol, tc *tech.Technology, spec tech.DeviceSpec, role, fallback string) geom.Region {
-	id, ok := tc.LayerFor(spec, role, fallback)
+// technology's role-tagged layer. The role indirection is what lets one
+// analyzer serve both polarities of a CMOS process — the p-channel spec
+// binds "diffusion" to the p-diffusion layer.
+func roleRegion(sym *layout.Symbol, tc *tech.Technology, spec tech.DeviceSpec, role string) geom.Region {
+	id, ok := tc.LayerFor(spec, role)
 	if !ok {
 		return geom.EmptyRegion()
 	}
@@ -154,8 +154,8 @@ func roleRegion(sym *layout.Symbol, tc *tech.Technology, spec tech.DeviceSpec, r
 }
 
 // roleID resolves a device-rule role to a layer id, NoLayer if unbound.
-func roleID(tc *tech.Technology, spec tech.DeviceSpec, role, fallback string) tech.LayerID {
-	id, ok := tc.LayerFor(spec, role, fallback)
+func roleID(tc *tech.Technology, spec tech.DeviceSpec, role string) tech.LayerID {
+	id, ok := tc.LayerFor(spec, role)
 	if !ok {
 		return tech.NoLayer
 	}

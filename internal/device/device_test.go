@@ -464,3 +464,46 @@ func TestContactCutTooSmall(t *testing.T) {
 		t.Fatalf("small cut not flagged: %v", probs)
 	}
 }
+
+// TestRolesResolveByTagOnly builds the nMOS deck with its poly layer's
+// role tag removed. A layer takes a role only from its tag, so device
+// analysis must agree with the compiled rule table that the process has
+// no poly: the transistor drawn on the untagged layer has no channel, and
+// no gate for the accidental-transistor and gate-keepout checks to miss.
+func TestRolesResolveByTagOnly(t *testing.T) {
+	dk := tech.ToDeck(tech.NMOS())
+	l, ok := dk.LayerByName(tech.NMOSPoly)
+	if !ok || l.Role != tech.RolePoly {
+		t.Fatalf("shipped nMOS deck: poly layer %+v", l)
+	}
+	// The deck validator refuses geometric rules on a layer without a
+	// role, so they go with the tag.
+	l.Role = ""
+	widths, crosses := dk.Widths[:0], dk.Crosses[:0]
+	for _, w := range dk.Widths {
+		if w.Layer != tech.NMOSPoly {
+			widths = append(widths, w)
+		}
+	}
+	for _, c := range dk.Crosses {
+		if c.A != tech.NMOSPoly && c.B != tech.NMOSPoly {
+			crosses = append(crosses, c)
+		}
+	}
+	dk.Widths, dk.Crosses = widths, crosses
+	tc, err := tech.FromDeck(dk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, hasPoly := tc.Compile().Poly(); hasPoly {
+		t.Fatal("the compiled table finds a poly layer in a deck that tags none")
+	}
+	sym := NewEnhTransistor(layout.NewDesign("t"), tc, "m1", 500, 500)
+	info, probs := Analyze(sym, tc)
+	if !info.Gate.Empty() {
+		t.Fatalf("device analysis finds gate %v on the untagged poly layer", info.Gate.Bounds())
+	}
+	if !hasProblem(probs, "DEV.MOS.NOCHANNEL") {
+		t.Fatalf("problems %v, want DEV.MOS.NOCHANNEL", probs)
+	}
+}

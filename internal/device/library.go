@@ -59,9 +59,9 @@ func NewPolyContact(d *layout.Design, tc *tech.Technology, name string) *layout.
 // p-diffusion, and poly contacts from it).
 func NewContact(d *layout.Design, tc *tech.Technology, name, devType string) *layout.Symbol {
 	spec, _ := tc.Device(devType)
-	cutL, _ := tc.LayerFor(spec, tech.RoleContact, tech.NMOSContact)
-	metalL, _ := tc.LayerFor(spec, tech.RoleMetal, tech.NMOSMetal)
-	lowerL, _ := tc.LayerFor(spec, "lower", "")
+	cutL, _ := tc.LayerFor(spec, tech.RoleContact)
+	metalL, _ := tc.LayerFor(spec, tech.RoleMetal)
+	lowerL, _ := tc.LayerFor(spec, "lower")
 	return buildContact(d, tc, name, devType, cutL, metalL, lowerL)
 }
 

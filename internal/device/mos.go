@@ -15,9 +15,9 @@ import (
 // drain, depletion devices need the implant to surround the gate, and no
 // contact may land on the channel (Figure 7).
 func analyzeMOS(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (*Info, []Problem) {
-	poly := roleRegion(sym, tc, spec, tech.RolePoly, tech.NMOSPoly)
-	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion, tech.NMOSDiff)
-	cut := roleRegion(sym, tc, spec, tech.RoleContact, tech.NMOSContact)
+	poly := roleRegion(sym, tc, spec, tech.RolePoly)
+	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion)
+	cut := roleRegion(sym, tc, spec, tech.RoleContact)
 	var probs []Problem
 
 	channel := poly.Intersect(diff)
@@ -59,7 +59,7 @@ func analyzeMOS(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (
 
 	// Depletion implant: must surround the channel.
 	if io := spec.Params["implant-overlap"]; io > 0 {
-		implant := roleRegion(sym, tc, spec, tech.RoleImplant, tech.NMOSImplant)
+		implant := roleRegion(sym, tc, spec, tech.RoleImplant)
 		if implant.Empty() {
 			probs = append(probs, Problem{
 				Rule:   "DEV.MOS.IMPLANT",
@@ -88,7 +88,7 @@ func analyzeMOS(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (
 		SpacingExemptSameNet: true,
 	}
 	info.Terminals = append(info.Terminals, Terminal{
-		Name: "g", Layer: roleID(tc, spec, tech.RolePoly, tech.NMOSPoly), Reg: poly, Node: 0,
+		Name: "g", Layer: roleID(tc, spec, tech.RolePoly), Reg: poly, Node: 0,
 	})
 	sd := diff.Subtract(channel).Components()
 	if len(sd) < 2 {
@@ -106,7 +106,7 @@ func analyzeMOS(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (
 			name = "d"
 		}
 		info.Terminals = append(info.Terminals, Terminal{
-			Name: name, Layer: roleID(tc, spec, tech.RoleDiffusion, tech.NMOSDiff), Reg: part, Node: i + 1,
+			Name: name, Layer: roleID(tc, spec, tech.RoleDiffusion), Reg: part, Node: i + 1,
 		})
 	}
 	return info, probs
@@ -118,9 +118,9 @@ func analyzeMOS(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (
 // source. The channel is the poly∩diffusion overlap OUTSIDE the buried
 // window — the paper's "overlap of overlap" rule family in action.
 func analyzePullup(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (*Info, []Problem) {
-	poly := roleRegion(sym, tc, spec, tech.RolePoly, tech.NMOSPoly)
-	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion, tech.NMOSDiff)
-	buried := roleRegion(sym, tc, spec, tech.RoleBuried, tech.NMOSBuried)
+	poly := roleRegion(sym, tc, spec, tech.RolePoly)
+	diff := roleRegion(sym, tc, spec, tech.RoleDiffusion)
+	buried := roleRegion(sym, tc, spec, tech.RoleBuried)
 	var probs []Problem
 	info := &Info{SpacingExemptSameNet: true}
 
@@ -162,7 +162,7 @@ func analyzePullup(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology
 			fmt.Sprintf("diffusion must extend %d past the channel", sdext), probs)
 	}
 	if io := spec.Params["implant-overlap"]; io > 0 {
-		implant := roleRegion(sym, tc, spec, tech.RoleImplant, tech.NMOSImplant)
+		implant := roleRegion(sym, tc, spec, tech.RoleImplant)
 		if implant.Empty() {
 			probs = append(probs, Problem{
 				Rule: "DEV.PU.IMPLANT", Detail: "pullup has no implant", Where: channel.Bounds(),
@@ -186,7 +186,7 @@ func analyzePullup(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology
 			})
 		}
 	}
-	cut := roleRegion(sym, tc, spec, tech.RoleContact, tech.NMOSContact)
+	cut := roleRegion(sym, tc, spec, tech.RoleContact)
 	if !cut.Empty() && cut.Overlaps(channel) {
 		probs = append(probs, Problem{
 			Rule: "DEV.GATE.CONTACT", Detail: "contact cut over the pullup gate", Where: cut.Intersect(channel).Bounds(),
@@ -194,8 +194,8 @@ func analyzePullup(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology
 	}
 
 	info.Gate = channel
-	polyL := roleID(tc, spec, tech.RolePoly, tech.NMOSPoly)
-	diffL := roleID(tc, spec, tech.RoleDiffusion, tech.NMOSDiff)
+	polyL := roleID(tc, spec, tech.RolePoly)
+	diffL := roleID(tc, spec, tech.RoleDiffusion)
 	// Terminal nodes: the diffusion part fused to the gate through the
 	// buried tie is the source (node 0, with the poly); the other part is
 	// the drain (node 1).

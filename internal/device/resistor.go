@@ -21,15 +21,13 @@ func analyzeResistor(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolo
 	var probs []Problem
 	// The body lives on whichever resistive layer the symbol draws on: an
 	// explicit "body" role binding, else the first diffusion- or base-role
-	// layer (legacy names as a last resort) with geometry in the symbol.
+	// layer with geometry in the symbol.
 	bodyID := tech.NoLayer
 	if _, bound := spec.Layers["body"]; bound {
-		bodyID = roleID(tc, spec, "body", "")
+		bodyID = roleID(tc, spec, "body")
 	} else {
-		for _, role := range []struct{ role, fallback string }{
-			{tech.RoleDiffusion, tech.NMOSDiff}, {tech.RoleBase, tech.BipBase},
-		} {
-			if id, ok := tc.LayerFor(spec, role.role, role.fallback); ok && !sym.LayerRegion(id).Empty() {
+		for _, role := range []string{tech.RoleDiffusion, tech.RoleBase} {
+			if id, ok := tc.LayerFor(spec, role); ok && !sym.LayerRegion(id).Empty() {
 				bodyID = id
 				break
 			}
@@ -92,9 +90,9 @@ func analyzeResistor(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technolo
 // the chip, not just inside the symbol.
 func analyzeNPN(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (*Info, []Problem) {
 	var probs []Problem
-	base := roleRegion(sym, tc, spec, tech.RoleBase, tech.BipBase)
-	emitter := roleRegion(sym, tc, spec, tech.RoleEmitter, tech.BipEmitter)
-	iso := roleRegion(sym, tc, spec, tech.RoleIsolation, tech.BipIso)
+	base := roleRegion(sym, tc, spec, tech.RoleBase)
+	emitter := roleRegion(sym, tc, spec, tech.RoleEmitter)
+	iso := roleRegion(sym, tc, spec, tech.RoleIsolation)
 	info := &Info{SpacingExemptSameNet: true}
 
 	if base.Empty() {
@@ -130,11 +128,11 @@ func analyzeNPN(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology) (
 	}
 
 	info.Terminals = append(info.Terminals,
-		Terminal{Name: "b", Layer: roleID(tc, spec, tech.RoleBase, tech.BipBase), Reg: base, Node: 0},
+		Terminal{Name: "b", Layer: roleID(tc, spec, tech.RoleBase), Reg: base, Node: 0},
 	)
 	if !emitter.Empty() {
 		info.Terminals = append(info.Terminals,
-			Terminal{Name: "e", Layer: roleID(tc, spec, tech.RoleEmitter, tech.BipEmitter), Reg: emitter, Node: 1},
+			Terminal{Name: "e", Layer: roleID(tc, spec, tech.RoleEmitter), Reg: emitter, Node: 1},
 		)
 	}
 	return info, probs

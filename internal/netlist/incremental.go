@@ -43,6 +43,8 @@ package netlist
 // unchanged.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -63,9 +65,9 @@ type LocalFoot struct {
 	MinWidth int64  // layer minimum width (skeleton shrink), own foots only
 }
 
-// ChildSpan locates one call's embedded subtree within the parent's
+// childSpan locates one call's embedded subtree within the parent's
 // flattened arrays.
-type ChildSpan struct {
+type childSpan struct {
 	Call *layout.Call
 	Art  *SymbolArtifacts // the callee's definition-level artifacts
 
@@ -98,7 +100,7 @@ type SymbolArtifacts struct {
 	// entries first, then each call's subtree in call order; embedded
 	// entries live in the child spans and resolve through the accessors
 	// below (NumItems, ItemLayer, ItemBounds, ResolveItem, ItemFootAt,
-	// FootItemAt). Counts and index offsets (Children spans, ClassOf,
+	// FootItemAt, Near). Counts and index offsets (children spans, ClassOf,
 	// ClassFoot) are for the full flattened subtree.
 	Items    []ConnItem  // Net holds the LOCAL class id (or NoNet)
 	Foots    []LocalFoot // connectable subset, parallel order
@@ -116,7 +118,15 @@ type SymbolArtifacts struct {
 	Issues       []Issue  // NET.ELEM findings, local coordinates
 	IllegalCands [][2]int // item-index pairs (a < b), candidates for CONN.ILLEGAL
 
-	Children []ChildSpan
+	children []childSpan
+
+	// nbrAt and nbr list, for each span, the other spans whose bounds come
+	// within nbrReach of its own, ascending: span si's are
+	// nbr[nbrAt[si]:nbrAt[si+1]]. They are all a probe that skips span si
+	// and lies within its bounds grown by nbrReach can meet — a keepout
+	// probe (see Near). Only a definition with keepouts has the table.
+	nbrAt, nbr []int32
+	nbrReach   int64
 
 	// Inter is a slot for the one consumer that keeps per-definition state
 	// derived from this exact artifact value — the check engine hangs its
@@ -132,11 +142,6 @@ type SymbolArtifacts struct {
 	// (primitive and composite definitions alike), sized once at build so
 	// per-run instance enumeration can preallocate.
 	Instances int
-
-	// LayerMask has bit l set when some item in the subtree sits on layer
-	// l (layers ≥ 63 set the overflow bit 63, making the mask
-	// conservative: a set bit means "maybe present").
-	LayerMask uint64
 
 	numItems int
 	numFoots int
@@ -158,10 +163,10 @@ func (a *SymbolArtifacts) itemSpan(i int) int {
 	if i < len(a.Items) {
 		return -1
 	}
-	lo, hi := 0, len(a.Children)-1
+	lo, hi := 0, len(a.children)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if a.Children[mid].ItemStart <= i {
+		if a.children[mid].ItemStart <= i {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -175,10 +180,10 @@ func (a *SymbolArtifacts) footSpan(i int) int {
 	if i < len(a.Foots) {
 		return -1
 	}
-	lo, hi := 0, len(a.Children)-1
+	lo, hi := 0, len(a.children)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if a.Children[mid].FootStart <= i {
+		if a.children[mid].FootStart <= i {
 			lo = mid
 		} else {
 			hi = mid - 1
@@ -192,7 +197,7 @@ func (a *SymbolArtifacts) ItemLayer(i int) tech.LayerID {
 	if i < len(a.Items) {
 		return a.Items[i].Layer
 	}
-	sp := &a.Children[a.itemSpan(i)]
+	sp := &a.children[a.itemSpan(i)]
 	return sp.sd.rep.itemLayers[i-sp.ItemStart]
 }
 
@@ -201,8 +206,8 @@ func (a *SymbolArtifacts) ItemBounds(i int) geom.Rect {
 	if i < len(a.Items) {
 		return a.Items[i].Bounds
 	}
-	sp := &a.Children[a.itemSpan(i)]
-	return sp.SpanItemBounds(i - sp.ItemStart)
+	sp := &a.children[a.itemSpan(i)]
+	return sp.itemBox(i - sp.ItemStart)
 }
 
 // ResolveItem returns item i and the offset that moves its region into
@@ -210,17 +215,17 @@ func (a *SymbolArtifacts) ItemBounds(i int) geom.Rect {
 // (read from the span's columns), Dev offset into this frame, Net set to
 // this frame's local class (NoNet for support geometry). An embedded item
 // is read from the definition that owns it, its region from where
-// ChildSpan.ownerItem finds it. Own items have a zero offset.
+// childSpan.ownerItem finds it. Own items have a zero offset.
 func (a *SymbolArtifacts) ResolveItem(i int) (it ConnItem, off geom.Point) {
 	if i < len(a.Items) {
 		return a.Items[i], geom.Point{}
 	}
-	sp := &a.Children[a.itemSpan(i)]
+	sp := &a.children[a.itemSpan(i)]
 	local := i - sp.ItemStart
 	owner, k, devOff, reg, off := sp.ownerItem(local)
 	it = owner.Items[k]
 	it.Reg = reg
-	it.Bounds = sp.SpanItemBounds(local)
+	it.Bounds = sp.itemBox(local)
 	it.Path = sp.sd.itemPath(local)
 	if it.Dev >= 0 {
 		it.Dev += devOff
@@ -241,7 +246,7 @@ func (a *SymbolArtifacts) ResolveItem(i int) (it ConnItem, off geom.Point) {
 // is upright, or else the entry of the first reoriented family on the
 // way, whose region column holds it transformed. The descent is a loop,
 // one span search per level.
-func (sp *ChildSpan) ownerItem(i int) (owner *SymbolArtifacts, k int, devOff int, reg geom.Region, off geom.Point) {
+func (sp *childSpan) ownerItem(i int) (owner *SymbolArtifacts, k int, devOff int, reg geom.Region, off geom.Point) {
 	homed := false
 	for {
 		if !homed {
@@ -259,7 +264,7 @@ func (sp *ChildSpan) ownerItem(i int) (owner *SymbolArtifacts, k int, devOff int
 			}
 			return a, i, devOff, reg, off
 		}
-		sp = &a.Children[a.itemSpan(i)]
+		sp = &a.children[a.itemSpan(i)]
 		i -= sp.ItemStart
 	}
 }
@@ -271,7 +276,7 @@ func (sp *ChildSpan) ownerItem(i int) (owner *SymbolArtifacts, k int, devOff int
 // stored geometry into a's frame.
 func (a *SymbolArtifacts) footHome(f int) (owner *SymbolArtifacts, rep *spanData, k int, off geom.Point) {
 	for f >= len(a.Foots) {
-		sp := &a.Children[a.footSpan(f)]
+		sp := &a.children[a.footSpan(f)]
 		f -= sp.FootStart
 		if sp.sd.rep.regs != nil {
 			return nil, sp.sd.rep, f, off.Add(sp.sd.d)
@@ -280,17 +285,6 @@ func (a *SymbolArtifacts) footHome(f int) (owner *SymbolArtifacts, rep *spanData
 		a = sp.Art
 	}
 	return a, nil, f, off
-}
-
-// footLayer returns the layer of footprint f, from the own footprint or
-// the span's columns.
-func (a *SymbolArtifacts) footLayer(f int) tech.LayerID {
-	if f < len(a.Foots) {
-		return a.Foots[f].Layer
-	}
-	sp := &a.Children[a.footSpan(f)]
-	rep := sp.sd.rep
-	return rep.itemLayers[rep.footItem[f-sp.FootStart]]
 }
 
 // footReg returns the region of footprint f and the offset that moves it
@@ -310,7 +304,7 @@ func (a *SymbolArtifacts) ItemFootAt(i int) int {
 	if i < len(a.ItemFoot) {
 		return a.ItemFoot[i]
 	}
-	sp := &a.Children[a.itemSpan(i)]
+	sp := &a.children[a.itemSpan(i)]
 	if f := sp.sd.rep.itemFoot[i-sp.ItemStart]; f >= 0 {
 		return sp.FootStart + int(f)
 	}
@@ -322,7 +316,7 @@ func (a *SymbolArtifacts) ItemFootAt(i int) int {
 // embedded ones.
 func (a *SymbolArtifacts) FootItemAt(f int) int {
 	if f >= len(a.Foots) {
-		sp := &a.Children[a.footSpan(f)]
+		sp := &a.children[a.footSpan(f)]
 		return sp.ItemStart + int(sp.sd.rep.footItem[f-sp.FootStart])
 	}
 	if a.footItem == nil {
@@ -336,30 +330,10 @@ func (a *SymbolArtifacts) FootItemAt(f int) int {
 	return a.footItem[f]
 }
 
-// MayHaveLayer reports whether the subtree may contain items on layer l
-// (conservative: true can be a false positive for layers ≥ 63).
-func (a *SymbolArtifacts) MayHaveLayer(l tech.LayerID) bool {
-	return a.LayerMask&layerBit(l) != 0
-}
-
-// SpanItemBounds returns the bounds of the embedded child's item k
-// (span-local index) in the parent frame.
-func (sp *ChildSpan) SpanItemBounds(k int) geom.Rect {
+// itemBox returns the bounds of the embedded child's item k (span-local
+// index) in the parent frame.
+func (sp *childSpan) itemBox(k int) geom.Rect {
 	return sp.sd.rep.itemBoxes[k].Translate(sp.sd.d)
-}
-
-// SpanItemLayers is the dense layer column of the embedded child's items.
-func (sp *ChildSpan) SpanItemLayers() []tech.LayerID { return sp.sd.rep.itemLayers }
-
-// ItemsOnLayer lists the span-local indices of the embedded items on layer
-// l, ascending. The lists are cached with the embedding's family: asking
-// costs nothing per item of the span.
-func (sp *ChildSpan) ItemsOnLayer(l tech.LayerID) []int32 {
-	onLayer := sp.sd.rep.onLayer
-	if int(l) >= len(onLayer) {
-		return nil
-	}
-	return onLayer[l]
 }
 
 // footSkel returns the skeleton of footprint f, in the 4× coordinates of
@@ -423,10 +397,10 @@ type spanClassKey struct {
 //
 // An embedding is an index over the child's artifacts, not a copy of
 // them. A family representative (rep == itself) keeps only the columns
-// the sweeps and the sequential walks read: item bounds in the parent
-// frame, item layers and the per-layer lists, item→footprint and its
-// inverse (a footprint's bounds and layer are its item's), footprint
-// element counts, and the distinct-path and declared-name index. Items,
+// the sweeps, the proximity query and the sequential walks read: item
+// bounds in the parent frame, item layers, item→footprint and its inverse
+// (a footprint's bounds and layer are its item's), footprint element
+// counts, and the distinct-path and declared-name index. Items,
 // footprints, devices, keepouts and issues stay where the child's
 // definitions hold them and are read through the child's accessors,
 // placed on read (ResolveItem, footReg, and the copies populate makes);
@@ -452,13 +426,12 @@ type spanData struct {
 	// cache.
 	itemBoxes []geom.Rect
 
-	// itemLayers[i] is item i's layer, onLayer[l] lists the items on layer
-	// l in index order, itemFoot[i] is the span-local footprint of item i
-	// (-1 for support geometry), footItem is its inverse, and footElems[f]
-	// is footprint f's interconnect element count. None depends on the
-	// call translation, so a family builds them once.
+	// itemLayers[i] is item i's layer, itemFoot[i] is the span-local
+	// footprint of item i (-1 for support geometry), footItem is its
+	// inverse, and footElems[f] is footprint f's interconnect element
+	// count. None depends on the call translation, so a family builds them
+	// once.
 	itemLayers                    []tech.LayerID
-	onLayer                       [][]int32
 	itemFoot, footItem, footElems []int32
 
 	// paths holds the family's distinct relative paths and non-rail
@@ -540,15 +513,15 @@ func scale4(t geom.Transform) geom.Transform {
 // Per definition (SymbolArtifacts): its own entries and their regions, the
 // spans of its calls, the subtree's net partition, and its devices and
 // keepouts. Per translation family of embeddings (spanData
-// representatives): index columns only — item bounds, item layers and the
-// items of each layer, item→footprint and its inverse, footprint element
-// counts, and the distinct-path and declared-name index — about 50 bytes
-// per item; no item, footprint, device, keepout or issue is copied, and
-// regions only by a reoriented family, transformed. Per further member of
-// a family: an offset and its re-prefixed distinct paths, nothing per
-// entry. Per session: the interned anonymous net names. What a run does
-// per device or per net — the devices' terminal lists, the nets' terminal
-// lists — is carved from one slab each and filled at copy speed.
+// representatives): index columns only — item bounds, item layers,
+// item→footprint and its inverse, footprint element counts, and the
+// distinct-path and declared-name index — about 50 bytes per item; no
+// item, footprint, device, keepout or issue is copied, and regions only
+// by a reoriented family, transformed. Per further member of a family: an
+// offset and its re-prefixed distinct paths, nothing per entry. Per
+// session: the interned anonymous net names. What a run does per device
+// or per net — the devices' terminal lists, the nets' terminal lists — is
+// carved from one slab each and filled at copy speed.
 type Cache struct {
 	arts  map[layout.Hash]*SymbolArtifacts
 	spans map[spanKey]*spanData
@@ -708,9 +681,9 @@ func (c *Cache) touch(a *SymbolArtifacts) {
 		return
 	}
 	a.gen = c.gen
-	for si := range a.Children {
-		c.reach(a.Children[si].sd)
-		c.touch(a.Children[si].Art)
+	for si := range a.children {
+		c.reach(a.children[si].sd)
+		c.touch(a.children[si].Art)
 	}
 }
 
@@ -895,8 +868,8 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	}
 	// The move stamps speak for the root's own elements only: the embedded
 	// subtrees are checked against the hashes in hand.
-	for si := range art.Children {
-		sp := &art.Children[si]
+	for si := range art.children {
+		sp := &art.children[si]
 		if sp.Art.Hash != hashes[sp.Call.Target].Subtree {
 			return nil, nil, RefuseChildChanged
 		}
@@ -965,24 +938,12 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	// other patched elements at their old positions, which can only bail
 	// conservatively; mutual contact among new positions is checked after.
 	for _, pi := range patches {
-		nb := pi.newBounds
-		layer := art.Foots[pi.foot].Layer
-		for f := range art.Foots {
-			if f != pi.foot && art.Foots[f].Layer == layer && art.Foots[f].Bounds.Touches(nb) {
-				return nil, nil, RefuseContactAfterMove
-			}
-		}
-		for si := range art.Children {
-			sp := &art.Children[si]
-			if !sp.Bounds.Touches(nb) {
-				continue
-			}
-			rep, probe := sp.sd.rep, nb.Translate(sp.sd.d.Neg())
-			for local, b := range rep.itemBoxes {
-				if b.Touches(probe) && rep.itemFoot[local] >= 0 && rep.itemLayers[local] == layer {
-					return nil, nil, RefuseContactAfterMove
-				}
-			}
+		layer, contact := art.Foots[pi.foot].Layer, false
+		art.Near(pi.newBounds, -1, func(i int, l tech.LayerID, _ geom.Rect) {
+			contact = contact || i != pi.item && l == layer && art.ItemFootAt(i) >= 0
+		})
+		if contact {
+			return nil, nil, RefuseContactAfterMove
 		}
 	}
 	for i := range patches {
@@ -1063,7 +1024,7 @@ func (c *Cache) assemble(inc *IncExtraction) *Netlist {
 	nFoots := root.NumFoots()
 	mf := shards(nFoots, w, w)
 	mt := shards(root.numTerms, w, w)
-	mi := shards(root.Instances, w, len(root.Children))
+	mi := shards(root.Instances, w, len(root.children))
 	parts, counts := make([]Net, (mf-1)*nc), make([]int32, mt*nc)
 	geom.RunShards(mf+mt+mi, w, func(k int) {
 		switch {
@@ -1080,7 +1041,7 @@ func (c *Cache) assemble(inc *IncExtraction) *Netlist {
 			countTerms(counts[k*nc:(k+1)*nc], devs, lo, hi)
 		default:
 			k -= mf + mt
-			c0, c1 := geom.ShardRange(k, mi, len(root.Children))
+			c0, c1 := geom.ShardRange(k, mi, len(root.children))
 			inc.placeCalls(c0, c1)
 		}
 	})
@@ -1103,16 +1064,16 @@ func (x *IncExtraction) placeCalls(c0, c1 int) {
 	root := x.Root
 	at := 1
 	for si := 0; si < c0; si++ {
-		at += root.Children[si].Art.Instances
+		at += root.children[si].Art.Instances
 	}
 	for si := c0; si < c1; si++ {
-		at = x.place(0, &root.Children[si], at)
+		at = x.place(0, &root.children[si], at)
 	}
 }
 
 // place writes the instance of span sp of instance pi at index at, then
 // its subtree's in preorder, and returns the index past them.
-func (x *IncExtraction) place(pi int, sp *ChildSpan, at int) int {
+func (x *IncExtraction) place(pi int, sp *childSpan, at int) int {
 	parent := &x.Instances[pi]
 	x.Instances[at] = Instance{
 		Art:       sp.Art,
@@ -1124,8 +1085,8 @@ func (x *IncExtraction) place(pi int, sp *ChildSpan, at int) int {
 	}
 	ii := at
 	at++
-	for si := range sp.Art.Children {
-		at = x.place(ii, &sp.Art.Children[si], at)
+	for si := range sp.Art.children {
+		at = x.place(ii, &sp.Art.children[si], at)
 	}
 	return at
 }
@@ -1203,13 +1164,13 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 	// Remap embedded devices' terminal classes into this frame, every
 	// device's list carved out of one slab where the starts table puts its
 	// call's, on the pool like populate's copies.
-	if len(art.Children) > 0 {
+	if len(art.children) > 0 {
 		starts := c.starts
-		art.numTerms = starts[len(art.Children)].term
+		art.numTerms = starts[len(art.children)].term
 		slab := make([]TerminalNet, art.numTerms)
 		c.runCalls(starts, func(c0, c1 int) {
 			for si := c0; si < c1; si++ {
-				sp := &art.Children[si]
+				sp := &art.children[si]
 				classes := nodeClass[sp.node0:]
 				tns := slab[starts[si].term:starts[si+1].term]
 				for di := sp.DevStart; di < sp.DevEnd; di++ {
@@ -1229,25 +1190,13 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 		art.IllegalCands = append(art.IllegalCands, [2]int{art.FootItemAt(p[0]), art.FootItemAt(p[1])})
 	}
 	art.Instances = 1
-	for i := range art.Items {
-		art.LayerMask |= layerBit(art.Items[i].Layer)
+	for si := range art.children {
+		art.Instances += art.children[si].Art.Instances
 	}
-	for si := range art.Children {
-		art.Instances += art.Children[si].Art.Instances
-		art.LayerMask |= art.Children[si].Art.LayerMask
-	}
+	art.neighbours()
 	art.gen = c.gen
 	c.arts[h] = art
 	return art
-}
-
-// layerBit maps a layer id into the conservative LayerMask (layers ≥ 63
-// share the overflow bit).
-func layerBit(l tech.LayerID) uint64 {
-	if l >= 63 {
-		return 1 << 63
-	}
-	return 1 << uint(l)
 }
 
 // populate fills the walk-order arrays of art (items, foots, devices,
@@ -1352,7 +1301,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	art.Items = make([]ConnItem, 0, len(s.Elements))
 	art.Foots = make([]LocalFoot, 0, len(s.Elements))
 	art.ItemFoot = make([]int, 0, len(s.Elements))
-	art.Children = make([]ChildSpan, 0, len(s.Calls))
+	art.children = make([]childSpan, 0, len(s.Calls))
 	for _, e := range s.Elements {
 		reg, err := e.Region()
 		if err != nil {
@@ -1388,7 +1337,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	for ci, call := range s.Calls {
 		childArt, sd := childArts[ci], spans[ci]
 		starts[ci] = at
-		art.Children = append(art.Children, ChildSpan{
+		art.children = append(art.children, childSpan{
 			Call: call, Art: childArt, sd: sd, Bounds: sd.bounds,
 			ItemStart: itemCount, ItemEnd: itemCount + childArt.NumItems(),
 			FootStart: footCount, FootEnd: footCount + childArt.NumFoots(),
@@ -1441,7 +1390,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 		from, to := starts[c0], starts[c1]
 		store := keepStore.Part(from.bands, to.bands, from.spans, to.spans)
 		for ci := c0; ci < c1; ci++ {
-			sp, st := &art.Children[ci], &starts[ci]
+			sp, st := &art.children[ci], &starts[ci]
 			childArt, sd := sp.Art, sp.sd
 			t := sd.t
 			devs := art.Devices[st.dev:]
@@ -1515,7 +1464,7 @@ func buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tec
 	sd.rep = sd
 	sd.itemBoxes = make([]geom.Rect, nItems)
 	sd.itemLayers = make([]tech.LayerID, nItems)
-	cols := make([]int32, 3*nItems+3*nFoots+nDevs)
+	cols := make([]int32, 2*nItems+3*nFoots+nDevs)
 	take := func(n int) []int32 {
 		s := cols[:n:n]
 		cols = cols[n:]
@@ -1569,8 +1518,8 @@ func buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tec
 		}
 		sd.itemPathIdx[i] = last
 	}
-	for si := range childArt.Children {
-		csp := &childArt.Children[si]
+	for si := range childArt.children {
+		csp := &childArt.children[si]
 		src, tt := csp.sd.rep, geom.Translate(csp.sd.d).Compose(t)
 		f0, i0 := csp.FootStart, csp.ItemStart
 		for k := range src.footElems {
@@ -1605,7 +1554,6 @@ func buildSpan(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tec
 	for _, b := range sd.itemBoxes {
 		sd.bounds = sd.bounds.Union(b)
 	}
-	sd.index(take(nItems))
 	if t.Orient != geom.R0 {
 		bands, spans := 0, 0
 		walkRegs(childArt, t, func(r geom.Region, _ geom.Transform) {
@@ -1629,8 +1577,8 @@ func walkRegs(art *SymbolArtifacts, t geom.Transform, visit func(r geom.Region, 
 	for i := range art.Items {
 		visit(art.Items[i].Reg, t)
 	}
-	for si := range art.Children {
-		sp := &art.Children[si]
+	for si := range art.children {
+		sp := &art.children[si]
 		if rep := sp.sd.rep; rep.regs != nil {
 			tt := geom.Translate(sp.sd.d).Compose(t)
 			for _, r := range rep.regs {
@@ -1639,28 +1587,6 @@ func walkRegs(art *SymbolArtifacts, t geom.Transform, visit func(r geom.Region, 
 		} else {
 			walkRegs(sp.Art, sp.sd.t.Compose(t), visit)
 		}
-	}
-}
-
-// index builds the per-layer item lists of a representative (one
-// counting sort; the lists are pieces of slab).
-func (sd *spanData) index(slab []int32) {
-	var counts [256]int32
-	top := -1
-	for _, l := range sd.itemLayers {
-		counts[l]++
-		if int(l) > top {
-			top = int(l)
-		}
-	}
-	sd.onLayer = make([][]int32, top+1)
-	for l := range sd.onLayer {
-		n := counts[l]
-		sd.onLayer[l] = slab[:0:n]
-		slab = slab[n:]
-	}
-	for i, l := range sd.itemLayers {
-		sd.onLayer[l] = append(sd.onLayer[l], int32(i))
 	}
 }
 
@@ -1774,7 +1700,7 @@ func (a *SymbolArtifacts) footNode(f int) int {
 	if si < 0 {
 		return f
 	}
-	sp := &a.Children[si]
+	sp := &a.children[si]
 	return sp.node0 + sp.Art.ClassOf[f-sp.FootStart]
 }
 
@@ -1827,8 +1753,8 @@ func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
 		label(f, f)
 		out[f] = int(nodeClass[f])
 	}
-	for si := range art.Children {
-		sp := &art.Children[si]
+	for si := range art.children {
+		sp := &art.children[si]
 		for cc, first := range sp.Art.ClassFoot {
 			label(sp.node0+cc, sp.FootStart+first)
 		}
@@ -1846,58 +1772,155 @@ func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
 // ancestor is this definition: own-item vs own-item, own-item vs embedded
 // child item, and child vs child (different calls), with bounding boxes
 // within gap in the L∞ sense — the same predicate as the flat interaction
-// sweep. Pairs internal to one child are that child's business. Summing
-// each definition's pairs over its instances reproduces the flat sweep's
-// candidate multiset exactly (every chip-level pair has a unique LCA).
-// Enumeration order is deterministic for identical artifacts.
-func (a *SymbolArtifacts) CrossItemPairs(gap int64, emit func(i, j int)) {
+// sweep — on layers interacts accepts. Pairs internal to one child are
+// that child's business. Summing each definition's pairs over its
+// instances reproduces the flat sweep's candidate multiset exactly (every
+// chip-level pair has a unique LCA). Enumeration order is deterministic
+// for identical artifacts.
+func (a *SymbolArtifacts) CrossItemPairs(gap int64, interacts func(la, lb tech.LayerID) bool, emit func(i, j int)) {
 	if a.NumItems() < 2 {
 		return
 	}
-	forEachCrossPair(a.NumItems(), len(a.Items), a.Children,
-		func(si int) (int, int) { return a.Children[si].ItemStart, a.Children[si].ItemEnd },
-		func(i int) geom.Rect { return a.Items[i].Bounds },
-		func(si int) ([]geom.Rect, []int32) { return a.Children[si].sd.rep.itemBoxes, nil },
-		gap, emit)
+	forEachCrossPair(a, false, gap, interacts, emit)
+}
+
+// Near calls visit, in index order, with every item i of the subtree
+// whose bounds touch r, and with its layer and bounds: own items first,
+// then each span's. The items of the span that embeds device skipDev are
+// passed over (skipDev < 0: none), so a device's keepout probe sees only
+// what lies outside the subtree holding it. A span whose bounds miss r is
+// passed over whole, and so is every embedded subtree within one: a probe
+// visits the cells it meets, not every item of the definition.
+//
+// A probe that skips a span and lies within its bounds grown by the
+// definition's widest keepout clearance — every keepout probe — reads
+// only that span's neighbours (see nbr); any other reads every span's
+// bounds.
+func (a *SymbolArtifacts) Near(r geom.Rect, skipDev int, visit func(i int, l tech.LayerID, b geom.Rect)) {
+	for i := range a.Items {
+		if it := &a.Items[i]; r.Touches(it.Bounds) {
+			visit(i, it.Layer, it.Bounds)
+		}
+	}
+	owner := a.devSpan(skipDev)
+	if owner >= 0 && a.nbrAt != nil {
+		if e := a.children[owner].Bounds.Expand(a.nbrReach); e.X1 <= r.X1 && e.Y1 <= r.Y1 && r.X2 <= e.X2 && r.Y2 <= e.Y2 {
+			for _, sj := range a.nbr[a.nbrAt[owner]:a.nbrAt[owner+1]] {
+				if sp := &a.children[sj]; r.Touches(sp.Bounds) {
+					sp.near(r, sp.ItemStart, visit)
+				}
+			}
+			return
+		}
+	}
+	for si := range a.children {
+		if sp := &a.children[si]; si != owner && r.Touches(sp.Bounds) {
+			sp.near(r, sp.ItemStart, visit)
+		}
+	}
+}
+
+// devSpan locates the span that embeds device dev, -1 for none.
+func (a *SymbolArtifacts) devSpan(dev int) int {
+	si := sort.Search(len(a.children), func(k int) bool { return a.children[k].DevEnd > dev })
+	if dev < 0 || si == len(a.children) || dev < a.children[si].DevStart {
+		return -1
+	}
+	return si
+}
+
+// neighbours builds the span neighbour table (nbr) of a definition with
+// keepouts, under its widest base keepout clearance: one sweep over the
+// spans' bounds.
+func (a *SymbolArtifacts) neighbours() {
+	if len(a.children) < 2 || len(a.Gates)+len(a.BaseKeepouts) == 0 {
+		return
+	}
+	for i := range a.BaseKeepouts {
+		a.nbrReach = max(a.nbrReach, a.BaseKeepouts[i].Clearance)
+	}
+	var pf geom.PairFinder
+	for si := range a.children {
+		pf.AddRect(si, a.children[si].Bounds, 0)
+	}
+	var pairs [][2]int32
+	pf.Pairs(a.nbrReach, nil, func(p geom.Pair) {
+		i, j := int32(p.A.ID), int32(p.B.ID)
+		pairs = append(pairs, [2]int32{i, j}, [2]int32{j, i})
+	})
+	slices.SortFunc(pairs, func(x, y [2]int32) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	a.nbrAt, a.nbr = make([]int32, len(a.children)+1), make([]int32, len(pairs))
+	for k, p := range pairs {
+		a.nbrAt[p[0]+1]++
+		a.nbr[k] = p[1]
+	}
+	for si := range a.children {
+		a.nbrAt[si+1] += a.nbrAt[si]
+	}
+}
+
+// near is Near within one span: it calls visit with at+k for every item k
+// of the embedded subtree whose bounds touch r, in index order. The scan
+// reads the family representative's columns, the probe moved into its
+// frame and every hit moved back out.
+func (sp *childSpan) near(r geom.Rect, at int, visit func(i int, l tech.LayerID, b geom.Rect)) {
+	rep := sp.sd.rep
+	s := spanScan{rep: rep, probe: r.Translate(sp.sd.d.Neg()), d: sp.sd.d, at: at, visit: visit}
+	s.scan(sp.Art, rep.t, 0)
+}
+
+// spanScan is one probe of a family representative's columns: probe is in
+// the representative's frame, d moves a hit into the span's, and at is
+// added to every index reported.
+type spanScan struct {
+	rep   *spanData
+	probe geom.Rect
+	d     geom.Point
+	at    int
+	visit func(i int, l tech.LayerID, b geom.Rect)
+}
+
+// scanLeaf is the item count of a span that scan tests box by box rather
+// than descend into.
+const scanLeaf = 16
+
+// scan reports every item k of a's subtree whose box rep.itemBoxes[base+k]
+// — a's items as t maps them into the representative's frame — touches
+// the probe. A span of a whose bounds, mapped by t, miss the probe is
+// passed over whole, since its items' boxes lie within them: a wire that
+// crosses a row of cells visits the cells it meets, not every item of the
+// row.
+func (s *spanScan) scan(a *SymbolArtifacts, t geom.Transform, base int) {
+	s.run(base, base+len(a.Items))
+	for si := range a.children {
+		cs := &a.children[si]
+		if !s.probe.Touches(t.ApplyRect(cs.Bounds)) {
+			continue
+		}
+		lo, hi := base+cs.ItemStart, base+cs.ItemEnd
+		if hi-lo > scanLeaf {
+			s.scan(cs.Art, cs.sd.t.Compose(t), lo)
+		} else {
+			s.run(lo, hi)
+		}
+	}
+}
+
+// run tests the boxes [lo, hi) one by one.
+func (s *spanScan) run(lo, hi int) {
+	boxes := s.rep.itemBoxes
+	for k := lo; k < hi; k++ {
+		if b := boxes[k]; s.probe.Touches(b) {
+			s.visit(s.at+k, s.rep.itemLayers[k], b.Translate(s.d))
+		}
+	}
 }
 
 // bipartiteThreshold bounds the brute-force cross product in span-vs-span
 // refinement; beyond it a plane sweep takes over.
 const bipartiteThreshold = 256
-
-// scanLeaf is the item count of a span that scanNear scans box by box
-// rather than descend into.
-const scanLeaf = 16
-
-// scanNear calls visit, in index order, with every item k of a's subtree
-// whose box boxes[base+k] — a's items as t maps them, the layout of a span
-// representative's bounds column — touches probe. A span of a whose bounds,
-// mapped by t, miss probe is passed over whole, since its items' boxes lie
-// within them: a wire that crosses a row of cells visits the cells it
-// meets, not every item of the row.
-func scanNear(a *SymbolArtifacts, t geom.Transform, boxes []geom.Rect, base int, probe geom.Rect, visit func(k int)) {
-	for k := base; k < base+len(a.Items); k++ {
-		if probe.Touches(boxes[k]) {
-			visit(k)
-		}
-	}
-	for si := range a.Children {
-		cs := &a.Children[si]
-		if !probe.Touches(t.ApplyRect(cs.Bounds)) {
-			continue
-		}
-		lo, hi := base+cs.ItemStart, base+cs.ItemEnd
-		if hi-lo > scanLeaf {
-			scanNear(cs.Art, cs.sd.t.Compose(t), boxes, lo, probe, visit)
-			continue
-		}
-		for k := lo; k < hi; k++ {
-			if probe.Touches(boxes[k]) {
-				visit(k)
-			}
-		}
-	}
-}
 
 // connectSweep discovers same-layer footprint connectivity at this
 // definition's level: own-vs-own, own-vs-child, and child-vs-child pairs
@@ -1907,7 +1930,6 @@ func scanNear(a *SymbolArtifacts, t geom.Transform, boxes []geom.Rect, base int,
 // orientation.
 func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	var illegal [][2]int
-	ownEnd := len(art.Foots)
 	if art.NumFoots() < 2 {
 		return nil
 	}
@@ -1917,9 +1939,6 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 	test := func(i, j int) {
 		if i > j {
 			i, j = j, i
-		}
-		if art.footLayer(i) != art.footLayer(j) {
-			return
 		}
 		ra, da := art.footReg(i)
 		rb, db := art.footReg(j)
@@ -1935,65 +1954,66 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 			illegal = append(illegal, [2]int{i, j})
 		}
 	}
-	forEachCrossPair(art.NumFoots(), ownEnd, art.Children,
-		func(si int) (int, int) { return art.Children[si].FootStart, art.Children[si].FootEnd },
-		func(i int) geom.Rect { return art.Foots[i].Bounds },
-		func(si int) ([]geom.Rect, []int32) {
-			return art.Children[si].sd.rep.itemBoxes, art.Children[si].sd.rep.itemFoot
-		},
-		0, test)
+	forEachCrossPair(art, true, 0, sameLayer, test)
 	return illegal
 }
 
-// forEachCrossPair enumerates candidate element pairs at one hierarchy
-// level without visiting pairs internal to a child: a coarse sweep over
-// own entries and child bounding boxes, refined per candidate by scanning
-// only the entries near the partner (scanNear). boundsAt reads own
-// entries; spanBoxes is a span's item bounds table as its representative
-// stores it, read shifted by the span's offset, and the span-local entry
-// index of each item (nil: the item itself; -1: no entry). The
-// enumeration is deterministic for identical inputs, which the engine's
-// replayable caches rely on.
-func forEachCrossPair(n, ownEnd int, children []ChildSpan,
-	childRange func(si int) (int, int), boundsAt func(i int) geom.Rect,
-	spanBoxes func(si int) ([]geom.Rect, []int32),
-	gap int64, emit func(i, j int)) {
+// sameLayer is connectSweep's layer filter: footprints connect only on
+// one layer.
+func sameLayer(la, lb tech.LayerID) bool { return la == lb }
 
+// forEachCrossPair enumerates candidate pairs at one hierarchy level of a
+// — its items, or with foots set its footprints — without visiting pairs
+// internal to a child: a coarse sweep over own entries and child bounding
+// boxes, refined per candidate by querying only the entries near the
+// partner (childSpan.near). A pair is emitted when its bounds come within
+// gap and keep accepts its two layers. The enumeration is deterministic
+// for identical inputs, which the engine's replayable caches rely on.
+func forEachCrossPair(a *SymbolArtifacts, foots bool, gap int64, keep func(la, lb tech.LayerID) bool, emit func(i, j int)) {
+	type entry struct {
+		i int
+		l tech.LayerID
+		b geom.Rect
+	}
+	own := func(i int) entry {
+		if foots {
+			return entry{i, a.Foots[i].Layer, a.Foots[i].Bounds}
+		}
+		return entry{i, a.Items[i].Layer, a.Items[i].Bounds}
+	}
+	ownEnd, coarseBase := len(a.Items), a.NumItems()
+	if foots {
+		ownEnd, coarseBase = len(a.Foots), a.NumFoots()
+	}
 	var pf geom.PairFinder
 	for i := 0; i < ownEnd; i++ {
-		pf.AddRect(i, boundsAt(i), 0)
+		pf.AddRect(i, own(i).b, 0)
 	}
-	coarseBase := n
-	for si := range children {
-		pf.AddRect(coarseBase+si, children[si].Bounds, 1)
+	for si := range a.children {
+		pf.AddRect(coarseBase+si, a.children[si].Bounds, 1)
 	}
 	if pf.Len() < 2 {
 		return
 	}
 	within := func(a, b geom.Rect) bool { return a.Expand(gap).Touches(b) }
 	// collect gathers the child's entries near the probe rect, with their
-	// bounds, reading the span embedding directly (no per-element index
-	// resolution — this scan is the hot inner loop of a root re-derive):
-	// the probe moves into the representative's frame, each hit back out.
-	type entry struct {
-		i int
-		b geom.Rect
-	}
+	// layers and bounds, straight from the span's columns (no per-element
+	// index resolution — this scan is the hot inner loop of a root
+	// re-derive); a footprint is its item's, support geometry none.
 	collect := func(si int, probe geom.Rect, buf []entry) []entry {
 		buf = buf[:0]
-		sp := &children[si]
-		d := sp.sd.d
-		probe = probe.Expand(gap).Translate(d.Neg())
-		lo, _ := childRange(si)
-		boxes, ids := spanBoxes(si)
-		scanNear(sp.Art, sp.sd.rep.t, boxes, 0, probe, func(local int) {
-			b := boxes[local]
-			if ids != nil {
-				if local = int(ids[local]); local < 0 {
+		sp := &a.children[si]
+		lo, itemFoot := sp.ItemStart, []int32(nil)
+		if foots {
+			lo, itemFoot = sp.FootStart, sp.sd.rep.itemFoot
+		}
+		sp.near(probe.Expand(gap), 0, func(k int, l tech.LayerID, b geom.Rect) {
+			if itemFoot != nil {
+				if k = int(itemFoot[k]); k < 0 {
 					return
 				}
 			}
-			buf = append(buf, entry{lo + local, b.Translate(d)})
+			buf = append(buf, entry{lo + k, l, b})
 		})
 		return buf
 	}
@@ -2003,46 +2023,54 @@ func forEachCrossPair(n, ownEnd int, children []ChildSpan,
 		aChild, bChild := ai >= coarseBase, bi >= coarseBase
 		switch {
 		case !aChild && !bChild:
-			emit(ai, bi)
+			if keep(own(ai).l, own(bi).l) {
+				emit(ai, bi)
+			}
 		case aChild != bChild:
-			own, child := ai, bi
+			o, child := ai, bi
 			if aChild {
-				own, child = bi, ai
+				o, child = bi, ai
 			}
 			// The collect probe is exactly the pairing predicate against
 			// the own entry's bounds, so everything collected pairs.
-			bufA = collect(child-coarseBase, boundsAt(own), bufA)
+			eo := own(o)
+			bufA = collect(child-coarseBase, eo.b, bufA)
 			for _, e := range bufA {
-				emit(own, e.i)
+				if keep(eo.l, e.l) {
+					emit(o, e.i)
+				}
 			}
 		default:
 			sa, sb := ai-coarseBase, bi-coarseBase
-			bufA = collect(sa, children[sb].Bounds, bufA)
+			bufA = collect(sa, a.children[sb].Bounds, bufA)
 			if len(bufA) == 0 {
 				return
 			}
-			bufB = collect(sb, children[sa].Bounds, bufB)
+			bufB = collect(sb, a.children[sa].Bounds, bufB)
 			if len(bufB) == 0 {
 				return
 			}
 			if len(bufA)*len(bufB) <= bipartiteThreshold {
 				for _, ea := range bufA {
 					for _, eb := range bufB {
-						if within(ea.b, eb.b) {
+						if within(ea.b, eb.b) && keep(ea.l, eb.l) {
 							emit(ea.i, eb.i)
 						}
 					}
 				}
 				return
 			}
+			// The tag carries the side in its low bit and the layer above.
 			var bp geom.PairFinder
 			for _, ea := range bufA {
-				bp.AddRect(ea.i, ea.b, 0)
+				bp.AddRect(ea.i, ea.b, int(ea.l)<<1)
 			}
 			for _, eb := range bufB {
-				bp.AddRect(eb.i, eb.b, 1)
+				bp.AddRect(eb.i, eb.b, int(eb.l)<<1|1)
 			}
-			bp.Pairs(gap, func(x, y geom.Item) bool { return x.Tag != y.Tag }, func(q geom.Pair) {
+			bp.Pairs(gap, func(x, y geom.Item) bool {
+				return (x.Tag^y.Tag)&1 != 0 && keep(tech.LayerID(x.Tag>>1), tech.LayerID(y.Tag>>1))
+			}, func(q geom.Pair) {
 				emit(q.A.ID, q.B.ID)
 			})
 		}

@@ -247,7 +247,7 @@ func addFoots(nets []Net, root *SymbolArtifacts, lo, hi int) {
 		return
 	}
 	for si := root.footSpan(i); i < hi; si++ {
-		sp := &root.Children[si]
+		sp := &root.children[si]
 		sd, end := sp.sd, min(hi, sp.FootEnd)
 		rep := sd.rep
 		for ; i < end; i++ {

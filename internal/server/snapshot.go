@@ -148,7 +148,10 @@ func WriteSnapshotFile(dir string, snap *SessionSnapshot) (string, error) {
 	return final, nil
 }
 
-// ReadSnapshotFile loads and validates one snapshot file.
+// ReadSnapshotFile loads and validates one snapshot file. The file is
+// <id>.snap: a snapshot whose id differs from its file name — which any
+// id holding a path separator does — is refused, so every path derived
+// from a restored id is the file it came from.
 func ReadSnapshotFile(path string) (*SessionSnapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -166,6 +169,9 @@ func ReadSnapshotFile(path string) (*SessionSnapshot, error) {
 	}
 	if snap.ID == "" || snap.CIF == "" || snap.Fingerprint == "" {
 		return nil, fmt.Errorf("%s: snapshot missing id/cif/fingerprint", path)
+	}
+	if snap.ID != snapID(path) {
+		return nil, fmt.Errorf("%s: snapshot id %q does not match its file name", path, snap.ID)
 	}
 	return &snap, nil
 }

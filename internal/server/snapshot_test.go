@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -390,4 +391,103 @@ func TestIndentedSnapshotRestores(t *testing.T) {
 	if d.Reset || d.Base != created.Report.Fingerprint || d.Fingerprint != broken.Fingerprint {
 		t.Fatalf("delta against the pre-edit fingerprint: reset=%v base=%s fingerprint=%s", d.Reset, d.Base, d.Fingerprint)
 	}
+}
+
+// TestSnapshotIDMustMatchFileName refuses a snapshot whose id is not its
+// file's name: one saying it is another session, which would restore
+// under that id and leave its own file behind, and one whose id holds a
+// path separator, which the write and delete paths would join into a
+// path outside the state directory.
+func TestSnapshotIDMustMatchFileName(t *testing.T) {
+	dir := t.TempDir()
+	snap := &SessionSnapshot{Version: SnapshotVersion, ID: "s7", CIF: "E", Envelope: Envelope{Fingerprint: "f"}}
+	if _, err := WriteSnapshotFile(dir, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshotFile(filepath.Join(dir, "s7"+snapshotExt)); err != nil {
+		t.Fatalf("a snapshot under its own id: %v", err)
+	}
+	for _, tc := range []struct{ file, id string }{
+		{"s3", "s7"},
+		{"s3", "../s3"},
+		{"s3", "x/s3"},
+	} {
+		snap.ID = tc.id
+		data, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, tc.file+snapshotExt)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadSnapshotFile(path); err == nil {
+			t.Fatalf("%s holding id %q was accepted", filepath.Base(path), tc.id)
+		}
+	}
+
+	// At boot the mismatched file is reported, not restored under the id
+	// it claims.
+	srv, _ := newTestServer(t, Config{Debounce: -1, StateDir: t.TempDir()})
+	snap.ID = "s7"
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(srv.cfg.StateDir, "s3"+snapshotExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, errs := srv.RestoreFromDisk(context.Background()); n != 0 || len(errs) != 1 {
+		t.Fatalf("restore: %d sessions, errs %v; want 0 and one error", n, errs)
+	}
+}
+
+// FuzzReadSnapshotFile: arbitrary bytes under an arbitrary file name never
+// panic the snapshot reader, and a file it accepts, written back with
+// WriteSnapshotFile, reads again and writes back to the same bytes.
+func FuzzReadSnapshotFile(f *testing.F) {
+	valid := `{"version":1,"schema":"snapshot/v1","fingerprint":"f0","id":"s1","design_name":"d","tech":"cmos","generation":2,"saved_unix_ns":5,"cif":"DS 1; DF; E","history":[{"fingerprint":"f0","violations":[{"rule":"S.NM","severity":"error","where":{"x1":0,"y1":-1,"x2":1,"y2":1},"layer":3,"nets":["a"]}]}],"classes":{"S":1},"check_ns":7}`
+	f.Add("s1", []byte(valid))
+	f.Add("s2", []byte(valid))
+	f.Add("s1", []byte(`{"version":1,"id":"s1","cif":"E","fingerprint":"\ud800é","deck":"tech x\n","metric":"ortho","noconstruct":true}`))
+	f.Add("s1", []byte(`{"version":2,"id":"s1","cif":"E","fingerprint":"f"}`))
+	f.Add("s1", []byte(`{"version":1,"id":"../s1","cif":"E","fingerprint":"f"}`))
+	f.Add("s1", []byte(`{"version":1,"id":"s1","id":"s1","cif":"E","fingerprint":"f","unknown":[1,{"a":null}]}`))
+	f.Fuzz(func(t *testing.T, name string, data []byte) {
+		if name == "" || len(name) > 64 || filepath.Base(name) != name || strings.ContainsAny(name, "\x00/\\") || name == "." || name == ".." {
+			return
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, name+snapshotExt)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return // a name the file system refuses
+		}
+		snap, err := ReadSnapshotFile(path)
+		if err != nil {
+			return
+		}
+		if snap.ID != name {
+			t.Fatalf("%s accepted with id %q", filepath.Base(path), snap.ID)
+		}
+		first, err := WriteSnapshotFile(t.TempDir(), snap)
+		if err != nil {
+			t.Fatalf("write back: %v", err)
+		}
+		again, err := ReadSnapshotFile(first)
+		if err != nil {
+			t.Fatalf("the written-back snapshot is refused: %v", err)
+		}
+		second, err := WriteSnapshotFile(t.TempDir(), again)
+		if err != nil {
+			t.Fatalf("second write back: %v", err)
+		}
+		b1, err1 := os.ReadFile(first)
+		b2, err2 := os.ReadFile(second)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
+		}
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("write-back is not stable:\n%s\n%s", b1, b2)
+		}
+	})
 }

@@ -230,12 +230,12 @@ func TestCMOSDeckOnly(t *testing.T) {
 	if !ok || spec.Layers["diffusion"] != CMOSPDiff {
 		t.Fatalf("pmos spec = %+v", spec)
 	}
-	if id, ok := tc.LayerFor(spec, RoleDiffusion, ""); !ok || id != pd {
+	if id, ok := tc.LayerFor(spec, RoleDiffusion); !ok || id != pd {
 		t.Fatalf("LayerFor(pmos, diffusion) = %d, %v", id, ok)
 	}
 	// The unbound nmos side resolves through the explicit use line too.
 	nspec, _ := tc.Device(DevCMOSNMOS)
-	if id, ok := tc.LayerFor(nspec, RoleDiffusion, ""); !ok || id != nd {
+	if id, ok := tc.LayerFor(nspec, RoleDiffusion); !ok || id != nd {
 		t.Fatalf("LayerFor(nmos, diffusion) = %d, %v", id, ok)
 	}
 }

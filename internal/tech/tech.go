@@ -156,7 +156,7 @@ type DeviceSpec struct {
 	// Layers binds the class checker's semantic roles to concrete layers
 	// for this device type (e.g. a p-channel transistor binding
 	// "diffusion" to the p-diffusion layer). Unbound roles fall back to
-	// the technology's role-tagged layer, then to the legacy layer names.
+	// the technology's role-tagged layer.
 	Layers map[string]string
 
 	// Depletion marks the device for the depletion-to-ground construction
@@ -166,9 +166,10 @@ type DeviceSpec struct {
 }
 
 // LayerFor resolves a device-rule role to a layer: the device's explicit
-// binding first, then the technology's role-tagged layer, then the given
-// fallback layer name.
-func (t *Technology) LayerFor(spec DeviceSpec, role, fallback string) (LayerID, bool) {
+// binding first, then the technology's role-tagged layer. A layer takes a
+// role only from its tag, never from its name, so device analysis sees
+// the layers the compiled rule table does (Compile).
+func (t *Technology) LayerFor(spec DeviceSpec, role string) (LayerID, bool) {
 	if name, ok := spec.Layers[role]; ok {
 		if id, ok := t.byName[name]; ok {
 			return id, true
@@ -178,11 +179,6 @@ func (t *Technology) LayerFor(spec DeviceSpec, role, fallback string) (LayerID, 
 	for i := range t.layers {
 		if t.layers[i].Role == role {
 			return t.layers[i].ID, true
-		}
-	}
-	if fallback != "" {
-		if id, ok := t.byName[fallback]; ok {
-			return id, true
 		}
 	}
 	return NoLayer, false
