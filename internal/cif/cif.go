@@ -29,7 +29,11 @@ type SyntaxError struct {
 	Command int    // 1-based index of the offending command
 	Text    string // the command text
 	Msg     string
+	Err     error // the cause, when there is one (it may wrap layout.ErrTooLarge)
 }
+
+// Unwrap returns the cause.
+func (e *SyntaxError) Unwrap() error { return e.Err }
 
 // Error implements the error interface.
 func (e *SyntaxError) Error() string {

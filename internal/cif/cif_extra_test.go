@@ -1,10 +1,12 @@
 package cif
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/layout"
 	"repro/internal/tech"
 )
 
@@ -144,5 +146,39 @@ func TestWriteBipolarDesign(t *testing.T) {
 	q, ok := back.Symbol("q")
 	if !ok || q.DeviceType != "npn" {
 		t.Fatalf("bipolar round trip lost device: %+v", q)
+	}
+}
+
+// TestParseCoordinateBound pins the coordinate bound at the parser: a box,
+// wire or polygon past ±layout.MaxCoord, a DS scale whose product would
+// wrap, and a call offset past the bound are refused with an error that
+// wraps layout.ErrTooLarge; geometry exactly at the bound parses.
+func TestParseCoordinateBound(t *testing.T) {
+	refused := map[string]string{
+		"box at ±2^62":      `DS 1; L NM; B 9223372036854775806 9223372036854775806 0 0; DF; E`,
+		"box one past":      `DS 1; L NM; B 2 2 1073741824 0; DF; E`,
+		"wire half-width":   `DS 1; L NM; W 200 0 0 1073741824 0; DF; E`,
+		"polygon past":      `DS 1; L NM; P 0 0 1073741825 0 1073741825 10 0 10; DF; E`,
+		"scale wraps":       `DS 1 4611686018427387904 1; L NM; B 4 4 2 2; DF; E`,
+		"scaled past":       `DS 1 2 1; L NM; B 4 4 1073741824 0; DF; E`,
+		"call offset past":  `DS 1; L NM; B 4 4 2 2; DF; C 1 T 1073741825 0; E`,
+		"call offsets wrap": `DS 1; L NM; B 4 4 2 2; DF; C 1 T 4611686018427387904 0 T 4611686018427387904 0 T 4611686018427387904 0 T 4611686018427387904 0; E`,
+		"top-level box":     `L NM; B 4 4 -1073741824 0; E`,
+	}
+	for name, src := range refused {
+		if _, err := Parse(src, tech.NMOS(), "x"); !errors.Is(err, layout.ErrTooLarge) {
+			t.Errorf("%s: err = %v, want layout.ErrTooLarge", name, err)
+		}
+	}
+	accepted := map[string]string{
+		"box spanning the range": `DS 1; L NM; B 2147483648 2147483648 0 0; DF; E`,
+		"scaled to the bound":    `DS 1 1 4; L NM; B 8 8 4294967292 0; DF; E`,
+		"call at the bound":      `DS 1; L NM; B 4 4 2 2; DF; C 1 T -1073741824 1073741824; E`,
+		"long rotation vector":   `DS 1; L NM; B 4 4 2 2; DF; C 1 R 0 10000000000 T 5 5; E`,
+	}
+	for name, src := range accepted {
+		if _, err := Parse(src, tech.NMOS(), "x"); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cif
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -36,7 +37,7 @@ func Parse(src string, tc *tech.Technology, designName string) (*layout.Design, 
 				se.Text = cmd
 				return nil, se
 			}
-			return nil, &SyntaxError{Command: i + 1, Text: cmd, Msg: err.Error()}
+			return nil, &SyntaxError{Command: i + 1, Text: cmd, Msg: err.Error(), Err: err}
 		}
 		if p.ended {
 			break
@@ -89,16 +90,28 @@ func (p *parser) target() *layout.Symbol {
 	return p.topSym
 }
 
-// scale applies the DS distance scale a/b exactly.
+// scale applies the DS distance scale a/b exactly. A distance past twice
+// the coordinate bound (a box's extent may span the whole range) is
+// refused, as is one whose scaling would wrap, so no arithmetic on it can.
 func (p *parser) scale(v int64) (int64, error) {
-	if p.cur == nil || p.scaleNum == p.scaleDen {
-		return v, nil
+	if p.cur != nil && p.scaleNum != p.scaleDen {
+		if lim := math.MaxInt64 / p.scaleNum; v > lim || v < -lim {
+			return 0, tooFar(v)
+		}
+		n := v * p.scaleNum
+		if n%p.scaleDen != 0 {
+			return 0, fmt.Errorf("distance %d not divisible under scale %d/%d", v, p.scaleNum, p.scaleDen)
+		}
+		v = n / p.scaleDen
 	}
-	n := v * p.scaleNum
-	if n%p.scaleDen != 0 {
-		return 0, fmt.Errorf("distance %d not divisible under scale %d/%d", v, p.scaleNum, p.scaleDen)
+	if v > 2*layout.MaxCoord || v < -2*layout.MaxCoord {
+		return 0, tooFar(v)
 	}
-	return n / p.scaleDen, nil
+	return v, nil
+}
+
+func tooFar(v int64) error {
+	return fmt.Errorf("%w: distance %d outside ±%d", layout.ErrTooLarge, v, 2*layout.MaxCoord)
 }
 
 func (p *parser) command(cmd string) error {
@@ -222,6 +235,9 @@ func (p *parser) call(f []string) error {
 	if err != nil {
 		return err
 	}
+	if err := layout.CheckOffset(t.Trans); err != nil {
+		return err
+	}
 	name := p.pendingIns
 	p.pendingIns = ""
 	from := p.target()
@@ -262,6 +278,11 @@ func parseTransform(f []string) (geom.Transform, error) {
 			}
 			y, err := num()
 			if err != nil {
+				return total, err
+			}
+			// Past the bound an offset is refused anyway; a sum of bounded
+			// items cannot wrap before the caller's check sees it.
+			if err := layout.CheckOffset(geom.Pt(x, y)); err != nil {
 				return total, err
 			}
 			total = total.Compose(geom.Translate(geom.Pt(x, y)))
@@ -326,7 +347,7 @@ func (p *parser) nums(f []string) ([]int64, error) {
 		}
 		sv, err := p.scale(v)
 		if err != nil {
-			return nil, &SyntaxError{Msg: err.Error()}
+			return nil, &SyntaxError{Msg: err.Error(), Err: err}
 		}
 		out[i] = sv
 	}
@@ -373,8 +394,7 @@ func (p *parser) box(f []string) error {
 		return &SyntaxError{Msg: "box extents must be positive"}
 	}
 	r := geom.Rect{X1: cx - w/2, Y1: cy - h/2, X2: cx - w/2 + w, Y2: cy - h/2 + h}
-	p.target().AddBox(p.curLayer, r, p.takeNet())
-	return nil
+	return p.add(&layout.Element{Kind: layout.KindBox, Box: r})
 }
 
 func (p *parser) wire(f []string) error {
@@ -396,8 +416,7 @@ func (p *parser) wire(f []string) error {
 	for i := 1; i+1 < len(v); i += 2 {
 		pts = append(pts, geom.Pt(v[i], v[i+1]))
 	}
-	p.target().AddWire(p.curLayer, width, p.takeNet(), pts...)
-	return nil
+	return p.add(&layout.Element{Kind: layout.KindWire, Width: width, Path: pts})
 }
 
 func (p *parser) polygon(f []string) error {
@@ -415,7 +434,17 @@ func (p *parser) polygon(f []string) error {
 	for i := 0; i+1 < len(v); i += 2 {
 		poly = append(poly, geom.Pt(v[i], v[i+1]))
 	}
-	p.target().AddPolygon(p.curLayer, poly, p.takeNet())
+	return p.add(&layout.Element{Kind: layout.KindPolygon, Poly: poly})
+}
+
+// add places e on the current layer, with the pending net, once its
+// coordinates are known to lie within the bound.
+func (p *parser) add(e *layout.Element) error {
+	if err := e.CheckCoords(); err != nil {
+		return err
+	}
+	e.Layer, e.Net = p.curLayer, p.takeNet()
+	p.target().AddElement(e)
 	return nil
 }
 

@@ -67,11 +67,6 @@ func FromRects(rs []Rect) Region {
 	return out
 }
 
-// UnionRects is FromRects under its algebraic name: the k-way union of a
-// rect batch in one sweep, the bulk form callers should prefer over folding
-// pairwise Union calls (which is O(n²) in total span traffic).
-func UnionRects(rs []Rect) Region { return FromRects(rs) }
-
 // FromRectsInto computes the union of rs into dst, recycling dst's band
 // and span storage when capacities allow. dst must not be shared with a
 // region the caller still needs (regions returned by value operations may
@@ -99,25 +94,6 @@ func FromPolygon(p Polygon) (Region, error) {
 func BulkUnion(regs []Region) Region {
 	// A single non-empty input needs no sweep; regions are immutable, so
 	// sharing its storage is safe.
-	if r, n := soleNonEmpty(regs); n <= 1 {
-		return r
-	}
-	var out Region
-	bulkUnionInto(&out, regs)
-	return out
-}
-
-// BulkUnionInto is BulkUnion recycling dst's storage (see FromRectsInto
-// for the ownership contract).
-func BulkUnionInto(dst *Region, regs []Region) {
-	if r, n := soleNonEmpty(regs); n <= 1 {
-		copyRegionInto(dst, r)
-		return
-	}
-	bulkUnionInto(dst, regs)
-}
-
-func soleNonEmpty(regs []Region) (Region, int) {
 	var sole Region
 	n := 0
 	for i := range regs {
@@ -126,14 +102,15 @@ func soleNonEmpty(regs []Region) (Region, int) {
 			n++
 		}
 	}
-	return sole, n
-}
-
-func bulkUnionInto(dst *Region, regs []Region) {
+	if n <= 1 {
+		return sole
+	}
+	var out Region
 	sw := getSweeper()
 	sw.bulkUnion(regs)
-	sw.materialize(dst)
+	sw.materialize(&out)
 	putSweeper(sw)
+	return out
 }
 
 // recycledArena recovers a region's span backing store for reuse: sweep-
@@ -156,27 +133,6 @@ func keepArenaRecoverable(bands []band, arena []Span) {
 	}
 }
 
-// copyRegionInto deep-copies src into dst, recycling dst's storage.
-func copyRegionInto(dst *Region, src Region) {
-	ns := src.NumRects()
-	arena := dst.recycledArena()
-	if cap(arena) < ns {
-		arena = make([]Span, 0, ns)
-	}
-	bands := dst.bands
-	if cap(bands) < len(src.bands) {
-		bands = make([]band, len(src.bands))
-	}
-	bands = bands[:len(src.bands)]
-	for i, b := range src.bands {
-		lo := len(arena)
-		arena = append(arena, b.spans...)
-		bands[i] = band{b.y1, b.y2, arena[lo:len(arena):len(arena)]}
-	}
-	keepArenaRecoverable(bands, arena)
-	dst.bands = bands
-}
-
 // ---- The sweep core ---------------------------------------------------
 
 // Truth-table opcodes for the boolean span combiners: bit (inA<<1 | inB)
@@ -185,7 +141,6 @@ const (
 	opUnion     uint8 = 0b1110
 	opIntersect uint8 = 0b1000
 	opSubtract  uint8 = 0b0100
-	opXor       uint8 = 0b0110
 )
 
 // sweepEvent is one rect start or end edge in the FromRects y-sweep.
@@ -585,126 +540,6 @@ func boolOpInto(dst *Region, a, b Region, op uint8) {
 	putSweeper(sw)
 }
 
-// boolOpAny reports whether op(a, b) is non-empty, sweeping with early
-// exit and no materialization.
-func boolOpAny(a, b Region, op uint8) bool {
-	ai, bi := 0, 0
-	y := int64(math.MinInt64)
-	for {
-		for ai < len(a.bands) && a.bands[ai].y2 <= y {
-			ai++
-		}
-		for bi < len(b.bands) && b.bands[bi].y2 <= y {
-			bi++
-		}
-		aOK, bOK := ai < len(a.bands), bi < len(b.bands)
-		if !aOK && !bOK {
-			return false
-		}
-		yLo := int64(math.MaxInt64)
-		if aOK {
-			yLo = maxInt64(y, a.bands[ai].y1)
-		}
-		if bOK {
-			if s := maxInt64(y, b.bands[bi].y1); s < yLo {
-				yLo = s
-			}
-		}
-		yHi := int64(math.MaxInt64)
-		if aOK {
-			if a.bands[ai].y1 > yLo {
-				yHi = a.bands[ai].y1
-			} else {
-				yHi = a.bands[ai].y2
-			}
-		}
-		if bOK {
-			var e int64
-			if b.bands[bi].y1 > yLo {
-				e = b.bands[bi].y1
-			} else {
-				e = b.bands[bi].y2
-			}
-			if e < yHi {
-				yHi = e
-			}
-		}
-		var sa, sb []Span
-		if aOK && a.bands[ai].y1 <= yLo {
-			sa = a.bands[ai].spans
-		}
-		if bOK && b.bands[bi].y1 <= yLo {
-			sb = b.bands[bi].spans
-		}
-		if combineSpansAny(sa, sb, op) {
-			return true
-		}
-		y = yHi
-	}
-}
-
-// combineSpansAny reports whether op(sa, sb) is non-empty, returning at
-// the first covered elementary interval. It deliberately repeats
-// combineSpansInto's cursor walk (as boolOpAny repeats boolOp's band
-// walk): the duplication keeps each loop closure-free and inlineable,
-// which the zero-allocation discipline depends on — a change to the
-// interval-boundary logic must be mirrored across all four walkers.
-func combineSpansAny(sa, sb []Span, op uint8) bool {
-	ia, ib := 0, 0
-	x := int64(math.MinInt64)
-	for {
-		for ia < len(sa) && sa[ia].X2 <= x {
-			ia++
-		}
-		for ib < len(sb) && sb[ib].X2 <= x {
-			ib++
-		}
-		aOK, bOK := ia < len(sa), ib < len(sb)
-		if !aOK && !bOK {
-			return false
-		}
-		xLo := int64(math.MaxInt64)
-		if aOK {
-			xLo = maxInt64(x, sa[ia].X1)
-		}
-		if bOK {
-			if s := maxInt64(x, sb[ib].X1); s < xLo {
-				xLo = s
-			}
-		}
-		xHi := int64(math.MaxInt64)
-		if aOK {
-			if sa[ia].X1 > xLo {
-				xHi = sa[ia].X1
-			} else {
-				xHi = sa[ia].X2
-			}
-		}
-		if bOK {
-			var e int64
-			if sb[ib].X1 > xLo {
-				e = sb[ib].X1
-			} else {
-				e = sb[ib].X2
-			}
-			if e < xHi {
-				xHi = e
-			}
-		}
-		var bit uint8
-		if aOK && sa[ia].X1 <= xLo {
-			bit = 2
-		}
-		if bOK && sb[ib].X1 <= xLo {
-			bit |= 1
-		}
-		if op>>bit&1 == 1 {
-			return true
-		}
-		x = xHi
-	}
-}
-
 // ---- Queries ----------------------------------------------------------
 
 func spansEqual(a, b []Span) bool {
@@ -826,7 +661,7 @@ func (r Region) Union(s Region) Region {
 
 // Intersect returns r ∩ s.
 func (r Region) Intersect(s Region) Region {
-	if r.Empty() || s.Empty() || !r.Bounds().Overlaps(s.Bounds()) {
+	if r.Empty() || s.Empty() {
 		return Region{}
 	}
 	var out Region
@@ -844,13 +679,6 @@ func (r Region) Subtract(s Region) Region {
 	}
 	var out Region
 	boolOpInto(&out, r, s, opSubtract)
-	return out
-}
-
-// Xor returns the symmetric difference of r and s.
-func (r Region) Xor(s Region) Region {
-	var out Region
-	boolOpInto(&out, r, s, opXor)
 	return out
 }
 
@@ -936,13 +764,10 @@ func spansOverlap(sa, sb []Span, dx int64) bool {
 	return false
 }
 
-// IntersectBounds returns the bounding box of r ∩ s and whether the
-// intersection is non-empty, without materializing the intersection
-// region. It equals r.Intersect(s).Bounds() exactly.
-func IntersectBounds(r, s Region) (Rect, bool) { return IntersectBoundsShifted(r, s, Point{}) }
-
-// IntersectBoundsShifted is IntersectBounds(r, s.Translate(d)) without
-// materializing the translation; the bounds are in r's frame.
+// IntersectBoundsShifted returns the bounding box of r ∩ s.Translate(d)
+// and whether that intersection is non-empty, materializing neither the
+// translation nor the intersection; the bounds are in r's frame and equal
+// r.Intersect(s.Translate(d)).Bounds() exactly.
 func IntersectBoundsShifted(r, s Region, d Point) (Rect, bool) {
 	var out Rect
 	found := false
@@ -998,27 +823,13 @@ func IntersectBoundsShifted(r, s Region, d Point) (Rect, bool) {
 	return out, found
 }
 
-// ContainsRegion reports whether s ⊆ r.
-func (r Region) ContainsRegion(s Region) bool {
-	return !boolOpAny(s, r, opSubtract)
-}
-
 // Clip returns r ∩ rect.
 func (r Region) Clip(q Rect) Region { return r.Intersect(FromRectR(q)) }
 
 // ---- Transforms -------------------------------------------------------
 
 // Translate returns the region moved by d.
-func (r Region) Translate(d Point) Region {
-	if r.Empty() {
-		return r
-	}
-	bands := make([]band, len(r.bands))
-	arena := make([]Span, r.NumRects())
-	copyAxisTransformed(bands, arena, r, false, false, d)
-	keepArenaRecoverable(bands, arena)
-	return Region{bands: bands}
-}
+func (r Region) Translate(d Point) Region { return r.TransformBy(Translate(d)) }
 
 // Scale returns the region with all coordinates multiplied by k (k > 0).
 func (r Region) Scale(k int64) Region {
@@ -1054,58 +865,11 @@ func (r Region) cloneStorage() ([]band, []Span) {
 	return bands, arena
 }
 
-// TransformBy returns the region mapped through a Manhattan transform.
-// Axis-preserving orientations (R0, R180 and the two mirrors) keep the
-// band structure and rewrite coordinates in place; the four 90°-rotating
-// orientations re-sweep the transformed rects.
+// TransformBy returns the region mapped through a Manhattan transform
+// (RegionStore.TransformBy on an empty store).
 func (r Region) TransformBy(t Transform) Region {
-	if t == Identity || r.Empty() {
-		return r
-	}
-	if negX, negY, ok := axisPreserving(t.Orient); ok {
-		return r.flip(negX, negY, t.Trans)
-	}
-	var out Region
-	r.rotate(t, func(sw *sweeper) { sw.materialize(&out) })
-	return out
-}
-
-// rotate sweeps r's rects mapped through the 90°-rotating transform t and
-// hands the staged result to emit before the sweeper returns to the pool.
-func (r Region) rotate(t Transform, emit func(*sweeper)) {
-	sw := getSweeper()
-	rects := sw.rects[:0]
-	for _, b := range r.bands {
-		for _, s := range b.spans {
-			rects = append(rects, t.ApplyRect(Rect{s.X1, b.y1, s.X2, b.y2}))
-		}
-	}
-	inner := getSweeper()
-	inner.fromRects(rects)
-	emit(inner)
-	putSweeper(inner)
-	sw.rects = rects
-	putSweeper(sw)
-}
-
-// fromRectsSub runs a FromRects sweep for a caller whose own pooled
-// sweeper holds the input rect scratch; the sweep borrows a second one.
-func fromRectsSub(dst *Region, rects []Rect) {
-	inner := getSweeper()
-	inner.fromRects(rects)
-	inner.materialize(dst)
-	putSweeper(inner)
-}
-
-// flip mirrors the region about the y axis (negX) and/or the x axis
-// (negY), then translates by d. Both mirrors preserve the slab structure:
-// negY reverses the band order, negX reverses each span list.
-func (r Region) flip(negX, negY bool, d Point) Region {
-	bands := make([]band, len(r.bands))
-	arena := make([]Span, r.NumRects())
-	copyAxisTransformed(bands, arena, r, negX, negY, d)
-	keepArenaRecoverable(bands, arena)
-	return Region{bands: bands}
+	var st RegionStore
+	return st.TransformBy(r, t)
 }
 
 // copyAxisTransformed writes r mapped through an axis-preserving
@@ -1206,29 +970,39 @@ func (st *RegionStore) Part(b0, b1, s0, s1 int) RegionStore {
 }
 
 // TransformBy returns r mapped through t with the result's storage drawn
-// from the store.
+// from the store. Axis-preserving orientations (R0, R180 and the two
+// mirrors) keep the band structure and rewrite coordinates; the four
+// 90°-rotating orientations re-sweep the transformed rects.
 func (st *RegionStore) TransformBy(r Region, t Transform) Region {
 	if t == Identity || r.Empty() {
 		return r
 	}
-	negX, negY, ok := axisPreserving(t.Orient)
-	if ok {
-		bands := st.takeBands(len(r.bands))
-		arena := st.takeSpans(r.NumRects())
+	var bands []band
+	var arena []Span
+	if negX, negY, ok := axisPreserving(t.Orient); ok {
+		bands = st.takeBands(len(r.bands))
+		arena = st.takeSpans(r.NumRects())
 		copyAxisTransformed(bands, arena, r, negX, negY, t.Trans)
-		return Region{bands: bands}
-	}
-	var out Region
-	r.rotate(t, func(sw *sweeper) {
-		bands := st.takeBands(len(sw.meta))
-		arena := st.takeSpans(len(sw.arena))
+	} else {
+		sw := getSweeper()
+		rects := sw.rects[:0]
+		for _, b := range r.bands {
+			for _, s := range b.spans {
+				rects = append(rects, t.ApplyRect(Rect{s.X1, b.y1, s.X2, b.y2}))
+			}
+		}
+		sw.rects = rects
+		sw.fromRects(rects)
+		bands = st.takeBands(len(sw.meta))
+		arena = st.takeSpans(len(sw.arena))
 		copy(arena, sw.arena)
 		for i, m := range sw.meta {
 			bands[i] = band{m.y1, m.y2, arena[m.lo:m.hi:m.hi]}
 		}
-		out.bands = bands
-	})
-	return out
+		putSweeper(sw)
+	}
+	keepArenaRecoverable(bands, arena)
+	return Region{bands: bands}
 }
 
 // ---- Morphology -------------------------------------------------------
@@ -1255,9 +1029,10 @@ func (r Region) DilateXY(dx, dy int64) Region {
 			rects = append(rects, Rect{s.X1 - dx, b.y1 - dy, s.X2 + dx, b.y2 + dy})
 		}
 	}
-	var out Region
-	fromRectsSub(&out, rects)
 	sw.rects = rects
+	sw.fromRects(rects)
+	var out Region
+	sw.materialize(&out)
 	putSweeper(sw)
 	return out
 }
@@ -1297,7 +1072,8 @@ func (r Region) Components() []Region {
 	if n == 0 {
 		return nil
 	}
-	uf := newUnionFind(n)
+	var uf UnionFind
+	uf.Reset(n)
 	// Within the canonical form, rects in the same band never touch, so it
 	// suffices to link rects of vertically adjacent bands whose x intervals
 	// overlap with positive length — a two-pointer walk per band seam.
@@ -1317,7 +1093,7 @@ func (r Region) Components() []Region {
 					j++
 					continue
 				}
-				uf.union(base+i, nextBase+j)
+				uf.Union(base+i, nextBase+j)
 				if sa.X2 <= sb.X2 {
 					i++
 				} else {
@@ -1338,7 +1114,7 @@ func (r Region) Components() []Region {
 	idx := 0
 	for _, b := range r.bands {
 		for range b.spans {
-			root := uf.find(idx)
+			root := uf.Find(idx)
 			if rootComp[root] < 0 {
 				rootComp[root] = int32(numComp)
 				numComp++
@@ -1395,21 +1171,36 @@ func (r Region) String() string {
 	return sb.String()
 }
 
-// unionFind is a tiny weighted union-find used for component labelling.
-type unionFind struct {
+// UnionFind is a size-weighted union-find with path halving over the
+// nodes 0..Len()-1. The zero value holds no nodes; Reset sizes it and
+// recycles its storage, so one instance can serve many builds.
+type UnionFind struct {
 	parent []int
-	rank   []int
+	size   []int
+	sets   int
 }
 
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
+// Reset makes u n singleton sets.
+func (u *UnionFind) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent = make([]int, n)
+		u.size = make([]int, n)
 	}
-	return uf
+	u.parent, u.size, u.sets = u.parent[:n], u.size[:n], n
+	for i := range u.parent {
+		u.parent[i] = i
+		u.size[i] = 1
+	}
 }
 
-func (u *unionFind) find(x int) int {
+// Len returns the number of nodes.
+func (u *UnionFind) Len() int { return len(u.parent) }
+
+// Sets returns the number of disjoint sets.
+func (u *UnionFind) Sets() int { return u.sets }
+
+// Find returns the root of x's set.
+func (u *UnionFind) Find(x int) int {
 	for u.parent[x] != x {
 		u.parent[x] = u.parent[u.parent[x]]
 		x = u.parent[x]
@@ -1417,16 +1208,16 @@ func (u *unionFind) find(x int) int {
 	return x
 }
 
-func (u *unionFind) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
+// Union merges the sets of a and b, hanging the smaller under the larger.
+func (u *UnionFind) Union(a, b int) {
+	ra, rb := u.Find(a), u.Find(b)
 	if ra == rb {
 		return
 	}
-	if u.rank[ra] < u.rank[rb] {
+	if u.size[ra] < u.size[rb] {
 		ra, rb = rb, ra
 	}
 	u.parent[rb] = ra
-	if u.rank[ra] == u.rank[rb] {
-		u.rank[ra]++
-	}
+	u.size[ra] += u.size[rb]
+	u.sets--
 }

@@ -127,13 +127,8 @@ func TestBulkUnionMatchesNaiveReference(t *testing.T) {
 		if !got.Equal(refFold(all)) {
 			t.Fatalf("trial %d: BulkUnion != fold reference", trial)
 		}
-		var into Region
-		BulkUnionInto(&into, regs)
-		if !into.Equal(got) {
-			t.Fatalf("trial %d: BulkUnionInto != BulkUnion", trial)
-		}
-		if !UnionRects(all).Equal(got) {
-			t.Fatalf("trial %d: UnionRects != BulkUnion", trial)
+		if !FromRects(all).Equal(got) {
+			t.Fatalf("trial %d: FromRects != BulkUnion", trial)
 		}
 	}
 }
@@ -155,7 +150,6 @@ func TestBinaryOpsMatchNaiveReference(t *testing.T) {
 			{"union", a.Union(b), func(x, y bool) bool { return x || y }},
 			{"intersect", a.Intersect(b), func(x, y bool) bool { return x && y }},
 			{"subtract", a.Subtract(b), func(x, y bool) bool { return x && !y }},
-			{"xor", a.Xor(b), func(x, y bool) bool { return x != y }},
 		}
 		for _, c := range cases {
 			checkCanonical(t, c.got)
@@ -187,19 +181,17 @@ func TestBinaryOpsMatchNaiveReference(t *testing.T) {
 			t.Fatalf("trial %d: aliased SubtractInto mismatch", trial)
 		}
 
-		// IntersectBounds must equal the materialized intersection's bounds.
+		// The unshifted bounds query must equal the materialized
+		// intersection's bounds.
 		wantB, wantOK := cases[1].got.Bounds(), !cases[1].got.Empty()
-		gotB, gotOK := IntersectBounds(a, b)
+		gotB, gotOK := IntersectBoundsShifted(a, b, Point{})
 		if gotOK != wantOK || (gotOK && gotB != wantB) {
-			t.Fatalf("trial %d: IntersectBounds = %v,%v want %v,%v", trial, gotB, gotOK, wantB, wantOK)
+			t.Fatalf("trial %d: IntersectBoundsShifted(a, b, 0) = %v,%v want %v,%v", trial, gotB, gotOK, wantB, wantOK)
 		}
 
-		// Overlaps / ContainsRegion agree with the materialized forms.
+		// Overlaps agrees with the materialized form.
 		if a.Overlaps(b) != wantOK {
 			t.Fatalf("trial %d: Overlaps disagrees with Intersect", trial)
-		}
-		if a.ContainsRegion(b) != b.Subtract(a).Empty() {
-			t.Fatalf("trial %d: ContainsRegion disagrees with Subtract", trial)
 		}
 	}
 }
@@ -266,7 +258,7 @@ func TestShiftedKernelsMatchTranslate(t *testing.T) {
 			t.Fatalf("trial %d: OverlapsShifted(b, a, %v) = %v, want %v", trial, d.Neg(), got, want)
 		}
 		gotB, gotOK := IntersectBoundsShifted(a, b, d)
-		if wantB, wantOK := IntersectBounds(a, moved); gotOK != wantOK || gotB != wantB {
+		if wantB, wantOK := IntersectBoundsShifted(a, moved, Point{}); gotOK != wantOK || gotB != wantB {
 			t.Fatalf("trial %d: IntersectBoundsShifted(a, b, %v) = %v,%v, want %v,%v", trial, d, gotB, gotOK, wantB, wantOK)
 		}
 		if got, want := RegionDistShifted(a, b, d), func() float64 { w, _, _ := RegionDist(a, moved); return w }(); got != want {
@@ -358,14 +350,6 @@ func TestBulkUnionAllocs(t *testing.T) {
 	if avg > 3 {
 		t.Fatalf("BulkUnion allocates %.1f/op, want <= 3 (2 + pool slack)", avg)
 	}
-	var dst Region
-	BulkUnionInto(&dst, regs)
-	avg = testing.AllocsPerRun(100, func() {
-		BulkUnionInto(&dst, regs)
-	})
-	if avg > 1 {
-		t.Fatalf("BulkUnionInto (warm dst) allocates %.1f/op, want <= 1", avg)
-	}
 }
 
 func TestDistanceAllocs(t *testing.T) {
@@ -377,7 +361,7 @@ func TestDistanceAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, func() {
 		_ = RegionOrthoDist(a, b)
 		_, _, _ = RegionDist(a, b)
-		_, _ = IntersectBounds(a, b)
+		_, _ = IntersectBoundsShifted(a, b, Point{})
 	})
 	if avg > 0 {
 		t.Fatalf("distance/bounds kernels allocate %.1f/op, want 0", avg)

@@ -70,10 +70,6 @@ func TestUnionOverlapArea(t *testing.T) {
 	if got := d.Area(); got != 75 {
 		t.Fatalf("difference area = %d, want 75", got)
 	}
-	x := a.Xor(b)
-	if got := x.Area(); got != 150 {
-		t.Fatalf("xor area = %d, want 150", got)
-	}
 }
 
 func TestSubtractSplitsBands(t *testing.T) {
@@ -247,7 +243,7 @@ func TestQuickOpeningClosingOrder(t *testing.T) {
 		d := int64(1 + r.Intn(4))
 		opening := a.Erode(d).Dilate(d)
 		closing := a.Dilate(d).Erode(d)
-		return a.ContainsRegion(opening) && closing.ContainsRegion(a)
+		return opening.Subtract(a).Empty() && a.Subtract(closing).Empty()
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Fatal(err)

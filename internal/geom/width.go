@@ -120,27 +120,6 @@ func SpacingViolations(a, b Region, s int64) []Rect {
 	return out
 }
 
-// NotchViolations returns internal spacing (notch) violations: places where
-// the complement of the region forms a slot narrower than s between parts
-// of the same region. Computed as width violations of the complement within
-// the bounds, clipped away from the outer frame.
-func NotchViolations(r Region, s int64) []Rect {
-	if s <= 0 || r.Empty() {
-		return nil
-	}
-	frame := r.Bounds().Expand(s + 1)
-	comp := FromRectR(frame).Subtract(r)
-	var out []Rect
-	for _, v := range WidthViolations(comp, s) {
-		// Ignore slivers that touch the artificial frame boundary.
-		if v.X1 <= frame.X1 || v.Y1 <= frame.Y1 || v.X2 >= frame.X2 || v.Y2 >= frame.Y2 {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
 func floorDiv2(v int64) int64 {
 	if v >= 0 {
 		return v / 2

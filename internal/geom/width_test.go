@@ -171,26 +171,6 @@ func TestSpacingViolations(t *testing.T) {
 	}
 }
 
-func TestNotchViolations(t *testing.T) {
-	// U-shape with a 4-wide slot; slot violates s=6, passes s=4.
-	u := FromRects([]Rect{
-		R(0, 0, 30, 10),
-		R(0, 10, 12, 30),
-		R(16, 10, 30, 30), // slot between x=12..16
-	})
-	if got := NotchViolations(u, 4); len(got) != 0 {
-		t.Fatalf("4-wide slot at s=4: %v, want none", got)
-	}
-	got := NotchViolations(u, 6)
-	if len(got) != 1 {
-		t.Fatalf("4-wide slot at s=6: %d violations, want 1 (%v)", len(got), got)
-	}
-	v := got[0]
-	if v.X1 > 12 || v.X2 < 16 {
-		t.Fatalf("notch violation %v does not cover the slot", v)
-	}
-}
-
 func TestSpacingEmptyAndZero(t *testing.T) {
 	a := FromRectR(R(0, 0, 10, 10))
 	if got := SpacingViolations(a, EmptyRegion(), 5); got != nil {

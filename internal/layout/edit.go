@@ -82,10 +82,14 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if len(e.Box) != 4 {
 			return fmt.Errorf("layout: edit add_box on %q: box needs [x1 y1 x2 y2], got %d values", e.Symbol, len(e.Box))
 		}
+		el := &Element{Kind: KindBox, Layer: layer, Box: geom.R(e.Box[0], e.Box[1], e.Box[2], e.Box[3]), Net: e.Net}
+		if err := el.CheckCoords(); err != nil {
+			return fmt.Errorf("layout: edit add_box on %q: %w", e.Symbol, err)
+		}
 		if err := d.checkGrowth(s, 0, 1, 0); err != nil {
 			return fmt.Errorf("layout: edit add_box on %q: %w", e.Symbol, err)
 		}
-		s.AddBox(layer, geom.R(e.Box[0], e.Box[1], e.Box[2], e.Box[3]), e.Net)
+		s.AddElement(el)
 	case OpAddWire:
 		layer, err := editLayer(tc, e)
 		if err != nil {
@@ -97,14 +101,18 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if e.Width <= 0 {
 			return fmt.Errorf("layout: edit add_wire on %q: width %d", e.Symbol, e.Width)
 		}
-		if err := d.checkGrowth(s, 0, 1, 0); err != nil {
-			return fmt.Errorf("layout: edit add_wire on %q: %w", e.Symbol, err)
-		}
 		pts := make([]geom.Point, len(e.Path)/2)
 		for i := range pts {
 			pts[i] = geom.Pt(e.Path[2*i], e.Path[2*i+1])
 		}
-		s.AddWire(layer, e.Width, e.Net, pts...)
+		el := &Element{Kind: KindWire, Layer: layer, Width: e.Width, Path: pts, Net: e.Net}
+		if err := el.CheckCoords(); err != nil {
+			return fmt.Errorf("layout: edit add_wire on %q: %w", e.Symbol, err)
+		}
+		if err := d.checkGrowth(s, 0, 1, 0); err != nil {
+			return fmt.Errorf("layout: edit add_wire on %q: %w", e.Symbol, err)
+		}
+		s.AddElement(el)
 	case OpDeleteElement:
 		i, err := editIndex(e, len(s.Elements), "element")
 		if err != nil {
@@ -121,6 +129,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		i, err := editIndex(e, len(s.Elements), "element")
 		if err != nil {
 			return err
+		}
+		if !movedInRange(s.Elements[i].Bounds(), e.DX, e.DY) {
+			return fmt.Errorf("layout: edit move_element on %q: %w: element %d moved by (%d,%d) leaves ±%d", e.Symbol, ErrTooLarge, i, e.DX, e.DY, MaxCoord)
 		}
 		moveElement(s.Elements[i], e.DX, e.DY)
 		// A move is the one edit whose effect is bounded by the element's
@@ -144,6 +155,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 			// fails), so reject it here where the edit is still atomic.
 			return fmt.Errorf("layout: edit add_call: %q -> %q would create a call cycle", e.Symbol, e.Target)
 		}
+		if err := CheckOffset(geom.Pt(e.DX, e.DY)); err != nil {
+			return fmt.Errorf("layout: edit add_call: %q -> %q: %w", e.Symbol, e.Target, err)
+		}
 		inst, elems, height := flatSize(target, make(map[*Symbol][3]int64))
 		if err := d.checkGrowth(s, inst, elems, height); err != nil {
 			return fmt.Errorf("layout: edit add_call: %q -> %q: %w", e.Symbol, e.Target, err)
@@ -162,6 +176,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 			return err
 		}
 		c := s.Calls[i]
+		if !movedInRange(geom.Rect{X1: c.T.Trans.X, Y1: c.T.Trans.Y, X2: c.T.Trans.X, Y2: c.T.Trans.Y}, e.DX, e.DY) {
+			return fmt.Errorf("layout: edit move_call on %q: %w: call %d moved by (%d,%d) leaves ±%d", e.Symbol, ErrTooLarge, i, e.DX, e.DY, MaxCoord)
+		}
 		c.T.Trans.X += e.DX
 		c.T.Trans.Y += e.DY
 		s.Touch()

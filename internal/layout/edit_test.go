@@ -2,6 +2,8 @@ package layout
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -173,6 +175,53 @@ func TestEditJSONRoundTrip(t *testing.T) {
 	for i := range back {
 		if back[i].Op != edits[i].Op || back[i].Symbol != edits[i].Symbol || back[i].Index != edits[i].Index {
 			t.Fatalf("round trip changed edit %d: %+v vs %+v", i, back[i], edits[i])
+		}
+	}
+}
+
+// TestEditCoordinateBound pins the coordinate bound on every edit that
+// places geometry: a box or wire past ±MaxCoord (a wire's half-width
+// included), a move that would leave it or wrap, and a call offset past it
+// are refused as too large and leave the design as it was; geometry
+// exactly at the bound is accepted.
+func TestEditCoordinateBound(t *testing.T) {
+	const m = MaxCoord
+	refused := []struct {
+		name string
+		e    Edit
+	}{
+		{"box at ±2^62", Edit{Op: OpAddBox, Symbol: "top", Layer: tech.NMOSMetal, Box: []int64{-1 << 62, -1 << 62, 1 << 62, 1 << 62}}},
+		{"box at the int64 limits", Edit{Op: OpAddBox, Symbol: "top", Layer: tech.NMOSMetal, Box: []int64{math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64}}},
+		{"box one past", Edit{Op: OpAddBox, Symbol: "top", Layer: tech.NMOSMetal, Box: []int64{0, 0, m + 1, 10}}},
+		{"wire half-width past", Edit{Op: OpAddWire, Symbol: "top", Layer: tech.NMOSMetal, Width: 200, Path: []int64{0, 0, m, 0}}},
+		{"wire width past", Edit{Op: OpAddWire, Symbol: "top", Layer: tech.NMOSMetal, Width: m + 1, Path: []int64{0, 0, 0, 0}}},
+		{"move by MaxInt64", Edit{Op: OpMoveElement, Symbol: "top", Index: 0, DX: math.MaxInt64}},
+		{"move by MinInt64", Edit{Op: OpMoveElement, Symbol: "top", Index: 1, DY: math.MinInt64}},
+		{"move past", Edit{Op: OpMoveElement, Symbol: "top", Index: 0, DX: m}},
+		{"call offset past", Edit{Op: OpAddCall, Symbol: "top", Target: "leaf", DX: m + 1}},
+		{"call move by MaxInt64", Edit{Op: OpMoveCall, Symbol: "top", Index: 0, DY: math.MaxInt64}},
+		{"call move past", Edit{Op: OpMoveCall, Symbol: "top", Index: 0, DX: m}},
+	}
+	d, tc := editDesign(t)
+	before := d.ContentHashes()[d.Top]
+	for _, c := range refused {
+		if err := ApplyEdit(d, tc, c.e); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: err = %v, want ErrTooLarge", c.name, err)
+		}
+	}
+	if d.ContentHashes()[d.Top] != before {
+		t.Fatal("refused edits mutated the design")
+	}
+	accepted := []Edit{
+		{Op: OpAddBox, Symbol: "top", Layer: tech.NMOSMetal, Box: []int64{-m, -m, m, m}},
+		{Op: OpAddWire, Symbol: "top", Layer: tech.NMOSMetal, Width: 200, Path: []int64{0, 0, m - 100, 0}},
+		{Op: OpMoveElement, Symbol: "top", Index: -1, DX: -m + 100},
+		{Op: OpAddCall, Symbol: "top", Target: "leaf", DX: -m, DY: m},
+		{Op: OpMoveCall, Symbol: "top", Index: -1, DX: 2 * m, DY: -2 * m},
+	}
+	for _, e := range accepted {
+		if err := ApplyEdit(d, tc, e); err != nil {
+			t.Errorf("%s: %v", e.Op, err)
 		}
 	}
 }

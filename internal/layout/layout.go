@@ -91,6 +91,59 @@ func (e *Element) Region() (geom.Region, error) {
 	return geom.Region{}, fmt.Errorf("layout: unknown element kind %d", e.Kind)
 }
 
+// MaxCoord bounds the coordinates a design holds, in centimicrons: 2^30,
+// about 10 m. Every element's bounds (a wire's half-width included), every
+// wire width and every call offset lie within ±MaxCoord, so an element
+// spans less than 2^31 on each axis and an own-geometry area stays below
+// 2^62. cif.Parse and ApplyEdit refuse a result outside it (ErrTooLarge).
+const MaxCoord = 1 << 30
+
+// inCoordRange reports whether every value lies within ±MaxCoord.
+func inCoordRange(vs ...int64) bool {
+	for _, v := range vs {
+		if v < -MaxCoord || v > MaxCoord {
+			return false
+		}
+	}
+	return true
+}
+
+// movedInRange reports whether b moved by (dx, dy) lies within ±MaxCoord,
+// for a b that does: a larger move is refused before it can wrap.
+func movedInRange(b geom.Rect, dx, dy int64) bool {
+	return inCoordRange(dx/2, dy/2) && inCoordRange(b.X1+dx, b.Y1+dy, b.X2+dx, b.Y2+dy)
+}
+
+// CheckCoords refuses an element with a coordinate, a width or bounds
+// outside ±MaxCoord. The error wraps ErrTooLarge.
+func (e *Element) CheckCoords() error {
+	ok := inCoordRange(e.Width, e.Box.X1, e.Box.Y1, e.Box.X2, e.Box.Y2)
+	for _, pts := range [2][]geom.Point{e.Path, e.Poly} {
+		for _, p := range pts {
+			ok = ok && inCoordRange(p.X, p.Y)
+		}
+	}
+	if ok {
+		// With every coordinate and the width in range the bounds cannot
+		// wrap, but a wire's may still pass the bound by its half-width.
+		b := e.Bounds()
+		ok = inCoordRange(b.X1, b.Y1, b.X2, b.Y2)
+	}
+	if !ok {
+		return fmt.Errorf("layout: %w: %s outside ±%d", ErrTooLarge, e.Kind, MaxCoord)
+	}
+	return nil
+}
+
+// CheckOffset refuses a call offset outside ±MaxCoord. The error wraps
+// ErrTooLarge.
+func CheckOffset(d geom.Point) error {
+	if !inCoordRange(d.X, d.Y) {
+		return fmt.Errorf("layout: %w: call offset %v outside ±%d", ErrTooLarge, d, MaxCoord)
+	}
+	return nil
+}
+
 // Bounds returns the element's bounding box without materializing a region.
 func (e *Element) Bounds() geom.Rect {
 	switch e.Kind {
@@ -375,8 +428,8 @@ const maxFlat = 1 << 22
 const maxDepth = 1 << 10
 
 // ErrTooLarge is wrapped by every error that refuses a design, or an edit,
-// for flattening to more than maxFlat instances or elements, or for
-// nesting deeper than maxDepth.
+// for flattening to more than maxFlat instances or elements, for nesting
+// deeper than maxDepth, or for a coordinate outside ±MaxCoord.
 var ErrTooLarge = errors.New("design too large")
 
 // errTooDeep is the refusal of a design or an edit past maxDepth.

@@ -548,7 +548,7 @@ type Cache struct {
 	// Reusable per-build scratch: the union-find and classification
 	// working arrays are dead the moment a build returns, so one buffer
 	// serves every build (the Cache is single-threaded by contract).
-	ufScratch    uf
+	ufScratch    geom.UnionFind
 	classScratch []int32 // union-find root -> class+1
 	nodeClass    []int32 // union-find node -> class
 	instScratch  []Instance
@@ -1141,7 +1141,7 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 	art := &SymbolArtifacts{Sym: s, Hash: h}
 	u, pending := c.populate(art, s, hs, tc)
 	for _, pu := range pending {
-		u.union(pu[0], pu[1])
+		u.Union(pu[0], pu[1])
 	}
 	levelIllegal := c.connectSweep(art, u)
 	nodeClass := c.classify(art, u, c.spareClassOf)
@@ -1204,7 +1204,7 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 // child partitions, plus pending unions (device-internal node fusing).
 // Embedded items and footprints are not copied: spans record offsets and
 // the accessors resolve entries straight out of the shared span cache.
-func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) (*uf, [][2]int) {
+func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) (*geom.UnionFind, [][2]int) {
 	var pending [][2]int
 	if s.IsPrimitive() {
 		info, _ := c.Analyze(s, hs[s].Own, tc)
@@ -1677,19 +1677,9 @@ func shards(n, workers, most int) int {
 }
 
 // takeUF hands out the cache's reusable union-find sized for n nodes.
-func (c *Cache) takeUF(n int) *uf {
-	u := &c.ufScratch
-	if cap(u.parent) < n {
-		u.parent = make([]int, n)
-		u.size = make([]int, n)
-	}
-	u.parent = u.parent[:n]
-	u.size = u.size[:n]
-	for i := 0; i < n; i++ {
-		u.parent[i] = i
-		u.size[i] = 1
-	}
-	return u
+func (c *Cache) takeUF(n int) *geom.UnionFind {
+	c.ufScratch.Reset(n)
+	return &c.ufScratch
 }
 
 // footNode returns the union-find node of footprint f while the artifact
@@ -1716,14 +1706,8 @@ func (a *SymbolArtifacts) footNode(f int) int {
 // labels the classes exactly as a pass over every footprint would, and the
 // first node of a class holds the class's first footprint. out is an
 // optional recycled ClassOf buffer.
-func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
-	nNodes, nFoots := len(u.parent), art.NumFoots()
-	numClasses := 0
-	for i, p := range u.parent {
-		if p == i {
-			numClasses++
-		}
-	}
+func (c *Cache) classify(art *SymbolArtifacts, u *geom.UnionFind, out []int) []int32 {
+	nNodes, nFoots, numClasses := u.Len(), art.NumFoots(), u.Sets()
 	if cap(c.classScratch) < nNodes {
 		c.classScratch = make([]int32, nNodes)
 		c.nodeClass = make([]int32, nNodes)
@@ -1734,7 +1718,7 @@ func (c *Cache) classify(art *SymbolArtifacts, u *uf, out []int) []int32 {
 	}
 	classFoot := make([]int, 0, numClasses)
 	label := func(node, firstFoot int) {
-		root := u.find(node)
+		root := u.Find(node)
 		cl := rootToClass[root]
 		if cl == 0 {
 			classFoot = append(classFoot, firstFoot)
@@ -1928,7 +1912,7 @@ const bipartiteThreshold = 256
 // Connected pairs are unioned; touching-but-unconnected pairs are returned
 // as illegal-connection candidates in canonical (low foot, high foot)
 // orientation.
-func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
+func (c *Cache) connectSweep(art *SymbolArtifacts, u *geom.UnionFind) [][2]int {
 	var illegal [][2]int
 	if art.NumFoots() < 2 {
 		return nil
@@ -1949,7 +1933,7 @@ func (c *Cache) connectSweep(art *SymbolArtifacts, u *uf) [][2]int {
 		sa, oa := art.footSkel(i)
 		sb, ob := art.footSkel(j)
 		if geom.OverlapsShifted(sa, sb, ob.Sub(oa)) {
-			u.union(art.footNode(i), art.footNode(j))
+			u.Union(art.footNode(i), art.footNode(j))
 		} else {
 			illegal = append(illegal, [2]int{i, j})
 		}

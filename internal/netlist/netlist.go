@@ -399,29 +399,3 @@ func dedupeStrings(ss []string) []string {
 	}
 	return out
 }
-
-// uf is a weighted quick-union structure.
-type uf struct {
-	parent []int
-	size   []int
-}
-
-func (u *uf) find(x int) int {
-	for u.parent[x] != x {
-		u.parent[x] = u.parent[u.parent[x]]
-		x = u.parent[x]
-	}
-	return x
-}
-
-func (u *uf) union(a, b int) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if u.size[ra] < u.size[rb] {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-	u.size[ra] += u.size[rb]
-}

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -10,6 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cif"
+	"repro/internal/layout"
+	"repro/internal/tech"
 	"repro/internal/workload"
 )
 
@@ -279,5 +285,63 @@ func TestDoublingCIF413(t *testing.T) {
 	text, _ := cmosCIF(t, 1, 2)
 	if _, err := c.SessionCreate(context.Background(), CreateRequest{Name: "after", CIF: text, Tech: "cmos"}); err != nil {
 		t.Fatalf("create after the refusal: %v", err)
+	}
+}
+
+// TestCoordinateBoundProbes replays, on a 2×2 nMOS chip, the three edits
+// that drew false verdicts before coordinates were bounded: a metal box at
+// ±2^62 (its area wrapped to an island below the minimum), a box at the
+// int64 limits (a width violation at [0,0 -1,-1]) and a move by MaxInt64
+// (the VDD trunk wrapped across the plane, opening VDD). Each batch
+// answers 400 with its valid first edit applied, the report afterwards
+// is the chip's own, and a CIF holding such a box is refused at create as
+// too large.
+func TestCoordinateBoundProbes(t *testing.T) {
+	tc := tech.NMOS()
+	text, err := cif.Write(workload.NewChipUnique(tc, "chip", 2, 2).Design, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, c := newTestServer(t, Config{Debounce: time.Hour})
+	ctx := context.Background()
+	created, err := c.SessionCreate(ctx, CreateRequest{Name: "probe", CIF: text, Tech: "nmos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := map[string]layout.Edit{
+		"box at ±2^62":          {Op: layout.OpAddBox, Symbol: "chip", Layer: tech.NMOSMetal, Box: []int64{-1 << 62, -1 << 62, 1 << 62, 1 << 62}},
+		"box at the int64 ends": {Op: layout.OpAddBox, Symbol: "chip", Layer: tech.NMOSMetal, Box: []int64{math.MinInt64, math.MinInt64, math.MaxInt64, math.MaxInt64}},
+		"move by MaxInt64":      {Op: layout.OpMoveElement, Symbol: "chip", Index: 0, DX: math.MaxInt64},
+	}
+	nudge := layout.Edit{Op: layout.OpMoveElement, Symbol: "chip", Index: 1, DX: 10}
+	for name, probe := range probes {
+		body, _ := json.Marshal(EditRequest{Edits: []layout.Edit{nudge, probe}})
+		resp, err := http.Post(c.BaseURL+"/v1/sessions/"+created.ID+"/edits", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er EditResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || er.Applied != 1 || !strings.Contains(er.Error, layout.ErrTooLarge.Error()) {
+			t.Fatalf("%s: got %d %+v (%v), want 400 with 1 applied and a too-large error", name, resp.StatusCode, er, err)
+		}
+		undo := nudge
+		undo.DX = -nudge.DX
+		if _, err := c.SessionEdit(ctx, created.ID, []layout.Edit{undo}); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := c.SessionReport(ctx, created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Fingerprint != created.Report.Fingerprint {
+			t.Fatalf("%s: report after the refusal differs from the chip's: %+v", name, rep.Violations)
+		}
+	}
+	huge := strings.Replace(text, "DF;", "L NM; B 2147483650 10 0 0; DF;", 1)
+	_, err = c.SessionCreate(ctx, CreateRequest{Name: "huge", CIF: huge, Tech: "nmos"})
+	if apiErr := apiStatus(t, err); apiErr.Status != http.StatusRequestEntityTooLarge || apiErr.Class != ClassTooLarge {
+		t.Fatalf("out-of-bound CIF: got %d/%s, want 413/%s", apiErr.Status, apiErr.Class, ClassTooLarge)
 	}
 }

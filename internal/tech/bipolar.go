@@ -11,8 +11,9 @@ package tech
 // argument for device-aware checking.
 //
 // The process is defined by decks/bipolar.deck; Bipolar is a thin loader
-// over the embedded text, and bipolarFromCode (legacy_test.go) is the
-// retained reference constructor for the deck-parity tests.
+// over the embedded text. Its checking behaviour is pinned by the bipolar
+// designs in internal/core/testdata/fingerprints.golden, and its deck form
+// by TestToDeckRoundTrip.
 
 // Bipolar layer name constants.
 const (

@@ -48,17 +48,6 @@ func techEqual(t *testing.T, label string, a, b *Technology) {
 	}
 }
 
-// TestDeckParityNMOS locks the refactor's central invariant: the embedded
-// nmos.deck compiles to exactly the technology the legacy Go constructor
-// built.
-func TestDeckParityNMOS(t *testing.T) {
-	techEqual(t, "nmos", nmosFromCode(), NMOS())
-}
-
-func TestDeckParityBipolar(t *testing.T) {
-	techEqual(t, "bipolar", bipolarFromCode(), Bipolar())
-}
-
 // TestToDeckRoundTrip: code → deck → code reproduces the technology, and
 // writing the generated deck re-parses to the same technology.
 func TestToDeckRoundTrip(t *testing.T) {

@@ -4,10 +4,9 @@ package tech
 // paper (Figures 7, 8, 11, 12, 14). λ = 250 centimicrons (2.5 µm process).
 //
 // The process is defined by decks/nmos.deck; NMOS is a thin loader over
-// the embedded deck text. The original hand-built constructor,
-// nmosFromCode in legacy_test.go, is the reference the deck-parity tests
-// compare against: the deck-loaded technology must be deep-equal to it,
-// and a checked chip's fingerprint must be byte-identical either way.
+// the embedded deck text. Its checking behaviour is pinned by the nMOS
+// designs in internal/core/testdata/fingerprints.golden, and its deck form
+// by TestToDeckRoundTrip.
 
 // nMOS layer name constants (human names).
 const (
