@@ -9,7 +9,7 @@
 //
 //	-tech nmos|cmos|bipolar  workload family and technology (default nmos)
 //	-deck FILE  load the technology from a rule deck instead of the
-//	            registry; it must stay layer- and device-compatible with
+//	            shipped one; it must stay layer- and device-compatible with
 //	            the -tech workload family (e.g. an edited nmos.deck)
 //	-rows N     rows of cells (default 4)
 //	-cols N     columns of cells (default 5; pair count for bipolar)

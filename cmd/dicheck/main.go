@@ -10,7 +10,7 @@
 //	dicheck -validate rules.deck...
 //	dicheck -serve URL [-session NAME] [-edits FILE] [layout.cif]
 //
-//	-tech NAME           registered technology (default nmos; see -tech help)
+//	-tech NAME           shipped technology (default nmos; see -tech help)
 //	-deck FILE           load the technology from a rule deck instead
 //	-validate            validate rule decks given as arguments and exit
 //	-flat                run only the traditional baseline
@@ -333,16 +333,11 @@ func validateDecks(files []string) int {
 			code = 1
 			continue
 		}
-		probs := tech.ValidateDeck(d, device.Classes())
+		_, probs, err := tech.FromDeck(d, device.Classes())
 		for _, p := range probs {
 			fmt.Printf("%s: %v\n", path, p)
 		}
-		if len(deck.Errors(probs)) > 0 {
-			code = 1
-			continue
-		}
-		if _, err := tech.FromDeck(d); err != nil {
-			fmt.Printf("%s: %v\n", path, err)
+		if err != nil {
 			code = 1
 			continue
 		}

@@ -7,16 +7,23 @@ import (
 
 	dic "repro"
 	"repro/internal/deck"
-	"repro/internal/tech"
 )
 
-// TestLoadDeckRoundTrip exercises the public deck path end to end: render
-// the shipped CMOS technology back to deck text, load it from disk with
-// LoadDeck, and demand a byte-identical report fingerprint for a checked
-// chip — a user-authored deck file is a first-class technology.
+// TestLoadDeckRoundTrip exercises the public deck path end to end: parse
+// the shipped CMOS deck, write it back out in canonical form, load that
+// file with LoadDeck, and demand a byte-identical report fingerprint for a
+// checked chip — a user-authored deck file is a first-class technology.
 func TestLoadDeckRoundTrip(t *testing.T) {
+	src, err := os.ReadFile("internal/tech/decks/cmos.deck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := deck.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(t.TempDir(), "cmos-copy.deck")
-	if err := os.WriteFile(path, []byte(deck.Write(tech.ToDeck(dic.CMOS()))), 0o666); err != nil {
+	if err := os.WriteFile(path, []byte(deck.Write(d)), 0o666); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := dic.LoadDeck(path)

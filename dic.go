@@ -134,54 +134,49 @@ const (
 )
 
 // NMOS returns the λ=250 silicon-gate nMOS technology (Mead–Conway style).
+// Each shipped technology is built from its embedded rule deck once per
+// process; every caller shares the one immutable value.
 func NMOS() *Technology { return tech.NMOS() }
 
 // Bipolar returns the simplified bipolar technology of Figure 6.
 func Bipolar() *Technology { return tech.Bipolar() }
 
-// CMOS returns the λ=100 Mead–Conway-style p-well CMOS technology. The
-// process is defined entirely by its embedded rule deck — there is no Go
-// constructor behind it.
+// CMOS returns the λ=100 Mead–Conway-style p-well CMOS technology.
 func CMOS() *Technology { return tech.CMOS() }
 
-// Technologies returns the names of the registered technologies.
+// Technologies returns the names of the shipped technologies.
 func Technologies() []string { return tech.Names() }
 
-// LoadDeck reads, validates, and compiles a rule-deck file into a
-// Technology ready for checking. Validation covers the deck's semantics
-// against this build's device classes here; FromDeck checks the structure
-// (duplicate layers, asymmetric interaction cells, dangling references,
-// roles). The first error aborts the load. See the README for the deck
-// format.
+// LoadDeck reads, validates, and builds a rule-deck file into a
+// Technology ready for checking. Validation runs once, against this
+// build's device classes: structure (duplicate layers, asymmetric
+// interaction cells, dangling references, roles) and semantics. The first
+// error aborts the load. See the README for the deck format.
 func LoadDeck(path string) (*Technology, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	d, err := deck.Parse(string(src))
+	tc, err := tech.LoadDeck(string(src), device.Classes())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dic: deck %s: %w", path, err)
 	}
-	probs := tech.ValidateDeck(d, device.Classes())
-	if errs := deck.Errors(probs); len(errs) > 0 {
-		return nil, fmt.Errorf("dic: deck %s: %v (%d problems total)", path, errs[0], len(probs))
-	}
-	return tech.FromDeck(d)
+	return tc, nil
 }
 
 // ResolveTechnology resolves a tool's technology selection the way the
 // shipped commands do: a non-empty deckPath loads that rule deck via
-// LoadDeck; otherwise name must be registered, and the error for an
+// LoadDeck; otherwise name must be a shipped technology, and the error for an
 // unknown name lists the valid ones.
 func ResolveTechnology(name, deckPath string) (*Technology, error) {
 	if deckPath != "" {
 		return LoadDeck(deckPath)
 	}
-	fn, ok := tech.ByName(name)
+	tc, ok := tech.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown technology %q (valid: %s)", name, strings.Join(tech.Names(), ", "))
 	}
-	return fn(), nil
+	return tc, nil
 }
 
 // ParseCIF reads extended CIF text into a design.

@@ -81,8 +81,13 @@ func TestParseSample(t *testing.T) {
 
 func TestParseCheckedDevice(t *testing.T) {
 	src := `DS 1; 9 odd; 9D special-dev CHK; L ND; B 100 100 0 0; DF; E`
-	tc := tech.NMOS()
-	tc.AddDevice("special-dev", tech.DeviceSpec{Class: "resistor"})
+	tc, err := tech.LoadDeck(`tech special
+layer diffusion cif=ND role=diffusion width=100
+device special-dev class=resistor
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d, err := Parse(src, tc, "x")
 	if err != nil {
 		t.Fatal(err)
@@ -175,6 +180,23 @@ func TestParseDSScale(t *testing.T) {
 	// Non-divisible scale must fail.
 	if _, err := Parse(`DS 1 1 3; L ND; B 100 100 50 50; DF; E`, tech.NMOS(), "x"); err == nil {
 		t.Fatal("non-divisible scale should error")
+	}
+}
+
+// TestParseDSScaleCallOffset: inside DS n a b a call's T offset is a
+// distance and scales like the element coordinates; an offset the scale
+// cannot divide exactly is refused.
+func TestParseDSScaleCallOffset(t *testing.T) {
+	d, err := Parse(`DS 1 100 1; L NM; B 4 4 2 2; DF; DS 2 100 1; C 1 T 10 0; DF; E`, tech.NMOS(), "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := d.Symbol("S2")
+	if len(s.Calls) != 1 || s.Calls[0].T.Trans != geom.Pt(1000, 0) {
+		t.Fatalf("scaled call = %+v, want offset (1000,0)", s.Calls)
+	}
+	if _, err := Parse(`DS 1; L NM; B 4 4 2 2; DF; DS 2 1 3; C 1 T 10 0; DF; E`, tech.NMOS(), "x"); err == nil {
+		t.Fatal("non-divisible call offset should error")
 	}
 }
 

@@ -231,7 +231,7 @@ func (p *parser) call(f []string) error {
 	if err != nil {
 		return &SyntaxError{Msg: "bad call symbol number"}
 	}
-	t, err := parseTransform(f[1:])
+	t, err := p.transform(f[1:])
 	if err != nil {
 		return err
 	}
@@ -251,9 +251,11 @@ func (p *parser) call(f []string) error {
 	return nil
 }
 
-// parseTransform folds a CIF transform item list (applied in order) into a
-// single Manhattan transform.
-func parseTransform(f []string) (geom.Transform, error) {
+// transform folds a CIF transform item list (applied in order) into a
+// single Manhattan transform. Inside a DS definition a T offset is a
+// distance like any other and takes the definition's scale; rotation
+// vectors are directions and do not.
+func (p *parser) transform(f []string) (geom.Transform, error) {
 	total := geom.Identity
 	i := 0
 	num := func() (int64, error) {
@@ -278,6 +280,12 @@ func parseTransform(f []string) (geom.Transform, error) {
 			}
 			y, err := num()
 			if err != nil {
+				return total, err
+			}
+			if x, err = p.scale(x); err != nil {
+				return total, err
+			}
+			if y, err = p.scale(y); err != nil {
 				return total, err
 			}
 			// Past the bound an offset is refused anyway; a sum of bounded

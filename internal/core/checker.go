@@ -169,7 +169,6 @@ func Check(d *layout.Design, tc *tech.Technology, opts Options) (*Report, error)
 type checker struct {
 	design *layout.Design
 	tech   *tech.Technology
-	ct     *tech.Compiled // frozen rule table; hot paths never touch the maps
 	opts   Options
 	rep    *Report
 

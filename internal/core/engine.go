@@ -62,7 +62,6 @@ import (
 // the engine's caches; treat them as immutable.
 type Engine struct {
 	tc   *tech.Technology
-	ct   *tech.Compiled
 	opts Options
 
 	cache *netlist.Cache
@@ -238,7 +237,7 @@ type EngineStats struct {
 // option set. Options are captured by value; construct a new engine to
 // check under different options.
 func NewEngine(tc *tech.Technology, opts Options) *Engine {
-	return &Engine{tc: tc, ct: tc.Compile(), opts: opts, cache: netlist.NewCache()}
+	return &Engine{tc: tc, opts: opts, cache: netlist.NewCache()}
 }
 
 // Stats returns cache-effectiveness counters for the most recent run.
@@ -309,7 +308,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stats.Rehashed = len(rehashed)
 
 	rep := &Report{Design: d, Tech: e.tc}
-	c := &checker{design: d, tech: e.tc, ct: e.ct, opts: e.opts, rep: rep}
+	c := &checker{design: d, tech: e.tc, opts: e.opts, rep: rep}
 
 	// stage runs one pipeline stage unless the context has expired; the
 	// first expiry observed suppresses every following stage so the run
@@ -433,7 +432,7 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layou
 		}
 		r := e.own(hashes[s].Own)
 		if r.rules == nil {
-			vs, checks := layerRuleChecks(s, e.tc, e.ct)
+			vs, checks := layerRuleChecks(s, e.tc)
 			r.rules = &ruleEntry{vs: vs, checks: checks}
 		}
 		ent := r.rules
@@ -592,7 +591,7 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 			endpoints++
 		}
 	}
-	art.CrossItemPairs(maxGap, e.ct.Interacts, func(i, j int) {
+	art.CrossItemPairs(maxGap, e.tc.Interacts, func(i, j int) {
 		if i > j {
 			i, j = j, i
 		}
@@ -978,13 +977,13 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 			return r, nil
 		}
 	}
-	maxGap := e.ct.MaxSpacing()
+	maxGap := e.tc.MaxSpacing()
 
 	facts := newNetFacts(inc.Netlist)
 
 	var keep keepLayers
-	keep.cutID, keep.hasCut = e.ct.Cut()
-	keep.isoID, keep.hasIso = e.ct.Isolation()
+	keep.cutID, keep.hasCut = e.tc.Cut()
+	keep.isoID, keep.hasIso = e.tc.Isolation()
 	// With no gates or base keepouts anywhere on the chip no definition
 	// can hold a keepout pair (a tally only ever counts real pairs).
 	keep.hasCut = keep.hasCut && len(inc.Gates) > 0
@@ -994,7 +993,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// per-definition candidate sweeps (CrossItemPairs plus the keepout
 	// probes) are the stage's dominant cost on a cold or heavily edited
 	// run, and they are independent across definitions — they read only
-	// immutable artifacts and the compiled technology. A warm run lacks
+	// immutable artifacts and the technology. A warm run lacks
 	// only the re-derived definitions'. Every instance counts one build,
 	// the first to reach its definition, or one reuse.
 	workers := e.opts.workerCount()
@@ -1172,21 +1171,21 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 	// cut/isolation geometry; a moved item on those layers would
 	// invalidate them. The netlist patch only moves foot-backed
 	// interconnect, so in practice this never trips.
-	if cutID, ok := e.ct.Cut(); ok {
+	if cutID, ok := e.tc.Cut(); ok {
 		for _, gi := range moved {
 			if art.ItemLayer(gi) == cutID {
 				return false
 			}
 		}
 	}
-	if isoID, ok := e.ct.Isolation(); ok {
+	if isoID, ok := e.tc.Isolation(); ok {
 		for _, gi := range moved {
 			if art.ItemLayer(gi) == isoID {
 				return false
 			}
 		}
 	}
-	maxGap := e.ct.MaxSpacing()
+	maxGap := e.tc.MaxSpacing()
 	env := &pairEnv{di: di, facts: r.facts}
 
 	movedL := make(map[int]bool, len(moved)) // local item-table indices
@@ -1211,7 +1210,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 		pr := &di.pairs[i]
 		if movedL[pr.a] || movedL[pr.b] {
 			g := defPairGeom{p: pr, opts: &e.opts, off: di.itemOff}
-			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pr.a), di.itemAt(pr.b), env, &g, &oldT)
+			adjudicatePair(e.tc, e.opts, di.itemAt(pr.a), di.itemAt(pr.b), env, &g, &oldT)
 			continue
 		}
 		di.pairs[n] = *pr
@@ -1238,7 +1237,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 		probe := art.ItemBounds(gi).Expand(maxGap)
 		art.Near(probe, -1, func(gj int, lj tech.LayerID, _ geom.Rect) {
 			// Moved-moved pairs are emitted once, by the lower index.
-			if gj == gi || (movedG[gj] && gj < gi) || !e.ct.Interacts(la, lj) {
+			if gj == gi || (movedG[gj] && gj < gi) || !e.tc.Interacts(la, lj) {
 				return
 			}
 			i, j := gi, gj
@@ -1253,7 +1252,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 			}
 			pr := defPair{a: pa, b: pb}
 			g := defPairGeom{p: &pr, opts: &e.opts, off: di.itemOff}
-			adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(pa), di.itemAt(pb), env, &g, t)
+			adjudicatePair(e.tc, e.opts, di.itemAt(pa), di.itemAt(pb), env, &g, t)
 			di.pairs = append(di.pairs, pr)
 		})
 	}
@@ -1367,7 +1366,7 @@ func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interact
 	for i := range di.pairs {
 		p := &di.pairs[i]
 		g.p = p
-		adjudicatePair(e.tc, e.ct, e.opts, di.itemAt(p.a), di.itemAt(p.b), &env, &g, t)
+		adjudicatePair(e.tc, e.opts, di.itemAt(p.a), di.itemAt(p.b), &env, &g, t)
 	}
 	return t
 }

@@ -118,15 +118,15 @@ type interactionTally struct {
 // answers come from env and the memoized measurements from g, so the same
 // logic — and therefore byte-identical reports — serves the engine's
 // definition-level tallies and its root-frame patch.
-func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *netlist.ConnItem, env *pairEnv, g *defPairGeom, t *interactionTally) {
+func adjudicatePair(tc *tech.Technology, opts Options, a, b *netlist.ConnItem, env *pairEnv, g *defPairGeom, t *interactionTally) {
 	t.InteractionCandidates++
 	sameDevice := a.Dev >= 0 && a.Dev == b.Dev
 
 	// Accidental transistor (Figure 8): poly over any diffusion-role layer
 	// outside a single declared device. Implicit devices are not allowed.
-	polyID, hasPoly := ct.Poly()
+	polyID, hasPoly := tc.Poly()
 	if hasPoly && !sameDevice &&
-		((a.Layer == polyID && ct.IsDiffusion(b.Layer)) || (ct.IsDiffusion(a.Layer) && b.Layer == polyID)) {
+		((a.Layer == polyID && tc.IsDiffusion(b.Layer)) || (tc.IsDiffusion(a.Layer) && b.Layer == polyID)) {
 		if a.Bounds.Overlaps(b.Bounds) {
 			t.checks++
 			if ovb, ok := g.accOverlapBounds(a, b); ok {
@@ -145,7 +145,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 		}
 	}
 
-	rule := ct.Rule(a.Layer, b.Layer)
+	rule := tc.Rule(a.Layer, b.Layer)
 	if rule.DiffNet == 0 && rule.SameNet == 0 {
 		t.SkippedNoRule++
 		return
@@ -190,7 +190,7 @@ func adjudicatePair(tc *tech.Technology, ct *tech.Compiled, opts Options, a, b *
 
 	// Figure 6b: devices that may legally touch isolation are exempt
 	// from the base-isolation spacing cell.
-	if isoID, hasIso := ct.Isolation(); hasIso && (a.Layer == isoID || b.Layer == isoID) {
+	if isoID, hasIso := tc.Isolation(); hasIso && (a.Layer == isoID || b.Layer == isoID) {
 		other := a
 		if a.Layer == isoID {
 			other = b

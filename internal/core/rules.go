@@ -16,16 +16,16 @@ import (
 // therefore judge co-located geometry within one definition; interactions
 // between different symbols remain the interaction stage's business.
 
-// layerRuleChecks runs every compiled layer rule over one composite
+// layerRuleChecks runs every layer rule of the technology over one composite
 // definition, returning the violations (in symbol coordinates) and the
 // number of rule kernels evaluated. Factored out of the pipeline loop so
 // the incremental engine can cache the result per definition content hash.
-func layerRuleChecks(s *layout.Symbol, tc *tech.Technology, ct *tech.Compiled) (vs []Violation, checks int) {
-	if !ct.HasLayerRules() {
+func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, checks int) {
+	if !tc.HasLayerRules() {
 		return nil, 0
 	}
 	// Layer regions are shared across rules; materialize each at most once.
-	n := ct.NumLayers()
+	n := tc.NumLayers()
 	regs := make([]geom.Region, n)
 	got := make([]bool, n)
 	region := func(l tech.LayerID) geom.Region {
@@ -37,7 +37,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology, ct *tech.Compiled) (
 	}
 	for i := 0; i < n; i++ {
 		l := tech.LayerID(i)
-		w, a := ct.WidthMin(l), ct.AreaMin(l)
+		w, a := tc.WidthMin(l), tc.AreaMin(l)
 		if w <= 0 && a <= 0 {
 			continue
 		}
@@ -69,7 +69,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology, ct *tech.Compiled) (
 			}
 		}
 	}
-	for _, cr := range ct.CrossRules() {
+	for _, cr := range tc.CrossRules() {
 		la, lb := tc.Layer(cr.A), tc.Layer(cr.B)
 		switch cr.Kind {
 		case tech.CrossEnclose:

@@ -75,7 +75,6 @@ type specReport struct {
 
 // specCheck runs the specification on a design.
 func specCheck(d *layout.Design, tc *tech.Technology, opts Options) (rep specReport) {
-	ct := tc.Compile()
 	var items, gates, bases []specItem
 	var devs []*device.Info
 	analyzed := map[*layout.Symbol]*device.Info{}
@@ -223,23 +222,23 @@ func specCheck(d *layout.Design, tc *tech.Technology, opts Options) (rep specRep
 	resistor := func(dev int) bool { return dev >= 0 && !devs[dev].SpacingExemptSameNet }
 	mayTouchIso := func(dev int) bool { return dev >= 0 && devs[dev].MayTouchIsolation }
 	euclid := func(a, b geom.Region) float64 { d, _, _ := geom.RegionDist(a, b); return d }
-	polyID, hasPoly := ct.Poly()
-	isoID, hasIso := ct.Isolation()
-	cutID, hasCut := ct.Cut()
+	polyID, hasPoly := tc.Poly()
+	isoID, hasIso := tc.Isolation()
+	cutID, hasCut := tc.Cut()
 	for i := range items {
 		for j := i + 1; j < len(items); j++ {
 			a, b := &items[i], &items[j]
 			sameDev := a.dev >= 0 && a.dev == b.dev
 			// Figure 8: poly over diffusion outside one declared device is an
 			// implicit transistor.
-			if hasPoly && !sameDev && (a.layer == polyID && ct.IsDiffusion(b.layer) || ct.IsDiffusion(a.layer) && b.layer == polyID) {
+			if hasPoly && !sameDev && (a.layer == polyID && tc.IsDiffusion(b.layer) || tc.IsDiffusion(a.layer) && b.layer == polyID) {
 				if ov := a.reg.Intersect(b.reg); !ov.Empty() {
 					add(Violation{Rule: "DEV.ACCIDENTAL", Severity: Error, Where: ov.Bounds(), Path: a.path, Nets: nets(i, j),
 						Detail: "poly crosses diffusion outside a transistor symbol (implicit devices are not allowed)"})
 					continue
 				}
 			}
-			rule := ct.Rule(a.layer, b.layer)
+			rule := tc.Rule(a.layer, b.layer)
 			if reach := max(rule.DiffNet, rule.SameNet); reach == 0 || !a.box.Expand(reach).Touches(b.box) {
 				continue // farther apart than any rule of the pair reaches
 			}

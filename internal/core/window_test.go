@@ -476,7 +476,7 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(nm, Options{Workers: 1})
-	maxGap := e.ct.MaxSpacing()
+	maxGap := e.tc.MaxSpacing()
 
 	// The global net facts checkInteractions computes, checked against the
 	// relation spelled out device by device.

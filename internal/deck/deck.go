@@ -1,14 +1,14 @@
 // Package deck defines the loadable rule-deck format: a line-oriented text
 // description of a fabrication technology — layers, the Figure 12
 // interaction matrix, device types, and supply rails — that can be parsed,
-// validated, written back canonically, and compiled into a checking
+// validated, written back canonically, and built into a checking
 // technology (see internal/tech.FromDeck).
 //
 // The paper's central claim is that the checker is technology-parameterized:
 // the interaction matrix and the device rules are data, not code. A deck is
 // that data as an artifact users can author, audit, diff, and swap. The
 // package is deliberately free of repository imports: it describes syntax
-// and structure only, so the technology compiler can layer semantics on top
+// and structure only, so the technology loader can layer semantics on top
 // without an import cycle.
 //
 // # Format

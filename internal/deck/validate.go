@@ -4,12 +4,12 @@ import "fmt"
 
 // Options parameterizes validation with knowledge the deck package itself
 // must not depend on: the checker's device-class registry and the layer
-// roles the technology compiler understands. Nil sets skip those checks.
+// roles the technology loader understands. Nil sets skip those checks.
 type Options struct {
 	// KnownClasses are the device classes the checker can analyze
 	// (device.Classes()); unknown classes are errors when set.
 	KnownClasses []string
-	// KnownRoles are the layer roles the technology compiler consumes
+	// KnownRoles are the layer roles the technology loader consumes
 	// (tech.Roles()); unknown roles are warnings when set.
 	KnownRoles []string
 	// KnownUseRoles are the roles device "use" bindings may name
@@ -104,7 +104,7 @@ func Validate(d *Deck, opts Options) []Problem {
 	}
 
 	// Geometric rule statements: referenced layers must exist and carry a
-	// role. A role-less layer bears no geometry semantics the compiler
+	// role. A role-less layer bears no geometry semantics the loader
 	// understands, so a width/area/enclose/overlap/extend rule on one is
 	// almost certainly a typo'd layer name — reject it outright.
 	ruleLayer := func(line int, stmt, name string) {

@@ -155,8 +155,8 @@ func (d *Deck) dimArea(v int64) string {
 // sanitize drops the characters the format cannot represent in any
 // position: the quote delimiter itself, newlines (a statement runs to end
 // of line), and carriage returns (whitespace outside quotes). Strings
-// produced by the parser never contain '"' or '\n'; strings arriving from
-// Go code (tech.ToDeck of an API-built technology) are clipped so the
+// produced by the parser never contain '"' or '\n'; strings in a Deck
+// built by Go code (a generator of random decks, say) are clipped so the
 // written deck always reparses. Sanitizing happens before the quoting
 // decision, keeping the writer idempotent.
 func sanitize(s string) string {

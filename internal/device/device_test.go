@@ -1,9 +1,11 @@
 package device
 
 import (
+	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/deck"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
@@ -467,11 +469,18 @@ func TestContactCutTooSmall(t *testing.T) {
 
 // TestRolesResolveByTagOnly builds the nMOS deck with its poly layer's
 // role tag removed. A layer takes a role only from its tag, so device
-// analysis must agree with the compiled rule table that the process has
+// analysis must agree with the rule table that the process has
 // no poly: the transistor drawn on the untagged layer has no channel, and
 // no gate for the accidental-transistor and gate-keepout checks to miss.
 func TestRolesResolveByTagOnly(t *testing.T) {
-	dk := tech.ToDeck(tech.NMOS())
+	src, err := os.ReadFile("../tech/decks/nmos.deck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk, err := deck.Parse(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
 	l, ok := dk.LayerByName(tech.NMOSPoly)
 	if !ok || l.Role != tech.RolePoly {
 		t.Fatalf("shipped nMOS deck: poly layer %+v", l)
@@ -491,12 +500,12 @@ func TestRolesResolveByTagOnly(t *testing.T) {
 		}
 	}
 	dk.Widths, dk.Crosses = widths, crosses
-	tc, err := tech.FromDeck(dk)
+	tc, _, err := tech.FromDeck(dk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, hasPoly := tc.Compile().Poly(); hasPoly {
-		t.Fatal("the compiled table finds a poly layer in a deck that tags none")
+	if _, hasPoly := tc.Poly(); hasPoly {
+		t.Fatal("the rule table finds a poly layer in a deck that tags none")
 	}
 	sym := NewEnhTransistor(layout.NewDesign("t"), tc, "m1", 500, 500)
 	info, probs := Analyze(sym, tc)

@@ -144,18 +144,17 @@ func Check(d *layout.Design, tc *tech.Technology, opts Options) (*Report, error)
 }
 
 // gateContactFlags implements the naive cut∩poly∩diffusion rule. Layers
-// resolve through the compiled technology's roles, so the rule covers any
+// resolve through the technology's roles, so the rule covers any
 // process with gate and diffusion material — both polarities in CMOS.
 func gateContactFlags(regions []geom.Region, tc *tech.Technology) []Violation {
-	ct := tc.Compile()
-	polyID, okP := ct.Poly()
-	cutID, okC := ct.Cut()
-	if !okP || !okC || !ct.HasDiffusion() {
+	polyID, okP := tc.Poly()
+	cutID, okC := tc.Cut()
+	if !okP || !okC || !tc.HasDiffusion() {
 		return nil
 	}
 	var diffRegs []geom.Region
 	for _, l := range tc.Layers() {
-		if ct.IsDiffusion(l.ID) {
+		if tc.IsDiffusion(l.ID) {
 			diffRegs = append(diffRegs, regions[l.ID])
 		}
 	}

@@ -37,16 +37,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// ManhattanDist returns |dx|+|dy|.
-func (p Point) ManhattanDist(q Point) int64 {
-	return absInt64(p.X-q.X) + absInt64(p.Y-q.Y)
-}
-
-// ChebyshevDist returns max(|dx|,|dy|), the L∞ distance.
-func (p Point) ChebyshevDist(q Point) int64 {
-	return maxInt64(absInt64(p.X-q.X), absInt64(p.Y-q.Y))
-}
-
 // String implements fmt.Stringer.
 func (p Point) String() string { return fmt.Sprintf("(%d,%d)", p.X, p.Y) }
 

@@ -24,12 +24,6 @@ func R(x1, y1, x2, y2 int64) Rect {
 	return Rect{x1, y1, x2, y2}
 }
 
-// RectCenteredAt returns the w×h rect centered at p. Odd extents are rounded
-// toward the lower-left so the result stays on the integer lattice.
-func RectCenteredAt(p Point, w, h int64) Rect {
-	return Rect{p.X - w/2, p.Y - h/2, p.X - w/2 + w, p.Y - h/2 + h}
-}
-
 // Empty reports whether r encloses zero area.
 func (r Rect) Empty() bool { return r.X1 >= r.X2 || r.Y1 >= r.Y2 }
 
@@ -50,9 +44,6 @@ func (r Rect) Area() int64 {
 // MinSide returns min(W,H) — the orthogonal "width" of the rectangle in the
 // design-rule sense.
 func (r Rect) MinSide() int64 { return minInt64(r.W(), r.H()) }
-
-// Center returns the center point of r (rounded toward the lower-left).
-func (r Rect) Center() Point { return Point{(r.X1 + r.X2) / 2, (r.Y1 + r.Y2) / 2} }
 
 // Translate returns r moved by d.
 func (r Rect) Translate(d Point) Rect {

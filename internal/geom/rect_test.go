@@ -25,9 +25,6 @@ func TestRectAccessors(t *testing.T) {
 	if r.MinSide() != 5 {
 		t.Fatalf("MinSide = %d", r.MinSide())
 	}
-	if r.Center() != Pt(6, 4) {
-		t.Fatalf("Center = %v", r.Center())
-	}
 }
 
 func TestRectIntersectUnion(t *testing.T) {
@@ -171,15 +168,5 @@ func TestGapXY(t *testing.T) {
 	}
 	if g := a.GapY(R(0, -7, 5, -3)); g != 3 {
 		t.Fatalf("GapY = %d", g)
-	}
-}
-
-func TestRectCenteredAt(t *testing.T) {
-	r := RectCenteredAt(Pt(10, 10), 4, 6)
-	if r != R(8, 7, 12, 13) {
-		t.Fatalf("RectCenteredAt = %v", r)
-	}
-	if r.Center() != Pt(10, 10) {
-		t.Fatalf("center = %v", r.Center())
 	}
 }

@@ -138,9 +138,6 @@ func (t Transform) Inverse() Transform {
 	return Transform{io, io.apply(t.Trans).Neg()}
 }
 
-// IsMirrored reports whether t includes a reflection.
-func (t Transform) IsMirrored() bool { return t.Orient >= MX }
-
 // String implements fmt.Stringer.
 func (t Transform) String() string {
 	return fmt.Sprintf("%s+%s", t.Orient, t.Trans)

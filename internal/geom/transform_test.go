@@ -81,15 +81,6 @@ func TestQuickTransformComposeInverse(t *testing.T) {
 	}
 }
 
-func TestTransformIsMirrored(t *testing.T) {
-	if NewTransform(R90, Pt(0, 0)).IsMirrored() {
-		t.Fatal("pure rotation is not mirrored")
-	}
-	if !NewTransform(MX180, Pt(0, 0)).IsMirrored() {
-		t.Fatal("MX180 is mirrored")
-	}
-}
-
 func TestPointOps(t *testing.T) {
 	p, q := Pt(3, 4), Pt(1, -2)
 	if p.Add(q) != Pt(4, 2) || p.Sub(q) != Pt(2, 6) || p.Neg() != Pt(-3, -4) {
@@ -103,11 +94,5 @@ func TestPointOps(t *testing.T) {
 	}
 	if got := Pt(0, 0).Dist(Pt(3, 4)); got != 5 {
 		t.Fatalf("dist = %v", got)
-	}
-	if got := Pt(0, 0).ManhattanDist(Pt(3, -4)); got != 7 {
-		t.Fatalf("manhattan = %v", got)
-	}
-	if got := Pt(0, 0).ChebyshevDist(Pt(3, -4)); got != 4 {
-		t.Fatalf("chebyshev = %v", got)
 	}
 }

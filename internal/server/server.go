@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/cif"
 	"repro/internal/core"
-	"repro/internal/deck"
 	"repro/internal/device"
 	"repro/internal/layout"
 	"repro/internal/tech"
@@ -370,7 +369,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *svcE
 }
 
 // CreateRequest creates a session from a CIF source and a technology. One
-// of Tech (a registered technology name) or Deck (rule-deck source text)
+// of Tech (a shipped technology name) or Deck (rule-deck source text)
 // selects the process. Name labels the session (and, when DesignName is
 // empty, the design) for listings and client lookup.
 type CreateRequest struct {
@@ -392,46 +391,22 @@ type CreateResponse struct {
 	Report *Report `json:"report"`
 }
 
-// builtinTechs memoizes each built-in technology (name → its
-// tech.ByName constructor under sync.OnceValue), so the embedded deck is
-// parsed once per process, not once per create and per restore. Sessions
-// share the value: nothing outside internal/tech mutates a Technology, and
-// its compiled rule table is cached atomically.
-var builtinTechs sync.Map
-
-// builtinTech returns the process-wide value of a built-in technology.
-func builtinTech(name string) (*tech.Technology, bool) {
-	once, ok := builtinTechs.Load(name)
-	if !ok {
-		fn, known := tech.ByName(name)
-		if !known {
-			return nil, false
-		}
-		once, _ = builtinTechs.LoadOrStore(name, sync.OnceValue(fn))
-	}
-	return once.(func() *tech.Technology)(), true
-}
-
-// resolveTech loads the request's technology: an uploaded deck parses into
-// a technology of the session's own, a built-in name resolves to the
-// process-wide value.
+// resolveTech loads the request's technology: an uploaded deck builds a
+// technology of the session's own, a built-in name resolves to the shared
+// value (tech.ByName parses each embedded deck once per process).
 func resolveTech(req *CreateRequest) (*tech.Technology, error) {
 	if req.Deck != "" {
-		d, err := deck.Parse(req.Deck)
+		tc, err := tech.LoadDeck(req.Deck, device.Classes())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("deck: %w", err)
 		}
-		probs := tech.ValidateDeck(d, device.Classes())
-		if errs := deck.Errors(probs); len(errs) > 0 {
-			return nil, fmt.Errorf("deck: %v (%d problems total)", errs[0], len(probs))
-		}
-		return tech.FromDeck(d)
+		return tc, nil
 	}
 	name := req.Tech
 	if name == "" {
 		name = "nmos"
 	}
-	tc, ok := builtinTech(name)
+	tc, ok := tech.ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("unknown technology %q", name)
 	}

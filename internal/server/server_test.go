@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +11,6 @@ import (
 
 	"repro/internal/cif"
 	"repro/internal/core"
-	"repro/internal/deck"
 	"repro/internal/layout"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -27,6 +27,17 @@ func cmosCIF(t *testing.T, rows, cols int) (string, *tech.Technology) {
 		t.Fatal(err)
 	}
 	return text, tc
+}
+
+// cmosDeckText is the shipped CMOS rule deck's source, as a client would
+// upload it.
+func cmosDeckText(t *testing.T) string {
+	t.Helper()
+	src, err := os.ReadFile("../tech/decks/cmos.deck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(src)
 }
 
 // breakEdits is the BreakAccidentalTransistor(1) geometry as an edit
@@ -304,8 +315,8 @@ func TestIdleEviction(t *testing.T) {
 // check identically to one created from the registry (the CMOS process is
 // deck-defined, so rendering its deck back out is an exact round trip).
 func TestCreateFromDeck(t *testing.T) {
-	text, tc := cmosCIF(t, 1, 2)
-	deckSrc := deck.Write(tech.ToDeck(tc))
+	text, _ := cmosCIF(t, 1, 2)
+	deckSrc := cmosDeckText(t)
 	_, c := newTestServer(t, Config{Debounce: time.Hour})
 
 	byName, err := c.SessionCreate(context.Background(), CreateRequest{Name: "reg", CIF: text, Tech: "cmos"})
@@ -329,7 +340,7 @@ func TestCreateFromDeck(t *testing.T) {
 // name share one *tech.Technology, parsed once per process; a session
 // created from an uploaded deck gets a technology of its own.
 func TestBuiltinTechShared(t *testing.T) {
-	text, tc := cmosCIF(t, 1, 2)
+	text, _ := cmosCIF(t, 1, 2)
 	srv, c := newTestServer(t, Config{Debounce: time.Hour})
 	techOf := func(req CreateRequest) *tech.Technology {
 		t.Helper()
@@ -343,19 +354,19 @@ func TestBuiltinTechShared(t *testing.T) {
 	}
 	a := techOf(CreateRequest{Name: "a", CIF: text, Tech: "cmos"})
 	b := techOf(CreateRequest{Name: "b", CIF: text, Tech: "cmos"})
-	byDeck := techOf(CreateRequest{Name: "c", DesignName: "c", CIF: text, Deck: deck.Write(tech.ToDeck(tc))})
+	byDeck := techOf(CreateRequest{Name: "c", DesignName: "c", CIF: text, Deck: cmosDeckText(t)})
 	if a != b {
 		t.Fatalf("two cmos sessions hold two technologies (%p, %p)", a, b)
 	}
 	if byDeck == a {
 		t.Fatal("a deck-created session shares the built-in technology")
 	}
-	if shared, _ := builtinTech("cmos"); shared != a {
+	if shared, _ := tech.ByName("cmos"); shared != a {
 		t.Fatal("the sessions' technology is not the process-wide one")
 	}
 
 	// Concurrent resolutions (the first ones, unless an earlier test asked
-	// for bipolar) all get the one value, and compile it concurrently.
+	// for bipolar) all get the one value and read its rule table.
 	const n = 8
 	got := make([]*tech.Technology, n)
 	var wg sync.WaitGroup
@@ -363,8 +374,8 @@ func TestBuiltinTechShared(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tc, _ := builtinTech("bipolar")
-			tc.Compile()
+			tc, _ := resolveTech(&CreateRequest{Tech: "bipolar"})
+			tc.MaxSpacing()
 			got[i] = tc
 		}()
 	}

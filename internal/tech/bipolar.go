@@ -10,10 +10,11 @@ package tech
 // identical geometry on identical layers — which is precisely the paper's
 // argument for device-aware checking.
 //
-// The process is defined by decks/bipolar.deck; Bipolar is a thin loader
-// over the embedded text. Its checking behaviour is pinned by the bipolar
-// designs in internal/core/testdata/fingerprints.golden, and its deck form
-// by TestToDeckRoundTrip.
+// The process is defined by decks/bipolar.deck; Bipolar shares the
+// technology built from the embedded text. Its checking behaviour is pinned
+// by the bipolar designs in internal/core/testdata/fingerprints.golden, and
+// its rule table is read back against the deck rows by
+// TestCompiledMatchesMaps.
 
 // Bipolar layer name constants.
 const (
@@ -31,9 +32,7 @@ const (
 	DevBipContact   = "contact-bip"   // metal contact
 )
 
-func init() { Register("bipolar", Bipolar) }
-
-// Bipolar builds the simplified bipolar technology of Figure 6 from its
-// embedded rule deck (decks/bipolar.deck). Dimensions use a 100
-// centimicron (1 µm) unit.
-func Bipolar() *Technology { return mustParseDeck(bipolarDeck) }
+// Bipolar returns the simplified bipolar technology of Figure 6, built
+// from its embedded rule deck (decks/bipolar.deck) once per process and
+// shared. Dimensions use a 100 centimicron (1 µm) unit.
+var Bipolar = shipped(bipolarDeck)

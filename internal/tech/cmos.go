@@ -2,9 +2,8 @@ package tech
 
 // Mead–Conway style p-well CMOS process, λ = 100 centimicrons (1 µm).
 //
-// Unlike nMOS and bipolar there is no Go constructor to fall back on:
-// decks/cmos.deck is the only definition of the process. The constants
-// below are names for workload generators and tests — the rules themselves
+// Like nMOS and bipolar, decks/cmos.deck is the only definition of the
+// process. The constants below are names for workload generators and tests — the rules themselves
 // live entirely in the deck.
 
 // CMOS layer name constants (human names).
@@ -26,8 +25,6 @@ const (
 	DevContactCPoly = "contact-poly"  // metal to poly contact
 )
 
-func init() { Register("cmos", CMOS) }
-
-// CMOS builds the p-well CMOS technology from its embedded rule deck
-// (decks/cmos.deck) — the process that exists only as data.
-func CMOS() *Technology { return mustParseDeck(cmosDeck) }
+// CMOS returns the p-well CMOS technology, built from its embedded rule
+// deck (decks/cmos.deck) once per process and shared.
+var CMOS = shipped(cmosDeck)

@@ -7,53 +7,119 @@ import (
 	"repro/internal/deck"
 )
 
-// FromDeck compiles a parsed rule deck into a Technology. Structural
-// validation runs first (deck.Validate with the roles this package
-// understands); any error-severity problem aborts the load. Device classes
-// are not checked here — the deck package must not depend on the checker's
-// class registry — callers wanting that pass device.Classes() to
-// deck.Validate themselves (dic.LoadDeck and dicheck -validate do).
-func FromDeck(d *deck.Deck) (*Technology, error) {
-	probs := ValidateDeck(d, nil)
-	if errs := deck.Errors(probs); len(errs) > 0 {
-		return nil, fmt.Errorf("tech: deck %q invalid: %v (%d more)", d.Name, errs[0], len(errs)-1)
+// LoadDeck parses deck text and builds its technology with FromDeck.
+func LoadDeck(src string, classes []string) (*Technology, error) {
+	d, err := deck.Parse(src)
+	if err != nil {
+		return nil, err
 	}
-	t := New(d.Name, d.Lambda)
-	ids := make(map[string]LayerID, len(d.Layers))
+	t, _, err := FromDeck(d, classes)
+	return t, err
+}
+
+// FromDeck builds the technology a parsed deck describes; it is the only
+// constructor. The deck is validated once, against this package's role
+// vocabulary and the caller's device classes (device.Classes(); nil skips
+// the class check — the deck and tech packages must not depend on the
+// checker's class registry), and every problem found is returned, warnings
+// included. An error-severity problem refuses the deck. The rules then go
+// straight from the deck rows into the dense tables.
+func FromDeck(d *deck.Deck, classes []string) (*Technology, []deck.Problem, error) {
+	probs := deck.Validate(d, deck.Options{
+		KnownClasses:  classes,
+		KnownRoles:    Roles(),
+		KnownUseRoles: UseRoles(),
+	})
+	if errs := deck.Errors(probs); len(errs) > 0 {
+		return nil, probs, fmt.Errorf("%v (%d problems total)", errs[0], len(probs))
+	}
+	n := len(d.Layers)
+	t := &Technology{
+		Name:      d.Name,
+		Lambda:    d.Lambda,
+		layers:    make([]Layer, n),
+		byName:    make(map[string]LayerID, n),
+		byCIF:     make(map[string]LayerID, n),
+		devices:   make(map[string]DeviceSpec, len(d.Devices)),
+		power:     append([]string(nil), d.PowerNets...),
+		ground:    append([]string(nil), d.GroundNets...),
+		rules:     make([]SpacingRule, n*n),
+		interacts: make([]uint64, n),
+		polyID:    NoLayer, isoID: NoLayer, cutID: NoLayer,
+		isDiff:   make([]bool, n),
+		widthMin: make([]int64, n),
+		areaMin:  make([]int64, n),
+	}
+	mark := func(a, b LayerID) {
+		t.interacts[a] |= 1 << b
+		t.interacts[b] |= 1 << a
+	}
 	for i := range d.Layers {
-		l := &d.Layers[i]
-		ids[l.Name] = t.AddLayer(Layer{
-			Name: l.Name, CIF: l.CIF, Role: l.Role,
-			MinWidth: l.Width, MinSpace: l.Space,
-		})
+		l, id := &d.Layers[i], LayerID(i)
+		t.layers[i] = Layer{ID: id, Name: l.Name, CIF: l.CIF, Role: l.Role, MinWidth: l.Width, MinSpace: l.Space}
+		t.byName[l.Name], t.byCIF[l.CIF] = id, id
+		switch l.Role {
+		case RolePoly:
+			t.polyID = id
+		case RoleDiffusion:
+			t.isDiff[id], t.anyDiff = true, true
+		case RoleIsolation:
+			t.isoID = id
+		case RoleContact:
+			t.cutID = id
+		}
 	}
 	for i := range d.Spaces {
 		s := &d.Spaces[i]
-		t.SetSpacing(ids[s.A], ids[s.B], SpacingRule{
-			DiffNet: s.DiffNet, SameNet: s.SameNet,
-			ExemptRelated: s.ExemptRelated, Note: s.Note,
-		})
+		a, b := t.byName[s.A], t.byName[s.B]
+		r := SpacingRule{DiffNet: s.DiffNet, SameNet: s.SameNet, ExemptRelated: s.ExemptRelated, Note: s.Note}
+		t.rules[int(a)*n+int(b)], t.rules[int(b)*n+int(a)] = r, r
+		t.maxSpacing = max(t.maxSpacing, r.DiffNet, r.SameNet)
+		if r.DiffNet > 0 || r.SameNet > 0 {
+			mark(a, b)
+		}
+	}
+	// The accidental-transistor rule (Figure 8) adjudicates poly over any
+	// diffusion whether or not the pair carries a spacing cell, so those
+	// pairs must survive the pre-bucketing interaction filter.
+	if t.polyID != NoLayer {
+		for l, diff := range t.isDiff {
+			if diff {
+				mark(t.polyID, LayerID(l))
+			}
+		}
 	}
 	for i := range d.Widths {
-		w := &d.Widths[i]
-		t.SetWidthRule(ids[w.Layer], LayerRule{Min: w.Min, Note: w.Note})
+		if w := &d.Widths[i]; w.Min > 0 {
+			t.widthMin[t.byName[w.Layer]] = w.Min
+			t.hasLayerRules = true
+		}
 	}
 	for i := range d.Areas {
-		a := &d.Areas[i]
-		t.SetAreaRule(ids[a.Layer], LayerRule{Min: a.MinArea, Note: a.Note})
+		if a := &d.Areas[i]; a.MinArea > 0 {
+			t.areaMin[t.byName[a.Layer]] = a.MinArea
+			t.hasLayerRules = true
+		}
 	}
 	for i := range d.Crosses {
-		cr := &d.Crosses[i]
-		t.SetCrossRule(crossKindOf(cr.Kind), ids[cr.A], ids[cr.B],
-			CrossRule{Margin: cr.Margin, Note: cr.Note})
+		if cr := &d.Crosses[i]; cr.Margin > 0 {
+			t.crosses = append(t.crosses, Cross{Kind: crossKindOf(cr.Kind), A: t.byName[cr.A], B: t.byName[cr.B], Margin: cr.Margin})
+			t.hasLayerRules = true
+		}
 	}
+	sort.Slice(t.crosses, func(i, j int) bool {
+		a, b := t.crosses[i], t.crosses[j]
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.A != b.A {
+			return a.A < b.A
+		}
+		return a.B < b.B
+	})
 	for i := range d.Devices {
 		dev := &d.Devices[i]
-		spec := DeviceSpec{
-			Class:     dev.Class,
-			Describe:  dev.Describe,
-			Depletion: dev.Depletion,
-		}
+		spec := DeviceSpec{Class: dev.Class, Describe: dev.Describe, Depletion: dev.Depletion}
 		if len(dev.Params) > 0 {
 			spec.Params = make(map[string]int64, len(dev.Params))
 			for _, p := range dev.Params {
@@ -66,101 +132,9 @@ func FromDeck(d *deck.Deck) (*Technology, error) {
 				spec.Layers[u.Role] = u.Layer
 			}
 		}
-		t.AddDevice(dev.Type, spec)
+		t.devices[dev.Type] = spec
 	}
-	t.PowerNets = append([]string(nil), d.PowerNets...)
-	t.GroundNets = append([]string(nil), d.GroundNets...)
-	return t, nil
-}
-
-// ToDeck renders a Technology back into its deck form, in canonical order:
-// layers by id, interaction cells upper-triangular, width/area rules by
-// layer id, cross rules by (kind, A, B), devices and their params sorted
-// by name. FromDeck(ToDeck(t)) reproduces t.
-func ToDeck(t *Technology) *deck.Deck {
-	d := &deck.Deck{Name: t.Name, Lambda: t.Lambda}
-	for _, l := range t.layers {
-		d.Layers = append(d.Layers, deck.Layer{
-			Name: l.Name, CIF: l.CIF, Role: l.Role,
-			Width: l.MinWidth, Space: l.MinSpace,
-		})
-	}
-	pairs := make([]LayerPair, 0, len(t.spacing))
-	for p := range t.spacing {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A != pairs[j].A {
-			return pairs[i].A < pairs[j].A
-		}
-		return pairs[i].B < pairs[j].B
-	})
-	for _, p := range pairs {
-		r := t.spacing[p]
-		d.Spaces = append(d.Spaces, deck.Space{
-			A: t.layers[p.A].Name, B: t.layers[p.B].Name,
-			DiffNet: r.DiffNet, SameNet: r.SameNet,
-			ExemptRelated: r.ExemptRelated, Note: r.Note,
-		})
-	}
-	for _, l := range t.layers {
-		if r, ok := t.widths[l.ID]; ok {
-			d.Widths = append(d.Widths, deck.WidthRule{Layer: l.Name, Min: r.Min, Note: r.Note})
-		}
-	}
-	for _, l := range t.layers {
-		if r, ok := t.areas[l.ID]; ok {
-			d.Areas = append(d.Areas, deck.AreaRule{Layer: l.Name, MinArea: r.Min, Note: r.Note})
-		}
-	}
-	crossKeys := make([]crossKey, 0, len(t.crosses))
-	for k := range t.crosses {
-		crossKeys = append(crossKeys, k)
-	}
-	sort.Slice(crossKeys, func(i, j int) bool {
-		a, b := crossKeys[i], crossKeys[j]
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		if a.a != b.a {
-			return a.a < b.a
-		}
-		return a.b < b.b
-	})
-	for _, k := range crossKeys {
-		r := t.crosses[k]
-		d.Crosses = append(d.Crosses, deck.CrossRule{
-			Kind: k.kind.String(), A: t.layers[k.a].Name, B: t.layers[k.b].Name,
-			Margin: r.Margin, Note: r.Note,
-		})
-	}
-	for _, name := range t.DeviceTypes() {
-		spec := t.devices[name]
-		dev := deck.Device{
-			Type: name, Class: spec.Class,
-			Describe: spec.Describe, Depletion: spec.Depletion,
-		}
-		roles := make([]string, 0, len(spec.Layers))
-		for r := range spec.Layers {
-			roles = append(roles, r)
-		}
-		sort.Strings(roles)
-		for _, r := range roles {
-			dev.Uses = append(dev.Uses, deck.Use{Role: r, Layer: spec.Layers[r]})
-		}
-		keys := make([]string, 0, len(spec.Params))
-		for k := range spec.Params {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			dev.Params = append(dev.Params, deck.Param{Key: k, Value: spec.Params[k]})
-		}
-		d.Devices = append(d.Devices, dev)
-	}
-	d.PowerNets = append([]string(nil), t.PowerNets...)
-	d.GroundNets = append([]string(nil), t.GroundNets...)
-	return d
+	return t, probs, nil
 }
 
 // crossKindOf maps a deck cross-rule keyword to its CrossKind; the parser
@@ -173,36 +147,4 @@ func crossKindOf(kw string) CrossKind {
 		return CrossExtend
 	}
 	return CrossEnclose
-}
-
-// ValidateDeck runs the deck validator with this package's role
-// vocabulary plus the caller's device classes — the single option set
-// every load path enforces (FromDeck calls it with nil classes; callers
-// that know the checker's classes, like dic.LoadDeck and dicheck, pass
-// device.Classes()).
-func ValidateDeck(d *deck.Deck, knownClasses []string) []deck.Problem {
-	return deck.Validate(d, deck.Options{
-		KnownClasses:  knownClasses,
-		KnownRoles:    Roles(),
-		KnownUseRoles: UseRoles(),
-	})
-}
-
-// ParseDeck parses and compiles deck text in one step.
-func ParseDeck(src string) (*Technology, error) {
-	d, err := deck.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return FromDeck(d)
-}
-
-// mustParseDeck loads an embedded deck; the shipped decks are covered by
-// the parity tests, so a failure here is a build defect, not user input.
-func mustParseDeck(src string) *Technology {
-	t, err := ParseDeck(src)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

@@ -3,67 +3,206 @@ package tech
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/deck"
 )
 
-// techEqual compares the semantic content of two technologies, reporting
-// the first difference found.
-func techEqual(t *testing.T, label string, a, b *Technology) {
+// wideDeck is a 64-layer technology — deck.MaxLayers, so every bit of an
+// interacts row — with rules at the high layer ids: spacing on 2×63 and
+// 62×63, poly (1) over diffusion (60), and a width, area and cross rule
+// on the top layers.
+func wideDeck() string {
+	var sb strings.Builder
+	sb.WriteString("tech wide\n")
+	roles := map[int]string{1: RolePoly, 60: RoleDiffusion, 62: RoleContact, 63: RoleMetal}
+	for i := 0; i < deck.MaxLayers; i++ {
+		fmt.Fprintf(&sb, "layer l%d cif=X%d", i, i)
+		if r := roles[i]; r != "" {
+			fmt.Fprintf(&sb, " role=%s", r)
+		}
+		sb.WriteString("\n")
+	}
+	sb.WriteString(`space l2 l63 diff=100 note="far pair"
+space l62 l63 same=50 exempt-related note="top pair"
+space l0 l5 note="documented skip"
+width l63 30 note="top width"
+area l62 900 note="top area"
+enclose l63 l62 10 note="top enclosure"
+extend l1 l60 20 note="gate extension"
+`)
+	return sb.String()
+}
+
+// checkRuleTable reads a technology's rule table back against the deck
+// rows it was built from: the deck is the reference.
+func checkRuleTable(t testing.TB, d *deck.Deck, tc *Technology) {
 	t.Helper()
-	if a.Name != b.Name || a.Lambda != b.Lambda {
-		t.Fatalf("%s: name/lambda %q/%d vs %q/%d", label, a.Name, a.Lambda, b.Name, b.Lambda)
+	n := len(d.Layers)
+	if tc.Name != d.Name || tc.Lambda != d.Lambda || tc.NumLayers() != n {
+		t.Fatalf("%q: name/lambda/layers %q/%d/%d, deck has %q/%d/%d",
+			d.Name, tc.Name, tc.Lambda, tc.NumLayers(), d.Name, d.Lambda, n)
 	}
-	if !reflect.DeepEqual(a.layers, b.layers) {
-		t.Fatalf("%s: layers\n%+v\nvs\n%+v", label, a.layers, b.layers)
+	id := func(name string) LayerID {
+		l, ok := tc.LayerByName(name)
+		if !ok {
+			t.Fatalf("%q: layer %q missing", d.Name, name)
+		}
+		return l
 	}
-	if !reflect.DeepEqual(a.spacing, b.spacing) {
-		for p, r := range a.spacing {
-			if other, ok := b.spacing[p]; !ok || !reflect.DeepEqual(r, other) {
-				t.Fatalf("%s: spacing cell %v: %+v vs %+v (present=%v)", label, p, r, other, ok)
+	poly, isDiff := NoLayer, make([]bool, n)
+	for i, l := range d.Layers {
+		if got := tc.Layer(LayerID(i)); got.Name != l.Name || got.CIF != l.CIF || got.Role != l.Role ||
+			got.MinWidth != l.Width || got.MinSpace != l.Space {
+			t.Fatalf("%q: layer %d = %+v, deck row %+v", d.Name, i, got, l)
+		}
+		switch l.Role {
+		case RolePoly:
+			poly = LayerID(i)
+		case RoleDiffusion:
+			isDiff[i] = true
+		}
+	}
+
+	// Every space row reads back in both orders, unset cells are zero, and
+	// a pair interacts exactly when its cell checks something or it is
+	// poly over diffusion; cross rules leave Interacts alone.
+	cells := make([]SpacingRule, n*n)
+	var maxSpacing int64
+	for _, s := range d.Spaces {
+		a, b := id(s.A), id(s.B)
+		r := SpacingRule{DiffNet: s.DiffNet, SameNet: s.SameNet, ExemptRelated: s.ExemptRelated, Note: s.Note}
+		cells[int(a)*n+int(b)], cells[int(b)*n+int(a)] = r, r
+		maxSpacing = max(maxSpacing, s.DiffNet, s.SameNet)
+	}
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			la, lb := LayerID(a), LayerID(b)
+			want := cells[a*n+b]
+			if got := *tc.Rule(la, lb); got != want {
+				t.Fatalf("%q: Rule(%d,%d) = %+v, deck has %+v", d.Name, a, b, got, want)
+			}
+			polyDiff := poly != NoLayer && (la == poly && isDiff[b] || lb == poly && isDiff[a])
+			if got := tc.Interacts(la, lb); got != (want.DiffNet > 0 || want.SameNet > 0 || polyDiff) {
+				t.Fatalf("%q: Interacts(%d,%d) = %v for %+v (poly×diffusion %v)", d.Name, a, b, got, want, polyDiff)
 			}
 		}
-		t.Fatalf("%s: spacing maps differ in size: %d vs %d", label, len(a.spacing), len(b.spacing))
 	}
-	if !reflect.DeepEqual(a.widths, b.widths) {
-		t.Fatalf("%s: width rules\n%+v\nvs\n%+v", label, a.widths, b.widths)
+	if tc.MaxSpacing() != maxSpacing {
+		t.Fatalf("%q: MaxSpacing = %d, rows give %d", d.Name, tc.MaxSpacing(), maxSpacing)
 	}
-	if !reflect.DeepEqual(a.areas, b.areas) {
-		t.Fatalf("%s: area rules\n%+v\nvs\n%+v", label, a.areas, b.areas)
-	}
-	if !reflect.DeepEqual(a.crosses, b.crosses) {
-		t.Fatalf("%s: cross rules\n%+v\nvs\n%+v", label, a.crosses, b.crosses)
-	}
-	if !reflect.DeepEqual(a.devices, b.devices) {
-		for n, s := range a.devices {
-			if other, ok := b.devices[n]; !ok || !reflect.DeepEqual(s, other) {
-				t.Fatalf("%s: device %q: %+v vs %+v (present=%v)", label, n, s, other, ok)
-			}
+
+	// Width, area and cross rows read back, the cross list in (kind, a, b)
+	// order.
+	widths, areas := make([]int64, n), make([]int64, n)
+	hasRules := false
+	for _, w := range d.Widths {
+		if w.Min > 0 {
+			widths[id(w.Layer)], hasRules = w.Min, true
 		}
-		t.Fatalf("%s: device tables differ in size: %d vs %d", label, len(a.devices), len(b.devices))
 	}
-	if !reflect.DeepEqual(a.PowerNets, b.PowerNets) || !reflect.DeepEqual(a.GroundNets, b.GroundNets) {
-		t.Fatalf("%s: rails %v/%v vs %v/%v", label, a.PowerNets, a.GroundNets, b.PowerNets, b.GroundNets)
+	for _, a := range d.Areas {
+		if a.MinArea > 0 {
+			areas[id(a.Layer)], hasRules = a.MinArea, true
+		}
+	}
+	for l := 0; l < n; l++ {
+		if tc.WidthMin(LayerID(l)) != widths[l] || tc.AreaMin(LayerID(l)) != areas[l] {
+			t.Fatalf("%q: layer %d width/area %d/%d, deck has %d/%d",
+				d.Name, l, tc.WidthMin(LayerID(l)), tc.AreaMin(LayerID(l)), widths[l], areas[l])
+		}
+	}
+	var crosses []Cross
+	for _, cr := range d.Crosses {
+		if cr.Margin > 0 {
+			crosses = append(crosses, Cross{Kind: crossKindOf(cr.Kind), A: id(cr.A), B: id(cr.B), Margin: cr.Margin})
+			hasRules = true
+		}
+	}
+	key := func(c Cross) int { return (int(c.Kind)*n+int(c.A))*n + int(c.B) }
+	sort.Slice(crosses, func(i, j int) bool { return key(crosses[i]) < key(crosses[j]) })
+	if got := tc.CrossRules(); !reflect.DeepEqual(got, crosses) {
+		t.Fatalf("%q: cross list\n%+v\ndeck rows in (kind, a, b) order\n%+v", d.Name, got, crosses)
+	}
+	if tc.HasLayerRules() != hasRules {
+		t.Fatalf("%q: HasLayerRules = %v, deck rows say %v", d.Name, tc.HasLayerRules(), hasRules)
 	}
 }
 
-// TestToDeckRoundTrip: code → deck → code reproduces the technology, and
-// writing the generated deck re-parses to the same technology.
+// loadChecked parses src, builds its technology and reads the rule table
+// back against the deck rows.
+func loadChecked(t *testing.T, src string) *Technology {
+	t.Helper()
+	d, err := deck.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _, err := FromDeck(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRuleTable(t, d, tc)
+	return tc
+}
+
+// TestCompiledMatchesMaps builds each shipped deck and reads its rule table
+// back against the deck's own rows: the deck is the reference.
+func TestCompiledMatchesMaps(t *testing.T) {
+	for _, src := range []string{nmosDeck, bipolarDeck, cmosDeck} {
+		loadChecked(t, src)
+	}
+}
+
+// TestCompileManyLayers builds a 64-layer deck: its rules reach the top
+// bits of an interacts row.
+func TestCompileManyLayers(t *testing.T) {
+	tc := loadChecked(t, wideDeck())
+	for _, c := range []struct {
+		a, b LayerID
+		ok   bool
+	}{{2, 63, true}, {63, 2, true}, {62, 63, true}, {1, 60, true}, {60, 1, true}, {2, 62, false}, {0, 5, false}} {
+		if got := tc.Interacts(c.a, c.b); got != c.ok {
+			t.Fatalf("wide: Interacts(%d,%d) = %v, want %v", c.a, c.b, got, c.ok)
+		}
+	}
+	if len(tc.CrossRules()) != 2 || tc.CrossRules()[0].Kind != CrossEnclose {
+		t.Fatalf("wide: cross list %+v", tc.CrossRules())
+	}
+}
+
+// TestToDeckRoundTrip writes each shipped deck and the 64-layer deck back
+// out with deck.Write and loads the text again: the rule table still reads
+// back against the original rows.
 func TestToDeckRoundTrip(t *testing.T) {
-	for _, fn := range []func() *Technology{NMOS, Bipolar, CMOS} {
-		orig := fn()
-		d := ToDeck(orig)
-		back, err := FromDeck(d)
+	for _, src := range []string{nmosDeck, bipolarDeck, cmosDeck, wideDeck()} {
+		d, err := deck.Parse(src)
 		if err != nil {
-			t.Fatalf("%s: FromDeck(ToDeck): %v", orig.Name, err)
+			t.Fatal(err)
 		}
-		techEqual(t, orig.Name+" FromDeck∘ToDeck", orig, back)
-		reparsed, err := ParseDeck(deck.Write(d))
+		tc, err := LoadDeck(deck.Write(d), nil)
 		if err != nil {
-			t.Fatalf("%s: reparse of written deck: %v", orig.Name, err)
+			t.Fatalf("%q: written deck refused: %v", d.Name, err)
 		}
-		techEqual(t, orig.Name+" Parse∘Write", orig, reparsed)
+		checkRuleTable(t, d, tc)
+	}
+}
+
+// TestLoadDeckRefuses: a deck with an error-severity problem builds no
+// technology, and the problems come back beside the error.
+func TestLoadDeckRefuses(t *testing.T) {
+	d, err := deck.Parse("tech bad\nlayer a cif=XA\nspace a ghost diff=3\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, probs, err := FromDeck(d, nil)
+	if err == nil || tc != nil || len(deck.Errors(probs)) == 0 {
+		t.Fatalf("FromDeck = %v, %v, %v; want a refusal", tc, probs, err)
+	}
+	d, _ = deck.Parse("tech t\nlayer a cif=XA role=metal\ndevice d class=mystery\n")
+	if _, _, err := FromDeck(d, []string{"contact"}); err == nil {
+		t.Fatal("unknown device class accepted")
 	}
 }
 
@@ -72,131 +211,18 @@ func TestRegistry(t *testing.T) {
 	if got := Names(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Names() = %v, want %v", got, want)
 	}
-	fn, ok := ByName("cmos")
+	tc, ok := ByName("cmos")
 	if !ok {
 		t.Fatal("cmos not registered")
 	}
-	if tc := fn(); tc.Name != "cmos-1um" || tc.Lambda != 100 {
+	if tc.Name != "cmos-1um" || tc.Lambda != 100 {
 		t.Fatalf("cmos tech = %q λ=%d", tc.Name, tc.Lambda)
+	}
+	if tc != CMOS() {
+		t.Fatal("the shipped technology is not shared")
 	}
 	if _, ok := ByName("sos"); ok {
 		t.Fatal("unknown technology resolved")
-	}
-}
-
-func TestCompiledMatchesMaps(t *testing.T) {
-	for _, fn := range []func() *Technology{NMOS, Bipolar, CMOS} {
-		tc := fn()
-		c := tc.Compile()
-		if c != tc.Compile() {
-			t.Fatalf("%s: Compile not cached", tc.Name)
-		}
-		var wantMax int64
-		n := tc.NumLayers()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a, b := LayerID(i), LayerID(j)
-				fromMap := tc.spacing[Pair(a, b)]
-				if got := *c.Rule(a, b); got != fromMap {
-					t.Fatalf("%s: Rule(%d,%d) = %+v, map has %+v", tc.Name, i, j, got, fromMap)
-				}
-				if fromMap.DiffNet > wantMax {
-					wantMax = fromMap.DiffNet
-				}
-				if fromMap.SameNet > wantMax {
-					wantMax = fromMap.SameNet
-				}
-				// Every pair with a non-zero rule must survive the filter.
-				if (fromMap.DiffNet > 0 || fromMap.SameNet > 0) && !c.Interacts(a, b) {
-					t.Fatalf("%s: ruleful pair (%d,%d) filtered", tc.Name, i, j)
-				}
-			}
-		}
-		if c.MaxSpacing() != wantMax {
-			t.Fatalf("%s: MaxSpacing = %d, want %d", tc.Name, c.MaxSpacing(), wantMax)
-		}
-		// Poly over any diffusion must survive the filter (Figure 8) and
-		// mutation must invalidate the cache.
-		if poly, ok := c.Poly(); ok {
-			for i := 0; i < n; i++ {
-				if c.IsDiffusion(LayerID(i)) && !c.Interacts(poly, LayerID(i)) {
-					t.Fatalf("%s: poly-diffusion pair (%d) filtered", tc.Name, i)
-				}
-			}
-		}
-		// The new rule slots must mirror the authoring maps, and the cross
-		// list must be deterministic (kind, a, b) order with the margins
-		// reachable through the packed-pair index.
-		for i := 0; i < n; i++ {
-			wr, _ := tc.WidthRuleFor(LayerID(i))
-			if c.WidthMin(LayerID(i)) != wr.Min {
-				t.Fatalf("%s: WidthMin(%d) = %d, map has %d", tc.Name, i, c.WidthMin(LayerID(i)), wr.Min)
-			}
-			ar, _ := tc.AreaRuleFor(LayerID(i))
-			if c.AreaMin(LayerID(i)) != ar.Min {
-				t.Fatalf("%s: AreaMin(%d) = %d, map has %d", tc.Name, i, c.AreaMin(LayerID(i)), ar.Min)
-			}
-		}
-		list := c.CrossRules()
-		for i, cr := range list {
-			if mapped, ok := tc.CrossRuleFor(cr.Kind, cr.A, cr.B); !ok || mapped.Margin != cr.Margin {
-				t.Fatalf("%s: cross list entry %+v not in map (%+v, %v)", tc.Name, cr, mapped, ok)
-			}
-			if c.CrossMargin(cr.Kind, cr.A, cr.B) != cr.Margin {
-				t.Fatalf("%s: CrossMargin(%v,%d,%d) = %d, want %d",
-					tc.Name, cr.Kind, cr.A, cr.B, c.CrossMargin(cr.Kind, cr.A, cr.B), cr.Margin)
-			}
-			if i > 0 {
-				p := list[i-1]
-				if p.Kind > cr.Kind || (p.Kind == cr.Kind && (p.A > cr.A || (p.A == cr.A && p.B >= cr.B))) {
-					t.Fatalf("%s: cross list not in (kind, a, b) order: %+v before %+v", tc.Name, p, cr)
-				}
-			}
-			// Cross rules are definition-level; they must not widen the
-			// pair-sweep interaction filter on their own.
-		}
-		for key := range tc.crosses {
-			if _, ok := tc.spacing[Pair(key.a, key.b)]; !ok && c.Interacts(key.a, key.b) &&
-				!(c.hasPoly && key.a == c.polyID && c.isDiff[key.b]) {
-				t.Fatalf("%s: cross rule %v marked the interacts bitset", tc.Name, key)
-			}
-		}
-
-		tc.SetSpacing(0, 0, SpacingRule{DiffNet: 9 * wantMax})
-		if tc.MaxSpacing() != 9*wantMax {
-			t.Fatalf("%s: compiled form not invalidated on mutation", tc.Name)
-		}
-		tc.SetWidthRule(0, LayerRule{Min: 123})
-		if tc.Compile().WidthMin(0) != 123 {
-			t.Fatalf("%s: compiled form not invalidated on width-rule mutation", tc.Name)
-		}
-	}
-}
-
-// TestCompileManyLayers: the compiled form must handle technologies wider
-// than one bitset word (Go-built technologies have no deck-level layer
-// cap), without panicking and with correct filtering at high layer ids.
-func TestCompileManyLayers(t *testing.T) {
-	tc := New("wide", 0)
-	for i := 0; i < 70; i++ {
-		tc.AddLayer(Layer{Name: fmt.Sprintf("l%d", i), CIF: fmt.Sprintf("X%d", i)})
-	}
-	tc.SetSpacing(2, 69, SpacingRule{DiffNet: 100})
-	tc.SetSpacing(68, 69, SpacingRule{SameNet: 50})
-	c := tc.Compile()
-	if tc.MaxSpacing() != 100 {
-		t.Fatalf("MaxSpacing = %d", tc.MaxSpacing())
-	}
-	for _, want := range []struct {
-		a, b LayerID
-		ok   bool
-	}{{2, 69, true}, {69, 2, true}, {68, 69, true}, {2, 68, false}, {0, 69, false}} {
-		if got := c.Interacts(want.a, want.b); got != want.ok {
-			t.Fatalf("Interacts(%d,%d) = %v, want %v", want.a, want.b, got, want.ok)
-		}
-	}
-	if r := c.Rule(69, 2); r.DiffNet != 100 {
-		t.Fatalf("Rule(69,2) = %+v", r)
 	}
 }
 
@@ -205,14 +231,13 @@ func TestCMOSDeckOnly(t *testing.T) {
 	if tc.NumLayers() != 6 {
 		t.Fatalf("layers = %d", tc.NumLayers())
 	}
-	c := tc.Compile()
 	nd, _ := tc.LayerByName(CMOSNDiff)
 	pd, _ := tc.LayerByName(CMOSPDiff)
 	po, _ := tc.LayerByName(CMOSPoly)
-	if !c.IsDiffusion(nd) || !c.IsDiffusion(pd) {
+	if !tc.IsDiffusion(nd) || !tc.IsDiffusion(pd) {
 		t.Fatal("both diffusion polarities must carry the diffusion role")
 	}
-	if poly, ok := c.Poly(); !ok || poly != po {
+	if poly, ok := tc.Poly(); !ok || poly != po {
 		t.Fatal("poly role not resolved")
 	}
 	spec, ok := tc.Device(DevCMOSPMOS)

@@ -3,10 +3,10 @@ package tech
 // Silicon-gate nMOS process in the Mead–Conway style used throughout the
 // paper (Figures 7, 8, 11, 12, 14). λ = 250 centimicrons (2.5 µm process).
 //
-// The process is defined by decks/nmos.deck; NMOS is a thin loader over
-// the embedded deck text. Its checking behaviour is pinned by the nMOS
-// designs in internal/core/testdata/fingerprints.golden, and its deck form
-// by TestToDeckRoundTrip.
+// The process is defined by decks/nmos.deck; NMOS shares the technology
+// built from the embedded text. Its checking behaviour is pinned by the
+// nMOS designs in internal/core/testdata/fingerprints.golden, and its rule
+// table is read back against the deck rows by TestCompiledMatchesMaps.
 
 // nMOS layer name constants (human names).
 const (
@@ -33,8 +33,6 @@ const (
 	DevNMOSPullup = "nmos-pullup"
 )
 
-func init() { Register("nmos", NMOS) }
-
-// NMOS builds the silicon-gate nMOS technology from its embedded rule
-// deck (decks/nmos.deck).
-func NMOS() *Technology { return mustParseDeck(nmosDeck) }
+// NMOS returns the silicon-gate nMOS technology, built from its embedded
+// rule deck (decks/nmos.deck) once per process and shared.
+var NMOS = shipped(nmosDeck)

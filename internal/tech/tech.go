@@ -4,16 +4,17 @@
 // and different-net subcases), and the device types that primitive symbols
 // may declare, with the parameters their internal checks need.
 //
-// Two technologies are shipped: a λ-based silicon-gate nMOS process in the
-// Mead–Conway style (the paper's running example, Figure 12 uses its D, P,
-// M, C layers) and a simplified bipolar process for the device-dependent
-// rules of Figure 6 (transistor base vs. resistor base against isolation).
+// A technology is built once from its rule deck (FromDeck) and never
+// changes after. Three are shipped as embedded decks: a λ-based
+// silicon-gate nMOS process in the Mead–Conway style (the paper's running
+// example, Figure 12 uses its D, P, M, C layers), a p-well CMOS process,
+// and a simplified bipolar process for the device-dependent rules of
+// Figure 6 (transistor base vs. resistor base against isolation).
 package tech
 
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // LayerID identifies a mask layer within a technology.
@@ -33,7 +34,7 @@ type Layer struct {
 }
 
 // Layer roles: the semantic hooks device-dependent rules attach to. A
-// technology tags each layer with at most one role; the compiled form
+// technology tags each layer with at most one role; the deck loader
 // resolves them once so the checker never matches layer names in hot
 // paths. Roles keep the device rules technology-parameterized: the
 // accidental-transistor check, for example, fires for poly crossing any
@@ -51,7 +52,7 @@ const (
 	RoleEmitter   = "emitter"   // bipolar emitter diffusion
 )
 
-// Roles returns every layer role the compiler and device rules understand.
+// Roles returns every layer role the deck loader and device rules understand.
 func Roles() []string {
 	return []string{
 		RoleDiffusion, RolePoly, RoleMetal, RoleContact, RoleImplant,
@@ -79,16 +80,6 @@ type SpacingRule struct {
 	SameNet       int64  // required spacing when nets are equal (0 = none)
 	ExemptRelated bool   // skip when both elements belong to the same device
 	Note          string // why the cell is or is not checked (audit output)
-}
-
-// LayerRule is one single-layer geometric rule value: a minimum region
-// width in centimicrons (width class) or a minimum island area in square
-// centimicrons (area class), with its audit note. Unlike Layer.MinWidth —
-// a per-element check in the flat baseline — these rules judge a
-// definition's merged geometry.
-type LayerRule struct {
-	Min  int64
-	Note string
 }
 
 // CrossKind enumerates the directed cross-layer rule classes.
@@ -120,18 +111,12 @@ func (k CrossKind) String() string {
 	return fmt.Sprintf("cross(%d)", uint8(k))
 }
 
-// CrossRule is one directed cross-layer rule: the (kind, A, B) key lives
-// beside it in the technology's rule table.
-type CrossRule struct {
+// Cross is one directed cross-layer rule: (kind, A, B) and the margin;
+// unlike LayerPair the (A, B) order is significant.
+type Cross struct {
+	Kind   CrossKind
+	A, B   LayerID
 	Margin int64
-	Note   string
-}
-
-// crossKey identifies a directed cross-layer rule; unlike LayerPair the
-// (a, b) order is significant.
-type crossKey struct {
-	kind CrossKind
-	a, b LayerID
 }
 
 // LayerPair is a normalized (A <= B) unordered pair of layers.
@@ -168,7 +153,7 @@ type DeviceSpec struct {
 // LayerFor resolves a device-rule role to a layer: the device's explicit
 // binding first, then the technology's role-tagged layer. A layer takes a
 // role only from its tag, never from its name, so device analysis sees
-// the layers the compiled rule table does (Compile).
+// the layers the rule table's role probes do.
 func (t *Technology) LayerFor(spec DeviceSpec, role string) (LayerID, bool) {
 	if name, ok := spec.Layers[role]; ok {
 		if id, ok := t.byName[name]; ok {
@@ -184,55 +169,44 @@ func (t *Technology) LayerFor(spec DeviceSpec, role string) (LayerID, bool) {
 	return NoLayer, false
 }
 
-// Technology is a complete process description.
+// Technology is a complete process description, built once from its rule
+// deck (FromDeck) and immutable after: concurrent checks share one value.
+// Beside the layer and device tables it holds the deck's rules as dense
+// tables indexed by layer id, so the pair adjudication hot path — millions
+// of calls per chip — never touches a map or matches a layer name.
 type Technology struct {
 	Name    string
 	Lambda  int64 // scale unit in centimicrons (0 if not λ-based)
 	layers  []Layer
 	byName  map[string]LayerID
 	byCIF   map[string]LayerID
-	spacing map[LayerPair]SpacingRule
-	widths  map[LayerID]LayerRule
-	areas   map[LayerID]LayerRule
-	crosses map[crossKey]CrossRule
 	devices map[string]DeviceSpec
 
-	// Rails are the net names treated as power and ground by the
-	// non-geometric construction rules.
-	PowerNets  []string
-	GroundNets []string
+	// power and ground are the net names the non-geometric construction
+	// rules treat as rails.
+	power, ground []string
 
-	// compiled caches the frozen checker-facing form; any mutation of the
-	// layer set, spacing matrix, or device table invalidates it. The slot
-	// is atomic so technologies shared by concurrent Check calls are safe
-	// (mutating a technology concurrently with checking never was).
-	compiled atomic.Pointer[Compiled]
-}
+	// rules is the Figure 12 matrix, n×n with both orientations filled;
+	// interacts[a] has bit b set when a pair on layers (a, b) needs
+	// adjudication (a non-zero cell or poly over diffusion). deck.MaxLayers
+	// is 64, so one word covers a row.
+	rules      []SpacingRule
+	interacts  []uint64
+	maxSpacing int64
 
-// New creates an empty technology.
-func New(name string, lambda int64) *Technology {
-	return &Technology{
-		Name:    name,
-		Lambda:  lambda,
-		byName:  make(map[string]LayerID),
-		byCIF:   make(map[string]LayerID),
-		spacing: make(map[LayerPair]SpacingRule),
-		widths:  make(map[LayerID]LayerRule),
-		areas:   make(map[LayerID]LayerRule),
-		crosses: make(map[crossKey]CrossRule),
-		devices: make(map[string]DeviceSpec),
-	}
-}
+	// Role-resolved probe layers for the device-dependent rules (NoLayer
+	// when the process has none).
+	polyID, isoID, cutID LayerID
+	isDiff               []bool // layers with the diffusion role
+	anyDiff              bool
 
-// AddLayer registers a layer and returns its id.
-func (t *Technology) AddLayer(l Layer) LayerID {
-	id := LayerID(len(t.layers))
-	l.ID = id
-	t.layers = append(t.layers, l)
-	t.byName[l.Name] = id
-	t.byCIF[l.CIF] = id
-	t.compiled.Store(nil)
-	return id
+	// Single-layer minima per layer (0 = no rule) and the directed
+	// cross-layer rules in (kind, a, b) order. Cross rules are adjudicated
+	// per definition over merged own geometry, not through the pair sweep,
+	// so they leave interacts alone.
+	widthMin, areaMin []int64
+	crosses           []Cross
+	hasLayerRules     bool
 }
 
 // Layers returns all layers in id order.
@@ -258,68 +232,55 @@ func (t *Technology) LayerByCIF(name string) (LayerID, bool) {
 	return id, ok
 }
 
-// SetSpacing sets the interaction-matrix cell for a layer pair.
-func (t *Technology) SetSpacing(a, b LayerID, rule SpacingRule) {
-	t.spacing[Pair(a, b)] = rule
-	t.compiled.Store(nil)
-}
-
-// Spacing returns the interaction-matrix cell for a layer pair; the zero
-// rule (no checks) is returned for unset cells.
-func (t *Technology) Spacing(a, b LayerID) SpacingRule {
-	return t.spacing[Pair(a, b)]
-}
-
-// SetWidthRule sets the minimum-region-width rule for a layer.
-func (t *Technology) SetWidthRule(l LayerID, r LayerRule) {
-	t.widths[l] = r
-	t.compiled.Store(nil)
-}
-
-// WidthRuleFor returns the region-width rule for a layer, if set.
-func (t *Technology) WidthRuleFor(l LayerID) (LayerRule, bool) {
-	r, ok := t.widths[l]
-	return r, ok
-}
-
-// SetAreaRule sets the minimum-island-area rule for a layer.
-func (t *Technology) SetAreaRule(l LayerID, r LayerRule) {
-	t.areas[l] = r
-	t.compiled.Store(nil)
-}
-
-// AreaRuleFor returns the island-area rule for a layer, if set.
-func (t *Technology) AreaRuleFor(l LayerID) (LayerRule, bool) {
-	r, ok := t.areas[l]
-	return r, ok
-}
-
-// SetCrossRule sets a directed cross-layer rule; (a, b) order matters.
-func (t *Technology) SetCrossRule(kind CrossKind, a, b LayerID, r CrossRule) {
-	t.crosses[crossKey{kind, a, b}] = r
-	t.compiled.Store(nil)
-}
-
-// CrossRuleFor returns a directed cross-layer rule, if set.
-func (t *Technology) CrossRuleFor(kind CrossKind, a, b LayerID) (CrossRule, bool) {
-	r, ok := t.crosses[crossKey{kind, a, b}]
-	return r, ok
+// Rule returns the interaction-matrix cell for a layer pair, in either
+// order, without normalization or hashing: one multiply and one index.
+// Unset cells are the zero rule. The returned pointer aliases the table;
+// callers must not mutate it.
+func (t *Technology) Rule(a, b LayerID) *SpacingRule {
+	return &t.rules[int(a)*len(t.layers)+int(b)]
 }
 
 // MaxSpacing returns the largest spacing value anywhere in the matrix —
-// the interaction search radius for candidate generation. The value is
-// computed once at freeze time (see Compile); callers in per-check hot
-// paths no longer rescan the matrix.
-func (t *Technology) MaxSpacing() int64 {
-	return t.Compile().MaxSpacing()
+// the interaction search radius for candidate generation.
+func (t *Technology) MaxSpacing() int64 { return t.maxSpacing }
+
+// Interacts reports whether a candidate pair on the two layers can ever
+// reach adjudication: a non-zero spacing cell or a device-rule pair. The
+// interaction engine consults this before bucketing candidate pairs, so
+// rule-free pairs never leave the sweep.
+func (t *Technology) Interacts(a, b LayerID) bool {
+	return t.interacts[a]&(1<<b) != 0
 }
 
-// AddDevice registers a device type under the given type name (the name a
-// primitive symbol declares with the 9D extension).
-func (t *Technology) AddDevice(name string, spec DeviceSpec) {
-	t.devices[name] = spec
-	t.compiled.Store(nil)
-}
+// Poly returns the poly-role layer (gate material), if any.
+func (t *Technology) Poly() (LayerID, bool) { return t.polyID, t.polyID != NoLayer }
+
+// IsDiffusion reports whether the layer carries the diffusion role.
+func (t *Technology) IsDiffusion(l LayerID) bool { return t.isDiff[l] }
+
+// HasDiffusion reports whether any layer carries the diffusion role.
+func (t *Technology) HasDiffusion() bool { return t.anyDiff }
+
+// Isolation returns the isolation-role layer (base-keepout probe), if any.
+func (t *Technology) Isolation() (LayerID, bool) { return t.isoID, t.isoID != NoLayer }
+
+// Cut returns the contact-role layer (gate-keepout probe), if any.
+func (t *Technology) Cut() (LayerID, bool) { return t.cutID, t.cutID != NoLayer }
+
+// WidthMin returns the minimum region width for a layer (0 = no rule).
+func (t *Technology) WidthMin(l LayerID) int64 { return t.widthMin[l] }
+
+// AreaMin returns the minimum island area for a layer (0 = no rule).
+func (t *Technology) AreaMin(l LayerID) int64 { return t.areaMin[l] }
+
+// CrossRules returns every directed cross-layer rule in deterministic
+// (kind, a, b) order. The returned slice aliases the table; callers must
+// not mutate it.
+func (t *Technology) CrossRules() []Cross { return t.crosses }
+
+// HasLayerRules reports whether any width/area/cross rule is present, so
+// rule-free technologies skip the definition-level rule stage scan.
+func (t *Technology) HasLayerRules() bool { return t.hasLayerRules }
 
 // Device returns the spec for a declared device type.
 func (t *Technology) Device(name string) (DeviceSpec, bool) {
@@ -327,7 +288,7 @@ func (t *Technology) Device(name string) (DeviceSpec, bool) {
 	return s, ok
 }
 
-// DeviceTypes returns the registered type names, sorted.
+// DeviceTypes returns the declared type names, sorted.
 func (t *Technology) DeviceTypes() []string {
 	out := make([]string, 0, len(t.devices))
 	for n := range t.devices {
@@ -338,10 +299,10 @@ func (t *Technology) DeviceTypes() []string {
 }
 
 // IsPower reports whether the net name is a power rail.
-func (t *Technology) IsPower(net string) bool { return contains(t.PowerNets, net) }
+func (t *Technology) IsPower(net string) bool { return contains(t.power, net) }
 
 // IsGround reports whether the net name is a ground rail.
-func (t *Technology) IsGround(net string) bool { return contains(t.GroundNets, net) }
+func (t *Technology) IsGround(net string) bool { return contains(t.ground, net) }
 
 // IsRail reports whether the net is power or ground.
 func (t *Technology) IsRail(net string) bool { return t.IsPower(net) || t.IsGround(net) }
@@ -368,12 +329,11 @@ type MatrixCell struct {
 // rule, including unset (skipped) cells, in deterministic order.
 func (t *Technology) InteractionMatrix() []MatrixCell {
 	var out []MatrixCell
-	for i := 0; i < len(t.layers); i++ {
+	for i := range t.layers {
 		for j := i; j < len(t.layers); j++ {
-			p := Pair(LayerID(i), LayerID(j))
-			rule := t.spacing[p]
+			rule := *t.Rule(LayerID(i), LayerID(j))
 			out = append(out, MatrixCell{
-				Pair:    p,
+				Pair:    Pair(LayerID(i), LayerID(j)),
 				Names:   fmt.Sprintf("%s-%s", t.layers[i].CIF, t.layers[j].CIF),
 				Rule:    rule,
 				Checked: rule.DiffNet > 0 || rule.SameNet > 0,

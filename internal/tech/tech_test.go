@@ -26,15 +26,15 @@ func TestSpacingMatrixSymmetry(t *testing.T) {
 	tc := NMOS()
 	d, _ := tc.LayerByName(NMOSDiff)
 	p, _ := tc.LayerByName(NMOSPoly)
-	if tc.Spacing(d, p) != tc.Spacing(p, d) {
+	if *tc.Rule(d, p) != *tc.Rule(p, d) {
 		t.Fatal("spacing must be order-independent")
 	}
-	if got := tc.Spacing(d, p).DiffNet; got != 250 {
+	if got := tc.Rule(d, p).DiffNet; got != 250 {
 		t.Fatalf("D-P diff-net = %d, want 1λ", got)
 	}
 	// Unset cells return the zero rule.
 	m, _ := tc.LayerByName(NMOSMetal)
-	if r := tc.Spacing(d, m); r.DiffNet != 0 || r.SameNet != 0 {
+	if r := tc.Rule(d, m); r.DiffNet != 0 || r.SameNet != 0 {
 		t.Fatalf("D-M should have no rule: %+v", r)
 	}
 }
@@ -118,7 +118,7 @@ func TestBipolarTech(t *testing.T) {
 		t.Fatal("base missing")
 	}
 	iso, _ := tc.LayerByName(BipIso)
-	r := tc.Spacing(base, iso)
+	r := tc.Rule(base, iso)
 	if r.DiffNet != 200 || r.SameNet != 200 {
 		t.Fatalf("base-iso rule = %+v", r)
 	}
