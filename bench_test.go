@@ -1,17 +1,15 @@
 package dic
 
-// One benchmark per experiment (E01..E16; internal/eval/experiments.go,
-// where each E.. function's doc names its figure), plus micro-benchmarks
-// of the computational kernels. Run with:
+// Kernel benchmarks: each isolates one per-layer metric of the bench/
+// module's end-to-end workloads, named (as it appears in BENCHMARK.json's
+// per_layer list) in its doc comment; TestBenchmarksNameMetric enforces
+// that. Timings that a gate reads come from bash bench/run.sh; these are
+// for profiling one kernel in isolation, e.g.
 //
-//	go test -run xxx -bench . -benchmem
+//	go test -run xxx -bench 'CheckCold|RecheckOneBox' -benchmem -cpuprofile cpu.out
 //
-// (add -json for machine-readable output). End-to-end performance is
-// measured by the bench/ module, not here.
-//
-// The experiment benchmarks measure the cost of regenerating each paper
-// figure/claim; the kernel benchmarks track the geometry engine, the
-// extractor, and both checkers in isolation.
+// and go test -cpu 1,2 -bench CheckCold compares the serial engine with
+// the pooled one (Workers: 0 sizes the pool by GOMAXPROCS).
 
 import (
 	"fmt"
@@ -20,198 +18,17 @@ import (
 
 	"repro/internal/cif"
 	"repro/internal/core"
-	"repro/internal/eval"
-	"repro/internal/flat"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/netlist"
-	"repro/internal/process"
 	"repro/internal/tech"
 	"repro/internal/workload"
 )
 
-// ---- Experiment benchmarks -------------------------------------------
-
-func BenchmarkE01FalseErrorEconomics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := eval.RunE1(tech.NMOS(), 8, 12, 24, 1980)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.DIC.Missed != 0 || res.DIC.False != 0 {
-			b.Fatalf("DIC outcome degraded: %+v", res.DIC)
-		}
-	}
-}
-
-func BenchmarkE02FigurePathologies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.E02(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE03ExpandShrink(b *testing.B) {
-	reg := geom.FromRectR(geom.R(0, 0, 5000, 5000))
-	for i := 0; i < b.N; i++ {
-		for _, d := range []int64{250, 500, 1000, 2000} {
-			_ = geom.OrthogonalExpandArea(reg, d)
-			_ = geom.EuclideanExpandArea(reg, d)
-		}
-	}
-}
-
-func BenchmarkE04WidthSpacingPathologies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.E04(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchPathology(b *testing.B, p workload.Pathology) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.RunPathology(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE05ElectricalEquivalence(b *testing.B) {
-	benchPathology(b, workload.Figure5ElectricalEquivalence())
-}
-
-func BenchmarkE06DeviceDependentRules(b *testing.B) {
-	errCase, _ := workload.Figure6DeviceDependentRules()
-	benchPathology(b, errCase)
-}
-
-func BenchmarkE07ContactOverGate(b *testing.B) {
-	benchPathology(b, workload.Figure7ContactVsButting())
-}
-
-func BenchmarkE08AccidentalTransistor(b *testing.B) {
-	benchPathology(b, workload.Figure8AccidentalTransistor())
-}
-
-func BenchmarkE09HierarchicalPipeline(b *testing.B) {
-	for _, size := range []struct{ rows, cols int }{{4, 5}, {8, 12}, {16, 25}} {
-		b.Run(fmt.Sprintf("cells=%d", size.rows*size.cols), func(b *testing.B) {
-			tc := tech.NMOS()
-			chip := workload.NewChip(tc, "bench", size.rows, size.cols)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := core.Check(chip.Design, tc, core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !rep.Clean() {
-					b.Fatal("chip not clean")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE09FlatBaseline(b *testing.B) {
-	for _, size := range []struct{ rows, cols int }{{4, 5}, {8, 12}, {16, 25}} {
-		b.Run(fmt.Sprintf("cells=%d", size.rows*size.cols), func(b *testing.B) {
-			tc := tech.NMOS()
-			chip := workload.NewChip(tc, "bench", size.rows, size.cols)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := flat.Check(chip.Design, tc, flat.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkE10SkeletalConnectivity(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	type pair struct{ a, b geom.Region }
-	pairs := make([]pair, 64)
-	for i := range pairs {
-		x := int64(rng.Intn(2000))
-		pairs[i] = pair{
-			a: geom.FromRectR(geom.R(0, 0, 4000, 500)),
-			b: geom.FromRectR(geom.R(x, 0, x+4000, 500)),
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		geom.SkeletalConnected(p.a, p.b, 500)
-	}
-}
-
-func BenchmarkE11InteractionMatrix(b *testing.B) {
-	tc := tech.NMOS()
-	chip := workload.NewChip(tc, "bench", 8, 12)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := core.Check(chip.Design, tc, core.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.Stats.InteractionCandidates == 0 {
-			b.Fatal("no interaction candidates")
-		}
-	}
-}
-
-func BenchmarkE12ProximityExpand(b *testing.B) {
-	m := process.Model{Sigma: 100, Threshold: 0.4}
-	a := geom.FromRectR(geom.R(-2000, -1000, 0, 1000))
-	for i := 0; i < b.N; i++ {
-		for _, gap := range []int64{1000, 500, 250, 200} {
-			bb := geom.FromRectR(geom.R(gap, -1000, gap+2000, 1000))
-			_ = m.PrintedGap(a, bb)
-		}
-	}
-}
-
-func BenchmarkE13RelationalRetreat(b *testing.B) {
-	m := process.Model{Sigma: 250, Threshold: 0.5}
-	for i := 0; i < b.N; i++ {
-		for _, w := range []int64{500, 750, 1000, 1500, 2000} {
-			_ = m.EndRetreat(w)
-		}
-	}
-}
-
-func BenchmarkE14SelfSufficiency(b *testing.B) {
-	benchPathology(b, workload.Figure15SelfSufficiency())
-}
-
-func BenchmarkE15ConstructionRules(b *testing.B) {
-	tc := tech.NMOS()
-	chip := workload.NewChip(tc, "bench", 8, 12)
-	nl, _, err := netlist.Extract(chip.Design, tc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if issues := netlist.ConstructionRules(nl, tc); len(issues) != 0 {
-			b.Fatalf("clean chip flagged: %v", issues[0])
-		}
-	}
-}
-
-func BenchmarkE16ResidualVisualWork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.E16(true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- Kernel benchmarks ------------------------------------------------
 
+// BenchmarkRegionUnion times one rect-by-rect sweep of 1 000 overlapping
+// rects into a region: geom.layer_union_ms.
 func BenchmarkRegionUnion(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	rects := make([]geom.Rect, 1000)
@@ -225,10 +42,11 @@ func BenchmarkRegionUnion(b *testing.B) {
 	}
 }
 
-// BenchmarkRegionBulkUnion tracks the k-way single-sweep combiner against
-// the workload BenchmarkRegionUnion covers rect-by-rect: 16 overlapping
-// 100-rect regions folded in one pass (each result costs its band list
-// and span arena).
+// BenchmarkRegionBulkUnion tracks the k-way single-sweep combiner that
+// geom.layer_union_ms times per layer, against the workload
+// BenchmarkRegionUnion covers rect-by-rect: 16 overlapping 100-rect
+// regions folded in one pass (each result costs its band list and span
+// arena).
 func BenchmarkRegionBulkUnion(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	regs := make([]geom.Region, 16)
@@ -247,6 +65,9 @@ func BenchmarkRegionBulkUnion(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionErodeDilate times the morphological opening the width
+// rules apply to every layer region (geom.MinWidthOK):
+// core.stage.layer_rules_ms.
 func BenchmarkRegionErodeDilate(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	rects := make([]geom.Rect, 200)
@@ -261,6 +82,8 @@ func BenchmarkRegionErodeDilate(b *testing.B) {
 	}
 }
 
+// BenchmarkNetlistExtraction times a one-shot hierarchical extraction of
+// the 8×12 inverter array over a fresh cache: netlist.extract_ms.
 func BenchmarkNetlistExtraction(b *testing.B) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "bench", 8, 12)
@@ -272,7 +95,9 @@ func BenchmarkNetlistExtraction(b *testing.B) {
 	}
 }
 
-func BenchmarkCIFRoundTrip(b *testing.B) {
+// BenchmarkCIFParse times reading a 4×5 chip's CIF text back into a
+// design: cif.parse_ms, and its bytes per second cif.parse_mb_per_s.
+func BenchmarkCIFParse(b *testing.B) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "bench", 4, 5)
 	text, err := cif.Write(chip.Design, tc)
@@ -288,6 +113,10 @@ func BenchmarkCIFRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkPairFinder times the candidate-pair sweep over 5 000 scattered
+// boxes: geom.pair_sweep_ms. As there, each iteration sweeps a fresh
+// finder, so the sweep-order sort (cached after a finder's first Pairs
+// call) is timed too.
 func BenchmarkPairFinder(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	var pf geom.PairFinder
@@ -297,73 +126,8 @@ func BenchmarkPairFinder(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		pf.Pairs(750, nil, func(geom.Pair) { n++ })
-	}
-}
-
-func BenchmarkFlattenDesign(b *testing.B) {
-	tc := tech.NMOS()
-	chip := workload.NewChip(tc, "bench", 16, 25)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := chip.Design.Flatten(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExposureClosedForm(b *testing.B) {
-	m := process.DefaultModel()
-	mask := geom.FromRects([]geom.Rect{
-		geom.R(0, 0, 400, 200), geom.R(300, 100, 600, 500), geom.R(700, 0, 900, 400),
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.ExposureAt(mask, geom.FPoint{X: 350, Y: 150})
-	}
-}
-
-// ---- Definition-prebuild pool benchmarks -------------------------------
-
-// benchShiftRegCheck runs a cold check of a unique-rows shift-register
-// chip (one definition per row, so the pool has independent work) with the
-// given Options.Workers, reporting the interaction stage's own wall time
-// as interact-ns/op alongside the whole-pipeline ns/op. Comparing
-// workers=1 against workers=all at the same cell count gives the speedup
-// of building the per-definition interaction caches on the pool.
-func benchShiftRegCheck(b *testing.B, rows, cols, workers int) {
-	b.Helper()
-	tc := tech.NMOS()
-	chip := workload.NewChipUnique(tc, "shiftreg", rows, cols)
-	b.ResetTimer()
-	var stageNS int64
-	for i := 0; i < b.N; i++ {
-		rep, err := core.Check(chip.Design, tc, core.Options{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !rep.Clean() {
-			b.Fatal("chip not clean")
-		}
-		for _, s := range rep.Stats.Stages {
-			if s.Name == "check interactions" {
-				stageNS += s.Duration.Nanoseconds()
-			}
-		}
-	}
-	b.ReportMetric(float64(stageNS)/float64(b.N), "interact-ns/op")
-}
-
-func BenchmarkInteractionSerialVsParallel(b *testing.B) {
-	for _, size := range []struct{ rows, cols int }{{8, 8}, {16, 16}, {16, 32}} {
-		cells := size.rows * size.cols
-		b.Run(fmt.Sprintf("cells=%d/workers=1", cells), func(b *testing.B) {
-			benchShiftRegCheck(b, size.rows, size.cols, 1)
-		})
-		b.Run(fmt.Sprintf("cells=%d/workers=all", cells), func(b *testing.B) {
-			benchShiftRegCheck(b, size.rows, size.cols, 0)
-		})
+		sweep := pf
+		sweep.Pairs(750, nil, func(geom.Pair) {})
 	}
 }
 
@@ -402,7 +166,7 @@ func nudgeRow(s *layout.Symbol, step int64) {
 
 // BenchmarkCheckCold measures a from-scratch engine run on the 32×32
 // unique-rows chip: every definition artifact and interaction cache is
-// rebuilt. Compare with BenchmarkRecheckOneSymbol.
+// rebuilt (core.cold_engine_ms). Compare with BenchmarkRecheckOneSymbol.
 func BenchmarkCheckCold(b *testing.B) {
 	tc, chip, _ := recheckWorkload(32, 32)
 	b.ResetTimer()
@@ -418,7 +182,8 @@ func BenchmarkCheckCold(b *testing.B) {
 }
 
 // BenchmarkCheckColdLarge is BenchmarkCheckCold at 64×64 (4096 cells,
-// 64 unique row definitions) — the scaling point of the cold-check curve.
+// 64 unique row definitions) — the scaling point of the cold-check curve
+// (core.cold_engine_ms).
 func BenchmarkCheckColdLarge(b *testing.B) {
 	tc, chip, _ := recheckWorkload(64, 64)
 	b.ResetTimer()
@@ -436,8 +201,9 @@ func BenchmarkCheckColdLarge(b *testing.B) {
 // BenchmarkRecheckOneSymbol measures the warm edit loop on the same chip:
 // one row definition is edited per iteration, then rechecked. Only the
 // dirty row and the chip root re-derive; every other definition replays
-// from the content-addressed caches. The report is byte-identical to the
-// cold run's (enforced by TestEngineRecheckByteIdentical).
+// from the content-addressed caches (core.recheck_symbol_ms). The report
+// is byte-identical to the cold run's (enforced by
+// TestEngineRecheckByteIdentical).
 func BenchmarkRecheckOneSymbol(b *testing.B) {
 	tc, chip, rows := recheckWorkload(32, 32)
 	eng := core.NewEngine(tc, core.Options{})
@@ -459,22 +225,6 @@ func BenchmarkRecheckOneSymbol(b *testing.B) {
 		}
 		if !rep.Clean() {
 			b.Fatal("chip not clean")
-		}
-	}
-}
-
-// BenchmarkRecheckNoEdit measures the pure replay floor: rechecking an
-// unchanged design (hashing + cache lookups + report assembly).
-func BenchmarkRecheckNoEdit(b *testing.B) {
-	tc, chip, _ := recheckWorkload(32, 32)
-	eng := core.NewEngine(tc, core.Options{})
-	if _, err := eng.Check(chip.Design); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Recheck(chip.Design); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -518,7 +268,8 @@ func orientedWorkloads() []struct {
 
 // BenchmarkCheckColdOriented is BenchmarkCheckCold on the reoriented
 // workloads: embeddings under a mirror or a rotation read their regions
-// from their family's transformed column, not from the owner.
+// from their family's transformed column, not from the owner
+// (core.cold_engine_ms).
 func BenchmarkCheckColdOriented(b *testing.B) {
 	for _, w := range orientedWorkloads() {
 		b.Run(w.name, func(b *testing.B) {
@@ -533,7 +284,7 @@ func BenchmarkCheckColdOriented(b *testing.B) {
 
 // BenchmarkRecheckOriented is BenchmarkRecheckOneSymbol on the reoriented
 // chips: each edited row re-derives its family, the chip root (and the
-// rotated wrapper) again.
+// rotated wrapper) again (core.recheck_symbol_ms).
 func BenchmarkRecheckOriented(b *testing.B) {
 	for _, w := range orientedWorkloads() {
 		if w.rows == nil {
@@ -564,7 +315,8 @@ func BenchmarkRecheckOriented(b *testing.B) {
 // (4096 cells total). The instance-context dedup makes this far cheaper
 // per instance than the unique-rows BenchmarkCheckColdLarge — all 64 row
 // placements share one translation class, so the row's span embedding is
-// built once and derived 63 times by pure coordinate translation.
+// built once and derived 63 times by pure coordinate translation
+// (core.cold_engine_ms).
 func BenchmarkCheckColdArray(b *testing.B) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "arr", 64, 64)
@@ -588,6 +340,7 @@ func BenchmarkCheckColdArray(b *testing.B) {
 // bounded by the edit, not the chip. The anonymous probe floats, so the
 // expected report is exactly its one NET.FANOUT error (asserted; parity
 // with the cold oracle is enforced by TestEngineWindowRecheckParity).
+// This is core.recheck_window_ms.
 func BenchmarkRecheckOneBox(b *testing.B) {
 	tc := tech.NMOS()
 	benchRecheckOneBox(b, tc, workload.NewChip(tc, "arr", 64, 64))
@@ -597,7 +350,7 @@ func BenchmarkRecheckOneBox(b *testing.B) {
 // unique-row chip: 72 definitions and some 4 200 call sites where the
 // uniform array has about 130, so any per-run walk of the call graph
 // around the patch (hashing, validation, ordering, cache ageing) shows
-// here and not above.
+// here and not above (core.recheck_window_ms).
 func BenchmarkRecheckOneBoxUnique(b *testing.B) {
 	tc := tech.NMOS()
 	benchRecheckOneBox(b, tc, workload.NewChipUnique(tc, "uniq", 64, 64))
@@ -650,7 +403,9 @@ func benchRecheckOneBox(b *testing.B, tc *tech.Technology, chip *workload.Chip) 
 //   - call: one row call moves ∓250 (opens and closes the GND rail).
 //
 // One iteration is one edit plus one Recheck; the root and (for symbol)
-// one row re-derive, every other definition replays from the caches.
+// one row re-derive, every other definition replays from the caches. The
+// symbol shape is core.recheck_symbol_ms, struct and call are
+// core.recheck_struct_ms.
 func BenchmarkRecheckActive(b *testing.B) {
 	for _, shape := range []struct {
 		name string
@@ -696,7 +451,7 @@ func BenchmarkRecheckActive(b *testing.B) {
 }
 
 // BenchmarkFingerprintDigest measures the per-run report digest the check
-// service pays once per engine run, on the two report shapes the
+// service pays once per engine run (core.fingerprint_ms), on the two report shapes the
 // benchmark's served workloads hold resident: an 8×8 CMOS array session
 // and a 24×24 unique-rows nMOS chip. The digest streams into the hash, so
 // allocs/op must not scale with the netlist (TestFingerprintDigestAllocs

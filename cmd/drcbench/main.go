@@ -1,69 +1,40 @@
-// Command drcbench regenerates every experiment of the reproduction: one
+// Command drcbench regenerates the paper tables of the reproduction: one
 // table per paper figure or quantified claim. The experiments live in
 // internal/eval/experiments.go, where each E.. function's doc comment
-// names the figure or claim it reproduces.
+// names the figure or claim it reproduces. Timings come from the bench/
+// module (bash bench/run.sh); hot paths are profiled with
+// dicheck -cpuprofile or go test -cpuprofile.
 //
 // Usage:
 //
 //	drcbench [-quick] [-run E01,E09]
 //
-//	-quick        smaller chip sizes (fast smoke run)
-//	-run          comma-separated experiment ids (default: all)
-//	-cpuprofile   write a pprof CPU profile of the run
-//	-memprofile   write a pprof heap profile at exit
+//	-quick   smaller chip sizes (fast smoke run)
+//	-run     comma-separated experiment ids (default: all); an id that
+//	         names no experiment is a usage error (exit 2)
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/eval"
 )
 
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
-	quick := flag.Bool("quick", false, "smaller workloads")
-	run := flag.String("run", "", "comma-separated experiment ids (default all)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
-
-	// Profiling hooks, same contract as dicheck's: hot-path investigation
-	// of an experiment shouldn't need a throwaway harness. Deferred here
-	// (not in main) so every return runs them.
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drcbench: cpuprofile: %v\n", err)
-			return 2
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "drcbench: cpuprofile: %v\n", err)
-			return 2
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "drcbench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "drcbench: memprofile: %v\n", err)
-			}
-		}()
+func realMain(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("drcbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "smaller workloads")
+	run := fs.String("run", "", "comma-separated experiment ids (default all)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	type experiment struct {
@@ -85,14 +56,25 @@ func realMain() int {
 		{"E15", eval.E15},
 		{"E16", func() (*eval.Table, error) { return eval.E16(q) }},
 		{"E17", func() (*eval.Table, error) { return eval.E17(q) }},
-		{"E18", func() (*eval.Table, error) { return eval.E18(q) }},
-		{"E19", func() (*eval.Table, error) { return eval.E19(q) }},
 	}
 
 	want := map[string]bool{}
 	if *run != "" {
+		known := map[string]bool{}
+		for _, e := range experiments {
+			known[e.id] = true
+		}
+		var unknown []string
 		for _, id := range strings.Split(*run, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
+			id = strings.ToUpper(strings.TrimSpace(id))
+			if !known[id] {
+				unknown = append(unknown, fmt.Sprintf("%q", id))
+			}
+			want[id] = true
+		}
+		if len(unknown) > 0 {
+			fmt.Fprintf(stderr, "drcbench: -run: no experiment %s\n", strings.Join(unknown, ", "))
+			return 2
 		}
 	}
 	failed := false
@@ -100,15 +82,13 @@ func realMain() int {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
-		start := time.Now()
 		tab, err := e.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(stderr, "%s: %v\n", e.id, err)
 			failed = true
 			continue
 		}
-		fmt.Println(tab.Render())
-		fmt.Printf("(%s completed in %v)\n\n", e.id, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(stdout, "%s\n\n", tab.Render())
 	}
 	if failed {
 		return 1

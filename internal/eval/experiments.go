@@ -561,177 +561,3 @@ func keys(m map[string]int) []string {
 	sort.Strings(out)
 	return out
 }
-
-// interactionStage returns the wall time of the "check interactions"
-// pipeline stage from a report.
-func interactionStage(rep *core.Report) time.Duration {
-	for _, s := range rep.Stats.Stages {
-		if s.Name == "check interactions" {
-			return s.Duration
-		}
-	}
-	return 0
-}
-
-// E18 measures the engine's worker pool, Workers:1 against Workers:0
-// (GOMAXPROCS goroutines), and verifies along the way that both report
-// identically. Cold rows check unique-rows shift-register chips of
-// growing size — one definition per row, so the definition prebuild has
-// independent work — and report the interaction stage's wall time and
-// the whole run's. The warm row re-derives a 32×32 chip after an
-// electrically active edit (a row's head wire moved out and back), where
-// the pool splits the root's chip-sized phases: its columns are the mean
-// recheck. On a single-core host the columns coincide; the speedups are
-// the point of the experiment on real hardware.
-func E18(quick bool) (*Table, error) {
-	t := &Table{
-		ID:     "E18",
-		Title:  "worker pool (serial vs GOMAXPROCS workers)",
-		Figure: "the ROADMAP 'as fast as the hardware allows' axis",
-		Columns: []string{"cells", "run", "candidates", "serial stage", "pooled stage", "stage speedup",
-			"serial run", "pooled run", "run speedup", "errors"},
-	}
-	sizes := []struct{ rows, cols int }{{8, 8}, {8, 16}, {16, 16}, {16, 32}}
-	if quick {
-		sizes = sizes[:2]
-	}
-	timed := func(run func() (*core.Report, error)) (*core.Report, time.Duration, error) {
-		start := time.Now()
-		rep, err := run()
-		return rep, time.Since(start), err
-	}
-	row := func(cells int, run string, serial, par *core.Report, sr, pr time.Duration) {
-		ss, ps := interactionStage(serial), interactionStage(par)
-		t.AddRow(cells, run, serial.Stats.InteractionCandidates,
-			ss.Round(time.Microsecond).String(), ps.Round(time.Microsecond).String(), speedupString(ss, ps),
-			sr.Round(time.Microsecond).String(), pr.Round(time.Microsecond).String(), speedupString(sr, pr),
-			len(serial.Errors()))
-	}
-	for _, size := range sizes {
-		tc := tech.NMOS()
-		chip := workload.NewChipUnique(tc, "e18", size.rows, size.cols)
-		serial, sr, err := timed(func() (*core.Report, error) { return core.Check(chip.Design, tc, core.Options{Workers: 1}) })
-		if err != nil {
-			return nil, err
-		}
-		par, pr, err := timed(func() (*core.Report, error) { return core.Check(chip.Design, tc, core.Options{Workers: 0}) })
-		if err != nil {
-			return nil, err
-		}
-		if core.Fingerprint(serial) != core.Fingerprint(par) {
-			return nil, fmt.Errorf("E18: pooled run diverged from serial on %dx%d", size.rows, size.cols)
-		}
-		row(size.rows*size.cols, "cold", serial, par, sr, pr)
-	}
-
-	tc := tech.NMOS()
-	chip := workload.NewChipUnique(tc, "e18", 32, 32)
-	d := chip.Design
-	serialEng, parEng := core.NewEngine(tc, core.Options{Workers: 1}), core.NewEngine(tc, core.Options{Workers: 0})
-	for _, eng := range []*core.Engine{serialEng, parEng} {
-		if _, err := eng.Check(d); err != nil {
-			return nil, err
-		}
-	}
-	edits := 8
-	if quick {
-		edits = 4
-	}
-	var serial, par *core.Report
-	var sr, pr time.Duration
-	for i := 0; i < edits; i++ {
-		dy := int64(250 - 500*(i%2))
-		if err := layout.ApplyEdit(d, tc, layout.Edit{Op: layout.OpMoveElement, Symbol: "row1", Index: 0, DY: dy}); err != nil {
-			return nil, err
-		}
-		var s, p time.Duration
-		var err error
-		if serial, s, err = timed(func() (*core.Report, error) { return serialEng.Recheck(d) }); err != nil {
-			return nil, err
-		}
-		if par, p, err = timed(func() (*core.Report, error) { return parEng.Recheck(d) }); err != nil {
-			return nil, err
-		}
-		if core.Fingerprint(serial) != core.Fingerprint(par) {
-			return nil, fmt.Errorf("E18: pooled recheck diverged from serial after edit %d", i)
-		}
-		sr, pr = sr+s, pr+p
-	}
-	row(32*32, "warm", serial, par, sr/time.Duration(edits), pr/time.Duration(edits))
-	t.Note("cold: Workers:1 builds each definition's candidate sweep and keepout probes in turn, Workers:0 on GOMAXPROCS goroutines")
-	t.Note("warm: an active edit re-derives the chip root; Workers:0 splits its per-call copies, terminal remap, net assembly, instance table and signatures, and runs the construction rules beside the interaction stage")
-	t.Note("tallies, adjudication and report assembly stay serial — reports are byte-identical")
-	return t, nil
-}
-
-// E19 measures the incremental engine: cold Check versus warm Recheck
-// after a single-symbol edit, per pipeline stage, on the unique-rows
-// inverter-array workload ("rules are checked in the symbol definition,
-// not in each instance" — so an edit should only cost what it touched).
-// The warm report is verified byte-identical (modulo durations) to a cold
-// check of the edited design before timings are reported.
-func E19(quick bool) (*Table, error) {
-	t := &Table{
-		ID:      "E19",
-		Title:   "incremental recheck: cold vs warm after a one-symbol edit",
-		Figure:  "the paper's edit-loop claim + the ROADMAP service axis",
-		Columns: []string{"rows x cols", "stage", "cold", "warm", "speedup"},
-	}
-	sizes := []struct{ rows, cols int }{{16, 16}, {32, 32}}
-	if quick {
-		sizes = sizes[:1]
-	}
-	for _, size := range sizes {
-		tc := tech.NMOS()
-		chip := workload.NewChipUnique(tc, "e19", size.rows, size.cols)
-		metalL, _ := tc.LayerByName(tech.NMOSMetal)
-
-		eng := core.NewEngine(tc, core.Options{})
-		if _, err := eng.Check(chip.Design); err != nil {
-			return nil, err
-		}
-		// The single-symbol edit: a floating GND-declared probe box in one
-		// row definition (keeps the chip error-free and the size stable).
-		row, ok := chip.Design.Symbol(fmt.Sprintf("row%d", size.rows/2))
-		if !ok {
-			return nil, fmt.Errorf("E19: row symbol missing")
-		}
-		row.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "GND")
-
-		warm, err := eng.Recheck(chip.Design)
-		if err != nil {
-			return nil, err
-		}
-		cold, err := core.NewEngine(tc, core.Options{}).Check(chip.Design)
-		if err != nil {
-			return nil, err
-		}
-		if core.Fingerprint(warm) != core.Fingerprint(cold) {
-			return nil, fmt.Errorf("E19: warm recheck diverged from cold check on %dx%d", size.rows, size.cols)
-		}
-		var coldTotal, warmTotal time.Duration
-		for si := range cold.Stats.Stages {
-			cs, ws := cold.Stats.Stages[si], warm.Stats.Stages[si]
-			coldTotal += cs.Duration
-			warmTotal += ws.Duration
-			t.AddRow(fmt.Sprintf("%dx%d", size.rows, size.cols), cs.Name,
-				cs.Duration.Round(time.Microsecond).String(),
-				ws.Duration.Round(time.Microsecond).String(),
-				speedupString(cs.Duration, ws.Duration))
-		}
-		t.AddRow(fmt.Sprintf("%dx%d", size.rows, size.cols), "TOTAL",
-			coldTotal.Round(time.Microsecond).String(),
-			warmTotal.Round(time.Microsecond).String(),
-			speedupString(coldTotal, warmTotal))
-	}
-	t.Note("cold = fresh engine (every definition artifact rebuilt); warm = same engine after editing ONE row definition")
-	t.Note("warm and cold reports are byte-identical modulo stage durations (core.Fingerprint enforced above)")
-	return t, nil
-}
-
-func speedupString(cold, warm time.Duration) string {
-	if warm <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.2fx", float64(cold)/float64(warm))
-}

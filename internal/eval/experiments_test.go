@@ -212,36 +212,3 @@ func TestE17Ablation(t *testing.T) {
 		t.Errorf("exemption ablation produced no false errors: %v", tab.Rows[2])
 	}
 }
-
-func TestE19IncrementalRecheck(t *testing.T) {
-	tab, err := E19(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 pipeline-stage rows (7 stages + TOTAL) for the quick size.
-	if len(tab.Rows) != 8 {
-		t.Fatalf("rows = %d, want 8: %v", len(tab.Rows), tab.Rows)
-	}
-	if tab.Rows[len(tab.Rows)-1][1] != "TOTAL" {
-		t.Fatalf("last row not TOTAL: %v", tab.Rows[len(tab.Rows)-1])
-	}
-	// E19 itself fails when the warm recheck diverges from the cold check,
-	// so reaching here already proves byte-identity on this workload.
-}
-
-func TestE18ParallelEngine(t *testing.T) {
-	tab, err := E18(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 3 || tab.Rows[2][1] != "warm" {
-		t.Fatalf("rows = %v, want two cold rows and the warm one", tab.Rows)
-	}
-	// The workload chips are clean; E18 itself fails when the pooled
-	// run's report diverges from the serial run's.
-	for _, row := range tab.Rows {
-		if row[len(row)-1] != "0" {
-			t.Errorf("clean chip reported errors: %v", row)
-		}
-	}
-}

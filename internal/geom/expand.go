@@ -3,27 +3,10 @@ package geom
 import "math"
 
 // FPoint is a float64 point, used only where the paper's geometry is
-// genuinely analog: Euclidean offset contours and the exposure model.
+// genuinely analog: the optical exposure model.
 type FPoint struct {
 	X, Y float64
 }
-
-// FPolygon is a closed polygon with float64 vertices (closing edge
-// implicit), produced by Euclidean offsetting.
-type FPolygon []FPoint
-
-// SignedArea returns the signed area of the polygon (positive when CCW).
-func (p FPolygon) SignedArea() float64 {
-	var s float64
-	for i := range p {
-		j := (i + 1) % len(p)
-		s += p[i].X*p[j].Y - p[j].X*p[i].Y
-	}
-	return s / 2
-}
-
-// Area returns the absolute area.
-func (p FPolygon) Area() float64 { return math.Abs(p.SignedArea()) }
 
 // OrthogonalExpandArea returns the exact area of the orthogonal expansion
 // of a region by d, computed with the region algebra.
@@ -80,34 +63,6 @@ func EuclideanExpandArea(r Region, d int64) float64 {
 	return a + p*dd + float64(convex)*(math.Pi/4)*dd*dd - float64(concave)*dd*dd
 }
 
-// EuclideanExpandRectPolygon returns the Euclidean expansion contour of a
-// rect by radius d, with each rounded corner approximated by segsPerQuarter
-// chords (Figure 3, right: "the Euclidean expand rounds the corners").
-func EuclideanExpandRectPolygon(r Rect, d int64, segsPerQuarter int) FPolygon {
-	if segsPerQuarter < 1 {
-		segsPerQuarter = 1
-	}
-	corners := [4]FPoint{ // CCW from lower-left, arc centers
-		{float64(r.X2), float64(r.Y1)},
-		{float64(r.X2), float64(r.Y2)},
-		{float64(r.X1), float64(r.Y2)},
-		{float64(r.X1), float64(r.Y1)},
-	}
-	startAngle := [4]float64{-math.Pi / 2, 0, math.Pi / 2, math.Pi}
-	var out FPolygon
-	dd := float64(d)
-	for c := 0; c < 4; c++ {
-		for s := 0; s <= segsPerQuarter; s++ {
-			th := startAngle[c] + (math.Pi/2)*float64(s)/float64(segsPerQuarter)
-			out = append(out, FPoint{
-				corners[c].X + dd*math.Cos(th),
-				corners[c].Y + dd*math.Sin(th),
-			})
-		}
-	}
-	return out
-}
-
 // EuclideanShrinkRect returns the Euclidean (disk) erosion of a rect by d.
 // For convex rectilinear shapes disk erosion coincides with orthogonal
 // erosion (Figure 3: "both Euclidean and Orthogonal shrink yield square
@@ -118,31 +73,4 @@ func EuclideanShrinkRect(r Rect, d int64) Rect {
 		return Rect{out.X1, out.Y1, out.X1, out.Y1} // collapsed to empty
 	}
 	return out
-}
-
-// EuclideanSECCornerLoss returns the area falsely flagged at each convex
-// corner by the Euclidean shrink-expand-compare width check of Figure 4:
-// shrinking by h and Euclidean-expanding by h rounds every convex corner,
-// losing (1 − π/4)·h² per corner even on perfectly legal geometry.
-func EuclideanSECCornerLoss(h int64) float64 {
-	hh := float64(h)
-	return (1 - math.Pi/4) * hh * hh
-}
-
-// EuclideanSECFalseCorners performs the Euclidean shrink-expand-compare
-// width check on a rect of legal width and returns the per-corner regions
-// that the check would flag (one square of side h at each convex corner of
-// which only the rounded part is actually covered). It returns the corner
-// rects and the exact falsely-flagged area.
-func EuclideanSECFalseCorners(r Rect, h int64) ([]Rect, float64) {
-	if r.MinSide() < 2*h {
-		return nil, 0 // genuinely too narrow: SEC flags the whole shape
-	}
-	corners := []Rect{
-		{r.X1, r.Y1, r.X1 + h, r.Y1 + h},
-		{r.X2 - h, r.Y1, r.X2, r.Y1 + h},
-		{r.X2 - h, r.Y2 - h, r.X2, r.Y2},
-		{r.X1, r.Y2 - h, r.X1 + h, r.Y2},
-	}
-	return corners, 4 * EuclideanSECCornerLoss(h)
 }

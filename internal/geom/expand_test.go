@@ -49,29 +49,6 @@ func TestEuclideanExpandAreaLShape(t *testing.T) {
 	}
 }
 
-func TestEuclideanExpandPolygonAreaConverges(t *testing.T) {
-	// The chordal approximation must converge to the analytic area from
-	// below as segments increase.
-	r := R(0, 0, 20, 20)
-	d := int64(5)
-	exact := EuclideanExpandArea(FromRectR(r), d)
-	prev := 0.0
-	for _, segs := range []int{1, 4, 16, 64} {
-		poly := EuclideanExpandRectPolygon(r, d, segs)
-		area := poly.Area()
-		if area <= prev {
-			t.Fatalf("area must increase with segment count: %v after %v", area, prev)
-		}
-		if area > exact+1e-9 {
-			t.Fatalf("chordal area %v exceeds exact %v", area, exact)
-		}
-		prev = area
-	}
-	if exact-prev > 0.2 {
-		t.Fatalf("64-segment approximation too far from exact: %v vs %v", prev, exact)
-	}
-}
-
 func TestEuclideanShrinkRect(t *testing.T) {
 	// Figure 3: both shrinks yield square corners on squares.
 	r := R(0, 0, 20, 20)
@@ -83,28 +60,6 @@ func TestEuclideanShrinkRect(t *testing.T) {
 	}
 }
 
-func TestEuclideanSECFalseCorners(t *testing.T) {
-	// Figure 4: Euclidean shrink-expand-compare on a perfectly legal square
-	// flags all four corners with total area 4(1-π/4)h².
-	r := R(0, 0, 40, 40)
-	corners, area := EuclideanSECFalseCorners(r, 10)
-	if len(corners) != 4 {
-		t.Fatalf("corner flags = %d, want 4", len(corners))
-	}
-	want := 4 * (1 - math.Pi/4) * 100
-	if math.Abs(area-want) > 1e-9 {
-		t.Fatalf("false area = %v, want %v", area, want)
-	}
-	// A genuinely narrow shape is not reported corner-wise.
-	if cs, _ := EuclideanSECFalseCorners(R(0, 0, 40, 15), 10); cs != nil {
-		t.Fatal("sub-2h shape should not produce corner flags")
-	}
-	// The orthogonal variant on the same square reports nothing at all.
-	if !MinWidthOK(FromRectR(r), 20) {
-		t.Fatal("orthogonal check must pass the legal square")
-	}
-}
-
 func TestCornerCountsDonut(t *testing.T) {
 	donut := FromRectR(R(0, 0, 20, 20)).Subtract(FromRectR(R(5, 5, 15, 15)))
 	convex, concave := CornerCounts(donut)
@@ -112,15 +67,5 @@ func TestCornerCountsDonut(t *testing.T) {
 	// region (interior angle 270°).
 	if convex != 4 || concave != 4 {
 		t.Fatalf("donut corners = %d/%d, want 4/4", convex, concave)
-	}
-}
-
-func TestFPolygonArea(t *testing.T) {
-	sq := FPolygon{{0, 0}, {2, 0}, {2, 2}, {0, 2}}
-	if got := sq.Area(); got != 4 {
-		t.Fatalf("area = %v", got)
-	}
-	if got := sq.SignedArea(); got != 4 {
-		t.Fatalf("signed area = %v", got)
 	}
 }

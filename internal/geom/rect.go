@@ -41,10 +41,6 @@ func (r Rect) Area() int64 {
 	return r.W() * r.H()
 }
 
-// MinSide returns min(W,H) — the orthogonal "width" of the rectangle in the
-// design-rule sense.
-func (r Rect) MinSide() int64 { return minInt64(r.W(), r.H()) }
-
 // Translate returns r moved by d.
 func (r Rect) Translate(d Point) Rect {
 	return Rect{r.X1 + d.X, r.Y1 + d.Y, r.X2 + d.X, r.Y2 + d.Y}

@@ -22,9 +22,6 @@ func TestRectAccessors(t *testing.T) {
 	if r.Area() != 50 {
 		t.Fatalf("Area = %d", r.Area())
 	}
-	if r.MinSide() != 5 {
-		t.Fatalf("MinSide = %d", r.MinSide())
-	}
 }
 
 func TestRectIntersectUnion(t *testing.T) {

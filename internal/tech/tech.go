@@ -12,10 +12,7 @@
 // Figure 6 (transistor base vs. resistor base against isolation).
 package tech
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // LayerID identifies a mask layer within a technology.
 type LayerID uint8
@@ -286,16 +283,6 @@ func (t *Technology) HasLayerRules() bool { return t.hasLayerRules }
 func (t *Technology) Device(name string) (DeviceSpec, bool) {
 	s, ok := t.devices[name]
 	return s, ok
-}
-
-// DeviceTypes returns the declared type names, sorted.
-func (t *Technology) DeviceTypes() []string {
-	out := make([]string, 0, len(t.devices))
-	for n := range t.devices {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IsPower reports whether the net name is a power rail.
