@@ -9,7 +9,7 @@ package dic
 //	go test -run xxx -bench 'CheckCold|RecheckOneBox' -benchmem -cpuprofile cpu.out
 //
 // and go test -cpu 1,2 -bench CheckCold compares the serial engine with
-// the pooled one (Workers: 0 sizes the pool by GOMAXPROCS).
+// the pooled one (GOMAXPROCS sizes the pool).
 
 import (
 	"fmt"

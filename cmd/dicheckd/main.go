@@ -27,8 +27,6 @@
 //	-state-dir DIR     enable crash-safe snapshots: restore on boot,
 //	                   snapshot on shutdown/eviction and every -snapshot-every
 //	-snapshot-every D  periodic snapshot interval (default 30s with -state-dir)
-//	-test-hooks        register POST /v1/sessions/{id}/inject (fault
-//	                   injection for drills; never in production)
 //
 // Endpoints (all JSON, versioned under /v1):
 //
@@ -80,7 +78,6 @@ func run() int {
 	reportHistory := flag.Int("report-history", 8, "per-session report states kept for ?since= deltas (negative disables)")
 	stateDir := flag.String("state-dir", "", "session snapshot directory (enables crash-safe restore)")
 	snapEvery := flag.Duration("snapshot-every", 30*time.Second, "periodic snapshot interval (needs -state-dir)")
-	testHooks := flag.Bool("test-hooks", false, "register the fault-injection endpoint (never in production)")
 	flag.Parse()
 
 	if *stateDir != "" {
@@ -115,7 +112,6 @@ func run() int {
 		ReportHistory: *reportHistory,
 		StateDir:      *stateDir,
 		SnapshotEvery: *snapEvery,
-		TestHooks:     *testHooks,
 	})
 	if *stateDir != "" {
 		restored, errs := srv.RestoreFromDisk(context.Background())

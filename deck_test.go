@@ -32,7 +32,7 @@ func TestLoadDeckRoundTrip(t *testing.T) {
 	}
 	fp := func(tc *dic.Technology) string {
 		chip := dic.NewCMOSChip(tc, "roundtrip", 2, 3)
-		rep, err := dic.Check(chip.Design, tc, dic.Options{Workers: 1})
+		rep, err := dic.Check(chip.Design, tc, dic.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

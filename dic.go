@@ -32,10 +32,11 @@
 // Check is one cold run of the incremental engine: every stage's results
 // are computed per symbol definition under content hashes and replayed per
 // instance, so even a single verdict costs what the distinct definitions
-// cost, not what the instantiated chip costs. Options.Workers sizes the
-// pool that builds the per-definition interaction caches and splits a
-// full re-derive's chip-sized phases (0 = runtime.GOMAXPROCS(0), 1 = the
-// calling goroutine alone); the report is identical for any worker count.
+// cost, not what the instantiated chip costs. A pool of
+// runtime.GOMAXPROCS(0) goroutines builds the per-definition interaction
+// caches and splits a full re-derive's chip-sized phases (GOMAXPROCS=1
+// keeps a run on the calling goroutine); the report is identical for any
+// pool size.
 //
 // For the iterate-edit-recheck loop, NewEngine keeps that engine open as a
 // session: a Recheck after an edit re-derives only the dirty subtrees and

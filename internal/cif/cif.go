@@ -22,6 +22,8 @@ package cif
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/layout"
 )
 
 // SyntaxError is a CIF parse error with command context.
@@ -90,11 +92,8 @@ func fields(cmd string) []string {
 			cur.Reset()
 		}
 	}
-	isWord := func(r byte) bool {
-		return r >= 'A' && r <= 'Z' || r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '-' || r == '_' || r == '.'
-	}
 	for i := 0; i < len(cmd); i++ {
-		if isWord(cmd[i]) {
+		if layout.IsNameByte(cmd[i]) {
 			cur.WriteByte(cmd[i])
 		} else {
 			flush()

@@ -321,6 +321,36 @@ func TestRoundTripWithTransforms(t *testing.T) {
 	}
 }
 
+// TestWriteKeepsDesignName: a design name Parse reads back unchanged is
+// written as the top-level 9 command; any other — a path, a space, a
+// parenthesis that would unbalance a comment — is left out of the text,
+// and Parse keeps the name its caller passes, so the name round-trips
+// either way.
+func TestWriteKeepsDesignName(t *testing.T) {
+	tc := tech.NMOS()
+	metal, _ := tc.LayerByName(tech.NMOSMetal)
+	for _, name := range []string{"chip", "a-b_c.9", "examples/chip.cif", "my chip", "a)b", "a(b", "x;y"} {
+		d := layout.NewDesign(name)
+		top := d.MustSymbol("top")
+		top.AddBox(metal, geom.R(0, 0, 400, 400), "n1")
+		d.Top = top
+		text, err := Write(d, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(text, tc, name)
+		if err != nil {
+			t.Fatalf("%q: %v\n%s", name, err, text)
+		}
+		if back.Name != name {
+			t.Fatalf("%q read back as %q:\n%s", name, back.Name, text)
+		}
+		if got, want := strings.Contains(text, name), layout.IsName(name); got != want {
+			t.Fatalf("%q: in the text %v, want %v:\n%s", name, got, want, text)
+		}
+	}
+}
+
 func TestFieldsTokenizer(t *testing.T) {
 	got := fields("B 20,30 -5 7")
 	want := []string{"B", "20", "30", "-5", "7"}

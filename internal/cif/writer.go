@@ -3,6 +3,7 @@ package cif
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/geom"
 	"repro/internal/layout"
@@ -21,8 +22,11 @@ func Write(d *layout.Design, tc *tech.Technology) (string, error) {
 		return "", err
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "(design %s, technology %s);\n", d.Name, tc.Name)
-	fmt.Fprintf(&sb, "9 %s;\n", sanitizeName(d.Name))
+	// The design's name is a top-level 9 command only when Parse reads it
+	// back unchanged; otherwise Parse keeps the name its caller passes.
+	if layout.IsName(d.Name) {
+		fmt.Fprintf(&sb, "9 %s;\n", d.Name)
+	}
 
 	order := d.SortedSymbols()
 	num := make(map[*layout.Symbol]int, len(order))
@@ -126,10 +130,9 @@ func sanitizeName(n string) string {
 	}
 	var sb strings.Builder
 	for _, r := range n {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
+		if r < utf8.RuneSelf && layout.IsNameByte(byte(r)) {
 			sb.WriteRune(r)
-		default:
+		} else {
 			sb.WriteRune('_')
 		}
 	}

@@ -39,9 +39,10 @@ func TestActiveEditDifferential(t *testing.T) {
 		for _, workers := range []int{1, 0} {
 			for seed := int64(1); seed <= 2; seed++ {
 				t.Run(fmt.Sprintf("%s/workers%d/seed%d", c.name, workers, seed), func(t *testing.T) {
+					defer pinProcs(workers)()
 					d := c.make()
 					script := workload.NewActiveEdits(seed)
-					eng := NewEngine(c.tc, Options{Workers: workers})
+					eng := NewEngine(c.tc, Options{})
 					prev, err := eng.Check(d)
 					if err != nil {
 						t.Fatal(err)
@@ -62,7 +63,7 @@ func TestActiveEditDifferential(t *testing.T) {
 						if !eng.Stats().WindowPatched {
 							full++
 						}
-						cold, err := NewEngine(c.tc, Options{Workers: 1}).Check(d)
+						cold, err := runOn(1, NewEngine(c.tc, Options{}).Check, d)
 						if err != nil {
 							t.Fatalf("%s: cold: %v", label, err)
 						}
@@ -96,7 +97,7 @@ func TestFullPathReasons(t *testing.T) {
 	d.Top.AddBox(metalL, geom.R(-30000, 0, -28000, 2000), "")
 	probe := len(d.Top.Elements) - 1
 	top := d.Top.Name
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 
 	run := func(label, want string, edits ...layout.Edit) {
 		t.Helper()
@@ -144,7 +145,7 @@ func TestFullPathReasons(t *testing.T) {
 	if err := layout.ApplyEdit(d, nm, layout.Edit{Op: layout.OpMoveElement, Symbol: top, Index: probe, DY: 250}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEngine(nm, Options{Workers: 1}).Check(d); err != nil {
+	if _, err := NewEngine(nm, Options{}).Check(d); err != nil {
 		t.Fatal(err)
 	}
 	run("probe moved after another engine's run", "",
@@ -160,7 +161,7 @@ func TestFullPathReasons(t *testing.T) {
 func activeRecheck(t *testing.T, n int) (func(), *Engine) {
 	nm := tech.NMOS()
 	d := workload.NewChipUnique(nm, fmt.Sprintf("full%d", n), n, n).Design
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestKeepoutsAcrossSpanBoundary(t *testing.T) {
 				}
 				var serial *Report
 				for _, workers := range []int{1, 0} {
-					got, err := NewEngine(c.tc, Options{Workers: workers}).Check(c.d)
+					got, err := runOn(workers, NewEngine(c.tc, Options{}).Check, c.d)
 					if err != nil {
 						t.Fatal(err)
 					}

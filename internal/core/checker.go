@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"repro/internal/device"
@@ -55,29 +54,6 @@ type Options struct {
 	// ProcessMargin is the minimum printed gap the process model must
 	// predict for a downgrade (centimicrons; 0 = any positive gap).
 	ProcessMargin float64
-
-	// Workers is the number of goroutines, the calling one included, that
-	// the engine's chip-sized work splits across: 0 uses
-	// runtime.GOMAXPROCS(0), 1 runs everything on the calling goroutine.
-	// The pool builds missing per-definition interaction caches
-	// (candidate sweeps and keepout probes, independent across
-	// definitions), and on a full re-derive of the root it splits
-	// extraction's per-call copies, terminal remap, net assembly and
-	// instance table, and the interaction stage's net-environment
-	// signatures, and runs the construction rules beside the interaction
-	// stage. Work below a fixed size never leaves the calling goroutine,
-	// so a window-patched recheck spawns nothing. Tallies, adjudication and
-	// report assembly stay serial and every split writes disjoint output,
-	// so any worker count produces an identical Report.
-	Workers int
-}
-
-// workerCount resolves Workers to a concrete goroutine count.
-func (o Options) workerCount() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // StageStats times one pipeline stage.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -49,14 +50,17 @@ import (
 // definition — spacing distances are invariant under the Manhattan
 // instance transforms — and the Figure 12 subcase logic is re-run only
 // when an instance's surrounding connectivity actually differs (see
-// signature below). Options are fixed at engine construction; Workers
-// sizes the pool a run splits its chip-sized work across (see
-// Options.Workers): the builds of missing per-definition interaction
-// caches, and on a full re-derive of the root, extraction's per-call,
-// per-footprint and per-device passes, the signatures, and the
-// construction rules beside the interaction stage. The calling goroutine
-// is one of the workers, work below a fixed size never leaves it, and the
-// report does not depend on the pool's size.
+// signature below). Options are fixed at engine construction. A run
+// splits its chip-sized work across runtime.GOMAXPROCS(0) goroutines: the
+// builds of missing per-definition interaction caches (candidate sweeps
+// and keepout probes, independent across definitions), and on a full
+// re-derive of the root, extraction's per-call, per-footprint and
+// per-device passes, the signatures, and the construction rules beside
+// the interaction stage. The calling goroutine is one of the workers,
+// work below a fixed size never leaves it (a window-patched recheck
+// spawns nothing), tallies, adjudication and report assembly stay serial,
+// and every split writes disjoint output, so the report does not depend
+// on the pool's size.
 //
 // An Engine is not safe for concurrent use. Reports share structure with
 // the engine's caches; treat them as immutable.
@@ -334,7 +338,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
-		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, e.opts.workerCount())
+		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, runtime.GOMAXPROCS(0))
 		if err != nil {
 			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
 			return
@@ -351,7 +355,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		// they run beside the interaction stage. Their violations are
 		// still added by their own stage, after it.
 		var cons []netlist.Issue
-		beside := !e.opts.SkipConstruction && inc.Patch == nil && e.opts.workerCount() > 1
+		beside := !e.opts.SkipConstruction && inc.Patch == nil && runtime.GOMAXPROCS(0) > 1
 		stage("check interactions", func() { rec, cons = e.checkInteractions(c, inc, &stats, beside) })
 		if !e.opts.SkipConstruction {
 			stage("check construction rules", func() { rec.cons = e.checkConstruction(c, inc, cons, beside) })
@@ -996,7 +1000,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// immutable artifacts and the technology. A warm run lacks
 	// only the re-derived definitions'. Every instance counts one build,
 	// the first to reach its definition, or one reuse.
-	workers := e.opts.workerCount()
+	workers := runtime.GOMAXPROCS(0)
 	var order []*netlist.SymbolArtifacts
 	var seen map[*netlist.SymbolArtifacts]bool
 	for ii := range inc.Instances {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -112,30 +113,31 @@ func TestEngineMatchesCheck(t *testing.T) {
 			spec := specCheck(tcse.design, tcse.tc, v.opts)
 			var serial *Report
 			for _, workers := range []int{1, 0} {
-				opts := v.opts
-				opts.Workers = workers
-				wl := fmt.Sprintf("%s, workers %d", label, workers)
-				eng := NewEngine(tcse.tc, opts)
-				got, err := eng.Check(tcse.design)
-				if err != nil {
-					t.Fatalf("%s: engine: %v", wl, err)
-				}
-				requireSpec(t, wl+" (cold engine vs spec)", got, spec)
-				if n := ruleCount(t, got, "NET.MISSING"); n != v.missing {
-					t.Fatalf("%s: %d NET.MISSING, want %d", wl, n, v.missing)
-				}
-				if serial == nil {
-					serial = got
-				} else {
-					requireSameReport(t, wl+" (cold engine vs one worker)", got, serial)
-				}
+				func() {
+					defer pinProcs(workers)()
+					wl := fmt.Sprintf("%s, workers %d", label, workers)
+					eng := NewEngine(tcse.tc, v.opts)
+					got, err := eng.Check(tcse.design)
+					if err != nil {
+						t.Fatalf("%s: engine: %v", wl, err)
+					}
+					requireSpec(t, wl+" (cold engine vs spec)", got, spec)
+					if n := ruleCount(t, got, "NET.MISSING"); n != v.missing {
+						t.Fatalf("%s: %d NET.MISSING, want %d", wl, n, v.missing)
+					}
+					if serial == nil {
+						serial = got
+					} else {
+						requireSameReport(t, wl+" (cold engine vs one worker)", got, serial)
+					}
 
-				// A second run with nothing edited must replay to the same report.
-				again, err := eng.Recheck(tcse.design)
-				if err != nil {
-					t.Fatalf("%s: recheck: %v", wl, err)
-				}
-				requireSameReport(t, wl+" (no-edit recheck)", again, got)
+					// A second run with nothing edited must replay to the same report.
+					again, err := eng.Recheck(tcse.design)
+					if err != nil {
+						t.Fatalf("%s: recheck: %v", wl, err)
+					}
+					requireSameReport(t, wl+" (no-edit recheck)", again, got)
+				}()
 			}
 		}
 	}
@@ -152,7 +154,14 @@ func mutateOneSymbol(rng *rand.Rand, d *layout.Design, tc *tech.Technology) stri
 		}
 	}
 	s := composites[rng.Intn(len(composites))]
-	layers := d.UsedLayers()
+	var layers []tech.LayerID
+	for _, s := range syms {
+		for _, e := range s.Elements {
+			layers = append(layers, e.Layer)
+		}
+	}
+	slices.Sort(layers)
+	layers = slices.Compact(layers)
 	switch rng.Intn(4) {
 	case 0: // add a box somewhere near the symbol's own geometry
 		b := s.Bounds()
@@ -219,7 +228,7 @@ func TestEngineRecheckByteIdentical(t *testing.T) {
 				chip = workload.NewChipUnique(nm, "rand-"+variant, 4, 5)
 			}
 			d := chip.Design
-			eng := NewEngine(nm, Options{Workers: 1})
+			eng := NewEngine(nm, Options{})
 			if _, err := eng.Check(d); err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +243,7 @@ func TestEngineRecheckByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("edit %d (%s): recheck: %v", i, desc, err)
 				}
-				cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+				cold, err := NewEngine(nm, Options{}).Check(d)
 				if err != nil {
 					t.Fatalf("edit %d (%s): cold: %v", i, desc, err)
 				}
@@ -267,7 +276,7 @@ func TestEngineSeesRenameAndScalarWrites(t *testing.T) {
 		t.Fatal("lib.pulldown missing")
 	}
 
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	rep, err := eng.Check(d)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +296,7 @@ func TestEngineSeesRenameAndScalarWrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recheck: %v", step.label, err)
 		}
-		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		cold, err := NewEngine(nm, Options{}).Check(d)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", step.label, err)
 		}
@@ -307,7 +316,7 @@ func TestEngineRecheckReusesCleanDefs(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChipUnique(nm, "reuse", 6, 4)
 	d := chip.Design
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}

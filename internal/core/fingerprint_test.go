@@ -127,7 +127,7 @@ func syntheticReport(design, sym, path, net, detail string, x, y int64, orient u
 // checkedReport runs a cold engine over d.
 func checkedReport(t *testing.T, d *layout.Design, tc *tech.Technology) *Report {
 	t.Helper()
-	rep, err := NewEngine(tc, Options{Workers: 1}).Check(d)
+	rep, err := NewEngine(tc, Options{}).Check(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFingerprintDigestAcrossWindowPatch(t *testing.T) {
 		metal string
 	}{{"cmos 8x8 poll", cm, poll, tech.CMOSMetal}, {"nmos unique 6x6 + errors", nm, unique.Design, tech.NMOSMetal}} {
 		t.Run(c.name, func(t *testing.T) {
-			eng := NewEngine(c.tc, Options{Workers: 1})
+			eng := NewEngine(c.tc, Options{})
 			if _, err := eng.Check(c.d); err != nil {
 				t.Fatal(err)
 			}

@@ -36,19 +36,34 @@ func stageChecks(st Stats, name string) int {
 	return -1
 }
 
-// requireIdentical runs a cold engine with Workers:1 (definition caches
-// built serially) and with several prebuild-pool sizes, and demands
-// identical violation lists and identical interaction counters.
+// pinProcs sets GOMAXPROCS, which sizes the engine's pool, to n and
+// returns the call that restores it; n = 0 keeps the process's setting.
+// No test of the package runs in parallel, so a pinned run sees n.
+func pinProcs(n int) (restore func()) {
+	if n <= 0 {
+		return func() {}
+	}
+	prev := runtime.GOMAXPROCS(n)
+	return func() { runtime.GOMAXPROCS(prev) }
+}
+
+// runOn makes one engine run on a pool of n goroutines.
+func runOn(n int, run func(*layout.Design) (*Report, error), d *layout.Design) (*Report, error) {
+	defer pinProcs(n)()
+	return run(d)
+}
+
+// requireIdentical runs a cold engine on one goroutine (definition caches
+// built serially) and on several pool sizes, and demands identical
+// violation lists and identical interaction counters.
 func requireIdentical(t *testing.T, label string, d *layout.Design, tc *tech.Technology, opts Options) {
 	t.Helper()
-	opts.Workers = 1
-	serial, err := NewEngine(tc, opts).Check(d)
+	serial, err := runOn(1, NewEngine(tc, opts).Check, d)
 	if err != nil {
 		t.Fatalf("%s: serial check: %v", label, err)
 	}
 	for _, workers := range []int{2, 3, 8} {
-		opts.Workers = workers
-		par, err := NewEngine(tc, opts).Check(d)
+		par, err := runOn(workers, NewEngine(tc, opts).Check, d)
 		if err != nil {
 			t.Fatalf("%s: workers=%d: %v", label, workers, err)
 		}
@@ -109,12 +124,12 @@ func TestParallelDeterminismPathologies(t *testing.T) {
 	}
 }
 
-// Workers:0 (GOMAXPROCS) must behave like any other explicit count.
+// The process's own GOMAXPROCS pool must behave like a serial run.
 func TestParallelDefaultWorkers(t *testing.T) {
 	tc := tech.NMOS()
 	chip := workload.NewChip(tc, "par-default", 4, 6)
 	workload.InjectErrors(chip, 8, 7)
-	serial, err := NewEngine(tc, Options{Workers: 1}).Check(chip.Design)
+	serial, err := runOn(1, NewEngine(tc, Options{}).Check, chip.Design)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,25 +138,28 @@ func TestParallelDefaultWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial.Violations, auto.Violations) {
-		t.Fatalf("Workers:0 diverges from serial: %d vs %d violations",
+		t.Fatalf("the GOMAXPROCS pool diverges from serial: %d vs %d violations",
 			len(auto.Violations), len(serial.Violations))
 	}
 }
 
-// Workers:0 sizes the pool by GOMAXPROCS, not by the machine's cores: a
-// process pinned to one P runs everything on the calling goroutine.
+// The pool is GOMAXPROCS, not the machine's cores: a process pinned to
+// one P runs everything on the calling goroutine, one with three splits
+// a cold check's phases.
 func TestParallelWorkersFollowGOMAXPROCS(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	if n := (Options{}).workerCount(); n != 1 {
-		t.Fatalf("Workers:0 under GOMAXPROCS=1 resolves to %d workers, want 1", n)
-	}
-	runtime.GOMAXPROCS(3)
-	if n := (Options{}).workerCount(); n != 3 {
-		t.Fatalf("Workers:0 under GOMAXPROCS=3 resolves to %d workers, want 3", n)
-	}
-	if n := (Options{Workers: 5}).workerCount(); n != 5 {
-		t.Fatalf("Workers:5 resolves to %d workers", n)
+	tc := tech.NMOS()
+	d := workload.NewChip(tc, "par-procs", 2, 3).Design
+	for _, c := range []struct {
+		procs int
+		split bool
+	}{{1, false}, {3, true}} {
+		before := fanned.Load()
+		if _, err := runOn(c.procs, NewEngine(tc, Options{}).Check, d); err != nil {
+			t.Fatal(err)
+		}
+		if split := fanned.Load() > before; split != c.split {
+			t.Fatalf("GOMAXPROCS=%d: phases split %v, want %v", c.procs, split, c.split)
+		}
 	}
 }
 
@@ -162,8 +180,8 @@ func TestParallelDeterminismNestedOrientations(t *testing.T) {
 // construction rules beside it here). The first step places the oriented
 // blocks under all eight orientations, so reoriented families' region
 // columns are read by pooled phases under the race detector. Then an
-// active-edit script runs on engines with Workers 1, 2 and 7 side by side:
-// after every step the three reports and a cold check's have one
+// active-edit script runs on engines with pools of 1, 2 and 7 side by
+// side: after every step the three reports and a cold check's have one
 // fingerprint.
 func TestParallelDeterminismActiveEdits(t *testing.T) {
 	nm := tech.NMOS()
@@ -173,10 +191,11 @@ func TestParallelDeterminismActiveEdits(t *testing.T) {
 	}
 	d := workload.NewChipUnique(nm, "pardet", 32, 32).Design
 	blocks := workload.AddOrientedBlocks(d, nm)
+	pools := []int{1, 2, 7}
 	var engines []*Engine
-	for _, w := range []int{1, 2, 7} {
-		eng := NewEngine(nm, Options{Workers: w})
-		if _, err := eng.Check(d); err != nil {
+	for _, w := range pools {
+		eng := NewEngine(nm, Options{})
+		if _, err := runOn(w, eng.Check, d); err != nil {
 			t.Fatal(err)
 		}
 		engines = append(engines, eng)
@@ -185,29 +204,29 @@ func TestParallelDeterminismActiveEdits(t *testing.T) {
 		t.Helper()
 		before := fanned.Load()
 		var reps []*Report
-		for _, eng := range engines {
-			rep, err := eng.Recheck(d)
+		for k, eng := range engines {
+			rep, err := runOn(pools[k], eng.Recheck, d)
 			if err != nil {
-				t.Fatalf("%s: workers=%d: %v", label, eng.opts.Workers, err)
+				t.Fatalf("%s: workers=%d: %v", label, pools[k], err)
 			}
 			reps = append(reps, rep)
 		}
-		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		cold, err := NewEngine(nm, Options{}).Check(d)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", label, err)
 		}
 		want := FingerprintDigest(cold)
 		for k, rep := range reps {
 			if FingerprintDigest(rep) != want {
-				requireSameReport(t, fmt.Sprintf("%s: workers=%d vs cold", label, engines[k].opts.Workers), rep, cold)
+				requireSameReport(t, fmt.Sprintf("%s: workers=%d vs cold", label, pools[k]), rep, cold)
 			}
 		}
 		// The pooled engines re-derive the root (each run resets the edit
 		// record the next engine would patch from), and each splits the
 		// signatures and runs construction beside the stage.
-		for _, eng := range engines[1:] {
+		for k, eng := range engines[1:] {
 			if eng.Stats().FullPath == "" {
-				t.Fatalf("%s: workers=%d window-patched", label, eng.opts.Workers)
+				t.Fatalf("%s: workers=%d window-patched", label, pools[k+1])
 			}
 		}
 		if got := fanned.Load() - before; got < 4 {

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -41,23 +40,6 @@ func TestReportErrorsAndClean(t *testing.T) {
 	rep.Violations = []Violation{{Rule: "NET.OPEN", Severity: Warning}}
 	if !rep.Clean() {
 		t.Fatal("warnings alone must not break Clean")
-	}
-}
-
-func TestOptionsWorkerCount(t *testing.T) {
-	cases := []struct {
-		workers int
-		want    int
-	}{
-		{0, runtime.NumCPU()},  // default: all cores
-		{-3, runtime.NumCPU()}, // nonsense values fall back too
-		{1, 1},                 // definition caches built serially
-		{7, 7},
-	}
-	for _, c := range cases {
-		if got := (Options{Workers: c.workers}).workerCount(); got != c.want {
-			t.Errorf("workerCount(Workers=%d) = %d, want %d", c.workers, got, c.want)
-		}
 	}
 }
 

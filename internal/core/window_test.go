@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 	top.AddBox(diffL, geom.R(-20000, -9000, -18000, -8500), "")
 	probeD := len(top.Elements) - 1
 
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestEngineWindowRecheckParity(t *testing.T) {
 			t.Fatalf("%s: WindowPatched = %v, want %v", label, got, wantPatched)
 		}
 		requireSpec(t, label, warm, specCheck(d, nm, Options{}))
-		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		cold, err := NewEngine(nm, Options{}).Check(d)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", label, err)
 		}
@@ -167,12 +168,12 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 		interleave func(t *testing.T, eng *Engine, d *layout.Design)
 	}{
 		{"one-shot Check", false, func(t *testing.T, _ *Engine, d *layout.Design) {
-			if _, err := Check(d, nm, Options{Workers: 1}); err != nil {
+			if _, err := Check(d, nm, Options{}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"another Engine", false, func(t *testing.T, _ *Engine, d *layout.Design) {
-			if _, err := NewEngine(nm, Options{Workers: 1}).Check(d); err != nil {
+			if _, err := NewEngine(nm, Options{}).Check(d); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -218,7 +219,7 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 			if !eng.Stats().WindowPatched {
 				t.Fatal("the run after the abort re-derived the root")
 			}
-			cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			cold, err := NewEngine(nm, Options{}).Check(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +235,7 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 			top.AddBox(metalL, geom.R(-20000, 4000, -19250, 5000), "")
 			probeA, probeB := len(top.Elements)-2, len(top.Elements)-1
 
-			eng := NewEngine(nm, Options{Workers: 1})
+			eng := NewEngine(nm, Options{})
 			if _, err := eng.Check(d); err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +253,7 @@ func TestEngineWindowRecheckInterleavedChecks(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: recheck: %v", label, err)
 				}
-				cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+				cold, err := NewEngine(nm, Options{}).Check(d)
 				if err != nil {
 					t.Fatalf("%s: cold: %v", label, err)
 				}
@@ -294,11 +295,11 @@ func TestWindowPatchAcrossOtherConsumers(t *testing.T) {
 		other func(d *layout.Design) error
 	}{
 		{"one-shot Check", func(d *layout.Design) error {
-			_, err := Check(d, nm, Options{Workers: 1})
+			_, err := Check(d, nm, Options{})
 			return err
 		}},
 		{"another Engine", func(d *layout.Design) error {
-			_, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			_, err := NewEngine(nm, Options{}).Check(d)
 			return err
 		}},
 	} {
@@ -309,7 +310,7 @@ func TestWindowPatchAcrossOtherConsumers(t *testing.T) {
 			top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 			top.AddBox(metalL, geom.R(-20000, 4000, -19250, 5000), "")
 			probeA, probeB := len(top.Elements)-2, len(top.Elements)-1
-			eng := NewEngine(nm, Options{Workers: 1})
+			eng := NewEngine(nm, Options{})
 			if _, err := eng.Check(d); err != nil {
 				t.Fatal(err)
 			}
@@ -333,7 +334,7 @@ func TestWindowPatchAcrossOtherConsumers(t *testing.T) {
 			if st := eng.Stats(); !st.WindowPatched {
 				t.Fatalf("recheck after the other run re-derived the root (full path %q)", st.FullPath)
 			}
-			cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+			cold, err := NewEngine(nm, Options{}).Check(d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +352,7 @@ func TestDirectWriteThenStamp(t *testing.T) {
 	d := workload.NewChip(nm, "direct", 6, 6).Design
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
 	probe := d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +372,7 @@ func TestDirectWriteThenStamp(t *testing.T) {
 		if st := eng.Stats(); st.FullPath != c.want || st.WindowPatched != (c.want == "") {
 			t.Fatalf("%s: full path %q (window-patched %v), want %q", c.label, st.FullPath, st.WindowPatched, c.want)
 		}
-		cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+		cold, err := NewEngine(nm, Options{}).Check(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -393,7 +394,7 @@ func TestEngineWindowRecheckOtherSymbolFullPath(t *testing.T) {
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
 	row.AddBox(metalL, geom.R(-5000, 0, -4250, 1000), "")
 
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestEngineWindowRecheckOtherSymbolFullPath(t *testing.T) {
 	if eng.Stats().WindowPatched {
 		t.Fatal("patch engaged for a non-top edit")
 	}
-	cold, err := NewEngine(nm, Options{Workers: 1}).Check(d)
+	cold, err := NewEngine(nm, Options{}).Check(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +476,7 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEngine(nm, Options{Workers: 1})
+	e := NewEngine(nm, Options{})
 	maxGap := e.tc.MaxSpacing()
 
 	// The global net facts checkInteractions computes, checked against the
@@ -485,7 +486,12 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 	shared := make(map[uint64]bool)
 	var netBuf []netlist.NetID
 	for di := range nl.Devices {
-		netBuf = nl.Devices[di].TerminalNetIDs(netBuf[:0])
+		netBuf = netBuf[:0] // the device's distinct terminal nets
+		for _, tn := range nl.Devices[di].TerminalNets {
+			if !slices.Contains(netBuf, tn.Net) {
+				netBuf = append(netBuf, tn.Net)
+			}
+		}
 		for i := 0; i < len(netBuf); i++ {
 			for j := i + 1; j < len(netBuf); j++ {
 				lo, hi := netBuf[i], netBuf[j]
@@ -573,7 +579,7 @@ func TestWindowRecheckAllocsBounded(t *testing.T) {
 	d := chip.Design
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	if _, err := eng.Check(d); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +616,7 @@ func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 	measure := func(n int) float64 {
 		d := workload.NewChipUnique(nm, fmt.Sprintf("scale%d", n), n, n).Design
 		d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
-		eng := NewEngine(nm, Options{Workers: 1})
+		eng := NewEngine(nm, Options{})
 		if _, err := eng.Check(d); err != nil {
 			t.Fatal(err)
 		}
@@ -662,7 +668,7 @@ func TestReportStableAcrossWindowPatch(t *testing.T) {
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 
-	eng := NewEngine(nm, Options{Workers: 1})
+	eng := NewEngine(nm, Options{})
 	r1, err := eng.Check(d)
 	if err != nil {
 		t.Fatal(err)

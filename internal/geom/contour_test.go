@@ -16,7 +16,7 @@ func TestContourOfRect(t *testing.T) {
 	if len(lp) != 4 {
 		t.Fatalf("vertices = %d, want 4 (%v)", len(lp), lp)
 	}
-	if !lp.IsCCW() {
+	if lp.SignedArea2() <= 0 {
 		t.Fatal("outer loop must be CCW")
 	}
 	if got := lp.Area(); got != 50 {
@@ -51,7 +51,7 @@ func TestContourOfDonut(t *testing.T) {
 	var signed int64
 	for _, lp := range loops {
 		signed += lp.SignedArea2()
-		if lp.IsCCW() {
+		if lp.SignedArea2() > 0 {
 			ccw++
 		} else {
 			cw++
@@ -72,7 +72,7 @@ func TestContourTwoComponents(t *testing.T) {
 		t.Fatalf("loops = %d, want 2", len(loops))
 	}
 	for _, lp := range loops {
-		if !lp.IsCCW() {
+		if lp.SignedArea2() <= 0 {
 			t.Fatal("both loops are outer boundaries, must be CCW")
 		}
 	}
@@ -107,7 +107,7 @@ func TestQuickContourInvariants(t *testing.T) {
 		outers, holes := 0, 0
 		for _, lp := range loops {
 			signed += lp.SignedArea2()
-			if lp.IsCCW() {
+			if lp.SignedArea2() > 0 {
 				outers++
 			} else {
 				holes++
@@ -137,7 +137,7 @@ func TestQuickContourRoundTrip(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if lp.IsCCW() {
+			if lp.SignedArea2() > 0 {
 				rebuilt = rebuilt.Union(sub)
 			} else {
 				holes = append(holes, sub)
@@ -162,7 +162,7 @@ func TestContourCornerCrossing(t *testing.T) {
 		t.Fatalf("loops = %d, want 2", len(loops))
 	}
 	for _, lp := range loops {
-		if !lp.IsCCW() {
+		if lp.SignedArea2() <= 0 {
 			t.Fatalf("loop not CCW: %v", lp)
 		}
 		if len(lp) != 4 {
@@ -176,7 +176,7 @@ func TestContourCornerCrossing(t *testing.T) {
 	frame := FromRectR(R(-5, -5, 15, 15)).Subtract(r)
 	holes := 0
 	for _, lp := range frame.Contours() {
-		if !lp.IsCCW() {
+		if lp.SignedArea2() <= 0 {
 			holes++
 		}
 	}

@@ -72,9 +72,6 @@ func (p Polygon) Area() int64 {
 	return s / 2
 }
 
-// IsCCW reports whether the vertices wind counterclockwise.
-func (p Polygon) IsCCW() bool { return p.SignedArea2() > 0 }
-
 // Bounds returns the bounding box of the polygon.
 func (p Polygon) Bounds() Rect {
 	if len(p) == 0 {
@@ -218,12 +215,6 @@ func (p Polygon) PerimeterRectilinear() int64 {
 		s += absInt64(e.B.X-e.A.X) + absInt64(e.B.Y-e.A.Y)
 	}
 	return s
-}
-
-// FromRect returns the four-vertex CCW polygon of r.
-func FromRect(r Rect) Polygon {
-	c := r.Corners()
-	return Polygon{c[0], c[1], c[2], c[3]}
 }
 
 func dedupSortedInt64(xs []int64) []int64 {

@@ -11,11 +11,11 @@ func TestPolygonAreaAndWinding(t *testing.T) {
 	if got := sq.Area(); got != 100 {
 		t.Fatalf("area = %d", got)
 	}
-	if !sq.IsCCW() {
+	if sq.SignedArea2() <= 0 {
 		t.Fatal("square given CCW should report CCW")
 	}
 	rev := Poly(0, 10, 10, 10, 10, 0, 0, 0)
-	if rev.IsCCW() {
+	if rev.SignedArea2() > 0 {
 		t.Fatal("reversed square should be CW")
 	}
 	if got := rev.Area(); got != 100 {
@@ -97,16 +97,6 @@ func TestPolygonTransform(t *testing.T) {
 	rot := sq.TransformBy(NewTransform(R90, Pt(0, 0)))
 	if got := rot.Area(); got != 100 {
 		t.Fatalf("rotated area = %d", got)
-	}
-}
-
-func TestFromRectPolygon(t *testing.T) {
-	p := FromRect(R(1, 2, 5, 9))
-	if got := p.Area(); got != 28 {
-		t.Fatalf("area = %d", got)
-	}
-	if !p.IsCCW() {
-		t.Fatal("FromRect should be CCW")
 	}
 }
 

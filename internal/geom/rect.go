@@ -98,11 +98,6 @@ func (r Rect) Touches(s Rect) bool {
 	return r.X1 <= s.X2 && s.X1 <= r.X2 && r.Y1 <= s.Y2 && s.Y1 <= r.Y2
 }
 
-// Contains reports whether p lies in the closed rect r.
-func (r Rect) Contains(p Point) bool {
-	return r.X1 <= p.X && p.X <= r.X2 && r.Y1 <= p.Y && p.Y <= r.Y2
-}
-
 // GapX returns the horizontal clearance between r and s (0 if the X
 // projections overlap or touch).
 func (r Rect) GapX(s Rect) int64 {
@@ -190,14 +185,6 @@ func (r Rect) DistToPoint(p Point) float64 {
 		return float64(dx)
 	}
 	return math.Hypot(float64(dx), float64(dy))
-}
-
-// Corners returns the four corners of r counterclockwise from the
-// lower-left.
-func (r Rect) Corners() [4]Point {
-	return [4]Point{
-		{r.X1, r.Y1}, {r.X2, r.Y1}, {r.X2, r.Y2}, {r.X1, r.Y2},
-	}
 }
 
 // String implements fmt.Stringer.

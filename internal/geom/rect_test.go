@@ -145,7 +145,7 @@ func TestQuickClosestPointsRealizeDist(t *testing.T) {
 			return true
 		}
 		pa, pb := a.ClosestPoints(b)
-		if !a.Contains(pa) || !b.Contains(pb) {
+		if !a.Touches(Rect{pa.X, pa.Y, pa.X, pa.Y}) || !b.Touches(Rect{pb.X, pb.Y, pb.X, pb.Y}) {
 			return false
 		}
 		return math.Abs(pa.Dist(pb)-a.EuclideanDist(b)) < 1e-9

@@ -79,6 +79,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		if err != nil {
 			return err
 		}
+		if err := editName(e, "net", e.Net); err != nil {
+			return err
+		}
 		if len(e.Box) != 4 {
 			return fmt.Errorf("layout: edit add_box on %q: box needs [x1 y1 x2 y2], got %d values", e.Symbol, len(e.Box))
 		}
@@ -93,6 +96,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 	case OpAddWire:
 		layer, err := editLayer(tc, e)
 		if err != nil {
+			return err
+		}
+		if err := editName(e, "net", e.Net); err != nil {
 			return err
 		}
 		if len(e.Path) == 0 || len(e.Path)%2 != 0 {
@@ -145,6 +151,9 @@ func ApplyEdit(d *Design, tc *tech.Technology, e Edit) error {
 		}
 		o, err := ParseOrient(e.Orient)
 		if err != nil {
+			return err
+		}
+		if err := editName(e, "instance", e.Name); err != nil {
 			return err
 		}
 		if s.IsPrimitive() {
@@ -206,6 +215,32 @@ func editLayer(tc *tech.Technology, e Edit) (tech.LayerID, error) {
 		return 0, fmt.Errorf("layout: edit %s on %q: unknown layer %q", e.Op, e.Symbol, e.Layer)
 	}
 	return id, nil
+}
+
+// IsNameByte reports whether c belongs to the alphabet of CIF's
+// single-token names: letters, digits, '-', '_' and '.'.
+func IsNameByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.'
+}
+
+// IsName reports whether n is a name CIF carries unchanged: one token of
+// IsNameByte bytes.
+func IsName(n string) bool {
+	for i := 0; i < len(n); i++ {
+		if !IsNameByte(n[i]) {
+			return false
+		}
+	}
+	return n != ""
+}
+
+// editName refuses a net or instance name CIF cannot carry, which a
+// session's snapshot would otherwise rewrite; the empty name is no name.
+func editName(e Edit, kind, name string) error {
+	if name != "" && !IsName(name) {
+		return fmt.Errorf("layout: edit %s on %q: %s name %q is not one token of letters, digits, '-', '_' and '.'", e.Op, e.Symbol, kind, name)
+	}
+	return nil
 }
 
 func editIndex(e Edit, n int, kind string) (int, error) {

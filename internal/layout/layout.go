@@ -18,7 +18,6 @@ package layout
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -706,19 +705,3 @@ func (d *Design) Stats() Stats {
 // slice is memoised until an edit that can change the call graph (Touch,
 // NewSymbol, Rename, a new Top); do not modify it.
 func (d *Design) SortedSymbols() []*Symbol { return d.callGraph().order }
-
-// UsedLayers returns the set of layers used by reachable elements, sorted.
-func (d *Design) UsedLayers() []tech.LayerID {
-	set := make(map[tech.LayerID]bool)
-	for _, s := range d.SortedSymbols() {
-		for _, e := range s.Elements {
-			set[e.Layer] = true
-		}
-	}
-	out := make([]tech.LayerID, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -275,19 +275,6 @@ func TestSortedSymbolsTopological(t *testing.T) {
 	}
 }
 
-func TestUsedLayers(t *testing.T) {
-	_, d, p, _ := nmosLayers(t)
-	ds := NewDesign("layers")
-	s := ds.MustSymbol("s")
-	s.AddBox(d, geom.R(0, 0, 10, 10), "")
-	s.AddBox(p, geom.R(0, 0, 10, 10), "")
-	ds.Top = s
-	got := ds.UsedLayers()
-	if len(got) != 2 || got[0] != d || got[1] != p {
-		t.Fatalf("used layers = %v", got)
-	}
-}
-
 func TestDuplicateSymbolRejected(t *testing.T) {
 	ds := NewDesign("dup")
 	ds.MustSymbol("x")

@@ -44,7 +44,7 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 				spare.AddBox(metalL, geom.R(0, 0, 1000, 1000), "")
 
 				rng := rand.New(rand.NewSource(seed))
-				eng, other := core.NewEngine(nm, core.Options{Workers: 1}), core.NewEngine(nm, core.Options{Workers: 1})
+				eng, other := core.NewEngine(nm, core.Options{}), core.NewEngine(nm, core.Options{})
 				if _, err := eng.Check(d); err != nil {
 					t.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: warm: %v", label, err)
 					}
-					cold, err := core.NewEngine(nm, core.Options{Workers: 1}).Check(d)
+					cold, err := core.NewEngine(nm, core.Options{}).Check(d)
 					if err != nil {
 						t.Fatalf("%s: cold: %v", label, err)
 					}

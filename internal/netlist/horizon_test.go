@@ -37,7 +37,7 @@ func TestEngineEntriesAgeOnCacheHorizon(t *testing.T) {
 	if !ok || row.IsPrimitive() || row == d.Top {
 		t.Fatal("no called composite symbol row1")
 	}
-	eng := core.NewEngine(tc, core.Options{Workers: 1})
+	eng := core.NewEngine(tc, core.Options{})
 	c := engineCache(t, eng)
 	run := func() {
 		t.Helper()

@@ -98,25 +98,6 @@ func (d *DeviceUse) TerminalNet(name string) (NetID, bool) {
 	return 0, false
 }
 
-// TerminalNetIDs appends the device's distinct terminal net ids to buf in
-// terminal-name order.
-func (d *DeviceUse) TerminalNetIDs(buf []NetID) []NetID {
-	for i := range d.TerminalNets {
-		g := d.TerminalNets[i].Net
-		dup := false
-		for _, h := range buf {
-			if h == g {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			buf = append(buf, g)
-		}
-	}
-	return buf
-}
-
 // Issue is a netlist-level finding (not necessarily fatal).
 type Issue struct {
 	Rule   string // NET.MERGED, NET.OPEN, NET.ELEM, DEV.*

@@ -167,12 +167,6 @@ func (c *Client) SessionStats(ctx context.Context, id string) (*StatsResponse, e
 	return &resp, nil
 }
 
-// SessionInject arms the fault-injection hook on a session (daemon must
-// run with test hooks enabled).
-func (c *Client) SessionInject(ctx context.Context, id string, req InjectRequest) error {
-	return c.do(ctx, http.MethodPost, "/v1/sessions/"+id+"/inject", req, nil)
-}
-
 // SessionDelete removes a session.
 func (c *Client) SessionDelete(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+id, nil, nil)

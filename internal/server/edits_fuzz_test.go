@@ -52,19 +52,17 @@ func FuzzEditBatch(f *testing.F) {
 		layout.Edit{Op: layout.OpDeleteCall, Symbol: "chip", Index: -2},
 		layout.Edit{Op: layout.OpDeleteElement, Symbol: "chip", Index: -9})
 	seed()
+	srv := New(Config{Debounce: -1})
+	f.Cleanup(srv.Close)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req EditRequest
 		if json.NewDecoder(bytes.NewReader(data)).Decode(&req) != nil || len(req.Edits) > maxFuzzEdits {
 			return
 		}
 		ctx := context.Background()
-		d, err := cif.Parse(text, tc, "chip")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := newSession(ctx, "s1", "fuzz", d, tc, core.Options{}, sessionOrigin{Tech: "cmos"}, nil, realClock{}, -1, 8)
-		if err != nil {
-			t.Fatal(err)
+		sess, serr := srv.open(ctx, "s1", CreateRequest{Name: "fuzz", DesignName: "chip", CIF: text, Tech: "cmos"})
+		if serr != nil {
+			t.Fatal(serr)
 		}
 		applied, _, _ := sess.applyEdits(req.Edits)
 		rep, serr := sess.report(ctx)

@@ -346,27 +346,20 @@ func BuildDelta(base string, prev []core.Violation, rep *core.Report, eng *core.
 }
 
 // buildDelta is BuildDelta for a caller that already holds rep's digest.
+// With no base it is a reset — the fallback when the requested base is
+// unknown or already evicted from the bounded history: Added carries
+// everything.
 func buildDelta(fp, base string, prev []core.Violation, rep *core.Report, eng *core.Engine) *ReportDelta {
-	added, removed := core.DiffViolations(prev, rep.Violations)
+	added, removed := rep.Violations, []core.Violation(nil)
+	if base != "" {
+		added, removed = core.DiffViolations(prev, rep.Violations)
+	}
 	return &ReportDelta{
 		Envelope:   buildEnvelope(SchemaReportDelta, fp, rep),
 		Base:       base,
+		Reset:      base == "",
 		Added:      violationsWire(added),
 		Removed:    violationsWire(removed),
-		ReportBody: buildBody(rep, eng),
-	}
-}
-
-// buildResetDelta projects the current report, whose digest is fp, as a
-// reset delta — the fallback when the requested base fingerprint is
-// unknown or already evicted from the bounded history: no base, Added
-// carries everything.
-func buildResetDelta(fp string, rep *core.Report, eng *core.Engine) *ReportDelta {
-	return &ReportDelta{
-		Envelope:   buildEnvelope(SchemaReportDelta, fp, rep),
-		Reset:      true,
-		Added:      violationsWire(rep.Violations),
-		Removed:    []Violation{},
 		ReportBody: buildBody(rep, eng),
 	}
 }

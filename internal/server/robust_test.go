@@ -35,13 +35,21 @@ func apiStatus(t *testing.T, err error) *APIError {
 	return apiErr
 }
 
+// arm sets a live session's faults under its lock, as a request would.
+func arm(srv *Server, id string, inj injectState) {
+	sess, _ := srv.lookup(id)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	sess.inject = inj
+}
+
 // TestPanicPoisonsOnlyItsSession injects a panic into one session and
 // asserts the blast radius: that session is quarantined (500/poisoned on
 // every later request), while its sibling and the daemon itself keep
 // serving.
 func TestPanicPoisonsOnlyItsSession(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	srv, c := newTestServer(t, Config{Debounce: time.Hour, TestHooks: true})
+	srv, c := newTestServer(t, Config{Debounce: time.Hour})
 
 	victim, err := c.SessionCreate(context.Background(), CreateRequest{Name: "victim", CIF: text, Tech: "cmos"})
 	if err != nil {
@@ -52,9 +60,7 @@ func TestPanicPoisonsOnlyItsSession(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.SessionInject(context.Background(), victim.ID, InjectRequest{PanicCount: 1}); err != nil {
-		t.Fatal(err)
-	}
+	arm(srv, victim.ID, injectState{panicN: 1})
 	_, err = c.SessionEdit(context.Background(), victim.ID, breakEdits())
 	apiErr := apiStatus(t, err)
 	if apiErr.Status != http.StatusInternalServerError || apiErr.Class != ClassPanic {
@@ -107,7 +113,6 @@ func TestDeadlineExpiry503(t *testing.T) {
 	srv, c, clk := newFakeClockServer(t, Config{
 		Debounce:     time.Hour, // reports are the only flush trigger
 		CheckTimeout: 80 * time.Millisecond,
-		TestHooks:    true,
 	})
 	noRetry(c)
 
@@ -118,9 +123,7 @@ func TestDeadlineExpiry503(t *testing.T) {
 	if _, err := c.SessionEdit(context.Background(), created.ID, breakEdits()); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SessionInject(context.Background(), created.ID, InjectRequest{SlowMS: 2000, SlowCount: 1}); err != nil {
-		t.Fatal(err)
-	}
+	arm(srv, created.ID, injectState{slow: 2 * time.Second, slowN: 1})
 
 	// Straight through the handler, so no connection goroutine muddies the
 	// count: the slow check sleeps on the fake clock until its deadline.
@@ -242,20 +245,23 @@ func TestEvictedMidRequest410(t *testing.T) {
 	}
 }
 
-// TestInjectRequiresTestHooks asserts the fault-injection endpoint is not
-// routed unless explicitly enabled.
-func TestInjectRequiresTestHooks(t *testing.T) {
+// TestInjectNotRouted asserts the daemon has no fault-injection endpoint:
+// faults are armed only by the package's tests (arm).
+func TestInjectNotRouted(t *testing.T) {
 	text, _ := cmosCIF(t, 2, 2)
-	_, c := newTestServer(t, Config{Debounce: time.Hour}) // TestHooks off
+	_, c := newTestServer(t, Config{Debounce: time.Hour})
 
 	created, err := c.SessionCreate(context.Background(), CreateRequest{Name: "prod", CIF: text, Tech: "cmos"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.SessionInject(context.Background(), created.ID, InjectRequest{PanicCount: 1})
-	apiErr := apiStatus(t, err)
-	if apiErr.Status != http.StatusNotFound {
-		t.Fatalf("inject without -test-hooks: got %d, want 404", apiErr.Status)
+	resp, err := http.Post(c.BaseURL+"/v1/sessions/"+created.ID+"/inject", "application/json", strings.NewReader(`{"panic_count":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST .../inject: got %d, want 404", resp.StatusCode)
 	}
 }
 

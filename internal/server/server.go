@@ -61,10 +61,6 @@ type Config struct {
 	// SnapshotEvery is the periodic snapshot interval (0 disables the
 	// periodic sweep; Close still snapshots).
 	SnapshotEvery time.Duration
-
-	// TestHooks registers the fault-injection endpoint
-	// (POST /v1/sessions/{id}/inject). Never enable it in production.
-	TestHooks bool
 }
 
 func (c Config) withDefaults() Config {
@@ -167,9 +163,6 @@ func newServer(cfg Config, clk clock) *Server {
 	mux.HandleFunc("DELETE /v1/sessions/{id}", s.handleDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleServerStats)
 	mux.HandleFunc("POST /v1/snapshot", s.handleSnapshotNow)
-	if cfg.TestHooks {
-		mux.HandleFunc("POST /v1/sessions/{id}/inject", s.handleInject)
-	}
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		s.reply(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -414,8 +407,7 @@ func resolveTech(req *CreateRequest) (*tech.Technology, error) {
 }
 
 // resolveCreate resolves a create request into the technology and check
-// options — shared between the create handler and snapshot restore so a
-// restored session is configured exactly like the original.
+// options.
 func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 	tc, err := resolveTech(req)
 	if err != nil {
@@ -432,20 +424,15 @@ func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 	return tc, opts, nil
 }
 
-func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	var req CreateRequest
-	if serr := s.decodeBody(w, r, &req); serr != nil {
-		s.replyErr(w, serr)
-		return
-	}
-	if req.CIF == "" {
-		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty cif source"))
-		return
-	}
+// open is the one way a session comes to be, on create and on restore:
+// resolve the request's technology and options, parse its CIF, admit the
+// cold check through the queue and run it under ctx. Create passes no id
+// and the session takes the next one once its check is admitted; restore
+// passes the snapshot's. The session keeps req without its CIF.
+func (s *Server) open(ctx context.Context, id string, req CreateRequest) (*Session, *svcError) {
 	tc, opts, err := resolveCreate(&req)
 	if err != nil {
-		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "%v", err))
-		return
+		return nil, errf(http.StatusBadRequest, ClassBadRequest, "%v", err)
 	}
 	designName := req.DesignName
 	if designName == "" {
@@ -456,39 +443,72 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	d, err := cif.Parse(req.CIF, tc, designName)
 	if errors.Is(err, layout.ErrTooLarge) {
-		s.replyErr(w, errf(http.StatusRequestEntityTooLarge, ClassTooLarge, "parse cif: %v", err))
-		return
+		return nil, errf(http.StatusRequestEntityTooLarge, ClassTooLarge, "parse cif: %v", err)
 	}
 	if err != nil {
-		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "parse cif: %v", err))
-		return
+		return nil, errf(http.StatusBadRequest, ClassBadRequest, "parse cif: %v", err)
 	}
-
-	ctx, cancel := s.opCtx(r, s.cfg.CheckTimeout)
-	defer cancel()
 	// The cold check is the most expensive thing the daemon does; it goes
 	// through the admission queue like every other engine run.
 	if serr := s.adm.acquire(ctx); serr != nil {
+		return nil, serr
+	}
+	defer s.adm.release()
+	if id == "" {
+		s.mu.Lock()
+		s.nextID++
+		id = fmt.Sprintf("s%d", s.nextID)
+		s.mu.Unlock()
+	}
+	req.CIF = ""
+	now := s.clk.Now()
+	sess := &Session{
+		ID:       id,
+		req:      req,
+		design:   d,
+		tc:       tc,
+		eng:      core.NewEngine(tc, opts),
+		adm:      s.adm,
+		clk:      s.clk,
+		debounce: s.cfg.Debounce,
+		histCap:  s.cfg.ReportHistory,
+		lastUsed: now,
+		created:  now,
+	}
+	start := time.Now()
+	rep, err := sess.eng.CheckContext(ctx, d)
+	if err != nil {
+		return nil, classifyRunErr(fmt.Errorf("initial check: %w", err))
+	}
+	sess.rep, sess.fp = rep, digest(rep)
+	sess.stats.Rechecks = 1
+	sess.stats.LastRecheckNS = time.Since(start).Nanoseconds()
+	sess.stats.TotalRecheckNS = sess.stats.LastRecheckNS
+	sess.pushHistoryLocked()
+	return sess, nil
+}
+
+func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	var req CreateRequest
+	if serr := s.decodeBody(w, r, &req); serr != nil {
 		s.replyErr(w, serr)
 		return
 	}
-
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s%d", s.nextID)
-	s.mu.Unlock()
-
-	origin := sessionOrigin{Tech: req.Tech, Deck: req.Deck, Metric: req.Metric, NoConstruct: req.NoConstruct}
-	sess, err := newSession(ctx, id, req.Name, d, tc, opts, origin, s.adm, s.clk, s.cfg.Debounce, s.cfg.ReportHistory)
-	s.adm.release()
-	if err != nil {
-		s.replyErr(w, classifyRunErr(fmt.Errorf("initial check: %w", err)))
+	if req.CIF == "" {
+		s.replyErr(w, errf(http.StatusBadRequest, ClassBadRequest, "empty cif source"))
+		return
+	}
+	ctx, cancel := s.opCtx(r, s.cfg.CheckTimeout)
+	defer cancel()
+	sess, serr := s.open(ctx, "", req)
+	if serr != nil {
+		s.replyErr(w, serr)
 		return
 	}
 	// Build the response before publishing the session: the moment it is
 	// registered, concurrent edits may mutate rep and the engine counters
 	// under the session lock, which this handler no longer holds.
-	resp := CreateResponse{ID: id, Report: buildReport(sess.fp, sess.rep, sess.eng)}
+	resp := CreateResponse{ID: sess.ID, Report: buildReport(sess.fp, sess.rep, sess.eng)}
 	s.register(sess)
 	s.reply(w, http.StatusCreated, resp)
 }
@@ -652,39 +672,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // DeleteResponse acknowledges a session deletion.
 type DeleteResponse struct {
 	Deleted string `json:"deleted"`
-}
-
-// InjectRequest arms the fault-injection test hook on one session (only
-// routed when Config.TestHooks is set): the next SlowCount engine runs
-// sleep SlowMS milliseconds (context-respecting — the way to simulate a
-// recheck blowing its deadline), and the next PanicCount session
-// operations panic (the way to prove quarantine).
-type InjectRequest struct {
-	SlowMS     int `json:"slow_ms,omitempty"`
-	SlowCount  int `json:"slow_count,omitempty"`
-	PanicCount int `json:"panic_count,omitempty"`
-}
-
-func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		s.replyErr(w, errf(http.StatusNotFound, ClassNotFound, "no session %q", r.PathValue("id")))
-		return
-	}
-	var req InjectRequest
-	if serr := s.decodeBody(w, r, &req); serr != nil {
-		s.replyErr(w, serr)
-		return
-	}
-	slowN := req.SlowCount
-	if slowN == 0 && req.SlowMS > 0 {
-		slowN = 1
-	}
-	if serr := sess.setInject(time.Duration(req.SlowMS)*time.Millisecond, slowN, req.PanicCount); serr != nil {
-		s.replyErr(w, serr)
-		return
-	}
-	s.reply(w, http.StatusOK, map[string]bool{"armed": true})
 }
 
 // ServerStatsResponse is the GET /stats payload: global gauges and

@@ -14,19 +14,10 @@ import (
 	"repro/internal/tech"
 )
 
-// sessionOrigin records how a session's technology and options were
-// specified at creation, so a snapshot can restore an identical engine.
-type sessionOrigin struct {
-	Tech        string // registered technology name ("" when deck-created)
-	Deck        string // rule-deck source text ("" when registry-created)
-	Metric      string // "", "euclid", or "ortho"
-	NoConstruct bool
-}
-
-// injectState is the fault-injection test hook (enabled by Config
-// .TestHooks): slow consumes SlowN engine runs with an artificial
-// context-respecting sleep, panicN makes the next N session operations
-// panic. Production daemons never register the endpoint that sets it.
+// injectState is the package's fault injection, armed by its tests with
+// the session lock held: slow consumes slowN engine runs with an
+// artificial context-respecting sleep, panicN makes the next N session
+// operations panic. Nothing outside the tests sets it.
 type injectState struct {
 	slow   time.Duration
 	slowN  int
@@ -50,8 +41,7 @@ type injectState struct {
 // with class "poisoned", the engine refuses further runs, and every
 // other session keeps serving.
 type Session struct {
-	ID   string
-	Name string
+	ID string
 
 	mu     sync.Mutex
 	design *layout.Design
@@ -63,7 +53,10 @@ type Session struct {
 	closed bool
 	poison error // non-nil: quarantined after a recovered panic
 
-	origin   sessionOrigin
+	// req is the create request the session was opened from, CIF
+	// dropped: a snapshot saves it with the current design as CIF, and
+	// restore opens the session again from it.
+	req      CreateRequest
 	restored bool // rebuilt from an on-disk snapshot at boot
 
 	clk      clock // the owning server's
@@ -71,8 +64,8 @@ type Session struct {
 	timer    timer
 	timerGen int // invalidates fired-but-not-yet-run timer callbacks
 
-	// adm is the owning server's admission queue; engine runs (the cold
-	// check aside, which the create handler admits itself) go through it.
+	// adm is the owning server's admission queue; every engine run goes
+	// through it.
 	adm *admission
 
 	inject injectState
@@ -144,37 +137,6 @@ type reportState struct {
 	vs []core.Violation
 }
 
-// newSession parses nothing — the server constructs it with a validated
-// design and technology — and runs the initial cold check under ctx.
-func newSession(ctx context.Context, id, name string, d *layout.Design, tc *tech.Technology, opts core.Options, origin sessionOrigin, adm *admission, clk clock, debounce time.Duration, histCap int) (*Session, error) {
-	now := clk.Now()
-	s := &Session{
-		ID:       id,
-		Name:     name,
-		design:   d,
-		tc:       tc,
-		eng:      core.NewEngine(tc, opts),
-		origin:   origin,
-		adm:      adm,
-		clk:      clk,
-		debounce: debounce,
-		histCap:  histCap,
-		lastUsed: now,
-		created:  now,
-	}
-	start := time.Now()
-	rep, err := s.eng.CheckContext(ctx, d)
-	if err != nil {
-		return nil, err
-	}
-	s.rep, s.fp = rep, digest(rep)
-	s.stats.Rechecks = 1
-	s.stats.LastRecheckNS = time.Since(start).Nanoseconds()
-	s.stats.TotalRecheckNS = s.stats.LastRecheckNS
-	s.pushHistoryLocked()
-	return s, nil
-}
-
 // pushHistoryLocked records the current report in the bounded history
 // ring. A run that reproduced the previous state exactly (same
 // fingerprint) is not re-pushed — it would only waste a slot on a state
@@ -227,19 +189,8 @@ func (s *Session) gateLocked() *svcError {
 func (s *Session) faultPointLocked() {
 	if s.inject.panicN > 0 {
 		s.inject.panicN--
-		panic(fmt.Sprintf("injected fault (test hook) in session %s", s.ID))
+		panic(fmt.Sprintf("injected fault in session %s", s.ID))
 	}
-}
-
-// setInject arms the fault-injection state (test hook endpoint).
-func (s *Session) setInject(slow time.Duration, slowN, panicN int) *svcError {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.gateLocked(); err != nil {
-		return err
-	}
-	s.inject = injectState{slow: slow, slowN: slowN, panicN: panicN}
-	return nil
 }
 
 // poisonWith quarantines the session after a recovered panic: the engine
@@ -330,15 +281,13 @@ func (s *Session) timerFlush(gen int) {
 	if s.closed || s.poison != nil || !s.dirty || gen != s.timerGen {
 		return
 	}
-	if s.adm != nil && !s.adm.tryAcquire() {
+	if !s.adm.tryAcquire() {
 		// No free slot: push the flush out by another window instead of
 		// queuing — the next report request or timer firing will get it.
 		s.armTimerLocked()
 		return
 	}
-	if s.adm != nil {
-		defer s.adm.release()
-	}
+	defer s.adm.release()
 	s.faultPointLocked()
 	if err := s.flushLocked(context.Background()); err == nil {
 		s.stats.DebounceFlushes++
@@ -389,12 +338,10 @@ func (s *Session) flushPendingLocked(ctx context.Context) *svcError {
 	if !s.dirty {
 		return nil
 	}
-	if s.adm != nil {
-		if serr := s.adm.acquire(ctx); serr != nil {
-			return serr
-		}
-		defer s.adm.release()
+	if serr := s.adm.acquire(ctx); serr != nil {
+		return serr
 	}
+	defer s.adm.release()
 	if err := s.flushLocked(ctx); err != nil {
 		return classifyRunErr(err)
 	}
@@ -437,7 +384,7 @@ func (s *Session) reportDelta(ctx context.Context, since string) (*ReportDelta, 
 		return buildDelta(s.fp, since, prev, s.rep, s.eng), nil
 	}
 	s.stats.DeltaResets++
-	return buildResetDelta(s.fp, s.rep, s.eng), nil
+	return buildDelta(s.fp, "", nil, s.rep, s.eng), nil
 }
 
 // StatsResponse is the /stats payload: service counters plus the engine's
@@ -467,7 +414,7 @@ func (s *Session) statsSnapshot() (*StatsResponse, *svcError) {
 	}
 	return &StatsResponse{
 		ID:         s.ID,
-		Name:       s.Name,
+		Name:       s.req.Name,
 		Design:     s.design.Name,
 		Tech:       s.tc.Name,
 		Dirty:      s.dirty,
@@ -500,7 +447,7 @@ func (s *Session) info() SessionInfo {
 	defer s.mu.Unlock()
 	return SessionInfo{
 		ID:       s.ID,
-		Name:     s.Name,
+		Name:     s.req.Name,
 		Design:   s.design.Name,
 		Tech:     s.tc.Name,
 		Clean:    s.rep != nil && !s.dirty && countErrors(s.rep.Violations) == 0,

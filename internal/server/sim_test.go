@@ -308,7 +308,6 @@ func newHarness(seed int64, design simDesign, tc *tech.Technology, o *oracle, di
 		ReportHistory: 1 + rng.Intn(5),
 		StateDir:      dir,
 		SnapshotEvery: 1200 * time.Millisecond,
-		TestHooks:     true,
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		panic(err)
@@ -759,21 +758,27 @@ func (h *harness) remove(id string) {
 	delete(h.m.disk, id)
 }
 
-// inject arms a fault on a live session through the test hook.
-func (h *harness) inject(id string, req InjectRequest) bool {
-	code, class, _ := h.do("POST", "/v1/sessions/"+id+"/inject", req)
-	s, _ := h.touch(id)
-	if h.gone(id, code) || h.poisoned(s, "", code, class) {
-		return false
+// inject arms a fault on a live session under its lock, reaching it
+// through lookup as a request would; a poisoned session answers 500.
+func (h *harness) inject(id string, arm injectState) bool {
+	code, class := 404, ClassNotFound
+	if sess, ok := h.srv.lookup(id); ok {
+		sess.mu.Lock()
+		if code, class = 200, ""; sess.poison != nil {
+			code, class = 500, ClassPoisoned
+		}
+		sess.inject = arm // a poisoned session never reaches a fault point
+		sess.mu.Unlock()
 	}
-	h.check(code == 200, "inject: got %d", code)
-	return true
+	h.log[len(h.log)-1] += " -> " + strings.TrimSpace(fmt.Sprintf("%d %s", code, class))
+	s, _ := h.touch(id)
+	return !h.gone(id, code) && !h.poisoned(s, "", code, class)
 }
 
 // injectPanic arms a panic and sends the request that trips it.
 func (h *harness) injectPanic(id string) {
 	h.logf("inject panic into %s", id)
-	if !h.inject(id, InjectRequest{PanicCount: 1}) {
+	if !h.inject(id, injectState{panicN: 1}) {
 		return
 	}
 	switch h.rng.Intn(3) {
@@ -803,7 +808,7 @@ func (h *harness) injectSlow() {
 	}
 	slow := time.Duration([]int{40, 100, 150}[h.rng.Intn(3)]) * time.Millisecond
 	h.logf("inject slow %v into %s", slow, id)
-	if !h.inject(id, InjectRequest{SlowMS: int(slow / time.Millisecond), SlowCount: 1}) {
+	if !h.inject(id, injectState{slow: slow, slowN: 1}) {
 		return
 	}
 	since := h.lastFP[id]

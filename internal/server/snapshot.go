@@ -25,13 +25,12 @@ const SnapshotVersion = 1
 const snapshotExt = ".snap"
 
 // SessionSnapshot is the versioned on-disk form of one session (schema
-// snapshot/v1 in the shared Envelope): enough to rebuild the design (as
-// CIF — the upload format, so the restore path is the create path), the
-// technology (by registry name or by the original deck source), the
-// check options, and the envelope of the last completed report. Restore
-// runs a cold check and refuses the snapshot unless the recheck's
-// fingerprint matches — a restored session is bit-for-bit the session
-// that was saved, or it is nothing.
+// snapshot/v1 in the shared Envelope): the request the session was
+// created from, with the current design as its CIF and the design's
+// actual name, and the envelope of the last completed report. Restore is
+// create from the saved request: it opens the session again and refuses
+// the snapshot unless the cold check's fingerprint matches — a restored
+// session is bit-for-bit the session that was saved, or it is nothing.
 //
 // History carries the session's delta ring (see Session.history), so a
 // client polling ?since= across a daemon restart still gets a delta, not
@@ -39,16 +38,10 @@ const snapshotExt = ".snap"
 type SessionSnapshot struct {
 	Version int `json:"version"`
 	Envelope
-	ID          string         `json:"id"`
-	Name        string         `json:"name,omitempty"`
-	DesignName  string         `json:"design_name"`
-	Tech        string         `json:"tech,omitempty"`
-	Deck        string         `json:"deck,omitempty"`
-	Metric      string         `json:"metric,omitempty"`
-	NoConstruct bool           `json:"noconstruct,omitempty"`
+	ID string `json:"id"`
+	CreateRequest
 	Generation  int            `json:"generation"` // edit batches absorbed into this state
 	SavedUnixNS int64          `json:"saved_unix_ns"`
-	CIF         string         `json:"cif"`
 	History     []HistoryEntry `json:"history,omitempty"`
 }
 
@@ -87,20 +80,16 @@ func (s *Session) Snapshot(now time.Time) (*SessionSnapshot, error) {
 	for _, h := range s.history {
 		hist = append(hist, HistoryEntry{Fingerprint: h.fp, Violations: violationsWire(h.vs)})
 	}
+	req := s.req
+	req.DesignName, req.CIF = s.design.Name, text
 	return &SessionSnapshot{
-		Version:     SnapshotVersion,
-		Envelope:    buildEnvelope(SchemaSnapshot, s.fp, s.rep),
-		ID:          s.ID,
-		Name:        s.Name,
-		DesignName:  s.design.Name,
-		Tech:        s.origin.Tech,
-		Deck:        s.origin.Deck,
-		Metric:      s.origin.Metric,
-		NoConstruct: s.origin.NoConstruct,
-		Generation:  s.stats.EditBatches,
-		SavedUnixNS: now.UnixNano(),
-		CIF:         text,
-		History:     hist,
+		Version:       SnapshotVersion,
+		Envelope:      buildEnvelope(SchemaSnapshot, s.fp, s.rep),
+		ID:            s.ID,
+		CreateRequest: req,
+		Generation:    s.stats.EditBatches,
+		SavedUnixNS:   now.UnixNano(),
+		History:       hist,
 	}, nil
 }
 
@@ -176,34 +165,15 @@ func ReadSnapshotFile(path string) (*SessionSnapshot, error) {
 	return &snap, nil
 }
 
-// RestoreSession rebuilds a live session from a snapshot: resolve the
-// technology the way the original create did, parse the stored CIF, run
-// a cold check, and assert the fingerprint matches the one saved before
-// the crash. A mismatch refuses the session — serving a state that
-// diverges from what the client last saw would break the parity
-// contract silently.
-func RestoreSession(ctx context.Context, snap *SessionSnapshot, adm *admission, clk clock, debounce time.Duration, histCap int) (*Session, error) {
-	req := CreateRequest{
-		Name:        snap.Name,
-		DesignName:  snap.DesignName,
-		CIF:         snap.CIF,
-		Tech:        snap.Tech,
-		Deck:        snap.Deck,
-		Metric:      snap.Metric,
-		NoConstruct: snap.NoConstruct,
-	}
-	tc, opts, err := resolveCreate(&req)
-	if err != nil {
-		return nil, fmt.Errorf("restore %s: %w", snap.ID, err)
-	}
-	d, err := cif.Parse(snap.CIF, tc, snap.DesignName)
-	if err != nil {
-		return nil, fmt.Errorf("restore %s: parse cif: %w", snap.ID, err)
-	}
-	origin := sessionOrigin{Tech: snap.Tech, Deck: snap.Deck, Metric: snap.Metric, NoConstruct: snap.NoConstruct}
-	sess, err := newSession(ctx, snap.ID, snap.Name, d, tc, opts, origin, adm, clk, debounce, histCap)
-	if err != nil {
-		return nil, fmt.Errorf("restore %s: recheck: %w", snap.ID, err)
+// restore rebuilds a live session from a snapshot: open it from the
+// saved request, as create did, and assert the cold check's fingerprint
+// matches the one saved before the crash. A mismatch refuses the session
+// — serving a state that diverges from what the client last saw would
+// break the parity contract silently.
+func (s *Server) restore(ctx context.Context, snap *SessionSnapshot) (*Session, error) {
+	sess, serr := s.open(ctx, snap.ID, snap.CreateRequest)
+	if serr != nil {
+		return nil, fmt.Errorf("restore %s: %w", snap.ID, serr)
 	}
 	if sess.fp != snap.Fingerprint {
 		return nil, fmt.Errorf("restore %s: fingerprint mismatch: recheck %s, snapshot %s",
@@ -287,7 +257,7 @@ func (s *Server) removeSnapshot(id string) {
 // RestoreFromDisk rebuilds sessions from every snapshot in the state
 // directory, oldest id first, up to the session cap. Each restored
 // session's post-restore recheck is asserted fingerprint-identical to
-// its snapshot (see RestoreSession); mismatching or unreadable snapshots
+// its snapshot (see restore); mismatching or unreadable snapshots
 // are skipped and reported. The id counter resumes above the highest
 // restored id, so new sessions never collide with restored ones.
 func (s *Server) RestoreFromDisk(ctx context.Context) (restored int, errs []error) {
@@ -332,7 +302,7 @@ func (s *Server) RestoreFromDisk(ctx context.Context) (restored int, errs []erro
 			errs = append(errs, fmt.Errorf("%s: already live, not restored", snap.ID))
 			continue
 		}
-		sess, err := RestoreSession(ctx, snap, s.adm, s.clk, s.cfg.Debounce, s.cfg.ReportHistory)
+		sess, err := s.restore(ctx, snap)
 		if err != nil {
 			errs = append(errs, err)
 			continue

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -54,8 +56,8 @@ func randomEdits(rng *rand.Rand, n int) []layout.Edit {
 
 // TestSnapshotRoundTripProperty is the property test of the snapshot
 // format: for random edit scripts, snapshot → restore must reproduce the
-// exact report fingerprint the live session had — which RestoreSession
-// itself asserts — and the restored session must keep working (a further
+// exact report fingerprint the live session had — which restore itself
+// asserts — and the restored session must keep working (a further
 // edit rechecks identically to the live session's).
 func TestSnapshotRoundTripProperty(t *testing.T) {
 	tc := tech.CMOS()
@@ -64,17 +66,13 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv, _ := newTestServer(t, Config{Debounce: -1})
 	for trial := 0; trial < 6; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		d, err := cif.Parse(text, tc, "chip")
-		if err != nil {
-			t.Fatal(err)
-		}
-		origin := sessionOrigin{Tech: "cmos"}
-		sess, err := newSession(context.Background(), fmt.Sprintf("s%d", trial+1), "prop", d, tc,
-			core.Options{}, origin, nil, realClock{}, -1, 8)
-		if err != nil {
-			t.Fatal(err)
+		sess, serr := srv.open(context.Background(), fmt.Sprintf("s%d", trial+1),
+			CreateRequest{Name: "prop", DesignName: "chip", CIF: text, Tech: "cmos"})
+		if serr != nil {
+			t.Fatal(serr)
 		}
 		script := randomEdits(rng, 3+rng.Intn(8))
 		if _, _, serr := sess.applyEdits(script); serr != nil {
@@ -92,7 +90,7 @@ func TestSnapshotRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d: snapshot fingerprint %s != live %s", trial, snap.Fingerprint, liveFP)
 		}
 
-		restored, err := RestoreSession(context.Background(), snap, nil, realClock{}, -1, 8)
+		restored, err := srv.restore(context.Background(), snap)
 		if err != nil {
 			t.Fatalf("trial %d: restore: %v", trial, err)
 		}
@@ -130,14 +128,10 @@ func TestSnapshotFileAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := cif.Parse(text, tc, "chip")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := newSession(context.Background(), "s1", "disk", d, tc,
-		core.Options{}, sessionOrigin{Tech: "cmos"}, nil, realClock{}, -1, 8)
-	if err != nil {
-		t.Fatal(err)
+	srv, _ := newTestServer(t, Config{Debounce: -1})
+	sess, serr := srv.open(context.Background(), "s1", CreateRequest{Name: "disk", DesignName: "chip", CIF: text, Tech: "cmos"})
+	if serr != nil {
+		t.Fatal(serr)
 	}
 	snap, err := sess.Snapshot(time.Now())
 	if err != nil || snap == nil {
@@ -393,6 +387,143 @@ func TestIndentedSnapshotRestores(t *testing.T) {
 	}
 }
 
+// TestSnapshotParentLayout: embedding the create request in the
+// snapshot keeps the version 1 layout. A snapshot in the layout written
+// before — flat name, design_name, tech, metric, noconstruct and cif keys
+// around the id — restores with its own fingerprint, name and design,
+// and a written snapshot has that layout's key set.
+func TestSnapshotParentLayout(t *testing.T) {
+	if SnapshotVersion != 1 {
+		t.Fatalf("SnapshotVersion = %d, want 1", SnapshotVersion)
+	}
+	ctx := context.Background()
+	text, _ := cmosCIF(t, 2, 2)
+	dir := t.TempDir()
+	_, c := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	created, err := c.SessionCreate(ctx, CreateRequest{Name: "flat", CIF: text, Tech: "cmos", Metric: "ortho", NoConstruct: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SessionEdit(ctx, created.ID, breakEdits()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SnapshotAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, created.ID+snapshotExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "check_ns cif classes design_name fingerprint generation history id metric name noconstruct saved_unix_ns schema tech version"; got != want {
+		t.Fatalf("snapshot keys\n %s\nwant\n %s", got, want)
+	}
+
+	cifJSON, _ := json.Marshal(text)
+	old := fmt.Sprintf(`{"version":1,"schema":"snapshot/v1","fingerprint":%q,"id":"s4","name":"flat","design_name":"chip","tech":"cmos","metric":"ortho","noconstruct":true,"generation":0,"saved_unix_ns":1,"cif":%s}`,
+		created.Report.Fingerprint, cifJSON)
+	oldDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(oldDir, "s4"+snapshotExt), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv2, c2 := newTestServer(t, Config{Debounce: -1, StateDir: oldDir})
+	if n, errs := srv2.RestoreFromDisk(ctx); n != 1 || len(errs) > 0 {
+		t.Fatalf("restore: %d sessions, errs %v", n, errs)
+	}
+	st, err := c2.SessionStats(ctx, "s4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Name != "flat" || st.Design != "chip" || !st.Restored {
+		t.Fatalf("restored session %q design %q restored %v", st.Name, st.Design, st.Restored)
+	}
+	rep, err := c2.SessionReport(ctx, "s4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fingerprint != created.Report.Fingerprint {
+		t.Fatalf("restored fingerprint %s, snapshot's %s", rep.Fingerprint, created.Report.Fingerprint)
+	}
+}
+
+// TestSnapshotKeepsNames: a session keeps its names across a restart. A
+// net or instance name CIF cannot carry is refused at the edit — 400,
+// the valid prefix applied — instead of being rewritten by the snapshot,
+// and a design name CIF cannot carry (a path, a space, a parenthesis
+// that would unbalance a comment) comes back from the snapshot's
+// design_name, so every session restores with its own fingerprint.
+func TestSnapshotKeepsNames(t *testing.T) {
+	dir := t.TempDir()
+	text, _ := cmosCIF(t, 2, 2)
+	_, body, _ := strings.Cut(text, "DS ")
+	unnamed := "DS " + body // no top-level 9 command: the request names the design
+	ctx := context.Background()
+	_, c1 := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	want := map[string]*Report{}
+	for _, name := range []string{"examples/chip.cif", "my chip", "a)b", "a(b"} {
+		created, err := c1.SessionCreate(ctx, CreateRequest{DesignName: name, CIF: unnamed, Tech: "cmos"})
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if created.Report.Design != name {
+			t.Fatalf("design %q named %q", name, created.Report.Design)
+		}
+		want[created.ID] = created.Report
+	}
+
+	created, err := c1.SessionCreate(ctx, CreateRequest{Name: "nets", CIF: text, Tech: "cmos"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := layout.Edit{Op: layout.OpAddBox, Symbol: "chip", Layer: tech.CMOSMetal, Box: []int64{-40000, 0, -39000, 1000}}
+	bad := []layout.Edit{
+		{Op: layout.OpAddBox, Symbol: "chip", Layer: tech.CMOSMetal, Box: []int64{-30000, 0, -29000, 1000}, Net: "a b"},
+		{Op: layout.OpAddWire, Symbol: "chip", Layer: tech.CMOSMetal, Width: 400, Path: []int64{-30000, 0, -29000, 0}, Net: "x$1"},
+		{Op: layout.OpAddCall, Symbol: "chip", Target: "cmos-row", Name: "r 9", DY: 36000},
+	}
+	for _, e := range bad {
+		body, _ := json.Marshal(EditRequest{Edits: []layout.Edit{probe, e}})
+		resp, err := http.Post(c1.BaseURL+"/v1/sessions/"+created.ID+"/edits", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er EditResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || er.Applied != 1 {
+			t.Fatalf("%s %q: got %d %+v (%v), want 400 with 1 applied", e.Op, e.Net+e.Name, resp.StatusCode, er, err)
+		}
+	}
+	if want[created.ID], err = c1.SessionReport(ctx, created.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.SnapshotAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	if n, errs := srv2.RestoreFromDisk(ctx); n != len(want) || len(errs) > 0 {
+		t.Fatalf("restored %d of %d sessions, errors %v", n, len(want), errs)
+	}
+	for id, w := range want {
+		got, err := c2.SessionReport(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint != w.Fingerprint || got.Design != w.Design {
+			t.Fatalf("%s: restored %q %s, saved %q %s", id, got.Design, got.Fingerprint, w.Design, w.Fingerprint)
+		}
+	}
+}
+
 // TestSnapshotIDMustMatchFileName refuses a snapshot whose id is not its
 // file's name: one saying it is another session, which would restore
 // under that id and leave its own file behind, and one whose id holds a
@@ -400,7 +531,7 @@ func TestIndentedSnapshotRestores(t *testing.T) {
 // path outside the state directory.
 func TestSnapshotIDMustMatchFileName(t *testing.T) {
 	dir := t.TempDir()
-	snap := &SessionSnapshot{Version: SnapshotVersion, ID: "s7", CIF: "E", Envelope: Envelope{Fingerprint: "f"}}
+	snap := &SessionSnapshot{Version: SnapshotVersion, ID: "s7", CreateRequest: CreateRequest{CIF: "E"}, Envelope: Envelope{Fingerprint: "f"}}
 	if _, err := WriteSnapshotFile(dir, snap); err != nil {
 		t.Fatal(err)
 	}
