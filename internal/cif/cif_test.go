@@ -165,6 +165,54 @@ E`
 	}
 }
 
+// TestWriteKeepsSynthesizedTop: the top Parse makes of top-level content
+// is written as top-level content again, so it reads back as "(top)" with
+// the same elements, net names, calls and instance names in the same
+// order, not as a symbol renamed to a CIF-safe spelling.
+func TestWriteKeepsSynthesizedTop(t *testing.T) {
+	tc := tech.NMOS()
+	src := `
+DS 1; 9 leaf; L ND; B 10 10 5 5; DF;
+9I u1; C 1 T 100 0;
+L NM; B 300 300 0 0;
+9N sig; W 100 0 500 400 500;
+C 1 R 0 1 T 0 900;
+E`
+	orig, err := Parse(src, tc, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := Write(orig, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(text, tc, "x")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if back.Top.Name != "(top)" {
+		t.Fatalf("top read back as %q:\n%s", back.Top.Name, text)
+	}
+	if len(back.Symbols()) != len(orig.Symbols()) {
+		t.Fatalf("%d symbols read back, wrote %d:\n%s", len(back.Symbols()), len(orig.Symbols()), text)
+	}
+	ot, bt := orig.Top, back.Top
+	if len(bt.Elements) != len(ot.Elements) || len(bt.Calls) != len(ot.Calls) {
+		t.Fatalf("top content: %d elements %d calls, want %d and %d:\n%s",
+			len(bt.Elements), len(bt.Calls), len(ot.Elements), len(ot.Calls), text)
+	}
+	for i := range ot.Elements {
+		if o, b := ot.Elements[i], bt.Elements[i]; o.Layer != b.Layer || o.Net != b.Net || o.Bounds() != b.Bounds() {
+			t.Fatalf("top element %d: %+v, want %+v", i, b, o)
+		}
+	}
+	for i := range ot.Calls {
+		if o, b := ot.Calls[i], bt.Calls[i]; o.Name != b.Name || o.T != b.T || o.Target.Name != b.Target.Name {
+			t.Fatalf("top call %d: %+v, want %+v", i, b, o)
+		}
+	}
+}
+
 func TestParseDSScale(t *testing.T) {
 	src := `DS 1 2 1; 9 s; L ND; B 100 100 50 50; DF; E`
 	d, err := Parse(src, tech.NMOS(), "x")
@@ -347,6 +395,49 @@ func TestWriteKeepsDesignName(t *testing.T) {
 		}
 		if got, want := strings.Contains(text, name), layout.IsName(name); got != want {
 			t.Fatalf("%q: in the text %v, want %v:\n%s", name, got, want, text)
+		}
+	}
+}
+
+// TestNamesBeginningWithExtensionLetters: "9 name" is a name whatever
+// letter it begins with. Only a letter right after the 9 (9N, 9D, 9I)
+// is an extension, so a design, symbol or instance named "design", "inv"
+// or "net" is read back as itself and not as a 9D, 9I or 9N command.
+func TestNamesBeginningWithExtensionLetters(t *testing.T) {
+	tc := tech.NMOS()
+	metal, _ := tc.LayerByName(tech.NMOSMetal)
+	d := layout.NewDesign("design")
+	var prev *layout.Symbol
+	for _, name := range []string{"inv", "nand", "driver", "Ideal", "Net"} {
+		s := d.MustSymbol(name)
+		s.AddBox(metal, geom.R(0, 0, 750, 750), "n"+name)
+		if prev != nil {
+			s.AddCall(prev, geom.Translate(geom.Pt(3000, 0)), "i"+name)
+		}
+		prev = s
+	}
+	d.Top = prev
+	text, err := Write(d, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(text, tc, "x")
+	if err != nil {
+		t.Fatalf("%v\n%s", err, text)
+	}
+	if back.Name != "design" {
+		t.Fatalf("design read back as %q:\n%s", back.Name, text)
+	}
+	for _, s := range d.Symbols() {
+		b, ok := back.Symbol(s.Name)
+		if !ok {
+			t.Fatalf("symbol %q not read back:\n%s", s.Name, text)
+		}
+		if b.Elements[0].Net != s.Elements[0].Net {
+			t.Fatalf("%s: net %q, want %q", s.Name, b.Elements[0].Net, s.Elements[0].Net)
+		}
+		if len(s.Calls) > 0 && b.Calls[0].Name != s.Calls[0].Name {
+			t.Fatalf("%s: call %q, want %q", s.Name, b.Calls[0].Name, s.Calls[0].Name)
 		}
 	}
 }

@@ -26,7 +26,7 @@ func Parse(src string, tc *tech.Technology, designName string) (*layout.Design, 
 		byNum:        make(map[int]*layout.Symbol),
 		pendingByNum: make(map[int][]*pendingCall),
 	}
-	p.topSym = &layout.Symbol{Name: "(top)"}
+	p.topSym = &layout.Symbol{Name: topName}
 	for i, cmd := range cmds {
 		if cmd == "" {
 			continue
@@ -51,6 +51,9 @@ func Parse(src string, tc *tech.Technology, designName string) (*layout.Design, 
 	}
 	return p.finish()
 }
+
+// topName names the top symbol Parse makes of top-level content.
+const topName = "(top)"
 
 // pendingCall records a forward-referenced C command.
 type pendingCall struct {
@@ -474,16 +477,19 @@ func (p *parser) extension(cmd string) error {
 	if rest == "" {
 		return &SyntaxError{Msg: "empty 9 extension"}
 	}
-	switch rest[0] {
+	// An extension letter follows the 9 directly (9N, 9D, 9I); after a
+	// blank comes a name ("9 net1", "9 inv", "9 design"), whatever letter
+	// it begins with.
+	switch cmd[1] {
 	case 'N', 'n':
-		f := fields(rest[1:])
+		f := fields(cmd[2:])
 		if len(f) != 1 {
 			return &SyntaxError{Msg: "9N needs one net name"}
 		}
 		p.pendingNet = f[0]
 		return nil
 	case 'D', 'd':
-		f := fields(rest[1:])
+		f := fields(cmd[2:])
 		if len(f) < 1 || len(f) > 2 {
 			return &SyntaxError{Msg: "9D needs a device type and optional CHK"}
 		}
@@ -499,7 +505,7 @@ func (p *parser) extension(cmd string) error {
 		}
 		return nil
 	case 'I', 'i':
-		f := fields(rest[1:])
+		f := fields(cmd[2:])
 		if len(f) != 1 {
 			return &SyntaxError{Msg: "9I needs one instance name"}
 		}
@@ -534,7 +540,7 @@ func (p *parser) renameCurrent(name string) error {
 // finish wires up the top symbol and validates the design.
 func (p *parser) finish() (*layout.Design, error) {
 	if p.topUsed && (len(p.topSym.Elements) > 0 || len(p.topSym.Calls) > 0) {
-		top, err := p.design.NewSymbol("(top)")
+		top, err := p.design.NewSymbol(topName)
 		if err != nil {
 			return nil, err
 		}

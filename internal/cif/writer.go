@@ -12,8 +12,10 @@ import (
 
 // Write renders a design as extended CIF text. Symbols are numbered by
 // definition id in topological order (callees first) so the output never
-// forward-references; the top symbol is instantiated by a single top-level
-// call. The output round-trips through Parse.
+// forward-references. The top symbol is defined last, which is how Parse
+// recognises it, except the one Parse synthesizes from top-level content
+// (named "(top)", which no 9 command can spell): its content is written
+// at top level again. The output round-trips through Parse.
 func Write(d *layout.Design, tc *tech.Technology) (string, error) {
 	if d.Top == nil {
 		return "", fmt.Errorf("cif: design %q has no top symbol", d.Name)
@@ -33,7 +35,11 @@ func Write(d *layout.Design, tc *tech.Technology) (string, error) {
 	for i, s := range order {
 		num[s] = i + 1
 	}
+	topLevel := d.Top.Name == topName && !d.Top.IsPrimitive() && (len(d.Top.Elements) > 0 || len(d.Top.Calls) > 0)
 	for _, s := range order {
+		if topLevel && s == d.Top {
+			continue
+		}
 		fmt.Fprintf(&sb, "DS %d 1 1;\n", num[s])
 		fmt.Fprintf(&sb, "9 %s;\n", sanitizeName(s.Name))
 		if s.DeviceType != "" {
@@ -43,21 +49,32 @@ func Write(d *layout.Design, tc *tech.Technology) (string, error) {
 				fmt.Fprintf(&sb, "9D %s;\n", s.DeviceType)
 			}
 		}
-		if err := writeElements(&sb, s, tc); err != nil {
+		if err := writeBody(&sb, s, num, tc); err != nil {
 			return "", err
-		}
-		for _, c := range s.Calls {
-			if c.Name != "" {
-				fmt.Fprintf(&sb, "9I %s;\n", sanitizeName(c.Name))
-			}
-			fmt.Fprintf(&sb, "C %d%s;\n", num[c.Target], transformItems(c.T))
 		}
 		sb.WriteString("DF;\n")
 	}
-	// No top-level call: the top symbol is defined last, and Parse adopts
-	// the last definition as the top, so output round-trips structurally.
+	if topLevel {
+		if err := writeBody(&sb, d.Top, num, tc); err != nil {
+			return "", err
+		}
+	}
 	sb.WriteString("E\n")
 	return sb.String(), nil
+}
+
+// writeBody writes a symbol's elements, then its calls.
+func writeBody(sb *strings.Builder, s *layout.Symbol, num map[*layout.Symbol]int, tc *tech.Technology) error {
+	if err := writeElements(sb, s, tc); err != nil {
+		return err
+	}
+	for _, c := range s.Calls {
+		if c.Name != "" {
+			fmt.Fprintf(sb, "9I %s;\n", sanitizeName(c.Name))
+		}
+		fmt.Fprintf(sb, "C %d%s;\n", num[c.Target], transformItems(c.T))
+	}
+	return nil
 }
 
 func writeElements(sb *strings.Builder, s *layout.Symbol, tc *tech.Technology) error {

@@ -502,17 +502,16 @@ type defInter struct {
 
 	// candClasses is the signature domain: every local class appearing in
 	// a pair, plus the terminal classes of every device appearing in a
-	// pair (the related-through-device subcase reads those).
+	// pair (the related-through-device subcase reads those). classPos
+	// holds each local class's position in it plus one (0: absent).
 	candClasses []int
-	classPos    map[int]int
+	classPos    []int32
 
 	// classPairAt lists the distinct unordered class pairs for which the
 	// shares-a-device relation is part of the signature, each as the two
 	// classes' positions in candClasses; classPairPos finds a pair's entry.
 	classPairAt  [][2]int32
 	classPairPos map[[2]int]int
-
-	termClasses map[int][]int // local device -> sorted distinct terminal classes
 
 	// items holds frame-resolved copies of the pair-endpoint items (the
 	// embedded ones live in child frames); pair indices refer to it. An
@@ -570,9 +569,8 @@ func (e *Engine) cachedInter(art *netlist.SymbolArtifacts) *defInter {
 func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defInter {
 	di := &defInter{
 		art:          art,
-		classPos:     make(map[int]int),
+		classPos:     make([]int32, art.NumClasses),
 		classPairPos: make(map[[2]int]int),
-		termClasses:  make(map[int][]int),
 		sigs:         make(map[string]*interactionTally),
 	}
 	di.netFree = true
@@ -623,47 +621,22 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 
 // addClass records one local net class in the signature domain.
 func (di *defInter) addClass(cl int) {
-	if cl < 0 {
-		return
-	}
-	if _, ok := di.classPos[cl]; !ok {
-		di.classPos[cl] = len(di.candClasses)
+	if cl >= 0 && di.classPos[cl] == 0 {
 		di.candClasses = append(di.candClasses, cl)
+		di.classPos[cl] = int32(len(di.candClasses))
 	}
 }
+
+// pos returns a recorded class's position in candClasses.
+func (di *defInter) pos(cl int) int { return int(di.classPos[cl]) - 1 }
 
 // addDev records one local device's terminal classes.
 func (di *defInter) addDev(dev int) {
 	if dev < 0 {
 		return
 	}
-	if _, ok := di.termClasses[dev]; ok {
-		return
-	}
-	tns := di.art.Devices[dev].TerminalNets
-	tcs := make([]int, 0, len(tns))
-	for ti := range tns {
-		cl := int(tns[ti].Net)
-		dup := false
-		for _, have := range tcs {
-			if have == cl {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			tcs = append(tcs, cl)
-		}
-	}
-	// Deterministic order for signature-independent iteration.
-	for i := 1; i < len(tcs); i++ {
-		for j := i; j > 0 && tcs[j-1] > tcs[j]; j-- {
-			tcs[j-1], tcs[j] = tcs[j], tcs[j-1]
-		}
-	}
-	di.termClasses[dev] = tcs
-	for _, cl := range tcs {
-		di.addClass(cl)
+	for _, tn := range di.art.Devices[dev].TerminalNets {
+		di.addClass(int(tn.Net))
 	}
 }
 
@@ -686,7 +659,7 @@ func (di *defInter) registerPairMeta(pa, pb int) {
 		}
 		if _, ok := di.classPairPos[cp]; !ok {
 			di.classPairPos[cp] = len(di.classPairAt)
-			di.classPairAt = append(di.classPairAt, [2]int32{int32(di.classPos[cp[0]]), int32(di.classPos[cp[1]])})
+			di.classPairAt = append(di.classPairAt, [2]int32{int32(di.pos(cp[0])), int32(di.pos(cp[1]))})
 		}
 	}
 }
@@ -1340,7 +1313,7 @@ func patchConstruction(inc *netlist.IncExtraction, out []netlist.Issue, moved []
 		found := false
 		for k := range out {
 			if out[k].Rule == "NET.FANOUT" && out[k].Detail == detail {
-				out[k].Where = net.Bounds
+				out[k].Where = inc.Netlist.NetBounds(cl)
 				found = true
 				break
 			}

@@ -322,12 +322,12 @@ func (w fpWriter) violation(b []byte, v *Violation) []byte {
 
 // net appends one net line; its terminal list (%v of []netlist.TermRef:
 // [{3 gate} {4 source}]) is as long as the net is busy.
-func (w fpWriter) net(b []byte, n *netlist.Net) []byte {
+func (w fpWriter) net(b []byte, n *netlist.Net, bounds geom.Rect) []byte {
 	b = appendInt(append(w.open(b), "  net "...), int64(n.ID))
 	b = append(w.quote(append(b, ' '), n.Name), " declared="...)
 	b = append(w.strs(b, n.Declared), " elements="...)
 	b = appendInt(b, int64(n.Elements))
-	b = append(appendRect(append(b, " bounds="...), n.Bounds), " terms=["...)
+	b = append(appendRect(append(b, " bounds="...), bounds), " terms=["...)
 	for ti := range n.Terminals {
 		if ti > 0 {
 			b = append(b, ' ')
@@ -390,9 +390,7 @@ func writeFingerprint(sink io.Writer, rep *Report) {
 		b = appendInt(append(w.open(b), "netlist nets="...), int64(len(nl.Nets)))
 		b = appendInt(append(b, " devices="...), int64(len(nl.Devices)))
 		b = append(b, '\n')
-		for i := range nl.Nets {
-			b = w.net(b, &nl.Nets[i])
-		}
+		nl.EachNet(func(n *netlist.Net, bounds geom.Rect) { b = w.net(b, n, bounds) })
 		if text := nl.DeviceText(deviceSection); text != nil {
 			b = w.flushed(b)
 			sink.Write(text)

@@ -44,7 +44,7 @@ func oracleFingerprint(rep *Report) string {
 		for i := range nl.Nets {
 			n := &nl.Nets[i]
 			fmt.Fprintf(&b, "  net %d %q declared=%v elements=%d bounds=%v terms=%v\n",
-				n.ID, n.Name, n.Declared, n.Elements, n.Bounds, n.Terminals)
+				n.ID, n.Name, n.Declared, n.Elements, nl.NetBounds(i), n.Terminals)
 		}
 		for i := range nl.Devices {
 			d := &nl.Devices[i]
@@ -88,12 +88,13 @@ var hostileStrings = []string{
 func syntheticReport(design, sym, path, net, detail string, x, y int64, orient uint8) *Report {
 	nl := &netlist.Netlist{
 		Nets: []netlist.Net{
-			{ID: 0, Name: net, Bounds: geom.Rect{X1: x, Y1: y, X2: -x, Y2: -y}},
+			{ID: 0, Name: net},
 			{ID: 1, Name: "n1", Declared: []string{}, Terminals: []netlist.TermRef{}, Elements: 1},
 			{ID: netlist.NetID(x), Name: detail, Declared: []string{net, "", path}, Elements: int(y),
 				Terminals: []netlist.TermRef{{Device: 0, Terminal: "gate"}, {Device: int(x), Terminal: net}}},
 		},
 	}
+	nl.Nets[0].SetBounds(geom.Rect{X1: x, Y1: y, X2: -x, Y2: -y})
 	for o := uint8(0); o <= uint8(geom.MX270)+1; o++ {
 		nl.Devices = append(nl.Devices, netlist.DeviceUse{
 			Path: path, Type: sym, Class: detail,

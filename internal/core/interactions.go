@@ -28,7 +28,7 @@ func (s *pairEnv) label(cl netlist.NetID) int {
 	if s.labels == nil {
 		return int(cl)
 	}
-	return s.labels[s.di.classPos[int(cl)]]
+	return s.labels[s.di.pos(int(cl))]
 }
 
 // sameNet reports whether the items are on the same electrical net.
@@ -39,8 +39,8 @@ func (s *pairEnv) sameNet(a, b *netlist.ConnItem) bool {
 // devOnNet reports whether a local device has a terminal on a class's net.
 func (s *pairEnv) devOnNet(dev int, net netlist.NetID) bool {
 	want := s.label(net)
-	for _, tcl := range s.di.termClasses[dev] {
-		if s.label(netlist.NetID(tcl)) == want {
+	for _, tn := range s.di.art.Devices[dev].TerminalNets {
+		if s.label(tn.Net) == want {
 			return true
 		}
 	}

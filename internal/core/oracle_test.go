@@ -41,7 +41,7 @@ func requireSpec(t *testing.T, label string, rep *Report, want specReport) {
 				dev := &nl.Devices[tr.Device]
 				terms = append(terms, fmt.Sprint(dev.Path, "@", dev.T, ":", tr.Terminal))
 			}
-			sig := netSignature(n.Bounds, n.Elements, terms)
+			sig := netSignature(nl.NetBounds(i), n.Elements, terms)
 			name[sig] = n.Name
 			nets = append(nets, sig)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -606,14 +607,14 @@ func TestWindowRecheckAllocsBounded(t *testing.T) {
 
 // TestWindowRecheckWorkIsScaleFree pins the shape of the patched run's
 // bookkeeping: moving the top-level probe of a unique-row chip re-hashes
-// the top symbol and nothing else, and allocates the same on a chip
-// sixteen times the size — no walk of the call sites or the instances
-// hides around the patch. (Time still carries PR 22's copy of the net
-// table, which is why this counts objects, not nanoseconds.)
+// the top symbol and nothing else, and allocates the same objects, and
+// at most twice the bytes, on a chip sixteen times the size — no walk of
+// the call sites or the instances, and no copy of the net table, hides
+// around the patch.
 func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 	nm := tech.NMOS()
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
-	measure := func(n int) float64 {
+	measure := func(n int) (allocs, bytes float64) {
 		d := workload.NewChipUnique(nm, fmt.Sprintf("scale%d", n), n, n).Design
 		d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 		eng := NewEngine(nm, Options{})
@@ -624,7 +625,7 @@ func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 			t.Fatalf("%dx%d cold run: %d re-hashed, %d dirty of %d symbols", n, n, st.Rehashed, st.DirtySymbols, st.Symbols)
 		}
 		dy := int64(250)
-		allocs := testing.AllocsPerRun(20, func() {
+		run := func() {
 			if err := layout.ApplyEdit(d, nm, layout.Edit{
 				Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: -1, DY: dy,
 			}); err != nil {
@@ -638,7 +639,16 @@ func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 				t.Fatalf("%dx%d probe move: %d re-hashed, %d dirty, patched %v; want 1, 1, true",
 					n, n, st.Rehashed, st.DirtySymbols, st.WindowPatched)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(20, run)
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes = float64(after.TotalAlloc-before.TotalAlloc) / runs
 		if _, err := eng.Recheck(d); err != nil {
 			t.Fatal(err)
 		}
@@ -646,27 +656,36 @@ func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 			t.Fatalf("%dx%d no-edit run: %d re-hashed, %d dirty, patched %v; want 0, 0, true",
 				n, n, st.Rehashed, st.DirtySymbols, st.WindowPatched)
 		}
-		return allocs
+		return allocs, bytes
 	}
-	small, large := measure(8), measure(32)
+	small, smallB := measure(8)
+	large, largeB := measure(32)
+	t.Logf("patched run: %.0f objects, %.0f B on 8x8; %.0f objects, %.0f B on 32x32", small, smallB, large, largeB)
 	if raceEnabled {
 		return // race instrumentation allocates; the counts above still hold
 	}
 	if diff := large - small; diff > 0.1*small || diff < -0.1*small {
 		t.Fatalf("patched recheck allocates %.0f objects on 8x8 and %.0f on 32x32: not scale-free", small, large)
 	}
+	if largeB > 2*smallB {
+		t.Fatalf("patched recheck allocates %.0f B on 8x8 and %.0f B on 32x32: more than twice, not scale-free", smallB, largeB)
+	}
 }
 
 // TestReportStableAcrossWindowPatch locks the Cache contract that a
 // returned report is never rewritten by a later run: the window patch
-// reuses the previous extraction, so it must move the patched net's bounds
-// on a copy of the netlist, not on the one the previous report points at.
+// reuses the previous extraction and its net table, so the moved nets'
+// bounds must go on the patched netlist alone, never into the array the
+// previous report reads. Each patched netlist's bounds, read through
+// NetBounds, are a cold extraction's at every index.
 func TestReportStableAcrossWindowPatch(t *testing.T) {
 	nm := tech.NMOS()
 	chip := workload.NewChip(nm, "stable", 6, 6)
 	d := chip.Design
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
+	d.Top.AddBox(metalL, geom.R(-25000, 0, -24250, 1000), "")
+	probes := []int{len(d.Top.Elements) - 2, len(d.Top.Elements) - 1}
 
 	eng := NewEngine(nm, Options{})
 	r1, err := eng.Check(d)
@@ -674,9 +693,25 @@ func TestReportStableAcrossWindowPatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp1 := Fingerprint(r1)
+	bounds1 := make([]geom.Rect, r1.Netlist.NumNets())
+	for i := range bounds1 {
+		bounds1[i] = r1.Netlist.NetBounds(i)
+	}
+	unchanged := func(when string) {
+		t.Helper()
+		if Fingerprint(r1) != fp1 {
+			t.Fatalf("%s: the first run's report changed under its holder", when)
+		}
+		for i, want := range bounds1 {
+			if got := r1.Netlist.NetBounds(i); got != want {
+				t.Fatalf("%s: the first run's net %d bounds %v, were %v", when, i, got, want)
+			}
+		}
+	}
 	for step := 1; step <= 3; step++ {
+		// Alternate the probes, so the overlay both grows and rewrites.
 		if err := layout.ApplyEdit(d, nm, layout.Edit{
-			Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: -1, DY: 250,
+			Op: layout.OpMoveElement, Symbol: d.Top.Name, Index: probes[step%2], DY: 250,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -690,8 +725,27 @@ func TestReportStableAcrossWindowPatch(t *testing.T) {
 		if Fingerprint(r2) == fp1 {
 			t.Fatalf("step %d: the move did not change the report", step)
 		}
-		if Fingerprint(r1) != fp1 {
-			t.Fatalf("step %d: the first run's report changed under its holder", step)
+		unchanged(fmt.Sprintf("step %d", step))
+		cold, _, err := netlist.Extract(d, nm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r2.Netlist.NumNets() != cold.NumNets() {
+			t.Fatalf("step %d: %d nets patched, %d cold", step, r2.Netlist.NumNets(), cold.NumNets())
+		}
+		for i := 0; i < cold.NumNets(); i++ {
+			if got, want := r2.Netlist.NetBounds(i), cold.NetBounds(i); got != want {
+				t.Fatalf("step %d: patched net %d bounds %v, cold %v", step, i, got, want)
+			}
 		}
 	}
+	// A structural edit re-derives the root and assembles a new netlist.
+	d.Top.AddBox(metalL, geom.R(-35000, 0, -34250, 1000), "")
+	if _, err := eng.Recheck(d); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Stats().WindowPatched {
+		t.Fatal("a structural edit was window-patched")
+	}
+	unchanged("after a full re-derive")
 }

@@ -366,22 +366,6 @@ func TestAnalyzeErrors(t *testing.T) {
 	}
 }
 
-func TestAccidentalTransistorDetector(t *testing.T) {
-	poly := geom.FromRectR(geom.R(0, 0, 500, 2000))
-	diffAway := geom.FromRectR(geom.R(1000, 0, 2000, 500))
-	if _, bad := AccidentalTransistor(poly, diffAway); bad {
-		t.Fatal("disjoint poly/diff flagged")
-	}
-	diffCross := geom.FromRectR(geom.R(-500, 500, 1000, 1000))
-	ov, bad := AccidentalTransistor(poly, diffCross)
-	if !bad {
-		t.Fatal("crossing poly/diff not flagged")
-	}
-	if got := ov.Bounds(); got != geom.R(0, 500, 500, 1000) {
-		t.Fatalf("overlap = %v", got)
-	}
-}
-
 func TestClassesRegistered(t *testing.T) {
 	got := strings.Join(Classes(), ",")
 	for _, want := range []string{"mos-transistor", "contact", "butting-contact", "buried-contact", "resistor", "npn-transistor"} {

@@ -3,7 +3,6 @@ package device
 import (
 	"fmt"
 
-	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/tech"
 )
@@ -218,14 +217,4 @@ func analyzePullup(sym *layout.Symbol, spec tech.DeviceSpec, tc *tech.Technology
 		}
 	}
 	return info, probs
-}
-
-// AccidentalTransistor reports whether poly and diffusion overlap outside
-// any declared transistor symbol — the Figure 8 "accidental transistor"
-// that mask-level checkers silently accept because it forms legal-looking
-// geometry. The caller passes the poly and diffusion regions of the
-// *interconnect* (non-device) elements under test.
-func AccidentalTransistor(poly, diff geom.Region) (geom.Region, bool) {
-	ov := poly.Intersect(diff)
-	return ov, !ov.Empty()
 }

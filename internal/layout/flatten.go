@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/tech"
 )
 
 // FlatElement is a fully instantiated element: the element definition, the
@@ -33,24 +32,6 @@ func (f FlatElement) Region() (geom.Region, error) {
 		return geom.Region{}, err
 	}
 	return r.TransformBy(f.T), nil
-}
-
-// NetName returns the hierarchical net identifier of the element's declared
-// net: path-qualified for nets local to an instance ("a.b.net"), bare for
-// top-level declarations. Rail nets (VDD/GND style) are global by
-// convention and never path-qualified; the tech decides which names are
-// rails.
-func (f FlatElement) NetName(t *tech.Technology) string {
-	if f.Elem.Net == "" {
-		return ""
-	}
-	if t != nil && t.IsRail(f.Elem.Net) {
-		return f.Elem.Net
-	}
-	if f.Path == "" {
-		return f.Elem.Net
-	}
-	return f.Path + "." + f.Elem.Net
 }
 
 // Flatten fully instantiates the design from the top symbol. This is the

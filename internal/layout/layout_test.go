@@ -168,7 +168,7 @@ func TestValidateRejectsPrimitiveWithCalls(t *testing.T) {
 }
 
 func TestFlattenPathsAndTransforms(t *testing.T) {
-	tc, d, _, _ := nmosLayers(t)
+	_, d, _, _ := nmosLayers(t)
 	ds := NewDesign("flat")
 	leaf := ds.MustSymbol("leaf")
 	leaf.AddBox(d, geom.R(0, 0, 100, 100), "n1")
@@ -193,14 +193,6 @@ func TestFlattenPathsAndTransforms(t *testing.T) {
 	}
 	if got := fe.Bounds(); got != geom.R(1000, 2000, 1100, 2100) {
 		t.Fatalf("bounds = %v", got)
-	}
-	if got := fe.NetName(tc); got != "m.u.n1" {
-		t.Fatalf("net = %q", got)
-	}
-	// Rails stay global.
-	leaf.Elements[0].Net = "VDD"
-	if got := fe.NetName(tc); got != "VDD" {
-		t.Fatalf("rail net = %q", got)
 	}
 }
 

@@ -498,9 +498,11 @@ func scale4(t geom.Transform) geom.Transform {
 // its root classification in place.
 // The public Netlist (nets, devices) is never recycled or rewritten and
 // stays valid indefinitely: a root patch that moves a net's bounds does so
-// on a fresh Netlist with its own copy of the Nets slice, sharing with its
-// predecessor only what no patch touches — the per-net Declared/Terminals
-// slices, the Devices slice with its DeviceText memo, and the name index.
+// on a fresh Netlist over the very same Nets and Devices arrays (with the
+// DeviceText memo and the name index), which carries the moved nets'
+// bounds beside them in a copy of its predecessor's small overlay
+// (Netlist.NetBounds reads through it); the arrays keep their assembled
+// values.
 // This is the engine's contract: one live run per session. One engine owns
 // a Cache: the artifacts, the own entries and the extraction each carry a
 // single consumer slot (SymbolArtifacts.Inter, OwnEntry.Checks,
@@ -879,14 +881,6 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		return nil, nil, RefuseStructuralEdit
 	}
 
-	// Own items of the root in element order (skipping elements that
-	// failed to materialize — those cannot be patched).
-	itemOfElem := make(map[int]int, len(art.Items))
-	for i := range art.Items {
-		if e := art.Items[i].Elem; e >= 0 {
-			itemOfElem[e] = i
-		}
-	}
 	type patchItem struct {
 		item, foot, class int
 		newBounds         geom.Rect
@@ -896,7 +890,9 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	patches := make([]patchItem, 0, len(moved))
 	for _, ei := range moved {
 		el := top.Elements[ei]
-		it, ok := itemOfElem[ei]
+		// The root's own items are its elements in order, less those
+		// that failed to materialize (which cannot be patched).
+		it, ok := slices.BinarySearchFunc(art.Items, ei, func(item ConnItem, ei int) int { return cmp.Compare(item.Elem, ei) })
 		if !ok {
 			return nil, nil, RefuseElementUnextracted
 		}
@@ -957,23 +953,24 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 
 	// Commit: re-key the root under its new hash and patch the moved
 	// geometry in place. Class structure, names, issues, devices, and
-	// instances are all untouched by construction. The net bounds move on
-	// a copy: the previous run's report still points at nl.
+	// instances are all untouched by construction. The moved nets' bounds
+	// go on a successor netlist over the same arrays: the previous run's
+	// report still points at nl.
 	delete(c.arts, art.Hash)
-	nl = &Netlist{Nets: append([]Net(nil), nl.Nets...), Devices: nl.Devices, byName: nl.byName, devText: nl.devText}
-	inc.Netlist = nl
 	patched := make([]int, len(patches))
+	moves := make([]netBounds, len(patches))
 	for i, pi := range patches {
 		art.Foots[pi.foot].Bounds = pi.newBounds
 		art.Foots[pi.foot].Reg = pi.newReg
 		art.Items[pi.item].Bounds = pi.newBounds
 		art.Items[pi.item].Reg = pi.newReg
 		delete(art.skels, pi.foot)
-		// assembleNets unions the sole footprint's bounds into the zero
-		// rect, which is the identity: the net bounds ARE the footprint's.
-		nl.Nets[pi.class].Bounds = pi.newBounds
+		// Assembly unions the sole footprint's bounds into the zero rect,
+		// which is the identity: the net bounds ARE the footprint's.
+		moves[i] = netBounds{net: pi.class, bounds: pi.newBounds}
 		patched[i] = pi.item
 	}
+	inc.Netlist = nl.patched(moves)
 	art.Hash = newHash
 	c.arts[newHash] = art
 	inc.Hashes = hashes

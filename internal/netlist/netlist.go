@@ -23,7 +23,9 @@
 package netlist
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -56,8 +58,10 @@ type Net struct {
 	Terminals []TermRef
 	// Elements counts the interconnect elements on the net.
 	Elements int
-	// Bounds is the bounding box of the net's geometry.
-	Bounds geom.Rect
+	// bounds is the bounding box of the net's geometry as the netlist's
+	// assembly found it. A window patch moves a net without writing here,
+	// so it is read only through Netlist.NetBounds.
+	bounds geom.Rect
 }
 
 // IsAnonymous reports whether the net has no declared name.
@@ -109,6 +113,10 @@ func (i Issue) String() string { return fmt.Sprintf("%s at %v: %s", i.Rule, i.Wh
 
 // Netlist is the extraction result.
 type Netlist struct {
+	// Nets, like Devices, is read-only once the netlist is published: a
+	// window-patched successor carries the very same array and keeps the
+	// bounds of the nets it moved beside it, so a net's bounds are
+	// NetBounds(i), never a field of Nets[i].
 	Nets []Net
 	// Devices is read-only once the netlist is published: a window-patched
 	// successor, and any netlist re-assembled over the same cached root,
@@ -116,9 +124,69 @@ type Netlist struct {
 	// Replacing or re-slicing it is safe (the memo is keyed by the array);
 	// writing an element in place is not.
 	Devices []DeviceUse
+	// moved overrides the assembled bounds of the nets window patches
+	// moved, ascending by net index. Each patch copies and extends it; the
+	// next assembly starts without one.
+	moved   []netBounds
 	byName  map[string]NetID
 	devText *deviceMemo // shared by every netlist built over Devices' array
 }
+
+// netBounds is one entry of a netlist's moved overlay: net i's bounds.
+type netBounds struct {
+	net    int
+	bounds geom.Rect
+}
+
+// NetBounds returns the bounding box of the geometry of net i, indexed by
+// position in Nets (not by Net.ID).
+func (nl *Netlist) NetBounds(i int) geom.Rect {
+	if k, ok := nl.movedAt(i); ok {
+		return nl.moved[k].bounds
+	}
+	return nl.Nets[i].bounds
+}
+
+// EachNet calls visit with every net in index order and its NetBounds,
+// walking the moved overlay beside the array instead of searching it once
+// per net.
+func (nl *Netlist) EachNet(visit func(n *Net, bounds geom.Rect)) {
+	m := nl.moved
+	for i := range nl.Nets {
+		b := nl.Nets[i].bounds
+		if len(m) > 0 && m[0].net == i {
+			b, m = m[0].bounds, m[1:]
+		}
+		visit(&nl.Nets[i], b)
+	}
+}
+
+// movedAt finds net i in the moved overlay: its position, or where it
+// would go.
+func (nl *Netlist) movedAt(i int) (int, bool) {
+	return slices.BinarySearchFunc(nl.moved, i, func(e netBounds, i int) int { return cmp.Compare(e.net, i) })
+}
+
+// patched returns a successor of nl over the same arrays in which the nets
+// of moves have the given bounds: nl and every holder of it see nothing
+// change.
+func (nl *Netlist) patched(moves []netBounds) *Netlist {
+	next := *nl
+	next.moved = make([]netBounds, len(nl.moved), len(nl.moved)+len(moves))
+	copy(next.moved, nl.moved)
+	for _, mv := range moves {
+		if k, ok := next.movedAt(mv.net); ok {
+			next.moved[k] = mv
+		} else {
+			next.moved = slices.Insert(next.moved, k, mv)
+		}
+	}
+	return &next
+}
+
+// SetBounds sets the bounds an assembly would have written, for a netlist
+// built by hand.
+func (n *Net) SetBounds(r geom.Rect) { n.bounds = r }
 
 // deviceMemo holds the rendering of one device array for DeviceText. It
 // lives with the root artifact that owns the array, so every netlist
@@ -241,7 +309,7 @@ func addFoots(nets []Net, root *SymbolArtifacts, lo, hi int) {
 // addFoot folds one footprint into the net.
 func (net *Net) addFoot(bounds geom.Rect, declared string, elements int) {
 	net.Elements += elements
-	net.Bounds = net.Bounds.Union(bounds)
+	net.bounds = net.bounds.Union(bounds)
 	// nameNets sorts and dedupes; dropping an immediate repeat here (a
 	// rail is declared once per cell) keeps the lists short.
 	if n := len(net.Declared); declared != "" && (n == 0 || net.Declared[n-1] != declared) {
@@ -256,12 +324,12 @@ func (net *Net) addFoot(bounds geom.Rect, declared string, elements int) {
 func mergeFoots(nets, part []Net) {
 	for i := range part {
 		p := &part[i]
-		if p.Elements == 0 && p.Bounds.Empty() && p.Declared == nil {
+		if p.Elements == 0 && p.bounds.Empty() && p.Declared == nil {
 			continue
 		}
 		net := &nets[i]
 		net.Elements += p.Elements
-		net.Bounds = net.Bounds.Union(p.Bounds)
+		net.bounds = net.bounds.Union(p.bounds)
 		for _, dn := range p.Declared {
 			if n := len(net.Declared); n == 0 || net.Declared[n-1] != dn {
 				net.Declared = append(net.Declared, dn)
@@ -344,7 +412,7 @@ func nameNets(nl *Netlist, issues *[]Issue, anon *anonNames) []Issue {
 				*issues = append(*issues, Issue{
 					Rule:   "NET.MERGED",
 					Detail: fmt.Sprintf("declared nets %v are physically connected", net.Declared),
-					Where:  net.Bounds,
+					Where:  nl.NetBounds(i),
 				})
 			}
 		} else {
@@ -357,7 +425,7 @@ func nameNets(nl *Netlist, issues *[]Issue, anon *anonNames) []Issue {
 				*issues = append(*issues, Issue{
 					Rule:   "NET.OPEN",
 					Detail: fmt.Sprintf("net %q is split across unconnected pieces", dn),
-					Where:  nl.Nets[prev].Bounds.Union(net.Bounds),
+					Where:  nl.NetBounds(int(prev)).Union(nl.NetBounds(i)),
 				})
 			} else {
 				nl.byName[dn] = net.ID

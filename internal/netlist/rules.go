@@ -40,7 +40,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 			issues = append(issues, Issue{
 				Rule:   "NET.PGSHORT",
 				Detail: fmt.Sprintf("power and ground shorted on net %q (%v)", net.Name, net.Declared),
-				Where:  net.Bounds,
+				Where:  nl.NetBounds(i),
 			})
 		}
 		// Rule 3: bus to rail.
@@ -48,7 +48,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 			issues = append(issues, Issue{
 				Rule:   "NET.BUSRAIL",
 				Detail: fmt.Sprintf("bus net %q connects to a supply rail (%v)", net.Name, net.Declared),
-				Where:  net.Bounds,
+				Where:  nl.NetBounds(i),
 			})
 		}
 		// Rule 1: fanout — every non-rail net needs at least two device
@@ -58,7 +58,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 				Rule: "NET.FANOUT",
 				Detail: fmt.Sprintf("net %q has %d device terminal(s), need at least 2",
 					net.Name, len(net.Terminals)),
-				Where: net.Bounds,
+				Where: nl.NetBounds(i),
 			})
 		}
 	}
@@ -81,7 +81,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 						Rule: "NET.DEPGND",
 						Detail: fmt.Sprintf("depletion device %s terminal %q connects to ground",
 							devName(dev), term),
-						Where: nl.Nets[nid].Bounds,
+						Where: nl.NetBounds(int(nid)),
 					})
 				}
 			}
@@ -163,7 +163,7 @@ func Compare(nl *Netlist, ref Reference) []Issue {
 			issues = append(issues, Issue{
 				Rule:   "NET.MISMATCH",
 				Detail: fmt.Sprintf("net %q: layout has %v, reference wants %v", name, got, want),
-				Where:  nl.Nets[id].Bounds,
+				Where:  nl.NetBounds(int(id)),
 			})
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -520,6 +521,64 @@ func TestSnapshotKeepsNames(t *testing.T) {
 		}
 		if got.Fingerprint != w.Fingerprint || got.Design != w.Design {
 			t.Fatalf("%s: restored %q %s, saved %q %s", id, got.Design, got.Fingerprint, w.Design, w.Fingerprint)
+		}
+	}
+}
+
+// TestSnapshotKeepsSynthesizedTop: a design whose CIF has top-level
+// content has a top named "(top)", and it keeps that name across a
+// restart, so an edit addressing it is accepted after the restore as
+// before, and the restored report is the saved one. The second session
+// takes the server's default design name, "design", which the snapshot's
+// CIF carries as a 9 command.
+func TestSnapshotKeepsSynthesizedTop(t *testing.T) {
+	ctx := context.Background()
+	src := "DS 1; 9 leaf; L NM; B 750 750 375 375; DF;\n9I u1; C 1 T 3000 0;\nL NM; B 750 750 375 375;\nE\n"
+	probe := func(y int64) []layout.Edit {
+		return []layout.Edit{{Op: layout.OpAddBox, Symbol: "(top)", Layer: tech.NMOSMetal, Box: []int64{0, y, 750, y + 750}}}
+	}
+	dir := t.TempDir()
+	_, c1 := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	saved := map[string]string{}
+	for _, req := range []CreateRequest{{CIF: src, Tech: "nmos", DesignName: "chip"}, {CIF: src, Tech: "nmos"}} {
+		created, err := c1.SessionCreate(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c1.SessionEdit(ctx, created.ID, probe(6000)); err != nil {
+			t.Fatalf("edit on (top) before the restart: %v", err)
+		}
+		rep, err := c1.SessionReport(ctx, created.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[created.ID] = rep.Fingerprint
+	}
+	if _, err := c1.SnapshotAll(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2, c2 := newTestServer(t, Config{Debounce: -1, StateDir: dir})
+	if n, errs := srv2.RestoreFromDisk(ctx); n != len(saved) || len(errs) > 0 {
+		t.Fatalf("restore: %d of %d sessions, errs %v", n, len(saved), errs)
+	}
+	for id, fp := range saved {
+		got, err := c2.SessionReport(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint != fp {
+			t.Fatalf("%s: restored fingerprint %s, saved %s", id, got.Fingerprint, fp)
+		}
+		body, _ := json.Marshal(EditRequest{Edits: probe(9000)})
+		resp, err := http.Post(c2.BaseURL+"/v1/sessions/"+id+"/edits", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: edit on (top) after the restore: %d %s, want 200", id, resp.StatusCode, msg)
 		}
 	}
 }
