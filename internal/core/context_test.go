@@ -24,7 +24,7 @@ func TestCheckContextCanceled(t *testing.T) {
 		t.Fatalf("CheckContext on canceled ctx: err = %v, want context.Canceled", err)
 	}
 
-	rep, err := eng.RecheckContext(context.Background(), chip.Design)
+	rep, err := eng.CheckContext(context.Background(), chip.Design)
 	if err != nil {
 		t.Fatalf("recheck after abort: %v", err)
 	}
@@ -61,7 +61,7 @@ func TestCheckContextMidRunAbort(t *testing.T) {
 	chip.Design.Top.Touch()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := eng.RecheckContext(ctx, chip.Design); err == nil {
+	if _, err := eng.CheckContext(ctx, chip.Design); err == nil {
 		t.Fatal("recheck under canceled ctx succeeded")
 	}
 	rep, err := eng.Recheck(chip.Design)

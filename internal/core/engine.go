@@ -23,17 +23,17 @@ import (
 //	rep, err = eng.Recheck(design)     // warm: re-derives only dirty subtrees
 //
 // Every result the engine memoizes lives in its netlist.Cache, on the
-// entry of the content it describes, keyed as layout.ContentHashes keys
-// it: stage-1 element and stage-3 layer-rule results on a symbol's own
-// entry (netlist.OwnEntry) beside its stage-2 device analysis, interaction
-// adjudications on the subtree-hashed extraction artifact, and the record
-// of the last run's interaction and construction stages on the extraction
-// it was computed from. The entries need no invalidation of their own — an
+// entry of the content it describes, keyed by the symbols' content hashes
+// (layout.Symbol.Hashes): stage-1 element and stage-3 layer-rule results on
+// a symbol's own entry (netlist.OwnEntry) beside its stage-2 device
+// analysis, interaction adjudications on the subtree-hashed extraction
+// artifact, and the record of the last run's interaction and construction
+// stages on the extraction it was computed from. The entries need no invalidation of their own — an
 // edited definition hashes to a new key, and every ancestor's subtree hash
 // changes with it (the dirty-propagation walk up the call graph), so stale
 // entries are never reachable — and they age out on the Cache's one
 // horizon. The engine itself holds no cached result. The hashes are cached
-// on the design behind Symbol.Touch (layout.ApplyEdit touches on every
+// on the symbols behind Symbol.Touch (layout.ApplyEdit touches on every
 // op): a run re-hashes the touched symbols and their callers, not the
 // design. Whether a run may patch the previous root instead of re-deriving
 // it is extraction's decision (netlist.ExtractIncremental), made against
@@ -70,10 +70,8 @@ type Engine struct {
 
 	cache *netlist.Cache
 
-	// prev and mark are the last completed run's content hashes and the
-	// design's hashing mark as of then: the next run compares against prev
-	// only the symbols re-hashed after mark.
-	prev map[*layout.Symbol]layout.SymbolHashes
+	// mark is the design's hashing mark as of the last completed run: the
+	// next run counts the symbols re-hashed after it.
 	mark layout.HashMark
 	runs int
 	last EngineStats
@@ -116,15 +114,7 @@ type replayRecord struct {
 type netFacts struct {
 	nl     *netlist.Netlist
 	hasDev []bool // per net: carries a device terminal (a dense column of len(Terminals) > 0)
-
-	// long memoises shares for the pairs whose shorter terminal list is
-	// longer than longScan (two rails, two buses): there are few such
-	// pairs and many instances may ask about each.
-	long map[uint64]bool
 }
-
-// longScan is the terminal-list length past which shares memoises.
-const longScan = 16
 
 func newNetFacts(nl *netlist.Netlist) *netFacts {
 	f := &netFacts{nl: nl, hasDev: make([]bool, len(nl.Nets))}
@@ -142,26 +132,6 @@ func (f *netFacts) shares(a, b netlist.NetID) bool {
 	if tb := f.nl.Nets[b].Terminals; len(tb) < len(terms) {
 		terms, other = tb, a
 	}
-	if len(terms) <= longScan {
-		return f.scan(terms, other)
-	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	key := uint64(lo)<<32 | uint64(uint32(hi))
-	ans, ok := f.long[key]
-	if !ok {
-		if f.long == nil {
-			f.long = make(map[uint64]bool)
-		}
-		ans = f.scan(terms, other)
-		f.long[key] = ans
-	}
-	return ans
-}
-
-func (f *netFacts) scan(terms []netlist.TermRef, other netlist.NetID) bool {
 	for i := range terms {
 		tns := f.nl.Devices[terms[i].Device].TerminalNets
 		for ti := range tns {
@@ -284,12 +254,6 @@ func (e *Engine) Recheck(d *layout.Design) (*Report, error) {
 	return e.run(context.Background(), d)
 }
 
-// RecheckContext is Recheck under a context; see CheckContext for the
-// cancellation contract.
-func (e *Engine) RecheckContext(ctx context.Context, d *layout.Design) (*Report, error) {
-	return e.run(ctx, d)
-}
-
 func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	if e.poisoned != nil {
 		return nil, fmt.Errorf("core: engine poisoned: %w", e.poisoned)
@@ -300,16 +264,11 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	e.runs++
 	stats := EngineStats{Runs: e.runs}
 
-	// Only a re-hashed symbol can differ from the previous run's hashes (or
-	// be new to them), so counting the dirty set costs what the edit touched.
-	hashes, rehashed, mark := d.HashesSince(e.mark)
-	for _, s := range rehashed {
-		if p, ok := e.prev[s]; !ok || p.Subtree != hashes[s].Subtree {
-			stats.DirtySymbols++
-		}
-	}
-	stats.Symbols = len(hashes)
-	stats.Rehashed = len(rehashed)
+	// The hashing pass counts what moved since the last completed run; the
+	// stages then read each symbol's hashes off the symbol.
+	rehashed, dirty, mark := d.HashesSince(e.mark)
+	stats.Symbols = len(d.SortedSymbols())
+	stats.Rehashed, stats.DirtySymbols = rehashed, dirty
 
 	rep := &Report{Design: d, Tech: e.tc}
 	c := &checker{design: d, tech: e.tc, opts: e.opts, rep: rep}
@@ -329,16 +288,16 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		c.stage(name, fn)
 	}
 
-	stage("check elements", func() { e.checkElements(c, d, hashes) })
-	stage("check primitive symbols", func() { e.checkPrimitiveSymbols(c, d, hashes) })
-	stage("check layer rules", func() { e.checkLayerRules(c, d, hashes) })
+	stage("check elements", func() { e.checkElements(c, d) })
+	stage("check primitive symbols", func() { e.checkPrimitiveSymbols(c, d) })
+	stage("check layer rules", func() { e.checkLayerRules(c, d) })
 
 	var inc *netlist.IncExtraction
 	var rec *replayRecord
 	stage("generate hierarchical net list", func() {
 		var issues []netlist.Issue
 		var err error
-		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, hashes, runtime.GOMAXPROCS(0))
+		inc, issues, err = netlist.ExtractIncremental(d, e.tc, e.cache, runtime.GOMAXPROCS(0))
 		if err != nil {
 			c.add(Violation{Rule: "STRUCT.EXTRACT", Severity: Error, Detail: err.Error()})
 			return
@@ -369,9 +328,9 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		}
 	}
 	if ctxErr != nil {
-		// Aborted between stages: e.prev and e.mark stay as the last
-		// completed run left them, so the next run accounts for every edit
-		// since then, not since this abort. The run's record is hung on its
+		// Aborted between stages: e.mark stays as the last completed run
+		// left it, so the next run accounts for every edit since then, not
+		// since this abort. The run's record is hung on its
 		// extraction only below, so a root patch never hands over the record
 		// of a run that did not finish.
 		return nil, ctxErr
@@ -381,7 +340,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 		inc.Replay = rec
 	}
 
-	e.prev, e.mark = hashes, mark
+	e.mark = mark
 
 	stats.ArtifactDefs = e.cache.Len()
 	stats.CtxHits, stats.CtxMisses = e.cache.ContextStats()
@@ -393,12 +352,12 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 }
 
 // checkElements is stage 1 with per-definition caching by own hash.
-func (e *Engine) checkElements(c *checker, d *layout.Design, hashes map[*layout.Symbol]layout.SymbolHashes) {
+func (e *Engine) checkElements(c *checker, d *layout.Design) {
 	for _, s := range d.SortedSymbols() {
 		if s.IsPrimitive() {
 			continue
 		}
-		r := e.own(hashes[s].Own)
+		r := e.own(s.Hashes().Own)
 		if r.elems == nil {
 			vs, checks, elements := elementChecks(s, e.tc)
 			r.elems = &elemEntry{vs: vs, checks: checks, elements: elements}
@@ -412,14 +371,14 @@ func (e *Engine) checkElements(c *checker, d *layout.Design, hashes map[*layout.
 
 // checkPrimitiveSymbols is stage 2 with device analyses memoized by own
 // hash (shared with extraction's device recognition).
-func (e *Engine) checkPrimitiveSymbols(c *checker, d *layout.Design, hashes map[*layout.Symbol]layout.SymbolHashes) {
+func (e *Engine) checkPrimitiveSymbols(c *checker, d *layout.Design) {
 	for _, s := range d.SortedSymbols() {
 		if !s.IsPrimitive() {
 			continue
 		}
 		c.rep.Stats.SymbolDefsChecked++
 		c.countChecks(1)
-		_, probs := e.cache.Analyze(s, hashes[s].Own, e.tc)
+		_, probs := e.cache.Analyze(s, s.Hashes().Own, e.tc)
 		for _, v := range deviceProblemViolations(s, probs) {
 			c.add(v)
 		}
@@ -429,12 +388,12 @@ func (e *Engine) checkPrimitiveSymbols(c *checker, d *layout.Design, hashes map[
 // checkLayerRules is the layer-rule stage with per-definition caching by
 // own hash: the rule kernels see only a definition's own merged geometry,
 // so an entry stays valid however the subtree beneath changes.
-func (e *Engine) checkLayerRules(c *checker, d *layout.Design, hashes map[*layout.Symbol]layout.SymbolHashes) {
+func (e *Engine) checkLayerRules(c *checker, d *layout.Design) {
 	for _, s := range d.SortedSymbols() {
 		if s.IsPrimitive() {
 			continue
 		}
-		r := e.own(hashes[s].Own)
+		r := e.own(s.Hashes().Own)
 		if r.rules == nil {
 			vs, checks := layerRuleChecks(s, e.tc)
 			r.rules = &ruleEntry{vs: vs, checks: checks}
@@ -527,14 +486,9 @@ type defInter struct {
 	// items' new pairs without a rebuild.
 	itemIdx []int32
 
-	// netFree marks definitions whose every candidate pair is internal to
-	// one device: adjudication never consults the net environment (the
-	// same-device subcase decides first), so one tally replays for every
-	// instance without computing a signature. True for all primitive
-	// definitions — the common case by instance count.
-	netFree   bool
-	freeTally *interactionTally
-
+	// sigs holds one adjudicated tally per observed signature. A definition
+	// whose every pair is internal to one device (every primitive) has an
+	// empty signature domain, so its one tally sits under the empty key.
 	sigs map[string]*interactionTally
 
 	// Keepout checks (contact-over-gate, isolation-vs-base) have no net
@@ -573,7 +527,6 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		classPairPos: make(map[[2]int]int),
 		sigs:         make(map[string]*interactionTally),
 	}
-	di.netFree = true
 	// A flat per-item table replaces per-candidate map lookups: the
 	// callback below runs once per sweep candidate, the hottest loop of a
 	// definition (re)build. It records the pairs by definition item index
@@ -641,12 +594,13 @@ func (di *defInter) addDev(dev int) {
 }
 
 // registerPairMeta folds one pair's endpoints into the signature-domain
-// bookkeeping (classes, devices, class pairs, the netFree flag). Shared
-// between the initial build and root-patch pair additions.
+// bookkeeping (classes, devices, class pairs). Shared between the initial
+// build and root-patch pair additions. A pair inside one device registers
+// nothing: adjudicatePair decides it before asking any net question.
 func (di *defInter) registerPairMeta(pa, pb int) {
 	a, b := di.itemAt(pa), di.itemAt(pb)
-	if a.Dev < 0 || a.Dev != b.Dev {
-		di.netFree = false
+	if a.Dev >= 0 && a.Dev == b.Dev {
+		return
 	}
 	di.addClass(int(a.Net))
 	di.addClass(int(b.Net))
@@ -742,9 +696,7 @@ func (e *Engine) netEnvSignature(di *defInter, inc *netlist.IncExtraction, ii in
 // sigScratch holds signature-evaluation buffers reused across instances,
 // one per shard of the signature phase. Per-net label state is
 // epoch-stamped (indexed by global net id) so resetting between instances
-// is one counter increment, not a map clear. facts is the shard's own
-// view of the run's net facts: the memo of long terminal-list scans is
-// written as signatures are computed, so no two shards share one.
+// is one counter increment, not a map clear.
 type sigScratch struct {
 	global    []netlist.NetID
 	labels    []int
@@ -752,31 +704,25 @@ type sigScratch struct {
 	labelOf   []int
 	labelSeen []uint32
 	epoch     uint32
-	facts     netFacts
 }
 
-// newSigScratch makes a shard's scratch for a run over facts' netlist.
-func newSigScratch(facts *netFacts) *sigScratch {
-	n := len(facts.nl.Nets)
-	return &sigScratch{
-		labelOf:   make([]int, n),
-		labelSeen: make([]uint32, n),
-		facts:     netFacts{nl: facts.nl, hasDev: facts.hasDev},
-	}
+// newSigScratch makes a shard's scratch for a run over a netlist of n nets.
+func newSigScratch(n int) *sigScratch {
+	return &sigScratch{labelOf: make([]int, n), labelSeen: make([]uint32, n)}
 }
 
 // lookupTallies computes the net-environment signatures of instances [lo,
 // hi) and records in tallies each one's cached tally, nil when there is
-// none yet (or the definition needs no signature). It reads the instances'
-// definition caches and writes nothing but its scratch and its range of
-// tallies, so shards of instances run concurrently.
-func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, sc *sigScratch, tallies []*interactionTally) {
+// none yet. It reads the instances' definition caches and the run's net
+// facts and writes nothing but its scratch and its range of tallies, so
+// shards of instances run concurrently.
+func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, facts *netFacts, sc *sigScratch, tallies []*interactionTally) {
 	for ii := lo; ii < hi; ii++ {
 		di := inc.Instances[ii].Art.Inter.(*defInter)
-		if len(di.pairs) == 0 || di.netFree {
+		if len(di.pairs) == 0 {
 			continue
 		}
-		tallies[ii] = di.sigs[string(e.netEnvSignature(di, inc, ii, &sc.facts, sc))]
+		tallies[ii] = di.sigs[string(e.netEnvSignature(di, inc, ii, facts, sc))]
 	}
 }
 
@@ -1021,11 +967,11 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	}
 	scratches := make([]*sigScratch, m)
 	for k := range scratches {
-		scratches[k] = newSigScratch(facts)
+		scratches[k] = newSigScratch(len(inc.Netlist.Nets))
 	}
 	geom.RunShards(m, workers, func(k int) {
 		lo, hi := geom.ShardRange(k, m, len(inc.Instances))
-		e.lookupTallies(inc, lo, hi, scratches[k], tallies)
+		e.lookupTallies(inc, lo, hi, facts, scratches[k], tallies)
 	})
 
 	// The serial loop looks up what the pool did not find, adjudicates,
@@ -1038,26 +984,11 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		if len(di.pairs) == 0 {
 			return
 		}
-		if di.netFree {
-			// Every pair is device-internal: adjudication cannot touch
-			// the net environment, so the one tally serves all instances.
-			if di.freeTally == nil {
-				di.freeTally = e.adjudicateDef(di, nil, nil)
-				stats.SigMisses++
-			} else {
-				stats.SigHits++
-			}
-			if ii == 0 {
-				rootTally = di.freeTally
-			}
-			e.absorbInstance(c, inc, ii, di.freeTally)
-			return
-		}
 		tally := tallies[ii]
 		if tally == nil {
 			// Not cached when the pool looked: an instance before this one
 			// may have adjudicated the signature since.
-			sig := e.netEnvSignature(di, inc, ii, &scratch.facts, scratch)
+			sig := e.netEnvSignature(di, inc, ii, facts, scratch)
 			var ok bool
 			if tally, ok = di.sigs[string(sig)]; !ok {
 				tally = e.adjudicateDef(di, scratch.labels, sig)
@@ -1236,7 +1167,6 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 	// Pair membership changed: every cached per-signature adjudication of
 	// this definition is stale.
 	di.sigs = make(map[string]*interactionTally)
-	di.freeTally = nil
 	return true
 }
 
@@ -1329,14 +1259,9 @@ func patchConstruction(inc *netlist.IncExtraction, out []netlist.Issue, moved []
 // one definition under one net-environment signature, producing the
 // replayable tally.
 func (e *Engine) adjudicateDef(di *defInter, labels []int, sig []byte) *interactionTally {
-	env := pairEnv{di: di, labels: labels}
-	if sig != nil {
-		// The share bits follow five bytes per class (a 4-byte label and a
-		// has-device bit).
-		env.share = sig[5*len(di.candClasses):]
-	}
-	// With a nil sig (netFree definitions) every pair is same-device and
-	// the env's net methods are provably never reached.
+	// The share bits follow five bytes per class (a 4-byte label and a
+	// has-device bit).
+	env := pairEnv{di: di, labels: labels, share: sig[5*len(di.candClasses):]}
 
 	t := &interactionTally{}
 	g := defPairGeom{opts: &e.opts, off: di.itemOff}

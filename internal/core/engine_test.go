@@ -346,3 +346,50 @@ func TestEngineRecheckReusesCleanDefs(t *testing.T) {
 		t.Fatalf("no interaction defs reused; stats %+v", warm)
 	}
 }
+
+// TestSameDevicePairsNeedNoSignature: a definition whose every candidate
+// pair lies inside one device (every transistor symbol) registers no class
+// in its signature domain, so all its instances replay the one tally
+// adjudicated under the empty signature, at the miss and hit counts the
+// special case for such definitions once gave on this chip.
+func TestSameDevicePairsNeedNoSignature(t *testing.T) {
+	nm := tech.NMOS()
+	d := workload.NewChip(nm, "samedev", 8, 8).Design
+	inc, _, err := netlist.ExtractIncremental(d, nm, netlist.NewCache(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine(nm, Options{})
+	c := &checker{design: d, tech: nm, opts: e.opts, rep: &Report{Design: d, Tech: nm}}
+	var stats EngineStats
+	e.checkInteractions(c, inc, &stats, false)
+	if stats.SigMisses != 6 || stats.SigHits != 259 {
+		t.Fatalf("signatures %d miss/%d hit, want 6/259", stats.SigMisses, stats.SigHits)
+	}
+	seen := make(map[*defInter]bool)
+	instances := 0
+	for ii := range inc.Instances {
+		di := inc.Instances[ii].Art.Inter.(*defInter)
+		inside := len(di.pairs) > 0
+		for _, p := range di.pairs {
+			a, b := di.itemAt(p.a), di.itemAt(p.b)
+			inside = inside && a.Dev >= 0 && a.Dev == b.Dev
+		}
+		if !inside {
+			continue
+		}
+		instances++
+		if seen[di] {
+			continue
+		}
+		seen[di] = true
+		if len(di.candClasses) != 0 || len(di.classPairAt) != 0 || len(di.sigs) != 1 || di.sigs[""] == nil {
+			t.Fatalf("%s: %d classes, %d class pairs, %d tallies; want one tally under the empty signature",
+				di.art.Sym.Name, len(di.candClasses), len(di.classPairAt), len(di.sigs))
+		}
+	}
+	if len(seen) == 0 || instances <= len(seen) {
+		t.Fatalf("%d such definitions over %d instances: nothing replayed", len(seen), instances)
+	}
+	t.Logf("%d definitions with only same-device pairs, %d instances", len(seen), instances)
+}

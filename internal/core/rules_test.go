@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
+	"repro/internal/cif"
 	"repro/internal/geom"
 	"repro/internal/tech"
 	"repro/internal/workload"
@@ -107,5 +110,58 @@ func TestRuleClassTally(t *testing.T) {
 	}
 	if RuleClass("S.ND.ND.diff") != "spacing" || RuleClass("X.WEIRD") != "other" {
 		t.Fatal("RuleClass vocabulary drifted")
+	}
+}
+
+// TestLayerRulesHierarchyAddsNoError: hierarchy must never add a verdict
+// that the flat drawing of the same mask lacks. Each case draws one mask
+// twice, every box in one definition and then with some boxes moved into a
+// cell the top calls once at the origin, and compares the two reports'
+// verdicts by (rule, where). Stage 3 judges a definition's own geometry,
+// calls excluded, so a cell's metal island that the caller's metal widens
+// fails AREA, and a cell's cut that the caller's pad encloses fails ENC;
+// those two skip, with the verdicts the split adds, until ROADMAP item 2b
+// judges an island where it closes. The control keeps pad and cut in one
+// definition.
+func TestLayerRulesHierarchyAddsNoError(t *testing.T) {
+	nm := tech.NMOS()
+	cases := []struct {
+		name, flat, split string
+		known             bool // the split adds a verdict (ROADMAP item 2b)
+	}{
+		{"area", "DS 2 1 1; 9 top; L NM; B 3750 750 1875 375; B 750 750 375 375; DF; C 2; E",
+			"DS 1 1 1; 9 cell; L NM; B 750 750 375 375; DF; DS 2 1 1; 9 top; L NM; B 3750 750 1875 375; C 1; DF; C 2; E", true},
+		{"enclosure", "DS 2 1 1; 9 top; L NM; B 1500 1500 750 750; L NC; B 500 500 750 750; DF; C 2; E",
+			"DS 1 1 1; 9 cell; L NC; B 500 500 750 750; DF; DS 2 1 1; 9 top; L NM; B 1500 1500 750 750; C 1; DF; C 2; E", true},
+		{"control", "DS 2 1 1; 9 top; L NM; B 1500 1500 750 750; L NC; B 500 500 750 750; DF; C 2; E",
+			"DS 1 1 1; 9 cell; L NM; B 1500 1500 750 750; L NC; B 500 500 750 750; DF; DS 2 1 1; 9 top; C 1; DF; C 2; E", false},
+	}
+	verdicts := func(src string) map[string]int {
+		t.Helper()
+		d, err := cif.Parse(src, nm, "h")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewEngine(nm, Options{}).Check(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]int)
+		for _, v := range rep.Violations {
+			out[fmt.Sprintf("%s at %v", v.Rule, v.Where)]++
+		}
+		return out
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			flat, split := verdicts(c.flat), verdicts(c.split)
+			if maps.Equal(flat, split) {
+				return
+			}
+			if c.known {
+				t.Skipf("split reports %v, flat %v: hierarchy adds an error (ROADMAP item 2b)", split, flat)
+			}
+			t.Fatalf("split reports %v, flat %v", split, flat)
+		})
 	}
 }

@@ -114,13 +114,13 @@ func TestApplyEditErrors(t *testing.T) {
 		{"self call", Edit{Op: OpAddCall, Symbol: "top", Target: "top"}},
 		{"call cycle", Edit{Op: OpAddCall, Symbol: "leaf", Target: "top"}},
 	}
-	before := d.ContentHashes()[d.Top]
+	before := hashesOf(d)[d.Top]
 	for _, c := range cases {
 		if err := ApplyEdit(d, tc, c.e); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
 	}
-	if d.ContentHashes()[d.Top] != before {
+	if hashesOf(d)[d.Top] != before {
 		t.Fatal("failed edits mutated the design")
 	}
 }
@@ -131,12 +131,12 @@ func TestApplyEditErrors(t *testing.T) {
 func TestEditDirtyPropagation(t *testing.T) {
 	d, tc := editDesign(t)
 	top, leaf := d.Top, d.Symbols()[0]
-	h0 := d.ContentHashes()
+	h0 := hashesOf(d)
 
 	if err := ApplyEdit(d, tc, Edit{Op: OpAddBox, Symbol: "leaf", Layer: tech.NMOSDiff, Box: []int64{500, 0, 700, 200}}); err != nil {
 		t.Fatal(err)
 	}
-	h1 := d.ContentHashes()
+	h1 := hashesOf(d)
 	if h1[leaf].Own == h0[leaf].Own || h1[top].Subtree == h0[top].Subtree {
 		t.Fatal("edit did not propagate to hashes")
 	}
@@ -147,7 +147,7 @@ func TestEditDirtyPropagation(t *testing.T) {
 	if err := ApplyEdit(d, tc, Edit{Op: OpDeleteElement, Symbol: "leaf", Index: -1}); err != nil {
 		t.Fatal(err)
 	}
-	h2 := d.ContentHashes()
+	h2 := hashesOf(d)
 	if h2[leaf] != h0[leaf] || h2[top] != h0[top] {
 		t.Fatal("revert did not restore hashes")
 	}
@@ -203,13 +203,13 @@ func TestEditCoordinateBound(t *testing.T) {
 		{"call move past", Edit{Op: OpMoveCall, Symbol: "top", Index: 0, DX: m}},
 	}
 	d, tc := editDesign(t)
-	before := d.ContentHashes()[d.Top]
+	before := hashesOf(d)[d.Top]
 	for _, c := range refused {
 		if err := ApplyEdit(d, tc, c.e); !errors.Is(err, ErrTooLarge) {
 			t.Errorf("%s: err = %v, want ErrTooLarge", c.name, err)
 		}
 	}
-	if d.ContentHashes()[d.Top] != before {
+	if hashesOf(d)[d.Top] != before {
 		t.Fatal("refused edits mutated the design")
 	}
 	accepted := []Edit{

@@ -120,7 +120,7 @@ func hashSubtree(w *hashWriter, s *Symbol, own Hash) Hash {
 	return w.final()
 }
 
-// ownStamp is everything ContentHashes compares to decide that a symbol's
+// ownStamp is everything the hashing pass compares to decide that a symbol's
 // cached hashes still describe it: the edit number Touch and TouchElement
 // maintain, plus the scalars a caller can write without them.
 type ownStamp struct {
@@ -145,8 +145,10 @@ type hashCache struct {
 	// hashed). A symbol that sat out a pass was unreachable then, so no
 	// callee could tell it that its subtree hash moved.
 	pass uint64
-	// epoch is the design's hash epoch at which h was last recomputed.
-	epoch uint64
+	// epoch is the design's hash epoch at which h was last recomputed, and
+	// subEpoch the one at which h.Subtree last moved (or the symbol came
+	// back from sitting out a pass).
+	epoch, subEpoch uint64
 	// stale is set by a callee whose subtree hash moved in the current pass.
 	stale bool
 }
@@ -158,76 +160,89 @@ type HashMark struct {
 	epoch uint64
 }
 
-// ContentHashes returns own and subtree content hashes for every symbol
-// reachable from Top. The hashes are cached on the symbols: a call
-// recomputes own hashes only where the symbol's edit number (or one of
-// Name, DeviceType, Checked, the element count, the call count) moved
-// since they were taken, and subtree hashes only there and in transitive
-// callers. That makes Touch part of the hashing contract: ApplyEdit is the
-// production mutator and touches on every op, and a direct write to
-// element or call geometry must be followed by Touch or TouchElement, or
-// the stale hash keeps addressing the old content. The returned map is
-// shared with later callers and must not be modified; it is never
-// rewritten — a call that finds a hash moved returns a new map.
-func (d *Design) ContentHashes() map[*Symbol]SymbolHashes {
-	cur, _, _ := d.HashesSince(HashMark{})
-	return cur
+// Hashes returns the symbol's own and subtree content hashes. They are
+// cached on the symbol and recomputed by the design's hashing pass
+// (ContentHashes), which Hashes runs first when an edit number in the design
+// moved since the last pass or the symbol sat that pass out. That makes
+// Touch part of the hashing contract: ApplyEdit is the production mutator
+// and touches on every op, and a direct write to element or call geometry
+// must be followed by Touch or TouchElement, or the stale hash keeps
+// addressing the old content. A direct write to one of the stamped
+// scalars (Name, DeviceType, Checked, the element or call count) is seen
+// by the next pass even untouched, but only ContentHashes or HashesSince
+// is sure to run one. The symbol must be reachable from its design's Top;
+// a free-standing symbol has zero hashes.
+func (s *Symbol) Hashes() SymbolHashes {
+	if d := s.design; d != nil && (d.hashedEdits != d.edits || s.hc.pass != d.hashPass) {
+		d.ContentHashes()
+	}
+	return s.hc.h
 }
 
-// HashesSince is ContentHashes for a consumer that keeps state between
-// calls: besides the hashes it returns the reachable symbols whose own or
-// subtree hash was recomputed after since (callees before callers), and the
-// mark to pass next time. Everything the consumer derived from the hashes
-// of a symbol not listed still stands. A mark from another design, or the
-// zero mark, lists every reachable symbol.
+// ContentHashes brings the content hashes of every symbol reachable from
+// Top up to date (read them with Symbol.Hashes): a call recomputes own
+// hashes only where the symbol's edit number (or one of Name, DeviceType,
+// Checked, the element count, the call count) moved since they were taken,
+// and subtree hashes only there and in transitive callers.
 //
 // The pass is the paper's locality argument run in reverse: an edit inside
 // a definition can only affect that definition and the definitions that
 // (transitively) instantiate it, so a moved subtree hash marks the
 // symbol's callers stale through the memoised reverse call graph, and
 // sibling subtrees are not visited beyond a stamp compare.
-func (d *Design) HashesSince(since HashMark) (cur map[*Symbol]SymbolHashes, rehashed []*Symbol, now HashMark) {
+func (d *Design) ContentHashes() {
 	g := d.callGraph()
 	d.hashPass++
-	moved := false
+	d.hashedEdits = d.edits
+	bumped := false
 	for _, s := range g.order {
 		c := &s.hc
 		st := s.stamp()
 		ownMoved := c.pass == 0 || c.stamp != st
-		if ownMoved || c.stale || c.pass != d.hashPass-1 {
-			if !moved {
-				moved = true
+		satOut := c.pass != d.hashPass-1
+		if ownMoved || c.stale || satOut {
+			if !bumped {
+				bumped = true
 				d.hashEpoch++
 			}
 			if ownMoved {
 				c.h.Own, c.stamp = hashOwn(&d.hashBuf, s), st
 			}
-			sub := hashSubtree(&d.hashBuf, s, c.h.Own)
-			if sub != c.h.Subtree {
+			if sub := hashSubtree(&d.hashBuf, s, c.h.Own); sub != c.h.Subtree {
 				c.h.Subtree = sub
 				for _, p := range g.callers[s] {
 					p.hc.stale = true
 				}
+				c.subEpoch = d.hashEpoch
+			} else if satOut {
+				c.subEpoch = d.hashEpoch
 			}
 			c.epoch = d.hashEpoch
 		}
 		c.stale, c.pass = false, d.hashPass
 	}
-	if moved || d.hashesOf != g.serial {
-		d.hashes = make(map[*Symbol]SymbolHashes, len(g.order))
-		for _, s := range g.order {
-			d.hashes[s] = s.hc.h
-		}
-		d.hashesOf = g.serial
-	}
+}
+
+// HashesSince is ContentHashes for a consumer that keeps state between
+// calls: it counts the reachable symbols whose own or subtree hash was
+// recomputed after since (rehashed) and those among them whose subtree
+// hash moved or that sat out the pass before (moved), and returns the mark
+// to pass next time. Everything the consumer derived from the hashes of a
+// symbol not counted still stands. A mark from another design, or the
+// zero mark, counts every reachable symbol.
+func (d *Design) HashesSince(since HashMark) (rehashed, moved int, now HashMark) {
+	d.ContentHashes()
 	floor := since.epoch
 	if since.d != d {
 		floor = 0
 	}
-	for _, s := range g.order {
+	for _, s := range d.graph.order {
 		if s.hc.epoch > floor {
-			rehashed = append(rehashed, s)
+			rehashed++
+		}
+		if s.hc.subEpoch > floor {
+			moved++
 		}
 	}
-	return d.hashes, rehashed, HashMark{d: d, epoch: d.hashEpoch}
+	return rehashed, moved, HashMark{d: d, epoch: d.hashEpoch}
 }

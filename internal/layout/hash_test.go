@@ -84,6 +84,17 @@ func scratchValidate(d *Design) error {
 	return visit(d.Top)
 }
 
+// hashesOf runs the hashing pass and collects every reachable symbol's
+// Symbol.Hashes.
+func hashesOf(d *Design) map[*Symbol]SymbolHashes {
+	d.ContentHashes()
+	out := make(map[*Symbol]SymbolHashes)
+	for _, s := range d.SortedSymbols() {
+		out[s] = s.Hashes()
+	}
+	return out
+}
+
 func scratchHashes(d *Design) map[*Symbol]SymbolHashes {
 	out := make(map[*Symbol]SymbolHashes)
 	var w hashWriter
@@ -114,7 +125,10 @@ func requireScratchEqual(t *testing.T, label string, d *Design) {
 	if got, want := d.SortedSymbols(), scratchOrder(d); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: SortedSymbols has %d symbols, from scratch %d, or another order", label, len(got), len(want))
 	}
-	got, want := d.ContentHashes(), scratchHashes(d)
+	got, want := make(map[*Symbol]SymbolHashes), scratchHashes(d)
+	for _, s := range d.SortedSymbols() {
+		got[s] = s.Hashes() // no pass asked for: Hashes runs it if due
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d cached hashes, %d from scratch", label, len(got), len(want))
 	}
@@ -128,8 +142,8 @@ func requireScratchEqual(t *testing.T, label string, d *Design) {
 
 func TestContentHashesStable(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
-	h1 := d.ContentHashes()
-	h2 := d.ContentHashes()
+	h1 := hashesOf(d)
+	h2 := hashesOf(d)
 	for _, s := range []*Symbol{top, mid, leaf} {
 		if h1[s] != h2[s] {
 			t.Fatalf("hash of %q not stable across calls", s.Name)
@@ -137,18 +151,18 @@ func TestContentHashesStable(t *testing.T) {
 	}
 	// An identically-built design hashes identically.
 	d2, top2, _, _ := buildHashFixture(t)
-	if d.ContentHashes()[top].Subtree != d2.ContentHashes()[top2].Subtree {
+	if hashesOf(d)[top].Subtree != hashesOf(d2)[top2].Subtree {
 		t.Fatal("identical designs hash differently")
 	}
 }
 
 func TestContentHashesPropagateUp(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
-	before := d.ContentHashes()
+	before := hashesOf(d)
 	// Edit the leaf: every ancestor's subtree hash must change; own hashes
 	// of the ancestors must not.
 	leaf.AddBox(0, geom.R(600, 600, 900, 900), "")
-	after := d.ContentHashes()
+	after := hashesOf(d)
 	if before[leaf].Own == after[leaf].Own {
 		t.Fatal("leaf own hash unchanged after edit")
 	}
@@ -190,7 +204,7 @@ func TestContentHashSensitivity(t *testing.T) {
 	}
 	for _, e := range edits {
 		d, s := base()
-		h0 := d.ContentHashes()[s].Own
+		h0 := hashesOf(d)[s].Own
 		if scratchHashes(d)[s].Own != h0 {
 			t.Fatalf("%s: cached and from-scratch hashes differ before the edit", e.what)
 		}
@@ -201,7 +215,7 @@ func TestContentHashSensitivity(t *testing.T) {
 		if e.touch {
 			s.Touch()
 		}
-		if d.ContentHashes()[s].Own == h0 {
+		if hashesOf(d)[s].Own == h0 {
 			t.Errorf("%s edit did not change the cached own hash", e.what)
 		}
 		requireScratchEqual(t, e.what, d)
@@ -209,13 +223,13 @@ func TestContentHashSensitivity(t *testing.T) {
 
 	// Transform and call-name changes move only the subtree hash.
 	d1, top1, mid1, _ := buildHashFixture(t)
-	h1 := d1.ContentHashes()
+	h1 := hashesOf(d1)
 	mid1.Calls[0].T = geom.Translate(geom.Pt(1001, 0))
 	if scratchHashes(d1)[mid1].Subtree == h1[mid1].Subtree {
 		t.Fatal("call transform edit did not change subtree hash")
 	}
 	mid1.Touch()
-	h2 := d1.ContentHashes()
+	h2 := hashesOf(d1)
 	if h1[mid1].Subtree == h2[mid1].Subtree {
 		t.Fatal("call transform edit did not change cached subtree hash")
 	}
@@ -243,42 +257,88 @@ func TestCallersAndDirtyClosure(t *testing.T) {
 	_, _, mark := d.HashesSince(HashMark{})
 	leaf.Elements[0].Box.X2++
 	leaf.TouchElement(0)
-	_, dirty, mark := d.HashesSince(mark)
-	if !reflect.DeepEqual(dirty, []*Symbol{leaf, mid, top}) {
-		t.Fatalf("leaf edit re-hashed %v, want leaf, mid, top", dirty)
+	rehashed, moved, mark := d.HashesSince(mark)
+	if rehashed != 3 || moved != 3 {
+		t.Fatalf("leaf edit re-hashed %d and moved %d, want leaf, mid, top", rehashed, moved)
 	}
-	// A top-only edit dirties nothing below.
-	top.Touch()
-	if _, dirty, _ = d.HashesSince(mark); !reflect.DeepEqual(dirty, []*Symbol{top}) {
-		t.Fatalf("top edit re-hashed %v, want top alone", dirty)
+	// A top-only edit re-hashes nothing below.
+	top.AddBox(0, geom.R(0, 0, 1, 1), "")
+	if rehashed, moved, _ = d.HashesSince(mark); rehashed != 1 || moved != 1 {
+		t.Fatalf("top edit re-hashed %d and moved %d, want top alone", rehashed, moved)
 	}
 }
 
-// TestDirtySymbols: HashesSince lists what was re-hashed after the caller's
-// mark, whoever triggered the re-hash — every symbol for the zero mark or
-// another design's, nothing for an unedited design.
+// TestDirtySymbols: HashesSince counts what was re-hashed after the
+// caller's mark, and what of it moved its subtree hash, whoever triggered
+// the re-hash — every symbol for the zero mark or another design's,
+// nothing for an unedited design, a re-hash but no move for a touch that
+// changed nothing, and a move for a symbol that sat a pass out.
 func TestDirtySymbols(t *testing.T) {
-	d, top, mid, leaf := buildHashFixture(t)
-	cur, dirty, mark := d.HashesSince(HashMark{})
-	if len(dirty) != 3 || len(cur) != 3 {
-		t.Fatalf("first pass re-hashed %v of %d symbols, want all 3", dirty, len(cur))
+	d, top, _, leaf := buildHashFixture(t)
+	rehashed, moved, mark := d.HashesSince(HashMark{})
+	if rehashed != 3 || moved != 3 {
+		t.Fatalf("first pass re-hashed %d and moved %d, want all 3", rehashed, moved)
 	}
-	if _, dirty, _ := d.HashesSince(mark); len(dirty) != 0 {
-		t.Fatalf("unedited design reports dirty symbols: %v", dirty)
+	if rehashed, moved, _ := d.HashesSince(mark); rehashed != 0 || moved != 0 {
+		t.Fatalf("unedited design re-hashed %d and moved %d", rehashed, moved)
 	}
+	before := top.Hashes()
 	leaf.AddBox(0, geom.R(1, 1, 2, 2), "")
 	d.ContentHashes() // another consumer gets there first
-	next, dirty, _ := d.HashesSince(mark)
-	if !reflect.DeepEqual(dirty, []*Symbol{leaf, mid, top}) {
-		t.Fatalf("dirty = %v, want leaf+mid+top", dirty)
+	if rehashed, moved, mark = d.HashesSince(mark); rehashed != 3 || moved != 3 {
+		t.Fatalf("leaf edit re-hashed %d and moved %d, want leaf+mid+top", rehashed, moved)
 	}
-	if cur[leaf] == next[leaf] || cur[top] == next[top] {
-		t.Fatal("the edit moved no hash, or rewrote the map handed out before it")
+	if top.Hashes() == before {
+		t.Fatal("the edit moved no hash")
+	}
+	leaf.Touch() // an edit number moves, the content does not
+	if rehashed, moved, mark = d.HashesSince(mark); rehashed != 1 || moved != 0 {
+		t.Fatalf("empty touch re-hashed %d and moved %d, want 1 and 0", rehashed, moved)
+	}
+	d.Top = leaf
+	d.ContentHashes() // top and mid sit this pass out
+	d.Top = top
+	if rehashed, moved, _ = d.HashesSince(mark); rehashed != 2 || moved != 2 {
+		t.Fatalf("rejoining symbols re-hashed %d and moved %d, want top and mid", rehashed, moved)
 	}
 	d2, _, _, _ := buildHashFixture(t)
 	_, _, foreign := d2.HashesSince(HashMark{})
-	if _, dirty, _ := d.HashesSince(foreign); len(dirty) != 3 {
-		t.Fatalf("another design's mark lists %v, want all 3", dirty)
+	if rehashed, moved, _ := d.HashesSince(foreign); rehashed != 3 || moved != 3 {
+		t.Fatalf("another design's mark counts %d re-hashed and %d moved, want all 3", rehashed, moved)
+	}
+}
+
+// TestHashesFollowEdits: Symbol.Hashes never answers with hashes older than
+// the last touched edit, with no hashing pass asked for in between — an
+// element moved deep in the hierarchy, a call added, the top swapped.
+func TestHashesFollowEdits(t *testing.T) {
+	d, top, mid, leaf := buildHashFixture(t)
+	if got, want := top.Hashes(), scratchHashes(d)[top]; got != want {
+		t.Fatal("first read is not the from-scratch hash")
+	}
+	leaf.Elements[0].Box.X2++
+	leaf.TouchElement(0)
+	for _, s := range []*Symbol{top, mid, leaf} {
+		if got, want := s.Hashes(), scratchHashes(d)[s]; got != want {
+			t.Fatalf("%q after an element move: stale hashes", s.Name)
+		}
+	}
+	spare := d.MustSymbol("spare")
+	spare.AddBox(0, geom.R(0, 0, 10, 10), "")
+	mid.AddCall(spare, geom.Identity, "s0")
+	if got, want := top.Hashes(), scratchHashes(d)[top]; got != want {
+		t.Fatal("top after a call added below: stale hashes")
+	}
+	if got, want := spare.Hashes(), scratchHashes(d)[spare]; got != want {
+		t.Fatal("a symbol new to the hierarchy: stale hashes")
+	}
+	d.Top = mid
+	leaf.Elements[0].Box.X2++
+	leaf.TouchElement(0)
+	mid.Hashes() // top sits this pass out
+	d.Top = top
+	if got, want := top.Hashes(), scratchHashes(d)[top]; got != want {
+		t.Fatal("a symbol that sat a pass out: stale hashes")
 	}
 }
 
@@ -291,7 +351,7 @@ func TestContentHashesGolden(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
 	leaf.DeviceType, leaf.Checked = "nfet", true
 	leaf.AddPolygon(2, geom.Polygon{{X: -300, Y: 0}, {X: 0, Y: 0}, {X: 0, Y: 700}, {X: -300, Y: 700}}, "gate")
-	h := d.ContentHashes()
+	h := hashesOf(d)
 	for _, c := range []struct {
 		what string
 		got  Hash

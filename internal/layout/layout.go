@@ -302,7 +302,7 @@ func (s *Symbol) IsPrimitive() bool { return s.DeviceType != "" }
 // stamps the edit as structural. The Add* methods do this automatically;
 // call Touch after any direct write to an element's or a call's fields, or
 // to the Calls slice: the content hashes are recomputed only where an edit
-// number moved (see Design.ContentHashes), so an untouched write is not
+// number moved (see Symbol.Hashes), so an untouched write is not
 // seen by any cache keyed on them. An editor that only moved element i's
 // geometry should call TouchElement(i) instead, which lets a consumer
 // patch what it derived from the symbol (see MovedSince).
@@ -312,6 +312,7 @@ func (s *Symbol) Touch() {
 	s.touched, s.moved = s.seq, s.moved[:0]
 	if s.design != nil {
 		s.design.structGen++
+		s.design.edits++
 	}
 }
 
@@ -325,6 +326,9 @@ func (s *Symbol) TouchElement(i int) {
 	}
 	s.bboxValid = false
 	s.seq++
+	if s.design != nil {
+		s.design.edits++
+	}
 	if n := len(s.Elements) - len(s.moved); n > 0 {
 		s.moved = append(s.moved, make([]uint64, n)...)
 	}
@@ -387,8 +391,9 @@ func (s *Symbol) LayerRegion(layer tech.LayerID) geom.Region {
 }
 
 // Design is a named set of symbols with a designated top. It is not safe
-// for concurrent use, queries included: Validate, SortedSymbols and
-// ContentHashes refresh memos kept on the design and its symbols.
+// for concurrent use, queries included: Validate, SortedSymbols,
+// ContentHashes and Symbol.Hashes refresh memos kept on the design and its
+// symbols.
 type Design struct {
 	Name    string
 	symbols []*Symbol
@@ -402,11 +407,11 @@ type Design struct {
 	graph     callGraph
 
 	// Content-hash cache (see HashesSince): the pass and epoch counters
-	// the per-symbol caches are stamped with, the map last handed out and
-	// the serial of the call graph it lists, and the serialisation buffer.
+	// the per-symbol caches are stamped with, the edits counted by every
+	// Touch and TouchElement and their count as of the last pass, and the
+	// serialisation buffer.
 	hashPass, hashEpoch uint64
-	hashes              map[*Symbol]SymbolHashes
-	hashesOf            uint64
+	edits, hashedEdits  uint64
 	hashBuf             hashWriter
 }
 

@@ -16,11 +16,12 @@ import (
 // TestCachedHashesEqualScratchUnderEditScripts is the property the cached
 // hashing rests on: through any script of layout.ApplyEdit ops — refused
 // edits, calls added and deleted so that whole subtrees leave and re-enter
-// the reachable set and are edited while out of it — the cached
-// ContentHashes, SortedSymbols and Validate equal their from-scratch
-// oracles after every step, and a warm engine run equals a cold one by
-// digest, whoever else read the design in between (a second long-lived
-// engine, a run of the first aborted before its first stage).
+// the reachable set and are edited while out of it — Symbol.Hashes, read
+// with no pass asked for, SortedSymbols and Validate equal their
+// from-scratch oracles after every step, HashesSince counts as moved the
+// symbols whose subtree hash differs, and a warm engine run equals a cold
+// one by digest, whoever else read the design in between (a second
+// long-lived engine, a run of the first aborted before its first stage).
 func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 	nm := tech.NMOS()
 	steps := 150
@@ -52,20 +53,25 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 				for i := 0; i < steps; i++ {
 					e := workload.RandomEdit(rng, d, nm)
 					label := fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol)
-					before := d.ContentHashes()
-					if err := layout.ApplyEdit(d, nm, e); err != nil {
-						refused++
-						after := d.ContentHashes()
-						if len(after) != len(before) {
-							t.Fatalf("%s: refused edit changed the reachable set", label)
+					before := hashes(d)
+					_, _, mark := d.HashesSince(layout.HashMark{})
+					err := layout.ApplyEdit(d, nm, e)
+					after := hashes(d)
+					// The pass counts as moved exactly the symbols whose
+					// subtree hash differs, or that the edit brought in.
+					want := 0
+					for s, h := range after {
+						if b, ok := before[s]; !ok || b.Subtree != h.Subtree {
+							want++
 						}
-						for s, h := range before {
-							if after[s] != h {
-								t.Fatalf("%s: refused edit (%v) moved the hash of %q", label, err, s.Name)
-							}
-						}
-					} else {
+					}
+					if rehashed, moved, _ := d.HashesSince(mark); moved != want || rehashed < moved {
+						t.Fatalf("%s: pass counts %d re-hashed, %d moved; %d hashes moved", label, rehashed, moved, want)
+					}
+					if err == nil {
 						applied++
+					} else if refused++; want != 0 || len(after) != len(before) {
+						t.Fatalf("%s: refused edit (%v) moved %d hashes or changed the reachable set", label, err, want)
 					}
 					layout.RequireScratchEqual(t, label, d)
 
@@ -77,7 +83,7 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 							t.Fatalf("%s: second engine: %v", label, err)
 						}
 					case 2:
-						if _, err := eng.RecheckContext(canceled, d); err == nil {
+						if _, err := eng.CheckContext(canceled, d); err == nil {
 							t.Fatalf("%s: canceled run completed", label)
 						}
 					}
@@ -101,4 +107,13 @@ func TestCachedHashesEqualScratchUnderEditScripts(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hashes reads every reachable symbol's Symbol.Hashes.
+func hashes(d *layout.Design) map[*layout.Symbol]layout.SymbolHashes {
+	out := make(map[*layout.Symbol]layout.SymbolHashes)
+	for _, s := range d.SortedSymbols() {
+		out[s] = s.Hashes()
+	}
+	return out
 }

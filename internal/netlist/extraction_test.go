@@ -11,7 +11,7 @@ import (
 
 // coldExtract is an extraction on a fresh cache.
 func coldExtract(d *layout.Design, tc *tech.Technology) (*IncExtraction, error) {
-	inc, _, err := ExtractIncremental(d, tc, NewCache(), nil, 1)
+	inc, _, err := ExtractIncremental(d, tc, NewCache(), 1)
 	return inc, err
 }
 

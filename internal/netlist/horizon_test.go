@@ -51,7 +51,7 @@ func TestEngineEntriesAgeOnCacheHorizon(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	own := func() layout.Hash { return d.ContentHashes()[row].Own }
+	own := func() layout.Hash { return row.Hashes().Own }
 
 	run()
 	cold := c.OwnEntries()

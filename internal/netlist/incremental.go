@@ -15,7 +15,7 @@ package netlist
 //     child spans, the subtree-local net partition (union-find classes),
 //     device uses, keepouts, illegal connection candidates, and NET.ELEM
 //     issues. It is keyed by the symbol's subtree content hash
-//     (layout.ContentHashes). No artifact copies its children's items,
+//     (layout.Symbol.Hashes). No artifact copies its children's items,
 //     footprints or regions: an embedded entry is read from the
 //     definition that owns it, through the spans that lead there.
 //   - Connectivity between two footprints is discovered exactly once, at
@@ -746,7 +746,6 @@ type IncExtraction struct {
 	IllegalPairs [][2]int
 
 	Root      *SymbolArtifacts
-	Hashes    map[*layout.Symbol]layout.SymbolHashes
 	Instances []Instance // depth-first preorder; [0] is the root
 	// Patch is non-nil when this extraction was produced by patching the
 	// previous one in place rather than re-deriving the root.
@@ -788,31 +787,29 @@ func (x *IncExtraction) GlobalNet(inst int, class int) NetID {
 // ExtractIncremental extracts over the artifact cache: per-definition work
 // is reused across instances and across runs, and the chip is never fully
 // instantiated, so a warm recheck's cost scales with the edit, not with
-// the flattened chip size. hashes may be nil, in which case content hashes
-// are computed here. When the only change since the cache's previous
-// extraction is in-place moves of the top's own elements (TouchElement),
-// the extractor may patch the previous result instead of re-deriving the
-// root. The result is identical either way (Patch reports which path was
+// the flattened chip size. Content hashes are read off the symbols
+// (layout.Symbol.Hashes, which re-hashes what a Touch or TouchElement
+// moved). When the only change since the cache's previous extraction is
+// in-place moves of the top's own elements (TouchElement), the extractor
+// may patch the previous result instead of re-deriving the root. The
+// result is identical either way (Patch reports which path was
 // taken, Refused why not). workers sizes the pool a re-derive's chip-sized
 // phases split across (1 or less: the calling goroutine alone); the result
 // does not depend on it.
-func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes map[*layout.Symbol]layout.SymbolHashes, workers int) (*IncExtraction, []Issue, error) {
+func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, workers int) (*IncExtraction, []Issue, error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
 	}
 	c.workers = max(workers, 1)
-	if hashes == nil {
-		hashes = d.ContentHashes()
-	}
 	// A patched run builds nothing and retires nothing: everything the
 	// previous root reaches is exactly as live as it was, so the cache does
 	// not age.
-	inc, issues, refused := c.tryPatchRoot(d.Top, tc, hashes)
+	inc, issues, refused := c.tryPatchRoot(d.Top, tc)
 	c.lastSeq = d.Top.Seq()
 	if refused == "" {
 		return inc, issues, nil
 	}
-	root := c.buildRoot(d.Top, hashes, tc)
+	root := c.buildRoot(d.Top, tc)
 	c.evict()
 	c.gen++
 
@@ -822,7 +819,6 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 		Gates:        root.Gates,
 		BaseKeepouts: root.BaseKeepouts,
 		Root:         root,
-		Hashes:       hashes,
 		Refused:      refused,
 	}
 	nl := c.assemble(inc)
@@ -852,16 +848,15 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, hashes 
 // unchanged-hash case (no observable edit) replays with an empty patch.
 // Any condition failure returns the reason (a Refuse* value) and the caller
 // re-derives; the empty reason means patched.
-func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map[*layout.Symbol]layout.SymbolHashes) (*IncExtraction, []Issue, string) {
+func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
 	if art == nil || inc == nil || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
 		return nil, nil, RefuseNoBaseline
 	}
-	newHash := hashes[top].Subtree
+	newHash := top.Hashes().Subtree
 	if newHash == art.Hash {
 		// Nothing changed: the previous extraction is the answer.
-		inc.Hashes = hashes
 		inc.Patch, inc.Refused = handOver(inc, nil), ""
 		return inc, c.lastIssues, ""
 	}
@@ -869,10 +864,10 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 		return nil, nil, RefusePrimitiveTop
 	}
 	// The move stamps speak for the root's own elements only: the embedded
-	// subtrees are checked against the hashes in hand.
+	// subtrees are checked against their current hashes.
 	for si := range art.children {
 		sp := &art.children[si]
-		if sp.Art.Hash != hashes[sp.Call.Target].Subtree {
+		if sp.Art.Hash != sp.Call.Target.Hashes().Subtree {
 			return nil, nil, RefuseChildChanged
 		}
 	}
@@ -973,7 +968,6 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology, hashes map
 	inc.Netlist = nl.patched(moves)
 	art.Hash = newHash
 	c.arts[newHash] = art
-	inc.Hashes = hashes
 	inc.Patch, inc.Refused = handOver(inc, patched), ""
 	return inc, c.lastIssues, ""
 }
@@ -1108,8 +1102,8 @@ func (x *IncExtraction) InstPath(ii int) string {
 // buildRoot builds the design top's artifacts. On a content change the
 // previous root entry is retired immediately (its hash can never be asked
 // for again except by an exact undo, which simply rebuilds).
-func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
-	if a, ok := c.arts[hs[s].Subtree]; ok {
+func (c *Cache) buildRoot(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
+	if a, ok := c.arts[s.Hashes().Subtree]; ok {
 		c.touch(a)
 		return a
 	}
@@ -1119,24 +1113,24 @@ func (c *Cache) buildRoot(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolH
 		// any report (only the run-local extraction read them); recycle.
 		c.spareClassOf = old.ClassOf
 	}
-	art := c.buildNew(s, hs, tc)
+	art := c.buildNew(s, tc)
 	c.lastRoot = art
 	return art
 }
 
 // build computes (or returns cached) artifacts for one symbol.
-func (c *Cache) build(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
-	if a, ok := c.arts[hs[s].Subtree]; ok {
+func (c *Cache) build(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
+	if a, ok := c.arts[s.Hashes().Subtree]; ok {
 		c.touch(a)
 		return a
 	}
-	return c.buildNew(s, hs, tc)
+	return c.buildNew(s, tc)
 }
 
-func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) *SymbolArtifacts {
-	h := hs[s].Subtree
+func (c *Cache) buildNew(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
+	h := s.Hashes().Subtree
 	art := &SymbolArtifacts{Sym: s, Hash: h}
-	u, pending := c.populate(art, s, hs, tc)
+	u, pending := c.populate(art, s, tc)
 	for _, pu := range pending {
 		u.Union(pu[0], pu[1])
 	}
@@ -1201,10 +1195,10 @@ func (c *Cache) buildNew(s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHa
 // child partitions, plus pending unions (device-internal node fusing).
 // Embedded items and footprints are not copied: spans record offsets and
 // the accessors resolve entries straight out of the shared span cache.
-func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.Symbol]layout.SymbolHashes, tc *tech.Technology) (*geom.UnionFind, [][2]int) {
+func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Technology) (*geom.UnionFind, [][2]int) {
 	var pending [][2]int
 	if s.IsPrimitive() {
-		info, _ := c.Analyze(s, hs[s].Own, tc)
+		info, _ := c.Analyze(s, s.Hashes().Own, tc)
 		if info == nil {
 			return c.takeUF(0), nil
 		}
@@ -1292,7 +1286,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, hs map[*layout.
 	childArts := make([]*SymbolArtifacts, len(s.Calls))
 	spans := make([]*spanData, len(s.Calls))
 	for ci, call := range s.Calls {
-		childArts[ci] = c.build(call.Target, hs, tc)
+		childArts[ci] = c.build(call.Target, tc)
 		spans[ci] = c.span(childArts[ci], call.T, call.Name, tc)
 	}
 	art.Items = make([]ConnItem, 0, len(s.Elements))

@@ -124,8 +124,8 @@ func diffIssues(t *testing.T, label string, a, b []Issue) {
 // fresh cache.
 func checkIncrementalMatch(t *testing.T, label string, d *layout.Design, tc *tech.Technology, c *Cache) {
 	t.Helper()
-	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), nil, 1)
-	inc, incIssues, incErr := ExtractIncremental(d, tc, c, nil, 1)
+	full, fullIssues, fullErr := ExtractIncremental(d, tc, NewCache(), 1)
+	inc, incIssues, incErr := ExtractIncremental(d, tc, c, 1)
 	if (fullErr == nil) != (incErr == nil) {
 		t.Fatalf("%s: error mismatch: cold=%v through cache=%v", label, fullErr, incErr)
 	}
@@ -181,7 +181,7 @@ func TestIncrementalWarmMatchesFull(t *testing.T) {
 	tc := tech.NMOS()
 	c := NewCache()
 	chip := workload.NewChip(tc, "warm", 4, 6)
-	if _, _, err := ExtractIncremental(chip.Design, tc, c, nil, 1); err != nil {
+	if _, _, err := ExtractIncremental(chip.Design, tc, c, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,7 +217,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	metalL, _ := tc.LayerByName(tech.NMOSMetal)
 	d.Top.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "")
 	c := NewCache()
-	if _, _, err := ExtractIncremental(d, tc, c, nil, 1); err != nil {
+	if _, _, err := ExtractIncremental(d, tc, c, 1); err != nil {
 		t.Fatal(err)
 	}
 	coldArts, coldSpans := c.Len(), len(c.spans)
@@ -231,7 +231,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 	// run re-extracts and reports whether the patch answered.
 	run := func() bool {
 		t.Helper()
-		inc, _, err := ExtractIncremental(d, tc, c, nil, 1)
+		inc, _, err := ExtractIncremental(d, tc, c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 		t.Fatalf("after the streak: %d artifacts and %d spans, cold run left %d and %d", c.Len(), len(c.spans), coldArts, coldSpans)
 	}
 	row, _ := d.Symbol("row2")
-	rowHash := d.ContentHashes()[row].Subtree
+	rowHash := row.Hashes().Subtree
 	edit(layout.Edit{Op: layout.OpMoveElement, Symbol: "row2", Index: 0, DY: 250})
 	if run() {
 		t.Fatal("a row edit was answered by the root patch")
@@ -302,7 +302,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	c := NewCache()
 	run := func() {
 		t.Helper()
-		if _, _, err := ExtractIncremental(d, tc, c, nil, 1); err != nil {
+		if _, _, err := ExtractIncremental(d, tc, c, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,7 +325,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 		}
 	}
 
-	before := c.owns[d.ContentHashes()[prim].Own]
+	before := c.owns[prim.Hashes().Own]
 	if before == nil {
 		t.Fatal("the primitive's analysis is not cached after a cold run")
 	}
@@ -333,7 +333,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	run()
 	move(-250)
 	run()
-	if got := c.owns[d.ContentHashes()[prim].Own]; got != before {
+	if got := c.owns[prim.Hashes().Own]; got != before {
 		t.Fatal("an edit and its undo re-analysed the device instead of reusing the cached analysis")
 	}
 
@@ -411,7 +411,7 @@ func TestResolveItemMatchesFlatten(t *testing.T) {
 			}
 			check := func(label string) {
 				t.Helper()
-				inc, _, err := ExtractIncremental(d, tc, c, nil, 1)
+				inc, _, err := ExtractIncremental(d, tc, c, 1)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -487,9 +487,9 @@ func TestDerivedSpanAllocs(t *testing.T) {
 	}
 	tc := tech.NMOS()
 	measure := func(boxes int) float64 {
-		d, cell := familyCell(tc, boxes)
+		_, cell := familyCell(tc, boxes)
 		c := NewCache()
-		art := c.build(cell, d.ContentHashes(), tc)
+		art := c.build(cell, tc)
 		rep := c.span(art, geom.NewTransform(geom.R90, geom.Pt(0, 0)), "c0", tc)
 		const runs = 100
 		names := make([]string, runs+1)
@@ -564,9 +564,9 @@ func TestRepresentativeAllocs(t *testing.T) {
 	}
 	tc := tech.NMOS()
 	measure := func(boxes int, o geom.Orient) float64 {
-		d, cell := familyCell(tc, boxes)
+		_, cell := familyCell(tc, boxes)
 		c := NewCache()
-		art := c.build(cell, d.ContentHashes(), tc)
+		art := c.build(cell, tc)
 		tr := geom.NewTransform(o, geom.Pt(3000, -7000))
 		var rep *spanData
 		allocs := testing.AllocsPerRun(50, func() { rep = buildSpan(art, tr, "c0", tc) })
@@ -619,7 +619,7 @@ func TestParallelDeterminismExtraction(t *testing.T) {
 		var baseIssues []Issue
 		for k, c := range caches {
 			before := fanned.Load()
-			inc, issues, err := ExtractIncremental(d, tc, c, nil, workers[k])
+			inc, issues, err := ExtractIncremental(d, tc, c, workers[k])
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", label, workers[k], err)
 			}

@@ -95,7 +95,7 @@ func npnRow(tc *tech.Technology) *layout.Design {
 func TestNearMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
 	for _, tc := range nearDesigns() {
-		inc, _, err := ExtractIncremental(tc.d, tc.tc, NewCache(), nil, 1)
+		inc, _, err := ExtractIncremental(tc.d, tc.tc, NewCache(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestNearMatchesBruteForce(t *testing.T) {
 func TestNearTrustsSpanBounds(t *testing.T) {
 	nm, bp := tech.NMOS(), tech.Bipolar()
 	extract := func(d *layout.Design, tc *tech.Technology) *SymbolArtifacts {
-		inc, _, err := ExtractIncremental(d, tc, NewCache(), nil, 1)
+		inc, _, err := ExtractIncremental(d, tc, NewCache(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -272,9 +272,11 @@ func (nl *Netlist) Stats() string {
 // carries consistency issues; the error is reserved for structural failures
 // (unmaterializable geometry is reported as a NET.ELEM issue instead).
 // Extract is a one-shot ExtractIncremental over a fresh cache, for callers
-// that only need the netlist.
+// that only need the netlist. Like a check it runs the hashing pass first,
+// so a stamped scalar written without Touch (layout.Symbol.Hashes) is seen.
 func Extract(d *layout.Design, tc *tech.Technology) (*Netlist, []Issue, error) {
-	inc, issues, err := ExtractIncremental(d, tc, NewCache(), nil, 1)
+	d.ContentHashes()
+	inc, issues, err := ExtractIncremental(d, tc, NewCache(), 1)
 	if err != nil {
 		return nil, issues, err
 	}

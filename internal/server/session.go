@@ -306,7 +306,7 @@ func (s *Session) flushLocked(ctx context.Context) error {
 		s.clk.Sleep(ctx, s.inject.slow)
 	}
 	start := time.Now()
-	rep, err := s.eng.RecheckContext(ctx, s.design)
+	rep, err := s.eng.CheckContext(ctx, s.design)
 	if err != nil {
 		return err
 	}
