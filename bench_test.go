@@ -136,7 +136,10 @@ func BenchmarkPairFinder(b *testing.B) {
 // recheckWorkload builds the unique-rows inverter-array chip used by the
 // cold-vs-warm experiments, with one out-of-the-way metal probe box per
 // row definition that the edit loop nudges (a single-symbol edit that
-// keeps the chip clean and the design size constant).
+// keeps the chip clean and the design size constant). NewChipUnique's rows
+// are twins, drawing the same thing under different names, which share
+// every cached result; each row's probe sits at its own x, so the rows
+// here are distinct definitions and a cold check pays for every one.
 func recheckWorkload(rows, cols int) (*tech.Technology, *workload.Chip, []*layout.Symbol) {
 	tc := tech.NMOS()
 	chip := workload.NewChipUnique(tc, "incr", rows, cols)
@@ -150,7 +153,8 @@ func recheckWorkload(rows, cols int) (*tech.Technology, *workload.Chip, []*layou
 		// Declared GND so the floating probe trips neither NET.FANOUT
 		// (rails are exempt) nor any spacing cell; the resulting NET.OPEN
 		// warning does not affect Clean().
-		s.AddBox(metalL, geom.R(-15000, 0, -14250, 1000), "GND")
+		x := -15000 - 1000*int64(r)
+		s.AddBox(metalL, geom.R(x, 0, x+750, 1000), "GND")
 		rowSyms = append(rowSyms, s)
 	}
 	return tc, chip, rowSyms
@@ -165,8 +169,9 @@ func nudgeRow(s *layout.Symbol, step int64) {
 }
 
 // BenchmarkCheckCold measures a from-scratch engine run on the 32×32
-// unique-rows chip: every definition artifact and interaction cache is
-// rebuilt (core.cold_engine_ms). Compare with BenchmarkRecheckOneSymbol.
+// unique-rows chip with its 32 distinct row definitions: every definition
+// artifact and interaction cache is built (core.cold_engine_ms). Compare
+// with BenchmarkRecheckOneSymbol.
 func BenchmarkCheckCold(b *testing.B) {
 	tc, chip, _ := recheckWorkload(32, 32)
 	b.ResetTimer()
@@ -182,7 +187,7 @@ func BenchmarkCheckCold(b *testing.B) {
 }
 
 // BenchmarkCheckColdLarge is BenchmarkCheckCold at 64×64 (4096 cells,
-// 64 unique row definitions) — the scaling point of the cold-check curve
+// 64 distinct row definitions) — the scaling point of the cold-check curve
 // (core.cold_engine_ms).
 func BenchmarkCheckColdLarge(b *testing.B) {
 	tc, chip, _ := recheckWorkload(64, 64)
@@ -347,10 +352,11 @@ func BenchmarkRecheckOneBox(b *testing.B) {
 }
 
 // BenchmarkRecheckOneBoxUnique is the same probe move on the 64×64
-// unique-row chip: 72 definitions and some 4 200 call sites where the
-// uniform array has about 130, so any per-run walk of the call graph
-// around the patch (hashing, validation, ordering, cache ageing) shows
-// here and not above (core.recheck_window_ms).
+// unique-row chip: 72 symbols and some 4 200 call sites where the uniform
+// array has about 130, so any per-run walk of the call graph around the
+// patch (hashing, validation, ordering, cache ageing) shows here and not
+// above (core.recheck_window_ms). Its 64 rows are twins that share one
+// artifact, as the walk does not care.
 func BenchmarkRecheckOneBoxUnique(b *testing.B) {
 	tc := tech.NMOS()
 	benchRecheckOneBox(b, tc, workload.NewChipUnique(tc, "uniq", 64, 64))
@@ -404,8 +410,10 @@ func benchRecheckOneBox(b *testing.B, tc *tech.Technology, chip *workload.Chip) 
 //
 // One iteration is one edit plus one Recheck; the root and (for symbol)
 // one row re-derive, every other definition replays from the caches. The
-// symbol shape is core.recheck_symbol_ms, struct and call are
-// core.recheck_struct_ms.
+// rows are twins, as in the edit-loop workload: a symbol edit parts one
+// row from the 63 others, and its undo returns it to their shared
+// artifact. The symbol shape is core.recheck_symbol_ms, struct and call
+// are core.recheck_struct_ms.
 func BenchmarkRecheckActive(b *testing.B) {
 	for _, shape := range []struct {
 		name string

@@ -246,8 +246,9 @@ func NewCMOSChip(tc *Technology, name string, rows, cols int) *CMOSChip {
 	return workload.NewCMOSChip(tc, name, rows, cols)
 }
 
-// NewChipUnique generates the inverter-array chip with one distinct row
-// definition per row — the many-definitions workload the incremental
+// NewChipUnique generates the inverter-array chip with one uniquely named
+// row symbol per row, the rows drawing the same thing (twins, which share
+// every cached result) — the many-definitions workload the incremental
 // engine's single-symbol-edit experiments measure.
 func NewChipUnique(tc *Technology, name string, rows, cols int) *Chip {
 	return workload.NewChipUnique(tc, name, rows, cols)

@@ -168,6 +168,15 @@ func (c *checker) add(v Violation) {
 	c.rep.Violations = append(c.rep.Violations, v)
 }
 
+// addNamed adds violations cached under a definition's content hash,
+// attributed to one symbol that draws that content.
+func (c *checker) addNamed(vs []Violation, symbol string) {
+	for _, v := range vs {
+		v.Symbol = symbol
+		c.rep.Violations = append(c.rep.Violations, v)
+	}
+}
+
 // countChecks adds n to the running stage's checks.
 func (c *checker) countChecks(n int) {
 	if c.curStage != nil {
@@ -187,7 +196,9 @@ func (c *checker) stageChecks() int {
 // definition, returning the violations (in symbol coordinates), the number
 // of geometric predicates evaluated, and the number of elements examined.
 // Factored out of the pipeline loop so the incremental engine can cache
-// the result per definition content hash.
+// the result per definition content hash. The violations carry no Symbol:
+// every definition with this content shares them, and the engine writes
+// each one's name as it adds them to a report (addNamed).
 func elementChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, checks, elements int) {
 	for _, e := range s.Elements {
 		elements++
@@ -195,8 +206,7 @@ func elementChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, check
 		if err != nil {
 			vs = append(vs, Violation{
 				Rule: "STRUCT.ELEM", Severity: Error,
-				Detail: err.Error(), Where: e.Bounds(),
-				Symbol: s.Name, Layer: e.Layer,
+				Detail: err.Error(), Where: e.Bounds(), Layer: e.Layer,
 			})
 			continue
 		}
@@ -211,7 +221,7 @@ func elementChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, check
 				Severity: Error,
 				Detail: fmt.Sprintf("%s %s narrower than %d (self-sufficiency: every element must be legal alone)",
 					layer.Name, e.Kind, layer.MinWidth),
-				Where: w, Symbol: s.Name, Layer: e.Layer,
+				Where: w, Layer: e.Layer,
 			})
 		}
 	}

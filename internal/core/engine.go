@@ -32,7 +32,10 @@ import (
 // edited definition hashes to a new key, and every ancestor's subtree hash
 // changes with it (the dirty-propagation walk up the call graph), so stale
 // entries are never reachable — and they age out on the Cache's one
-// horizon. The engine itself holds no cached result. The hashes are cached
+// horizon. The hashes ignore symbol names, so every symbol that draws the
+// same thing shares each entry; a result gets a name (Violation.Symbol)
+// only as it is added to a report. The engine itself holds no cached
+// result. The hashes are cached
 // on the symbols behind Symbol.Touch (layout.ApplyEdit touches on every
 // op): a run re-hashes the touched symbols and their callers, not the
 // design. Whether a run may patch the previous root instead of re-deriving
@@ -190,6 +193,7 @@ type EngineStats struct {
 	InterReused  int // interaction definition caches replayed this run
 	SigMisses    int // instance signatures that had to adjudicate
 	SigHits      int // instance signatures replayed from a cached tally
+	Signatures   int // net-environment signatures computed this run
 
 	// Array-regularity context cache (extraction span derivation):
 	// cumulative over the engine's lifetime, not per run.
@@ -351,7 +355,9 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	return rep, nil
 }
 
-// checkElements is stage 1 with per-definition caching by own hash.
+// checkElements is stage 1 with per-definition caching by own hash: every
+// symbol that draws the same elements shares one entry, and each reports
+// its violations under its own name.
 func (e *Engine) checkElements(c *checker, d *layout.Design) {
 	for _, s := range d.SortedSymbols() {
 		if s.IsPrimitive() {
@@ -365,7 +371,7 @@ func (e *Engine) checkElements(c *checker, d *layout.Design) {
 		ent := r.elems
 		c.rep.Stats.ElementsChecked += ent.elements
 		c.countChecks(ent.checks)
-		c.rep.Violations = append(c.rep.Violations, ent.vs...)
+		c.addNamed(ent.vs, s.Name)
 	}
 }
 
@@ -387,7 +393,8 @@ func (e *Engine) checkPrimitiveSymbols(c *checker, d *layout.Design) {
 
 // checkLayerRules is the layer-rule stage with per-definition caching by
 // own hash: the rule kernels see only a definition's own merged geometry,
-// so an entry stays valid however the subtree beneath changes.
+// so an entry stays valid however the subtree beneath changes, and serves
+// every symbol that draws the same geometry, under each one's name.
 func (e *Engine) checkLayerRules(c *checker, d *layout.Design) {
 	for _, s := range d.SortedSymbols() {
 		if s.IsPrimitive() {
@@ -400,7 +407,7 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design) {
 		}
 		ent := r.rules
 		c.countChecks(ent.checks)
-		c.rep.Violations = append(c.rep.Violations, ent.vs...)
+		c.addNamed(ent.vs, s.Name)
 	}
 }
 
@@ -713,17 +720,22 @@ func newSigScratch(n int) *sigScratch {
 
 // lookupTallies computes the net-environment signatures of instances [lo,
 // hi) and records in tallies each one's cached tally, nil when there is
-// none yet. It reads the instances' definition caches and the run's net
-// facts and writes nothing but its scratch and its range of tallies, so
-// shards of instances run concurrently.
-func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, facts *netFacts, sc *sigScratch, tallies []*interactionTally) {
+// none yet; it returns how many signatures it computed. A definition with
+// no tally at all (built this run) has nothing to find, so its instances
+// are left to the serial loop, which computes each signature once. It
+// reads the instances' definition caches and the run's net facts and
+// writes nothing but its scratch and its range of tallies, so shards of
+// instances run concurrently.
+func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, facts *netFacts, sc *sigScratch, tallies []*interactionTally) (computed int) {
 	for ii := lo; ii < hi; ii++ {
 		di := inc.Instances[ii].Art.Inter.(*defInter)
-		if len(di.pairs) == 0 {
+		if len(di.pairs) == 0 || len(di.sigs) == 0 {
 			continue
 		}
 		tallies[ii] = di.sigs[string(e.netEnvSignature(di, inc, ii, facts, sc))]
+		computed++
 	}
+	return computed
 }
 
 // defPairGeom supplies the geometric measurements of pair adjudication,
@@ -802,7 +814,7 @@ func (g *defPairGeom) processOK(a, b *netlist.ConnItem, mis, margin float64) boo
 // any per-run chip-wide sweep.
 func (e *Engine) buildKeepouts(di *defInter, lay keepLayers) {
 	art := di.art
-	if art.Sym.IsPrimitive() {
+	if art.Primitive() {
 		// A primitive definition holds a single device; its own cuts vs
 		// its own gate are the same device, which the keepout rules skip.
 		return
@@ -936,13 +948,14 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	dis := make([]*defInter, len(order))
 	tasks := len(order)
 	var cons []netlist.Issue
+	top := c.design.Top.Name
 	if construct {
 		fanned.Add(1)
 		tasks++
 	}
 	geom.RunShards(tasks, workers, func(k int) {
 		if k == len(order) {
-			cons = netlist.ConstructionRules(inc.Netlist, e.tc)
+			cons = netlist.ConstructionRules(inc.Netlist, top, e.tc)
 			return
 		}
 		dis[k] = e.buildDefInter(order[k], maxGap)
@@ -969,10 +982,14 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	for k := range scratches {
 		scratches[k] = newSigScratch(len(inc.Netlist.Nets))
 	}
+	computed := make([]int, m)
 	geom.RunShards(m, workers, func(k int) {
 		lo, hi := geom.ShardRange(k, m, len(inc.Instances))
-		e.lookupTallies(inc, lo, hi, facts, scratches[k], tallies)
+		computed[k] = e.lookupTallies(inc, lo, hi, facts, scratches[k], tallies)
 	})
+	for _, n := range computed {
+		stats.Signatures += n
+	}
 
 	// The serial loop looks up what the pool did not find, adjudicates,
 	// and absorbs, in instance order.
@@ -989,6 +1006,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 			// Not cached when the pool looked: an instance before this one
 			// may have adjudicated the signature since.
 			sig := e.netEnvSignature(di, inc, ii, facts, scratch)
+			stats.Signatures++
 			var ok bool
 			if tally, ok = di.sigs[string(sig)]; !ok {
 				tally = e.adjudicateDef(di, scratch.labels, sig)
@@ -1216,7 +1234,7 @@ func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction, issue
 		}
 	}
 	if !done {
-		issues = netlist.ConstructionRules(inc.Netlist, e.tc)
+		issues = netlist.ConstructionRules(inc.Netlist, c.design.Top.Name, e.tc)
 	}
 	for _, is := range issues {
 		c.add(Violation{Rule: is.Rule, Severity: Error, Detail: is.Detail, Where: is.Where})
@@ -1314,8 +1332,8 @@ func pathJoin(prefix, rel string) string {
 
 // String renders cache stats compactly for -repeat style loops.
 func (s EngineStats) String() string {
-	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d rehashed, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit, contexts %d derived/%d built",
-		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.CtxHits, s.CtxMisses)
+	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d rehashed, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit/%d computed, contexts %d derived/%d built",
+		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.Signatures, s.CtxHits, s.CtxMisses)
 	if s.WindowPatched {
 		out += ", window-patched"
 	}

@@ -385,7 +385,7 @@ func TestSameDevicePairsNeedNoSignature(t *testing.T) {
 		seen[di] = true
 		if len(di.candClasses) != 0 || len(di.classPairAt) != 0 || len(di.sigs) != 1 || di.sigs[""] == nil {
 			t.Fatalf("%s: %d classes, %d class pairs, %d tallies; want one tally under the empty signature",
-				di.art.Sym.Name, len(di.candClasses), len(di.classPairAt), len(di.sigs))
+				di.art.Hash, len(di.candClasses), len(di.classPairAt), len(di.sigs))
 		}
 	}
 	if len(seen) == 0 || instances <= len(seen) {

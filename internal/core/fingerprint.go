@@ -342,8 +342,8 @@ func (w fpWriter) net(b []byte, n *netlist.Net, bounds geom.Rect) []byte {
 func (w fpWriter) device(b []byte, i int, d *netlist.DeviceUse) []byte {
 	b = appendInt(append(w.open(b), "  dev "...), int64(i))
 	b = append(w.quote(append(b, " path="...), d.Path), " type="...)
-	b = append(w.quote(b, d.Type), " class="...)
-	b = append(w.quote(b, d.Class), " t="...)
+	b = append(w.quote(b, d.Info.Type), " class="...)
+	b = append(w.quote(b, d.Info.Class), " t="...)
 	// geom.Transform's String form, R0+(x,y).
 	b = appendInt(append(append(b, d.T.Orient.String()...), "+("...), d.T.Trans.X)
 	b = append(appendInt(append(b, ','), d.T.Trans.Y), ')')

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/geom"
 	"repro/internal/layout"
 	"repro/internal/netlist"
@@ -48,7 +49,7 @@ func oracleFingerprint(rep *Report) string {
 		}
 		for i := range nl.Devices {
 			d := &nl.Devices[i]
-			fmt.Fprintf(&b, "  dev %d path=%q type=%q class=%q t=%v", i, d.Path, d.Type, d.Class, d.T)
+			fmt.Fprintf(&b, "  dev %d path=%q type=%q class=%q t=%v", i, d.Path, d.Info.Type, d.Info.Class, d.T)
 			for ti := range d.TerminalNets {
 				fmt.Fprintf(&b, " %s=%d", d.TerminalNets[ti].Name, d.TerminalNets[ti].Net)
 			}
@@ -97,12 +98,12 @@ func syntheticReport(design, sym, path, net, detail string, x, y int64, orient u
 	nl.Nets[0].SetBounds(geom.Rect{X1: x, Y1: y, X2: -x, Y2: -y})
 	for o := uint8(0); o <= uint8(geom.MX270)+1; o++ {
 		nl.Devices = append(nl.Devices, netlist.DeviceUse{
-			Path: path, Type: sym, Class: detail,
+			Path: path, Info: &device.Info{Type: sym, Class: detail},
 			T: geom.Transform{Orient: geom.Orient(o), Trans: geom.Pt(x, -y)},
 		})
 	}
 	nl.Devices = append(nl.Devices, netlist.DeviceUse{
-		Path: "top/" + path, Type: "nfet", Class: "mos",
+		Path: "top/" + path, Info: &device.Info{Type: "nfet", Class: "mos"},
 		T: geom.Transform{Orient: geom.Orient(orient), Trans: geom.Pt(y, x)},
 		TerminalNets: []netlist.TerminalNet{
 			{Name: "drain", Net: 2}, {Name: net, Net: netlist.NetID(-x)},

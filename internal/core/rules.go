@@ -19,7 +19,8 @@ import (
 // layerRuleChecks runs every layer rule of the technology over one composite
 // definition, returning the violations (in symbol coordinates) and the
 // number of rule kernels evaluated. Factored out of the pipeline loop so
-// the incremental engine can cache the result per definition content hash.
+// the incremental engine can cache the result per definition content hash;
+// as with elementChecks, the violations carry no Symbol.
 func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, checks int) {
 	if !tc.HasLayerRules() {
 		return nil, 0
@@ -53,7 +54,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, che
 					Rule:     "WIDTH." + layer.CIF,
 					Severity: Error,
 					Detail:   fmt.Sprintf("merged %s region narrower than %d", layer.Name, w),
-					Where:    r, Symbol: s.Name, Layer: l,
+					Where:    r, Layer: l,
 				})
 			}
 		}
@@ -64,7 +65,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, che
 					Rule:     "AREA." + layer.CIF,
 					Severity: Error,
 					Detail:   fmt.Sprintf("%s island smaller than %d square centimicrons", layer.Name, a),
-					Where:    r, Symbol: s.Name, Layer: l,
+					Where:    r, Layer: l,
 				})
 			}
 		}
@@ -83,7 +84,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, che
 					Rule:     "ENC." + la.CIF + "." + lb.CIF,
 					Severity: Error,
 					Detail:   fmt.Sprintf("%s not enclosed by %s by %d", lb.Name, la.Name, cr.Margin),
-					Where:    r, Symbol: s.Name, Layer: cr.B,
+					Where:    r, Layer: cr.B,
 				})
 			}
 		case tech.CrossOverlap:
@@ -97,7 +98,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, che
 					Rule:     "OVL." + la.CIF + "." + lb.CIF,
 					Severity: Error,
 					Detail:   fmt.Sprintf("%s-%s overlap narrower than %d", la.Name, lb.Name, cr.Margin),
-					Where:    r, Symbol: s.Name, Layer: cr.A,
+					Where:    r, Layer: cr.A,
 				})
 			}
 		case tech.CrossExtend:
@@ -111,7 +112,7 @@ func layerRuleChecks(s *layout.Symbol, tc *tech.Technology) (vs []Violation, che
 					Rule:     "EXT." + la.CIF + "." + lb.CIF,
 					Severity: Error,
 					Detail:   fmt.Sprintf("%s extends less than %d past %s", la.Name, cr.Margin, lb.Name),
-					Where:    r, Symbol: s.Name, Layer: cr.A,
+					Where:    r, Layer: cr.A,
 				})
 			}
 		}

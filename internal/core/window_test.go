@@ -588,7 +588,9 @@ func TestWindowRecheckAllocsBounded(t *testing.T) {
 // the top symbol and nothing else, and allocates the same objects and
 // bytes (within a tenth) on a chip sixteen times the size — no walk of
 // the call sites or the instances, no copy of the net table and no table
-// of the symbols' hashes hides around the patch.
+// of the symbols' hashes hides around the patch. The rows are twins that
+// share one artifact; what scales here is the symbols and call sites the
+// bookkeeping could walk, and those are one per row all the same.
 func TestWindowRecheckWorkIsScaleFree(t *testing.T) {
 	nm := tech.NMOS()
 	metalL, _ := nm.LayerByName(tech.NMOSMetal)

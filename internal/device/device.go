@@ -102,12 +102,14 @@ func Classes() []string {
 // Analyze computes the electrical model of a primitive device symbol and,
 // unless the symbol is marked Checked, its internal rule violations.
 // Symbols whose declared type is unknown to the technology yield a single
-// DEV.UNKNOWN problem and no Info.
+// DEV.UNKNOWN problem and no Info. The result depends only on the symbol's
+// own content, never its name: callers cache it by own content hash and
+// share it between symbols that draw the same device.
 func Analyze(sym *layout.Symbol, tc *tech.Technology) (*Info, []Problem) {
 	if sym.DeviceType == "" {
 		return nil, []Problem{{
 			Rule:   "DEV.NOTDEVICE",
-			Detail: fmt.Sprintf("symbol %q is not a device symbol", sym.Name),
+			Detail: "not a device symbol (no device type declared)",
 			Where:  sym.Bounds(),
 		}}
 	}

@@ -10,9 +10,15 @@ import (
 
 // Hash is a content address for a symbol definition. Two symbols with equal
 // subtree hashes are semantically interchangeable for every checker stage:
-// same name, same device declaration, same elements in the same order, and
-// calls (in the same order, under the same transforms) to subtrees that are
-// themselves content-equal.
+// same device declaration, same elements in the same order, and calls (in
+// the same order, under the same instance names and transforms) to
+// subtrees that are themselves content-equal.
+//
+// A symbol's own name is not content: it addresses nothing the checker
+// derives, so definitions that draw the same thing under different names
+// (the rows of a uniquified layout) share every cached result, and a
+// rename leaves both hashes where they were. The checker writes the name
+// into a result only where the result enters a report.
 //
 // Hashing is deliberately order-sensitive where the checker's output is
 // order-sensitive: element order assigns Element.Index and drives net
@@ -27,13 +33,15 @@ func (h Hash) String() string { return hex.EncodeToString(h[:8]) }
 
 // SymbolHashes carries the two content addresses of one symbol.
 type SymbolHashes struct {
-	// Own covers the symbol's name, device declaration, and elements —
-	// everything stage 1 (element width) and stage 2 (device internals)
-	// can see. It ignores calls.
+	// Own covers the symbol's device declaration, Checked flag and
+	// elements — everything stage 1 (element width), stage 2 (device
+	// internals) and the layer rules can see. It ignores calls and the
+	// symbol's name.
 	Own Hash
-	// Subtree additionally covers the call list and, transitively, the
-	// subtree hashes of every called symbol: the key for extraction and
-	// interaction artifacts of the flattened subtree.
+	// Subtree additionally covers the call list (instance names,
+	// transforms) and, transitively, the subtree hashes of every called
+	// symbol: the key for extraction and interaction artifacts of the
+	// flattened subtree. A callee enters by its hash, not its name.
 	Subtree Hash
 }
 
@@ -73,9 +81,9 @@ func (w *hashWriter) final() Hash {
 	return out
 }
 
-// hashOwn computes the call-independent content hash of one symbol.
+// hashOwn computes the call-independent content hash of one symbol. The
+// name stays out (see Hash).
 func hashOwn(w *hashWriter, s *Symbol) Hash {
-	w.str(s.Name)
 	w.str(s.DeviceType)
 	if s.Checked {
 		w.int64(1)
@@ -124,15 +132,15 @@ func hashSubtree(w *hashWriter, s *Symbol, own Hash) Hash {
 // cached hashes still describe it: the edit number Touch and TouchElement
 // maintain, plus the scalars a caller can write without them.
 type ownStamp struct {
-	seq              uint64
-	name, deviceType string
-	checked          bool
-	elements, calls  int
+	seq             uint64
+	deviceType      string
+	checked         bool
+	elements, calls int
 }
 
 func (s *Symbol) stamp() ownStamp {
 	return ownStamp{
-		seq: s.seq, name: s.Name, deviceType: s.DeviceType, checked: s.Checked,
+		seq: s.seq, deviceType: s.DeviceType, checked: s.Checked,
 		elements: len(s.Elements), calls: len(s.Calls),
 	}
 }
@@ -168,9 +176,10 @@ type HashMark struct {
 // and touches on every op, and a direct write to element or call geometry
 // must be followed by Touch or TouchElement, or the stale hash keeps
 // addressing the old content. A direct write to one of the stamped
-// scalars (Name, DeviceType, Checked, the element or call count) is seen
+// scalars (DeviceType, Checked, the element or call count) is seen
 // by the next pass even untouched, but only ContentHashes or HashesSince
-// is sure to run one. The symbol must be reachable from its design's Top;
+// is sure to run one. The name is not content, so a rename moves neither
+// hash. The symbol must be reachable from its design's Top;
 // a free-standing symbol has zero hashes.
 func (s *Symbol) Hashes() SymbolHashes {
 	if d := s.design; d != nil && (d.hashedEdits != d.edits || s.hc.pass != d.hashPass) {
@@ -181,7 +190,7 @@ func (s *Symbol) Hashes() SymbolHashes {
 
 // ContentHashes brings the content hashes of every symbol reachable from
 // Top up to date (read them with Symbol.Hashes): a call recomputes own
-// hashes only where the symbol's edit number (or one of Name, DeviceType,
+// hashes only where the symbol's edit number (or one of DeviceType,
 // Checked, the element count, the call count) moved since they were taken,
 // and subtree hashes only there and in transitive callers.
 //

@@ -240,6 +240,27 @@ func TestContentHashSensitivity(t *testing.T) {
 		t.Fatal("call transform edit did not propagate to top")
 	}
 	requireScratchEqual(t, "call transform", d1)
+
+	// A rename moves neither hash, of the symbol or of its callers: the
+	// name is not content. Two symbols that draw the same thing under
+	// different names hash alike.
+	d2, top2, mid2, leaf2 := buildHashFixture(t)
+	h3 := hashesOf(d2)
+	d2.Rename(mid2, "mid-renamed")
+	d2.Rename(leaf2, "leaf-renamed")
+	h4 := hashesOf(d2)
+	for _, s := range []*Symbol{top2, mid2, leaf2} {
+		if h3[s] != h4[s] {
+			t.Fatalf("renaming moved the hashes of %q", s.Name)
+		}
+	}
+	requireScratchEqual(t, "rename", d2)
+	twin := d2.MustSymbol("twin")
+	twin.AddBox(0, geom.R(0, 0, 500, 500), "a")
+	top2.AddCall(twin, geom.Identity, "t0")
+	if twin.Hashes() != leaf2.Hashes() {
+		t.Fatal("a twin drawing the same box under another name hashes differently")
+	}
 }
 
 // TestCallersAndDirtyClosure: the memoised reverse call graph lists each
@@ -342,11 +363,11 @@ func TestHashesFollowEdits(t *testing.T) {
 	}
 }
 
-// TestContentHashesGolden pins three content addresses to the values the
-// original one-Write-per-scalar hasher produced: the framing (fixed-width
-// little-endian scalars, length-prefixed strings) is the on-disk identity
-// of every cached artifact, so a faster hasher must feed sha256 the very
-// same bytes.
+// TestContentHashesGolden pins three content addresses: the framing
+// (fixed-width little-endian scalars, length-prefixed strings) is the
+// identity of every cached artifact, so a faster hasher must feed sha256
+// the very same bytes. The values are those of the one-Write-per-scalar
+// framing with the symbol's name left out of the own hash.
 func TestContentHashesGolden(t *testing.T) {
 	d, top, mid, leaf := buildHashFixture(t)
 	leaf.DeviceType, leaf.Checked = "nfet", true
@@ -357,9 +378,9 @@ func TestContentHashesGolden(t *testing.T) {
 		got  Hash
 		want string
 	}{
-		{"leaf own", h[leaf].Own, "3b2c612623a7d7fc4f1b374666a5051dfdceb18aa48da04fdae85a3930b72e41"},
-		{"mid subtree", h[mid].Subtree, "67103b7b4f105f8e2b9d9239ffa2a5070ed03e29013a55b0b69cc2bc54dabb08"},
-		{"top subtree", h[top].Subtree, "78fc77e33fcf1383815d3f1a2adabca0667b8f70295f7122fa22a012cde89bae"},
+		{"leaf own", h[leaf].Own, "73694d9ccc40f024b5e3d14f851a78b6e2bceec6b2b327943fe92d2f391d2952"},
+		{"mid subtree", h[mid].Subtree, "e3208d2e919782590b028b05d13e4d6def77b4dab6a9301a3a29ad5d94c6cdac"},
+		{"top subtree", h[top].Subtree, "3a611cbba2ce2fa89d96feacd8769c7ae6f5f2e7b84ee9ccfbb6c99070b64fdc"},
 	} {
 		if got := hex.EncodeToString(c.got[:]); got != c.want {
 			t.Errorf("%s hash = %s, want %s", c.what, got, c.want)

@@ -578,9 +578,9 @@ func (d *Design) Symbol(name string) (*Symbol, bool) {
 }
 
 // Rename changes a registered symbol's name, keeping the lookup table
-// consistent. The name is content (it is part of the own hash and of every
-// violation's path), so a rename is an edit like any other and touches the
-// symbol. Renaming to an existing different symbol's name panics; the
+// consistent. The name is not content (no hash covers it; a report writes
+// it where a result enters), so a rename moves no hash, but it touches the
+// symbol: the memoised walks read the name table. Renaming to an existing different symbol's name panics; the
 // caller is expected to have checked.
 func (d *Design) Rename(s *Symbol, name string) {
 	if other, exists := d.byName[name]; exists && other != s {

@@ -2,7 +2,6 @@ package netlist
 
 import (
 	"repro/internal/geom"
-	"repro/internal/layout"
 	"repro/internal/tech"
 )
 
@@ -14,10 +13,9 @@ type ConnItem struct {
 	Layer  tech.LayerID
 	Bounds geom.Rect
 	Reg    geom.Region
-	Net    NetID // NoNet for unassignable geometry (gate, implant, cut)
-	Dev    int   // index into Netlist.Devices; -1 for interconnect
-	Sym    *layout.Symbol
-	Elem   int    // element index within Sym (interconnect only, else -1)
+	Net    NetID  // NoNet for unassignable geometry (gate, implant, cut)
+	Dev    int    // index into Netlist.Devices; -1 for interconnect
+	Elem   int    // element index within the defining symbol (interconnect only, else -1)
 	Path   string // instance path
 }
 

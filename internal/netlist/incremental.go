@@ -66,10 +66,11 @@ type LocalFoot struct {
 }
 
 // childSpan locates one call's embedded subtree within the parent's
-// flattened arrays.
+// flattened arrays. It keeps no pointer to the call: the artifact serves
+// every definition with its content, and the call's instance name and
+// transform, all an embedding reads of it, are its spanData's.
 type childSpan struct {
-	Call *layout.Call
-	Art  *SymbolArtifacts // the callee's definition-level artifacts
+	Art *SymbolArtifacts // the callee's definition-level artifacts
 
 	Bounds             geom.Rect // bounds of the embedded subtree (parent frame)
 	ItemStart, ItemEnd int
@@ -88,10 +89,14 @@ type childSpan struct {
 // symbol-local coordinates, content-addressed by the subtree hash.
 // Everything in it is instance-independent; instance-dependent facts
 // (global net identity, absolute paths, chip coordinates) are re-derived
-// by embedding these arrays translated and index-shifted.
+// by embedding these arrays translated and index-shifted. It is
+// name-independent too: every symbol whose subtree draws the same thing
+// shares it, so it holds no symbol, call or name of a definition.
 type SymbolArtifacts struct {
-	Sym  *layout.Symbol
 	Hash layout.Hash
+
+	// primitive marks the artifact of a primitive device symbol.
+	primitive bool
 
 	gen int // the Cache generation that last reached this artifact (see Cache.touch)
 
@@ -154,6 +159,9 @@ type SymbolArtifacts struct {
 
 // NumItems returns the flattened subtree item count.
 func (a *SymbolArtifacts) NumItems() int { return a.numItems }
+
+// Primitive reports whether the artifact is a primitive device symbol's.
+func (a *SymbolArtifacts) Primitive() bool { return a.primitive }
 
 // NumFoots returns the flattened subtree footprint count.
 func (a *SymbolArtifacts) NumFoots() int { return a.numFoots }
@@ -578,8 +586,11 @@ type Cache struct {
 	// only the most recent IncExtraction is valid.
 	lastInc    *IncExtraction
 	lastIssues []Issue
-	// lastSeq is the top's edit number as of lastInc: the root patch asks
-	// the top which elements moved after it (layout.Symbol.MovedSince).
+	// lastTop is the top symbol lastInc was extracted from, and lastSeq
+	// its edit number then: the root patch asks the top which elements
+	// moved after it (layout.Symbol.MovedSince), which only that symbol
+	// can answer.
+	lastTop *layout.Symbol
 	lastSeq uint64
 }
 
@@ -805,7 +816,7 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, workers
 	// previous root reaches is exactly as live as it was, so the cache does
 	// not age.
 	inc, issues, refused := c.tryPatchRoot(d.Top, tc)
-	c.lastSeq = d.Top.Seq()
+	c.lastTop, c.lastSeq = d.Top, d.Top.Seq()
 	if refused == "" {
 		return inc, issues, nil
 	}
@@ -848,10 +859,18 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, workers
 // unchanged-hash case (no observable edit) replays with an empty patch.
 // Any condition failure returns the reason (a Refuse* value) and the caller
 // re-derives; the empty reason means patched.
+//
+// The patch edits the previous root's artifact in place, which is sound
+// only while nothing else embeds it. Within one design no descendant of
+// the top shares the top's subtree hash: that hash covers every
+// descendant's. Across designs the artifact that is the last root build
+// (lastRoot) embeds nowhere either: buildRoot retires it before it builds
+// anything a later design could hash alike, and a run whose root is a
+// cached artifact leaves lastRoot unequal to that run's root.
 func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
-	if art == nil || inc == nil || art.Sym != top || inc.Root != art || c.arts[art.Hash] != art {
+	if art == nil || inc == nil || c.lastTop != top || inc.Root != art || c.arts[art.Hash] != art {
 		return nil, nil, RefuseNoBaseline
 	}
 	newHash := top.Hashes().Subtree
@@ -864,10 +883,12 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtra
 		return nil, nil, RefusePrimitiveTop
 	}
 	// The move stamps speak for the root's own elements only: the embedded
-	// subtrees are checked against their current hashes.
-	for si := range art.children {
-		sp := &art.children[si]
-		if sp.Art.Hash != sp.Call.Target.Hashes().Subtree {
+	// subtrees are checked against their current hashes, one span per call.
+	if len(top.Calls) != len(art.children) {
+		return nil, nil, RefuseChildChanged
+	}
+	for si, call := range top.Calls {
+		if art.children[si].Art.Hash != call.Target.Hashes().Subtree {
 			return nil, nil, RefuseChildChanged
 		}
 	}
@@ -1069,8 +1090,8 @@ func (x *IncExtraction) place(pi int, sp *childSpan, at int) int {
 	x.Instances[at] = Instance{
 		Art:       sp.Art,
 		Parent:    pi,
-		Name:      sp.Call.Name,
-		T:         sp.Call.T.Compose(parent.T),
+		Name:      sp.sd.name,
+		T:         sp.sd.t.Compose(parent.T),
 		ItemStart: parent.ItemStart + sp.ItemStart,
 		FootStart: parent.FootStart + sp.FootStart,
 	}
@@ -1129,7 +1150,7 @@ func (c *Cache) build(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
 
 func (c *Cache) buildNew(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
 	h := s.Hashes().Subtree
-	art := &SymbolArtifacts{Sym: s, Hash: h}
+	art := &SymbolArtifacts{Hash: h, primitive: s.IsPrimitive()}
 	u, pending := c.populate(art, s, tc)
 	for _, pu := range pending {
 		u.Union(pu[0], pu[1])
@@ -1145,7 +1166,7 @@ func (c *Cache) buildNew(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts
 	}
 	// A primitive's own device recorded provisional foot indices in
 	// TerminalNets; resolve them to classes.
-	if s.IsPrimitive() && len(art.Devices) == 1 {
+	if art.primitive && len(art.Devices) == 1 {
 		dev := &art.Devices[0]
 		for ti := range dev.TerminalNets {
 			dev.TerminalNets[ti].Net = NetID(art.ClassOf[int(dev.TerminalNets[ti].Net)])
@@ -1202,10 +1223,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 		if info == nil {
 			return c.takeUF(0), nil
 		}
-		dev := DeviceUse{
-			Symbol: s, Type: s.DeviceType, Class: info.Class,
-			T: geom.Identity, Info: info,
-		}
+		dev := DeviceUse{T: geom.Identity, Info: info}
 		nodeToFoot := make(map[int]int)
 		for _, term := range info.Terminals {
 			if term.Reg.Empty() {
@@ -1218,7 +1236,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 			})
 			art.Items = append(art.Items, ConnItem{
 				Layer: term.Layer, Bounds: term.Reg.Bounds(), Reg: term.Reg,
-				Dev: 0, Sym: s, Elem: -1,
+				Dev: 0, Elem: -1,
 			})
 			art.ItemFoot = append(art.ItemFoot, idx)
 			if prev, seen := nodeToFoot[term.Node]; seen {
@@ -1254,7 +1272,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 			}
 			art.Items = append(art.Items, ConnItem{
 				Layer: l.ID, Bounds: reg.Bounds(), Reg: reg,
-				Net: NoNet, Dev: 0, Sym: s, Elem: -1,
+				Net: NoNet, Dev: 0, Elem: -1,
 			})
 			art.ItemFoot = append(art.ItemFoot, -1)
 		}
@@ -1312,7 +1330,7 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 		})
 		art.Items = append(art.Items, ConnItem{
 			Layer: e.Layer, Bounds: reg.Bounds(), Reg: reg,
-			Dev: -1, Sym: s, Elem: e.Index,
+			Dev: -1, Elem: e.Index,
 		})
 		art.ItemFoot = append(art.ItemFoot, len(art.Foots)-1)
 	}
@@ -1325,11 +1343,11 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 	nodeCount := footCount
 	starts := c.takeStarts(len(s.Calls))
 	at := callStart{issue: len(art.Issues)}
-	for ci, call := range s.Calls {
+	for ci := range s.Calls {
 		childArt, sd := childArts[ci], spans[ci]
 		starts[ci] = at
 		art.children = append(art.children, childSpan{
-			Call: call, Art: childArt, sd: sd, Bounds: sd.bounds,
+			Art: childArt, sd: sd, Bounds: sd.bounds,
 			ItemStart: itemCount, ItemEnd: itemCount + childArt.NumItems(),
 			FootStart: footCount, FootEnd: footCount + childArt.NumFoots(),
 			DevStart: at.dev, DevEnd: at.dev + len(childArt.Devices),

@@ -134,11 +134,11 @@ func TestNearMatchesBruteForce(t *testing.T) {
 					hit++
 				}
 				if len(got) != len(want) {
-					t.Fatalf("%s/%s: Near(%v, skip %d) reports %d items, brute force %d", tc.name, a.Sym.Name, r, skip, len(got), len(want))
+					t.Fatalf("%s/%s: Near(%v, skip %d) reports %d items, brute force %d", tc.name, a.Hash, r, skip, len(got), len(want))
 				}
 				for j := range got {
 					if got[j] != want[j] {
-						t.Fatalf("%s/%s: Near(%v, skip %d) item %d = %+v, brute force %+v", tc.name, a.Sym.Name, r, skip, j, got[j], want[j])
+						t.Fatalf("%s/%s: Near(%v, skip %d) item %d = %+v, brute force %+v", tc.name, a.Hash, r, skip, j, got[j], want[j])
 					}
 				}
 			}

@@ -73,13 +73,12 @@ type TerminalNet struct {
 	Net  NetID
 }
 
-// DeviceUse is one instantiated device.
+// DeviceUse is one instantiated device. It names no symbol: the artifact
+// it comes from serves every definition that draws the same device, and
+// its type and class are its Info's.
 type DeviceUse struct {
-	Path   string // hierarchical instance path ("" for a top-level device)
-	Symbol *layout.Symbol
-	Type   string // declared device type
-	Class  string // device class
-	T      geom.Transform
+	Path string // hierarchical instance path ("" for a top-level device)
+	T    geom.Transform
 	// TerminalNets lists terminal→net assignments, sorted by terminal
 	// name. A sorted slice rather than a map: devices are the most
 	// numerous re-derived objects in an incremental session, and a
@@ -88,7 +87,8 @@ type DeviceUse struct {
 	// clipped to length, so an append reallocates instead of running into
 	// the next device's entries): read-only to every holder.
 	TerminalNets []TerminalNet
-	// Info is the cached electrical analysis of the defining symbol.
+	// Info is the cached electrical analysis of the defining symbol's
+	// content: its declared Type and its Class among them.
 	Info *device.Info
 }
 

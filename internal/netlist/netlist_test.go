@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/device"
@@ -96,7 +98,7 @@ func TestTransistorTerminalNets(t *testing.T) {
 		t.Fatalf("devices = %d", len(nl.Devices))
 	}
 	dev := nl.Devices[0]
-	if dev.Path != "m1" || dev.Type != tech.DevNMOSEnh {
+	if dev.Path != "m1" || dev.Info.Type != tech.DevNMOSEnh {
 		t.Fatalf("device = %+v", dev)
 	}
 	for term, wantNet := range map[string]string{"g": "gat", "s": "src", "d": "drn"} {
@@ -200,7 +202,7 @@ func TestConstructionRulePGShort(t *testing.T) {
 	top.AddWire(metal, 750, "GND", geom.Pt(2000, 0), geom.Pt(6000, 0))
 	d.Top = top
 	nl, _ := mustExtract(t, d, tc)
-	issues := ConstructionRules(nl, tc)
+	issues := ConstructionRules(nl, d.Top.Name, tc)
 	if !hasIssue(issues, "NET.PGSHORT") {
 		t.Fatalf("power-ground short not reported: %v", issues)
 	}
@@ -219,7 +221,7 @@ func TestConstructionRuleResistorBetweenRailsIsLegal(t *testing.T) {
 	top.AddWire(diff, 500, "GND", geom.Pt(2600, 250), geom.Pt(5000, 250))
 	d.Top = top
 	nl, _ := mustExtract(t, d, tc)
-	issues := ConstructionRules(nl, tc)
+	issues := ConstructionRules(nl, d.Top.Name, tc)
 	if hasIssue(issues, "NET.PGSHORT") {
 		t.Fatalf("resistor between rails wrongly reported as short: %v", issues)
 	}
@@ -238,7 +240,7 @@ func TestConstructionRuleFanout(t *testing.T) {
 	top.AddWire(diff, 500, "floating", geom.Pt(0, 0), geom.Pt(2000, 0))
 	d.Top = top
 	nl, _ := mustExtract(t, d, tc)
-	issues := ConstructionRules(nl, tc)
+	issues := ConstructionRules(nl, d.Top.Name, tc)
 	if !hasIssue(issues, "NET.FANOUT") {
 		t.Fatalf("floating net not reported: %v", issues)
 	}
@@ -253,7 +255,7 @@ func TestConstructionRuleBusRail(t *testing.T) {
 	top.AddWire(metal, 750, "GND", geom.Pt(2000, 0), geom.Pt(6000, 0))
 	d.Top = top
 	nl, _ := mustExtract(t, d, tc)
-	issues := ConstructionRules(nl, tc)
+	issues := ConstructionRules(nl, d.Top.Name, tc)
 	if !hasIssue(issues, "NET.BUSRAIL") {
 		t.Fatalf("bus-to-rail not reported: %v", issues)
 	}
@@ -270,9 +272,21 @@ func TestConstructionRuleDepletionToGround(t *testing.T) {
 	top.AddWire(diff, 500, "out", geom.Pt(300, 0), geom.Pt(2500, 0))
 	d.Top = top
 	nl, _ := mustExtract(t, d, tc)
-	issues := ConstructionRules(nl, tc)
+	issues := ConstructionRules(nl, d.Top.Name, tc)
 	if !hasIssue(issues, "NET.DEPGND") {
 		t.Fatalf("depletion-to-ground not reported: %v", issues)
+	}
+	// A device placed at the top itself has no instance path: the name
+	// the design gives its top names it, whatever symbol built it.
+	atTop := *nl
+	atTop.Devices = slices.Clone(nl.Devices)
+	atTop.Devices[0].Path = ""
+	named := false
+	for _, is := range ConstructionRules(&atTop, "renamed-top", tc) {
+		named = named || is.Rule == "NET.DEPGND" && strings.Contains(is.Detail, "device renamed-top terminal")
+	}
+	if !named {
+		t.Fatal("a device at the top is not named by the top")
 	}
 }
 

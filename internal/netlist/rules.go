@@ -17,8 +17,13 @@ import (
 //  4. a depletion device may not connect to ground.
 //
 // Bus nets are recognized by declared names beginning with "bus" (case
-// insensitive), e.g. "bus0", "BUS_data".
-func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
+// insensitive), e.g. "bus0", "BUS_data". top is the name of the design's
+// top symbol. It names a device placed at the top itself, the one device
+// with no instance path, which only a primitive top places. Extraction
+// gives a primitive top's nets no declared name, so rule 4 reports such a
+// device only on a netlist built by hand, and the findings on an extracted
+// netlist never depend on a symbol's name.
+func ConstructionRules(nl *Netlist, top string, tc *tech.Technology) []Issue {
 	var issues []Issue
 	for i := range nl.Nets {
 		net := &nl.Nets[i]
@@ -67,7 +72,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 	// bare depletion transistor and the depletion pullup.
 	for di := range nl.Devices {
 		dev := &nl.Devices[di]
-		if spec, ok := tc.Device(dev.Type); !ok || !spec.Depletion {
+		if spec, ok := tc.Device(dev.Info.Type); !ok || !spec.Depletion {
 			continue
 		}
 		for ti := range dev.TerminalNets {
@@ -80,7 +85,7 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 					issues = append(issues, Issue{
 						Rule: "NET.DEPGND",
 						Detail: fmt.Sprintf("depletion device %s terminal %q connects to ground",
-							devName(dev), term),
+							devName(dev, top), term),
 						Where: nl.NetBounds(int(nid)),
 					})
 				}
@@ -91,9 +96,9 @@ func ConstructionRules(nl *Netlist, tc *tech.Technology) []Issue {
 	return issues
 }
 
-func devName(d *DeviceUse) string {
+func devName(d *DeviceUse, top string) string {
 	if d.Path == "" {
-		return d.Symbol.Name
+		return top
 	}
 	return d.Path
 }
@@ -130,7 +135,7 @@ func (nl *Netlist) Signature(id NetID) []string {
 	net := &nl.Nets[id]
 	out := make([]string, 0, len(net.Terminals))
 	for _, tr := range net.Terminals {
-		out = append(out, nl.Devices[tr.Device].Type+":"+tr.Terminal)
+		out = append(out, nl.Devices[tr.Device].Info.Type+":"+tr.Terminal)
 	}
 	sort.Strings(out)
 	return out

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cif"
@@ -20,14 +21,35 @@ import (
 const maxFuzzEdits = 64
 
 // FuzzEditBatch decodes arbitrary bytes as the edit endpoint does and
-// applies the batch to a session over a 2×2 CMOS chip. Nothing may panic,
-// and the session's report digest must equal a cold core.Check of a fresh
-// parse of the same CIF with the applied prefix replayed.
+// applies the batch to a session over a 2×2 CMOS chip whose second row is
+// a renamed twin of the first ("cmos-row-twin": the same drawing under
+// another name, so both rows share every cached result until an edit
+// parts them). Nothing may panic, and the session's report digest must
+// equal a cold core.Check of a fresh parse of the same CIF with the
+// applied prefix replayed.
 func FuzzEditBatch(f *testing.F) {
 	tc := tech.CMOS()
-	text, err := cif.Write(workload.NewCMOSChip(tc, "chip", 2, 2).Design, tc)
+	d := workload.NewCMOSChip(tc, "chip", 2, 2).Design
+	row, _ := d.Symbol("cmos-row")
+	twin := d.MustSymbol("cmos-row-twin")
+	for _, e := range row.Elements {
+		cp := *e
+		cp.Path, cp.Poly = slices.Clone(e.Path), slices.Clone(e.Poly)
+		twin.AddElement(&cp)
+	}
+	for _, c := range row.Calls {
+		twin.AddCall(c.Target, c.T, c.Name)
+	}
+	d.Top.Calls[1].Target = twin
+	d.Top.Touch()
+	text, err := cif.Write(d, tc)
 	if err != nil {
 		f.Fatal(err)
+	}
+	if back, err := cif.Parse(text, tc, "chip"); err != nil {
+		f.Fatal(err)
+	} else if s, ok := back.Symbol("cmos-row-twin"); !ok || back.Top.Calls[1].Target != s {
+		f.Fatal("the twin row does not survive the CIF round trip")
 	}
 	seed := func(edits ...layout.Edit) {
 		b, err := json.Marshal(EditRequest{Edits: edits})
@@ -51,6 +73,14 @@ func FuzzEditBatch(f *testing.F) {
 	seed(layout.Edit{Op: layout.OpMoveElement, Symbol: "chip", Index: -1, DY: 500},
 		layout.Edit{Op: layout.OpDeleteCall, Symbol: "chip", Index: -2},
 		layout.Edit{Op: layout.OpDeleteElement, Symbol: "chip", Index: -9})
+	// The twins part under an edit of one and meet again under its undo,
+	// or meet on new content when the other takes the same edit.
+	seed(layout.Edit{Op: layout.OpMoveElement, Symbol: "cmos-row-twin", Index: 0, DY: 250},
+		layout.Edit{Op: layout.OpMoveElement, Symbol: "cmos-row-twin", Index: 0, DY: -250})
+	seed(layout.Edit{Op: layout.OpAddBox, Symbol: "cmos-row", Layer: metal, Box: []int64{-9000, 0, -8000, 1000}},
+		layout.Edit{Op: layout.OpDeleteElement, Symbol: "cmos-row", Index: -1})
+	seed(layout.Edit{Op: layout.OpMoveElement, Symbol: "cmos-row", Index: 1, DX: 250},
+		layout.Edit{Op: layout.OpMoveElement, Symbol: "cmos-row-twin", Index: 1, DX: 250})
 	seed()
 	srv := New(Config{Debounce: -1})
 	f.Cleanup(srv.Close)

@@ -186,14 +186,16 @@ func (c *Chip) DeviceCount() int {
 }
 
 // NewChipUnique builds a rows×cols inverter-array chip in which every row
-// is its own symbol definition ("row0".."row<n-1>") instead of one shared
-// master. The cells inside each row still share one definition. Real
-// chips sit between the two extremes — many distinct macro definitions,
-// each heavily instanced — and this variant models the many-definitions
-// axis: an edit to one row definition leaves the other rows' definitions
-// (and their cached per-definition checking artifacts) untouched, which
-// is the workload the incremental engine's single-symbol-edit experiments
-// measure.
+// is its own symbol ("row0".."row<n-1>") instead of one shared master:
+// uniquely named, content-identical rows, as a uniquified layout has them.
+// The cells inside each row still share one definition. The rows are twins
+// — the same drawing under different names — so the checker's content
+// addresses, which ignore names, give them one set of cached results until
+// an edit parts one row from the rest: an edit to one row leaves the other
+// rows' definitions (and their cached per-definition checking artifacts)
+// untouched, which is the workload the incremental engine's
+// single-symbol-edit experiments measure. A caller that wants distinct
+// definitions draws something different into each row.
 func NewChipUnique(tc *tech.Technology, name string, rows, cols int) *Chip {
 	d := layout.NewDesign(name)
 	lib := NewCellLibrary(d, tc)

@@ -51,7 +51,7 @@ func TestChipNetlistElectricallyComplete(t *testing.T) {
 		t.Fatal("rails shorted in clean chip")
 	}
 	// Construction rules must be quiet: every net has >= 2 terminals.
-	cr := netlist.ConstructionRules(nl, tc)
+	cr := netlist.ConstructionRules(nl, chip.Design.Top.Name, tc)
 	for _, is := range cr {
 		t.Errorf("construction issue on clean chip: %v", is)
 	}
