@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -22,16 +24,20 @@ import (
 //	...edit some symbols...
 //	rep, err = eng.Recheck(design)     // warm: re-derives only dirty subtrees
 //
-// Every result the engine memoizes lives in its netlist.Cache, on the
-// entry of the content it describes, keyed by the symbols' content hashes
-// (layout.Symbol.Hashes): stage-1 element and stage-3 layer-rule results on
-// a symbol's own entry (netlist.OwnEntry) beside its stage-2 device
-// analysis, interaction adjudications on the subtree-hashed extraction
-// artifact, and the record of the last run's interaction and construction
-// stages on the extraction it was computed from. The entries need no invalidation of their own — an
+// Every result the engine memoizes lives in the netlist.Tier it is built
+// over, on the entry of the content it describes, keyed by the symbols'
+// content hashes (layout.Symbol.Hashes): stage-1 element and stage-3
+// layer-rule results on a symbol's own entry (netlist.OwnEntry) beside its
+// stage-2 device analysis, and interaction adjudications on the
+// subtree-hashed extraction artifact — all of it shared with every other
+// engine over the tier, published once and never changed after — and the
+// record of the last run's interaction and construction stages on the
+// extraction it was computed from, which is the engine's own. The engine
+// reaches the tier through its own view (netlist.Cache), whose references
+// keep what it reached alive. The entries need no invalidation of their own — an
 // edited definition hashes to a new key, and every ancestor's subtree hash
 // changes with it (the dirty-propagation walk up the call graph), so stale
-// entries are never reachable — and they age out on the Cache's one
+// entries are never reachable — and they age out on the view's one
 // horizon. The hashes ignore symbol names, so every symbol that draws the
 // same thing shares each entry; a result gets a name (Violation.Symbol)
 // only as it is added to a report. The engine itself holds no cached
@@ -65,8 +71,9 @@ import (
 // and every split writes disjoint output, so the report does not depend
 // on the pool's size.
 //
-// An Engine is not safe for concurrent use. Reports share structure with
-// the engine's caches; treat them as immutable.
+// An Engine is not safe for concurrent use; engines over one tier run
+// concurrently. Reports share structure with the tier's values; treat them
+// as immutable.
 type Engine struct {
 	tc   *tech.Technology
 	opts Options
@@ -102,6 +109,7 @@ type replayRecord struct {
 
 	rootTally *interactionTally // instance 0's live tally (nil: no pairs)
 	childViol []Violation       // instances 1.. violations, fully resolved
+	childSigs int               // instances 1.. whose definition has pairs: one signature each
 
 	child       InteractionStats // instances 1.. counter deltas
 	childChecks int              // instances 1.. stage checks
@@ -147,24 +155,31 @@ func (f *netFacts) shares(a, b netlist.NetID) bool {
 }
 
 // ownResults are one definition's stage-1 and layer-rule results, kept on
-// the extraction cache's entry for its own content hash
-// (netlist.OwnEntry.Checks), so they age with its device analysis. Either
-// is nil until its stage first reaches the definition.
+// the tier's entry for its own content hash (netlist.OwnEntry.Checks), so
+// they age with its device analysis. Either is nil until its stage first
+// reaches the definition, and is published once: engines over one tier
+// that compute it at once keep the first result.
 type ownResults struct {
-	elems *elemEntry
-	rules *ruleEntry
+	elems atomic.Pointer[elemEntry]
+	rules atomic.Pointer[ruleEntry]
 }
 
 // own returns the results of one definition's own content, marking its
 // entry reached in this run.
 func (e *Engine) own(h layout.Hash) *ownResults {
 	ent := e.cache.Own(h)
-	r, _ := ent.Checks.(*ownResults)
-	if r == nil {
-		r = &ownResults{}
-		ent.Checks = r
+	if r, _ := ent.Checks.Load().(*ownResults); r != nil {
+		return r
 	}
-	return r
+	return ent.Checks.Publish(&ownResults{}).(*ownResults)
+}
+
+// publish stores v in p unless p holds a value, and returns p's value.
+func publish[T any](p *atomic.Pointer[T], v *T) *T {
+	if p.CompareAndSwap(nil, v) {
+		return v
+	}
+	return p.Load()
 }
 
 // elemEntry caches one definition's stage-1 result.
@@ -188,12 +203,18 @@ type EngineStats struct {
 	Symbols      int // symbols reachable from Top in the last run
 	DirtySymbols int // symbols whose subtree hash changed since the prior run
 	Rehashed     int // symbols whose own or subtree hash was recomputed since the prior run
-	ArtifactDefs int // definition artifacts live in the extraction cache
+	ArtifactDefs int // definition artifacts the engine's view of its tier references
 	InterBuilt   int // interaction definition caches built this run
 	InterReused  int // interaction definition caches replayed this run
 	SigMisses    int // instance signatures that had to adjudicate
 	SigHits      int // instance signatures replayed from a cached tally
 	Signatures   int // net-environment signatures computed this run
+
+	// Taken counts the values this run took from the engine's tier that
+	// its view did not hold (another engine's, or ones it had dropped), and
+	// Built the values it built and published; interaction caches are
+	// InterBuilt.
+	Taken, Built netlist.TierCounts
 
 	// Array-regularity context cache (extraction span derivation):
 	// cumulative over the engine's lifetime, not per run.
@@ -212,10 +233,28 @@ type EngineStats struct {
 }
 
 // NewEngine creates an incremental check session for one technology and
-// option set. Options are captured by value; construct a new engine to
-// check under different options.
+// option set, over a tier of its own. Options are captured by value;
+// construct a new engine to check under different options.
 func NewEngine(tc *tech.Technology, opts Options) *Engine {
-	return &Engine{tc: tc, opts: opts, cache: netlist.NewCache()}
+	return NewEngineOn(netlist.NewTier(), tc, opts)
+}
+
+// NewEngineOn creates a check session over a tier that other engines may
+// share: every engine over one tier must check under the same technology
+// and options, and each should be closed when done (Close), so the tier
+// keeps only what live engines reach.
+func NewEngineOn(t *netlist.Tier, tc *tech.Technology, opts Options) *Engine {
+	return &Engine{tc: tc, opts: opts, cache: t.NewCache()}
+}
+
+// errClosed poisons a closed engine.
+var errClosed = errors.New("engine closed")
+
+// Close releases the engine's references to its tier's values and refuses
+// every further run. Reports already returned stay valid.
+func (e *Engine) Close() {
+	e.Poison(errClosed)
+	e.cache.Close()
 }
 
 // Stats returns cache-effectiveness counters for the most recent run.
@@ -267,6 +306,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	}
 	e.runs++
 	stats := EngineStats{Runs: e.runs}
+	taken0, built0 := e.cache.Use()
 
 	// The hashing pass counts what moved since the last completed run; the
 	// stages then read each symbol's hashes off the symbol.
@@ -348,6 +388,8 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 
 	stats.ArtifactDefs = e.cache.Len()
 	stats.CtxHits, stats.CtxMisses = e.cache.ContextStats()
+	taken, built := e.cache.Use()
+	stats.Taken, stats.Built = taken.Sub(taken0), built.Sub(built0)
 	if inc != nil {
 		stats.WindowPatched, stats.FullPath = inc.Patch != nil, inc.Refused
 	}
@@ -364,11 +406,11 @@ func (e *Engine) checkElements(c *checker, d *layout.Design) {
 			continue
 		}
 		r := e.own(s.Hashes().Own)
-		if r.elems == nil {
+		ent := r.elems.Load()
+		if ent == nil {
 			vs, checks, elements := elementChecks(s, e.tc)
-			r.elems = &elemEntry{vs: vs, checks: checks, elements: elements}
+			ent = publish(&r.elems, &elemEntry{vs: vs, checks: checks, elements: elements})
 		}
-		ent := r.elems
 		c.rep.Stats.ElementsChecked += ent.elements
 		c.countChecks(ent.checks)
 		c.addNamed(ent.vs, s.Name)
@@ -401,11 +443,11 @@ func (e *Engine) checkLayerRules(c *checker, d *layout.Design) {
 			continue
 		}
 		r := e.own(s.Hashes().Own)
-		if r.rules == nil {
+		ent := r.rules.Load()
+		if ent == nil {
 			vs, checks := layerRuleChecks(s, e.tc)
-			r.rules = &ruleEntry{vs: vs, checks: checks}
+			ent = publish(&r.rules, &ruleEntry{vs: vs, checks: checks})
 		}
-		ent := r.rules
 		c.countChecks(ent.checks)
 		c.addNamed(ent.vs, s.Name)
 	}
@@ -460,7 +502,11 @@ const (
 // defInter is the per-definition interaction cache: the candidate pairs
 // whose LCA is this definition, the local net classes their adjudication
 // can depend on, and one adjudicated tally per observed net-environment
-// signature.
+// signature. It hangs on its artifact's slot, shared by every engine over
+// the tier: everything but the tallies and the pair geometry memos is
+// fixed when it is published, and those two are written under mu only
+// (see adjudicate). Only the root patch changes the rest, on a root no
+// other engine can reach (netlist's withdraw).
 type defInter struct {
 	art *netlist.SymbolArtifacts
 
@@ -496,12 +542,40 @@ type defInter struct {
 	// sigs holds one adjudicated tally per observed signature. A definition
 	// whose every pair is internal to one device (every primitive) has an
 	// empty signature domain, so its one tally sits under the empty key.
-	sigs map[string]*interactionTally
+	// Readers load the map without a lock; adjudicate swaps in a copy with
+	// the new tally, under mu, which also guards the pairs' geometry memos.
+	mu   sync.Mutex
+	sigs atomic.Pointer[sigTallies]
 
 	// Keepout checks (contact-over-gate, isolation-vs-base) have no net
 	// dependence at all, so one tally per definition replays for every
 	// instance and every signature.
 	gateT, baseT keepTally
+}
+
+// sigTallies maps a signature to its adjudicated tally.
+type sigTallies = map[string]*interactionTally
+
+// tally returns the cached tally of a signature, nil when there is none.
+func (di *defInter) tally(sig []byte) *interactionTally { return (*di.sigs.Load())[string(sig)] }
+
+// adjudicate returns the tally of a signature, adjudicating it under the
+// definition's lock when no engine has yet, and reports whether it did.
+func (e *Engine) adjudicate(di *defInter, labels []int, sig []byte) (*interactionTally, bool) {
+	di.mu.Lock()
+	defer di.mu.Unlock()
+	m := *di.sigs.Load()
+	if t := m[string(sig)]; t != nil {
+		return t, false
+	}
+	t := e.adjudicateDef(di, labels, sig)
+	next := make(sigTallies, len(m)+1)
+	for k, v := range m {
+		next[k] = v
+	}
+	next[string(sig)] = t
+	di.sigs.Store(&next)
+	return t, true
 }
 
 // keepTally is the replayable result of a definition's keepout checks.
@@ -520,7 +594,7 @@ type keepTally struct {
 // until the replay puts it back patched too. The entry lives and dies with
 // its artifact: the extraction cache's eviction is its only horizon.
 func (e *Engine) cachedInter(art *netlist.SymbolArtifacts) *defInter {
-	di, _ := art.Inter.(*defInter)
+	di, _ := art.Inter.Load().(*defInter)
 	return di
 }
 
@@ -532,8 +606,8 @@ func (e *Engine) buildDefInter(art *netlist.SymbolArtifacts, maxGap int64) *defI
 		art:          art,
 		classPos:     make([]int32, art.NumClasses),
 		classPairPos: make(map[[2]int]int),
-		sigs:         make(map[string]*interactionTally),
 	}
+	di.sigs.Store(&sigTallies{})
 	// A flat per-item table replaces per-candidate map lookups: the
 	// callback below runs once per sweep candidate, the hottest loop of a
 	// definition (re)build. It records the pairs by definition item index
@@ -728,11 +802,11 @@ func newSigScratch(n int) *sigScratch {
 // instances run concurrently.
 func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, facts *netFacts, sc *sigScratch, tallies []*interactionTally) (computed int) {
 	for ii := lo; ii < hi; ii++ {
-		di := inc.Instances[ii].Art.Inter.(*defInter)
-		if len(di.pairs) == 0 || len(di.sigs) == 0 {
+		di := e.cachedInter(inc.Instances[ii].Art)
+		if len(di.pairs) == 0 || len(*di.sigs.Load()) == 0 {
 			continue
 		}
-		tallies[ii] = di.sigs[string(e.netEnvSignature(di, inc, ii, facts, sc))]
+		tallies[ii] = di.tally(e.netEnvSignature(di, inc, ii, facts, sc))
 		computed++
 	}
 	return computed
@@ -962,7 +1036,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		e.buildKeepouts(dis[k], keep)
 	})
 	for k, art := range order {
-		art.Inter = dis[k]
+		dis[k] = art.Inter.Publish(dis[k]).(*defInter)
 	}
 	stats.InterBuilt += len(order)
 	stats.InterReused += len(inc.Instances) - len(order)
@@ -995,22 +1069,25 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	// and absorbs, in instance order.
 	scratch := scratches[0]
 	var rootTally *interactionTally
+	childSigs := 0
 	processInstance := func(ii int) {
-		di := inc.Instances[ii].Art.Inter.(*defInter)
+		di := e.cachedInter(inc.Instances[ii].Art)
 		e.absorbKeepouts(c, inc, ii, di)
 		if len(di.pairs) == 0 {
 			return
 		}
+		if ii > 0 {
+			childSigs++
+		}
 		tally := tallies[ii]
 		if tally == nil {
-			// Not cached when the pool looked: an instance before this one
-			// may have adjudicated the signature since.
+			// Not cached when the pool looked: an instance before this one,
+			// or another engine over the tier, may have adjudicated the
+			// signature since.
 			sig := e.netEnvSignature(di, inc, ii, facts, scratch)
 			stats.Signatures++
-			var ok bool
-			if tally, ok = di.sigs[string(sig)]; !ok {
-				tally = e.adjudicateDef(di, scratch.labels, sig)
-				di.sigs[string(sig)] = tally
+			var built bool
+			if tally, built = e.adjudicate(di, scratch.labels, sig); built {
 				stats.SigMisses++
 			} else {
 				stats.SigHits++
@@ -1041,6 +1118,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		facts:       facts,
 		rootTally:   rootTally,
 		childViol:   append([]Violation(nil), c.rep.Violations[violMark:]...),
+		childSigs:   childSigs,
 		child:       child,
 		childChecks: c.stageChecks() - checksMark,
 	}, cons
@@ -1059,7 +1137,9 @@ var fanned atomic.Int64
 // the root's patched interaction cache back and returns the record, nil
 // when the patch came without one or the pairs would not patch; the caller
 // then runs the full stage, which rebuilds the root's entry and records
-// anew.
+// anew. It counts what a full run over the same state would: every
+// instance's cache reused, and one signature hit per instance whose
+// definition has pairs.
 func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) *replayRecord {
 	p := inc.Patch
 	r, _ := p.Replay.(*replayRecord)
@@ -1067,12 +1147,15 @@ func (e *Engine) tryReplayInteractions(c *checker, inc *netlist.IncExtraction, s
 	if r == nil || di == nil || len(p.Items) > 0 && !e.patchRootInter(r, di, inc, p.Items) {
 		return nil
 	}
-	inc.Root.Inter = di
+	di = inc.Root.Inter.Publish(di).(*defInter)
 	// The patch's copy; the next patch starts from it. (It shares every
 	// terminal list with its predecessor, so the facts carry over.)
 	r.facts.nl = inc.Netlist
-	stats.InterReused++
-	stats.SigHits += len(inc.Instances)
+	stats.InterReused += len(inc.Instances)
+	stats.SigHits += r.childSigs
+	if len(di.pairs) > 0 {
+		stats.SigHits++
+	}
 
 	e.absorbKeepouts(c, inc, 0, di)
 	if r.rootTally != nil {
@@ -1184,7 +1267,7 @@ func (e *Engine) patchRootInter(r *replayRecord, di *defInter, inc *netlist.IncE
 	}
 	// Pair membership changed: every cached per-signature adjudication of
 	// this definition is stale.
-	di.sigs = make(map[string]*interactionTally)
+	di.sigs.Store(&sigTallies{})
 	return true
 }
 
@@ -1332,8 +1415,8 @@ func pathJoin(prefix, rel string) string {
 
 // String renders cache stats compactly for -repeat style loops.
 func (s EngineStats) String() string {
-	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d rehashed, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit/%d computed, contexts %d derived/%d built",
-		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.Signatures, s.CtxHits, s.CtxMisses)
+	out := fmt.Sprintf("run %d: %d/%d symbols dirty, %d rehashed, %d artifact defs, interactions %d built/%d reused, signatures %d miss/%d hit/%d computed, contexts %d derived/%d built, tier %d taken/%d built",
+		s.Runs, s.DirtySymbols, s.Symbols, s.Rehashed, s.ArtifactDefs, s.InterBuilt, s.InterReused, s.SigMisses, s.SigHits, s.Signatures, s.CtxHits, s.CtxMisses, s.Taken.Total(), s.Built.Total())
 	if s.WindowPatched {
 		out += ", window-patched"
 	}

@@ -369,7 +369,7 @@ func TestSameDevicePairsNeedNoSignature(t *testing.T) {
 	seen := make(map[*defInter]bool)
 	instances := 0
 	for ii := range inc.Instances {
-		di := inc.Instances[ii].Art.Inter.(*defInter)
+		di := e.cachedInter(inc.Instances[ii].Art)
 		inside := len(di.pairs) > 0
 		for _, p := range di.pairs {
 			a, b := di.itemAt(p.a), di.itemAt(p.b)
@@ -383,9 +383,9 @@ func TestSameDevicePairsNeedNoSignature(t *testing.T) {
 			continue
 		}
 		seen[di] = true
-		if len(di.candClasses) != 0 || len(di.classPairAt) != 0 || len(di.sigs) != 1 || di.sigs[""] == nil {
+		if sigs := *di.sigs.Load(); len(di.candClasses) != 0 || len(di.classPairAt) != 0 || len(sigs) != 1 || sigs[""] == nil {
 			t.Fatalf("%s: %d classes, %d class pairs, %d tallies; want one tally under the empty signature",
-				di.art.Hash, len(di.candClasses), len(di.classPairAt), len(di.sigs))
+				di.art.Hash, len(di.candClasses), len(di.classPairAt), len(sigs))
 		}
 	}
 	if len(seen) == 0 || instances <= len(seen) {

@@ -248,7 +248,7 @@ func TestEngineCarriesTwinAcrossDesigns(t *testing.T) {
 
 // TestTopSwitchedToWrappedTwin: the top switches to a wrapper that calls a
 // renamed twin of the old top, whose artifact the cache retires as the
-// last root build and recycles; the report equals a cold one. So do the
+// last root build; the report equals a cold one. So do the
 // reports after switching back, whose root is then an artifact the wrapper
 // embeds, and after an edit of the old top that the root patch could
 // otherwise answer in place.

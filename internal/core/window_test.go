@@ -510,8 +510,7 @@ func TestNetEnvSignatureTalliesIdentical(t *testing.T) {
 		art := inc.Instances[ii].Art
 		di := e.cachedInter(art)
 		if di == nil {
-			di = e.buildDefInter(art, maxGap)
-			art.Inter = di
+			di = art.Inter.Publish(e.buildDefInter(art, maxGap)).(*defInter)
 		}
 		if len(di.pairs) == 0 {
 			continue

@@ -46,6 +46,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/device"
@@ -98,7 +99,7 @@ type SymbolArtifacts struct {
 	// primitive marks the artifact of a primitive device symbol.
 	primitive bool
 
-	gen int // the Cache generation that last reached this artifact (see Cache.touch)
+	refs int32 // the views that reference it, under its tier's lock (see Tier)
 
 	// The symbol's own entries: its elements (or device terminals and
 	// support geometry for a primitive). The flattened subtree indexes own
@@ -117,7 +118,7 @@ type SymbolArtifacts struct {
 	NumClasses int
 
 	Devices      []DeviceUse // Path and T relative; TerminalNets hold local class ids
-	devText      *deviceMemo // Devices' DeviceText memo, made when a netlist is first assembled over them
+	devText      *deviceMemo // Devices' DeviceText memo, shared by every netlist assembled over them; made before publication
 	Gates        []Keepout   // local coordinates; Dev is the local device index
 	BaseKeepouts []Keepout
 	Issues       []Issue  // NET.ELEM findings, local coordinates
@@ -136,12 +137,12 @@ type SymbolArtifacts struct {
 	// Inter is a slot for the one consumer that keeps per-definition state
 	// derived from this exact artifact value — the check engine hangs its
 	// interaction cache here, so it is reached without a lookup and is
-	// dropped with the artifact. The extractor reads it only to hand it
-	// over: a root patch changes the artifact in place, so tryPatchRoot
-	// moves the slot onto the RootPatch and clears it, and the consumer
-	// puts back what it brought up to date. The engine that owns the Cache
-	// is its only other writer (see Cache).
-	Inter any
+	// dropped with the artifact. Every engine over the tier shares it: the
+	// first to publish wins. The extractor reads it only to hand it over:
+	// a root patch changes a withdrawn artifact in place, so tryPatchRoot
+	// moves the slot onto the RootPatch and empties it, and the consumer
+	// publishes back what it brought up to date.
+	Inter Slot
 
 	// Instances counts the placements in this subtree including itself
 	// (primitive and composite definitions alike), sized once at build so
@@ -152,9 +153,10 @@ type SymbolArtifacts struct {
 	numFoots int
 	numTerms int // terminal→net assignments over Devices (sizes the parent's slab)
 
-	footItem []int // lazy inverse of ItemFoot over the own footprints
+	footItem []int // lazy inverse of ItemFoot over the own footprints; only buildNew asks, before publication
 
-	skels map[int]geom.Region // lazy skeletons of own footprints (see footSkel)
+	skelMu sync.Mutex
+	skels  map[int]geom.Region // lazy skeletons of own footprints, under skelMu (see footSkel)
 }
 
 // NumItems returns the flattened subtree item count.
@@ -352,12 +354,15 @@ func (sp *childSpan) itemBox(k int) geom.Rect {
 // with Manhattan rigid transforms, so the result is the region the flat
 // extractor would have eroded, at transform cost (nothing, under upright
 // embeddings) instead of erosion cost, shared across every instance of the
-// owner. Skeletons are read only by the extraction goroutine
-// (connectSweep), so both lazy fills are race-free.
+// owner. Engines sharing a tier sweep over the same published values at
+// once, so each lazy fill is made under its value's lock; the locks nest
+// downwards only, from a representative to the child it transforms.
 func (a *SymbolArtifacts) footSkel(f int) (geom.Region, geom.Point) {
 	owner, rep, k, off := a.footHome(f)
 	off = geom.Point{X: 4 * off.X, Y: 4 * off.Y}
 	if rep != nil {
+		rep.skelMu.Lock()
+		defer rep.skelMu.Unlock()
 		s, ok := rep.skels[k]
 		if !ok {
 			cs, coff := rep.childArt.footSkel(k)
@@ -369,6 +374,8 @@ func (a *SymbolArtifacts) footSkel(f int) (geom.Region, geom.Point) {
 		}
 		return s, off
 	}
+	owner.skelMu.Lock()
+	defer owner.skelMu.Unlock()
 	if owner.skels == nil {
 		owner.skels = make(map[int]geom.Region)
 	}
@@ -416,7 +423,7 @@ type spanClassKey struct {
 // family transforms its regions once, into a column (see regs). A
 // derived member is a view of the representative: the same columns moved
 // by d, under its own call name. Every value but the lazily transformed
-// skeletons is immutable once built.
+// skeletons (under skelMu) is immutable once built.
 type spanData struct {
 	childArt *SymbolArtifacts
 	t        geom.Transform
@@ -457,16 +464,14 @@ type spanData struct {
 	// transformed into its frame, regs[i] for item i, in one store's
 	// slabs: the engine's parallel interaction builds read them through
 	// ResolveItem, and a rotation costs a sweep. skels holds the
-	// footprint skeletons the extraction goroutine has transformed so far
+	// footprint skeletons extraction has transformed so far, under skelMu
 	// (see footSkel). An upright family keeps neither: its members read
 	// the owners' regions through an offset.
-	regs  []geom.Region
-	skels map[int]geom.Region
+	regs   []geom.Region
+	skelMu sync.Mutex
+	skels  map[int]geom.Region
 
-	// Cache ageing (see Cache.touch): gen is the generation that last
-	// reached this embedding, and the representative's classGen is the
-	// generation that last reached any member of the family.
-	gen, classGen int
+	refs int32 // the views that reference it, under its tier's lock (see Tier)
 }
 
 // itemPath returns the relative path of span-local item k.
@@ -493,17 +498,19 @@ func scale4(t geom.Transform) geom.Transform {
 	return geom.Transform{Orient: t.Orient, Trans: geom.Point{X: t.Trans.X * 4, Y: t.Trans.Y * 4}}
 }
 
-// Cache is the content-addressed artifact store backing incremental
-// extraction. It is not safe for concurrent use: one goroutine at a time
-// extracts through it. A run may itself split its chip-sized phases
-// across the workers ExtractIncremental is given, the calling goroutine
-// among them; every such phase writes disjoint, pre-sized output, and
-// nothing of the cache's own state — the maps, the lazily filled
-// skeletons, the scratch — is written off the calling goroutine. The
-// cache recycles working arrays across runs: only the MOST RECENT
-// IncExtraction produced through a Cache is valid — a new extraction
-// overwrites the previous result's Instances and (when the root changed)
-// its root classification in place.
+// Cache is one engine's view of a Tier: the references that keep the
+// tier's values alive for it, the generation stamps that age them, and
+// everything of the engine's own — the working arrays, the last
+// extraction, the interned anonymous net names. It is not safe for
+// concurrent use: one goroutine at a time extracts through it, while other
+// views over the same tier extract at the same time. A run may itself
+// split its chip-sized phases across the workers ExtractIncremental is
+// given, the calling goroutine among them; every such phase writes
+// disjoint, pre-sized output, and nothing of the view's own state — the
+// maps, the scratch — is written off the calling goroutine. The view
+// recycles working arrays across runs: only the MOST RECENT IncExtraction
+// produced through a Cache is valid — a new extraction overwrites the
+// previous result's Instances in place.
 // The public Netlist (nets, devices) is never recycled or rewritten and
 // stays valid indefinitely: a root patch that moves a net's bounds does so
 // on a fresh Netlist over the very same Nets and Devices arrays (with the
@@ -511,13 +518,13 @@ func scale4(t geom.Transform) geom.Transform {
 // bounds beside them in a copy of its predecessor's small overlay
 // (Netlist.NetBounds reads through it); the arrays keep their assembled
 // values.
-// This is the engine's contract: one live run per session. One engine owns
-// a Cache: the artifacts, the own entries and the extraction each carry a
-// single consumer slot (SymbolArtifacts.Inter, OwnEntry.Checks,
-// IncExtraction.Replay), so two engines sharing a Cache would overwrite
-// each other's entries. Whatever a consumer keeps in a slot lives and is
-// evicted with the entry it hangs on: the Cache has one horizon, evictAge
-// root builds, for everything it holds.
+// This is the engine's contract: one live run per view. The consumer slots
+// on the shared values (SymbolArtifacts.Inter, OwnEntry.Checks) are
+// published once and shared by every view over the tier; the one slot of
+// the engine's own, IncExtraction.Replay, hangs on its extraction.
+// Whatever a consumer keeps in a slot lives with the entry it hangs on,
+// and a view references an entry for evictAge root builds after it last
+// reached it: one horizon for everything a view holds.
 //
 // What a full re-derive of the root costs follows from what is kept here.
 // Per definition (SymbolArtifacts): its own entries and their regions, the
@@ -533,22 +540,27 @@ func scale4(t geom.Transform) geom.Transform {
 // or per net — the devices' terminal lists, the nets' terminal lists — is
 // carved from one slab each and filled at copy speed.
 type Cache struct {
-	arts  map[layout.Hash]*SymbolArtifacts
-	spans map[spanKey]*spanData
-	owns  map[layout.Hash]*OwnEntry
+	tier *Tier
+
+	// The values this view references, each with the generation that last
+	// reached it (see touch). A view that references an artifact
+	// references everything it embeds, and one that references an
+	// embedding references its family representative.
+	arts  map[*SymbolArtifacts]int
+	spans map[*spanData]int
+	owns  map[layout.Hash]*ownRef // by own hash: a held entry is answered without the tier's lock
 
 	// gen numbers the root builds: it is the number of the build in
-	// progress, or else of the next one. Every entry carries the generation
-	// that last reached it, so an entry reached between builds — by a
-	// consumer ahead of its run's build, or in a run the root patch answers
-	// — counts as reached by the next build. After each build evict retires
-	// the entries the last evictAge builds did not reach.
+	// progress, or else of the next one. Every reference carries the
+	// generation that last reached it, so an entry reached between builds —
+	// by a consumer ahead of its run's build, or in a run the root patch
+	// answers — counts as reached by the next build. After each build evict
+	// drops the references the last evictAge builds did not reach.
 	gen int
 
-	// spanClass indexes one representative embedding per (content,
-	// orientation) family; span misses whose family has a representative
-	// become views of it instead of re-transforming the child.
-	spanClass map[spanClassKey]*spanData
+	// taken and built count the values this view took from the tier and
+	// the values it built (see Use).
+	taken, built TierCounts
 
 	// Context-dedup effectiveness counters (cumulative for the session):
 	// a hit is an embedding made a view of its family representative, a
@@ -557,12 +569,11 @@ type Cache struct {
 
 	// Reusable per-build scratch: the union-find and classification
 	// working arrays are dead the moment a build returns, so one buffer
-	// serves every build (the Cache is single-threaded by contract).
+	// serves every build (the view is single-threaded by contract).
 	ufScratch    geom.UnionFind
 	classScratch []int32 // union-find root -> class+1
 	nodeClass    []int32 // union-find node -> class
 	instScratch  []Instance
-	spareClassOf []int
 	starts       []callStart // the calls of the definition being built (see populate)
 
 	// workers sizes the pool the chip-sized phases of a build and of the
@@ -572,12 +583,10 @@ type Cache struct {
 
 	anon anonNames // the session's interned anonymous net names
 
-	// lastRoot is the most recent changed top-level artifact. A root's
-	// subtree hash changes on every edit, so its (large, flat-sized)
+	// lastRoot is the most recent top-level artifact this view built. A
+	// root's subtree hash changes on every edit, so its (large, flat-sized)
 	// arrays are dead weight the moment the next edit lands; buildRoot
-	// recycles them instead of re-allocating ~megabytes per recheck.
-	// Devices and their TerminalNets maps escape into the public Netlist
-	// and are never recycled.
+	// drops the view's reference to it then, rather than let it age out.
 	lastRoot *SymbolArtifacts
 
 	// lastInc/lastIssues retain the most recent extraction so a
@@ -592,117 +601,88 @@ type Cache struct {
 	// can answer.
 	lastTop *layout.Symbol
 	lastSeq uint64
+
+	closed bool // Close released every reference
 }
 
-// OwnEntry is the cache's entry for one definition's own content, keyed
+// OwnEntry is the tier's entry for one definition's own content, keyed
 // by the symbol's own content hash: what is derived from its own elements
 // whatever its subtree — the device analysis of a primitive, and the
 // consumer's per-definition results.
 type OwnEntry struct {
-	info     *device.Info
-	probs    []device.Problem
-	analyzed bool
-	gen      int // the Cache generation that last reached this entry
+	hash     layout.Hash
+	analysis atomic.Pointer[analysis] // device.Analyze's result, published once
+	refs     int32                    // the views that reference it, under its tier's lock
 
 	// Checks is a slot for the one consumer that keeps results derived
 	// from the definition's own content — the check engine keeps its
 	// element and layer-rule results here, so they age with the entry. The
 	// extractor neither reads nor writes it.
-	Checks any
+	Checks Slot
 }
 
-// NewCache creates an empty artifact cache.
-func NewCache() *Cache {
-	return &Cache{
-		arts:      make(map[layout.Hash]*SymbolArtifacts),
-		spans:     make(map[spanKey]*spanData),
-		owns:      make(map[layout.Hash]*OwnEntry),
-		spanClass: make(map[spanClassKey]*spanData),
-	}
+// analysis is one device analysis.
+type analysis struct {
+	info  *device.Info
+	probs []device.Problem
 }
 
-// Len reports how many definition artifacts are cached.
-func (c *Cache) Len() int { return len(c.arts) }
-
-// ContextStats reports the cumulative span context-dedup counters: hits
-// are embeddings made views of a same-(content, orientation)
-// representative, misses are full transform builds.
-func (c *Cache) ContextStats() (hits, misses int) { return c.ctxHits, c.ctxMisses }
+// ownRef is a view's reference to an own entry, with the generation that
+// last reached it.
+type ownRef struct {
+	e   *OwnEntry
+	gen int
+}
 
 // Own returns the entry for a definition's own content hash, empty when
 // first asked for, and marks it reached by the current root build, or else
-// by the next one.
+// by the next one. An entry the view holds is the tier's: it leaves the
+// tier only when no view holds it.
 func (c *Cache) Own(ownHash layout.Hash) *OwnEntry {
-	e := c.owns[ownHash]
-	if e == nil {
-		e = &OwnEntry{}
-		c.owns[ownHash] = e
+	if r := c.owns[ownHash]; r != nil {
+		r.gen = c.gen
+		return r.e
 	}
-	e.gen = c.gen
+	t := c.tier
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	e := t.owns[ownHash]
+	if e == nil {
+		e = &OwnEntry{hash: ownHash}
+		t.owns[ownHash] = e
+		t.builds++
+		c.built.Owns++
+	} else {
+		t.hits++
+		c.taken.Owns++
+	}
+	e.refs++
+	c.owns[ownHash] = &ownRef{e, c.gen}
 	return e
 }
 
-// Analyze memoizes device.Analyze on the symbol's own entry.
+// Analyze memoizes device.Analyze on the symbol's own entry. Two views
+// asking at once may both analyze; the first result published is kept.
 func (c *Cache) Analyze(s *layout.Symbol, ownHash layout.Hash, tc *tech.Technology) (*device.Info, []device.Problem) {
 	e := c.Own(ownHash)
-	if !e.analyzed {
-		e.info, e.probs = device.Analyze(s, tc)
-		e.analyzed = true
+	a := e.analysis.Load()
+	if a == nil {
+		a = new(analysis)
+		a.info, a.probs = device.Analyze(s, tc)
+		if !e.analysis.CompareAndSwap(nil, a) {
+			a = e.analysis.Load()
+		}
 	}
-	return e.info, e.probs
+	return a.info, a.probs
 }
 
-// evictAge is how many root builds an entry survives unreached before
-// eviction; a run the root patch answers builds nothing and is not counted
-// (see extractIncremental). The root's artifacts turn over on every edit
-// that rebuilds it (its subtree hash always changes), so a short horizon
-// keeps a busy session's memory flat while still riding out short A/B edit
-// oscillations.
+// evictAge is how many root builds a view keeps referencing an entry it no
+// longer reaches; a run the root patch answers builds nothing and is not
+// counted (see extractIncremental). The root's artifacts turn over on
+// every edit that rebuilds it (its subtree hash always changes), so a
+// short horizon keeps a busy session's memory flat while still riding out
+// short A/B edit oscillations.
 const evictAge = 3
-
-func (c *Cache) evict() {
-	for h, a := range c.arts {
-		if c.gen-a.gen >= evictAge {
-			delete(c.arts, h)
-		}
-	}
-	for k, sd := range c.spans {
-		if c.gen-sd.gen >= evictAge {
-			delete(c.spans, k)
-		}
-	}
-	for k, sd := range c.spanClass {
-		if c.gen-sd.classGen >= evictAge {
-			delete(c.spanClass, k)
-		}
-	}
-	for h, e := range c.owns {
-		if c.gen-e.gen >= evictAge {
-			delete(c.owns, h)
-		}
-	}
-}
-
-// touch marks a cached artifact, and everything it embeds, as reached in
-// this generation: what a live root reaches must not age, or the next edit
-// of one of its callers would rebuild definitions nobody changed. The
-// stamps are fields, and an artifact already stamped this generation is
-// not descended again, so a root build pays one pass over the call sites
-// below the definitions it reused.
-func (c *Cache) touch(a *SymbolArtifacts) {
-	if a.gen == c.gen {
-		return
-	}
-	a.gen = c.gen
-	for si := range a.children {
-		c.reach(a.children[si].sd)
-		c.touch(a.children[si].Art)
-	}
-}
-
-// reach is touch for one embedding: it and its family were reached in this
-// generation.
-func (c *Cache) reach(sd *spanData) { sd.gen, sd.rep.classGen = c.gen, c.gen }
 
 // Instance is one placement of a definition on the chip: its artifacts
 // plus the global transform and the offsets of its subtree within the
@@ -786,6 +766,7 @@ const (
 	RefuseBadGeometry        = "bad-geometry"        // its new geometry does not materialize
 	RefuseContactAfterMove   = "contact-after-move"  // its new position touches another footprint of its layer
 	RefuseContactAmongMoved  = "contact-among-moved" // two moved elements touch at their new positions
+	RefuseRootShared         = "root-shared"         // another view over the tier holds the root
 )
 
 // GlobalNet resolves a subtree-local net class of one instance to the
@@ -863,20 +844,25 @@ func ExtractIncremental(d *layout.Design, tc *tech.Technology, c *Cache, workers
 // The patch edits the previous root's artifact in place, which is sound
 // only while nothing else embeds it. Within one design no descendant of
 // the top shares the top's subtree hash: that hash covers every
-// descendant's. Across designs the artifact that is the last root build
-// (lastRoot) embeds nowhere either: buildRoot retires it before it builds
-// anything a later design could hash alike, and a run whose root is a
-// cached artifact leaves lastRoot unequal to that run's root.
+// descendant's. Across designs the artifact that is this view's last root
+// build (lastRoot) embeds nowhere in the view either: buildRoot retires it
+// before it builds anything a later design could hash alike, and a run
+// whose root is a cached artifact leaves lastRoot unequal to that run's
+// root. Across views, a view that embeds the root, or has it as its own
+// root, references it: the patch first withdraws the root from the tier,
+// which only the root's one holder can (RefuseRootShared otherwise).
 func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtraction, []Issue, string) {
 	art := c.lastRoot
 	inc := c.lastInc
-	if art == nil || inc == nil || c.lastTop != top || inc.Root != art || c.arts[art.Hash] != art {
+	if art == nil || inc == nil || c.lastTop != top || inc.Root != art || !c.holds(art) {
 		return nil, nil, RefuseNoBaseline
 	}
 	newHash := top.Hashes().Subtree
 	if newHash == art.Hash {
-		// Nothing changed: the previous extraction is the answer.
-		inc.Patch, inc.Refused = handOver(inc, nil), ""
+		// Nothing changed: the previous extraction is the answer, and its
+		// root's slot stays where it is.
+		inc.Patch = &RootPatch{Replay: inc.Replay, Inter: art.Inter.Load()}
+		inc.Replay, inc.Refused = nil, ""
 		return inc, c.lastIssues, ""
 	}
 	if top.IsPrimitive() {
@@ -967,14 +953,22 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtra
 		}
 	}
 
-	// Commit: re-key the root under its new hash and patch the moved
-	// geometry in place. Class structure, names, issues, devices, and
-	// instances are all untouched by construction. The moved nets' bounds
-	// go on a successor netlist over the same arrays: the previous run's
-	// report still points at nl.
-	delete(c.arts, art.Hash)
+	// Commit: withdraw the root from the tier, patch the moved geometry in
+	// place and file the root under its new hash. Class structure, names,
+	// issues, devices, and instances are all untouched by construction.
+	// The moved nets' bounds go on a successor netlist over the same
+	// arrays: the previous run's report still points at nl. The consumer
+	// slots move onto the patch: what they hung on no longer holds them.
+	if !c.withdraw(art) {
+		return nil, nil, RefuseRootShared
+	}
+	// The consumer slot is emptied while the root is withdrawn: once it is
+	// filed again another view may take it, and must find nothing on it
+	// that describes the old geometry.
+	inter := art.Inter.take()
 	patched := make([]int, len(patches))
 	moves := make([]netBounds, len(patches))
+	art.skelMu.Lock()
 	for i, pi := range patches {
 		art.Foots[pi.foot].Bounds = pi.newBounds
 		art.Foots[pi.foot].Reg = pi.newReg
@@ -986,20 +980,13 @@ func (c *Cache) tryPatchRoot(top *layout.Symbol, tc *tech.Technology) (*IncExtra
 		moves[i] = netBounds{net: pi.class, bounds: pi.newBounds}
 		patched[i] = pi.item
 	}
+	art.skelMu.Unlock()
 	inc.Netlist = nl.patched(moves)
 	art.Hash = newHash
-	c.arts[newHash] = art
-	inc.Patch, inc.Refused = handOver(inc, patched), ""
+	inc.Patch = &RootPatch{Items: patched, Replay: inc.Replay, Inter: inter}
+	c.republish(art)
+	inc.Replay, inc.Refused = nil, ""
 	return inc, c.lastIssues, ""
-}
-
-// handOver makes the RootPatch of an extraction patched in place: its
-// consumer slots and its root's move onto the patch, and what they hung on
-// no longer holds them.
-func handOver(inc *IncExtraction, items []int) *RootPatch {
-	p := &RootPatch{Items: items, Replay: inc.Replay, Inter: inc.Root.Inter}
-	inc.Replay, inc.Root.Inter = nil, nil
-	return p
 }
 
 // assemble builds the netlist skeleton over the root's classification —
@@ -1014,9 +1001,6 @@ func handOver(inc *IncExtraction, items []int) *RootPatch {
 // it. A second batch writes the terminals where the counts put them.
 func (c *Cache) assemble(inc *IncExtraction) *Netlist {
 	root := inc.Root
-	if root.devText == nil {
-		root.devText = new(deviceMemo)
-	}
 	nc, devs, w := root.NumClasses, root.Devices, c.workers
 	nl := &Netlist{Nets: make([]Net, nc), Devices: devs, devText: root.devText}
 	for i := range nl.Nets {
@@ -1120,29 +1104,27 @@ func (x *IncExtraction) InstPath(ii int) string {
 	return out
 }
 
-// buildRoot builds the design top's artifacts. On a content change the
-// previous root entry is retired immediately (its hash can never be asked
-// for again except by an exact undo, which simply rebuilds).
+// buildRoot builds the design top's artifacts, or takes them from the
+// tier. On a content change the view's previous root is retired
+// immediately (its hash can never be asked for again except by an exact
+// undo, which simply rebuilds, or by another view that holds it).
 func (c *Cache) buildRoot(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
-	if a, ok := c.arts[s.Hashes().Subtree]; ok {
-		c.touch(a)
+	if a := c.lookup(s.Hashes().Subtree); a != nil {
 		return a
 	}
-	if old := c.lastRoot; old != nil && c.arts[old.Hash] == old {
-		delete(c.arts, old.Hash)
-		// The retired root's classification arrays are unreachable from
-		// any report (only the run-local extraction read them); recycle.
-		c.spareClassOf = old.ClassOf
+	// The previous root this view built embeds nowhere in the view (see
+	// tryPatchRoot): drop the view's reference to it.
+	if old := c.lastRoot; old != nil && c.holds(old) {
+		c.retire(old)
 	}
 	art := c.buildNew(s, tc)
 	c.lastRoot = art
 	return art
 }
 
-// build computes (or returns cached) artifacts for one symbol.
+// build computes (or takes from the tier) artifacts for one symbol.
 func (c *Cache) build(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts {
-	if a, ok := c.arts[s.Hashes().Subtree]; ok {
-		c.touch(a)
+	if a := c.lookup(s.Hashes().Subtree); a != nil {
 		return a
 	}
 	return c.buildNew(s, tc)
@@ -1156,8 +1138,7 @@ func (c *Cache) buildNew(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts
 		u.Union(pu[0], pu[1])
 	}
 	levelIllegal := c.connectSweep(art, u)
-	nodeClass := c.classify(art, u, c.spareClassOf)
-	c.spareClassOf = nil
+	nodeClass := c.classify(art, u)
 	// Assign local classes to footprint-backed items.
 	for i := range art.Items {
 		if f := art.ItemFoot[i]; f >= 0 {
@@ -1206,9 +1187,11 @@ func (c *Cache) buildNew(s *layout.Symbol, tc *tech.Technology) *SymbolArtifacts
 		art.Instances += art.children[si].Art.Instances
 	}
 	art.neighbours()
-	art.gen = c.gen
-	c.arts[h] = art
-	return art
+	if len(art.Devices) > 0 {
+		// Apart from the memo a report keeps nothing of the artifact alive.
+		art.devText = new(deviceMemo)
+	}
+	return c.publishArt(art)
 }
 
 // populate fills the walk-order arrays of art (items, foots, devices,
@@ -1439,25 +1422,49 @@ func (c *Cache) populate(art *SymbolArtifacts, s *layout.Symbol, tc *tech.Techno
 // pays for the full transform build.
 func (c *Cache) span(childArt *SymbolArtifacts, t geom.Transform, name string, tc *tech.Technology) *spanData {
 	key := spanKey{childArt.Hash, t, name}
-	if sd, ok := c.spans[key]; ok {
+	ck := spanClassKey{childArt.Hash, t.Orient}
+	// The embedding and its representative must reference the identical
+	// artifact value: a hash seen again after eviction names a rebuilt
+	// artifact whose class numbering an old embedding must not be replayed
+	// against.
+	tr := c.tier
+	tr.mu.Lock()
+	if sd := tr.spans[key]; sd != nil && sd.childArt == childArt {
 		c.reach(sd)
+		tr.mu.Unlock()
 		return sd
 	}
-	ck := spanClassKey{childArt.Hash, t.Orient}
+	base := tr.spanClass[ck]
+	if base != nil && base.childArt == childArt {
+		c.holdSpan(base)
+	} else {
+		base = nil
+	}
+	tr.mu.Unlock()
+
 	var sd *spanData
-	// The representative must reference the identical artifact value: a
-	// hash seen again after eviction names a rebuilt artifact whose class
-	// numbering the old embedding must not be replayed against.
-	if base, ok := c.spanClass[ck]; ok && base.childArt == childArt {
+	if base != nil {
 		sd = deriveSpan(base, t, name)
 		c.ctxHits++
 	} else {
 		sd = buildSpan(childArt, t, name, tc)
-		c.spanClass[ck] = sd
 		c.ctxMisses++
 	}
-	c.reach(sd)
-	c.spans[key] = sd
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	tr.builds++
+	c.built.Spans++
+	if won := tr.spans[key]; won != nil && won.childArt == childArt {
+		c.reach(won)
+		return won
+	}
+	tr.spans[key] = sd
+	if cur := tr.spanClass[ck]; sd.rep == sd && (cur == nil || cur.childArt != childArt) {
+		tr.spanClass[ck] = sd
+	}
+	sd.refs++
+	c.spans[sd] = c.gen
+	c.reach(sd.rep) // held since the first look: only stamped
 	return sd
 }
 
@@ -1713,9 +1720,8 @@ func (a *SymbolArtifacts) footNode(f int) int {
 // spans follow in footprint order, and within a child the classes are
 // themselves numbered by first footprint. So labelling the nodes in order
 // labels the classes exactly as a pass over every footprint would, and the
-// first node of a class holds the class's first footprint. out is an
-// optional recycled ClassOf buffer.
-func (c *Cache) classify(art *SymbolArtifacts, u *geom.UnionFind, out []int) []int32 {
+// first node of a class holds the class's first footprint.
+func (c *Cache) classify(art *SymbolArtifacts, u *geom.UnionFind) []int32 {
 	nNodes, nFoots, numClasses := u.Len(), art.NumFoots(), u.Sets()
 	if cap(c.classScratch) < nNodes {
 		c.classScratch = make([]int32, nNodes)
@@ -1736,11 +1742,7 @@ func (c *Cache) classify(art *SymbolArtifacts, u *geom.UnionFind, out []int) []i
 		}
 		nodeClass[node] = cl - 1
 	}
-	if cap(out) >= nFoots {
-		out = out[:nFoots]
-	} else {
-		out = make([]int, nFoots)
-	}
+	out := make([]int, nFoots)
 	ownEnd := len(art.Foots)
 	for f := 0; f < ownEnd; f++ {
 		label(f, f)

@@ -261,7 +261,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 		t.Fatal("a row edit was answered by the root patch")
 	}
 	edit(layout.Edit{Op: layout.OpMoveElement, Symbol: "row2", Index: 0, DY: -250})
-	if c.arts[rowHash] == nil {
+	if c.heldArt(rowHash) == nil {
 		t.Fatal("the streak aged the row's artifacts out of the cache")
 	}
 	hits, misses := c.ContextStats()
@@ -287,7 +287,7 @@ func TestPatchedRunsAgeNothing(t *testing.T) {
 			t.Fatalf("edit %d: cache grew to %d artifacts and %d spans from %d and %d", i, c.Len(), len(c.spans), coldArts, coldSpans)
 		}
 	}
-	if _, ok := c.arts[rowHash]; ok {
+	if c.heldArt(rowHash) != nil {
 		t.Fatal("the row state left behind 100 edits ago was never evicted")
 	}
 }
@@ -327,7 +327,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 		}
 	}
 
-	before := c.owns[prim.Hashes().Own]
+	before := c.heldOwn(prim.Hashes().Own)
 	if before == nil {
 		t.Fatal("the primitive's analysis is not cached after a cold run")
 	}
@@ -335,7 +335,7 @@ func TestAnalysisCacheEvicted(t *testing.T) {
 	run()
 	move(-250)
 	run()
-	if got := c.owns[prim.Hashes().Own]; got != before {
+	if got := c.heldOwn(prim.Hashes().Own); got != before {
 		t.Fatal("an edit and its undo re-analysed the device instead of reusing the cached analysis")
 	}
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/layout"
+	"repro/internal/netlist"
 	"repro/internal/tech"
 )
 
@@ -125,6 +127,11 @@ type Server struct {
 	sessions map[string]*Session
 	nextID   int
 	stats    serverStats
+	// tiers holds one tier per technology and option set that live
+	// sessions check under: every session's engine shares its key's tier,
+	// so a cell one session has checked is not checked again by another.
+	// A tier goes with the last session that uses it.
+	tiers map[tierKey]*netlist.Tier
 	// bytesOut counts response body bytes by wire class (wireReport…).
 	bytesOut [wireClasses]atomic.Uint64
 
@@ -151,6 +158,7 @@ func newServer(cfg Config, clk clock) *Server {
 		cfg:      cfg,
 		adm:      newAdmission(cfg.MaxInflight, cfg.QueueDepth),
 		sessions: make(map[string]*Session),
+		tiers:    make(map[tierKey]*netlist.Tier),
 		clk:      clk,
 		start:    time.Now(),
 	}
@@ -424,6 +432,36 @@ func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 	return tc, opts, nil
 }
 
+// tierKey selects the tier a session's engine shares: one technology value
+// (a built-in one is one value per process; an uploaded deck is a value of
+// its own) and the options a request can set.
+type tierKey struct {
+	tc          *tech.Technology
+	metric      core.Metric
+	noConstruct bool
+}
+
+// engineFor builds a session's engine over the tier of its technology and
+// options, and returns the func that gives the tier back once the engine
+// is closed: the server drops a tier no engine uses.
+func (s *Server) engineFor(tc *tech.Technology, opts core.Options) (*core.Engine, func()) {
+	key := tierKey{tc, opts.Metric, opts.SkipConstruction}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.tiers[key]
+	if t == nil {
+		t = netlist.NewTier()
+		s.tiers[key] = t
+	}
+	return core.NewEngineOn(t, tc, opts), func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.tiers[key] == t && t.Stats().Views == 0 {
+			delete(s.tiers, key)
+		}
+	}
+}
+
 // open is the one way a session comes to be, on create and on restore:
 // resolve the request's technology and options, parse its CIF, admit the
 // cold check through the queue and run it under ctx. Create passes no id
@@ -462,12 +500,14 @@ func (s *Server) open(ctx context.Context, id string, req CreateRequest) (*Sessi
 	}
 	req.CIF = ""
 	now := s.clk.Now()
+	eng, untier := s.engineFor(tc, opts)
 	sess := &Session{
 		ID:       id,
 		req:      req,
 		design:   d,
 		tc:       tc,
-		eng:      core.NewEngine(tc, opts),
+		eng:      eng,
+		untier:   untier,
 		adm:      s.adm,
 		clk:      s.clk,
 		debounce: s.cfg.Debounce,
@@ -475,6 +515,14 @@ func (s *Server) open(ctx context.Context, id string, req CreateRequest) (*Sessi
 		lastUsed: now,
 		created:  now,
 	}
+	// Every exit but success closes the session, a panic in the check
+	// included, so its view releases what it reached.
+	ok := false
+	defer func() {
+		if !ok {
+			sess.close()
+		}
+	}()
 	start := time.Now()
 	rep, err := sess.eng.CheckContext(ctx, d)
 	if err != nil {
@@ -485,6 +533,7 @@ func (s *Server) open(ctx context.Context, id string, req CreateRequest) (*Sessi
 	sess.stats.LastRecheckNS = time.Since(start).Nanoseconds()
 	sess.stats.TotalRecheckNS = sess.stats.LastRecheckNS
 	sess.pushHistoryLocked()
+	ok = true
 	return sess, nil
 }
 
@@ -712,6 +761,50 @@ type ServerStatsResponse struct {
 	Goroutines    int    `json:"goroutines"`
 	HeapAllocByte uint64 `json:"heap_alloc_bytes"`
 	UptimeNS      int64  `json:"uptime_ns"`
+
+	// Tiers lists the shared tiers, by technology name.
+	Tiers []TierStats `json:"tiers"`
+}
+
+// TierStats is one tier on GET /v1/stats: the technology and options of
+// the sessions that share it, the values it holds, the engines that
+// reference it, and its counters since it was made — values engines took
+// from it without building them, values built and published, and
+// references dropped by eviction or close.
+type TierStats struct {
+	Tech        string `json:"tech"`
+	Metric      string `json:"metric,omitempty"`
+	NoConstruct bool   `json:"noconstruct,omitempty"`
+	Entries     int    `json:"entries"`
+	Engines     int    `json:"engines"`
+	Hits        uint64 `json:"hits"`
+	Builds      uint64 `json:"builds"`
+	Releases    uint64 `json:"releases"`
+}
+
+// tierStats lists the tiers, by technology name, then options.
+func (s *Server) tierStats() []TierStats {
+	s.mu.Lock()
+	out := make([]TierStats, 0, len(s.tiers))
+	tiers := make([]*netlist.Tier, 0, len(s.tiers))
+	for k, t := range s.tiers {
+		ts := TierStats{Tech: k.tc.Name, NoConstruct: k.noConstruct}
+		if k.metric == core.Orthogonal {
+			ts.Metric = "ortho"
+		}
+		out, tiers = append(out, ts), append(tiers, t)
+	}
+	s.mu.Unlock()
+	for i, t := range tiers {
+		st := t.Stats()
+		out[i].Entries, out[i].Engines = st.Entries, st.Views
+		out[i].Hits, out[i].Builds, out[i].Releases = st.Hits, st.Builds, st.Releases
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.Tech < b.Tech || a.Tech == b.Tech && (a.Metric < b.Metric || a.Metric == b.Metric && !a.NoConstruct && b.NoConstruct)
+	})
+	return out
 }
 
 func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
@@ -761,6 +854,7 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	resp.HeapAllocByte = ms.HeapAlloc
+	resp.Tiers = s.tierStats()
 	s.reply(w, http.StatusOK, resp)
 }
 

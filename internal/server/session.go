@@ -26,8 +26,10 @@ type injectState struct {
 
 // Session is one named check session: a design, the technology it is
 // checked under, and a long-lived incremental engine. All engine and
-// design access is serialized by mu; distinct sessions share nothing, so
-// the daemon checks them concurrently across goroutines.
+// design access is serialized by mu; distinct sessions share nothing but
+// their engines' tier of published, immutable values (see
+// Server.engineFor), so the daemon checks them concurrently across
+// goroutines.
 //
 // Edits are applied to the design immediately (mutation is cheap — it is
 // the recheck that costs), but the recheck itself is debounced: a burst of
@@ -47,6 +49,7 @@ type Session struct {
 	design *layout.Design
 	tc     *tech.Technology
 	eng    *core.Engine
+	untier func()       // gives the engine's tier back to the server (see Server.engineFor)
 	rep    *core.Report // last completed run's report
 	fp     string       // rep's digest, computed once when the run completed
 	dirty  bool         // edits applied since rep was produced
@@ -427,17 +430,23 @@ func (s *Session) statsSnapshot() (*StatsResponse, *svcError) {
 	}, nil
 }
 
-// close marks the session dead and stops its timer. Called with the
-// session lock NOT held; it serializes after any in-flight operation, so
-// a request that raced the eviction observes a clean 410, never a torn
-// state.
+// close marks the session dead, stops its timer and closes its engine,
+// whose references to the shared tier go with it. Called with the session
+// lock NOT held; it serializes after any in-flight operation, so a request
+// that raced the eviction observes a clean 410, never a torn state.
 func (s *Session) close() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.closed = true
 	if s.timer != nil {
 		s.timer.Stop()
 		s.timer = nil
+	}
+	s.eng.Close()
+	untier := s.untier
+	s.untier = nil
+	s.mu.Unlock()
+	if untier != nil {
+		untier()
 	}
 }
 

@@ -176,6 +176,7 @@ func (s *Server) restore(ctx context.Context, snap *SessionSnapshot) (*Session, 
 		return nil, fmt.Errorf("restore %s: %w", snap.ID, serr)
 	}
 	if sess.fp != snap.Fingerprint {
+		sess.close()
 		return nil, fmt.Errorf("restore %s: fingerprint mismatch: recheck %s, snapshot %s",
 			snap.ID, sess.fp, snap.Fingerprint)
 	}
