@@ -145,7 +145,6 @@ func Check(d *layout.Design, tc *tech.Technology, opts Options) (*Report, error)
 type checker struct {
 	design *layout.Design
 	tech   *tech.Technology
-	opts   Options
 	rep    *Report
 
 	curStage *StageStats

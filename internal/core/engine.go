@@ -64,12 +64,14 @@ import (
 // builds of missing per-definition interaction caches (candidate sweeps
 // and keepout probes, independent across definitions), and on a full
 // re-derive of the root, extraction's per-call, per-footprint and
-// per-device passes, the signatures, and the construction rules beside
-// the interaction stage. The calling goroutine is one of the workers,
-// work below a fixed size never leaves it (a window-patched recheck
-// spawns nothing), tallies, adjudication and report assembly stay serial,
-// and every split writes disjoint output, so the report does not depend
-// on the pool's size.
+// per-device passes and the signatures, each with its tally, found or
+// adjudicated there under its definition's lock. The calling goroutine
+// is one of the workers, work below a fixed size never leaves it (a
+// window-patched recheck spawns nothing), every split writes disjoint
+// output, and only absorption and report assembly stay serial. A tally
+// is a function of its definition and signature, adjudicated once
+// whoever reaches it first, so neither the report nor the signature and
+// interaction-cache counts depend on the pool's size.
 //
 // An Engine is not safe for concurrent use; engines over one tier run
 // concurrently. Reports share structure with the tier's values; treat them
@@ -241,8 +243,12 @@ func NewEngine(tc *tech.Technology, opts Options) *Engine {
 
 // NewEngineOn creates a check session over a tier that other engines may
 // share: every engine over one tier must check under the same technology
-// and options, and each should be closed when done (Close), so the tier
-// keeps only what live engines reach.
+// and the same options of those the tier's values depend on — Metric,
+// NoExemptions, ProcessSpacing and ProcessMargin, which adjudication
+// reads. SkipConstruction and Reference may differ: the construction
+// issues ride on the engine's own replay record, and the reference is
+// compared afresh each run. Each engine should be closed when done
+// (Close), so the tier keeps only what live engines reach.
 func NewEngineOn(t *netlist.Tier, tc *tech.Technology, opts Options) *Engine {
 	return &Engine{tc: tc, opts: opts, cache: t.NewCache()}
 }
@@ -315,7 +321,7 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	stats.Rehashed, stats.DirtySymbols = rehashed, dirty
 
 	rep := &Report{Design: d, Tech: e.tc}
-	c := &checker{design: d, tech: e.tc, opts: e.opts, rep: rep}
+	c := &checker{design: d, tech: e.tc, rep: rep}
 
 	// stage runs one pipeline stage unless the context has expired; the
 	// first expiry observed suppresses every following stage so the run
@@ -353,15 +359,9 @@ func (e *Engine) run(ctx context.Context, d *layout.Design) (*Report, error) {
 	})
 	if inc != nil {
 		stage("check legal connections", func() { e.checkConnections(c, inc) })
-		// A run that re-derived the root has no construction issues to
-		// patch, and the rules read nothing but the netlist: on the pool
-		// they run beside the interaction stage. Their violations are
-		// still added by their own stage, after it.
-		var cons []netlist.Issue
-		beside := !e.opts.SkipConstruction && inc.Patch == nil && runtime.GOMAXPROCS(0) > 1
-		stage("check interactions", func() { rec, cons = e.checkInteractions(c, inc, &stats, beside) })
+		stage("check interactions", func() { rec = e.checkInteractions(c, inc, &stats) })
 		if !e.opts.SkipConstruction {
-			stage("check construction rules", func() { rec.cons = e.checkConstruction(c, inc, cons, beside) })
+			stage("check construction rules", func() { rec.cons = e.checkConstruction(c, inc) })
 		}
 		if e.opts.Reference != nil {
 			stage("check netlist reference", func() {
@@ -792,26 +792,6 @@ func newSigScratch(n int) *sigScratch {
 	return &sigScratch{labelOf: make([]int, n), labelSeen: make([]uint32, n)}
 }
 
-// lookupTallies computes the net-environment signatures of instances [lo,
-// hi) and records in tallies each one's cached tally, nil when there is
-// none yet; it returns how many signatures it computed. A definition with
-// no tally at all (built this run) has nothing to find, so its instances
-// are left to the serial loop, which computes each signature once. It
-// reads the instances' definition caches and the run's net facts and
-// writes nothing but its scratch and its range of tallies, so shards of
-// instances run concurrently.
-func (e *Engine) lookupTallies(inc *netlist.IncExtraction, lo, hi int, facts *netFacts, sc *sigScratch, tallies []*interactionTally) (computed int) {
-	for ii := lo; ii < hi; ii++ {
-		di := e.cachedInter(inc.Instances[ii].Art)
-		if len(di.pairs) == 0 || len(*di.sigs.Load()) == 0 {
-			continue
-		}
-		tallies[ii] = di.tally(e.netEnvSignature(di, inc, ii, facts, sc))
-		computed++
-	}
-	return computed
-}
-
 // defPairGeom supplies the geometric measurements of pair adjudication,
 // memoized in the definition pair: they are invariant under the Manhattan
 // instance transforms. The endpoints' regions are stored moved by off
@@ -973,17 +953,19 @@ func (e *Engine) absorbKeepouts(c *checker, inc *netlist.IncExtraction, ii int, 
 	}
 }
 
-// checkInteractions is the incremental stage 5: for every instance, look
-// up (or adjudicate once) the definition-level tally for the instance's
-// net-environment signature and fold it, with the definition's keepout
-// tallies, into the report. It returns the run's replay record. With
-// construct set it also runs the construction rules on the pool, beside
-// the definition builds (where a full re-derive works through the root's,
-// partly serially), and returns their findings for the construction stage.
-func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats, construct bool) (*replayRecord, []netlist.Issue) {
+// checkInteractions is the incremental stage 5: every instance replays the
+// tally of its definition for its net-environment signature, and the
+// definition's keepout tallies, into the report. It returns the run's
+// replay record. Two phases run on the pool: the builds of the definition
+// caches the instances lack, and the signatures. A signature shard finds
+// each of its instances' tallies, adjudicating under the definition's
+// lock the signatures nobody has yet (adjudicate), so every new
+// (definition, signature) is adjudicated once, whatever the pool's size.
+// Only absorption, in instance order, is serial.
+func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats *EngineStats) *replayRecord {
 	if inc.Patch != nil {
 		if r := e.tryReplayInteractions(c, inc, stats); r != nil {
-			return r, nil
+			return r
 		}
 	}
 	maxGap := e.tc.MaxSpacing()
@@ -1020,18 +1002,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		order = append(order, art)
 	}
 	dis := make([]*defInter, len(order))
-	tasks := len(order)
-	var cons []netlist.Issue
-	top := c.design.Top.Name
-	if construct {
-		fanned.Add(1)
-		tasks++
-	}
-	geom.RunShards(tasks, workers, func(k int) {
-		if k == len(order) {
-			cons = netlist.ConstructionRules(inc.Netlist, top, e.tc)
-			return
-		}
+	geom.RunShards(len(order), workers, func(k int) {
 		dis[k] = e.buildDefInter(order[k], maxGap)
 		e.buildKeepouts(dis[k], keep)
 	})
@@ -1041,62 +1012,49 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 	stats.InterBuilt += len(order)
 	stats.InterReused += len(inc.Instances) - len(order)
 
-	tallies := make([]*interactionTally, len(inc.Instances))
-
 	// Signatures are the stage's per-instance cost, and each reads only the
-	// netlist and the instance's immutable definition cache: compute and
-	// look them up on the pool, every shard over its own range of
-	// instances with its own scratch. A tally not found stays nil; the
-	// serial loop adjudicates it.
+	// netlist and the instance's definition cache: every shard walks its
+	// own range of instances with its own scratch, and notes per instance
+	// its tally (nil: no pairs) and whether it built it.
+	tallies := make([]*interactionTally, len(inc.Instances))
+	built := make([]bool, len(inc.Instances))
 	m := min(geom.Shards(len(inc.Instances), workers), workers)
 	if m > 1 {
 		fanned.Add(1)
 	}
-	scratches := make([]*sigScratch, m)
-	for k := range scratches {
-		scratches[k] = newSigScratch(len(inc.Netlist.Nets))
-	}
-	computed := make([]int, m)
 	geom.RunShards(m, workers, func(k int) {
+		sc := newSigScratch(len(inc.Netlist.Nets))
 		lo, hi := geom.ShardRange(k, m, len(inc.Instances))
-		computed[k] = e.lookupTallies(inc, lo, hi, facts, scratches[k], tallies)
+		for ii := lo; ii < hi; ii++ {
+			di := e.cachedInter(inc.Instances[ii].Art)
+			if len(di.pairs) == 0 {
+				continue
+			}
+			sig := e.netEnvSignature(di, inc, ii, facts, sc)
+			if tallies[ii] = di.tally(sig); tallies[ii] == nil {
+				tallies[ii], built[ii] = e.adjudicate(di, sc.labels, sig)
+			}
+		}
 	})
-	for _, n := range computed {
-		stats.Signatures += n
-	}
 
-	// The serial loop looks up what the pool did not find, adjudicates,
-	// and absorbs, in instance order.
-	scratch := scratches[0]
 	var rootTally *interactionTally
 	childSigs := 0
 	processInstance := func(ii int) {
-		di := e.cachedInter(inc.Instances[ii].Art)
-		e.absorbKeepouts(c, inc, ii, di)
-		if len(di.pairs) == 0 {
-			return
-		}
-		if ii > 0 {
-			childSigs++
-		}
+		e.absorbKeepouts(c, inc, ii, e.cachedInter(inc.Instances[ii].Art))
 		tally := tallies[ii]
 		if tally == nil {
-			// Not cached when the pool looked: an instance before this one,
-			// or another engine over the tier, may have adjudicated the
-			// signature since.
-			sig := e.netEnvSignature(di, inc, ii, facts, scratch)
-			stats.Signatures++
-			var built bool
-			if tally, built = e.adjudicate(di, scratch.labels, sig); built {
-				stats.SigMisses++
-			} else {
-				stats.SigHits++
-			}
+			return
+		}
+		stats.Signatures++
+		if built[ii] {
+			stats.SigMisses++
 		} else {
 			stats.SigHits++
 		}
 		if ii == 0 {
 			rootTally = tally
+		} else {
+			childSigs++
 		}
 		e.absorbInstance(c, inc, ii, tally)
 	}
@@ -1121,7 +1079,7 @@ func (e *Engine) checkInteractions(c *checker, inc *netlist.IncExtraction, stats
 		childSigs:   childSigs,
 		child:       child,
 		childChecks: c.stageChecks() - checksMark,
-	}, cons
+	}
 }
 
 // fanned counts the phases that split across more than one worker. Only
@@ -1306,17 +1264,17 @@ func draftEq(a, b *violationDraft) bool {
 // checkConstruction is stage 6 with the same patched-root replay: the
 // rule set reads only nets and devices, and a root patch changes nothing
 // but the patched nets' bounds, so the issues of the record the patch
-// handed over are rewritten in place instead of recomputed. done reports
-// that issues already holds the rules' findings for this run's netlist
-// (computed beside the interaction stage). It returns the findings, for
-// the run's record.
-func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction, issues []netlist.Issue, done bool) []netlist.Issue {
-	if p := inc.Patch; !done && p != nil {
+// handed over are rewritten in place instead of recomputed. It returns
+// the findings, for the run's record.
+func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction) []netlist.Issue {
+	var issues []netlist.Issue
+	patched := false
+	if p := inc.Patch; p != nil {
 		if r, _ := p.Replay.(*replayRecord); r != nil && patchConstruction(inc, r.cons, p.Items) {
-			issues, done = r.cons, true
+			issues, patched = r.cons, true
 		}
 	}
-	if !done {
+	if !patched {
 		issues = netlist.ConstructionRules(inc.Netlist, c.design.Top.Name, e.tc)
 	}
 	for _, is := range issues {

@@ -360,9 +360,9 @@ func TestSameDevicePairsNeedNoSignature(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := NewEngine(nm, Options{})
-	c := &checker{design: d, tech: nm, opts: e.opts, rep: &Report{Design: d, Tech: nm}}
+	c := &checker{design: d, tech: nm, rep: &Report{Design: d, Tech: nm}}
 	var stats EngineStats
-	e.checkInteractions(c, inc, &stats, false)
+	e.checkInteractions(c, inc, &stats)
 	if stats.SigMisses != 6 || stats.SigHits != 259 {
 		t.Fatalf("signatures %d miss/%d hit, want 6/259", stats.SigMisses, stats.SigHits)
 	}

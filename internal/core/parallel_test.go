@@ -145,10 +145,11 @@ func TestParallelDefaultWorkers(t *testing.T) {
 
 // The pool is GOMAXPROCS, not the machine's cores: a process pinned to
 // one P runs everything on the calling goroutine, one with three splits
-// a cold check's phases.
+// a cold check's phases. A 20×20 chip has some 2 400 instances, enough
+// for the signature phase to split.
 func TestParallelWorkersFollowGOMAXPROCS(t *testing.T) {
 	tc := tech.NMOS()
-	d := workload.NewChip(tc, "par-procs", 2, 3).Design
+	d := workload.NewChip(tc, "par-procs", 20, 20).Design
 	for _, c := range []struct {
 		procs int
 		split bool
@@ -176,13 +177,12 @@ func TestParallelDeterminismNestedOrientations(t *testing.T) {
 // TestParallelDeterminismActiveEdits covers the full warm re-derive on the
 // pool. A 32×32 unique-row chip is large enough that every chip-sized
 // phase of a root re-derive splits (extraction's are asserted by netlist's
-// twin of this test; the interaction stage's signatures and the
-// construction rules beside it here). The first step places the oriented
-// blocks under all eight orientations, so reoriented families' region
-// columns are read by pooled phases under the race detector. Then an
-// active-edit script runs on engines with pools of 1, 2 and 7 side by
-// side: after every step the three reports and a cold check's have one
-// fingerprint.
+// twin of this test; the interaction stage's signatures here). The first
+// step places the oriented blocks under all eight orientations, so
+// reoriented families' region columns are read by pooled phases under the
+// race detector. Then an active-edit script runs on engines with pools of
+// 1, 2 and 7 side by side: after every step the three reports and a cold
+// check's have one fingerprint.
 func TestParallelDeterminismActiveEdits(t *testing.T) {
 	nm := tech.NMOS()
 	steps := 14
@@ -223,14 +223,14 @@ func TestParallelDeterminismActiveEdits(t *testing.T) {
 		}
 		// The pooled engines re-derive the root (each run resets the edit
 		// record the next engine would patch from), and each splits the
-		// signatures and runs construction beside the stage.
+		// signatures.
 		for k, eng := range engines[1:] {
 			if eng.Stats().FullPath == "" {
 				t.Fatalf("%s: workers=%d window-patched", label, pools[k+1])
 			}
 		}
-		if got := fanned.Load() - before; got < 4 {
-			t.Fatalf("%s: %d pooled phases in the interaction stages, want at least 4", label, got)
+		if got, want := fanned.Load()-before, int64(len(engines)-1); got < want {
+			t.Fatalf("%s: %d pooled phases in the interaction stages, want at least %d", label, got, want)
 		}
 	}
 	top := d.Top.Name
@@ -254,5 +254,55 @@ func TestParallelDeterminismActiveEdits(t *testing.T) {
 	}
 	if applied < steps/2 {
 		t.Fatalf("script too tame: %d of %d edits applied", applied, steps)
+	}
+}
+
+// TestPoolSizesCountAlike: the interaction stage's counters do not depend
+// on the pool's size either. A twin chip with injected errors is checked
+// cold, then takes every step of an active-edit script, on engines with
+// pools of 1, 2 and 7; after each run the three count the same signatures,
+// signature misses and hits, and interaction caches built and reused. The
+// chip's 3 000-odd instances split the signature phase on the pooled
+// engines, so a miss adjudicated on one shard while another shard waits
+// for the definition's lock is counted once.
+func TestPoolSizesCountAlike(t *testing.T) {
+	nm := tech.NMOS()
+	steps := 14
+	if testing.Short() {
+		steps = 5
+	}
+	chip := workload.NewChipUnique(nm, "poolcount", 24, 24)
+	workload.InjectErrors(chip, 14, 1)
+	d := chip.Design
+	pools := []int{1, 2, 7}
+	var engines []*Engine
+	for range pools {
+		engines = append(engines, NewEngine(nm, Options{}))
+	}
+	type counts struct{ sigs, misses, hits, built, reused int }
+	run := func(label string) {
+		t.Helper()
+		var want counts
+		for k, eng := range engines {
+			if _, err := runOn(pools[k], eng.Recheck, d); err != nil {
+				t.Fatalf("%s: workers=%d: %v", label, pools[k], err)
+			}
+			st := eng.Stats()
+			got := counts{st.Signatures, st.SigMisses, st.SigHits, st.InterBuilt, st.InterReused}
+			if k == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: workers=%d counts %+v, workers=1 %+v", label, pools[k], got, want)
+			}
+		}
+	}
+	run("cold")
+	script := workload.NewActiveEdits(5)
+	for i := 0; i < steps; i++ {
+		e := script.Next(d, nm)
+		if layout.ApplyEdit(d, nm, e) != nil {
+			continue
+		}
+		run(fmt.Sprintf("step %d (%s on %q)", i, e.Op, e.Symbol))
 	}
 }

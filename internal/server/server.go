@@ -434,18 +434,18 @@ func resolveCreate(req *CreateRequest) (*tech.Technology, core.Options, error) {
 
 // tierKey selects the tier a session's engine shares: one technology value
 // (a built-in one is one value per process; an uploaded deck is a value of
-// its own) and the options a request can set.
+// its own) and the metric. A request's other option, noconstruct, reaches
+// nothing a tier holds (core.NewEngineOn).
 type tierKey struct {
-	tc          *tech.Technology
-	metric      core.Metric
-	noConstruct bool
+	tc     *tech.Technology
+	metric core.Metric
 }
 
 // engineFor builds a session's engine over the tier of its technology and
 // options, and returns the func that gives the tier back once the engine
 // is closed: the server drops a tier no engine uses.
 func (s *Server) engineFor(tc *tech.Technology, opts core.Options) (*core.Engine, func()) {
-	key := tierKey{tc, opts.Metric, opts.SkipConstruction}
+	key := tierKey{tc, opts.Metric}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tiers[key]
@@ -766,29 +766,28 @@ type ServerStatsResponse struct {
 	Tiers []TierStats `json:"tiers"`
 }
 
-// TierStats is one tier on GET /v1/stats: the technology and options of
+// TierStats is one tier on GET /v1/stats: the technology and metric of
 // the sessions that share it, the values it holds, the engines that
 // reference it, and its counters since it was made — values engines took
 // from it without building them, values built and published, and
 // references dropped by eviction or close.
 type TierStats struct {
-	Tech        string `json:"tech"`
-	Metric      string `json:"metric,omitempty"`
-	NoConstruct bool   `json:"noconstruct,omitempty"`
-	Entries     int    `json:"entries"`
-	Engines     int    `json:"engines"`
-	Hits        uint64 `json:"hits"`
-	Builds      uint64 `json:"builds"`
-	Releases    uint64 `json:"releases"`
+	Tech     string `json:"tech"`
+	Metric   string `json:"metric,omitempty"`
+	Entries  int    `json:"entries"`
+	Engines  int    `json:"engines"`
+	Hits     uint64 `json:"hits"`
+	Builds   uint64 `json:"builds"`
+	Releases uint64 `json:"releases"`
 }
 
-// tierStats lists the tiers, by technology name, then options.
+// tierStats lists the tiers, by technology name, then metric.
 func (s *Server) tierStats() []TierStats {
 	s.mu.Lock()
 	out := make([]TierStats, 0, len(s.tiers))
 	tiers := make([]*netlist.Tier, 0, len(s.tiers))
 	for k, t := range s.tiers {
-		ts := TierStats{Tech: k.tc.Name, NoConstruct: k.noConstruct}
+		ts := TierStats{Tech: k.tc.Name}
 		if k.metric == core.Orthogonal {
 			ts.Metric = "ortho"
 		}
@@ -802,7 +801,7 @@ func (s *Server) tierStats() []TierStats {
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
-		return a.Tech < b.Tech || a.Tech == b.Tech && (a.Metric < b.Metric || a.Metric == b.Metric && !a.NoConstruct && b.NoConstruct)
+		return a.Tech < b.Tech || a.Tech == b.Tech && a.Metric < b.Metric
 	})
 	return out
 }

@@ -185,6 +185,55 @@ func TestSharedTierWindowEdit(t *testing.T) {
 	}
 }
 
+// TestNoConstructSharesTier: the construction setting reaches nothing a
+// tier holds, so a noconstruct session of a text a resident session holds
+// shares its tier and builds nothing: no artifact, own entry or
+// interaction cache. /v1/stats lists one tier, and each session serves
+// what a library engine gives the text under its own options.
+func TestNoConstructSharesTier(t *testing.T) {
+	text := libraryTexts(t, [2]int{2, 3})[0]
+	srv, c := newTestServer(t, Config{Debounce: time.Hour})
+	var fps [2]string
+	var last *Session
+	for i, skip := range []bool{false, true} {
+		created, err := c.SessionCreate(context.Background(), CreateRequest{Name: "n", CIF: text, Tech: "cmos", NoConstruct: skip})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := cif.Parse(text, tech.CMOS(), "n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.NewEngine(tech.CMOS(), core.Options{SkipConstruction: skip}).Check(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := core.FingerprintDigest(rep); created.Report.Fingerprint != want {
+			t.Fatalf("noconstruct=%v: served %s, library engine %s", skip, created.Report.Fingerprint, want)
+		}
+		fps[i] = created.Report.Fingerprint
+		srv.mu.Lock()
+		last = srv.sessions[created.ID]
+		srv.mu.Unlock()
+	}
+	if fps[0] == fps[1] {
+		t.Fatal("the text's report does not depend on the construction rules")
+	}
+	last.mu.Lock()
+	st := last.eng.Stats()
+	last.mu.Unlock()
+	if st.Built.Artifacts != 0 || st.Built.Owns != 0 || st.InterBuilt != 0 {
+		t.Fatalf("the noconstruct session built %+v and %d interaction caches, want nothing", st.Built, st.InterBuilt)
+	}
+	ss, err := c.ServerStats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ss.Tiers) != 1 || ss.Tiers[0].Engines != 2 {
+		t.Fatalf("/v1/stats tiers: %+v; want one tier under both sessions", ss.Tiers)
+	}
+}
+
 // TestTiersEmptyAfterEviction: LRU eviction leaves the tier holding what
 // the surviving session reaches, and idle eviction, like deletion, leaves
 // no tier and nothing in one.
