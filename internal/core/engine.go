@@ -101,11 +101,11 @@ type Engine struct {
 // Everything instance-structural (net facts, child tallies, counters) is
 // unchanged by such a patch; only the root definition's own pairs can
 // differ, and those are patched through patchRootInter, and the patched
-// nets' bounds, rewritten by patchConstruction. The record hangs on the
-// extraction it was computed from (IncExtraction.Replay), and only once
-// its run completed: a patch hands it over with the root's interaction
-// cache (RootPatch), so what the engine finds there always describes the
-// extraction as it was before the patch.
+// nets' bounds, rewritten by netlist.PatchConstruction. The record hangs
+// on the extraction it was computed from (IncExtraction.Replay), and only
+// once its run completed: a patch hands it over with the root's
+// interaction cache (RootPatch), so what the engine finds there always
+// describes the extraction as it was before the patch.
 type replayRecord struct {
 	facts *netFacts // the per-run net facts the signatures read
 
@@ -1270,7 +1270,7 @@ func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction) []net
 	var issues []netlist.Issue
 	patched := false
 	if p := inc.Patch; p != nil {
-		if r, _ := p.Replay.(*replayRecord); r != nil && patchConstruction(inc, r.cons, p.Items) {
+		if r, _ := p.Replay.(*replayRecord); r != nil && netlist.PatchConstruction(inc, r.cons) {
 			issues, patched = r.cons, true
 		}
 	}
@@ -1281,37 +1281,6 @@ func (e *Engine) checkConstruction(c *checker, inc *netlist.IncExtraction) []net
 		c.add(Violation{Rule: is.Rule, Severity: Error, Detail: is.Detail, Where: is.Where})
 	}
 	return issues
-}
-
-// patchConstruction rewrites a record's construction issues in place for a
-// root patch, reporting whether every moved item found its issue. Each
-// patched item is the sole member of an anonymous net with no terminals
-// (the netlist patch preconditions), so its one issue is the NET.FANOUT
-// finding, keyed stably by (rule, detail) — only the Where moves. Issue
-// order is preserved (sortIssues keys on rule and detail, both unchanged).
-func patchConstruction(inc *netlist.IncExtraction, out []netlist.Issue, moved []int) bool {
-	for _, gi := range moved {
-		f := inc.Root.ItemFootAt(gi)
-		if f < 0 {
-			return false
-		}
-		cl := inc.Root.ClassOf[f]
-		net := &inc.Netlist.Nets[cl]
-		detail := fmt.Sprintf("net %q has %d device terminal(s), need at least 2",
-			net.Name, len(net.Terminals))
-		found := false
-		for k := range out {
-			if out[k].Rule == "NET.FANOUT" && out[k].Detail == detail {
-				out[k].Where = inc.Netlist.NetBounds(cl)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // adjudicateDef runs the shared subcase logic over every candidate pair of

@@ -60,10 +60,9 @@ func ConstructionRules(nl *Netlist, top string, tc *tech.Technology) []Issue {
 		// terminals; a zero-terminal net is floating interconnect.
 		if !power && !ground && len(net.Terminals) < 2 {
 			issues = append(issues, Issue{
-				Rule: "NET.FANOUT",
-				Detail: fmt.Sprintf("net %q has %d device terminal(s), need at least 2",
-					net.Name, len(net.Terminals)),
-				Where: nl.NetBounds(i),
+				Rule:   "NET.FANOUT",
+				Detail: fanoutDetail(net),
+				Where:  nl.NetBounds(i),
 			})
 		}
 	}
@@ -94,6 +93,43 @@ func ConstructionRules(nl *Netlist, top string, tc *tech.Technology) []Issue {
 	}
 	sortIssues(issues)
 	return issues
+}
+
+// fanoutDetail is the detail text of a net's NET.FANOUT issue, the key
+// PatchConstruction finds that issue by.
+func fanoutDetail(net *Net) string {
+	return fmt.Sprintf("net %q has %d device terminal(s), need at least 2",
+		net.Name, len(net.Terminals))
+}
+
+// PatchConstruction rewrites, in place, the ConstructionRules issues of
+// the extraction a root patch started from so that they are inc's, and
+// reports whether every moved item found its issue. Each patched item is
+// the sole member of an anonymous net with no terminals (the patch's
+// preconditions), so its one issue is the NET.FANOUT finding, keyed stably
+// by (rule, detail): only the Where moves. Issue order is preserved
+// (sortIssues keys on rule and detail, both unchanged).
+func PatchConstruction(inc *IncExtraction, issues []Issue) bool {
+	for _, gi := range inc.Patch.Items {
+		f := inc.Root.ItemFootAt(gi)
+		if f < 0 {
+			return false
+		}
+		cl := inc.Root.ClassOf[f]
+		detail := fanoutDetail(&inc.Netlist.Nets[cl])
+		found := false
+		for k := range issues {
+			if issues[k].Rule == "NET.FANOUT" && issues[k].Detail == detail {
+				issues[k].Where = inc.Netlist.NetBounds(cl)
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 func devName(d *DeviceUse, top string) string {
